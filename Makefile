@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-json bench-compare
+.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -93,12 +93,18 @@ serve-smoke:
 
 # The CI gate: static analysis (go vet and the project's lbvet
 # analyzers), the race-enabled suite, the chaos suite (which includes
-# the storm), the observability, wire and serve smokes, and the
+# the storm), the observability, wire and serve smokes, one iteration of
+# every benchmark inside internal/ (so they cannot rot), and the
 # benchmark regression diff against the committed trajectory.
-check: vet lint race chaos obs-smoke wire-smoke serve-smoke bench-compare
+check: vet lint race chaos obs-smoke wire-smoke serve-smoke bench-smoke bench-compare
 
 bench:
 	$(GO) test -bench . -benchmem ./...
+
+# Run each benchmark of the internal packages once: a compile-and-run
+# check, not a measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # Regenerate BENCH_lb.json, the machine-readable perf trajectory
 # (ns/op, B/op, allocs/op per recorded configuration).

@@ -221,8 +221,22 @@ var summaryOps = []ReduceOp{ReduceMax, ReduceMin, ReduceSum}
 // collective, returning all three to every rank in one round.
 func (rc *Context) AllReduceSummary(load float64) (max, min, sum float64) {
 	rc.smallBuf[0], rc.smallBuf[1], rc.smallBuf[2] = load, load, load
-	out := rc.treeCollective("allreduce_summary", rc.smallBuf[:3], ReduceSum, summaryOps)
+	out := rc.AllReduceMixed(rc.smallBuf[:3], summaryOps)
 	return out[0], out[1], out[2]
+}
+
+// AllReduceMixed is AllReduceVec with a combine of its own per element:
+// values[i] is reduced across all ranks with ops[i]. It lets a caller
+// that needs sums and maxima of the same step take one tree sweep
+// instead of one per operator; each element's fold order is the
+// topology's, exactly as in a single-operator reduce, so the results are
+// bit-identical to separate collectives. All ranks must pass the same
+// ops; neither slice is retained or mutated.
+func (rc *Context) AllReduceMixed(values []float64, ops []ReduceOp) []float64 {
+	if len(ops) != len(values) {
+		panic(fmt.Sprintf("amt: AllReduceMixed with %d values and %d ops", len(values), len(ops)))
+	}
+	return rc.treeCollective("allreduce_mixed", values, ReduceSum, ops)
 }
 
 // AllGather collects one float64 from every rank and returns the full

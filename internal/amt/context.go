@@ -73,6 +73,11 @@ type Context struct {
 	epochSeq  int64 // id of the current (or last) epoch entered
 	inEpoch   bool
 	epochDone bool
+	// open is the detector of epoch epochSeq while that epoch is open
+	// (nil otherwise): the one every counted send and receive of the
+	// epoch goes to, kept here so the per-message path skips the map.
+	// detectors holds the same detector plus any created for another id.
+	open      *termination.Detector
 	detectors map[int64]*termination.Detector
 	pending   map[int64][]comm.Message
 
@@ -264,6 +269,9 @@ func (rc *Context) activeEpoch() int64 {
 }
 
 func (rc *Context) detector(id int64) *termination.Detector {
+	if id == rc.epochSeq && rc.open != nil {
+		return rc.open
+	}
 	d, ok := rc.detectors[id]
 	if !ok {
 		d = termination.New(int(rc.rank), rc.n)
@@ -314,6 +322,7 @@ func (rc *Context) Epoch(body func()) {
 	rc.epochDone = false
 	rc.Stats.EpochsRun++
 	d := rc.detector(rc.epochSeq)
+	rc.open = d
 
 	var epochStart time.Time
 	if rc.tr != nil || rc.ins != nil {
@@ -378,6 +387,7 @@ func (rc *Context) Epoch(body func()) {
 	rc.assertAcked(rc.epochSeq)
 	waves := d.Wave()
 	rc.inEpoch = false
+	rc.open = nil
 	delete(rc.detectors, rc.epochSeq)
 	if rc.tr != nil || rc.ins != nil {
 		elapsed := clock.Since(epochStart)
@@ -427,11 +437,12 @@ func (rc *Context) dispatch(m comm.Message) {
 		env := m.Data.(envelope)
 		rc.countReceive(env.EpochID, m.MsgID)
 		h := HandlerID(m.Handler)
+		fn := rc.rt.handlers[h]
 		if rc.tr == nil && rc.ins == nil {
-			rc.rt.handlers[h](rc, core.Rank(m.From), env.Data)
+			fn(rc, core.Rank(m.From), env.Data)
 		} else {
 			rc.timedHandler(h, m.From, -1, func() {
-				rc.rt.handlers[h](rc, core.Rank(m.From), env.Data)
+				fn(rc, core.Rank(m.From), env.Data)
 			})
 		}
 	case kindObject:

@@ -35,6 +35,32 @@ func TestAllReduceVec(t *testing.T) {
 	})
 }
 
+// TestAllReduceMixedMatchesSeparateReduces: fusing sums, maxima and
+// minima into one sweep must return, bit for bit, what one collective
+// per operator returns — the values are thirds and sevenths, whose sums
+// depend on the fold order — and must leave its inputs alone.
+func TestAllReduceMixedMatchesSeparateReduces(t *testing.T) {
+	const n = 23
+	rt := New(n)
+	rt.Run(func(rc *Context) {
+		r := float64(rc.Rank())
+		in := []float64{1 / (3 + r), r / 7, 1 / (3 + r), r / 7}
+		ops := []ReduceOp{ReduceSum, ReduceSum, ReduceMax, ReduceMin}
+		got := rc.AllReduceMixed(in, ops)
+		sums := rc.AllReduceVec(in[:2], ReduceSum)
+		want := []float64{sums[0], sums[1],
+			rc.AllReduce(in[2], ReduceMax), rc.AllReduce(in[3], ReduceMin)}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("rank %d: mixed[%d] = %v, separate reduce %v", rc.Rank(), i, got[i], want[i])
+			}
+		}
+		if in[0] != 1/(3+r) || ops[2] != ReduceMax {
+			t.Errorf("rank %d: inputs mutated: %v %v", rc.Rank(), in, ops)
+		}
+	})
+}
+
 // TestAllReduceVecInputAliasing verifies the collective does not retain
 // or mutate the caller's slice.
 func TestAllReduceVecInputAliasing(t *testing.T) {

@@ -13,6 +13,7 @@ var collectiveNames = map[string]bool{
 	"Barrier":          true,
 	"AllReduce":        true,
 	"AllReduceVec":     true,
+	"AllReduceMixed":   true,
 	"AllReduceSummary": true,
 	"AllGather":        true,
 	"Broadcast":        true,

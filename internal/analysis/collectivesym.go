@@ -6,9 +6,10 @@ import (
 )
 
 // newCollectivesym flags collective calls (Barrier, AllReduce,
-// AllReduceVec, AllReduceSummary, AllGather, Broadcast, treeCollective
-// — the synchronization points of amt.Context) that are reachable only
-// under a branch conditioned on rank-local state: the rank identity
+// AllReduceVec, AllReduceMixed, AllReduceSummary, AllGather, Broadcast,
+// treeCollective — the synchronization points of amt.Context) that are
+// reachable only under a branch conditioned on rank-local state: the
+// rank identity
 // (rc.Rank()) or the per-process observability attachments (rc.Stream(),
 // rc.Tracer(), rc.Metrics()), which may be nil on some ranks and not on
 // others. In the SPMD model every rank must execute the identical

@@ -49,14 +49,16 @@ func (c *CMF) Rebuild(know *Knowledge, self Rank, ave float64, kind CMFKind) boo
 	if ls <= 0 {
 		return false
 	}
-	entries := know.Entries()
+	// The log lists exactly the known ranks, so the table is read
+	// directly: no per-entry membership check.
+	load := know.loads()
 	z := 0.0
-	for _, e := range entries {
+	for _, e := range know.entries {
 		r := e.Rank
 		if r == self {
 			continue
 		}
-		p := 1 - know.Load(r)/ls
+		p := 1 - load[r]/ls
 		if p < 0 {
 			p = 0
 		}

@@ -181,14 +181,16 @@ type Config struct {
 
 	// PersistKnowledge keeps each rank's gossip knowledge across the
 	// iterations of a trial instead of resetting it, trading staleness
-	// for fewer messages. The paper resets; this is an ablation knob.
+	// for fewer messages. The paper resets; this is an ablation knob of
+	// the synchronous engine, and the distributed balancer refuses it.
 	PersistKnowledge bool
 
 	// NegativeAcks enables the recipient-side veto of Menon's original
 	// GrapevineLB that the paper chose not to employ (§V-A): a transfer
 	// that would push the actual recipient above the average is bounced
 	// back to the sender. Iterative refinement subsumes it; this knob
-	// exists to quantify that claim.
+	// exists to quantify that claim, in the synchronous engine only: the
+	// distributed balancer refuses it.
 	NegativeAcks bool
 
 	// MaxGossipEntries caps the number of knowledge entries carried per
@@ -242,7 +244,8 @@ type Config struct {
 	// Engine.RunWithComm: recipient selection blends the load-deficit
 	// CMF with each candidate's communication affinity for the task,
 	// p' = (1−CommBias)·p_cmf + CommBias·p_affinity, steering tasks
-	// toward ranks hosting their communication partners.
+	// toward ranks hosting their communication partners. The distributed
+	// balancer carries no communication graph and refuses a positive bias.
 	CommBias float64
 
 	// Tracer, when non-nil, receives lb.run and lb.iteration span events

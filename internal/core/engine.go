@@ -49,8 +49,8 @@ type IterationStats struct {
 
 	// ElapsedSeconds is the wall-clock time the iteration took. In the
 	// synchronous engine that is the simulation cost of the pass; in the
-	// distributed balancer it is the slowest rank's inform+transfer+
-	// evaluate time.
+	// distributed balancer it is the slowest rank's time from the start
+	// of the iteration to the reduce that evaluates it.
 	ElapsedSeconds float64
 }
 
@@ -148,7 +148,7 @@ func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
 		return
 	}
 	// The placeholder streams are re-pointed at the trial's derived
-	// seeds before any draw (see the Reseed loop in run); deriving the
+	// seeds before any draw (see the StartTrial loop in run); deriving the
 	// placeholders from cfg.Seed keeps every construction site fed from
 	// the plumbed seed.
 	sc.states = make([]*InformState, numRanks)
@@ -226,7 +226,7 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 		// Re-point each rank's random streams at this trial's seeds; the
 		// sequences are bit-identical to freshly allocated generators.
 		for r := 0; r < numRanks; r++ {
-			sc.states[r].Reseed(deriveSeed(e.cfg.Seed, int64(trial), int64(r), 0x60551f))
+			sc.states[r].StartTrial(trial)
 			reseed(sc.transferRNG[r], e.cfg.Seed, int64(trial), int64(r), 0x7af)
 		}
 		reseed(sc.orderRNG, e.cfg.Seed, int64(trial), 0x0deb)

@@ -61,12 +61,15 @@ func (st *InformState) Reset() {
 	}
 }
 
-// Reseed re-points the state's private generator at a new stream and
-// clears all gossip state, preparing the rank for a fresh trial without
-// reallocating the state machine. The resulting random sequence is
-// bit-identical to constructing a new state with the same seed.
-func (st *InformState) Reseed(seed int64) {
-	st.rng.Seed(seed)
+// StartTrial prepares the rank for trial number trial of a refinement
+// without reallocating the state machine: it re-points the private
+// generator at the trial's gossip stream, derived from cfg.Seed, the
+// trial and the rank, and clears all gossip state. Both drivers — the
+// synchronous engine and the distributed balancer — begin every trial
+// here, so they draw the same sequence, bit-identical to a state
+// freshly constructed over a generator of that stream.
+func (st *InformState) StartTrial(trial int) {
+	reseed(st.rng, st.cfg.Seed, int64(trial), int64(st.self), 0x60551f)
 	st.Reset()
 }
 

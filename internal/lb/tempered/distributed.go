@@ -1,6 +1,7 @@
 package tempered
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -18,6 +19,11 @@ type Handlers struct {
 	xfer   amt.HandlerID
 	fetch  amt.HandlerID
 	st     []*rankState
+
+	// freshTrialState makes every trial build a new gossip state instead
+	// of re-pointing the invocation's one. Only tests set it, to show the
+	// two are indistinguishable.
+	freshTrialState bool
 }
 
 // rankState is the per-rank balancer state touched by handlers; every
@@ -132,8 +138,8 @@ type DistResult struct {
 	MigrationBytes int
 	// History holds per-iteration accounting aggregated over all ranks —
 	// the distributed equivalents of the synchronous engine's
-	// Result.History rows, reduced with one sum and one max collective
-	// per iteration.
+	// Result.History rows, reduced with one mixed sum/max collective per
+	// iteration.
 	History []core.IterationStats
 	// GossipMessages and TransferMessages total the balancer's own
 	// active messages (all ranks, all trials): every gossip message of
@@ -161,6 +167,34 @@ func (r DistResult) StripTiming() DistResult {
 	return r
 }
 
+// iterOps is the per-element combine of the iteration's statistics
+// reduce: seven counters summed, then three values maximized.
+var iterOps = []amt.ReduceOp{
+	amt.ReduceSum, amt.ReduceSum, amt.ReduceSum, amt.ReduceSum,
+	amt.ReduceSum, amt.ReduceSum, amt.ReduceSum,
+	amt.ReduceMax, amt.ReduceMax, amt.ReduceMax,
+}
+
+// rejectEngineOnly refuses the knobs only the synchronous engine
+// implements: the distributed protocol has no recipient veto, resets
+// knowledge every iteration and carries no communication graph, and
+// running on as if the knob were off would report results the
+// configuration did not ask for.
+func rejectEngineOnly(cfg core.Config) error {
+	var knob string
+	switch {
+	case cfg.NegativeAcks:
+		knob = "NegativeAcks"
+	case cfg.PersistKnowledge:
+		knob = "PersistKnowledge"
+	case cfg.CommBias > 0:
+		knob = "CommBias"
+	default:
+		return nil
+	}
+	return fmt.Errorf("tempered: %s is not supported by the distributed balancer (synchronous engine only)", knob)
+}
+
 // RunDistributed executes the full TemperedLB protocol on the calling
 // rank: the statistics all-reduce, then Trials×Iterations of (gossip
 // epoch, transfer epoch, imbalance all-reduce) over a virtual working
@@ -169,6 +203,9 @@ func (r DistResult) StripTiming() DistResult {
 // ranks must call it collectively with their local instrumented loads.
 func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt.ObjectID]float64) (DistResult, error) {
 	if err := cfg.Validate(); err != nil {
+		return DistResult{}, err
+	}
+	if err := rejectEngineOnly(cfg); err != nil {
 		return DistResult{}, err
 	}
 	self := rc.Rank()
@@ -232,13 +269,16 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 
 	for trial := 1; trial <= cfg.Trials; trial++ {
 		st.virtual = copyInto(st.virtual, loads) // Algorithm 3 line 3
-		gossipRNG := core.SeededRNG(cfg.Seed, int64(trial), int64(self), 0x60551f)
 		xferRNG := core.SeededRNG(cfg.Seed, int64(trial), int64(self), 0x7af)
-		// One gossip state per trial, reset at each iteration: the
-		// iteration's epoch has quiesced before the reset, so no in-flight
-		// message can observe a recycled knowledge buffer. The RNG stream
-		// is continuous across iterations, exactly as before.
-		st.inform = core.NewInformState(self, n, &cfg, gossipRNG)
+		// One gossip state per invocation, re-pointed at each trial's
+		// stream the way the engine does it and reset at each iteration:
+		// the previous iteration's epochs have quiesced by then, so no
+		// in-flight message can observe a recycled knowledge buffer. The
+		// RNG stream is continuous across a trial's iterations.
+		if st.inform == nil || h.freshTrialState {
+			st.inform = core.NewInformState(self, n, &cfg, core.SeededRNG(cfg.Seed))
+		}
+		st.inform.StartTrial(trial)
 
 		for iter := 1; iter <= cfg.Iterations; iter++ {
 			iterStart := clock.Now()
@@ -308,23 +348,23 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			})
 
 			// Evaluate the proposed distribution (Algorithm 3 line 9) and
-			// aggregate the iteration's accounting: one elementwise sum
-			// and one elementwise max across ranks. KnowledgeMin rides the
-			// max reduce negated (ranks that were not overloaded
-			// contribute -Inf, i.e. they don't constrain the minimum).
+			// aggregate the iteration's accounting in one mixed-op reduce:
+			// seven sums, then three maxes. KnowledgeMin rides a max
+			// negated (ranks that were not overloaded contribute -Inf,
+			// i.e. they don't constrain the minimum); the last element is
+			// this rank's time from iteration start to this reduce.
 			negKnow := math.Inf(-1)
 			if overloaded > 0 {
 				negKnow = -knowledge
 			}
-			sums := rc.AllReduceVec([]float64{
+			curLoad := st.sumLoad(st.virtual)
+			agg := rc.AllReduceMixed([]float64{
 				float64(st.gossipSent), float64(st.gossipEntries),
 				float64(xfers), float64(ts.Rejected), float64(ts.NoCandidate),
 				overloaded, overloaded * knowledge,
-			}, amt.ReduceSum)
-			curLoad := st.sumLoad(st.virtual)
-			maxes := rc.AllReduceVec([]float64{
 				curLoad, negKnow, clock.Since(iterStart).Seconds(),
-			}, amt.ReduceMax)
+			}, iterOps)
+			sums, maxes := agg[:7], agg[7:]
 
 			iterStat := core.IterationStats{
 				Trial: trial, Iteration: iter,

@@ -2,6 +2,8 @@ package tempered
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,16 +168,64 @@ func TestDistributedEmptySystem(t *testing.T) {
 	})
 }
 
+// TestDistributedBadConfig: an invalid configuration is refused, and so
+// is every knob only the synchronous engine implements — by name, since
+// running on as if it were off would answer a question nobody asked.
 func TestDistributedBadConfig(t *testing.T) {
-	rt := amt.New(2)
-	h := RegisterHandlers(rt, 100)
+	for _, tc := range []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"fanout", func(c *core.Config) { c.Fanout = 0 }},
+		{"NegativeAcks", func(c *core.Config) { c.NegativeAcks = true }},
+		{"PersistKnowledge", func(c *core.Config) { c.PersistKnowledge = true }},
+		{"CommBias", func(c *core.Config) { c.CommBias = 0.3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := amt.New(2)
+			h := RegisterHandlers(rt, 100)
+			cfg := distConfig()
+			tc.set(&cfg)
+			rt.Run(func(rc *amt.Context) {
+				_, err := RunDistributed(rc, h, cfg, nil)
+				if err == nil {
+					t.Error("bad config accepted")
+				} else if !strings.Contains(err.Error(), tc.name) {
+					t.Errorf("error %q does not name %s", err, tc.name)
+				}
+			})
+		})
+	}
+}
+
+// registerFreshHandlers is RegisterHandlers for a balancer that builds a
+// new gossip state for every trial, the way RunDistributed did before it
+// shared the engine's trial start.
+func registerFreshHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
+	h := RegisterHandlers(rt, base)
+	h.freshTrialState = true
+	return h
+}
+
+// TestTrialStateReuseIdentity: re-pointing one gossip state at each
+// trial's stream must be indistinguishable from constructing a fresh
+// one — same dice, no knowledge, forwarding marks or load-table residue
+// carried across the trial boundary. Rounds is 1, where results are
+// protocol-determined (DESIGN.md §10), so every field must match.
+func TestTrialStateReuseIdentity(t *testing.T) {
 	cfg := distConfig()
-	cfg.Fanout = 0
-	rt.Run(func(rc *amt.Context) {
-		if _, err := RunDistributed(rc, h, cfg, nil); err == nil {
-			t.Error("bad config accepted")
+	cfg.Rounds = 1
+	cfg.Trials = 4
+	fresh, _, _ := runChaosCaseWith(t, registerFreshHandlers, 64, 4, 30, cfg, nil, nonDyadicLoad)
+	reused, _, _ := runChaosCase(t, 64, 4, 30, cfg, nil, nonDyadicLoad)
+	if fresh[0].GossipMessages == 0 || fresh[0].TransferMessages == 0 {
+		t.Fatalf("vacuous run: %+v", fresh[0])
+	}
+	for r := range fresh {
+		if want, got := fresh[r].StripTiming(), reused[r].StripTiming(); !reflect.DeepEqual(want, got) {
+			t.Fatalf("rank %d: reused state %+v, fresh state %+v", r, got, want)
 		}
-	})
+	}
 }
 
 func TestDistributedRepeatedInvocations(t *testing.T) {

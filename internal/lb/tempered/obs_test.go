@@ -118,7 +118,7 @@ func TestDistributedTracingAcceptance(t *testing.T) {
 
 	// (d) Collective accounting on the k-ary tree: the gossip prologue is
 	// exactly one collective round per rank (the fused summary reduce),
-	// each iteration adds exactly two vector reduces, and no rank ever
+	// each iteration adds exactly one mixed sum/max reduce, and no rank ever
 	// sends more than fanout·ceil(log_fanout P) messages per collective —
 	// the scaling contract that replaced the star's 2(P−1) on rank 0.
 	fanout := rt.Fanout()
@@ -127,14 +127,14 @@ func TestDistributedTracingAcceptance(t *testing.T) {
 		bound += fanout
 	}
 	perRank := map[int]int{}
-	prologues := map[int]int{}
+	mixed := map[int]int{}
 	for _, e := range events {
 		if e.Type != obs.EvCollective {
 			continue
 		}
 		perRank[e.Rank]++
-		if e.Name == "allreduce_summary" {
-			prologues[e.Rank]++
+		if e.Name == "allreduce_mixed" {
+			mixed[e.Rank]++
 		}
 		if int(e.Value) > bound {
 			t.Errorf("rank %d sent %g messages in %q, tree bound is %d",
@@ -144,15 +144,16 @@ func TestDistributedTracingAcceptance(t *testing.T) {
 			t.Errorf("collective event geometry: fanout %d depth %d", e.Fanout, e.Depth)
 		}
 	}
-	// One explicit barrier before the LB call, one prologue round, two
-	// reduces per iteration.
-	wantColl := 2 + 2*cfg.Trials*cfg.Iterations
+	// One explicit barrier before the LB call, then mixed-op reduces
+	// only: one prologue round and one per iteration.
+	wantMixed := 1 + cfg.Trials*cfg.Iterations
+	wantColl := 1 + wantMixed
 	for r := 0; r < nRanks; r++ {
 		if perRank[r] != wantColl {
 			t.Errorf("rank %d ran %d collectives, want %d", r, perRank[r], wantColl)
 		}
-		if prologues[r] != 1 {
-			t.Errorf("rank %d ran %d prologue rounds, want exactly 1", r, prologues[r])
+		if mixed[r] != wantMixed {
+			t.Errorf("rank %d ran %d mixed-op reduces, want %d", r, mixed[r], wantMixed)
 		}
 	}
 

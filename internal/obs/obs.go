@@ -50,8 +50,8 @@ const (
 	EvPhaseBegin
 	EvPhaseEnd
 	// EvCollective is one completed collective call (Name identifies the
-	// algorithm: "barrier", "allreduce", "allreduce_summary",
-	// "allreduce_vec", "allgather"); Dur spans entry to completion. Value
+	// algorithm: "barrier", "allreduce", "allreduce_vec",
+	// "allreduce_mixed", "allgather"); Dur spans entry to completion. Value
 	// carries the messages this rank sent for the collective, and
 	// Fanout/Depth describe the reduction tree it rode.
 	EvCollective

@@ -29,7 +29,7 @@
 //     index rides in the object state through migrations, so whichever
 //     rank hosts an object computes the same work for it.
 //  3. The trigger consumes only Summary values assembled from
-//     AllReduceVec collectives (fixed tree combine order) and shared
+//     AllReduceMixed collectives (fixed tree combine order) and shared
 //     configuration. Trigger state is per-rank but evolves only through
 //     Decide, so by induction over phases every rank's instance sees
 //     the same inputs and reaches the same fire/skip decision — the

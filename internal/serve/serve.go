@@ -107,10 +107,14 @@ type Result struct {
 	LocalMigrations int
 }
 
+// summaryOps reduces [own, predOwn, own, predOwn] to the two maxima
+// followed by the two sums.
+var summaryOps = []amt.ReduceOp{amt.ReduceMax, amt.ReduceMax, amt.ReduceSum, amt.ReduceSum}
+
 // Run executes the balancer service on the calling rank: Phases times,
 // generate the phase's work from the scenario, fold the observations
-// into the load model, agree on the phase summary with two vector
-// collectives, ask the trigger, and — when it fires — run the tempered
+// into the load model, agree on the phase summary with one mixed-op
+// collective, ask the trigger, and — when it fires — run the tempered
 // distributed protocol over the model's predictions. All ranks must
 // call it collectively, with identical cfg, after registering the LB
 // handlers.
@@ -198,19 +202,18 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 		stats := rc.PhaseEnd()
 		model.Observe(stats)
 
-		// Agree on the phase summary: element 0 is the observed rank
-		// total, element 1 the predicted next-phase total. One Max and
-		// one Sum sweep give every rank the same Summary bits.
+		// Agree on the phase summary: the observed rank total and the
+		// predicted next-phase total, each maximized and summed in one
+		// mixed-op sweep, give every rank the same Summary bits.
 		own := stats.Total
 		predOwn := predictedTotal(model)
-		maxes := rc.AllReduceVec([]float64{own, predOwn}, amt.ReduceMax)
-		sums := rc.AllReduceVec([]float64{own, predOwn}, amt.ReduceSum)
+		agg := rc.AllReduceMixed([]float64{own, predOwn, own, predOwn}, summaryOps)
 		sum := Summary{
 			Phase:   p,
-			Max:     maxes[0],
-			Avg:     sums[0] / n,
-			PredMax: maxes[1],
-			PredAvg: sums[1] / n,
+			Max:     agg[0],
+			Avg:     agg[2] / n,
+			PredMax: agg[1],
+			PredAvg: agg[3] / n,
 			SinceLB: sinceLB,
 			LBCost:  cfg.LBCost,
 		}

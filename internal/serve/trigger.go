@@ -7,7 +7,7 @@ import (
 )
 
 // Summary is the rank-identical view of one finished phase, assembled
-// from two AllReduceVec collectives over [observed total, predicted
+// from one AllReduceMixed collective over [observed total, predicted
 // total]. Because every field is a collective output (or configuration
 // shared by every rank), a deterministic Trigger fed the phase-ordered
 // sequence of Summaries reaches the same decision on every rank — the

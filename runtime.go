@@ -99,7 +99,9 @@ func RegisterLBHandlers(rt *Runtime, base HandlerID) *LBHandlers {
 // concurrent transfer decisions, refinement over trials and iterations,
 // and a commit epoch that migrates the chosen objects. loads maps each
 // of the calling rank's local objects to its instrumented load (e.g.
-// from PhaseStats.Loads).
+// from PhaseStats.Loads). It returns an error, the same on every rank,
+// for an invalid configuration and for the knobs only the synchronous
+// engine implements (NegativeAcks, PersistKnowledge, CommBias > 0).
 func RunDistributedLB(rc *RankContext, h *LBHandlers, cfg Config, loads map[ObjectID]float64) (DistributedResult, error) {
 	return tempered.RunDistributed(rc, h, cfg, loads)
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-json bench-compare
+.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run bench-json bench-compare
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,16 @@ bench:
 # check, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+# One run of the repository's benchmark (BENCHMARK.json, bench/README.md)
+# on this checkout: a wrapper around bench/run.sh and nothing else, so a
+# performance claim is the same one command on the parent commit and on
+# the change. TRACE=1 prints the per-layer metrics instead.
+WORKLOAD ?= serve_burst_64_unix
+SEED ?= 1
+TRACE ?= 0
+bench-run:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 26 --trace $(TRACE)
 
 # Regenerate BENCH_lb.json, the machine-readable perf trajectory
 # (ns/op, B/op, allocs/op per recorded configuration).

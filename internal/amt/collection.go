@@ -54,8 +54,7 @@ func (rc *Context) CreateCollection(id CollectionID, size int, factory func(inde
 		if _, dup := rc.objects[oid]; dup {
 			panic(fmt.Sprintf("amt: collection %d recreated or id collision at element %d", id, i))
 		}
-		rc.objects[oid] = factory(i)
-		rc.location[oid] = rc.rank
+		rc.addObject(oid, factory(i))
 	}
 	return c
 }

@@ -107,7 +107,12 @@ type Context struct {
 	// inbox lock per burst instead of per message).
 	batch []comm.Message
 
+	// objects holds the state of every object hosted here; localIDs is
+	// the same key set as an ascending slice, maintained at create,
+	// install and migrate-out, so nothing that needs the ids in order
+	// (LocalObjects, PhaseEnd's total) sorts them again.
 	objects  map[ObjectID]any
+	localIDs []ObjectID
 	location map[ObjectID]core.Rank
 	objSeq   int64
 

@@ -38,9 +38,20 @@ func (id ObjectID) String() string {
 func (rc *Context) CreateObject(state any) ObjectID {
 	rc.objSeq++
 	id := MakeObjectID(rc.rank, rc.objSeq)
+	rc.addObject(id, state)
+	return id
+}
+
+// addObject installs an object on this rank: its state, its directory
+// entry, and its place in the ascending id list.
+func (rc *Context) addObject(id ObjectID, state any) {
 	rc.objects[id] = state
 	rc.location[id] = rc.rank
-	return id
+	if n := len(rc.localIDs); n == 0 || rc.localIDs[n-1] < id {
+		rc.localIDs = append(rc.localIDs, id)
+	} else if i, found := slices.BinarySearch(rc.localIDs, id); !found {
+		rc.localIDs = slices.Insert(rc.localIDs, i, id)
+	}
 }
 
 // HasObject reports whether the object currently resides on this rank.
@@ -56,14 +67,11 @@ func (rc *Context) ObjectState(id ObjectID) (any, bool) {
 }
 
 // LocalObjects returns the ids of all objects currently hosted on this
-// rank, in ascending order so callers iterate deterministically.
+// rank, in ascending order so callers iterate deterministically. The
+// slice is the caller's own copy: it may create or migrate objects while
+// ranging over it.
 func (rc *Context) LocalObjects() []ObjectID {
-	out := make([]ObjectID, 0, len(rc.objects))
-	for id := range rc.objects {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
+	return append(make([]ObjectID, 0, len(rc.localIDs)), rc.localIDs...)
 }
 
 // bestKnown returns where this rank believes the object lives.
@@ -149,6 +157,9 @@ func (rc *Context) Migrate(id ObjectID, dest core.Rank) {
 		return
 	}
 	delete(rc.objects, id)
+	if i, found := slices.BinarySearch(rc.localIDs, id); found {
+		rc.localIDs = slices.Delete(rc.localIDs, i, i+1)
+	}
 	rc.location[id] = dest
 	bytes := comm.MeasureBytes(state)
 	rc.Stats.Migrations++
@@ -183,8 +194,7 @@ func (rc *Context) runObjectHandler(h HandlerID, env objEnvelope, state any) {
 func (rc *Context) installMigration(m comm.Message) {
 	env := m.Data.(migrateEnvelope)
 	rc.countReceive(env.EpochID, m.MsgID)
-	rc.objects[env.Obj] = env.State
-	rc.location[env.Obj] = rc.rank
+	rc.addObject(env.Obj, env.State)
 	if home := env.Obj.Home(); home != rc.rank {
 		rc.send(comm.Message{
 			From: int(rc.rank), To: int(home), Kind: kindLocUpdate,

@@ -72,15 +72,28 @@ func (rc *Context) PhaseEnd() PhaseStats {
 	}
 	rc.phase.active = false
 	st := PhaseStats{Loads: rc.phase.loads}
-	// Sum in sorted-key order: the total feeds imbalance comparisons on
-	// every rank, so its FP combine order must not follow map order.
-	ids := make([]ObjectID, 0, len(st.Loads))
-	for id := range st.Loads {
-		ids = append(ids, id)
+	// Sum in ascending-id order: the total feeds imbalance comparisons on
+	// every rank, so its FP combine order must not follow map order. Work
+	// is recorded on local objects, so the rank's ordered id list covers
+	// the keys — unless an object worked and then migrated out before the
+	// phase closed, in which case the keys are sorted the slow way.
+	seen := 0
+	for _, id := range rc.localIDs {
+		if l, ok := st.Loads[id]; ok {
+			st.Total += l
+			seen++
+		}
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		st.Total += st.Loads[id]
+	if seen != len(st.Loads) {
+		ids := make([]ObjectID, 0, len(st.Loads))
+		for id := range st.Loads {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		st.Total = 0
+		for _, id := range ids {
+			st.Total += st.Loads[id]
+		}
 	}
 	rc.phase.loads = nil
 	if rc.tr != nil {

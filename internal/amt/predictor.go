@@ -30,9 +30,11 @@ type LoadModel struct {
 
 	pred map[ObjectID]*objTrack
 
-	// sweepBuf is reused by Observe's absence sweep so steady-state
-	// observation allocates nothing.
-	sweepBuf []ObjectID
+	// ids caches the tracked ids in ascending order. idsValid drops when
+	// membership changes (a new id, Forget, an age-out) and sortedIDs
+	// rebuilds on demand, so phases that only update loads never sort.
+	ids      []ObjectID
+	idsValid bool
 }
 
 // objTrack is one object's smoothing state.
@@ -87,6 +89,7 @@ func (m *LoadModel) Observe(stats PhaseStats) {
 		t, ok := m.pred[id]
 		if !ok {
 			m.pred[id] = &objTrack{level: load}
+			m.idsValid = false
 			continue
 		}
 		prev := t.level
@@ -99,20 +102,18 @@ func (m *LoadModel) Observe(stats PhaseStats) {
 	if m.maxAge == 0 {
 		return
 	}
-	// Absence sweep: collect first (sorted, so any debug hook or future
-	// instrumentation sees a deterministic order), then decay and drop.
-	m.sweepBuf = m.sweepBuf[:0]
-	for id := range m.pred {
-		if _, seen := stats.Loads[id]; !seen {
-			m.sweepBuf = append(m.sweepBuf, id)
+	// Absence sweep over the ordered id list: the per-object updates are
+	// independent, the order only keeps any debug hook or future
+	// instrumentation deterministic.
+	for _, id := range m.sortedIDs() {
+		if _, seen := stats.Loads[id]; seen {
+			continue
 		}
-	}
-	slices.Sort(m.sweepBuf)
-	for _, id := range m.sweepBuf {
 		t := m.pred[id]
 		t.absent++
 		if t.absent >= m.maxAge {
 			delete(m.pred, id)
+			m.idsValid = false
 			continue
 		}
 		// Fold a zero observation: the object demonstrably did no work.
@@ -166,19 +167,36 @@ func (m *LoadModel) Predictions() map[ObjectID]float64 {
 }
 
 // IDs returns the tracked object ids in ascending order, so callers
-// consuming the model iterate deterministically.
+// consuming the model iterate deterministically. The slice is the
+// caller's own copy: it may reorder it, or Forget while ranging over it.
 func (m *LoadModel) IDs() []ObjectID {
-	out := make([]ObjectID, 0, len(m.pred))
-	for id := range m.pred {
-		out = append(out, id)
+	ids := m.sortedIDs()
+	return append(make([]ObjectID, 0, len(ids)), ids...)
+}
+
+// sortedIDs returns the cached ascending id list, rebuilding it if
+// membership changed. The slice is the model's: read it before the next
+// rebuild, and do not modify it.
+func (m *LoadModel) sortedIDs() []ObjectID {
+	if !m.idsValid {
+		m.ids = m.ids[:0]
+		for id := range m.pred {
+			m.ids = append(m.ids, id)
+		}
+		slices.Sort(m.ids)
+		m.idsValid = true
 	}
-	slices.Sort(out)
-	return out
+	return m.ids
 }
 
 // Forget drops an object (e.g. one migrated away); the receiving rank
 // starts fresh from its own observations.
-func (m *LoadModel) Forget(id ObjectID) { delete(m.pred, id) }
+func (m *LoadModel) Forget(id ObjectID) {
+	if _, ok := m.pred[id]; ok {
+		delete(m.pred, id)
+		m.idsValid = false
+	}
+}
 
 // Len returns the number of tracked objects.
 func (m *LoadModel) Len() int { return len(m.pred) }

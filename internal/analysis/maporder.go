@@ -12,9 +12,10 @@ import (
 // per run, floating-point addition is not associative, and message
 // order is protocol-visible — so each of these makes output depend on
 // the map's hash seed. The sanctioned idiom collects the keys and sorts
-// them before consuming (see rankState.sumLoad and the topology-fixed
-// combine order of the tree collectives); an append whose target is
-// sorted by a later statement of the same block is therefore exempt.
+// them before consuming (see tempered's workSet.load and the
+// topology-fixed combine order of the tree collectives); an append
+// whose target is sorted by a later statement of the same block is
+// therefore exempt.
 //
 // Scope: the whole module, cmd/* and examples/* included — map-order
 // nondeterminism corrupts reproducibility wherever it appears, and the

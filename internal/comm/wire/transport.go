@@ -286,8 +286,23 @@ func (t *Transport) Connect(nodes []NodeSpec) error {
 
 	// Wait for every peer's inbound handshake.
 	deadline := time.Now().Add(t.cfg.ConnectTimeout)
-	timer := time.AfterFunc(t.cfg.ConnectTimeout, func() { t.inCond.Broadcast() })
-	defer timer.Stop()
+	// The deadline wakes the wait through a cell that is cleared on
+	// return. A stopped timer stays in the runtime's timer heap until the
+	// runtime next sweeps it, and whatever its callback references stays
+	// reachable meanwhile; through the cell that is one pointer, not this
+	// transport and every inbox behind it — which a process that builds
+	// clusters back to back would otherwise pile up by the dozen.
+	var wake atomic.Pointer[sync.Cond]
+	wake.Store(t.inCond)
+	timer := time.AfterFunc(t.cfg.ConnectTimeout, func() {
+		if c := wake.Load(); c != nil {
+			c.Broadcast()
+		}
+	})
+	defer func() {
+		timer.Stop()
+		wake.Store(nil)
+	}()
 	t.mu.Lock()
 	for len(t.inbound) < t.cfg.Nodes-1 {
 		if err := t.Err(); err != nil {
@@ -430,9 +445,11 @@ func (t *Transport) handshakeInbound(conn net.Conn) {
 		return
 	}
 	t.inbound[h.Node] = conn
+	// Count the reader before Connect can see the peer and return: from
+	// then on Close may run, and it waits for the readers.
+	t.readerWG.Add(1)
 	t.mu.Unlock()
 	t.inCond.Broadcast()
-	t.readerWG.Add(1)
 	go t.readLoop(h.Node, conn, br)
 }
 
@@ -624,7 +641,13 @@ func (t *Transport) Close() {
 	t.closing.Store(true)
 	t.Network.Close()
 
+	// One timer bounds both waits below and is stopped on return: a
+	// time.After per wait would sit in the runtime's timer heap for the
+	// whole DrainTimeout after every Close, however fast the drain was.
 	deadline := time.Now().Add(t.cfg.DrainTimeout)
+	expired := make(chan struct{})
+	timer := time.AfterFunc(t.cfg.DrainTimeout, func() { close(expired) })
+	defer timer.Stop()
 	for _, p := range t.peers {
 		if p == nil {
 			continue
@@ -638,7 +661,7 @@ func (t *Transport) Close() {
 		}
 		select {
 		case <-p.done:
-		case <-time.After(time.Until(deadline)):
+		case <-expired:
 			p.conn.Close() // writer is stuck; abort it
 			<-p.done
 		}
@@ -654,7 +677,7 @@ func (t *Transport) Close() {
 	}()
 	select {
 	case <-readersDone:
-	case <-time.After(time.Until(deadline)):
+	case <-expired:
 		t.cfg.Logf("wire: node %d: drain timeout; force-closing inbound connections", t.cfg.Self)
 	}
 

@@ -322,3 +322,18 @@ func TestWriterQueueCapDisabled(t *testing.T) {
 		t.Errorf("QueueHighWater = %d, want 100", hw)
 	}
 }
+
+// TestCloseRightAfterConnect: Close may follow Connect at once — bench/
+// and the smoke targets build and tear down clusters back to back — so
+// every reader a peer's handshake starts must be counted before Connect
+// can return, or Close's wait for the readers races their registration
+// (run under -race by `make race`).
+func TestCloseRightAfterConnect(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		c, err := NewCluster("unix", 8, 2, uint64(i+1))
+		if err != nil {
+			t.Fatalf("cluster %d: %v", i, err)
+		}
+		c.Close()
+	}
+}

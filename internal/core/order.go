@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // OrderTasks implements ORDERTASKS (§V-E): it returns the traversal order
 // in which the transfer stage considers tasks for migration. The input
@@ -34,28 +37,38 @@ func OrderTasksInPlace(tasks []Task, ave, selfLoad float64, ord Ordering) {
 	}
 }
 
-func sortByID(ts []Task) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].ID < ts[j].ID })
+// Every comparator below is a total order — ties on load fall through to
+// the unique task ID — so the sorted permutation is unique and does not
+// depend on the sorting algorithm or the input order.
+
+func byID(a, b Task) int { return cmp.Compare(a.ID, b.ID) }
+
+func byLoadAscending(a, b Task) int {
+	switch {
+	case a.Load < b.Load:
+		return -1
+	case a.Load > b.Load:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
+
+func byLoadDescending(a, b Task) int {
+	switch {
+	case a.Load > b.Load:
+		return -1
+	case a.Load < b.Load:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+func sortByID(ts []Task) { slices.SortFunc(ts, byID) }
 
 // sortDescending is Algorithm 4: most load-intensive tasks first.
-func sortDescending(ts []Task) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Load != ts[j].Load {
-			return ts[i].Load > ts[j].Load
-		}
-		return ts[i].ID < ts[j].ID
-	})
-}
+func sortDescending(ts []Task) { slices.SortFunc(ts, byLoadDescending) }
 
-func sortAscending(ts []Task) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Load != ts[j].Load {
-			return ts[i].Load < ts[j].Load
-		}
-		return ts[i].ID < ts[j].ID
-	})
-}
+func sortAscending(ts []Task) { slices.SortFunc(ts, byLoadAscending) }
 
 // orderFewestMigrations is Algorithm 5. Any task with load above the
 // excess l_ex can resolve the overload in a single migration; the
@@ -117,24 +130,17 @@ func orderLightest(ts []Task, ave, selfLoad float64) {
 // by tasks with load > pivot by ascending load — the comparator shared
 // by Algorithms 5 and 6 (lines 7–11).
 func splitSort(ts []Task, pivot float64) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
+	slices.SortFunc(ts, func(a, b Task) int {
 		aLow, bLow := a.Load <= pivot, b.Load <= pivot
 		switch {
 		case aLow && !bLow:
-			return true
+			return -1
 		case !aLow && bLow:
-			return false
+			return 1
 		case aLow: // both low: descending
-			if a.Load != b.Load {
-				return a.Load > b.Load
-			}
-			return a.ID < b.ID
+			return byLoadDescending(a, b)
 		default: // both high: ascending
-			if a.Load != b.Load {
-				return a.Load < b.Load
-			}
-			return a.ID < b.ID
+			return byLoadAscending(a, b)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package tempered
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/clock"
@@ -18,7 +17,9 @@ type Handlers struct {
 	gossip amt.HandlerID
 	xfer   amt.HandlerID
 	fetch  amt.HandlerID
-	st     []*rankState
+	// st is indexed by rank; a rank's entry is nil until its first
+	// invocation, and each rank touches only its own.
+	st []*rankState
 
 	// freshTrialState makes every trial build a new gossip state instead
 	// of re-pointing the invocation's one. Only tests set it, to show the
@@ -29,8 +30,14 @@ type Handlers struct {
 // rankState is the per-rank balancer state touched by handlers; every
 // handler runs on the owning rank's goroutine, so no locking is needed.
 type rankState struct {
-	inform  *core.InformState
-	virtual map[amt.ObjectID]float64
+	inform *core.InformState
+
+	// The three working distributions of an invocation, their storage
+	// reused across trials and invocations: input is the caller's loads
+	// map, sorted once; virtual is the trial's evolving set, the one the
+	// lb.transfer handler adds to; best is the lowest-imbalance virtual
+	// seen so far, which the commit epoch realizes.
+	input, virtual, best workSet
 
 	// trial and iter locate the current refinement step for trace
 	// stamps; gossipSent/gossipEntries count this rank's outgoing gossip
@@ -40,33 +47,8 @@ type rankState struct {
 	gossipSent    int
 	gossipEntries int
 
-	// Reused per-iteration buffers: the flattened working set and its
-	// reverse id mapping, the load-summation key scratch, plus the
-	// transfer stage's scratch. They keep the steady-state refinement
-	// loop free of per-iteration map and slice churn.
-	tasksBuf []core.Task
-	idsBuf   []amt.ObjectID
-	sumBuf   []amt.ObjectID
-	xfer     core.TransferScratch
-}
-
-// sumLoad totals a working set in ascending object-id order. Go's map
-// iteration order is randomized per run, and floating-point addition is
-// not associative, so a naive range would make non-dyadic load totals
-// differ between otherwise identical runs — the fixed order keeps the
-// whole protocol bit-deterministic, matching the topology-fixed combine
-// order of the tree collectives.
-func (st *rankState) sumLoad(w map[amt.ObjectID]float64) float64 {
-	st.sumBuf = st.sumBuf[:0]
-	for obj := range w {
-		st.sumBuf = append(st.sumBuf, obj)
-	}
-	slices.Sort(st.sumBuf)
-	s := 0.0
-	for _, obj := range st.sumBuf {
-		s += w[obj]
-	}
-	return s
+	// xfer is the transfer stage's reused scratch.
+	xfer core.TransferScratch
 }
 
 // xferMsg proposes one task relocation: the sender cedes the (virtual)
@@ -86,15 +68,12 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		fetch:  base + 2,
 		st:     make([]*rankState, rt.NumRanks()),
 	}
-	for r := range h.st {
-		h.st[r] = &rankState{}
-	}
 	rt.NameHandler(h.gossip, "lb.gossip")
 	rt.NameHandler(h.xfer, "lb.transfer")
 	rt.NameHandler(h.fetch, "lb.fetch")
 	rt.Register(h.gossip, func(rc *amt.Context, from core.Rank, data any) {
 		st := h.st[rc.Rank()]
-		if st.inform == nil {
+		if st == nil || st.inform == nil {
 			panic("tempered: gossip before iteration setup")
 		}
 		m := data.(core.InformMsg)
@@ -115,8 +94,7 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		}
 	})
 	rt.Register(h.xfer, func(rc *amt.Context, from core.Rank, data any) {
-		m := data.(xferMsg)
-		h.st[rc.Rank()].virtual[m.Obj] = m.Load
+		h.st[rc.Rank()].virtual.receive(data.(xferMsg))
 	})
 	rt.RegisterObject(h.fetch, func(rc *amt.Context, obj amt.ObjectID, state any, from core.Rank, data any) {
 		rc.Migrate(obj, data.(core.Rank))
@@ -210,14 +188,21 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	}
 	self := rc.Rank()
 	n := rc.NumRanks()
+	// A rank's balancer state is built at its first invocation, so a
+	// process pays only for the ranks it hosts and only once they balance.
 	st := h.st[self]
+	if st == nil {
+		st = &rankState{}
+		h.st[self] = st
+	}
 	start := clock.Now()
 	tr := rc.Tracer()
 
 	// The whole gossip prologue is one fused collective round: the load
 	// max and total (and the unused min) ride a single mixed-op vector
 	// reduce instead of sequential scalar rounds.
-	ownLoad := st.sumLoad(loads)
+	st.input.load(loads)
+	ownLoad := st.input.sum()
 	maxLoad, _, total := rc.AllReduceSummary(ownLoad)
 	ave := total / float64(n)
 	res := DistResult{
@@ -264,11 +249,11 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 		return res, nil
 	}
 
-	best := copyInto(nil, loads)
+	st.best.copyFrom(&st.input)
 	migBefore, bytesBefore := rc.Stats.Migrations, rc.Stats.MigrationBytes
 
 	for trial := 1; trial <= cfg.Trials; trial++ {
-		st.virtual = copyInto(st.virtual, loads) // Algorithm 3 line 3
+		st.virtual.copyFrom(&st.input) // Algorithm 3 line 3
 		xferRNG := core.SeededRNG(cfg.Seed, int64(trial), int64(self), 0x7af)
 		// One gossip state per invocation, re-pointed at each trial's
 		// stream the way the engine does it and reset at each iteration:
@@ -293,7 +278,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			// detection — no synchronized rounds (§IV-B).
 			st.inform.Reset()
 			rc.Epoch(func() {
-				for _, s := range st.inform.Begin(ave, st.sumLoad(st.virtual)) {
+				for _, s := range st.inform.Begin(ave, st.virtual.sum()) {
 					st.gossipSent++
 					st.gossipEntries += len(s.Msg.Entries)
 					if tr != nil {
@@ -311,7 +296,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			var ts core.TransferStats
 			overloaded, knowledge := 0.0, 0.0
 			rc.Epoch(func() {
-				load := st.sumLoad(st.virtual)
+				load := st.virtual.sum()
 				if load <= cfg.Threshold*ave {
 					return
 				}
@@ -323,19 +308,17 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 				kn := st.inform.Knowledge()
 				kn.Canonicalize()
 				knowledge = float64(kn.Len())
-				tasks, ids := st.virtualTasks()
-				props, tstats, _ := core.RunTransferScratch(self, tasks, load, ave, kn, &cfg, xferRNG, nil, &st.xfer)
+				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &cfg, xferRNG, nil, &st.xfer)
 				ts = tstats
 				for _, p := range props {
-					obj := ids[p.Task]
+					m := st.virtual.cede(p.Task)
 					if tr != nil {
 						rc.Emit(obs.Event{Type: obs.EvTransferPropose, Peer: int(p.To),
-							Object: int64(obj), Trial: trial, Iteration: iter,
-							Value: st.virtual[obj]})
+							Object: int64(m.Obj), Trial: trial, Iteration: iter,
+							Value: m.Load})
 					}
 					xfers++
-					rc.Send(p.To, h.xfer, xferMsg{Obj: obj, Load: st.virtual[obj]})
-					delete(st.virtual, obj)
+					rc.Send(p.To, h.xfer, m)
 				}
 				if tr != nil && ts.Rejected > 0 {
 					rc.Emit(obs.Event{Type: obs.EvTransferReject, Peer: -1, Object: -1,
@@ -357,7 +340,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			if overloaded > 0 {
 				negKnow = -knowledge
 			}
-			curLoad := st.sumLoad(st.virtual)
+			curLoad := st.virtual.sum()
 			agg := rc.AllReduceMixed([]float64{
 				float64(st.gossipSent), float64(st.gossipEntries),
 				float64(xfers), float64(ts.Rejected), float64(ts.NoCandidate),
@@ -388,7 +371,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			if iterStat.Imbalance < res.FinalImbalance {
 				res.FinalImbalance = iterStat.Imbalance
 				res.BestTrial, res.BestIteration = trial, iter
-				best = copyInto(best, st.virtual)
+				st.best.copyFrom(&st.virtual)
 			}
 			entriesTotal += iterStat.GossipEntries
 			if streaming {
@@ -409,23 +392,18 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	// in-flight races, and the epoch ends only after every migration and
 	// location update has landed.
 	rc.Epoch(func() {
-		// Fetch in sorted object order so the commit traffic is identical
-		// run to run; the trials are over, so idsBuf is free to reuse.
-		st.idsBuf = st.idsBuf[:0]
-		for obj := range best {
+		// Fetch in ascending object order — the order the best set keeps —
+		// so the commit traffic is identical run to run.
+		for _, obj := range st.best.objects() {
 			if !rc.HasObject(obj) {
-				st.idsBuf = append(st.idsBuf, obj)
+				rc.SendObject(obj, h.fetch, self)
 			}
-		}
-		slices.Sort(st.idsBuf)
-		for _, obj := range st.idsBuf {
-			rc.SendObject(obj, h.fetch, self)
 		}
 	})
 	res.Migrations = rc.Stats.Migrations - migBefore
 	res.MigrationBytes = rc.Stats.MigrationBytes - bytesBefore
 	if streaming {
-		loadsVec := rc.AllGather(st.sumLoad(best))
+		loadsVec := rc.AllGather(st.best.sum())
 		migs := rc.AllReduce(float64(res.Migrations), amt.ReduceSum)
 		if self == 0 && stream != nil {
 			publishFrame(rc, stream, &res, entriesTotal, obs.Snapshot{
@@ -463,40 +441,6 @@ func publishFrame(rc *amt.Context, stream *obs.Stream, res *DistResult, entries 
 		f.WireBytesOut, f.WireBytesIn, f.WirePeers = ws.BytesOut, ws.BytesIn, ws.Peers
 	}
 	stream.Publish(f)
-}
-
-// virtualTasks flattens the working set into core tasks with dense local
-// ids, deterministically ordered, plus the reverse mapping. Both slices
-// are backed by the rank's reusable buffers and stay valid until the
-// next call.
-func (st *rankState) virtualTasks() ([]core.Task, []amt.ObjectID) {
-	st.idsBuf = st.idsBuf[:0]
-	for obj := range st.virtual {
-		st.idsBuf = append(st.idsBuf, obj)
-	}
-	slices.Sort(st.idsBuf)
-	ids := st.idsBuf
-	st.tasksBuf = st.tasksBuf[:0]
-	for i, obj := range ids {
-		st.tasksBuf = append(st.tasksBuf, core.Task{ID: core.TaskID(i), Load: st.virtual[obj]})
-	}
-	//lint:ignore scratchescape documented contract: both slices are valid until the next call
-	return st.tasksBuf, ids
-}
-
-// copyInto clears dst and copies src into it, allocating only when dst
-// is nil. The working and best distributions are reset this way at each
-// trial/improvement instead of allocating fresh maps.
-func copyInto(dst, src map[amt.ObjectID]float64) map[amt.ObjectID]float64 {
-	if dst == nil {
-		dst = make(map[amt.ObjectID]float64, len(src))
-	} else {
-		clear(dst)
-	}
-	for k, v := range src {
-		dst[k] = v
-	}
-	return dst
 }
 
 func imbalance(max, ave float64) float64 {

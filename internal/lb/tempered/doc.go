@@ -8,6 +8,20 @@
 //     runtime — gossip as real active messages under epoch termination
 //     detection, deferred transfers, and actual object migrations.
 //
+// # Working sets
+//
+// RunDistributed keeps a rank's distributions — the invocation's input,
+// the trial's virtual set, the best set so far — as workSet values: an
+// ascending-by-object-id run of tasks, owned by the rank's balancer
+// state and reused across trials and invocations. The caller's loads map
+// is sorted once per invocation; after that the order is kept, not
+// re-established: ceded tasks leave tombstones, received tasks join an
+// unsorted tail, and the next read folds both back into the run. Every
+// load total is therefore the same left-to-right sum on every run
+// (bit-identical for non-dyadic loads too), the transfer stage's task
+// list is the set's own slice, and the commit epoch fetches in the
+// order the best set already has.
+//
 // # Concurrency
 //
 // A Strategy owns a core.Engine and its reusable scratch state, so it

@@ -44,12 +44,16 @@ chaos:
 storm:
 	$(GO) test -race -count=1 -run 'TestChaosTreeCollectiveStorm1024$$' ./internal/amt/
 
-# Observability smoke: record frames from a short distributed run on
-# the real runtime, replay them through the lbtop renderer, and assert
-# the layout golden (internal/dash/testdata/obs_smoke.golden). Rerun
-# with -update-golden after intentional schema or layout changes.
+# Observability smoke: record frames from short distributed runs on the
+# real runtime (8 ranks: exact load vector; 1024 ranks: the 64 cells of
+# the load summary), replay them through the lbtop renderer, and assert
+# the layout goldens (internal/dash/testdata/obs_smoke*.golden; rerun
+# with -update-golden after intentional schema or layout changes). Then
+# the PR 7 deadlock scenario: a stream on one node of a two-node
+# unix-socket job must get every frame and change no result.
 obs-smoke:
 	$(GO) test -count=1 -run 'TestObsSmoke|TestRenderGolden' ./internal/dash/
+	$(GO) test -count=1 -run 'TestOneNodeWatching' ./internal/lb/tempered/
 
 # Wire smoke: a real 2-process Unix-socket job (two lbnode processes,
 # static peers file, OS sockets, separate address spaces) must produce

@@ -49,7 +49,7 @@ func main() {
 		faults = flag.String("faults", "", "inject transport faults on this node's sends, e.g. \"seed=7,drop=0.01,delay=5ms\"")
 
 		// Observability and output.
-		serveAddr  = flag.String("serve", "", "serve live observability HTTP on this address; frames appear on node 0 (the rank-0 publisher), metrics on every node")
+		serveAddr  = flag.String("serve", "", "serve live observability HTTP on this address; works on any node: frames describe the whole job, metrics this node")
 		metricsOut = flag.String("metrics", "", "write this node's runtime metrics in Prometheus text format to this file")
 		resultOut  = flag.String("result", "", "write the first local rank's protocol-determined DistResult as JSON (timing stripped; diffable across transports and processes)")
 		verbose    = flag.Bool("v", false, "log connection lifecycle events")

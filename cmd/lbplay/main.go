@@ -234,7 +234,7 @@ func runDistributed(o distOptions) {
 	// Stand up the runtimes: one over everything for the in-memory
 	// transport, one per cluster node for the socket transports.
 	// Observability (tracer, metrics, stream, serve) attaches to the
-	// first runtime — the one hosting rank 0, which publishes the frames.
+	// first runtime; any one node's stream receives the job's frames.
 	var runtimes []*temperedlb.Runtime
 	var cluster *wire.Cluster
 	switch o.transport {

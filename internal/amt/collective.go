@@ -212,19 +212,6 @@ func (rc *Context) AllReduce(value float64, op ReduceOp) float64 {
 	return rc.treeCollective("allreduce", rc.smallBuf[:1], op, nil)[0]
 }
 
-// summaryOps is AllReduceSummary's per-element combine: one vector round
-// carrying [max, min, sum] instead of three sequential scalar rounds.
-var summaryOps = []ReduceOp{ReduceMax, ReduceMin, ReduceSum}
-
-// AllReduceSummary fuses the three reductions of the gossip prologue —
-// per-rank load max, min and sum — into a single mixed-op vector
-// collective, returning all three to every rank in one round.
-func (rc *Context) AllReduceSummary(load float64) (max, min, sum float64) {
-	rc.smallBuf[0], rc.smallBuf[1], rc.smallBuf[2] = load, load, load
-	out := rc.AllReduceMixed(rc.smallBuf[:3], summaryOps)
-	return out[0], out[1], out[2]
-}
-
 // AllReduceMixed is AllReduceVec with a combine of its own per element:
 // values[i] is reduced across all ranks with ops[i]. It lets a caller
 // that needs sums and maxima of the same step take one tree sweep
@@ -242,8 +229,11 @@ func (rc *Context) AllReduceMixed(values []float64, ops []ReduceOp) []float64 {
 // AllGather collects one float64 from every rank and returns the full
 // vector, indexed by rank, on every rank. It rides the tree engine as a
 // one-hot sum — x + 0 is exact in floating point, so each slot arrives
-// untouched. Like the other collectives it must be called by all ranks
-// in matching order.
+// untouched. Every rank allocates and ships O(P) floats, so nothing on a
+// per-iteration or per-phase path may call it: the one caller left is
+// serve's assignmentFingerprint, once per service run (frames ride the
+// protocol's own reduces as an obs.LoadSummary instead). Like the other
+// collectives it must be called by all ranks in matching order.
 func (rc *Context) AllGather(value float64) []float64 {
 	in := make([]float64, rc.n)
 	in[rc.rank] = value

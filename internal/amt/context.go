@@ -101,7 +101,13 @@ type Context struct {
 	collUp        map[int64]*collState // child partials per collective seq
 	collResult    map[int64][]float64  // down-phase results received
 	collHasResult map[int64]bool
-	smallBuf      [3]float64 // scratch for the scalar collective wrappers
+	smallBuf      [1]float64 // scratch for the scalar collective wrapper
+
+	// stream is the node's frame stream on the one rank that publishes to
+	// it (see Stream), nil on every other; watched is Watched's answer
+	// once watchKnown.
+	stream              *obs.Stream
+	watchKnown, watched bool
 
 	// batch is the reusable drain buffer of Epoch's message pump (one
 	// inbox lock per burst instead of per message).
@@ -179,6 +185,9 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 	if rt.reliable {
 		rc.rel = newReliableState(rt.n, rt.retryBase, rt.retryCap)
 	}
+	if lo, _ := rt.nw.LocalRange(); r == lo {
+		rc.stream = rt.stream
+	}
 	return rc
 }
 
@@ -198,10 +207,38 @@ func (rc *Context) Tracer() obs.Tracer { return rc.tr }
 // event.
 func (rc *Context) Metrics() *obs.Metrics { return rc.rt.metrics }
 
-// Stream returns the runtime's observability stream, nil when streaming
-// is disabled. Protocol loops publish periodic Snapshot frames to it;
-// guard each publishing block with one nil check.
-func (rc *Context) Stream() *obs.Stream { return rc.rt.stream }
+// Stream returns the stream this rank publishes frames to: the node's
+// attached stream on the lowest rank the node hosts, nil on every other
+// rank and when the node has none. Frames are built from reduced values
+// every rank holds, so each watching node of a multi-process job gets
+// them, published once. Guard publishing with one nil check, and guard
+// nothing else with it — whether the job takes the frames' share of a
+// collective is Watched's answer, never this rank-local one.
+func (rc *Context) Stream() *obs.Stream { return rc.stream }
+
+// Watched reports whether any node of the job has a stream attached — a
+// job-wide fact, identical on every rank, and so the only thing that may
+// decide whether a collective carries a frame's load summary. On the
+// in-memory transport the runtime's stream is the whole job's. On a
+// socket transport another node's attachment is not a local fact: the
+// first call agrees on it with one scalar max-reduce, which every rank
+// must therefore make at the same point of its collective sequence, and
+// the answer is cached for the runtime's life (a stream cannot be
+// attached after Run).
+func (rc *Context) Watched() bool {
+	if !rc.watchKnown {
+		rc.watched = rc.rt.stream != nil
+		if _, wired := rc.rt.nw.(comm.WireStater); wired {
+			var on float64
+			if rc.watched {
+				on = 1
+			}
+			rc.watched = rc.AllReduce(on, ReduceMax) > 0
+		}
+		rc.watchKnown = true
+	}
+	return rc.watched
+}
 
 // TransportTotals returns the transport's cumulative message and
 // payload-byte counts across all kinds (bytes are zero unless byte

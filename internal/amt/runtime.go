@@ -270,10 +270,13 @@ func (rt *Runtime) Metrics() *obs.Metrics {
 }
 
 // SetStream attaches a live observability stream: protocol loops built
-// on the runtime (the distributed balancer) publish periodic Snapshot
-// frames to it, and transport byte accounting is switched on so the
-// frames can carry byte totals. A nil stream — the default — costs the
-// publishing sites a single pointer comparison. Call before Run.
+// on the runtime (the distributed balancer, the service) publish
+// periodic Snapshot frames to it from the lowest rank this runtime
+// hosts — in a multi-process job any node, or several, may attach one
+// (see Context.Watched) — and transport byte accounting is switched on
+// so the frames can carry byte totals. A nil stream — the default —
+// costs the publishing sites a single pointer comparison. Call before
+// Run.
 func (rt *Runtime) SetStream(s *obs.Stream) {
 	rt.mustNotRun("SetStream")
 	rt.stream = s

@@ -160,16 +160,6 @@ func TestAllReduce(t *testing.T) {
 	}
 }
 
-func TestAllReduceSummary(t *testing.T) {
-	rt := New(4)
-	rt.Run(func(rc *Context) {
-		max, min, sum := rc.AllReduceSummary(float64(rc.Rank()))
-		if max != 3 || min != 0 || sum != 6 {
-			t.Errorf("summary: %g %g %g", max, min, sum)
-		}
-	})
-}
-
 func TestManyCollectivesStress(t *testing.T) {
 	rt := New(5)
 	rt.Run(func(rc *Context) {

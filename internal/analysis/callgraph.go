@@ -7,17 +7,18 @@ import (
 
 // collectiveNames are the methods of the runtime's amt.Context that
 // every rank of a job must call in the identical order: the tree
-// collectives and their entry points. A call to any of these is a
+// collectives and their entry points, and Watched, whose first call on
+// a socket transport is one. A call to any of these is a
 // synchronization point — a rank that skips one deadlocks the job.
 var collectiveNames = map[string]bool{
-	"Barrier":          true,
-	"AllReduce":        true,
-	"AllReduceVec":     true,
-	"AllReduceMixed":   true,
-	"AllReduceSummary": true,
-	"AllGather":        true,
-	"Broadcast":        true,
-	"treeCollective":   true,
+	"Barrier":        true,
+	"AllReduce":      true,
+	"AllReduceVec":   true,
+	"AllReduceMixed": true,
+	"AllGather":      true,
+	"Broadcast":      true,
+	"Watched":        true,
+	"treeCollective": true,
 }
 
 // rankLocalSources are the zero-argument amt.Context accessors whose

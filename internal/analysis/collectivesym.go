@@ -6,22 +6,32 @@ import (
 )
 
 // newCollectivesym flags collective calls (Barrier, AllReduce,
-// AllReduceVec, AllReduceMixed, AllReduceSummary, AllGather, Broadcast,
+// AllReduceVec, AllReduceMixed, AllGather, Broadcast, Watched,
 // treeCollective — the synchronization points of amt.Context) that are
 // reachable only under a branch conditioned on rank-local state: the
-// rank identity
-// (rc.Rank()) or the per-process observability attachments (rc.Stream(),
-// rc.Tracer(), rc.Metrics()), which may be nil on some ranks and not on
-// others. In the SPMD model every rank must execute the identical
-// collective sequence; a rank that skips one leaves the others blocked
-// in the tree forever. PR 7 shipped exactly this bug — the frame-stream
-// AllGather ran only on ranks with a stream attached — and the fix is
-// the sanctioned laundering idiom this analyzer recognizes: agree on
-// the rank-local bit first,
+// rank identity (rc.Rank()) or the per-process observability
+// attachments (rc.Stream(), rc.Tracer(), rc.Metrics()), which may be nil
+// on some ranks and not on others. In the SPMD model every rank must
+// execute the identical collective sequence; a rank that skips one
+// leaves the others blocked in the tree forever. PR 7 shipped exactly
+// this bug — a frame-stream collective ran only on ranks with a stream
+// attached. The fix is to branch on a fact the whole job agrees on, and
+// to keep the rank-local attachment for the rank-local act:
 //
-//	streaming := stream != nil
-//	streaming = rc.AllReduce(b2f(streaming), amt.ReduceMax) > 0
-//	if streaming { loads := rc.AllGather(...) }   // now symmetric
+//	watched := rc.Watched()               // job-wide: agreed once per runtime
+//	if watched { migs = rc.AllReduce(...) }   // symmetric
+//	if stream := rc.Stream(); stream != nil { // rank-local: publishing only
+//		stream.Publish(frame)
+//	}
+//
+// rc.Watched() is not a rank-local source, so a guard on it is clean —
+// and since its first call may itself take the agreeing reduce, it is
+// policed as a collective: calling it under a rank-local branch is
+// flagged. The hand-rolled form of the same idiom is recognized too:
+//
+//	on := rc.Stream() != nil
+//	on = rc.AllReduce(b2f(on), amt.ReduceMax) > 0
+//	if on { ... }                             // now symmetric
 //
 // An assignment whose right-hand side contains a collective call
 // launders its targets: the assigned value is, by construction, agreed

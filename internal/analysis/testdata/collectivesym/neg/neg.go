@@ -7,6 +7,7 @@ type Context struct{}
 
 func (*Context) Rank() int                           { return 0 }
 func (*Context) Stream() *int                        { return nil }
+func (*Context) Watched() bool                       { return false }
 func (*Context) Barrier()                            {}
 func (*Context) AllReduce(v float64, op int) float64 { return v }
 func (*Context) AllGather(v float64) []float64       { return nil }
@@ -46,6 +47,22 @@ func laundered(rc *Context) {
 	streaming = rc.AllReduce(b2f(streaming), 1) > 0
 	if streaming {
 		rc.AllGather(1)
+	}
+}
+
+// The agreed-fact idiom: Watched is the same on every rank of the job,
+// so it may gate a collective; the rank-local stream gates only the
+// publishing.
+func agreedFact(rc *Context) {
+	if rc.Watched() {
+		rc.AllReduce(1, 0)
+	}
+	watched := rc.Watched()
+	if watched {
+		rc.AllReduce(2, 0)
+		if rc.Stream() != nil {
+			println("publish")
+		}
 	}
 }
 

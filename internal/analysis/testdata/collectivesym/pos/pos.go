@@ -7,6 +7,7 @@ type Context struct{}
 
 func (*Context) Rank() int                           { return 0 }
 func (*Context) Stream() *int                        { return nil }
+func (*Context) Watched() bool                       { return false }
 func (*Context) Barrier()                            {}
 func (*Context) AllReduce(v float64, op int) float64 { return v }
 func (*Context) AllGather(v float64) []float64       { return nil }
@@ -29,6 +30,14 @@ func throughVariable(rc *Context) {
 func attachmentGuard(rc *Context) {
 	if rc.Stream() != nil {
 		rc.AllGather(2) // want "guarded by rank-local condition"
+	}
+}
+
+// Watched's first call on a socket transport takes the agreeing reduce,
+// so asking only on some ranks is the same deadlock.
+func askOnLeader(rc *Context) {
+	if rc.Rank() == 0 {
+		_ = rc.Watched() // want "collective Watched is guarded by rank-local condition"
 	}
 }
 

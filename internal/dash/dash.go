@@ -45,11 +45,17 @@ func Render(m Model) []string {
 		return []string{"lbtop — waiting for frames"}
 	}
 	cur := m.Frames[len(m.Frames)-1]
+	// A distributed frame of a job wider than obs.LoadCells carries one
+	// cell per block of ranks (the block's hottest) instead of the vector.
+	heatLabel := "ranks "
+	if n := len(cur.Loads); 0 < n && n < cur.Ranks {
+		heatLabel = "cells "
+	}
 
 	lines := []string{
 		clip(headerLine(cur), width),
 		clip(loadLine(cur), width),
-		clip("ranks "+heatline(cur.Loads, cur.MaxLoad, width-6, ramp), width),
+		clip(heatLabel+heatline(cur.Loads, cur.MaxLoad, width-6, ramp), width),
 		clip(imbalanceLine(m.Frames, width, ramp), width),
 		clip(rateLine(m.Frames), width),
 		clip(faultLine(cur), width),
@@ -76,9 +82,11 @@ func loadLine(f obs.Snapshot) string {
 		num(f.MaxLoad), num(f.AvgLoad), num(f.MinLoad), num(f.StdDev), f.Imbalance)
 }
 
-// heatline maps the per-rank load vector onto one row of intensity
-// runes scaled by the frame maximum. Wider-than-width vectors are
-// bucketed by maximum — a hot rank must stay visible after folding.
+// heatline maps the per-rank load vector (or a summarised frame's
+// cells) onto one row of intensity runes scaled by the frame maximum.
+// Wider-than-width vectors are bucketed by maximum — a hot rank must
+// stay visible after folding, which is also how cells are formed, so
+// folding cells again still shows every block's hottest rank.
 func heatline(loads []float64, max float64, width int, ramp []rune) string {
 	if len(loads) == 0 {
 		return "(no load vector)"

@@ -121,52 +121,62 @@ func TestRenderEdgeCases(t *testing.T) {
 // stream, the frames are normalized (wall-clock and scheduling-
 // dependent fields zeroed) and replayed through the renderer, and the
 // resulting layout is pinned as a golden. It fails if the protocol's
-// frame content, the frame schema, or the layout drifts.
+// frame content, the frame schema, or the layout drifts. The 8-rank job
+// streams its exact load vector; the 1024-rank one streams the 64 cells
+// of an obs.LoadSummary.
 func TestObsSmoke(t *testing.T) {
-	stream := obs.NewStream(obs.DefaultStreamCapacity)
-	rt := amt.New(8)
-	rt.SetStream(stream)
-	h := tempered.RegisterHandlers(rt, 100)
-	cfg := core.Tempered()
-	// Rounds must stay 1: multi-round gossip forwarding depends on
-	// arrival timing, which would make GossipMsgs scheduling-dependent
-	// and the golden flaky (same determinism boundary as the chaos
-	// identity tests). Dyadic loads keep the FP statistics exact.
-	cfg.Trials, cfg.Iterations, cfg.Rounds = 2, 2, 1
-	cfg.Seed = 42
+	for _, tc := range []struct {
+		ranks, hot int
+		golden     string
+	}{
+		{8, 2, "obs_smoke.golden"},
+		{1024, 16, "obs_smoke_1024.golden"},
+	} {
+		stream := obs.NewStream(obs.DefaultStreamCapacity)
+		rt := amt.New(tc.ranks)
+		rt.SetStream(stream)
+		h := tempered.RegisterHandlers(rt, 100)
+		cfg := core.Tempered()
+		// Rounds must stay 1: multi-round gossip forwarding depends on
+		// arrival timing, which would make GossipMsgs scheduling-dependent
+		// and the golden flaky (same determinism boundary as the chaos
+		// identity tests). Dyadic loads keep the FP statistics exact.
+		cfg.Trials, cfg.Iterations, cfg.Rounds = 2, 2, 1
+		cfg.Seed = 42
 
-	var mu sync.Mutex
-	rt.Run(func(rc *amt.Context) {
-		loads := make(map[amt.ObjectID]float64)
-		if rc.Rank() < 2 {
-			for i := 0; i < 16; i++ {
-				l := float64(i%8+1) / 8
-				id := rc.CreateObject(l)
-				loads[id] = l
+		var mu sync.Mutex
+		rt.Run(func(rc *amt.Context) {
+			loads := make(map[amt.ObjectID]float64)
+			if int(rc.Rank()) < tc.hot {
+				for i := 0; i < 16; i++ {
+					l := float64(i%8+1) / 8
+					id := rc.CreateObject(l)
+					loads[id] = l
+				}
 			}
-		}
-		rc.Barrier()
-		_, err := tempered.RunDistributed(rc, h, cfg, loads)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			t.Errorf("rank %d: %v", rc.Rank(), err)
-		}
-	})
+			rc.Barrier()
+			_, err := tempered.RunDistributed(rc, h, cfg, loads)
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				t.Errorf("rank %d: %v", rc.Rank(), err)
+			}
+		})
 
-	frames := stream.Frames()
-	want := 1 + cfg.Trials*cfg.Iterations + 1
-	if len(frames) != want {
-		t.Fatalf("recorded %d frames, want %d", len(frames), want)
+		frames := stream.Frames()
+		want := 1 + cfg.Trials*cfg.Iterations + 1
+		if len(frames) != want {
+			t.Fatalf("%d ranks: recorded %d frames, want %d", tc.ranks, len(frames), want)
+		}
+		// Zero the fields that depend on wall clock or goroutine scheduling
+		// (timing, transport volume, termination-token rounds ride Msgs);
+		// everything else is bit-deterministic and safe to pin.
+		for i := range frames {
+			frames[i].TimeMs = 0
+			frames[i].IterMs = 0
+			frames[i].Msgs, frames[i].Bytes = 0, 0
+		}
+		lines := Render(Model{Frames: frames, Width: 72})
+		checkGolden(t, tc.golden, []byte(strings.Join(lines, "\n")+"\n"))
 	}
-	// Zero the fields that depend on wall clock or goroutine scheduling
-	// (timing, transport volume, termination-token rounds ride Msgs);
-	// everything else is bit-deterministic and safe to pin.
-	for i := range frames {
-		frames[i].TimeMs = 0
-		frames[i].IterMs = 0
-		frames[i].Msgs, frames[i].Bytes = 0, 0
-	}
-	lines := Render(Model{Frames: frames, Width: 72})
-	checkGolden(t, "obs_smoke.golden", []byte(strings.Join(lines, "\n")+"\n"))
 }

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm"
@@ -33,11 +34,27 @@ func crossTransportConfig() core.Config {
 }
 
 // runOnTransport executes the standard chaos workload (hot ranks own
-// all objects, dyadic loads) on the named transport and returns the
-// per-rank results. For "unix" and "tcp" the job runs as a 3-node
-// cluster of partial networks joined by real sockets, one runtime per
-// node exactly as cmd/lbnode hosts one per process.
+// all objects, dyadic loads) on the named transport, under the fault
+// plan when there is one, and returns the per-rank results. For "unix"
+// and "tcp" the job runs as a 3-node cluster.
 func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int, sp *comm.FaultSpec) []DistResult {
+	t.Helper()
+	return runNodes(t, transport, 3, nRanks, hot, objsPerHot, func(_ int, rt *amt.Runtime) {
+		if sp != nil {
+			if err := rt.SetFaults(*sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// runNodes is runOnTransport with the node count and the per-node
+// runtime set-up chosen by the caller. On "unix" and "tcp" the job is a
+// cluster of partial networks joined by real sockets, one runtime per
+// node exactly as cmd/lbnode hosts one per process; on "memory" it is
+// the single node 0. A job that has not finished after a minute is
+// reported as deadlocked.
+func runNodes(t *testing.T, transport string, nodes, nRanks, hot, objsPerHot int, setup func(node int, rt *amt.Runtime)) []DistResult {
 	t.Helper()
 	registerColorState()
 	cfg := crossTransportConfig()
@@ -65,16 +82,11 @@ func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int,
 
 	if transport == "memory" {
 		rt := amt.New(nRanks)
-		if sp != nil {
-			if err := rt.SetFaults(*sp); err != nil {
-				t.Fatal(err)
-			}
-		}
+		setup(0, rt)
 		rt.Run(makeBody(RegisterHandlers(rt, 100)))
 		return results
 	}
 
-	const nodes = 3
 	cluster, err := wire.NewCluster(transport, nRanks, nodes, 0xC0FFEE)
 	if err != nil {
 		t.Fatalf("%s cluster: %v", transport, err)
@@ -82,13 +94,9 @@ func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int,
 	defer cluster.Close()
 
 	var wg sync.WaitGroup
-	for _, tr := range cluster.Transports {
+	for node, tr := range cluster.Transports {
 		rt := amt.New(nRanks, amt.WithTransport(tr))
-		if sp != nil {
-			if err := rt.SetFaults(*sp); err != nil {
-				t.Fatal(err)
-			}
-		}
+		setup(node, rt)
 		body := makeBody(RegisterHandlers(rt, 100))
 		wg.Add(1)
 		go func(rt *amt.Runtime) {
@@ -96,7 +104,16 @@ func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int,
 			rt.Run(body)
 		}(rt)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatalf("%s: %d-node job still running after a minute (deadlocked collective?)", transport, nodes)
+	}
 	for _, tr := range cluster.Transports {
 		if err := tr.Err(); err != nil {
 			t.Fatalf("%s transport failed: %v", transport, err)

@@ -49,6 +49,9 @@ type rankState struct {
 
 	// xfer is the transfer stage's reused scratch.
 	xfer core.TransferScratch
+
+	// reduce is the reused input of the invocation's statistics reduces.
+	reduce []float64
 }
 
 // xferMsg proposes one task relocation: the sender cedes the (virtual)
@@ -145,13 +148,18 @@ func (r DistResult) StripTiming() DistResult {
 	return r
 }
 
-// iterOps is the per-element combine of the iteration's statistics
-// reduce: seven counters summed, then three values maximized.
-var iterOps = []amt.ReduceOp{
-	amt.ReduceSum, amt.ReduceSum, amt.ReduceSum, amt.ReduceSum,
-	amt.ReduceSum, amt.ReduceSum, amt.ReduceSum,
-	amt.ReduceMax, amt.ReduceMax, amt.ReduceMax,
-}
+// openOps is the per-element combine of the reduce that opens an
+// invocation — the load's max, min and sum in one round — and iterOps
+// that of an iteration's statistics reduce: seven counters summed, then
+// three values maximized. A watched job appends a load summary to both.
+var (
+	openOps = []amt.ReduceOp{amt.ReduceMax, amt.ReduceMin, amt.ReduceSum}
+	iterOps = []amt.ReduceOp{
+		amt.ReduceSum, amt.ReduceSum, amt.ReduceSum, amt.ReduceSum,
+		amt.ReduceSum, amt.ReduceSum, amt.ReduceSum,
+		amt.ReduceMax, amt.ReduceMax, amt.ReduceMax,
+	}
+)
 
 // rejectEngineOnly refuses the knobs only the synchronous engine
 // implements: the distributed protocol has no recipient veto, resets
@@ -198,12 +206,31 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	start := clock.Now()
 	tr := rc.Tracer()
 
+	// Frames ride the reduces the protocol takes anyway: when the job is
+	// watched — a job-wide fact, so every rank widens the same reduces —
+	// each carries the summary of the loads it describes (obs.LoadSummary:
+	// at most 64 positional cells, Σl² and −min), and the one rank of each
+	// watching node whose Stream is non-nil publishes what came back. An
+	// unwatched run takes the same collectives at their bare widths.
+	watched, stream := rc.Watched(), rc.Stream()
+	summary := obs.NewLoadSummary(n)
+	openWith, iterWith := openOps, iterOps
+	if watched {
+		openWith = obs.WithSummaryOps(openOps, summary, amt.ReduceSum, amt.ReduceMax)
+		iterWith = obs.WithSummaryOps(iterOps, summary, amt.ReduceSum, amt.ReduceMax)
+	}
+
 	// The whole gossip prologue is one fused collective round: the load
 	// max and total (and the unused min) ride a single mixed-op vector
 	// reduce instead of sequential scalar rounds.
 	st.input.load(loads)
 	ownLoad := st.input.sum()
-	maxLoad, _, total := rc.AllReduceSummary(ownLoad)
+	st.reduce = append(st.reduce[:0], ownLoad, ownLoad, ownLoad)
+	if watched {
+		st.reduce = summary.Append(st.reduce, int(self), ownLoad)
+	}
+	agg := rc.AllReduceMixed(st.reduce, openWith)
+	maxLoad, total := agg[0], agg[2]
 	ave := total / float64(n)
 	res := DistResult{
 		InitialImbalance: imbalance(maxLoad, ave),
@@ -213,32 +240,13 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 		rc.Emit(obs.Event{Type: obs.EvLBBegin, Peer: -1, Object: -1,
 			Value: res.InitialImbalance})
 	}
-	// Streaming publishes one frame per protocol step from rank 0. The
-	// load vectors ride an extra AllGather per frame; the stream is a
-	// runtime-wide attachment, so within one process every rank takes
-	// these collectives (or none does) and the collective-order contract
-	// holds. In a multi-process job "runtime-wide" is only node-wide —
-	// whether another node attached a stream is not a local fact — so
-	// the nodes agree with one scalar reduce and stream-less ranks take
-	// the AllGathers without publishing. Single-process runs skip the
-	// agreement, keeping their collective sequence (and the obs-smoke
-	// golden) exactly as before.
-	stream := rc.Stream()
-	streaming := stream != nil
-	if _, wired := rc.WireTotals(); wired {
-		var on float64
-		if streaming {
-			on = 1
-		}
-		streaming = rc.AllReduce(on, amt.ReduceMax) > 0
-	}
 	entriesTotal := 0
-	if streaming {
-		loadsVec := rc.AllGather(ownLoad)
-		if self == 0 && stream != nil {
-			publishFrame(rc, stream, &res, entriesTotal,
-				obs.Snapshot{Phase: "init", Loads: loadsVec})
-		}
+	// best is the reduced summary of the distribution the commit epoch
+	// will realize, kept by the publishing rank for the commit frame.
+	var best []float64
+	if stream != nil {
+		best = agg[len(openOps):]
+		publishFrame(rc, stream, &res, entriesTotal, best, total, obs.Snapshot{Phase: "init"})
 	}
 	if total == 0 {
 		if tr != nil {
@@ -341,13 +349,16 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 				negKnow = -knowledge
 			}
 			curLoad := st.virtual.sum()
-			agg := rc.AllReduceMixed([]float64{
+			st.reduce = append(st.reduce[:0],
 				float64(st.gossipSent), float64(st.gossipEntries),
 				float64(xfers), float64(ts.Rejected), float64(ts.NoCandidate),
-				overloaded, overloaded * knowledge,
-				curLoad, negKnow, clock.Since(iterStart).Seconds(),
-			}, iterOps)
-			sums, maxes := agg[:7], agg[7:]
+				overloaded, overloaded*knowledge,
+				curLoad, negKnow, clock.Since(iterStart).Seconds())
+			if watched {
+				st.reduce = summary.Append(st.reduce, int(self), curLoad)
+			}
+			agg := rc.AllReduceMixed(st.reduce, iterWith)
+			sums, maxes := agg[:7], agg[7:10]
 
 			iterStat := core.IterationStats{
 				Trial: trial, Iteration: iter,
@@ -368,20 +379,22 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 					Trial: trial, Iteration: iter, Value: iterStat.Imbalance,
 					Dur: clock.Since(iterStart)})
 			}
-			if iterStat.Imbalance < res.FinalImbalance {
+			improved := iterStat.Imbalance < res.FinalImbalance
+			if improved {
 				res.FinalImbalance = iterStat.Imbalance
 				res.BestTrial, res.BestIteration = trial, iter
 				st.best.copyFrom(&st.virtual)
 			}
 			entriesTotal += iterStat.GossipEntries
-			if streaming {
-				loadsVec := rc.AllGather(curLoad)
-				if self == 0 && stream != nil {
-					publishFrame(rc, stream, &res, entriesTotal, obs.Snapshot{
-						Phase: "iter", Trial: trial, Iteration: iter,
-						Loads: loadsVec, IterMs: maxes[2] * 1e3,
-					})
+			if stream != nil {
+				reduced := agg[len(iterOps):]
+				if improved {
+					best = reduced
 				}
+				publishFrame(rc, stream, &res, entriesTotal, reduced, total, obs.Snapshot{
+					Phase: "iter", Trial: trial, Iteration: iter,
+					IterMs: maxes[2] * 1e3,
+				})
 			}
 		}
 	}
@@ -402,13 +415,14 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	})
 	res.Migrations = rc.Stats.Migrations - migBefore
 	res.MigrationBytes = rc.Stats.MigrationBytes - bytesBefore
-	if streaming {
-		loadsVec := rc.AllGather(st.best.sum())
+	if watched {
+		// The one collective a watcher adds: the commit frame's migration
+		// total. Its loads are the best iteration's, already reduced.
 		migs := rc.AllReduce(float64(res.Migrations), amt.ReduceSum)
-		if self == 0 && stream != nil {
-			publishFrame(rc, stream, &res, entriesTotal, obs.Snapshot{
+		if stream != nil {
+			publishFrame(rc, stream, &res, entriesTotal, best, total, obs.Snapshot{
 				Phase: "commit", Trial: res.BestTrial, Iteration: res.BestIteration,
-				Loads: loadsVec, Migrations: int64(migs),
+				Migrations: int64(migs),
 			})
 		}
 	}
@@ -420,14 +434,14 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	return res, nil
 }
 
-// publishFrame stamps the run-wide counters onto a frame and publishes
-// it. Only rank 0 calls it, after the collectives that filled f.Loads
-// ran on every rank; the transport and fault totals are runtime-global,
-// so the frame describes the whole run, not one rank.
-func publishFrame(rc *amt.Context, stream *obs.Stream, res *DistResult, entries int, f obs.Snapshot) {
+// publishFrame fills a frame's loads and load statistics from a reduced
+// load summary and the job's total load, stamps the run-wide counters
+// onto it and publishes it. Only a node's publishing rank calls it; the
+// transport and fault totals are runtime-global, so the frame describes
+// the node's whole run, not one rank.
+func publishFrame(rc *amt.Context, stream *obs.Stream, res *DistResult, entries int, reduced []float64, total float64, f obs.Snapshot) {
 	f.Source = "distributed"
-	f.Ranks = rc.NumRanks()
-	f.FillLoadStats()
+	obs.NewLoadSummary(rc.NumRanks()).Fill(&f, reduced, total)
 	f.GossipMsgs = int64(res.GossipMessages)
 	f.GossipEntries = int64(entries)
 	f.TransferMsgs = int64(res.TransferMessages)

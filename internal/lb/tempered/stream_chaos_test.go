@@ -86,6 +86,11 @@ func TestDistributedZeroLoadResult(t *testing.T) {
 	if frames[0].Ranks != 6 || len(frames[0].Loads) != 6 || frames[0].Imbalance != 0 {
 		t.Errorf("init frame malformed: %+v", frames[0])
 	}
+	for i, l := range frames[0].Loads {
+		if l != 0 {
+			t.Errorf("zero-load init frame has load %v in cell %d", l, i)
+		}
+	}
 	var buf bytes.Buffer
 	if err := obs.WriteSnapshots(&buf, frames); err != nil {
 		t.Fatal(err)

@@ -35,13 +35,18 @@ type Snapshot struct {
 	Trial     int `json:"trial,omitempty"`
 	Iteration int `json:"iter,omitempty"`
 
-	// Ranks is the rank count; Loads the per-rank load vector (may be
-	// elided by producers at very large scale).
+	// Ranks is the rank count. Loads describes the per-rank loads in rank
+	// order: the exact vector when len(Loads) == Ranks (engine and
+	// simulation frames, and every frame of a job of at most LoadCells
+	// ranks), otherwise the cells of a LoadSummary — cell i holds the
+	// largest load among ranks [i·Ranks/c, (i+1)·Ranks/c), c = len(Loads).
+	// A consumer tells the two apart by comparing len(Loads) with Ranks.
 	Ranks int       `json:"ranks"`
 	Loads []float64 `json:"loads,omitempty"`
 
-	// Imbalance statistics over Loads: O = MaxLoad, the mean, the
-	// population standard deviation σ, and I = max/avg − 1.
+	// Imbalance statistics over the per-rank loads (all ranks, also when
+	// Loads holds cells): O = MaxLoad, the mean, the population standard
+	// deviation σ, and I = max/avg − 1.
 	MaxLoad   float64 `json:"max_load"`
 	MinLoad   float64 `json:"min_load"`
 	AvgLoad   float64 `json:"avg_load"`

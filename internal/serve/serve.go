@@ -147,19 +147,16 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 	n := float64(rc.NumRanks())
 	res := Result{Trigger: trig.Name(), Ranks: sc.Spec.Ranks, Phases: sc.Spec.Phases}
 
-	// Streaming agreement, once per run: within a process the stream is
-	// runtime-wide, but across processes it is not a local fact, so the
-	// nodes agree with one scalar reduce (the discipline introduced for
-	// streaming in the distributed balancer).
-	stream := rc.Stream()
-	streaming := stream != nil
-	if _, wired := rc.WireTotals(); wired {
-		var on float64
-		if streaming {
-			on = 1
-		}
-		streaming = rc.AllReduce(on, amt.ReduceMax) > 0
+	// When the job is watched (a job-wide fact), the phase reduce also
+	// carries the summary of the phase's rank loads, and each watching
+	// node's publishing rank turns what came back into the phase's frame.
+	watched, stream := rc.Watched(), rc.Stream()
+	summary := obs.NewLoadSummary(rc.NumRanks())
+	ops := summaryOps
+	if watched {
+		ops = obs.WithSummaryOps(summaryOps, summary, amt.ReduceSum, amt.ReduceMax)
 	}
+	var reduce []float64
 
 	met := rc.Metrics()
 	if met != nil {
@@ -207,7 +204,11 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 		// mixed-op sweep, give every rank the same Summary bits.
 		own := stats.Total
 		predOwn := predictedTotal(model)
-		agg := rc.AllReduceMixed([]float64{own, predOwn, own, predOwn}, summaryOps)
+		reduce = append(reduce[:0], own, predOwn, own, predOwn)
+		if watched {
+			reduce = summary.Append(reduce, self, own)
+		}
+		agg := rc.AllReduceMixed(reduce, ops)
 		sum := Summary{
 			Phase:   p,
 			Max:     agg[0],
@@ -224,11 +225,10 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 		}
 		prevPredMax, havePrev = sum.PredMax, true
 
-		if streaming {
-			loadsVec := rc.AllGather(own)
-			if self == 0 && stream != nil {
-				stream.Publish(serveFrame(p, loadsVec))
-			}
+		if stream != nil {
+			f := obs.Snapshot{Source: "serve", Phase: "phase", Step: p}
+			summary.Fill(&f, agg[len(summaryOps):], agg[2])
+			stream.Publish(f)
 		}
 
 		d := trig.Decide(sum)
@@ -324,36 +324,6 @@ func predictedTotal(m *amt.LoadModel) float64 {
 		s += m.Predict(id)
 	}
 	return s
-}
-
-// serveFrame builds the per-phase observability frame from the gathered
-// load vector; the imbalance statistics use the vector's natural rank
-// order.
-func serveFrame(phase int, loads []float64) obs.Snapshot {
-	f := obs.Snapshot{Source: "serve", Phase: "phase", Step: phase, Ranks: len(loads), Loads: loads}
-	if len(loads) == 0 {
-		return f
-	}
-	f.MinLoad = loads[0]
-	for _, l := range loads {
-		if l > f.MaxLoad {
-			f.MaxLoad = l
-		}
-		if l < f.MinLoad {
-			f.MinLoad = l
-		}
-		f.AvgLoad += l
-	}
-	f.AvgLoad /= float64(len(loads))
-	for _, l := range loads {
-		d := l - f.AvgLoad
-		f.StdDev += d * d
-	}
-	f.StdDev = math.Sqrt(f.StdDev / float64(len(loads)))
-	if f.AvgLoad > 0 {
-		f.Imbalance = f.MaxLoad/f.AvgLoad - 1
-	}
-	return f
 }
 
 // WriteLog renders the trigger-decision log: a header line naming the

@@ -9,6 +9,7 @@ import (
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/lb/tempered"
+	"temperedlb/internal/obs"
 )
 
 func serveConfig(kind Kind) Config {
@@ -22,7 +23,8 @@ func serveConfig(kind Kind) Config {
 // returns every rank's Result. For "unix" and "tcp" the job is an
 // in-process cluster of `nodes` partial networks joined by real
 // sockets, one runtime per node — exactly how cmd/lbserve hosts them.
-func runService(t *testing.T, transport string, nodes int, cfg Config) []Result {
+// Node i is given streams[i] when there is one.
+func runService(t *testing.T, transport string, nodes int, cfg Config, streams ...*obs.Stream) []Result {
 	t.Helper()
 	n := cfg.Scenario.Ranks
 	results := make([]Result, n)
@@ -36,8 +38,9 @@ func runService(t *testing.T, transport string, nodes int, cfg Config) []Result 
 			results[rc.Rank()] = res
 		}
 	}
+	streams = append(streams, make([]*obs.Stream, nodes)...)
 	if transport == "memory" {
-		rt := amt.New(n)
+		rt := amt.New(n, amt.WithStream(streams[0]))
 		rt.Run(body(tempered.RegisterHandlers(rt, 100)))
 		return results
 	}
@@ -47,8 +50,8 @@ func runService(t *testing.T, transport string, nodes int, cfg Config) []Result 
 	}
 	defer cluster.Close()
 	var wg sync.WaitGroup
-	for _, tr := range cluster.Transports {
-		rt := amt.New(n, amt.WithTransport(tr))
+	for node, tr := range cluster.Transports {
+		rt := amt.New(n, amt.WithTransport(tr), amt.WithStream(streams[node]))
 		b := body(tempered.RegisterHandlers(rt, 100))
 		wg.Add(1)
 		go func(rt *amt.Runtime) {
@@ -114,6 +117,40 @@ func TestServiceCrossTransportIdentity(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestServiceWatchedFromOneNode: a stream on node 1 of a two-node job —
+// a node that does not host rank 0 — changes no rank's result and
+// receives one frame per phase whose statistics are the phase summary's
+// (plus the frames of every invocation the trigger fired).
+func TestServiceWatchedFromOneNode(t *testing.T) {
+	cfg := serveConfig(KindBurst)
+	want := stripLocal(runService(t, "memory", 1, cfg)[0])
+	stream := obs.NewStream(4096)
+	results := runService(t, "unix", 2, cfg, nil, stream)
+	for r := range results {
+		if got := stripLocal(results[r]); !reflect.DeepEqual(got, want) {
+			t.Errorf("rank %d: result differs from the unwatched memory run", r)
+		}
+	}
+	phases, lb := 0, 0
+	for _, f := range stream.Frames() {
+		if f.Source != "serve" {
+			lb++
+			continue
+		}
+		row := want.Rows[f.Step]
+		if f.Step != phases || f.Ranks != cfg.Scenario.Ranks || len(f.Loads) != f.Ranks ||
+			f.MaxLoad != row.Max || f.AvgLoad != row.Avg {
+			t.Errorf("phase frame %d: %+v does not describe row %+v", phases, f, row)
+		}
+		phases++
+	}
+	lbCfg := cfg.withDefaults().LB
+	if phases != want.Phases || lb != want.Fires*(2+lbCfg.Trials*lbCfg.Iterations) {
+		t.Errorf("stream holds %d phase frames and %d balancer frames over %d phases and %d fires",
+			phases, lb, want.Phases, want.Fires)
 	}
 }
 

@@ -103,8 +103,9 @@ func WriteTraceJSON(w io.Writer, events []TraceEvent) error {
 func NewStream(capacity int) *Stream { return obs.NewStream(capacity) }
 
 // WithStream attaches a frame stream to a new runtime: the distributed
-// balancer publishes one frame per protocol step (per-rank loads,
-// imbalance, traffic and fault counters) from rank 0.
+// balancer publishes one frame per protocol step (per-rank loads — 64
+// max-cells beyond 64 ranks — imbalance, traffic and fault counters)
+// from the lowest rank of every node that attached one.
 func WithStream(s *Stream) RuntimeOption { return amt.WithStream(s) }
 
 // ServeObservability starts an HTTP server on addr exposing the stream

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run bench-json bench-compare
+.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run bench-json bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -33,9 +33,10 @@ race:
 # delay/straggler plans against the transport, the ack/retry layer, and
 # the distributed balancer end-to-end (including the faulted-equals-
 # fault-free and delay-window bit-determinism checks, and the
-# 1024-rank collective storm).
+# 1024-rank collective storm), and the engine's gossip queue under the
+# same fault plans.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|GossipDrop|Determinism' ./...
+	$(GO) test -race -run 'Chaos|Fault|Gossip|Determinism' ./...
 
 # Just the paper-scale collective stress: 1024 ranks storm the k-ary
 # reduction tree (barriers, vector reduces, a scalar max) interleaved
@@ -125,8 +126,26 @@ bench-run:
 bench-json:
 	BENCH_JSON=1 $(GO) test -run TestWriteBenchJSON -v .
 
-# Rerun the BENCH_lb.json suite and fail on >20% ns/op or B/op
+# Rerun the BENCH_lb.json suite and fail on >20% B/op or allocs/op
 # regression against the committed file (override the tolerance with
-# BENCH_TOLERANCE=0.30).
+# BENCH_TOLERANCE=0.30); ns/op deltas are logged, not gated — they
+# depend on the host that recorded the file.
 bench-compare:
 	BENCH_COMPARE=1 $(GO) test -run TestBenchCompare -v .
+
+# How much code there is: non-test Go lines per package (bench/ is the
+# benchmark, not the product; go list already skips testdata and
+# dot-directories), their total, and the number of identifiers the root
+# package exports (package-level funcs, types, vars and consts of the
+# gofmt-formatted non-test files). A PR that says "simpler" quotes this.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | grep -v '^temperedlb/bench ' | \
+	while read pkg dir files; do \
+		printf '%-40s %6d\n' $$pkg $$(cd $$dir && cat $$files | wc -l); \
+	done | awk '{ print; total += $$2 } END { printf "%-40s %6d\n", "total", total }'
+	@ls *.go | grep -v _test.go | xargs awk ' \
+		/^func [A-Z]/ || /^(type|var|const) [A-Z]/ { n++ } \
+		/^(type|var|const) \($$/ { group = 1; next } \
+		/^\)/ { group = 0 } \
+		group && /^\t[A-Z]/ { sub(/=.*/, ""); n += split($$0, names, ",") } \
+		END { printf "%-40s %6d\n", "temperedlb exported identifiers", n }'

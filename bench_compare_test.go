@@ -1,10 +1,14 @@
 // Benchmark regression gate: `make bench-compare` (or BENCH_COMPARE=1
 // go test -run TestBenchCompare) reruns the BENCH_lb.json suite through
-// testing.Benchmark and fails if any row's ns/op or B/op regressed more
-// than the tolerance (default 20%, override with BENCH_TOLERANCE=0.30)
-// against the committed file. Rows present in only one of the two sets
-// are reported but do not fail the gate — adding a benchmark must not
-// require regenerating the trajectory in the same commit.
+// testing.Benchmark and fails if any row's B/op or allocs/op regressed
+// more than the tolerance (default 20%, override with
+// BENCH_TOLERANCE=0.30) against the committed file. Those two columns
+// do not depend on the host; ns/op does — the file is recorded on
+// whatever machine last regenerated it, and the gate went red at the
+// parent commit on rows nobody had touched — so its delta is logged and
+// never fails. Rows present in only one of the two sets are reported
+// but do not fail the gate — adding a benchmark must not require
+// regenerating the trajectory in the same commit.
 package temperedlb_test
 
 import (
@@ -44,12 +48,12 @@ func TestBenchCompare(t *testing.T) {
 		baseline[r.Name] = r
 	}
 
-	check := func(name, unit string, got, want int64) {
+	check := func(name, unit string, got, want int64, gated bool) {
 		limit := float64(want) * (1 + tolerance)
 		delta := 100 * (float64(got)/float64(want) - 1)
-		line := fmt.Sprintf("%-34s %-8s %12d committed %12d measured (%+.1f%%)",
+		line := fmt.Sprintf("%-34s %-9s %12d committed %12d measured (%+.1f%%)",
 			name, unit, want, got, delta)
-		if float64(got) > limit {
+		if gated && float64(got) > limit {
 			t.Errorf("REGRESSION %s exceeds +%.0f%% tolerance", line, tolerance*100)
 		} else {
 			t.Log(line)
@@ -69,8 +73,9 @@ func TestBenchCompare(t *testing.T) {
 			b.ReportAllocs()
 			fn(b)
 		})
-		check(bm.name, "ns/op", res.NsPerOp(), want.NsPerOp)
-		check(bm.name, "B/op", res.AllocedBytesPerOp(), want.BytesPerOp)
+		check(bm.name, "ns/op", res.NsPerOp(), want.NsPerOp, false)
+		check(bm.name, "B/op", res.AllocedBytesPerOp(), want.BytesPerOp, true)
+		check(bm.name, "allocs/op", res.AllocsPerOp(), want.AllocsPerOp, true)
 	}
 	for name := range baseline {
 		if !seen[name] {

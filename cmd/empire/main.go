@@ -62,7 +62,10 @@ func main() {
 		stride = *every
 	}
 
-	applyFaults := engineFaults(*faults)
+	faultSpec, err := comm.ParseFaultSpec(*faults)
+	if err != nil {
+		log.Fatal(err)
+	}
 	tweak := func(c core.Config) core.Config {
 		if *trials > 0 {
 			c.Trials = *trials
@@ -73,7 +76,8 @@ func main() {
 		if *rounds > 0 {
 			c.Rounds = *rounds
 		}
-		return applyFaults(c)
+		c.GossipFaults = faultSpec
+		return c
 	}
 
 	want := func(name string) bool { return *exp == "all" || *exp == name }
@@ -183,35 +187,6 @@ func main() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)
 		<-sig
-	}
-}
-
-// engineFaults parses a -faults directive for the engine-driven
-// simulation and returns its mapping onto a configuration. The full
-// grammar applies to the gossip stage — the one transport the
-// synchronous engine simulates: drop= keeps the legacy seeded-loss
-// path, while dup=/delay=/delaymin=/slow=/seed= switch delivery to the
-// virtual-time fault queue. The retry knobs have no engine counterpart
-// and are accepted as no-ops for spec compatibility.
-func engineFaults(faults string) func(core.Config) core.Config {
-	if faults == "" {
-		return func(c core.Config) core.Config { return c }
-	}
-	sp, err := comm.ParseFaultSpec(faults)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if sp.RetryBase != 0 || sp.RetryCap != 0 {
-		log.Print("note: retry=/retrycap= tune the distributed runtime's reliability layer; the engine's gossip queue has none, ignoring them")
-	}
-	return func(c core.Config) core.Config {
-		c.GossipDrop = sp.Drop
-		c.GossipDup = sp.Dup
-		c.GossipDelayMin = sp.DelayMin
-		c.GossipDelayMax = sp.DelayMax
-		c.GossipSlowRanks = sp.SlowRanks
-		c.GossipFaultSeed = sp.Seed
-		return c
 	}
 }
 

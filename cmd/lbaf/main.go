@@ -18,36 +18,6 @@ import (
 	"temperedlb/internal/workload"
 )
 
-// engineFaults parses a -faults directive for the engine-driven
-// experiments and returns its mapping onto a configuration. The full
-// grammar applies to the gossip stage — the one transport the
-// synchronous engine simulates: drop= keeps the legacy seeded-loss
-// path, while dup=/delay=/delaymin=/slow=/seed= switch delivery to the
-// virtual-time fault queue. The retry knobs have no engine counterpart
-// (the queue never loses a message except by explicit drop) and are
-// accepted as no-ops for spec compatibility with the distributed tools.
-func engineFaults(faults string) func(core.Config) core.Config {
-	if faults == "" {
-		return func(c core.Config) core.Config { return c }
-	}
-	sp, err := comm.ParseFaultSpec(faults)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if sp.RetryBase != 0 || sp.RetryCap != 0 {
-		log.Print("note: retry=/retrycap= tune the distributed runtime's reliability layer; the engine's gossip queue has none, ignoring them")
-	}
-	return func(c core.Config) core.Config {
-		c.GossipDrop = sp.Drop
-		c.GossipDup = sp.Dup
-		c.GossipDelayMin = sp.DelayMin
-		c.GossipDelayMax = sp.DelayMax
-		c.GossipSlowRanks = sp.SlowRanks
-		c.GossipFaultSeed = sp.Seed
-		return c
-	}
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lbaf: ")
@@ -112,7 +82,9 @@ func main() {
 	base.Fanout = *fanout
 	base.Threshold = *thresh
 	base.Seed = *seed
-	base = engineFaults(*faults)(base)
+	faultSpec, err := comm.ParseFaultSpec(*faults)
+	check(err)
+	base.GossipFaults = faultSpec
 	if rec != nil {
 		base.Tracer = rec
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"temperedlb/internal/comm"
 	"temperedlb/internal/core"
 )
 
@@ -13,7 +14,9 @@ import (
 // produce the same outcomes as in-order delivery.
 func TestChaosJitteredEpochs(t *testing.T) {
 	rt := New(6)
-	rt.SetJitter(2 * time.Millisecond)
+	if err := rt.SetFaults(comm.FaultSpec{Seed: 0x5eed, DelayMax: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	var hops atomic.Int64
 	rt.Register(hCascade, func(rc *Context, from core.Rank, data any) {
 		n := data.(int)
@@ -52,7 +55,9 @@ func TestChaosJitteredEpochs(t *testing.T) {
 func TestChaosJitteredMigrations(t *testing.T) {
 	const nRanks, nObjs = 5, 30
 	rt := New(nRanks)
-	rt.SetJitter(2 * time.Millisecond)
+	if err := rt.SetFaults(comm.FaultSpec{Seed: 0x5eed, DelayMax: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	var pokes atomic.Int64
 	rt.RegisterObject(hObjAdd, func(rc *Context, obj ObjectID, state any, from core.Rank, data any) {
 		state.(*counterState).Value += data.(int)

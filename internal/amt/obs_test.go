@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"temperedlb/internal/comm"
 	"temperedlb/internal/core"
 	"temperedlb/internal/obs"
 )
@@ -220,7 +221,9 @@ func TestChaosInstrumentedJitter(t *testing.T) {
 	const n, rounds, chain = 6, 3, 30
 	rec := obs.NewRecorder()
 	rt := New(n, WithTracer(rec), WithMetrics())
-	rt.SetJitter(2 * time.Millisecond)
+	if err := rt.SetFaults(comm.FaultSpec{Seed: 0x5eed, DelayMax: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	rt.NameHandler(hCascade, "test.cascade")
 	var hops atomic.Int64
 	rt.Register(hCascade, func(rc *Context, from core.Rank, data any) {

@@ -372,15 +372,6 @@ func (rt *Runtime) Run(main func(rc *Context)) {
 // (including control traffic).
 func (rt *Runtime) TotalMessages() int64 { return rt.nw.TotalSent() }
 
-// SetJitter delays every message delivery by a random duration up to
-// max, deliberately breaking delivery ordering — a chaos-testing aid
-// proving the epoch/termination/location protocols tolerate arbitrary
-// interleavings. Call before Run.
-func (rt *Runtime) SetJitter(max time.Duration) {
-	rt.mustNotRun("SetJitter")
-	rt.nw.SetJitter(max)
-}
-
 // SetFaults installs a fault-injection spec on the transport and, when
 // the spec can lose or duplicate messages, switches the runtime to
 // reliable (ack/retry, deduplicated) delivery of epoch messages so

@@ -32,7 +32,9 @@ type Message struct {
 const MaxKinds = 32
 
 // Network connects n ranks with reliable, per-sender-FIFO, asynchronous
-// delivery. Sends never block (inboxes are unbounded); receives may.
+// delivery. Sends never block (inboxes are unbounded); receives may. A
+// FaultPlan (SetFaultPlan) takes reliability and order away on purpose:
+// it is the one way to lose, duplicate, delay or reorder a message.
 //
 // The network always counts messages per kind (one atomic add per send).
 // Payload byte accounting — sizing every message's Data with the
@@ -141,34 +143,15 @@ func (nw *Network) Inject(m Message) {
 	nw.inbox(m.To).push(m)
 }
 
-// SetJitter makes every delivery wait a uniformly random duration up to
-// max before landing in the destination inbox, modeling network latency
-// variance. Per-sender FIFO is intentionally NOT preserved under jitter
-// — the point is to stress ordering assumptions (the runtime's
-// termination detection and location forwarding must tolerate arbitrary
-// interleavings). It is sugar for a delay-only fault plan. Must be set
-// before any traffic flows (enforced: setting it after a Send panics);
-// zero disables.
-func (nw *Network) SetJitter(max time.Duration) {
-	if max < 0 {
-		panic("comm: SetJitter: negative jitter")
-	}
-	if max == 0 {
-		nw.SetFaultPlan(nil)
-		return
-	}
-	nw.SetFaultPlan(&FaultPlan{Seed: 0x5eed, DelayMax: max})
-}
-
 // SetFaultPlan installs (or, with nil, removes) the fault schedule every
 // subsequent delivery is subjected to. The plan is copied; see FaultPlan
-// for the semantics. Like SetJitter it must be called before any
-// traffic flows — fault decisions are keyed by per-sender sequence
-// numbers, so swapping plans mid-traffic would make runs unreproducible
-// and race with in-flight accounting; calling it after a Send panics.
+// for the semantics. It must be called before any traffic flows —
+// fault decisions are keyed by per-sender sequence numbers, so swapping
+// plans mid-traffic would make runs unreproducible and race with
+// in-flight accounting; calling it after a Send panics.
 func (nw *Network) SetFaultPlan(p *FaultPlan) {
 	if nw.TotalSent() > 0 {
-		panic("comm: SetFaultPlan/SetJitter after traffic has flowed")
+		panic("comm: SetFaultPlan after traffic has flowed")
 	}
 	if !p.active() {
 		nw.plan.Store(nil)
@@ -207,37 +190,30 @@ func (nw *Network) Send(m Message) {
 	nw.deliver(m)
 }
 
-// faultedDeliver applies the fault plan to one message: it may be
-// dropped, delivered once or twice, and each delivered copy may be
-// delayed. All decisions are pure functions of (plan seed, sender,
-// per-sender sequence), so concurrent senders share no fault state.
+// faultedDeliver does to one message what the plan decides: drop it, or
+// deliver it once or twice, each copy after its own delay.
 func (nw *Network) faultedDeliver(p *FaultPlan, m Message) {
-	if pr := p.Drop[m.Kind]; pr > 0 && faultUniform(p.Seed, m.From, m.Seq, saltDrop) < pr {
+	f := p.Decide(m.From, m.To, m.Kind, m.Seq)
+	if f.Drop {
 		nw.dropKind[m.Kind].Add(1)
 		return
 	}
-	nw.deliverCopy(p, m, saltDelay)
-	if pr := p.Dup[m.Kind]; pr > 0 && faultUniform(p.Seed, m.From, m.Seq, saltDup) < pr {
+	nw.deliverAfter(m, f.Delay)
+	if f.Dup {
 		nw.dupKind[m.Kind].Add(1)
-		nw.deliverCopy(p, m, saltDupDelay)
+		nw.deliverAfter(m, f.DupDelay)
 	}
 }
 
-// deliverCopy lands one copy of m, immediately or after its drawn delay.
-func (nw *Network) deliverCopy(p *FaultPlan, m Message, salt uint64) {
-	delay := p.delayFor(m, salt)
+// deliverAfter lands one copy of m after delay (at once when zero),
+// registering a delayed delivery with the in-flight group so Close waits
+// for it instead of racing it (delayed messages used to be silently lost
+// when the network closed while they slept).
+func (nw *Network) deliverAfter(m Message, delay time.Duration) {
 	if delay <= 0 {
 		nw.deliver(m)
 		return
 	}
-	nw.deliverLater(m, delay)
-}
-
-// deliverLater schedules a delayed delivery, registering it with the
-// in-flight group so Close waits for it instead of racing it (delayed
-// messages used to be silently lost when the network closed while they
-// slept).
-func (nw *Network) deliverLater(m Message, delay time.Duration) {
 	nw.delayMu.RLock()
 	if nw.closed.Load() {
 		// Close has already begun and may have finished waiting: deliver
@@ -369,9 +345,9 @@ func (nw *Network) Pending(rank int) int {
 // Close wakes all blocked receivers; subsequent RecvWait calls drain
 // remaining messages and then report ok=false. Close first waits for
 // every in-flight delayed delivery to land, so messages a fault plan
-// (or jitter) was still holding are drained by receivers rather than
-// silently lost. Close is idempotent; concurrent calls may return
-// before the first caller has finished closing the inboxes.
+// was still holding are drained by receivers rather than silently
+// lost. Close is idempotent; concurrent calls may return before the
+// first caller has finished closing the inboxes.
 func (nw *Network) Close() {
 	nw.delayMu.Lock()
 	first := nw.closed.CompareAndSwap(false, true)

@@ -217,7 +217,7 @@ func TestMeasureBytes(t *testing.T) {
 
 func TestJitterDeliversEverything(t *testing.T) {
 	nw := NewNetwork(2)
-	nw.SetJitter(2 * time.Millisecond)
+	nw.SetFaultPlan(&FaultPlan{Seed: 0x5eed, DelayMax: 2 * time.Millisecond})
 	const n = 300
 	for i := 0; i < n; i++ {
 		nw.Send(Message{From: 0, To: 1, Data: i})
@@ -245,7 +245,7 @@ func TestCloseWaitsForDelayedDeliveries(t *testing.T) {
 	// draining after Close would miss them — counted messages silently
 	// lost on shutdown.
 	nw := NewNetwork(2)
-	nw.SetJitter(3 * time.Millisecond)
+	nw.SetFaultPlan(&FaultPlan{Seed: 0x5eed, DelayMax: 3 * time.Millisecond})
 	const n = 200
 	for i := 0; i < n; i++ {
 		nw.Send(Message{From: 0, To: 1, Data: i})

@@ -26,9 +26,9 @@ type FaultSpec struct {
 	// message, respectively of delivering one extra copy.
 	Drop, Dup float64
 
-	// DelayMin and DelayMax bound the random extra delivery latency
-	// window, generalizing Network.SetJitter (which is DelayMin=0,
-	// DelayMax=jitter). DelayMax==DelayMin pins a constant delay.
+	// DelayMin and DelayMax bound the random extra delivery latency each
+	// copy of a message draws; per-sender FIFO is deliberately not
+	// preserved under it. DelayMax==DelayMin pins a constant delay.
 	DelayMin, DelayMax time.Duration
 
 	// SlowRanks adds a fixed straggler penalty to every delivery sent by
@@ -77,8 +77,7 @@ func (sp FaultSpec) Validate(n int) error {
 // Plan compiles the spec into a transport fault plan. Drop and Dup apply
 // only to the listed kinds; the delay window and straggler penalties
 // apply to every kind (latency hits control traffic too — the protocols
-// must tolerate that, and the existing jitter chaos tests prove they
-// do).
+// must tolerate that, and the delay-only chaos tests prove they do).
 func (sp FaultSpec) Plan(kinds ...Kind) *FaultPlan {
 	p := &FaultPlan{
 		Seed:     sp.Seed,
@@ -195,10 +194,13 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 	return sp, sp.Validate(0)
 }
 
-// FaultPlan is the transport-level fault schedule: per-kind drop and
+// FaultPlan is the compiled fault schedule: per-kind drop and
 // duplication probabilities plus a delivery delay window and per-rank
-// straggler penalties. Install with Network.SetFaultPlan before any
-// traffic flows; a nil plan (the default) costs Send one pointer load.
+// straggler penalties. Decide is the only place a fault decision is
+// taken; Network.Send asks it for every message once a plan is
+// installed (SetFaultPlan, before any traffic flows; a nil plan — the
+// default — costs Send one pointer load), and the synchronous engine's
+// gossip queue asks it with the same key.
 //
 // Dropping or duplicating a kind is only safe when the layer above
 // recovers: the amt runtime retransmits and deduplicates its epoch
@@ -210,12 +212,18 @@ type FaultPlan struct {
 	SlowRanks          map[int]time.Duration
 }
 
+// CanDelay reports whether the plan can hold any delivery back, and so
+// reorder messages; drop and duplication alone keep arrival order.
+func (p *FaultPlan) CanDelay() bool {
+	return p.DelayMin > 0 || p.DelayMax > 0 || len(p.SlowRanks) > 0
+}
+
 // active reports whether the plan can affect any delivery at all.
 func (p *FaultPlan) active() bool {
 	if p == nil {
 		return false
 	}
-	if p.DelayMin > 0 || p.DelayMax > 0 || len(p.SlowRanks) > 0 {
+	if p.CanDelay() {
 		return true
 	}
 	for k := range p.Drop {
@@ -283,15 +291,38 @@ func faultUniform(seed int64, from int, seq int64, salt uint64) float64 {
 	return float64(faultWord(seed, from, seq, salt)>>11) / (1 << 53)
 }
 
-// delayFor draws the delivery delay for one copy of m: a uniform draw
-// from the window plus the straggler penalties of the endpoints.
-func (p *FaultPlan) delayFor(m Message, salt uint64) time.Duration {
+// delay draws the delivery delay for one copy of a message: a uniform
+// draw from the window plus the straggler penalties of the endpoints.
+func (p *FaultPlan) delay(from, to int, seq int64, salt uint64) time.Duration {
 	d := p.DelayMin
 	if w := p.DelayMax - p.DelayMin; w > 0 {
-		d += time.Duration(faultWord(p.Seed, m.From, m.Seq, salt) % uint64(w))
+		d += time.Duration(faultWord(p.Seed, from, seq, salt) % uint64(w))
 	}
 	if len(p.SlowRanks) > 0 {
-		d += p.SlowRanks[m.From] + p.SlowRanks[m.To]
+		d += p.SlowRanks[from] + p.SlowRanks[to]
 	}
 	return d
+}
+
+// Fate is a plan's decision for one message: lost, or delivered once —
+// twice when Dup — each copy held back by its own delay.
+type Fate struct {
+	Drop, Dup       bool
+	Delay, DupDelay time.Duration
+}
+
+// Decide returns the fate of the seq-th message (counting from 1, as
+// Network.Send stamps Message.Seq) that rank from sends, addressed to
+// rank to with kind k. It is a pure function: the dice are hashes of
+// (Seed, from, seq), so concurrent senders share no fault state and any
+// two callers asking about the same stamp get the same answer.
+func (p *FaultPlan) Decide(from, to int, k Kind, seq int64) Fate {
+	if pr := p.Drop[k]; pr > 0 && faultUniform(p.Seed, from, seq, saltDrop) < pr {
+		return Fate{Drop: true}
+	}
+	f := Fate{Delay: p.delay(from, to, seq, saltDelay)}
+	if pr := p.Dup[k]; pr > 0 && faultUniform(p.Seed, from, seq, saltDup) < pr {
+		f.Dup, f.DupDelay = true, p.delay(from, to, seq, saltDupDelay)
+	}
+	return f
 }

@@ -201,17 +201,6 @@ func TestSetFaultPlanAfterTrafficPanics(t *testing.T) {
 	nw.SetFaultPlan(&FaultPlan{DelayMax: time.Millisecond})
 }
 
-func TestSetJitterAfterTrafficPanics(t *testing.T) {
-	nw := NewNetwork(2)
-	nw.Send(Message{From: 0, To: 1})
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic setting jitter after traffic")
-		}
-	}()
-	nw.SetJitter(time.Millisecond)
-}
-
 func TestSetFaultPlanValidatesRanges(t *testing.T) {
 	nw := NewNetwork(2)
 	plan := &FaultPlan{}

@@ -41,7 +41,6 @@ type Transport interface {
 	Closed() bool
 
 	SetFaultPlan(*FaultPlan)
-	SetJitter(max time.Duration)
 
 	EnableByteAccounting()
 	ByteAccounting() bool

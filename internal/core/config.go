@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"time"
 
+	"temperedlb/internal/comm"
 	"temperedlb/internal/obs"
 )
 
@@ -200,35 +200,20 @@ type Config struct {
 	// are sampled uniformly from the sender's knowledge.
 	MaxGossipEntries int
 
-	// GossipDrop, in [0,1), makes the synchronous engine's simulated
-	// transport lossy: each gossip message is discarded with this
-	// probability before delivery, drawn from a dedicated seeded stream.
-	// It is the engine-side mirror of the distributed runtime's fault
-	// injection — gossip is the one protocol the engine simulates
-	// asynchronously, and knowledge loss is exactly how transport loss
-	// manifests there (transfers and collectives have no engine
-	// counterpart to drop). Zero, the default, leaves the delivery loop
-	// untouched and results bit-identical to earlier versions.
-	GossipDrop float64
-
-	// GossipDup, GossipDelayMin/GossipDelayMax and GossipSlowRanks extend
-	// the engine's gossip transport to the full fault grammar the
-	// distributed runtime accepts (comm.FaultSpec): duplicated deliveries,
-	// a uniform per-message virtual latency band, and per-rank straggler
-	// penalties added to every message a slow rank sends or receives.
-	// Setting any of them switches gossip delivery from the legacy FIFO
-	// queue to a virtual-time event queue ordered by delivery time (ties
-	// by enqueue order, so an all-zero-delay spec reproduces FIFO order
-	// exactly). Fault decisions are stateless hashes of the message index
-	// under GossipFaultSeed (Seed when zero), so runs stay reproducible.
-	// Retry knobs of the grammar have no engine counterpart — the engine
-	// queue never loses a message except by explicit drop — and are
-	// accepted as no-ops by the flag parsers.
-	GossipDup       float64
-	GossipDelayMin  time.Duration
-	GossipDelayMax  time.Duration
-	GossipSlowRanks map[int]time.Duration
-	GossipFaultSeed int64
+	// GossipFaults subjects the synchronous engine's simulated gossip
+	// transport — the one protocol the engine simulates asynchronously —
+	// to the distributed runtime's fault model: the spec compiles to a
+	// comm.FaultPlan, and every gossip send is put to it with the
+	// transport's own key (the sender and that sender's send index), so
+	// a message meets the fate comm.Network would deal it: dropped (the
+	// knowledge simply never arrives), duplicated, or held back in
+	// virtual time, which reorders deliveries. Decisions are drawn per
+	// (trial, iteration) under the spec's seed, or Seed when that is
+	// zero; the retry tuning has no engine counterpart. The zero value
+	// injects nothing and leaves the delivery loop a plain FIFO walk.
+	// The distributed balancer refuses a non-empty spec: its faults are
+	// the runtime's (amt.Runtime.SetFaults).
+	GossipFaults comm.FaultSpec
 
 	// Stream, when non-nil, receives one obs.Snapshot frame per engine
 	// iteration (plus an initial frame), carrying per-rank loads and the
@@ -307,24 +292,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: comm bias must be in [0,1), got %g", c.CommBias)
 	case c.MaxGossipEntries < 0:
 		return fmt.Errorf("core: max gossip entries must be >= 0, got %d", c.MaxGossipEntries)
-	case c.GossipDrop < 0 || c.GossipDrop >= 1:
-		return fmt.Errorf("core: gossip drop must be in [0,1), got %g", c.GossipDrop)
-	case c.GossipDup < 0 || c.GossipDup >= 1:
-		return fmt.Errorf("core: gossip dup must be in [0,1), got %g", c.GossipDup)
-	case c.GossipDelayMin < 0 || c.GossipDelayMax < 0:
-		return fmt.Errorf("core: gossip delays must be >= 0, got min %v max %v",
-			c.GossipDelayMin, c.GossipDelayMax)
-	case c.GossipDelayMax > 0 && c.GossipDelayMin > c.GossipDelayMax:
-		return fmt.Errorf("core: gossip delay min %v exceeds max %v",
-			c.GossipDelayMin, c.GossipDelayMax)
 	}
-	for r, d := range c.GossipSlowRanks {
-		if r < 0 {
-			return fmt.Errorf("core: gossip slow rank must be >= 0, got %d", r)
-		}
-		if d < 0 {
-			return fmt.Errorf("core: gossip slow penalty must be >= 0, got %v", d)
-		}
-	}
-	return nil
+	return c.GossipFaults.Validate(0)
 }

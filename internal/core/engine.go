@@ -20,9 +20,9 @@ type IterationStats struct {
 	GossipMessages int
 	GossipEntries  int
 
-	// GossipDropped counts gossip messages lost to Config.GossipDrop
-	// before delivery; GossipDuplicated counts extra deliveries injected
-	// by Config.GossipDup (both always zero when the knobs are off).
+	// GossipDropped counts gossip messages Config.GossipFaults lost
+	// before delivery; GossipDuplicated counts the extra deliveries it
+	// injected (both always zero when the spec is empty).
 	GossipDropped    int
 	GossipDuplicated int
 
@@ -129,14 +129,12 @@ type engineScratch struct {
 	states      []*InformState
 	transferRNG []*rand.Rand
 	orderRNG    *rand.Rand
-	dropRNG     *rand.Rand    // gossip-loss dice, used only when cfg.GossipDrop > 0
-	work        *Assignment   // working distribution, reset per trial
-	queue       []Send        // gossip delivery queue, truncated per iteration
-	events      []gossipEvent // virtual-time delivery heap (rich fault specs)
-	order       []int         // rank traversal permutation
-	tasks       []Task        // overloaded rank's task set
-	owners      []Rank        // owner snapshot for the affinity closure
-	bestOwners  []Rank        // owner vector of the best distribution
+	work        *Assignment // working distribution, reset per trial
+	queue       gossipQueue // gossip delivery queue, emptied per iteration
+	order       []int       // rank traversal permutation
+	tasks       []Task      // overloaded rank's task set
+	owners      []Rank      // owner snapshot for the affinity closure
+	bestOwners  []Rank      // owner vector of the best distribution
 	haveBest    bool
 	xfer        TransferScratch
 }
@@ -158,12 +156,13 @@ func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
 		sc.transferRNG[r] = newRNG(cfg.Seed)
 	}
 	sc.orderRNG = newRNG(cfg.Seed)
-	sc.dropRNG = newRNG(cfg.Seed)
 	sc.order = make([]int, numRanks)
 	sc.work = nil
 }
 
-// NewEngine validates the configuration and returns an engine.
+// NewEngine validates the configuration and returns an engine. The
+// rank bounds of Config.GossipFaults are checked by RunWithComm, which
+// knows the rank count.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -188,6 +187,9 @@ func (e *Engine) Run(a *Assignment) (*Result, error) {
 // gossip knowledge has), and the result reports the remote communication
 // volume before and after.
 func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
+	if err := e.cfg.GossipFaults.Validate(a.NumRanks()); err != nil {
+		return nil, err
+	}
 	if a.NumTasks() == 0 {
 		return &Result{}, nil
 	}
@@ -213,6 +215,7 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 	numRanks := a.NumRanks()
 	sc := &e.sc
 	sc.prepare(numRanks, &e.cfg)
+	sc.queue.compile(e.cfg.GossipFaults, numRanks)
 	sc.haveBest = false
 
 	for trial := 1; trial <= e.cfg.Trials; trial++ {
@@ -230,9 +233,6 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 			reseed(sc.transferRNG[r], e.cfg.Seed, int64(trial), int64(r), 0x7af)
 		}
 		reseed(sc.orderRNG, e.cfg.Seed, int64(trial), 0x0deb)
-		if e.cfg.GossipDrop > 0 {
-			reseed(sc.dropRNG, e.cfg.Seed, int64(trial), 0xd209)
-		}
 
 		for iter := 1; iter <= e.cfg.Iterations; iter++ {
 			st := IterationStats{Trial: trial, Iteration: iter}
@@ -305,38 +305,26 @@ func (r *Result) Apply(a *Assignment) {
 }
 
 // gossip simulates the asynchronous inform stage: underloaded ranks seed
-// messages, and a FIFO queue delivers them until quiescence — the
+// messages, and the queue delivers them until quiescence — the
 // synchronous stand-in for termination detection. Message and payload
-// counts are recorded in st. The queue buffer is reused across
-// iterations; each Send is copied into it, so the per-state send buffers
-// may be recycled freely.
+// counts are recorded in st.
 func (e *Engine) gossip(work *Assignment, ave float64, st *IterationStats) {
-	if e.cfg.gossipFaultsRich() {
-		e.gossipVirtualTime(work, ave, st)
-		return
+	states, q := e.sc.states, &e.sc.queue
+	seed := e.cfg.GossipFaults.Seed
+	if seed == 0 {
+		seed = e.cfg.Seed
 	}
-	states := e.sc.states
-	queue := e.sc.queue[:0]
+	q.reset(deriveSeed(seed, int64(st.Trial), int64(st.Iteration), 0xfa5e))
 	for r := range states {
-		queue = append(queue, states[r].Begin(ave, work.RankLoad(Rank(r)))...)
+		q.send(Rank(r), states[r].Begin(ave, work.RankLoad(Rank(r))))
 	}
-	drop := e.cfg.GossipDrop
-	for head := 0; head < len(queue); head++ {
-		s := queue[head]
-		if drop > 0 && e.sc.dropRNG.Float64() < drop {
-			// Lost in transit: the payload never reaches its target, so no
-			// merge and no forwarding cascade. The knowledge the receiver
-			// would have gained simply stays unknown — exactly the engine-
-			// level analogue of a dropped transport message.
-			st.GossipDropped++
-			continue
-		}
+	for s := q.next(); s != nil; s = q.next() {
 		st.GossipMessages++
 		st.GossipEntries += len(s.Msg.Entries)
 		more, _ := states[s.To].Receive(s.Msg)
-		queue = append(queue, more...)
+		q.send(s.To, more)
 	}
-	e.sc.queue = queue
+	st.GossipDropped, st.GossipDuplicated = q.dropped, q.duplicated
 }
 
 // transferPass runs the transfer stage for every overloaded rank, in a

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"temperedlb/internal/comm"
 )
 
 // clusteredAssignment puts n tasks with seeded loads on the first k of p
@@ -329,13 +331,13 @@ func TestEngineKnowledgeCappedByLimitedInfo(t *testing.T) {
 	}
 }
 
-// TestEngineGossipDrop exercises the engine's lossy-gossip knob: drops
+// TestEngineGossipDrop exercises lossy gossip in the engine: drops
 // are counted, delivery shrinks, refinement still works, and the same
 // seed reproduces the identical run.
 func TestEngineGossipDrop(t *testing.T) {
 	a := clusteredAssignment(64, 4, 400, 1)
 	cfg := smallTempered()
-	cfg.GossipDrop = 0.3
+	cfg.GossipFaults.Drop = 0.3
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -350,10 +352,10 @@ func TestEngineGossipDrop(t *testing.T) {
 		delivered += st.GossipMessages
 	}
 	if dropped == 0 {
-		t.Fatal("GossipDrop=0.3 dropped nothing")
+		t.Fatal("GossipFaults.Drop=0.3 dropped nothing")
 	}
 	if delivered == 0 {
-		t.Fatal("GossipDrop=0.3 delivered nothing")
+		t.Fatal("GossipFaults.Drop=0.3 delivered nothing")
 	}
 	// Loss should land in the neighbourhood of the configured rate.
 	rate := float64(dropped) / float64(dropped+delivered)
@@ -382,7 +384,7 @@ func TestEngineGossipDrop(t *testing.T) {
 }
 
 // TestEngineGossipDropZeroIdentical pins that the knob is inert when off:
-// a GossipDrop=0 run is identical to one with the field untouched.
+// a Drop=0 run is identical to one with the field untouched.
 func TestEngineGossipDropZeroIdentical(t *testing.T) {
 	a := clusteredAssignment(48, 3, 300, 9)
 	base, _ := NewEngine(smallTempered())
@@ -391,7 +393,7 @@ func TestEngineGossipDropZeroIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallTempered()
-	cfg.GossipDrop = 0
+	cfg.GossipFaults.Drop = 0
 	zero, _ := NewEngine(cfg)
 	resZero, err := zero.Run(a)
 	if err != nil {
@@ -401,7 +403,7 @@ func TestEngineGossipDropZeroIdentical(t *testing.T) {
 		resZero.BestTrial != resBase.BestTrial ||
 		resZero.BestIteration != resBase.BestIteration ||
 		len(resZero.Moves) != len(resBase.Moves) {
-		t.Errorf("GossipDrop=0 changed the outcome: %v vs %v", resZero, resBase)
+		t.Errorf("GossipFaults.Drop=0 changed the outcome: %v vs %v", resZero, resBase)
 	}
 	for i := range resBase.History {
 		if resBase.History[i].GossipDropped != 0 {
@@ -413,9 +415,9 @@ func TestEngineGossipDropZeroIdentical(t *testing.T) {
 func TestEngineGossipDropValidate(t *testing.T) {
 	for _, bad := range []float64{-0.1, 1.0, 1.5} {
 		cfg := smallTempered()
-		cfg.GossipDrop = bad
+		cfg.GossipFaults = comm.FaultSpec{Drop: bad}
 		if _, err := NewEngine(cfg); err == nil {
-			t.Errorf("GossipDrop=%g accepted", bad)
+			t.Errorf("GossipFaults.Drop=%g accepted", bad)
 		}
 	}
 }

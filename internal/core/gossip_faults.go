@@ -1,156 +1,130 @@
 package core
 
-import "time"
+import (
+	"container/heap"
+	"time"
 
-// This file is the engine-side twin of the transport fault injection in
-// internal/comm: the same drop/dup/delay/slow grammar, applied to the
-// one protocol the synchronous engine simulates asynchronously. The
-// legacy drop-only path in gossip() keeps its dedicated RNG stream for
-// bit-compatibility with earlier versions; any richer spec switches to
-// the virtual-time queue below.
-
-// gossipFaultsRich reports whether the configuration needs the
-// virtual-time delivery queue instead of the legacy FIFO path.
-func (c *Config) gossipFaultsRich() bool {
-	return c.GossipDup > 0 || c.GossipDelayMin > 0 || c.GossipDelayMax > 0 ||
-		len(c.GossipSlowRanks) > 0
-}
-
-// gossipEvent is one scheduled delivery in the virtual-time gossip
-// transport. seq is the enqueue index: it breaks delivery-time ties, so
-// an all-zero-delay spec degenerates to exact FIFO order, and it keys
-// the per-message fault decisions.
-type gossipEvent struct {
-	at   time.Duration
-	seq  uint64
-	from Rank
-	s    Send
-}
-
-// eventLess orders the heap by (delivery time, enqueue index).
-func eventLess(a, b gossipEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// pushEvent and popEvent are a plain binary min-heap over the scratch
-// slice; container/heap would force the slice behind an interface and
-// allocate per operation.
-func pushEvent(h []gossipEvent, ev gossipEvent) []gossipEvent {
-	h = append(h, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
-}
-
-func popEvent(h []gossipEvent) (gossipEvent, []gossipEvent) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h) && eventLess(h[l], h[min]) {
-			min = l
-		}
-		if r < len(h) && eventLess(h[r], h[min]) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	return top, h
-}
-
-// Salts separating the per-message fault decision streams.
-const (
-	gossipSaltDrop  = 0xd209
-	gossipSaltDup   = 0xd7b1
-	gossipSaltDelay = 0xde1a // +copy for the duplicate's own delay
+	"temperedlb/internal/comm"
 )
 
-// gossipFaultWord returns a uniform [0,1) draw for one decision about
-// one enqueued message, as a stateless hash — no generator state, so
-// delivery order cannot perturb later decisions.
-func gossipFaultWord(base, seq, salt uint64) float64 {
-	u := splitmix64(base ^ splitmix64(seq*0x9e3779b97f4a7c15^salt))
-	return float64(u>>11) / (1 << 53)
+// gossipKind is the transport kind the engine's gossip messages carry
+// when they are put to a comm.FaultPlan; the engine simulates no other
+// traffic, so any one value serves.
+const gossipKind comm.Kind = 0
+
+// gossipQueue is the engine's simulated gossip transport: the sends of
+// one inform stage, delivered until none is left. Without a fault plan
+// delivery is reliable and FIFO. With one, every send is stamped as
+// comm.Network.Send would stamp it — its sender's send index, from 1 —
+// and the plan decides its fate; when the plan can delay, deliveries
+// are ordered by (virtual arrival time, enqueue index), so late arrival
+// reorders gossip and an all-zero delay degenerates to FIFO exactly.
+type gossipQueue struct {
+	plan *comm.FaultPlan // nil: no faults
+	sent []int64         // per-rank send index, the plan's sequence key
+
+	fifo     []Send // reused across iterations; each Send is copied in
+	head     int
+	timed    timedSends // used instead of fifo when plan.CanDelay()
+	enqueued uint64
+	arrived  timedSend // the delivery next last popped off timed
+
+	dropped, duplicated int
 }
 
-// gossipVirtualTime delivers the inform stage through a virtual-time
-// event queue with the full fault grammar: per-message drop and
-// duplication decided by stateless hashes, a uniform latency band, and
-// per-rank straggler penalties on both endpoints. Cascaded forwards
-// inherit the triggering delivery's virtual time as their send time.
-func (e *Engine) gossipVirtualTime(work *Assignment, ave float64, st *IterationStats) {
-	cfg := &e.cfg
-	states := e.sc.states
-	fseed := cfg.GossipFaultSeed
-	if fseed == 0 {
-		fseed = cfg.Seed
-	}
-	base := uint64(deriveSeed(fseed, int64(st.Trial), int64(st.Iteration), 0xfa5e))
+// timedSend is one scheduled delivery; idx is its enqueue index.
+type timedSend struct {
+	at  time.Duration
+	idx uint64
+	s   Send
+}
 
-	delayFor := func(seq, nthCopy uint64, from, to Rank) time.Duration {
-		d := time.Duration(0)
-		if cfg.GossipDelayMax > 0 {
-			band := cfg.GossipDelayMax - cfg.GossipDelayMin
-			u := gossipFaultWord(base, seq, gossipSaltDelay+nthCopy)
-			d = cfg.GossipDelayMin + time.Duration(u*float64(band))
-		}
-		d += cfg.GossipSlowRanks[int(from)]
-		d += cfg.GossipSlowRanks[int(to)]
-		return d
-	}
+// timedSends is a container/heap of deliveries, earliest first.
+type timedSends []timedSend
 
-	h := e.sc.events[:0]
-	var seq uint64
-	enqueue := func(s Send, from Rank, now time.Duration) {
-		mySeq := seq
-		seq++
-		if cfg.GossipDrop > 0 && gossipFaultWord(base, mySeq, gossipSaltDrop) < cfg.GossipDrop {
-			st.GossipDropped++
-			return
-		}
-		h = pushEvent(h, gossipEvent{
-			at: now + delayFor(mySeq, 0, from, s.To), seq: mySeq, from: from, s: s,
-		})
-		if cfg.GossipDup > 0 && gossipFaultWord(base, mySeq, gossipSaltDup) < cfg.GossipDup {
-			st.GossipDuplicated++
-			h = pushEvent(h, gossipEvent{
-				at: now + delayFor(mySeq, 1, from, s.To), seq: mySeq, from: from, s: s,
-			})
-		}
+func (h timedSends) Len() int      { return len(h) }
+func (h timedSends) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h timedSends) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
+	return h[i].idx < h[j].idx
+}
+func (h *timedSends) Push(x any) { *h = append(*h, x.(timedSend)) }
+func (h *timedSends) Pop() any {
+	last := len(*h) - 1
+	x := (*h)[last]
+	*h = (*h)[:last]
+	return x
+}
 
-	for r := range states {
-		for _, s := range states[r].Begin(ave, work.RankLoad(Rank(r))) {
-			enqueue(s, Rank(r), 0)
+// compile readies the queue for a run over numRanks ranks under sp,
+// which the caller has validated against that rank count.
+func (q *gossipQueue) compile(sp comm.FaultSpec, numRanks int) {
+	q.plan = nil
+	if !sp.Empty() {
+		q.plan, q.sent = sp.Plan(gossipKind), make([]int64, numRanks)
+	}
+}
+
+// reset empties the queue for the next inform stage, whose fault
+// decisions are drawn under seed.
+func (q *gossipQueue) reset(seed int64) {
+	q.fifo, q.head = q.fifo[:0], 0
+	if q.plan == nil {
+		return
+	}
+	q.plan.Seed = seed
+	clear(q.sent)
+	q.timed, q.enqueued, q.arrived = q.timed[:0], 0, timedSend{}
+	q.dropped, q.duplicated = 0, 0
+}
+
+// send hands the queue the messages rank from emits, now or in response
+// to the delivery next last returned: a cascaded forward inherits the
+// triggering delivery's virtual arrival time as its send time.
+func (q *gossipQueue) send(from Rank, sends []Send) {
+	if q.plan == nil {
+		q.fifo = append(q.fifo, sends...)
+		return
+	}
+	for _, s := range sends {
+		q.sent[from]++
+		// Lost in transit means no merge and no forwarding cascade: the
+		// knowledge the receiver would have gained simply stays unknown.
+		f := q.plan.Decide(int(from), int(s.To), gossipKind, q.sent[from])
+		if f.Drop {
+			q.dropped++
+			continue
+		}
+		q.enqueue(s, f.Delay)
+		if f.Dup {
+			q.duplicated++
+			q.enqueue(s, f.DupDelay)
 		}
 	}
-	for len(h) > 0 {
-		var ev gossipEvent
-		ev, h = popEvent(h)
-		st.GossipMessages++
-		st.GossipEntries += len(ev.s.Msg.Entries)
-		more, _ := states[ev.s.To].Receive(ev.s.Msg)
-		for _, s := range more {
-			enqueue(s, ev.s.To, ev.at)
-		}
+}
+
+func (q *gossipQueue) enqueue(s Send, delay time.Duration) {
+	if !q.plan.CanDelay() {
+		q.fifo = append(q.fifo, s)
+		return
 	}
-	e.sc.events = h[:0]
+	heap.Push(&q.timed, timedSend{at: q.arrived.at + delay, idx: q.enqueued, s: s})
+	q.enqueued++
+}
+
+// next returns the next delivery, valid until the following send or
+// next, or nil when the queue has drained. Only one of fifo and timed is
+// ever filled.
+func (q *gossipQueue) next() *Send {
+	if q.head < len(q.fifo) {
+		q.head++
+		return &q.fifo[q.head-1]
+	}
+	if len(q.timed) == 0 {
+		return nil
+	}
+	q.arrived = heap.Pop(&q.timed).(timedSend)
+	return &q.arrived.s
 }

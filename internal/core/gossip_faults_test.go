@@ -1,24 +1,26 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
+	"temperedlb/internal/comm"
 	"temperedlb/internal/obs"
 )
 
-// TestEngineGossipFaultsRich drives the virtual-time gossip path with
+// TestEngineGossipFaultsRich drives the delay-ordered gossip queue with
 // the full grammar: drops and duplicates land near their configured
 // rates, refinement still improves, and the same seed reproduces the
 // run exactly.
 func TestEngineGossipFaultsRich(t *testing.T) {
 	a := clusteredAssignment(64, 4, 400, 1)
 	cfg := smallTempered()
-	cfg.GossipDrop = 0.2
-	cfg.GossipDup = 0.2
-	cfg.GossipDelayMin = time.Millisecond
-	cfg.GossipDelayMax = 5 * time.Millisecond
-	cfg.GossipSlowRanks = map[int]time.Duration{1: 10 * time.Millisecond}
+	cfg.GossipFaults = comm.FaultSpec{
+		Drop: 0.2, Dup: 0.2,
+		DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond,
+		SlowRanks: map[int]time.Duration{1: 10 * time.Millisecond},
+	}
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,12 +61,11 @@ func TestEngineGossipFaultsRich(t *testing.T) {
 	}
 }
 
-// TestEngineGossipZeroDelayRichMatchesFIFO pins the FIFO-degeneration
-// contract of the virtual-time queue: a spec that forces the rich path
-// without perturbing anything (one slow rank with a zero penalty, no
-// drop, no dup, no delay band) must reproduce the legacy FIFO run's
-// decisions exactly — every delivery lands at time zero and the
-// enqueue-order tie-break is the FIFO order.
+// TestEngineGossipZeroDelayRichMatchesFIFO pins that a non-empty spec
+// with zero effect equals the fault-free run, row by row: one slow rank
+// with a zero penalty (no drop, no dup, no delay band) selects the
+// delay-ordered queue without perturbing anything — every delivery
+// lands at time zero and the enqueue-index tie-break is the FIFO order.
 func TestEngineGossipZeroDelayRichMatchesFIFO(t *testing.T) {
 	a := clusteredAssignment(48, 3, 300, 9)
 	base, _ := NewEngine(smallTempered())
@@ -73,14 +74,14 @@ func TestEngineGossipZeroDelayRichMatchesFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallTempered()
-	cfg.GossipSlowRanks = map[int]time.Duration{0: 0}
-	if !cfg.gossipFaultsRich() {
-		t.Fatal("spec did not select the virtual-time path")
-	}
+	cfg.GossipFaults.SlowRanks = map[int]time.Duration{0: 0}
 	rich, _ := NewEngine(cfg)
 	resRich, err := rich.Run(a)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rich.sc.queue.plan.CanDelay() {
+		t.Fatal("spec did not select the delay-ordered queue")
 	}
 	if resRich.FinalImbalance != resBase.FinalImbalance ||
 		resRich.BestTrial != resBase.BestTrial ||
@@ -150,24 +151,87 @@ func TestEngineStreamFrames(t *testing.T) {
 	}
 }
 
+// TestGossipFaultConfigValidate: the engine's spec is checked by the
+// transport's validator, ranges at NewEngine and rank bounds at Run —
+// including the two cases the old engine-side copy let through (a
+// minimum delay without a window, a straggler rank the job does not
+// have).
 func TestGossipFaultConfigValidate(t *testing.T) {
-	bad := []Config{}
-	c := smallTempered()
-	c.GossipDup = 1.0
-	bad = append(bad, c)
-	c = smallTempered()
-	c.GossipDelayMin = -time.Millisecond
-	bad = append(bad, c)
-	c = smallTempered()
-	c.GossipDelayMin = 2 * time.Millisecond
-	c.GossipDelayMax = time.Millisecond
-	bad = append(bad, c)
-	c = smallTempered()
-	c.GossipSlowRanks = map[int]time.Duration{-1: time.Millisecond}
-	bad = append(bad, c)
-	for i, cfg := range bad {
-		if _, err := NewEngine(cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
+	for i, sp := range []comm.FaultSpec{
+		{Dup: 1.0},
+		{DelayMin: -time.Millisecond},
+		{DelayMin: 2 * time.Millisecond, DelayMax: time.Millisecond},
+		{DelayMin: time.Millisecond},
+		{SlowRanks: map[int]time.Duration{-1: time.Millisecond}},
+	} {
+		cfg := smallTempered()
+		cfg.GossipFaults = sp
+		if _, err := NewEngine(cfg); err == nil || !strings.HasPrefix(err.Error(), "comm:") {
+			t.Errorf("bad spec %d: NewEngine returned %v, want a comm: error", i, err)
 		}
+	}
+	cfg := smallTempered()
+	cfg.GossipFaults.SlowRanks = map[int]time.Duration{99999: time.Millisecond}
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatalf("rank bound checked before the rank count is known: %v", err)
+	}
+	if _, err := eng.Run(clusteredAssignment(16, 2, 50, 1)); err == nil || !strings.HasPrefix(err.Error(), "comm:") {
+		t.Errorf("slow rank 99999 of 16: Run returned %v, want a comm: error", err)
+	}
+}
+
+// TestGossipQueueMatchesNetwork: there is one fault model. Replaying the
+// stamps of an engine iteration — every (sender, send index) it asked
+// its plan about — through a comm.Network under the same plan, the
+// network drops and duplicates exactly the pairs the engine's queue
+// does, and the totals are the iteration's GossipDropped and
+// GossipDuplicated.
+func TestGossipQueueMatchesNetwork(t *testing.T) {
+	a := clusteredAssignment(64, 4, 400, 1)
+	cfg := smallTempered()
+	cfg.GossipFaults = comm.FaultSpec{Seed: 42, Drop: 0.2, Dup: 0.2} // no delay: the network delivers synchronously
+	eng, _ := NewEngine(cfg)
+	res, err := eng.Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The engine's scratch holds the last iteration's plan and send counts.
+	plan, sent := eng.sc.queue.plan, eng.sc.queue.sent
+	last := res.History[len(res.History)-1]
+
+	n := a.NumRanks()
+	nw := comm.NewNetwork(n)
+	nw.SetFaultPlan(plan)
+	var q gossipQueue
+	q.compile(cfg.GossipFaults, n)
+	q.reset(plan.Seed)
+	stamps := 0
+	for from := range sent {
+		to := (from + 1) % n
+		for seq := int64(1); seq <= sent[from]; seq++ {
+			stamps++
+			nw.Send(comm.Message{From: from, To: to, Kind: gossipKind})
+			onNetwork := nw.Pending(to)
+			for nw.Pending(to) > 0 {
+				nw.Recv(to)
+			}
+			queued := len(q.fifo)
+			q.send(Rank(from), []Send{{To: Rank(to)}})
+			if inQueue := len(q.fifo) - queued; inQueue != onNetwork {
+				t.Fatalf("send %d of rank %d: %d copies on the network, %d in the engine's queue",
+					seq, from, onNetwork, inQueue)
+			}
+		}
+	}
+	if stamps == 0 || last.GossipDropped == 0 || last.GossipDuplicated == 0 {
+		t.Fatalf("nothing to compare: %d stamps, %d dropped, %d duplicated",
+			stamps, last.GossipDropped, last.GossipDuplicated)
+	}
+	if int(nw.TotalDropped()) != last.GossipDropped || q.dropped != last.GossipDropped {
+		t.Errorf("dropped: network %d, queue %d, iteration %d", nw.TotalDropped(), q.dropped, last.GossipDropped)
+	}
+	if int(nw.TotalDuplicated()) != last.GossipDuplicated || q.duplicated != last.GossipDuplicated {
+		t.Errorf("duplicated: network %d, queue %d, iteration %d", nw.TotalDuplicated(), q.duplicated, last.GossipDuplicated)
 	}
 }

@@ -161,12 +161,18 @@ var (
 	}
 )
 
-// rejectEngineOnly refuses the knobs only the synchronous engine
-// implements: the distributed protocol has no recipient veto, resets
-// knowledge every iteration and carries no communication graph, and
-// running on as if the knob were off would report results the
-// configuration did not ask for.
-func rejectEngineOnly(cfg core.Config) error {
+// CheckConfig reports whether RunDistributed will run cfg: it must be
+// valid, and must set none of the knobs only the synchronous engine
+// implements. The distributed protocol has no recipient veto, resets
+// knowledge every iteration, carries no communication graph and takes
+// its faults from the runtime's transport; running on as if such a knob
+// were off would report results the configuration did not ask for. A
+// caller that will invoke the balancer later (serve.Run) checks up
+// front, so every rank fails the same way before any work is done.
+func CheckConfig(cfg core.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	var knob string
 	switch {
 	case cfg.NegativeAcks:
@@ -175,6 +181,8 @@ func rejectEngineOnly(cfg core.Config) error {
 		knob = "PersistKnowledge"
 	case cfg.CommBias > 0:
 		knob = "CommBias"
+	case !cfg.GossipFaults.Empty():
+		knob = "GossipFaults (the runtime's transport takes the spec: Runtime.SetFaults)"
 	default:
 		return nil
 	}
@@ -188,10 +196,7 @@ func rejectEngineOnly(cfg core.Config) error {
 // the best distribution found (Algorithm 3's deferred transfers). All
 // ranks must call it collectively with their local instrumented loads.
 func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt.ObjectID]float64) (DistResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return DistResult{}, err
-	}
-	if err := rejectEngineOnly(cfg); err != nil {
+	if err := CheckConfig(cfg); err != nil {
 		return DistResult{}, err
 	}
 	self := rc.Rank()

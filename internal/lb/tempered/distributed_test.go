@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"temperedlb/internal/amt"
+	"temperedlb/internal/comm"
 	"temperedlb/internal/core"
 )
 
@@ -180,6 +181,9 @@ func TestDistributedBadConfig(t *testing.T) {
 		{"NegativeAcks", func(c *core.Config) { c.NegativeAcks = true }},
 		{"PersistKnowledge", func(c *core.Config) { c.PersistKnowledge = true }},
 		{"CommBias", func(c *core.Config) { c.CommBias = 0.3 }},
+		{"GossipFaults", func(c *core.Config) { c.GossipFaults.Drop = 0.1 }},
+		{"Runtime.SetFaults", func(c *core.Config) { c.GossipFaults.DelayMax = time.Millisecond }},
+		{"comm: fault dup", func(c *core.Config) { c.GossipFaults.Dup = 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := amt.New(2)
@@ -339,7 +343,9 @@ func TestDistributedManyRanksConverges(t *testing.T) {
 // survive arbitrary message interleavings.
 func TestDistributedUnderJitter(t *testing.T) {
 	rt := amt.New(10)
-	rt.SetJitter(2 * time.Millisecond)
+	if err := rt.SetFaults(comm.FaultSpec{Seed: 0x5eed, DelayMax: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	h := RegisterHandlers(rt, 100)
 	census := make([]int, 10)
 	results := make([]DistResult, 10)

@@ -128,6 +128,11 @@ var summaryOps = []amt.ReduceOp{amt.ReduceMax, amt.ReduceMax, amt.ReduceSum, amt
 // cross-transport tests pin down.
 func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
+	// A balancer configuration RunDistributed would refuse fails here, on
+	// every rank alike and before any phase, not at the first fire.
+	if err := tempered.CheckConfig(cfg.LB); err != nil {
+		return Result{}, fmt.Errorf("serve: LB configuration: %w", err)
+	}
 	sc, err := NewScenario(cfg.Scenario)
 	if err != nil {
 		return Result{}, err

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm/wire"
+	"temperedlb/internal/core"
 	"temperedlb/internal/lb/tempered"
 	"temperedlb/internal/obs"
 )
@@ -20,29 +22,37 @@ func serveConfig(kind Kind) Config {
 }
 
 // runService executes one service run on the named transport and
-// returns every rank's Result. For "unix" and "tcp" the job is an
-// in-process cluster of `nodes` partial networks joined by real
-// sockets, one runtime per node — exactly how cmd/lbserve hosts them.
-// Node i is given streams[i] when there is one.
+// returns every rank's Result; see runRanks for the transports.
 func runService(t *testing.T, transport string, nodes int, cfg Config, streams ...*obs.Stream) []Result {
 	t.Helper()
-	n := cfg.Scenario.Ranks
-	results := make([]Result, n)
-	body := func(h *tempered.Handlers) func(rc *amt.Context) {
-		return func(rc *amt.Context) {
-			res, err := Run(rc, h, cfg)
-			if err != nil {
-				t.Errorf("rank %d: %v", rc.Rank(), err)
-				return
-			}
-			results[rc.Rank()] = res
+	results := make([]Result, cfg.Scenario.Ranks)
+	runRanks(t, transport, nodes, cfg.Scenario.Ranks, streams, func(rc *amt.Context, h *tempered.Handlers) {
+		res, err := Run(rc, h, cfg)
+		if err != nil {
+			t.Errorf("rank %d: %v", rc.Rank(), err)
+			return
 		}
+		results[rc.Rank()] = res
+	})
+	return results
+}
+
+// runRanks runs body on every rank of an n-rank job with the LB handlers
+// registered. For "unix" and "tcp" the job is an in-process cluster of
+// `nodes` partial networks joined by real sockets, one runtime per node
+// — exactly how cmd/lbserve hosts them. Node i is given streams[i] when
+// there is one.
+func runRanks(t *testing.T, transport string, nodes, n int, streams []*obs.Stream, body func(*amt.Context, *tempered.Handlers)) {
+	t.Helper()
+	bind := func(rt *amt.Runtime) func(*amt.Context) {
+		h := tempered.RegisterHandlers(rt, 100)
+		return func(rc *amt.Context) { body(rc, h) }
 	}
 	streams = append(streams, make([]*obs.Stream, nodes)...)
 	if transport == "memory" {
 		rt := amt.New(n, amt.WithStream(streams[0]))
-		rt.Run(body(tempered.RegisterHandlers(rt, 100)))
-		return results
+		rt.Run(bind(rt))
+		return
 	}
 	cluster, err := wire.NewCluster(transport, n, nodes, 0x5e12e)
 	if err != nil {
@@ -52,7 +62,7 @@ func runService(t *testing.T, transport string, nodes int, cfg Config, streams .
 	var wg sync.WaitGroup
 	for node, tr := range cluster.Transports {
 		rt := amt.New(n, amt.WithTransport(tr), amt.WithStream(streams[node]))
-		b := body(tempered.RegisterHandlers(rt, 100))
+		b := bind(rt)
 		wg.Add(1)
 		go func(rt *amt.Runtime) {
 			defer wg.Done()
@@ -65,7 +75,6 @@ func runService(t *testing.T, transport string, nodes int, cfg Config, streams .
 			t.Fatalf("%s transport failed: %v", transport, err)
 		}
 	}
-	return results
 }
 
 // stripLocal zeroes the one legitimately rank-local field so results
@@ -239,6 +248,48 @@ func TestServiceRejectsBadConfig(t *testing.T) {
 			t.Error("unknown trigger accepted")
 		}
 	})
+}
+
+// TestServiceRejectsLBConfigUpFront: a balancer configuration the
+// distributed protocol refuses — an engine-only knob or an invalid value
+// — is the same named error on every rank before phase 0 creates its
+// first object, on memory and across two socket-joined nodes, instead
+// of surfacing at whichever phase first fires the trigger.
+func TestServiceRejectsLBConfigUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"NegativeAcks", func(c *core.Config) { c.NegativeAcks = true }},
+		{"PersistKnowledge", func(c *core.Config) { c.PersistKnowledge = true }},
+		{"CommBias", func(c *core.Config) { c.CommBias = 0.3 }},
+		{"GossipFaults", func(c *core.Config) { c.GossipFaults.Drop = 0.1 }},
+		{"trials", func(c *core.Config) { c.Trials = 0 }},
+	} {
+		cfg := serveConfig(KindBurst)
+		cfg.LB = core.Tempered()
+		cfg.LB.Rounds = 1
+		tc.set(&cfg.LB)
+		n := cfg.Scenario.Ranks
+		for _, transport := range []string{"memory", "unix"} {
+			errs, objects := make([]string, n), make([]int, n)
+			runRanks(t, transport, 2, n, nil, func(rc *amt.Context, h *tempered.Handlers) {
+				if _, err := Run(rc, h, cfg); err != nil {
+					errs[rc.Rank()] = err.Error()
+				}
+				objects[rc.Rank()] = len(rc.LocalObjects())
+			})
+			if !strings.HasPrefix(errs[0], "serve: LB configuration: ") || !strings.Contains(errs[0], tc.name) {
+				t.Errorf("%s on %s: rank 0 returned %q", tc.name, transport, errs[0])
+			}
+			for r := range errs {
+				if errs[r] != errs[0] || objects[r] != 0 {
+					t.Errorf("%s on %s: rank %d returned %q with %d objects created, rank 0 %q",
+						tc.name, transport, r, errs[r], objects[r], errs[0])
+				}
+			}
+		}
+	}
 }
 
 func sumMigrations(rs []Result) int {

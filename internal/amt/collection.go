@@ -116,8 +116,8 @@ func (c *Collection) LocalIndices(rc *Context) []int {
 // the broadcast costs no messages; callers needing a happens-before
 // boundary should wrap it (plus any resulting sends) in an Epoch.
 func (c *Collection) Broadcast(rc *Context, h HandlerID, data any) {
-	handler, ok := rc.rt.objHandlers[h]
-	if !ok {
+	handler := rc.rt.objHandler(h)
+	if handler == nil {
 		panic(fmt.Sprintf("amt: Broadcast to unregistered object handler %d", h))
 	}
 	for _, idx := range c.LocalIndices(rc) {

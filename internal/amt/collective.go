@@ -92,9 +92,10 @@ func (rc *Context) collStart(name string) func() {
 // messages through rank 0, and the critical path is one up+down sweep
 // of depth ceil(log_k P).
 //
-// While waiting, the rank keeps scheduling incoming messages, so
-// application traffic cannot deadlock a collective. As before, all ranks
-// must call collectives in matching order.
+// Both waits are the pump: the rank keeps scheduling incoming messages —
+// or a sender does it on the parked rank's behalf — so application
+// traffic cannot deadlock a collective. All ranks must call collectives
+// in matching order.
 func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []ReduceOp) []float64 {
 	defer rc.collStart(name)()
 	rc.collSeq++
@@ -103,13 +104,7 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 
 	acc := append([]float64(nil), in...)
 	if rc.nKids > 0 {
-		for st := rc.collUp[seq]; st == nil || st.got < rc.nKids; st = rc.collUp[seq] {
-			m, ok := rc.rt.nw.RecvWait(int(rc.rank))
-			if !ok {
-				panic("amt: network closed inside " + name)
-			}
-			rc.dispatch(m)
-		}
+		rc.pump(waitCollUp, seq)
 		st := rc.collUp[seq]
 		delete(rc.collUp, seq)
 		for _, kid := range st.kids {
@@ -130,17 +125,11 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	}
 
 	if rc.parent >= 0 {
-		rc.rt.nw.Send(comm.Message{
+		rc.transmit(comm.Message{
 			From: int(rc.rank), To: rc.parent, Kind: kindCollUp,
 			Data: collMsg{Seq: seq, Values: acc},
 		})
-		for !rc.collHasResult[seq] {
-			m, ok := rc.rt.nw.RecvWait(int(rc.rank))
-			if !ok {
-				panic("amt: network closed inside " + name)
-			}
-			rc.dispatch(m)
-		}
+		rc.pump(waitCollDown, seq)
 		acc = rc.collResult[seq]
 		delete(rc.collResult, seq)
 		delete(rc.collHasResult, seq)
@@ -151,7 +140,8 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	return acc
 }
 
-// sendDown forwards a private copy of the result to each tree child.
+// sendDown forwards a private copy of the result to each tree child —
+// pushed, never claimed (see transmit).
 func (rc *Context) sendDown(seq int64, result []float64) {
 	for c := rc.childBase; c < rc.childBase+rc.nKids; c++ {
 		var out []float64

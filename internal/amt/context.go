@@ -26,45 +26,54 @@ const (
 	kindAck
 )
 
-// envelope wraps user payloads with the epoch tag used by termination
-// detection. EpochID 0 means the message is not part of any epoch.
-type envelope struct {
-	EpochID int64
-	Data    any
-}
+// The epoch tag of every message rides the transport header
+// (comm.Message.Epoch; 0 = part of no epoch), so user payloads travel
+// bare and the runtime's own payloads carry only their routing fields.
 
 // objEnvelope routes object-directed messages.
 type objEnvelope struct {
-	EpochID int64
-	Obj     ObjectID
-	Origin  core.Rank // logical sender (preserved across forwards)
-	Data    any
+	Obj    ObjectID
+	Origin core.Rank // logical sender (preserved across forwards)
+	Data   any
 }
 
 // migrateEnvelope carries a migrating object's state.
 type migrateEnvelope struct {
-	EpochID int64
-	Obj     ObjectID
-	State   any
-	Bytes   int
+	Obj   ObjectID
+	State any
+	Bytes int
 }
 
 // locEnvelope updates the home rank's location directory.
 type locEnvelope struct {
-	EpochID int64
-	Obj     ObjectID
-	Loc     core.Rank
+	Obj ObjectID
+	Loc core.Rank
 }
 
-// tokenEnvelope carries the Safra probe.
-type tokenEnvelope struct {
-	EpochID int64
-	Token   termination.Token
-}
+// maxBorrowDepth bounds how deep borrowed execution nests: a rank run by
+// a borrower that is itself borrowed this many levels down claims nothing
+// and sends plainly, waking the owner. A constant, not an option, chosen
+// by two measurements on observed_1024_mem (three runs each): at 16,
+// goroutine stacks outgrow their first 8 KB and peak_rss_mb is 90.3–91.0
+// against the parent's 80.7; at 4 it is 81.4–81.6 with the same op_s_p50
+// (0.297–0.321 s against 0.300–0.319 s).
+const maxBorrowDepth = 4
+
+// waitKind names what a rank waits for in the pump — the condition a
+// borrower evaluates on the owner's behalf before it releases the rank.
+type waitKind uint8
+
+const (
+	waitNone     waitKind = iota
+	waitEpoch             // the open epoch's done announcement
+	waitCollUp            // every tree child's partial of collective waitSeq
+	waitCollDown          // the result of collective waitSeq
+)
 
 // Context is a logical rank's handle to the runtime. All of its methods
-// must be called from the rank's own goroutine (the one running main or
-// a handler dispatched on it).
+// must be called from the goroutine currently running the rank: the one
+// executing its main, or whichever one a handler was dispatched on — at
+// most one goroutine runs a rank at a time (see pump).
 type Context struct {
 	rt   *Runtime
 	rank core.Rank
@@ -74,12 +83,26 @@ type Context struct {
 	inEpoch   bool
 	epochDone bool
 	// open is the detector of epoch epochSeq while that epoch is open
-	// (nil otherwise): the one every counted send and receive of the
-	// epoch goes to, kept here so the per-message path skips the map.
-	// detectors holds the same detector plus any created for another id.
-	open      *termination.Detector
-	detectors map[int64]*termination.Detector
-	pending   map[int64][]comm.Message
+	// (nil otherwise): every counted send, receive and ack of the epoch
+	// goes to it, and so does its token.
+	open *termination.Detector
+	// stash holds the messages of epoch epochSeq+1 that arrived before
+	// this rank entered it. One slice, reused across epochs, is enough:
+	// epoch e+1 cannot terminate before its token has visited this rank
+	// inside e+1, so no rank reaches e+2 — and nothing tagged e+2 exists —
+	// while this rank is still at e.
+	stash []comm.Message
+
+	// wait and waitSeq say what the rank is in the pump for (waitNone
+	// outside it). depth is how deep this rank's current run nests below
+	// the goroutine's own rank (0 when its owner runs it), lentTo the rank
+	// it is running nested right now, and lentTime the time spent doing
+	// so — what timedHandler subtracts to keep handler time self time.
+	wait     waitKind
+	waitSeq  int64
+	depth    int
+	lentTo   *Context
+	lentTime time.Duration
 
 	// rel is the ack/retry reliability layer, non-nil only when the
 	// runtime's fault plan can drop or duplicate counted messages.
@@ -143,6 +166,9 @@ type ContextStats struct {
 	MigrationBytes int
 	EpochsRun      int
 	Collectives    int
+	// Lent counts the times this rank, sending to a parked rank, ran it
+	// on its own goroutine instead of waking its owner.
+	Lent int
 }
 
 func newContext(rt *Runtime, rank core.Rank) *Context {
@@ -150,8 +176,6 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 		rt:            rt,
 		rank:          rank,
 		n:             rt.n,
-		detectors:     make(map[int64]*termination.Detector),
-		pending:       make(map[int64][]comm.Message),
 		collUp:        make(map[int64]*collState),
 		collResult:    make(map[int64][]float64),
 		collHasResult: make(map[int64]bool),
@@ -276,8 +300,11 @@ func (rc *Context) Emit(e obs.Event) {
 
 // Send delivers an active message to the named handler on rank to. Sends
 // made while an epoch is open are counted by its termination detection.
+// If to is a local rank whose owner is parked, the handler — and whatever
+// it cascades into, to a bounded depth — runs on the calling goroutine
+// before Send returns (see transmit).
 func (rc *Context) Send(to core.Rank, h HandlerID, data any) {
-	if _, ok := rc.rt.handlers[h]; !ok {
+	if rc.rt.handler(h) == nil {
 		panic(fmt.Sprintf("amt: Send to unregistered handler %d", h))
 	}
 	rc.Stats.UserSent++
@@ -286,56 +313,163 @@ func (rc *Context) Send(to core.Rank, h HandlerID, data any) {
 		To:      int(to),
 		Kind:    kindUser,
 		Handler: int32(h),
-		Data:    envelope{EpochID: rc.activeEpoch(), Data: data},
+		Data:    data,
 	})
 }
 
-// send stamps epoch accounting and hands the message to the transport.
-// Under the reliability layer every epoch-counted send also gets a
-// MsgID and a retransmission credit (see reliable.go).
+// send tags a counted message with the open epoch, feeds its accounting
+// and hands the message to the transport. Under the reliability layer
+// every epoch-counted send also gets a MsgID and a retransmission credit
+// (see reliable.go).
 func (rc *Context) send(m comm.Message) {
-	if id := msgEpoch(m); id != 0 {
-		rc.detector(id).OnSend()
+	if rc.inEpoch {
+		m.Epoch = rc.epochSeq
+		rc.open.OnSend()
 		if rc.rel != nil {
-			rc.rel.track(&m, id)
+			rc.rel.track(&m)
 		}
 	}
-	rc.rt.nw.Send(m)
+	rc.transmit(m)
 }
 
-func (rc *Context) activeEpoch() int64 {
-	if rc.inEpoch {
-		return rc.epochSeq
+// transmit sends m, and runs the destination rank if the transport
+// grants it: a local rank whose owner is parked in the pump is not woken
+// for the message — this goroutine borrows it (lend). Everything a rank
+// sends goes through here except the two kinds that by their meaning
+// release their receiver from a wait, kindDone and kindCollDown: those
+// are pushed plainly, or the root's goroutine would run the whole
+// down-sweep before it returned from its own collective.
+func (rc *Context) transmit(m comm.Message) {
+	if rc.depth >= maxBorrowDepth {
+		rc.rt.nw.Send(m)
+		return
 	}
-	return 0
+	if rc.rt.nw.SendClaim(m) {
+		rc.lend(rc.rt.ranks[m.To-rc.rt.lo], m)
+	}
 }
 
-func (rc *Context) detector(id int64) *termination.Detector {
-	if id == rc.epochSeq && rc.open != nil {
-		return rc.open
+// lend runs the borrowed rank t on this goroutine: the claimed message
+// m, then turns until its inbox is empty and it has done its passive
+// share — and releases it, waking its owner only if what the owner waits
+// for has come true. t's depth is cleared before every release attempt:
+// once released, t is its owner's.
+func (rc *Context) lend(t *Context, m comm.Message) {
+	timed := rc.tr != nil || rc.ins != nil
+	var start time.Time
+	if timed {
+		start = clock.Now()
 	}
-	d, ok := rc.detectors[id]
-	if !ok {
-		d = termination.New(int(rc.rank), rc.n)
-		rc.detectors[id] = d
+	rc.Stats.Lent++
+	rc.lentTo = t
+	t.depth = rc.depth + 1
+	t.dispatch(m)
+	for {
+		t.turn()
+		done := t.satisfied()
+		t.depth = 0
+		if rc.rt.nw.Release(int(t.rank), done) {
+			break
+		}
+		t.depth = rc.depth + 1
 	}
-	return d
+	rc.lentTo = nil
+	if timed {
+		rc.lentTime += clock.Since(start)
+	}
 }
 
-// msgEpoch extracts the epoch tag from any counted message kind.
-func msgEpoch(m comm.Message) int64 {
-	switch m.Kind {
-	case kindUser:
-		return m.Data.(envelope).EpochID
-	case kindObject:
-		return m.Data.(objEnvelope).EpochID
-	case kindMigrate:
-		return m.Data.(migrateEnvelope).EpochID
-	case kindLocUpdate:
-		return m.Data.(locEnvelope).EpochID
+// turn runs the rank until it is idle: dispatch until the inbox is
+// empty — in batches, one inbox lock per burst, the buffer and the
+// payload references it holds scrubbed between bursts — then, inside an
+// epoch wait, the passive rank's share of Safra: hand the token on if
+// the rank holds it, and on rank 0 announce a detected termination.
+// Owner and borrower run the same turn, so a borrower forwards the token
+// under exactly the owner's rule: inbox empty, no handler open.
+func (rc *Context) turn() {
+	// The buffer leaves the context while in use, so a handler that
+	// itself waits (a collective inside a handler) pumps with its own.
+	batch := rc.batch
+	rc.batch = nil
+	for {
+		batch = rc.rt.nw.RecvBatch(int(rc.rank), batch[:0])
+		if len(batch) == 0 {
+			break
+		}
+		for i := range batch {
+			rc.dispatch(batch[i])
+			batch[i] = comm.Message{}
+		}
+	}
+	rc.batch = batch
+	if rc.wait != waitEpoch || rc.epochDone {
+		return
+	}
+	d := rc.open
+	if t, next, send := d.TryHandOff(); send {
+		if rc.tr != nil {
+			rc.Emit(obs.Event{Type: obs.EvTokenRound, Peer: next, Object: -1,
+				Epoch: rc.epochSeq, Value: float64(t.Wave)})
+		}
+		rc.transmit(comm.Message{
+			From: int(rc.rank), To: next, Kind: kindToken,
+			Epoch: rc.epochSeq, Data: t,
+		})
+	}
+	if d.Terminated() { // only rank 0
+		rc.forwardDone()
+		rc.epochDone = true
+	}
+}
+
+// satisfied reports whether what the rank is in the pump for has come
+// true.
+func (rc *Context) satisfied() bool {
+	switch rc.wait {
+	case waitEpoch:
+		return rc.epochDone
+	case waitCollUp:
+		st := rc.collUp[rc.waitSeq]
+		return st != nil && st.got >= rc.nKids
+	case waitCollDown:
+		return rc.collHasResult[rc.waitSeq]
 	default:
-		return 0
+		return true
 	}
+}
+
+// pump is the one place a rank blocks: it takes turns until what it
+// waits for has come true, parking in the transport's owned wait between
+// them. While the owner is parked, any rank goroutine that sends to this
+// rank may run it instead (transmit); the transport hands the rank over
+// under the inbox lock, so at most one goroutine runs a rank at a time
+// and everything one of them wrote is visible to the next. With
+// unacknowledged sends outstanding the wait carries the reliable layer's
+// next retry deadline and retransmits whatever falls due, so a dropped
+// message can never wedge a wait.
+func (rc *Context) pump(w waitKind, seq int64) {
+	prevWait, prevSeq := rc.wait, rc.waitSeq
+	rc.wait, rc.waitSeq = w, seq
+	for {
+		rc.turn()
+		if rc.satisfied() {
+			break
+		}
+		var deadline time.Duration
+		if rc.rel != nil && len(rc.rel.pending) > 0 {
+			if deadline = clock.Until(rc.nextRetryDeadline()); deadline <= 0 {
+				rc.retryDue()
+				continue
+			}
+		}
+		ok, timedOut := rc.rt.nw.WaitOwned(int(rc.rank), deadline)
+		if timedOut {
+			rc.retryDue()
+		} else if !ok {
+			panic("amt: network closed inside an epoch or collective")
+		}
+	}
+	rc.wait, rc.waitSeq = prevWait, prevSeq
 }
 
 // Poll processes one pending message if any is queued and reports
@@ -363,7 +497,7 @@ func (rc *Context) Epoch(body func()) {
 	rc.inEpoch = true
 	rc.epochDone = false
 	rc.Stats.EpochsRun++
-	d := rc.detector(rc.epochSeq)
+	d := termination.New(int(rc.rank), rc.n)
 	rc.open = d
 
 	var epochStart time.Time
@@ -379,58 +513,20 @@ func (rc *Context) Epoch(body func()) {
 	// Deliver messages that raced ahead of our entry — after body, so the
 	// rank's own burst always runs on pre-epoch state: whether a peer's
 	// message beat us into the epoch (a scheduling and transport-delay
-	// accident) cannot change what body observes.
-	if stash := rc.pending[rc.epochSeq]; len(stash) > 0 {
-		delete(rc.pending, rc.epochSeq)
-		for _, m := range stash {
-			rc.dispatch(m)
-		}
+	// accident) cannot change what body observes. Replay only dispatches;
+	// nothing it runs can stash on this rank, so the slice is cleared and
+	// kept for the next epoch.
+	for i := range rc.stash {
+		rc.dispatch(rc.stash[i])
 	}
+	clear(rc.stash)
+	rc.stash = rc.stash[:0]
 
-	for !rc.epochDone {
-		// Drain everything already queued — we are active while messages
-		// remain — in batches: one inbox lock per burst, with the buffer
-		// (and the payload references it holds) reused and scrubbed
-		// between bursts.
-		for {
-			rc.batch = rc.rt.nw.RecvBatch(int(rc.rank), rc.batch[:0])
-			if len(rc.batch) == 0 {
-				break
-			}
-			for i := range rc.batch {
-				rc.dispatch(rc.batch[i])
-				rc.batch[i] = comm.Message{}
-			}
-		}
-		if rc.epochDone {
-			break
-		}
-		// Passive: participate in the termination probe.
-		if t, next, send := d.TryHandOff(); send {
-			if rc.tr != nil {
-				rc.Emit(obs.Event{Type: obs.EvTokenRound, Peer: next, Object: -1,
-					Epoch: rc.epochSeq, Value: float64(t.Wave)})
-			}
-			rc.rt.nw.Send(comm.Message{
-				From: int(rc.rank), To: next, Kind: kindToken,
-				Data: tokenEnvelope{EpochID: rc.epochSeq, Token: t},
-			})
-		}
-		if d.Terminated() { // only rank 0
-			rc.forwardDone(rc.epochSeq)
-			break
-		}
-		m, ok := rc.recvEpoch()
-		if !ok {
-			panic("amt: network closed inside epoch")
-		}
-		rc.dispatch(m)
-	}
+	rc.pump(waitEpoch, 0)
 	rc.assertAcked(rc.epochSeq)
 	waves := d.Wave()
 	rc.inEpoch = false
 	rc.open = nil
-	delete(rc.detectors, rc.epochSeq)
 	if rc.tr != nil || rc.ins != nil {
 		elapsed := clock.Since(epochStart)
 		if rc.tr != nil {
@@ -445,8 +541,9 @@ func (rc *Context) Epoch(body func()) {
 	}
 }
 
-// dispatch routes one transport message. Counted messages belonging to a
-// future epoch are stashed until this rank enters it.
+// dispatch routes one transport message. Messages tagged with an epoch
+// this rank has not entered yet — counted traffic, the token, the done
+// announcement alike — are stashed until it does.
 //
 // Reliability runs first: acks retire sender credits, and counted
 // messages carrying a MsgID pass the dedup filter BEFORE the epoch
@@ -466,25 +563,24 @@ func (rc *Context) dispatch(m comm.Message) {
 		}
 		m.MsgID = -1
 	}
-	if id := msgEpoch(m); id != 0 && (!rc.inEpoch || id != rc.epochSeq) {
-		if id <= rc.epochSeq {
-			panic(fmt.Sprintf("amt: rank %d got message for finished epoch %d (now %d)",
-				rc.rank, id, rc.epochSeq))
+	if m.Epoch != 0 && (!rc.inEpoch || m.Epoch != rc.epochSeq) {
+		if m.Epoch != rc.epochSeq+1 {
+			panic(fmt.Sprintf("amt: rank %d got kind-%d message for epoch %d (now %d)",
+				rc.rank, m.Kind, m.Epoch, rc.epochSeq))
 		}
-		rc.pending[id] = append(rc.pending[id], m)
+		rc.stash = append(rc.stash, m)
 		return
 	}
 	switch m.Kind {
 	case kindUser:
-		env := m.Data.(envelope)
-		rc.countReceive(env.EpochID, m.MsgID)
+		rc.countReceive(m)
 		h := HandlerID(m.Handler)
-		fn := rc.rt.handlers[h]
+		fn := rc.rt.handler(h)
 		if rc.tr == nil && rc.ins == nil {
-			fn(rc, core.Rank(m.From), env.Data)
+			fn(rc, core.Rank(m.From), m.Data)
 		} else {
 			rc.timedHandler(h, m.From, -1, func() {
-				fn(rc, core.Rank(m.From), env.Data)
+				fn(rc, core.Rank(m.From), m.Data)
 			})
 		}
 	case kindObject:
@@ -493,20 +589,12 @@ func (rc *Context) dispatch(m comm.Message) {
 		rc.installMigration(m)
 	case kindLocUpdate:
 		env := m.Data.(locEnvelope)
-		rc.countReceive(env.EpochID, m.MsgID)
+		rc.countReceive(m)
 		rc.location[env.Obj] = env.Loc
 	case kindToken:
-		env := m.Data.(tokenEnvelope)
-		rc.stashableToken(env, m)
+		rc.open.OnToken(m.Data.(termination.Token))
 	case kindDone:
-		id := m.Data.(int64)
-		if !rc.inEpoch || id != rc.epochSeq {
-			// Raced ahead of our entry: stash; the replay after entry
-			// forwards it down the tree exactly once.
-			rc.pending[id] = append(rc.pending[id], m)
-			return
-		}
-		rc.forwardDone(id)
+		rc.forwardDone()
 		rc.epochDone = true
 	case kindCollUp:
 		rc.onCollUp(m)
@@ -521,9 +609,12 @@ func (rc *Context) dispatch(m comm.Message) {
 // instrumentation. Only called when at least one of the two is active;
 // the uninstrumented dispatch path never reaches it.
 func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func()) {
+	lent := rc.lentTime
 	start := clock.Now()
 	run()
-	elapsed := clock.Since(start)
+	// Self time: what the handler spent running other ranks it borrowed
+	// is those ranks' handler time, not this one's.
+	elapsed := clock.Since(start) - (rc.lentTime - lent)
 	if rc.tr != nil {
 		rc.Emit(obs.Event{Type: obs.EvHandler, Peer: from, Object: int64(obj),
 			Name: rc.rt.handlerName(h), Dur: elapsed})
@@ -534,40 +625,31 @@ func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func())
 	}
 }
 
-// forwardDone relays the epoch-done announcement to this rank's tree
-// children. The terminating root starts it, and every rank forwards it
-// exactly once on processing, so the broadcast costs each rank at most
-// fanout sends instead of putting all P−1 on the root.
-func (rc *Context) forwardDone(id int64) {
+// forwardDone relays the open epoch's done announcement to this rank's
+// tree children. The terminating root starts it, and every rank forwards
+// it exactly once on processing, so the broadcast costs each rank at most
+// fanout sends instead of putting all P−1 on the root. Pushed, never
+// claimed (see transmit).
+func (rc *Context) forwardDone() {
 	for c := rc.childBase; c < rc.childBase+rc.nKids; c++ {
 		rc.rt.nw.Send(comm.Message{
-			From: int(rc.rank), To: c, Kind: kindDone, Data: id,
+			From: int(rc.rank), To: c, Kind: kindDone, Epoch: rc.epochSeq,
 		})
 	}
 }
 
-func (rc *Context) stashableToken(env tokenEnvelope, m comm.Message) {
-	if !rc.inEpoch || env.EpochID != rc.epochSeq {
-		if env.EpochID <= rc.epochSeq {
-			panic("amt: token for finished epoch")
-		}
-		rc.pending[env.EpochID] = append(rc.pending[env.EpochID], m)
+// countReceive feeds one counted receipt to the open epoch's detector (a
+// message dispatched this far belongs to it, or to no epoch). A negative
+// MsgID marks a delivery the reliability layer accepted: the receiver
+// only blackens, and the counter decrement happens on the sender when
+// the ack arrives (see reliable.go).
+func (rc *Context) countReceive(m comm.Message) {
+	if m.Epoch == 0 {
 		return
 	}
-	rc.detector(env.EpochID).OnToken(env.Token)
-}
-
-// countReceive feeds one counted receipt to the epoch's detector. A
-// negative msgID marks a delivery the reliability layer accepted: the
-// receiver only blackens, and the counter decrement happens on the
-// sender when the ack arrives (see reliable.go).
-func (rc *Context) countReceive(epochID, msgID int64) {
-	if epochID == 0 {
+	if m.MsgID < 0 {
+		rc.open.OnDeliver()
 		return
 	}
-	if msgID < 0 {
-		rc.detector(epochID).OnDeliver()
-		return
-	}
-	rc.detector(epochID).OnReceive()
+	rc.open.OnReceive()
 }

@@ -1,6 +1,6 @@
 // Package amt is the asynchronous many-task runtime substrate — the
 // stand-in for the paper's DARMA/vt tasking library (§III). It provides
-// logical ranks driven by one goroutine each, active messages with
+// logical ranks with one goroutine each, active messages with
 // registered handlers, epochs terminated by distributed termination
 // detection (Safra's algorithm over the same transport), rank
 // collectives (barrier, all-reduce, all-gather), migratable objects with
@@ -32,14 +32,39 @@
 // duplicates and reordering. With no faults installed none of this
 // machinery exists on the fast path.
 //
+// # Who runs a rank
+//
+// A rank blocks in one place, the pump (Context.pump): Epoch's wait for
+// termination and both waits of a collective are the same loop —
+// dispatch until the inbox is empty, do the passive share of Safra, park.
+// A parked rank is not woken per message. Its inbox has an ownership
+// state, changed only under the inbox mutex every send takes anyway:
+// running (the rank's own goroutine), parked (the owner sleeps in the
+// pump), borrowed. A rank goroutine that sends to a local parked rank
+// borrows it: it dispatches the message and whatever else queues on the
+// destination's Context from its own goroutine, forwards the token or
+// detects termination on the passive rank's behalf, and releases the
+// rank — waking the owner only when what it waits for (the epoch's done
+// announcement, its children's partials, its collective's result) has
+// come true. Borrowing nests to a small constant depth (maxBorrowDepth);
+// past it, and for the two message kinds that by their meaning release
+// their receiver (done, collective-down), a send wakes the owner as
+// before. A transport with a fault plan installed never grants a borrow —
+// the plan decides that delivery — and neither do messages arriving from
+// another process.
+//
 // # Concurrency
 //
-// Each rank's handlers run only on that rank's goroutine, so handler
-// state needs no locking — the same single-scheduler-per-rank discipline
-// vt uses. Cross-rank interaction happens exclusively through the comm
-// transport's goroutine-safe inboxes; a Context and everything reached
-// from it (objects, phase instrumentation, collection slices) belong to
-// the owning rank's goroutine and must not be touched from another.
-// Register handlers and attach observability options before Runtime.Run;
-// the registries are read-only while ranks execute.
+// At most one goroutine runs a rank at a time, and the hand-over happens
+// under the inbox lock, so everything the previous runner wrote is
+// visible to the next: handler state needs no locking — the same
+// single-scheduler-per-rank discipline vt uses. What a handler may not
+// assume is which goroutine it is on, nor that Send returns before the
+// destination's handler has run. Cross-rank interaction happens
+// exclusively through the comm transport's goroutine-safe inboxes; a
+// Context and everything reached from it (objects, phase
+// instrumentation, collection slices) belong to whoever runs the rank
+// and must not be touched from anywhere else. Register handlers and
+// attach observability options before Runtime.Run; the registries are
+// read-only while ranks execute.
 package amt

@@ -88,11 +88,11 @@ func (rc *Context) bestKnown(id ObjectID) core.Rank {
 // knowledge, and the home rank always converges on the true location,
 // so delivery happens exactly once.
 func (rc *Context) SendObject(id ObjectID, h HandlerID, data any) {
-	if _, ok := rc.rt.objHandlers[h]; !ok {
+	if rc.rt.objHandler(h) == nil {
 		panic(fmt.Sprintf("amt: SendObject to unregistered object handler %d", h))
 	}
 	rc.Stats.ObjectSent++
-	env := objEnvelope{EpochID: rc.activeEpoch(), Obj: id, Origin: rc.rank, Data: data}
+	env := objEnvelope{Obj: id, Origin: rc.rank, Data: data}
 	rc.routeObject(comm.Message{
 		From: int(rc.rank), To: int(rc.bestKnown(id)), Kind: kindObject,
 		Handler: int32(h), Data: env,
@@ -123,7 +123,7 @@ func (rc *Context) routeObject(m comm.Message) {
 // knowledge.
 func (rc *Context) dispatchObject(m comm.Message) {
 	env := m.Data.(objEnvelope)
-	rc.countReceive(env.EpochID, m.MsgID)
+	rc.countReceive(m)
 	if state, ok := rc.objects[env.Obj]; ok {
 		rc.runObjectHandler(HandlerID(m.Handler), env, state)
 		return
@@ -137,8 +137,7 @@ func (rc *Context) dispatchObject(m comm.Message) {
 		next = rc.rank
 	}
 	rc.Stats.Forwards++
-	// Re-stamp the epoch tag under our own detector.
-	env.EpochID = rc.activeEpoch()
+	// send re-stamps the epoch tag under our own detector.
 	rc.send(comm.Message{
 		From: int(rc.rank), To: int(next), Kind: kindObject,
 		Handler: m.Handler, Data: env,
@@ -174,7 +173,7 @@ func (rc *Context) Migrate(id ObjectID, dest core.Rank) {
 	}
 	rc.send(comm.Message{
 		From: int(rc.rank), To: int(dest), Kind: kindMigrate,
-		Data: migrateEnvelope{EpochID: rc.activeEpoch(), Obj: id, State: state, Bytes: bytes},
+		Data: migrateEnvelope{Obj: id, State: state, Bytes: bytes},
 	})
 }
 
@@ -182,23 +181,23 @@ func (rc *Context) Migrate(id ObjectID, dest core.Rank) {
 // instrumentation when observability is on.
 func (rc *Context) runObjectHandler(h HandlerID, env objEnvelope, state any) {
 	if rc.tr == nil && rc.ins == nil {
-		rc.rt.objHandlers[h](rc, env.Obj, state, env.Origin, env.Data)
+		rc.rt.objHandler(h)(rc, env.Obj, state, env.Origin, env.Data)
 		return
 	}
 	rc.timedHandler(h, int(env.Origin), env.Obj, func() {
-		rc.rt.objHandlers[h](rc, env.Obj, state, env.Origin, env.Data)
+		rc.rt.objHandler(h)(rc, env.Obj, state, env.Origin, env.Data)
 	})
 }
 
 // installMigration receives a migrating object.
 func (rc *Context) installMigration(m comm.Message) {
 	env := m.Data.(migrateEnvelope)
-	rc.countReceive(env.EpochID, m.MsgID)
+	rc.countReceive(m)
 	rc.addObject(env.Obj, env.State)
 	if home := env.Obj.Home(); home != rc.rank {
 		rc.send(comm.Message{
 			From: int(rc.rank), To: int(home), Kind: kindLocUpdate,
-			Data: locEnvelope{EpochID: rc.activeEpoch(), Obj: env.Obj, Loc: rc.rank},
+			Data: locEnvelope{Obj: env.Obj, Loc: rc.rank},
 		})
 	}
 }

@@ -30,7 +30,8 @@ import (
 //     unacknowledged sends — non-negative, summing to the global number
 //     of unacknowledged messages;
 //   - unacknowledged sends are retransmitted with capped exponential
-//     backoff whenever the rank goes passive inside an epoch.
+//     backoff whenever the rank goes passive: their earliest deadline is
+//     the timeout of the pump's wait (Context.pump).
 //
 // Termination (all counters zero in a white wave) then means every send
 // was acknowledged, which implies every send was delivered exactly once
@@ -55,7 +56,6 @@ type pendKey struct {
 // relPending is one unacknowledged counted send.
 type relPending struct {
 	m        comm.Message
-	epoch    int64
 	attempts int
 	deadline time.Time
 }
@@ -122,11 +122,11 @@ func newReliableState(n int, base, cap time.Duration) *reliableState {
 
 // track stamps a fresh MsgID on a counted send and records the credit.
 // Called from Context.send for epoch-tagged messages.
-func (rl *reliableState) track(m *comm.Message, epoch int64) {
+func (rl *reliableState) track(m *comm.Message) {
 	rl.seq[m.To]++
 	m.MsgID = rl.seq[m.To]
 	rl.pending[pendKey{dest: m.To, id: m.MsgID}] = &relPending{
-		m: *m, epoch: epoch, attempts: 1, deadline: clock.Now().Add(rl.base),
+		m: *m, attempts: 1, deadline: clock.Now().Add(rl.base),
 	}
 }
 
@@ -159,36 +159,15 @@ func (rc *Context) accept(m comm.Message) bool {
 
 // onAck retires the credit of an acknowledged send. Late acks for
 // already-retired credits (re-acks triggered by retransmitted copies)
-// are ignored.
+// are ignored. A credit cannot outlive its epoch (assertAcked), so the
+// one it retires is the open epoch's.
 func (rc *Context) onAck(m comm.Message) {
 	key := pendKey{dest: m.From, id: m.Data.(int64)}
-	p, ok := rc.rel.pending[key]
-	if !ok {
+	if _, ok := rc.rel.pending[key]; !ok {
 		return
 	}
 	delete(rc.rel.pending, key)
-	rc.detector(p.epoch).OnAck()
-}
-
-// recvEpoch blocks for the next message inside an epoch. With
-// unacknowledged sends outstanding it waits with a deadline and
-// retransmits whatever falls due, so a dropped message can never wedge
-// the epoch: every rank blocked here still pumps its own retries.
-func (rc *Context) recvEpoch() (comm.Message, bool) {
-	rl := rc.rel
-	for {
-		if rl == nil || len(rl.pending) == 0 {
-			return rc.rt.nw.RecvWait(int(rc.rank))
-		}
-		wait := clock.Until(rc.nextRetryDeadline())
-		if wait > 0 {
-			m, ok, timedOut := rc.rt.nw.RecvWaitTimeout(int(rc.rank), wait)
-			if !timedOut {
-				return m, ok
-			}
-		}
-		rc.retryDue()
-	}
+	rc.open.OnAck()
 }
 
 // nextRetryDeadline returns the earliest pending retransmission
@@ -211,7 +190,7 @@ func (rc *Context) nextRetryDeadline() time.Time {
 // a copy through.
 func (rc *Context) retryDue() {
 	if rc.rt.nw.Closed() {
-		panic("amt: network closed inside epoch")
+		panic("amt: network closed inside an epoch or collective")
 	}
 	now := clock.Now()
 	// Retransmit in (dest, id) order: retry timing is wall-clock-driven
@@ -241,7 +220,7 @@ func (rc *Context) retryDue() {
 		rc.rt.retries.Add(1)
 		if rc.tr != nil {
 			rc.Emit(obs.Event{Type: obs.EvRetry, Peer: p.m.To, Object: -1,
-				Epoch: p.epoch, Value: float64(p.attempts)})
+				Epoch: p.m.Epoch, Value: float64(p.attempts)})
 		}
 		if rc.ins != nil {
 			rc.ins.retries.Inc()

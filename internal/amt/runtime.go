@@ -14,8 +14,9 @@ import (
 // HandlerID names a registered active-message handler.
 type HandlerID int32
 
-// Handler is a rank-level active-message handler. It runs on the
-// destination rank's goroutine.
+// Handler is a rank-level active-message handler. It runs as the
+// destination rank — on that rank's own goroutine or, while the rank is
+// parked, on the goroutine of whoever sent to it; never on two at once.
 type Handler func(rc *Context, from core.Rank, data any)
 
 // ObjectHandler is an object-level active-message handler: it receives
@@ -26,12 +27,20 @@ type ObjectHandler func(rc *Context, obj ObjectID, state any, from core.Rank, da
 // Runtime owns the transport and the handler registries shared by all
 // ranks. Register all handlers before calling Run.
 type Runtime struct {
-	n            int
-	nw           comm.Transport
-	handlers     map[HandlerID]Handler
-	objHandlers  map[HandlerID]ObjectHandler
+	n  int
+	nw comm.Transport
+	// The handler tables are slices indexed by HandlerID (nil = not
+	// registered): two lookups per message, so not maps.
+	handlers     []Handler
+	objHandlers  []ObjectHandler
 	handlerNames map[HandlerID]string
 	running      bool
+
+	// ranks holds the Context of every local rank, indexed by rank−lo.
+	// Each rank publishes its own before it first parks, which is before
+	// any sender can be granted it, so a borrower always finds the entry.
+	ranks []*Context
+	lo    int
 
 	// fanout is the arity k of the collective tree: rank r's parent is
 	// (r−1)/k and its children are k·r+1 … k·r+k. See collective.go.
@@ -113,8 +122,6 @@ func New(n int, opts ...Option) *Runtime {
 	rt := &Runtime{
 		n:            n,
 		nw:           comm.NewNetwork(n),
-		handlers:     make(map[HandlerID]Handler),
-		objHandlers:  make(map[HandlerID]ObjectHandler),
 		handlerNames: make(map[HandlerID]string),
 		fanout:       DefaultFanout,
 	}
@@ -310,10 +317,15 @@ func (rt *Runtime) handlerName(id HandlerID) string {
 // NumRanks returns the number of logical ranks.
 func (rt *Runtime) NumRanks() int { return rt.n }
 
+// maxHandlerID bounds the handler id space: the tables are slices
+// indexed by id.
+const maxHandlerID = 1 << 16
+
 // Register installs a rank-level handler. It must be called before Run.
 func (rt *Runtime) Register(id HandlerID, h Handler) {
 	rt.mustNotRun("Register")
-	if _, dup := rt.handlers[id]; dup {
+	rt.handlers = growTable(rt.handlers, id)
+	if rt.handlers[id] != nil {
 		panic(fmt.Sprintf("amt: duplicate handler %d", id))
 	}
 	rt.handlers[id] = h
@@ -323,10 +335,38 @@ func (rt *Runtime) Register(id HandlerID, h Handler) {
 // before Run.
 func (rt *Runtime) RegisterObject(id HandlerID, h ObjectHandler) {
 	rt.mustNotRun("RegisterObject")
-	if _, dup := rt.objHandlers[id]; dup {
+	rt.objHandlers = growTable(rt.objHandlers, id)
+	if rt.objHandlers[id] != nil {
 		panic(fmt.Sprintf("amt: duplicate object handler %d", id))
 	}
 	rt.objHandlers[id] = h
+}
+
+// growTable extends a handler table so that id indexes it.
+func growTable[T any](tab []T, id HandlerID) []T {
+	if id < 0 || id >= maxHandlerID {
+		panic(fmt.Sprintf("amt: handler id %d outside [0,%d)", id, maxHandlerID))
+	}
+	if n := int(id) + 1 - len(tab); n > 0 {
+		tab = append(tab, make([]T, n)...)
+	}
+	return tab
+}
+
+// handler returns the rank-level handler registered under id, nil if
+// there is none; objHandler likewise.
+func (rt *Runtime) handler(id HandlerID) Handler {
+	if id < 0 || int(id) >= len(rt.handlers) {
+		return nil
+	}
+	return rt.handlers[id]
+}
+
+func (rt *Runtime) objHandler(id HandlerID) ObjectHandler {
+	if id < 0 || int(id) >= len(rt.objHandlers) {
+		return nil
+	}
+	return rt.objHandlers[id]
 }
 
 func (rt *Runtime) mustNotRun(op string) {
@@ -339,32 +379,46 @@ func (rt *Runtime) mustNotRun(op string) {
 // and returns when every local rank's main has returned. On the
 // default in-memory transport every rank is local; on a wire transport
 // this process drives only its LocalRange while sibling processes run
-// the rest. A panic on any rank is re-raised on the caller after all
-// other ranks are released.
+// the rest. The first panic on any rank is re-raised on the caller after
+// all other ranks are released, naming the rank that was running — which,
+// under borrowed execution, need not be the one whose goroutine it was.
 func (rt *Runtime) Run(main func(rc *Context)) {
 	rt.running = true
 	lo, hi := rt.nw.LocalRange()
-	var wg sync.WaitGroup
-	panics := make([]any, rt.n)
+	rt.lo, rt.ranks = lo, make([]*Context, hi-lo)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		failed   any
+		failedOn = core.Rank(-1) // no rank has panicked
+	)
 	for r := lo; r < hi; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			rc := newContext(rt, core.Rank(rank))
+			rt.ranks[rank-lo] = rc
 			defer func() {
 				if p := recover(); p != nil {
-					panics[rank] = p
-					rt.nw.Close() // release ranks blocked in RecvWait
+					at := rc
+					for at.lentTo != nil {
+						at = at.lentTo
+					}
+					mu.Lock()
+					if failedOn < 0 {
+						failed, failedOn = p, at.rank
+					}
+					mu.Unlock()
+					rt.nw.Close() // release ranks parked in the pump
 				}
 			}()
-			main(newContext(rt, core.Rank(rank)))
+			main(rc)
 		}(r)
 	}
 	wg.Wait()
 	rt.nw.Close()
-	for r, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("amt: rank %d panicked: %v", r, p))
-		}
+	if failedOn >= 0 {
+		panic(fmt.Sprintf("amt: rank %d panicked: %v", failedOn, failed))
 	}
 }
 

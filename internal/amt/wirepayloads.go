@@ -7,80 +7,65 @@ import (
 )
 
 // Wire codecs for every payload type the runtime itself puts on the
-// transport. IDs 1–15 are envelopes and control payloads; 16–31 stay
-// reserved for future runtime types. Field order here IS the wire
-// protocol — reordering or widening a field is a wire.Version bump.
+// transport. IDs 1–15 are envelopes and control payloads (1, the user
+// envelope, is retired since wire v2: the epoch tag rides the frame
+// header and user data travels bare); 16–31 stay reserved for future
+// runtime types. Field order here IS the wire protocol — reordering or
+// widening a field is a wire.Version bump.
 //
-// The nested Data/State fields round-trip through Encoder.Any, so an
-// application's payloads must be registered too (ids 64+); the balancer
-// layer registers its own at 32–63 (see internal/lb/tempered).
+// User data and the nested Data/State fields round-trip through
+// Encoder.Any, so an application's payloads must be registered too (ids
+// 64+); the balancer layer registers its own at 32–63 (see
+// internal/lb/tempered).
 func init() {
-	wire.RegisterPayload(1,
-		func(e *wire.Encoder, v envelope) {
-			e.I64(v.EpochID)
-			e.Any(v.Data)
-		},
-		func(d *wire.Decoder) envelope {
-			return envelope{EpochID: d.I64(), Data: d.Any()}
-		})
 	wire.RegisterPayload(2,
 		func(e *wire.Encoder, v objEnvelope) {
-			e.I64(v.EpochID)
 			e.I64(int64(v.Obj))
 			e.I32(int32(v.Origin))
 			e.Any(v.Data)
 		},
 		func(d *wire.Decoder) objEnvelope {
 			return objEnvelope{
-				EpochID: d.I64(),
-				Obj:     ObjectID(d.I64()),
-				Origin:  core.Rank(d.I32()),
-				Data:    d.Any(),
+				Obj:    ObjectID(d.I64()),
+				Origin: core.Rank(d.I32()),
+				Data:   d.Any(),
 			}
 		})
 	wire.RegisterPayload(3,
 		func(e *wire.Encoder, v migrateEnvelope) {
-			e.I64(v.EpochID)
 			e.I64(int64(v.Obj))
 			e.I64(int64(v.Bytes))
 			e.Any(v.State)
 		},
 		func(d *wire.Decoder) migrateEnvelope {
 			return migrateEnvelope{
-				EpochID: d.I64(),
-				Obj:     ObjectID(d.I64()),
-				Bytes:   int(d.I64()),
-				State:   d.Any(),
+				Obj:   ObjectID(d.I64()),
+				Bytes: int(d.I64()),
+				State: d.Any(),
 			}
 		})
 	wire.RegisterPayload(4,
 		func(e *wire.Encoder, v locEnvelope) {
-			e.I64(v.EpochID)
 			e.I64(int64(v.Obj))
 			e.I32(int32(v.Loc))
 		},
 		func(d *wire.Decoder) locEnvelope {
 			return locEnvelope{
-				EpochID: d.I64(),
-				Obj:     ObjectID(d.I64()),
-				Loc:     core.Rank(d.I32()),
+				Obj: ObjectID(d.I64()),
+				Loc: core.Rank(d.I32()),
 			}
 		})
 	wire.RegisterPayload(5,
-		func(e *wire.Encoder, v tokenEnvelope) {
-			e.I64(v.EpochID)
-			e.I64(int64(v.Token.Count))
-			e.U8(uint8(v.Token.Color))
-			e.I64(int64(v.Token.Wave))
+		func(e *wire.Encoder, v termination.Token) {
+			e.I64(int64(v.Count))
+			e.U8(uint8(v.Color))
+			e.I64(int64(v.Wave))
 		},
-		func(d *wire.Decoder) tokenEnvelope {
-			return tokenEnvelope{
-				EpochID: d.I64(),
-				Token: termination.Token{
-					Count: int(d.I64()),
-					Color: termination.Color(d.U8()),
-					Wave:  int(d.I64()),
-				},
+		func(d *wire.Decoder) termination.Token {
+			return termination.Token{
+				Count: int(d.I64()),
+				Color: termination.Color(d.U8()),
+				Wave:  int(d.I64()),
 			}
 		})
 	wire.RegisterPayload(6,
@@ -92,8 +77,7 @@ func init() {
 			return collMsg{Seq: d.I64(), Values: d.F64Slice()}
 		})
 
-	// Scalar payloads the runtime sends bare: done announcements and
-	// acks carry int64 ids; core.Rank rides object fetches; int and
+	// Scalar payloads the runtime sends bare: acks carry int64 ids; core.Rank rides object fetches; int and
 	// float64 are common application payloads (lbplay's task loads).
 	wire.RegisterPayload(7,
 		func(e *wire.Encoder, v int64) { e.I64(v) },

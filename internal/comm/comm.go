@@ -23,6 +23,7 @@ type Message struct {
 	Handler  int32 // runtime handler id, meaningful for user kinds
 	Seq      int64 // per-sender sequence number, set by Send
 	MsgID    int64 // reliability id, set by layers that dedup/retransmit (0 = none)
+	Epoch    int64 // termination-detection epoch the message belongs to (0 = none)
 	Data     any
 }
 
@@ -43,7 +44,6 @@ const MaxKinds = 32
 type Network struct {
 	n       int
 	inboxes []*inbox
-	sent    atomic.Int64
 	seq     []atomic.Int64
 	closed  atomic.Bool
 	plan    atomic.Pointer[FaultPlan]
@@ -167,7 +167,26 @@ func (nw *Network) NumRanks() int { return nw.n }
 // Send enqueues the message to its destination inbox. It never blocks.
 // Sending on a closed network panics: it indicates a runtime shutdown
 // ordering bug.
-func (nw *Network) Send(m Message) {
+func (nw *Network) Send(m Message) { nw.send(m, false) }
+
+// SendClaim is Send for a sender that can run the destination rank
+// itself: when the destination is local, its owner is parked in WaitOwned
+// and its inbox is empty, the owner is not woken and the message is not
+// enqueued — the inbox becomes borrowed and SendClaim returns true. The
+// caller then runs the rank: it handles m, drains with RecvBatch whatever
+// queues meanwhile, and must end the borrow with Release. In every other
+// case the message is delivered as by Send and the result is false, so a
+// claimed message never overtakes a queued one and a sender's plain sends
+// and claims reach the rank in the order they were made. (A parked rank
+// with a non-empty inbox is not worth taking: whoever queued the message
+// has woken its owner.) A claim is never granted under a fault plan — the
+// plan decides that delivery, and its delayed copies land from goroutines
+// that run no rank — nor for a remote destination.
+func (nw *Network) SendClaim(m Message) bool { return nw.send(m, true) }
+
+// send validates, stamps and accounts for m, then delivers it; claim asks
+// for the destination rank (see SendClaim).
+func (nw *Network) send(m Message, claim bool) bool {
 	if m.To < 0 || m.To >= nw.n {
 		panic(fmt.Sprintf("comm: Send to rank %d out of [0,%d)", m.To, nw.n))
 	}
@@ -178,16 +197,19 @@ func (nw *Network) Send(m Message) {
 		panic(fmt.Sprintf("comm: Send with kind %d out of [0,%d)", m.Kind, MaxKinds))
 	}
 	m.Seq = nw.seq[m.From].Add(1)
-	nw.sent.Add(1)
 	nw.sentKind[m.Kind].Add(1)
 	if nw.countB.Load() {
 		nw.bytesKind[m.Kind].Add(int64(EstimateBytes(m.Data)))
 	}
 	if p := nw.plan.Load(); p != nil {
 		nw.faultedDeliver(p, m)
-		return
+		return false
+	}
+	if claim && m.To >= nw.lo && m.To < nw.hi {
+		return nw.inboxes[m.To-nw.lo].pushClaim(m)
 	}
 	nw.deliver(m)
+	return false
 }
 
 // faultedDeliver does to one message what the plan decides: drop it, or
@@ -232,8 +254,16 @@ func (nw *Network) deliverAfter(m Message, delay time.Duration) {
 	}()
 }
 
-// TotalSent returns the number of messages sent on the network so far.
-func (nw *Network) TotalSent() int64 { return nw.sent.Load() }
+// TotalSent returns the number of messages sent on the network so far,
+// summed over the per-kind counters so Send pays one shared atomic add,
+// not two.
+func (nw *Network) TotalSent() int64 {
+	total := int64(0)
+	for k := range nw.sentKind {
+		total += nw.sentKind[k].Load()
+	}
+	return total
+}
 
 // EnableByteAccounting turns on per-kind payload byte accounting: every
 // subsequent Send sizes its Data with EstimateBytes. Counts accumulated
@@ -329,12 +359,31 @@ func (nw *Network) RecvWait(rank int) (Message, bool) {
 	return nw.inbox(rank).popWait()
 }
 
-// RecvWaitTimeout is RecvWait with a deadline: it returns timedOut=true
-// (and ok=false) when d elapses with no message and the network still
-// open. The runtime's retransmission pump uses it; the fault-free path
-// never calls it, so the timer cost is confined to faulted runs.
-func (nw *Network) RecvWaitTimeout(rank int, d time.Duration) (m Message, ok, timedOut bool) {
-	return nw.inbox(rank).popWaitTimeout(d)
+// WaitOwned parks the calling goroutine — the owner of rank — until the
+// rank has something for it to do: ok is true once a message is queued
+// with no borrower running the rank, or a borrower has released it with
+// wake set. While the owner is parked a SendClaim may borrow the rank;
+// the owner sleeps through the whole borrow. With d > 0 the wait also
+// ends (timedOut=true, ok=false) when d elapses with the rank unborrowed
+// and its inbox empty; d <= 0 waits without a deadline. Both results are
+// false once the network is closed and nothing is left to drain —
+// whatever the ownership state, so a borrower that died mid-handler
+// cannot strand the owner. Only the rank's own goroutine may call it.
+func (nw *Network) WaitOwned(rank int, d time.Duration) (ok, timedOut bool) {
+	ib := nw.inbox(rank)
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	return ib.waitOwned(d)
+}
+
+// Release ends the borrow a SendClaim granted on rank. wake reports that
+// what the rank's owner waits for has come true: the owner is then woken
+// and owns the rank again. Otherwise the rank goes back to parked — unless
+// messages have queued during the borrow, in which case Release returns
+// false and the caller still holds the rank and must drain it (RecvBatch)
+// before trying again.
+func (nw *Network) Release(rank int, wake bool) bool {
+	return nw.inbox(rank).release(wake)
 }
 
 // Pending returns the number of queued messages for rank.
@@ -364,7 +413,21 @@ func (nw *Network) Close() {
 // Closed reports whether Close has been called.
 func (nw *Network) Closed() bool { return nw.closed.Load() }
 
-// inbox is an unbounded MPSC queue with blocking pop.
+// Ownership states of an inbox: who, if anyone, may run its rank. Every
+// transition happens under the inbox mutex the send path takes anyway.
+const (
+	// ownerRunning: the rank's own goroutine runs it, or nobody waits.
+	ownerRunning uint8 = iota
+	// ownerParked: the owner sleeps in waitOwned; a SendClaim may take
+	// the rank, a plain push wakes the owner.
+	ownerParked
+	// ownerBorrowed: a sender's goroutine runs the rank and the owner
+	// sleeps on; pushes only enqueue, the borrower finds them at release.
+	ownerBorrowed
+)
+
+// inbox is an unbounded MPSC queue with blocking pop and an ownership
+// state (see above).
 type inbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -372,10 +435,13 @@ type inbox struct {
 	head   int
 	closed bool
 
-	// timer is popWaitTimeout's single reusable deadline timer; lazily
-	// created on the first timed wait and Reset on every subsequent one
-	// instead of allocating an AfterFunc per call (hot in the reliable
-	// layer's retransmission pump). Guarded by mu.
+	owner uint8
+	timed bool // the owner sleeps against a deadline (see release)
+
+	// timer is waitOwned's single reusable deadline timer; lazily created
+	// on the first timed wait and Reset on every subsequent one instead
+	// of allocating an AfterFunc per call (hot in the reliable layer's
+	// retransmission pump). Guarded by mu.
 	timer *time.Timer
 }
 
@@ -385,11 +451,55 @@ func newInbox() *inbox {
 	return ib
 }
 
+// push enqueues m and wakes a parked owner. A running owner needs no
+// signal, and a borrowed rank's owner must sleep on: the borrower finds
+// the message when it releases.
 func (ib *inbox) push(m Message) {
 	ib.mu.Lock()
+	ib.enqueueAndUnlock(m)
+}
+
+// pushClaim takes an idle parked rank for the caller — leaving m with it,
+// unqueued — and is push otherwise.
+func (ib *inbox) pushClaim(m Message) bool {
+	ib.mu.Lock()
+	if ib.owner == ownerParked && ib.head == len(ib.queue) {
+		ib.owner = ownerBorrowed
+		ib.mu.Unlock()
+		return true
+	}
+	ib.enqueueAndUnlock(m)
+	return false
+}
+
+// enqueueAndUnlock is the tail of both pushes; ib.mu is held on entry.
+func (ib *inbox) enqueueAndUnlock(m Message) {
 	ib.queue = append(ib.queue, m)
+	parked := ib.owner == ownerParked
 	ib.mu.Unlock()
-	ib.cond.Signal()
+	if parked {
+		ib.cond.Signal()
+	}
+}
+
+// release ends a borrow (see Network.Release). An owner sleeping against
+// a deadline is signalled whatever wake says, to re-check its clock.
+func (ib *inbox) release(wake bool) bool {
+	ib.mu.Lock()
+	if !wake && !ib.closed && ib.head < len(ib.queue) {
+		ib.mu.Unlock()
+		return false
+	}
+	ib.owner = ownerParked
+	if wake {
+		ib.owner = ownerRunning
+	}
+	signal := wake || ib.timed || ib.closed
+	ib.mu.Unlock()
+	if signal {
+		ib.cond.Signal()
+	}
+	return true
 }
 
 func (ib *inbox) pop() (Message, bool) {
@@ -405,43 +515,52 @@ func (ib *inbox) popWait() (Message, bool) {
 		if m, ok := ib.popLocked(); ok {
 			return m, true
 		}
-		if ib.closed {
+		if ok, _ := ib.waitOwned(0); !ok {
 			return Message{}, false
 		}
-		ib.cond.Wait()
 	}
 }
 
-// popWaitTimeout is popWait with a deadline. The third result is true
-// when the deadline expired with the inbox empty and still open. The
-// deadline rides the inbox's single reusable timer, whose callback
-// broadcasts on the condition variable; each inbox has a single
-// consumer, so the wakeup cannot be stolen by another waiter, and a
-// stale callback from a Stop that lost the race merely causes one
-// spurious re-check of the loop condition.
-func (ib *inbox) popWaitTimeout(d time.Duration) (Message, bool, bool) {
-	deadline := clock.Now().Add(d)
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	if ib.timer == nil {
-		ib.timer = time.AfterFunc(d, func() {
-			ib.mu.Lock()
-			defer ib.mu.Unlock()
-			ib.cond.Broadcast()
-		})
-	} else {
-		ib.timer.Reset(d)
+// waitOwned is WaitOwned with ib.mu held. The deadline rides the inbox's
+// single reusable timer, whose callback broadcasts on the condition
+// variable; each inbox has a single owner, so the wakeup cannot be stolen
+// by another waiter, and a stale callback from a Stop that lost the race
+// merely causes one spurious re-check of the loop condition.
+func (ib *inbox) waitOwned(d time.Duration) (ok, timedOut bool) {
+	var deadline time.Time
+	if d > 0 {
+		deadline = clock.Now().Add(d)
+		if ib.timer == nil {
+			ib.timer = time.AfterFunc(d, func() {
+				ib.mu.Lock()
+				defer ib.mu.Unlock()
+				ib.cond.Broadcast()
+			})
+		} else {
+			ib.timer.Reset(d)
+		}
+		ib.timed = true
+		defer func() {
+			ib.timer.Stop()
+			ib.timed = false
+		}()
 	}
-	defer ib.timer.Stop()
-	for {
-		if m, ok := ib.popLocked(); ok {
-			return m, true, false
-		}
-		if ib.closed {
-			return Message{}, false, false
-		}
-		if !clock.Now().Before(deadline) {
-			return Message{}, false, true
+	for parked := false; ; parked = true {
+		borrowed := ib.owner == ownerBorrowed
+		switch {
+		case !borrowed && (ib.head < len(ib.queue) || parked && ib.owner == ownerRunning):
+			// Work to do, or a releasing borrower found the wait over and
+			// handed the rank back as running.
+			ib.owner = ownerRunning
+			return true, false
+		case ib.closed:
+			return false, false
+		case borrowed:
+		case d > 0 && !clock.Now().Before(deadline):
+			ib.owner = ownerRunning
+			return false, true
+		default:
+			ib.owner = ownerParked
 		}
 		ib.cond.Wait()
 	}

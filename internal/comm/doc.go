@@ -2,9 +2,11 @@
 // AMT runtime: per-rank unbounded inboxes with blocking, non-blocking
 // and batched receive (RecvBatch drains a whole burst under one lock
 // acquisition), per-sender FIFO ordering, and optional payload byte
-// accounting. Deadline waits reuse a single timer per inbox rather than
-// arming a fresh one per call, so retry-heavy fault runs do not churn
-// the timer heap. It substitutes for the MPI layer of the paper's vt runtime;
+// accounting. Each inbox also says who may run its rank — running,
+// parked or borrowed — so that a sender can run a parked rank instead of
+// waking it (SendClaim, Release, WaitOwned). Deadline waits reuse a
+// single timer per inbox rather than arming a fresh one per call, so
+// retry-heavy fault runs do not churn the timer heap. It substitutes for the MPI layer of the paper's vt runtime;
 // everything above it (active messages, epochs, termination detection,
 // collectives) is implemented for real on top of this transport.
 //
@@ -21,7 +23,12 @@
 // The inboxes are the concurrency boundary of the whole distributed
 // stack and are fully goroutine-safe: any goroutine may Send to any
 // rank while that rank's goroutine blocks in Recv, and per-sender FIFO
-// order is preserved. Everything layered above (amt, termination, the
-// distributed balancer) relies on this package for cross-rank safety
-// and keeps its own state single-goroutine.
+// order is preserved. The ownership state is part of that boundary: it
+// changes only under the inbox mutex, a claim is granted only while the
+// owner is parked, and the owner does not leave WaitOwned before the
+// borrower's Release — so at most one goroutine runs a rank at a time
+// and the mutex orders one runner's writes before the next one's reads.
+// Everything layered above (amt, termination, the distributed balancer)
+// relies on this package for cross-rank safety and keeps its own state
+// one-runner-at-a-time.
 package comm

@@ -231,27 +231,31 @@ func TestEmptyFaultPlanIsInert(t *testing.T) {
 	}
 }
 
-func TestRecvWaitTimeout(t *testing.T) {
+func TestWaitOwnedDeadline(t *testing.T) {
 	nw := NewNetwork(2)
-	if _, ok, timedOut := nw.RecvWaitTimeout(1, 2*time.Millisecond); ok || !timedOut {
+	if ok, timedOut := nw.WaitOwned(1, 2*time.Millisecond); ok || !timedOut {
 		t.Fatalf("empty inbox: ok=%v timedOut=%v", ok, timedOut)
 	}
 	nw.Send(Message{From: 0, To: 1, Data: 9})
-	m, ok, timedOut := nw.RecvWaitTimeout(1, time.Second)
-	if !ok || timedOut || m.Data.(int) != 9 {
-		t.Fatalf("queued message: ok=%v timedOut=%v data=%v", ok, timedOut, m.Data)
+	if ok, timedOut := nw.WaitOwned(1, time.Second); !ok || timedOut {
+		t.Fatalf("queued message: ok=%v timedOut=%v", ok, timedOut)
 	}
-	// A message arriving mid-wait wakes the receiver before the deadline.
+	if m, ok := nw.Recv(1); !ok || m.Data.(int) != 9 {
+		t.Fatalf("queued message: ok=%v data=%v", ok, m.Data)
+	}
+	// A message arriving mid-wait wakes the owner before the deadline.
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		nw.Send(Message{From: 0, To: 1, Data: 10})
 	}()
-	m, ok, timedOut = nw.RecvWaitTimeout(1, 5*time.Second)
-	if !ok || timedOut || m.Data.(int) != 10 {
-		t.Fatalf("mid-wait message: ok=%v timedOut=%v data=%v", ok, timedOut, m.Data)
+	if ok, timedOut := nw.WaitOwned(1, 5*time.Second); !ok || timedOut {
+		t.Fatalf("mid-wait message: ok=%v timedOut=%v", ok, timedOut)
+	}
+	if m, ok := nw.Recv(1); !ok || m.Data.(int) != 10 {
+		t.Fatalf("mid-wait message: ok=%v data=%v", ok, m.Data)
 	}
 	nw.Close()
-	if _, ok, timedOut := nw.RecvWaitTimeout(1, time.Second); ok || timedOut {
+	if ok, timedOut := nw.WaitOwned(1, time.Second); ok || timedOut {
 		t.Fatalf("closed network: ok=%v timedOut=%v", ok, timedOut)
 	}
 }

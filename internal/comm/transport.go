@@ -15,7 +15,11 @@ import "time"
 //   - Send never blocks and stamps a per-sender sequence number; fault
 //     plans (SetFaultPlan) are applied exactly once, at the sending
 //     side, keyed by that sequence number.
-//   - Per-sender FIFO order is preserved for undelayed deliveries.
+//   - Per-sender FIFO order is preserved for undelayed deliveries,
+//     plain sends and claims alike.
+//   - At most one goroutine runs a rank at a time: SendClaim grants a
+//     rank only while its owner is parked in WaitOwned, and the owner
+//     does not return from WaitOwned until the borrower has released it.
 //   - Recv* methods serve only ranks inside LocalRange; a transport
 //     hosting a slice of a larger job forwards everything else.
 //   - Close drains: no message accepted by Send before Close may be
@@ -34,8 +38,15 @@ type Transport interface {
 	Recv(rank int) (Message, bool)
 	RecvBatch(rank int, buf []Message) []Message
 	RecvWait(rank int) (Message, bool)
-	RecvWaitTimeout(rank int, d time.Duration) (m Message, ok, timedOut bool)
 	Pending(rank int) int
+
+	// The ownership trio (see Network): SendClaim is Send that may hand
+	// the caller a parked local destination rank to run, Release ends
+	// that borrow, and WaitOwned is where a rank's owner parks. A
+	// transport that never grants a claim is correct, only slower.
+	SendClaim(Message) bool
+	Release(rank int, wake bool) bool
+	WaitOwned(rank int, d time.Duration) (ok, timedOut bool)
 
 	Close()
 	Closed() bool

@@ -15,7 +15,7 @@ import (
 // or the meaning of an assigned payload id; peers speaking different
 // versions refuse each other at the first frame rather than
 // misinterpreting bytes.
-const Version = 1
+const Version = 2
 
 // Frame types. A frame is: u32 body length (big-endian, covering the
 // two header bytes and the body) | u8 version | u8 type | body.
@@ -33,7 +33,7 @@ const MaxFrameSize = 1 << 24
 
 // maxPayloadDepth bounds Any-payload nesting so a crafted frame cannot
 // recurse the decoder into stack exhaustion. Real traffic nests twice
-// (envelope → application payload).
+// (object envelope → application payload).
 const maxPayloadDepth = 32
 
 // frameHeaderLen is the byte length of the version+type header counted
@@ -321,8 +321,8 @@ func (d *Decoder) Any() any {
 // AppendMessage appends one complete message frame (header included)
 // for m to buf and returns the extended slice. The message body layout
 // is, in order: u32 From, u32 To, u16 Kind, i32 Handler, i64 Seq,
-// i64 MsgID, then the Any-encoded Data. Encoding is deterministic:
-// equal messages produce equal bytes.
+// i64 MsgID, i64 Epoch, then the Any-encoded Data. Encoding is
+// deterministic: equal messages produce equal bytes.
 func AppendMessage(buf []byte, m comm.Message) []byte {
 	var e Encoder
 	e.buf = buf
@@ -333,6 +333,7 @@ func AppendMessage(buf []byte, m comm.Message) []byte {
 	e.I32(m.Handler)
 	e.I64(m.Seq)
 	e.I64(m.MsgID)
+	e.I64(m.Epoch)
 	e.Any(m.Data)
 	return endFrame(&e, start)
 }
@@ -349,6 +350,7 @@ func DecodeMessage(body []byte, totalRanks int) (comm.Message, error) {
 	m.Handler = d.I32()
 	m.Seq = d.I64()
 	m.MsgID = d.I64()
+	m.Epoch = d.I64()
 	m.Data = d.Any()
 	if d.err != nil {
 		return comm.Message{}, d.err

@@ -11,6 +11,15 @@ import (
 	"temperedlb/internal/comm"
 )
 
+// recvWithin pops rank's next message, waiting up to d for one.
+func recvWithin(tr *Transport, rank int, d time.Duration) (m comm.Message, ok, timedOut bool) {
+	if ok, timedOut = tr.WaitOwned(rank, d); !ok {
+		return comm.Message{}, false, timedOut
+	}
+	m, ok = tr.Recv(rank)
+	return m, ok, false
+}
+
 func testClusterEcho(t *testing.T, network string) {
 	registerTestPayloads()
 	const ranks, nodes = 6, 3
@@ -39,7 +48,7 @@ func testClusterEcho(t *testing.T, network string) {
 		for r := lo; r < hi; r++ {
 			seen := map[int]bool{}
 			for len(seen) < ranks-1 {
-				m, ok, timedOut := tr.RecvWaitTimeout(r, 5*time.Second)
+				m, ok, timedOut := recvWithin(tr, r, 5*time.Second)
 				if timedOut || !ok {
 					t.Fatalf("%s: rank %d: got %d/%d messages then timed out (err=%v)", network, r, len(seen), ranks-1, tr.Err())
 				}
@@ -102,7 +111,7 @@ func TestCloseDrain(t *testing.T) {
 	got := make([]bool, burst)
 	count := 0
 	for count < burst {
-		m, ok, timedOut := receiver.RecvWaitTimeout(1, 10*time.Second)
+		m, ok, timedOut := recvWithin(receiver, 1, 10*time.Second)
 		if timedOut || !ok {
 			t.Fatalf("lost messages on close: got %d/%d (sender err=%v)", count, burst, sender.Err())
 		}

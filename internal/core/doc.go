@@ -29,6 +29,6 @@
 // which makes the parallel-sweep pattern safe: many engines, each owned
 // by one worker goroutine, over one shared read-only input assignment.
 // InformState, TransferScratch and Knowledge follow the same
-// single-owner rule — in the distributed balancer each rank's goroutine
-// owns its own set.
+// single-owner rule — in the distributed balancer each rank owns its own
+// set, and the runtime runs a rank on one goroutine at a time.
 package core

@@ -18,7 +18,7 @@ type Handlers struct {
 	xfer   amt.HandlerID
 	fetch  amt.HandlerID
 	// st is indexed by rank; a rank's entry is nil until its first
-	// invocation, and each rank touches only its own.
+	// invocation, and only whoever runs a rank touches its entry.
 	st []*rankState
 
 	// freshTrialState makes every trial build a new gossip state instead
@@ -27,8 +27,10 @@ type Handlers struct {
 	freshTrialState bool
 }
 
-// rankState is the per-rank balancer state touched by handlers; every
-// handler runs on the owning rank's goroutine, so no locking is needed.
+// rankState is the per-rank balancer state touched by handlers; at most
+// one goroutine runs a rank at a time — its own, or a sender's while the
+// rank is parked, handed over under the inbox lock — so no locking is
+// needed.
 type rankState struct {
 	inform *core.InformState
 
@@ -86,15 +88,7 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 				Trial: st.trial, Iteration: st.iter, Value: float64(len(m.Entries))})
 		}
 		sends, _ := st.inform.Receive(m)
-		for _, s := range sends {
-			st.gossipSent++
-			st.gossipEntries += len(s.Msg.Entries)
-			if tracing {
-				rc.Emit(obs.Event{Type: obs.EvInformSend, Peer: int(s.To), Object: -1,
-					Trial: st.trial, Iteration: st.iter, Value: float64(len(s.Msg.Entries))})
-			}
-			rc.Send(s.To, h.gossip, s.Msg)
-		}
+		sendFanOut(rc, h.gossip, st, sends, tracing)
 	})
 	rt.Register(h.xfer, func(rc *amt.Context, from core.Rank, data any) {
 		h.st[rc.Rank()].virtual.receive(data.(xferMsg))
@@ -103,6 +97,27 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		rc.Migrate(obj, data.(core.Rank))
 	})
 	return h
+}
+
+// sendFanOut sends one fan-out of the inform stage and counts it. Every
+// send of a fan-out carries the same message — one round, one snapshot of
+// the sender's knowledge — so it is boxed into the payload interface once,
+// not once per target.
+func sendFanOut(rc *amt.Context, gossip amt.HandlerID, st *rankState, sends []core.Send, tracing bool) {
+	if len(sends) == 0 {
+		return
+	}
+	var msg any = sends[0].Msg
+	entries := len(sends[0].Msg.Entries)
+	for _, s := range sends {
+		st.gossipSent++
+		st.gossipEntries += entries
+		if tracing {
+			rc.Emit(obs.Event{Type: obs.EvInformSend, Peer: int(s.To), Object: -1,
+				Trial: st.trial, Iteration: st.iter, Value: float64(entries)})
+		}
+		rc.Send(s.To, gossip, msg)
+	}
 }
 
 // DistResult reports a distributed LB invocation from one rank's
@@ -291,16 +306,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			// detection — no synchronized rounds (§IV-B).
 			st.inform.Reset()
 			rc.Epoch(func() {
-				for _, s := range st.inform.Begin(ave, st.virtual.sum()) {
-					st.gossipSent++
-					st.gossipEntries += len(s.Msg.Entries)
-					if tr != nil {
-						rc.Emit(obs.Event{Type: obs.EvInformSend, Peer: int(s.To),
-							Object: -1, Trial: trial, Iteration: iter,
-							Value: float64(len(s.Msg.Entries))})
-					}
-					rc.Send(s.To, h.gossip, s.Msg)
-				}
+				sendFanOut(rc, h.gossip, st, st.inform.Begin(ave, st.virtual.sum()), tr != nil)
 			})
 
 			// Transfer stage: every overloaded rank works concurrently

@@ -28,7 +28,10 @@
 // is single-owner: one tracker/goroutine per instance. Handlers must be
 // registered once before Runtime.Run (the registry is read-only after
 // that); RunDistributed is a collective — every rank's goroutine calls
-// it together, and each rank's protocol state is confined to that
-// rank's goroutine, with all cross-rank traffic going through the
-// runtime's active messages.
+// it together, and each rank's protocol state is confined to whoever
+// runs that rank: its own goroutine, or — while it is parked in an epoch
+// or a collective — the goroutine of a rank that sent to it. The runtime
+// lets at most one goroutine run a rank at a time and orders the
+// hand-over (amt: "Who runs a rank"), so the state needs no lock, and all
+// cross-rank traffic goes through the runtime's active messages.
 package tempered

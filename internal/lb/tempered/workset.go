@@ -23,7 +23,8 @@ import (
 //
 // Ids are unique across run and tail: the protocol keeps every task in
 // exactly one rank's working set and the runtime delivers each proposal
-// exactly once. All methods run on the owning rank's goroutine.
+// exactly once. All methods run as the owning rank: on one goroutine at a
+// time (the rank's own, or a sender's while the rank is parked).
 type workSet struct {
 	// ids and tasks are parallel. After a fold they hold the ascending
 	// run with tasks[i] = {ID: i, Load: load of ids[i]} — the dense local

@@ -15,8 +15,8 @@
 //
 // # Concurrency
 //
-// Each rank holds its own Detector, driven exclusively by that rank's
-// goroutine as it sends, receives and goes idle; detectors communicate
-// only via token messages on the comm transport's goroutine-safe
-// inboxes. No detector state is shared between goroutines.
+// Each rank holds its own Detector, driven exclusively by whoever runs
+// that rank as it sends, receives and goes idle — one goroutine at a
+// time, the runtime's guarantee; detectors communicate only via token
+// messages on the comm transport's goroutine-safe inboxes.
 package termination

@@ -31,7 +31,7 @@ type Token struct {
 }
 
 // Detector is the per-rank state of Safra's algorithm. It is not
-// goroutine-safe: the owning rank's scheduler must drive it.
+// goroutine-safe: whoever runs the owning rank must drive it.
 //
 // Protocol, for rank p of n on a ring (token travels p → p−1 mod n,
 // initiated by rank 0):

@@ -58,8 +58,10 @@ const (
 	ReduceMin = amt.ReduceMin
 )
 
-// NewRuntime creates an AMT runtime over n logical ranks, each driven by
-// its own goroutine once Run is called. Options attach observability
+// NewRuntime creates an AMT runtime over n logical ranks, each with its
+// own goroutine once Run is called; a rank parked in an epoch or a
+// collective may have its handlers run by the goroutine of a rank that
+// sends to it, never by two at once. Options attach observability
 // (WithTracer for protocol event tracing, WithMetrics for the counter/
 // histogram registry) and tune the collective tree (WithFanout).
 func NewRuntime(n int, opts ...RuntimeOption) *Runtime { return amt.New(n, opts...) }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run bench-json bench-compare loc
+.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run pairs bench-json bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,16 @@ SEED ?= 1
 TRACE ?= 0
 bench-run:
 	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds 26 --trace $(TRACE)
+
+# A performance claim's evidence: N alternating pairs of bench-run, this
+# checkout against PARENT — a checkout of the parent commit (git clone,
+# then check the sha out) — on seeds SEED, SEED+1, …; the order flips with
+# the seed's parity. Prints every pair, then each side's quartiles and
+# the pairs it won, per end-to-end metric (scripts/pairs.sh).
+N ?= 10
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<parent checkout> [WORKLOAD=$(WORKLOAD) SEED=$(SEED) N=$(N)]"; exit 2; }
+	sh scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
 # Regenerate BENCH_lb.json, the machine-readable perf trajectory
 # (ns/op, B/op, allocs/op per recorded configuration).

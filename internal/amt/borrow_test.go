@@ -19,6 +19,7 @@ const (
 	hBoom
 	hQuick
 	hSlow
+	hWave
 )
 
 // runFanCascade runs epochs of cascading handlers on every runtime of a
@@ -84,21 +85,28 @@ func TestOneGoroutineRunsARank(t *testing.T) {
 	}
 }
 
+// twoNodes returns the runtimes of an n-rank job on a two-node unix
+// cluster, one per node, closed with the test.
+func twoNodes(t *testing.T, n int) []*Runtime {
+	t.Helper()
+	cluster, err := wire.NewCluster("unix", n, 2, 0xB0220)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.Close)
+	rts := make([]*Runtime, len(cluster.Transports))
+	for i, tr := range cluster.Transports {
+		rts[i] = New(n, WithTransport(tr))
+	}
+	return rts
+}
+
 // TestOneGoroutineRunsARankAcrossNodes is the same on a two-node unix
 // cluster: local sends borrow, remote ones arrive from reader goroutines
 // that never do.
 func TestOneGoroutineRunsARankAcrossNodes(t *testing.T) {
-	const n, nodes = 64, 2
-	cluster, err := wire.NewCluster("unix", n, nodes, 0xB0220)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	rts := make([]*Runtime, nodes)
-	for i, tr := range cluster.Transports {
-		rts[i] = New(n, WithTransport(tr))
-	}
-	calls, _ := runFanCascade(t, n, rts)
+	const n = 64
+	calls, _ := runFanCascade(t, n, twoNodes(t, n))
 	if want := int64(4 * n * (1<<6 - 1)); calls != want {
 		t.Errorf("%d handler calls, want %d", calls, want)
 	}
@@ -157,33 +165,193 @@ func TestCascadeDeeperThanBorrowBound(t *testing.T) {
 	}
 }
 
-// TestBorrowedPanicNamesTheRankAndEndsRun: a handler that panics while
-// its rank is run by a sender never releases the rank. Run must still
-// return — the close has to reach the parked owner of a borrowed inbox —
-// and must name the rank whose handler ran, not the borrower's.
-func TestBorrowedPanicNamesTheRankAndEndsRun(t *testing.T) {
-	rt := New(8)
-	rt.Register(hBoom, func(rc *Context, from core.Rank, data any) { panic("boom") })
-	got := make(chan any, 1)
-	go func() {
-		defer func() { got <- recover() }()
-		rt.Run(func(rc *Context) {
-			rc.Epoch(func() {
-				if rc.Rank() == 0 {
-					// Let the other ranks park, so that rank 3 is lent.
-					time.Sleep(20 * time.Millisecond)
-					rc.Send(3, hBoom, nil)
-				}
-			})
+// runWave runs one epoch on every runtime of a job (one per node) whose
+// other ranks have all entered it, and by then most likely parked, before
+// rank 0 lets its first wave go: an empty epoch, or with cascade one in
+// which every rank starts a chain of handlers as long as the borrow bound
+// is deep. It returns every rank's context, to be read once Run is over.
+func runWave(t *testing.T, n int, rts []*Runtime, cascade bool) []*Context {
+	t.Helper()
+	var entered atomic.Int64
+	var wg sync.WaitGroup
+	for _, rt := range rts {
+		rt.Register(hWave, func(rc *Context, from core.Rank, data any) {
+			if left := data.(int); left > 0 {
+				rc.Send((rc.Rank()+1)%core.Rank(n), hWave, left-1)
+			}
 		})
-	}()
-	select {
-	case p := <-got:
-		if s, _ := p.(string); s != "amt: rank 3 panicked: boom" {
-			t.Errorf("Run panicked with %q, want the panicking handler's rank 3", p)
+		wg.Add(1)
+		go func(rt *Runtime) {
+			defer wg.Done()
+			rt.Run(func(rc *Context) {
+				rc.Epoch(func() {
+					if entered.Add(1); rc.Rank() == 0 {
+						for entered.Load() < int64(n) {
+							time.Sleep(100 * time.Microsecond)
+						}
+						time.Sleep(10 * time.Millisecond)
+					}
+					if cascade {
+						rc.Send((rc.Rank()+1)%core.Rank(n), hWave, 2*maxBorrowDepth)
+					}
+				})
+			})
+		}(rt)
+	}
+	wg.Wait()
+	var ranks []*Context
+	for _, rt := range rts {
+		ranks = append(ranks, rt.ranks...)
+	}
+	return ranks
+}
+
+// checkWave holds a finished job to what following the token promises:
+// no hop was ever pushed from the borrow bound to wake its receiver, no
+// rank handled a token nested deeper than deepest, and some goroutine ran
+// more ranks than the bound is deep — ranks that nested hops could not
+// have reached without a wake-up.
+func checkWave(t *testing.T, ranks []*Context, deepest int) {
+	t.Helper()
+	longest := 0
+	for _, rc := range ranks {
+		if rc.tokenWoke != 0 {
+			t.Errorf("rank %d pushed %d token hops from the borrow bound", rc.rank, rc.tokenWoke)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run hangs after a panic in a borrowed handler")
+		if rc.tokenDepth > deepest {
+			t.Errorf("rank %d handled a token %d borrows deep, want at most %d", rc.rank, rc.tokenDepth, deepest)
+		}
+		longest = max(longest, rc.Stats.Lent)
+	}
+	if want := min(len(ranks)-1, maxBorrowDepth+1); longest < want {
+		t.Errorf("no rank ran more than %d others, want %d: the wave was not followed", longest, want)
+	}
+}
+
+// TestWaveIsFollowedNotNested: a wave over parked ranks is a loop on one
+// goroutine, one borrow below the rank that started it — in an empty
+// epoch every token is handled at depth 1 at most — where nested hops fell
+// back to a wake-up at every fifth rank of the ring. User cascades still
+// nest to the bound, and a token met down there is followed at that depth.
+func TestWaveIsFollowedNotNested(t *testing.T) {
+	for _, n := range []int{5, 64, 1024} {
+		rt := New(n)
+		checkWave(t, runWave(t, n, []*Runtime{rt}, false), 1)
+		// Followed or not, a hop is a transport message: an empty epoch is
+		// one trip round the ring, and the transport counted all of it.
+		if hops := rt.nw.SentByKind(kindToken); hops != int64(n) {
+			t.Errorf("%d ranks: the transport counted %d token messages, want %d", n, hops, n)
+		}
+		checkWave(t, runWave(t, n, []*Runtime{New(n)}, true), maxBorrowDepth)
+	}
+}
+
+// releasedBeforeHop is a tracer that, whenever a rank hands the token on,
+// looks at the rank it had the token from.
+type releasedBeforeHop struct {
+	t  *testing.T
+	rt *Runtime
+}
+
+func (p *releasedBeforeHop) Emit(e obs.Event) {
+	if e.Type != obs.EvTokenRound || e.Rank == 0 {
+		return // rank 0 starts the wave: it had the token from nobody
+	}
+	if from := p.rt.ranks[(e.Rank+1)%p.rt.n]; from.depth != 0 {
+		p.t.Errorf("rank %d holds the token while rank %d, which sent it, is still borrowed", e.Rank, from.rank)
+	}
+}
+
+// TestHopIsMadeAfterRelease: the goroutine following a wave lets a rank
+// go before it makes the rank's hop, so it never holds two ranks.
+func TestHopIsMadeAfterRelease(t *testing.T) {
+	const n = 16
+	tr := &releasedBeforeHop{t: t}
+	tr.rt = New(n, WithTracer(tr))
+	checkWave(t, runWave(t, n, []*Runtime{tr.rt}, false), 1)
+}
+
+// TestWaveResumesAcrossNodes: on a two-node unix cluster the hops 0→63
+// and 32→31 cross the socket; the wave is not followed through it — the
+// reader's push wakes one owner, and that owner follows it on from there.
+func TestWaveResumesAcrossNodes(t *testing.T) {
+	const n = 64
+	for _, cascade := range []bool{false, true} {
+		ranks := runWave(t, n, twoNodes(t, n), cascade)
+		deepest := 1
+		if cascade {
+			deepest = maxBorrowDepth
+		}
+		checkWave(t, ranks[:n/2], deepest)
+		checkWave(t, ranks[n/2:], deepest)
+	}
+}
+
+// TestOneRankRing: with one rank the ring predecessor is the rank itself,
+// which is running and cannot be claimed: the hop is a push to its own
+// inbox, and epochs — empty or cascading onto itself — still terminate.
+func TestOneRankRing(t *testing.T) {
+	rt := New(1)
+	checkWave(t, runWave(t, 1, []*Runtime{rt}, false), 0)
+	if rt.ranks[0].Stats.EpochsRun != 1 {
+		t.Errorf("%d epochs run, want 1", rt.ranks[0].Stats.EpochsRun)
+	}
+	rt = New(1)
+	checkWave(t, runWave(t, 1, []*Runtime{rt}, true), 0)
+	if sent := rt.ranks[0].Stats.UserSent; sent != 2*maxBorrowDepth+1 {
+		t.Errorf("%d user sends, want %d", sent, 2*maxBorrowDepth+1)
+	}
+}
+
+// panicOnToken is a tracer that panics when rank hands the token on: user
+// code that runs inside a rank's turn with no message sent to the rank.
+type panicOnToken struct{ rank int }
+
+func (p panicOnToken) Emit(e obs.Event) {
+	if e.Type == obs.EvTokenRound && e.Rank == p.rank {
+		panic("boom")
+	}
+}
+
+// TestBorrowedPanicNamesTheRankAndEndsRun: code that panics while its
+// rank is run by a sender never releases the rank. Run must still return
+// — the close has to reach the parked owner of a borrowed inbox — and must
+// name the rank that ran, not the borrower's: the rank a handler was sent
+// to, or one the borrower reached four hops into following a token.
+func TestBorrowedPanicNamesTheRankAndEndsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rt   *Runtime
+		send bool
+	}{
+		{"sent to", New(8), true},
+		{"followed to", New(8, WithTracer(panicOnToken{rank: 3})), false},
+	} {
+		rt, name := tc.rt, tc.name
+		rt.Register(hBoom, func(rc *Context, from core.Rank, data any) { panic("boom") })
+		got := make(chan any, 1)
+		go func() {
+			defer func() { got <- recover() }()
+			rt.Run(func(rc *Context) {
+				rc.Epoch(func() {
+					if rc.Rank() == 0 {
+						// Let the other ranks park, so that rank 3 is lent.
+						time.Sleep(20 * time.Millisecond)
+						if tc.send {
+							rc.Send(3, hBoom, nil)
+						}
+					}
+				})
+			})
+		}()
+		select {
+		case p := <-got:
+			if s, _ := p.(string); s != "amt: rank 3 panicked: boom" {
+				t.Errorf("%s: Run panicked with %q, want the panicking rank 3", name, p)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Run hangs after a panic in a borrowed rank", name)
+		}
 	}
 }
 

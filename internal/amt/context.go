@@ -52,11 +52,15 @@ type locEnvelope struct {
 
 // maxBorrowDepth bounds how deep borrowed execution nests: a rank run by
 // a borrower that is itself borrowed this many levels down claims nothing
-// and sends plainly, waking the owner. A constant, not an option, chosen
-// by two measurements on observed_1024_mem (three runs each): at 16,
-// goroutine stacks outgrow their first 8 KB and peak_rss_mb is 90.3–91.0
-// against the parent's 80.7; at 4 it is 81.4–81.6 with the same op_s_p50
-// (0.297–0.321 s against 0.300–0.319 s).
+// and sends plainly, waking the owner. It bounds user and collective
+// sends only — the termination token does not nest at all: the rank that
+// owes a hop returns it to whoever runs it, and the hop is made from
+// there after the rank is released (see lend), so a wave over parked
+// ranks is a loop at one depth however long the ring. A constant, not an
+// option, chosen by two measurements on observed_1024_mem (three runs
+// each): at 16, goroutine stacks outgrow their first 8 KB and peak_rss_mb
+// is 90.3–91.0 against the parent's 80.7; at 4 it is 81.4–81.6 with the
+// same op_s_p50 (0.297–0.321 s against 0.300–0.319 s).
 const maxBorrowDepth = 4
 
 // waitKind names what a rank waits for in the pump — the condition a
@@ -84,8 +88,10 @@ type Context struct {
 	epochDone bool
 	// open is the detector of epoch epochSeq while that epoch is open
 	// (nil otherwise): every counted send, receive and ack of the epoch
-	// goes to it, and so does its token.
-	open *termination.Detector
+	// goes to it, and so does its token. It is always det, the rank's one
+	// detector: made at the first epoch's entry — rank start allocates
+	// nothing for it — and reset at every later one.
+	open, det *termination.Detector
 	// stash holds the messages of epoch epochSeq+1 that arrived before
 	// this rank entered it. One slice, reused across epochs, is enough:
 	// epoch e+1 cannot terminate before its token has visited this rank
@@ -103,6 +109,10 @@ type Context struct {
 	depth    int
 	lentTo   *Context
 	lentTime time.Duration
+	// tokenDepth is the deepest nesting at which this rank has handled a
+	// token, tokenWoke the tokens it pushed from the borrow bound (see
+	// transmit): what the borrow tests hold a followed wave to.
+	tokenDepth, tokenWoke int
 
 	// rel is the ack/retry reliability layer, non-nil only when the
 	// runtime's fault plan can drop or duplicate counted messages.
@@ -166,8 +176,10 @@ type ContextStats struct {
 	MigrationBytes int
 	EpochsRun      int
 	Collectives    int
-	// Lent counts the times this rank, sending to a parked rank, ran it
-	// on its own goroutine instead of waking its owner.
+	// Lent counts the times this rank ran a parked rank on its own
+	// goroutine instead of waking its owner: once for every send the
+	// transport granted it, and once for every further rank it reached
+	// following a termination token — a followed hop is a borrow.
 	Lent int
 }
 
@@ -336,11 +348,15 @@ func (rc *Context) send(m comm.Message) {
 // grants it: a local rank whose owner is parked in the pump is not woken
 // for the message — this goroutine borrows it (lend). Everything a rank
 // sends goes through here except the two kinds that by their meaning
-// release their receiver from a wait, kindDone and kindCollDown: those
+// release their receiver from a wait, kindDone and kindCollDown — those
 // are pushed plainly, or the root's goroutine would run the whole
-// down-sweep before it returned from its own collective.
+// down-sweep before it returned from its own collective — and the token
+// hops lend makes on a borrowed rank's behalf.
 func (rc *Context) transmit(m comm.Message) {
 	if rc.depth >= maxBorrowDepth {
+		if m.Kind == kindToken {
+			rc.tokenWoke++
+		}
 		rc.rt.nw.Send(m)
 		return
 	}
@@ -354,24 +370,45 @@ func (rc *Context) transmit(m comm.Message) {
 // share — and releases it, waking its owner only if what the owner waits
 // for has come true. t's depth is cleared before every release attempt:
 // once released, t is its owner's.
+//
+// A token hop t owes is made from here, not from t: after the release —
+// so this goroutine never holds two ranks — and at this rank's own depth.
+// If the transport grants the ring predecessor, that rank is the next one
+// borrowed, and a wave crossing parked ranks is this loop, one borrow deep
+// however long the ring; if not (a busy rank, a remote one) the hop was
+// the plain push it would have been. lentTo follows the chain, so a panic
+// names the rank that ran; one clock pair brackets all of it.
 func (rc *Context) lend(t *Context, m comm.Message) {
 	timed := rc.tr != nil || rc.ins != nil
 	var start time.Time
 	if timed {
 		start = clock.Now()
 	}
-	rc.Stats.Lent++
-	rc.lentTo = t
-	t.depth = rc.depth + 1
-	t.dispatch(m)
 	for {
-		t.turn()
-		done := t.satisfied()
-		t.depth = 0
-		if rc.rt.nw.Release(int(t.rank), done) {
+		rc.Stats.Lent++
+		rc.lentTo = t
+		t.depth = rc.depth + 1
+		t.dispatch(m)
+		// A rank holds the token at most once per borrow — it cannot come
+		// round again before this hop is made — so a hop returned by one
+		// turn is kept across refused releases, never overwritten.
+		var hop comm.Message
+		owed := false
+		for {
+			if h, ok := t.turn(); ok {
+				hop, owed = h, true
+			}
+			done := t.satisfied()
+			t.depth = 0
+			if rc.rt.nw.Release(int(t.rank), done) {
+				break
+			}
+			t.depth = rc.depth + 1
+		}
+		if !owed || !rc.rt.nw.SendClaim(hop) {
 			break
 		}
-		t.depth = rc.depth + 1
+		t, m = rc.rt.ranks[hop.To-rc.rt.lo], hop
 	}
 	rc.lentTo = nil
 	if timed {
@@ -385,8 +422,11 @@ func (rc *Context) lend(t *Context, m comm.Message) {
 // epoch wait, the passive rank's share of Safra: hand the token on if
 // the rank holds it, and on rank 0 announce a detected termination.
 // Owner and borrower run the same turn, so a borrower forwards the token
-// under exactly the owner's rule: inbox empty, no handler open.
-func (rc *Context) turn() {
+// under exactly the owner's rule: inbox empty, no handler open. The
+// hand-off is built here and never sent here: turn returns the hop it
+// owes, at most one, for its caller to make — pump with the rank in hand,
+// lend once it has let the rank go.
+func (rc *Context) turn() (hop comm.Message, owed bool) {
 	// The buffer leaves the context while in use, so a handler that
 	// itself waits (a collective inside a handler) pumps with its own.
 	batch := rc.batch
@@ -403,7 +443,7 @@ func (rc *Context) turn() {
 	}
 	rc.batch = batch
 	if rc.wait != waitEpoch || rc.epochDone {
-		return
+		return comm.Message{}, false
 	}
 	d := rc.open
 	if t, next, send := d.TryHandOff(); send {
@@ -411,15 +451,16 @@ func (rc *Context) turn() {
 			rc.Emit(obs.Event{Type: obs.EvTokenRound, Peer: next, Object: -1,
 				Epoch: rc.epochSeq, Value: float64(t.Wave)})
 		}
-		rc.transmit(comm.Message{
+		hop, owed = comm.Message{
 			From: int(rc.rank), To: next, Kind: kindToken,
 			Epoch: rc.epochSeq, Data: t,
-		})
+		}, true
 	}
 	if d.Terminated() { // only rank 0
 		rc.forwardDone()
 		rc.epochDone = true
 	}
+	return hop, owed
 }
 
 // satisfied reports whether what the rank is in the pump for has come
@@ -439,19 +480,23 @@ func (rc *Context) satisfied() bool {
 }
 
 // pump is the one place a rank blocks: it takes turns until what it
-// waits for has come true, parking in the transport's owned wait between
-// them. While the owner is parked, any rank goroutine that sends to this
-// rank may run it instead (transmit); the transport hands the rank over
-// under the inbox lock, so at most one goroutine runs a rank at a time
-// and everything one of them wrote is visible to the next. With
-// unacknowledged sends outstanding the wait carries the reliable layer's
-// next retry deadline and retransmits whatever falls due, so a dropped
-// message can never wedge a wait.
+// waits for has come true — making the token hop a turn returns, which
+// may run the ring predecessor and the parked ranks behind it (lend) —
+// and parks in the transport's owned wait between them. While the owner
+// is parked, any rank goroutine that sends to this rank may run it
+// instead (transmit); the transport hands the rank over under the inbox
+// lock, so at most one goroutine runs a rank at a time and everything one
+// of them wrote is visible to the next. With unacknowledged sends
+// outstanding the wait carries the reliable layer's next retry deadline
+// and retransmits whatever falls due, so a dropped message can never
+// wedge a wait.
 func (rc *Context) pump(w waitKind, seq int64) {
 	prevWait, prevSeq := rc.wait, rc.waitSeq
 	rc.wait, rc.waitSeq = w, seq
 	for {
-		rc.turn()
+		if hop, owed := rc.turn(); owed {
+			rc.transmit(hop)
+		}
 		if rc.satisfied() {
 			break
 		}
@@ -497,8 +542,12 @@ func (rc *Context) Epoch(body func()) {
 	rc.inEpoch = true
 	rc.epochDone = false
 	rc.Stats.EpochsRun++
-	d := termination.New(int(rc.rank), rc.n)
-	rc.open = d
+	if rc.det == nil {
+		rc.det = termination.New(int(rc.rank), rc.n)
+	} else {
+		rc.det.Reset()
+	}
+	rc.open = rc.det
 
 	var epochStart time.Time
 	if rc.tr != nil || rc.ins != nil {
@@ -524,7 +573,7 @@ func (rc *Context) Epoch(body func()) {
 
 	rc.pump(waitEpoch, 0)
 	rc.assertAcked(rc.epochSeq)
-	waves := d.Wave()
+	waves := rc.det.Wave()
 	rc.inEpoch = false
 	rc.open = nil
 	if rc.tr != nil || rc.ins != nil {
@@ -592,6 +641,9 @@ func (rc *Context) dispatch(m comm.Message) {
 		rc.countReceive(m)
 		rc.location[env.Obj] = env.Loc
 	case kindToken:
+		if rc.depth > rc.tokenDepth {
+			rc.tokenDepth = rc.depth
+		}
 		rc.open.OnToken(m.Data.(termination.Token))
 	case kindDone:
 		rc.forwardDone()

@@ -42,16 +42,19 @@
 // running (the rank's own goroutine), parked (the owner sleeps in the
 // pump), borrowed. A rank goroutine that sends to a local parked rank
 // borrows it: it dispatches the message and whatever else queues on the
-// destination's Context from its own goroutine, forwards the token or
-// detects termination on the passive rank's behalf, and releases the
-// rank — waking the owner only when what it waits for (the epoch's done
-// announcement, its children's partials, its collective's result) has
-// come true. Borrowing nests to a small constant depth (maxBorrowDepth);
-// past it, and for the two message kinds that by their meaning release
-// their receiver (done, collective-down), a send wakes the owner as
-// before. A transport with a fault plan installed never grants a borrow —
-// the plan decides that delivery — and neither do messages arriving from
-// another process.
+// destination's Context from its own goroutine, does the passive rank's
+// share of Safra on its behalf, and releases the rank — waking the owner
+// only when what it waits for (the epoch's done announcement, its
+// children's partials, its collective's result) has come true. User and
+// collective sends nest to a small constant depth (maxBorrowDepth); past
+// it, and for the two message kinds that by their meaning release their
+// receiver (done, collective-down), a send wakes the owner as before.
+// The termination token does not nest at all: a rank that owes a hop
+// hands it to whoever runs it, who makes it once the rank is released
+// and, granted the ring predecessor, runs that rank next — a wave over
+// parked ranks is one loop on one goroutine (Context.lend). A transport
+// with a fault plan installed never grants a borrow — the plan decides
+// that delivery — and neither do messages arriving from another process.
 //
 // # Concurrency
 //

@@ -49,6 +49,11 @@ func (c *CMF) Rebuild(know *Knowledge, self Rank, ave float64, kind CMFKind) boo
 	if ls <= 0 {
 		return false
 	}
+	// Sized once from the knowledge, not grown by doubling: every
+	// overloaded rank's first rebuild of an invocation starts from nothing.
+	if n := know.Len(); cap(c.ranks) < n {
+		c.ranks, c.cum = make([]Rank, 0, n), make([]float64, 0, n)
+	}
 	// The log lists exactly the known ranks, so the table is read
 	// directly: no per-entry membership check.
 	load := know.loads()

@@ -154,3 +154,24 @@ func TestCrossTransportIdentity(t *testing.T) {
 		})
 	}
 }
+
+// TestFollowedWaveIdentity: who makes a token hop cannot change a result.
+// On 64 ranks over two unix-socket nodes every wave leaves its goroutine
+// twice — the hops 0→63 and 32→31 cross the socket and the wave resumes
+// on the other node — where in memory one goroutine may follow it all the
+// way round; and on one rank the ring predecessor is the rank itself.
+func TestFollowedWaveIdentity(t *testing.T) {
+	const nRanks, hot, objsPerHot = 64, 4, 12
+	noSetup := func(int, *amt.Runtime) {}
+	baseline := runNodes(t, "memory", 1, nRanks, hot, objsPerHot, noSetup)
+	got := runNodes(t, "unix", 2, nRanks, hot, objsPerHot, noSetup)
+	for r := range baseline {
+		if want, have := baseline[r].StripTiming(), got[r].StripTiming(); !reflect.DeepEqual(want, have) {
+			t.Errorf("rank %d diverges from the memory transport:\nmemory: %+v\nunix: %+v", r, want, have)
+		}
+	}
+	one := runNodes(t, "memory", 1, 1, 1, objsPerHot, noSetup)[0]
+	if one.Migrations != 0 || one.FinalImbalance != 0 {
+		t.Errorf("one rank: %d migrations, imbalance %v, want none", one.Migrations, one.FinalImbalance)
+	}
+}

@@ -15,8 +15,14 @@
 //
 // # Concurrency
 //
-// Each rank holds its own Detector, driven exclusively by whoever runs
-// that rank as it sends, receives and goes idle — one goroutine at a
-// time, the runtime's guarantee; detectors communicate only via token
-// messages on the comm transport's goroutine-safe inboxes.
+// Each rank holds its own Detector — one for the runtime's life, Reset
+// at every epoch's entry — driven exclusively by whoever runs that rank
+// as it sends, receives and goes idle: one goroutine at a time, the
+// runtime's guarantee. Detectors communicate only via token messages on
+// the comm transport's goroutine-safe inboxes. TryHandOff returns the
+// hop and sends nothing; the runtime may make it from another goroutine
+// than the one that ran the rank, after that rank has been let go (a
+// wave over parked ranks is followed by one goroutine, amt's
+// Context.lend). Safra's rule does not care who carries the token, only
+// that the rank was passive when it left: inbox empty, no handler open.
 package termination

@@ -293,6 +293,7 @@ func runDistributed(o distOptions) {
 		cfg.Rounds = o.rounds
 	}
 	results := make([]temperedlb.DistributedResult, n)
+	errs := make([]error, n)
 	type hrt struct {
 		rt *temperedlb.Runtime
 		h  *temperedlb.LBHandlers
@@ -312,16 +313,15 @@ func runDistributed(o distOptions) {
 					loads[id] = task.Load
 				}
 				rc.Barrier()
-				res, err := temperedlb.RunDistributedLB(rc, h, cfg, loads)
-				if err != nil {
-					log.Fatal(err)
-				}
-				results[rc.Rank()] = res
+				results[rc.Rank()], errs[rc.Rank()] = temperedlb.RunDistributedLB(rc, h, cfg, loads)
 			})
 		}(p.rt, p.h)
 	}
 	for range hrts {
 		<-done
+	}
+	if err := jobError(o.transport, cluster, errs); err != nil {
+		log.Fatal(err)
 	}
 
 	res := results[0]
@@ -402,6 +402,26 @@ func runDistributed(o distOptions) {
 	}
 }
 
+// jobError reports why a finished job's results must not be printed: a
+// cluster transport that failed (a lost peer, a bad frame) — named first,
+// because it is usually what the ranks then tripped over — or the first
+// rank's own error. cluster is nil on the memory transport.
+func jobError(transport string, cluster *wire.Cluster, errs []error) error {
+	if cluster != nil {
+		for _, tr := range cluster.Transports {
+			if err := tr.Err(); err != nil {
+				return fmt.Errorf("%s transport failed: %w", transport, err)
+			}
+		}
+	}
+	for r, err := range errs {
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", r, err)
+		}
+	}
+	return nil
+}
+
 type serviceOptions struct {
 	scenario    string
 	ranks       int
@@ -452,6 +472,7 @@ func runService(o serviceOptions) {
 	}
 
 	var runtimes []*temperedlb.Runtime
+	var cluster *wire.Cluster
 	switch o.transport {
 	case "memory":
 		runtimes = []*temperedlb.Runtime{temperedlb.NewRuntime(o.ranks,
@@ -460,7 +481,7 @@ func runService(o serviceOptions) {
 		if o.nodes < 1 || o.nodes > o.ranks {
 			log.Fatalf("-nodes %d: need 1 <= nodes <= ranks (%d)", o.nodes, o.ranks)
 		}
-		cluster, err := wire.NewCluster(o.transport, o.ranks, o.nodes, uint64(o.seed)+0x5e12e)
+		cluster, err = wire.NewCluster(o.transport, o.ranks, o.nodes, uint64(o.seed)+0x5e12e)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -488,22 +509,22 @@ func runService(o serviceOptions) {
 	}
 
 	results := make([]temperedlb.ServiceResult, o.ranks)
+	errs := make([]error, o.ranks)
 	done := make(chan struct{}, len(runtimes))
 	for _, rt := range runtimes {
 		h := temperedlb.RegisterLBHandlers(rt, 1)
 		go func(rt *temperedlb.Runtime, h *temperedlb.LBHandlers) {
 			defer func() { done <- struct{}{} }()
 			rt.Run(func(rc *temperedlb.RankContext) {
-				res, err := temperedlb.RunService(rc, h, cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				results[rc.Rank()] = res
+				results[rc.Rank()], errs[rc.Rank()] = temperedlb.RunService(rc, h, cfg)
 			})
 		}(rt, h)
 	}
 	for range runtimes {
 		<-done
+	}
+	if err := jobError(o.transport, cluster, errs); err != nil {
+		log.Fatal(err)
 	}
 
 	res := results[0]

@@ -62,35 +62,46 @@ type color struct {
 
 type particle struct{ X, Y, VX, VY float64 }
 
-// Wire codec for the particle exchange payload, in the application band
-// (≥64), so the example runs unchanged on a socket transport. Field
-// order is the wire format.
+// Wire codecs for the particle exchange payload and the migrating color
+// state, in the application band (≥64), so the example runs unchanged on
+// a socket transport and its byte metrics weigh what would cross one.
+// Field order is the wire format.
 func init() {
-	temperedlb.RegisterWirePayload(64,
-		func(e *temperedlb.WireEncoder, v []particle) {
-			e.U32(uint32(len(v)))
-			for _, p := range v {
-				e.F64(p.X)
-				e.F64(p.Y)
-				e.F64(p.VX)
-				e.F64(p.VY)
-			}
+	temperedlb.RegisterWirePayload(64, putParticles, getParticles)
+	temperedlb.RegisterWirePayload(65,
+		func(e *temperedlb.WireEncoder, c *color) {
+			e.I64(int64(c.Index))
+			putParticles(e, c.Particles)
 		},
-		func(d *temperedlb.WireDecoder) []particle {
-			n := int(d.U32())
-			if n*32 > d.Remaining() {
-				d.Failf("particle batch claims %d particles with %d bytes left", n, d.Remaining())
-				return nil
-			}
-			out := make([]particle, n)
-			for i := range out {
-				out[i].X = d.F64()
-				out[i].Y = d.F64()
-				out[i].VX = d.F64()
-				out[i].VY = d.F64()
-			}
-			return out
+		func(d *temperedlb.WireDecoder) *color {
+			return &color{Index: int(d.I64()), Particles: getParticles(d)}
 		})
+}
+
+func putParticles(e *temperedlb.WireEncoder, v []particle) {
+	e.Rows(len(v), v == nil, func(lo, hi int) {
+		for _, p := range v[lo:hi] {
+			e.F64(p.X)
+			e.F64(p.Y)
+			e.F64(p.VX)
+			e.F64(p.VY)
+		}
+	})
+}
+
+func getParticles(d *temperedlb.WireDecoder) []particle {
+	n, isNil := d.Rows(32)
+	if isNil {
+		return nil
+	}
+	out := make([]particle, n)
+	for i := range out {
+		out[i].X = d.F64()
+		out[i].Y = d.F64()
+		out[i].VX = d.F64()
+		out[i].VY = d.F64()
+	}
+	return out
 }
 
 const (

@@ -41,7 +41,6 @@ type objEnvelope struct {
 type migrateEnvelope struct {
 	Obj   ObjectID
 	State any
-	Bytes int
 }
 
 // locEnvelope updates the home rank's location directory.

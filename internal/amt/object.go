@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"temperedlb/internal/comm"
+	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
 	"temperedlb/internal/obs"
 )
@@ -160,7 +161,7 @@ func (rc *Context) Migrate(id ObjectID, dest core.Rank) {
 		rc.localIDs = slices.Delete(rc.localIDs, i, i+1)
 	}
 	rc.location[id] = dest
-	bytes := comm.MeasureBytes(state)
+	bytes := wire.PayloadSize(state)
 	rc.Stats.Migrations++
 	rc.Stats.MigrationBytes += bytes
 	if rc.tr != nil {
@@ -173,7 +174,7 @@ func (rc *Context) Migrate(id ObjectID, dest core.Rank) {
 	}
 	rc.send(comm.Message{
 		From: int(rc.rank), To: int(dest), Kind: kindMigrate,
-		Data: migrateEnvelope{Obj: id, State: state, Bytes: bytes},
+		Data: migrateEnvelope{Obj: id, State: state},
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
 )
 
@@ -247,24 +248,45 @@ func TestMigrationChainForwarding(t *testing.T) {
 	}
 }
 
+// TestMigrationStatsAccounted pins the migration volume to the wire
+// codec: Stats.MigrationBytes and amt_migration_bytes_total are the sum
+// of wire.PayloadSize over the states actually migrated. A state with no
+// registered codec — it can only exist on the memory transport — counts
+// zero and does not panic, with byte accounting sizing its envelope too.
 func TestMigrationStatsAccounted(t *testing.T) {
-	rt := New(2)
+	moved := []any{2.5, 7, collMsg{Seq: 1, Values: make([]float64, 5)}, &counterState{Value: 9}}
+	const want = 10 + 10 + (2 + 8 + 4 + 5*8) + 0
+	sized := 0
+	for _, s := range moved {
+		sized += wire.PayloadSize(s)
+	}
+	if sized != want {
+		t.Fatalf("PayloadSize over the migrated states = %d, want %d", sized, want)
+	}
+	rt := New(2, WithMetrics())
 	rt.Run(func(rc *Context) {
-		var id ObjectID
+		var ids []ObjectID
 		if rc.Rank() == 0 {
-			id = rc.CreateObject(&counterState{Value: 9})
+			for _, s := range moved {
+				ids = append(ids, rc.CreateObject(s))
+			}
+			rc.CreateObject(1.5) // stays: not part of the volume
 		}
 		rc.Epoch(func() {
-			if rc.Rank() == 0 {
+			for _, id := range ids {
 				rc.Migrate(id, 1)
 			}
 		})
-		if rc.Rank() == 0 {
-			if rc.Stats.Migrations != 1 || rc.Stats.MigrationBytes <= 0 {
-				t.Errorf("stats: %+v", rc.Stats)
-			}
+		if rc.Rank() == 0 && (rc.Stats.Migrations != len(moved) || rc.Stats.MigrationBytes != want) {
+			t.Errorf("stats: %+v, want %d migrations of %d bytes", rc.Stats, len(moved), want)
+		}
+		if rc.Rank() == 1 && len(rc.LocalObjects()) != len(moved) {
+			t.Errorf("rank 1 holds %d objects, want %d", len(rc.LocalObjects()), len(moved))
 		}
 	})
+	if got := rt.Metrics().Counter("amt_migration_bytes_total").Value(); got != want {
+		t.Errorf("amt_migration_bytes_total = %d, want %d", got, want)
+	}
 }
 
 func TestManyObjectsManyMigrations(t *testing.T) {

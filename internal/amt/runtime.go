@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"temperedlb/internal/comm"
+	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
 	"temperedlb/internal/obs"
 )
@@ -149,7 +150,7 @@ func (rt *Runtime) SetTransport(t comm.Transport) {
 		panic(fmt.Sprintf("amt: SetTransport: transport spans %d ranks, runtime %d", t.NumRanks(), rt.n))
 	}
 	if rt.nw.ByteAccounting() {
-		t.EnableByteAccounting()
+		t.EnableByteAccounting(wire.PayloadSize)
 	}
 	rt.nw = t
 }
@@ -173,8 +174,10 @@ func (rt *Runtime) SetFanout(k int) {
 func (rt *Runtime) Fanout() int { return rt.fanout }
 
 // EnableMetrics switches on the runtime's metrics registry and the
-// transport's payload byte accounting, and returns the registry. It is
-// idempotent; call before Run.
+// transport's payload byte accounting — every send sized by
+// wire.PayloadSize, so comm_bytes_total is wire-codec bytes on every
+// transport — and returns the registry. It is idempotent; call before
+// Run.
 func (rt *Runtime) EnableMetrics() *obs.Metrics {
 	rt.mustNotRun("EnableMetrics")
 	if rt.metrics != nil {
@@ -202,17 +205,17 @@ func (rt *Runtime) EnableMetrics() *obs.Metrics {
 		"amt_epoch_seconds":              "Epoch wall-clock duration in seconds.",
 		"termination_token_rounds_total": "Safra termination-token rounds.",
 		"amt_migrations_total":           "Objects migrated between ranks.",
-		"amt_migration_bytes_total":      "Payload bytes carried by migrations.",
+		"amt_migration_bytes_total":      "Wire-codec bytes of migrated object state.",
 		"amt_collectives_total":          "Tree-collective rounds completed.",
 		"amt_collective_messages_total":  "Messages sent by tree collectives.",
 		"amt_retries_total":              "Retransmissions of unacknowledged epoch sends.",
 		"amt_duplicates_dropped_total":   "Receiver-side discards of redundant deliveries.",
 		"comm_messages_total":            "Transport messages sent, by kind.",
-		"comm_bytes_total":               "Transport payload bytes sent, by kind.",
+		"comm_bytes_total":               "Wire-codec payload bytes sent, by kind.",
 		"comm_dropped_total":             "Messages dropped by fault injection, by kind.",
 		"comm_duplicated_total":          "Messages duplicated by fault injection, by kind.",
 		"comm_messages_all_total":        "Transport messages sent, all kinds.",
-		"comm_bytes_all_total":           "Transport payload bytes sent, all kinds.",
+		"comm_bytes_all_total":           "Wire-codec payload bytes sent, all kinds.",
 		"wire_frames_out_total":          "Encoded frames written to peer processes.",
 		"wire_bytes_out_total":           "Frame bytes written to peer processes.",
 		"wire_frames_in_total":           "Frames decoded from peer processes.",
@@ -224,7 +227,7 @@ func (rt *Runtime) EnableMetrics() *obs.Metrics {
 		m.SetHelp(fam, help)
 	}
 	rt.metrics = m
-	rt.nw.EnableByteAccounting()
+	rt.nw.EnableByteAccounting(wire.PayloadSize)
 	return m
 }
 
@@ -280,15 +283,15 @@ func (rt *Runtime) Metrics() *obs.Metrics {
 // on the runtime (the distributed balancer, the service) publish
 // periodic Snapshot frames to it from the lowest rank this runtime
 // hosts — in a multi-process job any node, or several, may attach one
-// (see Context.Watched) — and transport byte accounting is switched on
-// so the frames can carry byte totals. A nil stream — the default —
-// costs the publishing sites a single pointer comparison. Call before
-// Run.
+// (see Context.Watched) — and transport byte accounting (wire-codec
+// bytes, see EnableMetrics) is switched on so the frames can carry byte
+// totals. A nil stream — the default — costs the publishing sites a
+// single pointer comparison. Call before Run.
 func (rt *Runtime) SetStream(s *obs.Stream) {
 	rt.mustNotRun("SetStream")
 	rt.stream = s
 	if s != nil {
-		rt.nw.EnableByteAccounting()
+		rt.nw.EnableByteAccounting(wire.PayloadSize)
 	}
 }
 

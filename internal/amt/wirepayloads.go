@@ -9,9 +9,10 @@ import (
 // Wire codecs for every payload type the runtime itself puts on the
 // transport. IDs 1–15 are envelopes and control payloads (1, the user
 // envelope, is retired since wire v2: the epoch tag rides the frame
-// header and user data travels bare); 16–31 stay reserved for future
-// runtime types. Field order here IS the wire protocol — reordering or
-// widening a field is a wire.Version bump.
+// header and user data travels bare; v3 dropped the migration
+// envelope's size field, which no receiver read); 16–31 stay reserved
+// for future runtime types. Field order here IS the wire protocol —
+// reordering or widening a field is a wire.Version bump.
 //
 // User data and the nested Data/State fields round-trip through
 // Encoder.Any, so an application's payloads must be registered too (ids
@@ -34,13 +35,11 @@ func init() {
 	wire.RegisterPayload(3,
 		func(e *wire.Encoder, v migrateEnvelope) {
 			e.I64(int64(v.Obj))
-			e.I64(int64(v.Bytes))
 			e.Any(v.State)
 		},
 		func(d *wire.Decoder) migrateEnvelope {
 			return migrateEnvelope{
 				Obj:   ObjectID(d.I64()),
-				Bytes: int(d.I64()),
 				State: d.Any(),
 			}
 		})

@@ -30,7 +30,7 @@ func payloadBand(pkgPath string) (lo, hi int, name string) {
 var codecValueMethods = map[string]bool{
 	"U8": true, "U16": true, "U32": true, "U64": true,
 	"I32": true, "I64": true, "F64": true, "Bool": true,
-	"F64Slice": true, "Any": true,
+	"F64Slice": true, "Rows": true, "Any": true,
 }
 
 // payloadReg is one RegisterPayload call observed anywhere in the

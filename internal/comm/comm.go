@@ -1,8 +1,6 @@
 package comm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -38,9 +36,9 @@ const MaxKinds = 32
 // it is the one way to lose, duplicate, delay or reorder a message.
 //
 // The network always counts messages per kind (one atomic add per send).
-// Payload byte accounting — sizing every message's Data with the
-// reflection-based EstimateBytes — is opt-in via EnableByteAccounting
-// because the walk costs far more than the send itself.
+// Payload byte accounting — sizing every message's Data — is opt-in via
+// EnableByteAccounting, which is handed the sizer: what a payload weighs
+// is the wire codec's knowledge, and this package sits below it.
 type Network struct {
 	n       int
 	inboxes []*inbox
@@ -69,7 +67,7 @@ type Network struct {
 	bytesKind [MaxKinds]atomic.Int64
 	dropKind  [MaxKinds]atomic.Int64
 	dupKind   [MaxKinds]atomic.Int64
-	countB    atomic.Bool
+	size      atomic.Pointer[func(any) int]
 }
 
 // NewNetwork creates a network of n ranks, all of them local.
@@ -198,8 +196,8 @@ func (nw *Network) send(m Message, claim bool) bool {
 	}
 	m.Seq = nw.seq[m.From].Add(1)
 	nw.sentKind[m.Kind].Add(1)
-	if nw.countB.Load() {
-		nw.bytesKind[m.Kind].Add(int64(EstimateBytes(m.Data)))
+	if size := nw.size.Load(); size != nil {
+		nw.bytesKind[m.Kind].Add(int64((*size)(m.Data)))
 	}
 	if p := nw.plan.Load(); p != nil {
 		nw.faultedDeliver(p, m)
@@ -266,12 +264,15 @@ func (nw *Network) TotalSent() int64 {
 }
 
 // EnableByteAccounting turns on per-kind payload byte accounting: every
-// subsequent Send sizes its Data with EstimateBytes. Counts accumulated
-// before enabling are unaffected (their bytes were never measured).
-func (nw *Network) EnableByteAccounting() { nw.countB.Store(true) }
+// subsequent Send adds size(m.Data) to its kind's total. The runtime
+// passes wire.PayloadSize, so the totals are wire-codec bytes on every
+// transport. size is called from every sending goroutine at once.
+// Counts accumulated before enabling are unaffected (their bytes were
+// never measured).
+func (nw *Network) EnableByteAccounting(size func(any) int) { nw.size.Store(&size) }
 
 // ByteAccounting reports whether payload sizing is enabled.
-func (nw *Network) ByteAccounting() bool { return nw.countB.Load() }
+func (nw *Network) ByteAccounting() bool { return nw.size.Load() != nil }
 
 // SentByKind returns the number of messages of the given kind sent so
 // far.
@@ -608,15 +609,4 @@ func (ib *inbox) close() {
 	ib.closed = true
 	ib.mu.Unlock()
 	ib.cond.Broadcast()
-}
-
-// MeasureBytes gob-encodes v and returns the wire size, the byte
-// accounting used for migration-volume statistics. Types must be
-// gob-encodable; errors report a size of 0.
-func MeasureBytes(v any) int {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return 0
-	}
-	return buf.Len()
 }

@@ -200,21 +200,6 @@ func TestInboxCompaction(t *testing.T) {
 	}
 }
 
-func TestMeasureBytes(t *testing.T) {
-	if n := MeasureBytes([]float64{1, 2, 3}); n <= 0 {
-		t.Errorf("MeasureBytes = %d", n)
-	}
-	small := MeasureBytes([]byte{1})
-	big := MeasureBytes(make([]byte, 10000))
-	if big <= small {
-		t.Errorf("sizes not monotone: %d vs %d", small, big)
-	}
-	// Unencodable values report 0.
-	if n := MeasureBytes(func() {}); n != 0 {
-		t.Errorf("MeasureBytes(func) = %d", n)
-	}
-}
-
 func TestJitterDeliversEverything(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.SetFaultPlan(&FaultPlan{Seed: 0x5eed, DelayMax: 2 * time.Millisecond})
@@ -300,20 +285,17 @@ func TestSendBadKindPanics(t *testing.T) {
 }
 
 // TestByteAccountingConcurrentSenders hammers one network from many
-// sender goroutines with payloads of known estimated size and checks the
-// per-kind byte totals add up exactly — the counters must not lose
-// updates under contention.
+// sender goroutines with payloads the injected sizer gives a known size
+// and checks the per-kind byte totals add up exactly — the counters must
+// not lose updates under contention.
 func TestByteAccountingConcurrentSenders(t *testing.T) {
 	nw := NewNetwork(4)
-	nw.EnableByteAccounting()
+	nw.EnableByteAccounting(func(v any) int { return len(v.(string)) })
 	if !nw.ByteAccounting() {
 		t.Fatal("byte accounting not enabled")
 	}
-	payload := "0123456789abcdef" // strings size as header + length
-	per := EstimateBytes(payload)
-	if per <= len(payload) {
-		t.Fatalf("EstimateBytes(%q) = %d", payload, per)
-	}
+	payload := "0123456789abcdef"
+	per := len(payload)
 	const senders, each = 8, 400
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -338,64 +320,20 @@ func TestByteAccountingConcurrentSenders(t *testing.T) {
 	}
 }
 
-// TestByteAccountingOffByDefault checks the byte counters stay zero (and
-// no sizing work happens) unless explicitly enabled.
+// TestByteAccountingOffByDefault checks the byte counters stay zero
+// until a sizer is handed in, and count only the sends made after it.
 func TestByteAccountingOffByDefault(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 4096)})
-	if nw.TotalBytes() != 0 {
+	if nw.ByteAccounting() || nw.TotalBytes() != 0 {
 		t.Errorf("TotalBytes = %d without byte accounting", nw.TotalBytes())
 	}
 	if nw.SentByKind(1) != 1 {
 		t.Errorf("message counting must stay on: %d", nw.SentByKind(1))
 	}
-}
-
-func TestEstimateBytes(t *testing.T) {
-	type envelope struct {
-		EpochID int64
-		Data    any
-	}
-	cases := []struct {
-		name string
-		v    any
-		min  int // estimates must be at least this
-	}{
-		{"nil", nil, 0},
-		{"int", 42, 8},
-		{"string", "hello", 5},
-		{"float-slice", []float64{1, 2, 3}, 24},
-		{"envelope-with-iface", envelope{EpochID: 7, Data: []float64{1, 2, 3, 4}}, 8 + 32},
-		{"map", map[int]float64{1: 2, 3: 4}, 32},
-		{"nested-ptr", &envelope{Data: "x"}, 9},
-	}
-	for _, tc := range cases {
-		if got := EstimateBytes(tc.v); got < tc.min {
-			t.Errorf("%s: EstimateBytes = %d, want >= %d", tc.name, got, tc.min)
-		}
-	}
-	// Gob would refuse the interface field without registration; the
-	// estimator must handle it. Compare behaviours explicitly.
-	env := envelope{EpochID: 1, Data: []float64{1, 2, 3}}
-	if MeasureBytes(env) != 0 {
-		t.Log("gob learned to encode unregistered interfaces; estimator still fine")
-	}
-	if EstimateBytes(env) <= 24 {
-		t.Errorf("estimator too small for envelope: %d", EstimateBytes(env))
-	}
-	// Cycles terminate.
-	type node struct{ Next *node }
-	a, b := &node{}, &node{}
-	a.Next, b.Next = b, a
-	if got := EstimateBytes(a); got <= 0 {
-		t.Errorf("cyclic estimate = %d", got)
-	}
-	// Shared pointers counted once: two refs to one big struct should be
-	// far smaller than twice the standalone size.
-	big := &struct{ Buf [1024]byte }{}
-	double := EstimateBytes([]*struct{ Buf [1024]byte }{big, big})
-	single := EstimateBytes(big)
-	if double >= 2*single {
-		t.Errorf("shared pointer double-counted: pair %d vs single %d", double, single)
+	nw.EnableByteAccounting(func(v any) int { return len(v.([]byte)) })
+	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 7)})
+	if got := nw.BytesByKind(1); got != 7 {
+		t.Errorf("BytesByKind(1) = %d after one sized send of 7, want 7", got)
 	}
 }

@@ -53,7 +53,7 @@ type Transport interface {
 
 	SetFaultPlan(*FaultPlan)
 
-	EnableByteAccounting()
+	EnableByteAccounting(size func(any) int)
 	ByteAccounting() bool
 	TotalSent() int64
 	SentByKind(Kind) int64

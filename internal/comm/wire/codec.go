@@ -15,7 +15,7 @@ import (
 // or the meaning of an assigned payload id; peers speaking different
 // versions refuse each other at the first frame rather than
 // misinterpreting bytes.
-const Version = 2
+const Version = 3
 
 // Frame types. A frame is: u32 body length (big-endian, covering the
 // two header bytes and the body) | u8 version | u8 type | body.
@@ -39,6 +39,12 @@ const maxPayloadDepth = 32
 // frameHeaderLen is the byte length of the version+type header counted
 // inside the frame's declared length.
 const frameHeaderLen = 2
+
+// MessageOverhead is what a message frame costs before its payload: the
+// length word, the version+type header and the seven fixed fields of
+// AppendMessage's body layout. For every message m,
+// len(AppendMessage(nil, m)) == MessageOverhead + PayloadSize(m.Data).
+const MessageOverhead = 4 + frameHeaderLen + 4 + 4 + 2 + 4 + 8 + 8 + 8
 
 // PayloadID names a registered payload codec on the wire. IDs are part
 // of the protocol: the same type must carry the same id in every
@@ -115,6 +121,12 @@ func lookupID(id PayloadID) *payloadEntry {
 // Encoders are not goroutine-safe.
 type Encoder struct {
 	buf []byte
+
+	// sizing is PayloadSize's mode: the encoder runs as usual, except
+	// that Rows writes one row and adds the rest to elided, and Any
+	// skips a value that has no codec.
+	sizing bool
+	elided int
 }
 
 // Bytes returns the encoded buffer (owned by the encoder until Reset).
@@ -145,25 +157,43 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// F64Slice encodes a []float64 preserving nil-versus-empty: the length
-// word is 0 for nil and len+1 otherwise. The distinction is protocol —
-// a nil collective payload means "barrier", an empty one is a real
-// zero-width result.
-func (e *Encoder) F64Slice(v []float64) {
-	if v == nil {
+// Rows encodes a slice of n fixed-width rows: a length word that keeps
+// nil apart from empty (0 for nil, n+1 otherwise), then the rows, which
+// rows(lo, hi) writes for the indices [lo, hi) — every row the same
+// number of bytes. It is the codec's one bulk primitive, and the reason
+// a payload's size is arithmetic in its slice lengths: an encoder that
+// is only sizing asks for the first row and multiplies.
+func (e *Encoder) Rows(n int, isNil bool, rows func(lo, hi int)) {
+	if isNil {
 		e.U32(0)
 		return
 	}
-	e.U32(uint32(len(v)) + 1)
-	for _, f := range v {
-		e.F64(f)
+	e.U32(uint32(n) + 1)
+	if e.sizing && n > 1 {
+		start := len(e.buf)
+		rows(0, 1)
+		e.elided += (n - 1) * (len(e.buf) - start)
+		return
 	}
+	rows(0, n)
+}
+
+// F64Slice encodes a []float64 as Rows of one F64. Nil-versus-empty is
+// protocol: a nil collective payload means "barrier", an empty one is a
+// real zero-width result.
+func (e *Encoder) F64Slice(v []float64) {
+	e.Rows(len(v), v == nil, func(lo, hi int) {
+		for _, f := range v[lo:hi] {
+			e.F64(f)
+		}
+	})
 }
 
 // Any encodes a registered payload value prefixed by its PayloadID, or
 // id 0 for nil. Unregistered types panic with the registration hint:
 // sending such a value is a deploy-time wiring bug, not a runtime
-// condition to recover from.
+// condition to recover from. (PayloadSize, which sizes what the memory
+// transport carries unencoded, skips them: no wire form, no bytes.)
 func (e *Encoder) Any(v any) {
 	if v == nil {
 		e.U16(0)
@@ -171,10 +201,37 @@ func (e *Encoder) Any(v any) {
 	}
 	ent := lookupType(reflect.TypeOf(v))
 	if ent == nil {
+		if e.sizing {
+			return
+		}
 		panic(fmt.Sprintf("wire: no payload codec registered for %T; register it with wire.RegisterPayload (application ids start at 64)", v))
 	}
 	e.U16(uint16(ent.id))
 	ent.enc(e, v)
+}
+
+// encoders recycles the Encoder of AppendMessage and PayloadSize: the
+// registered encode functions are called through a func value, so an
+// Encoder declared on the stack would be moved to the heap on every
+// call. A pooled encoder keeps PayloadSize's scratch buffer in buf.
+var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+
+// PayloadSize returns the number of bytes Encoder.Any writes for v —
+// the payload id plus the body, 2 for nil — by running v's registered
+// encoder, so it cannot disagree with AppendMessage. It is the one
+// place a payload is sized: the transport's byte accounting and the
+// runtime's migration volume both call it. Slices encoded with Rows
+// cost one row, whatever their length. A type with no registered codec
+// has no wire form and counts zero (nested in an envelope, the envelope
+// alone is counted).
+func PayloadSize(v any) int {
+	e := encoders.Get().(*Encoder)
+	e.sizing = true
+	e.Any(v)
+	n := len(e.buf) + e.elided
+	*e = Encoder{buf: e.buf[:0]}
+	encoders.Put(e)
+	return n
 }
 
 // Decoder reads the Encoder's format back with a sticky error: the
@@ -275,16 +332,27 @@ func (d *Decoder) Bool() bool {
 	}
 }
 
-// F64Slice decodes F64Slice's nil-preserving layout, validating the
-// claimed length against the remaining bytes before allocating.
-func (d *Decoder) F64Slice() []float64 {
+// Rows reads the length word Encoder.Rows wrote: n rows of width bytes
+// each follow, unless isNil. The claim is validated against the
+// remaining bytes, so the caller may allocate n rows; a failed read
+// reports nil.
+func (d *Decoder) Rows(width int) (n int, isNil bool) {
 	word := d.U32()
 	if word == 0 || d.err != nil {
-		return nil
+		return 0, true
 	}
-	n := int(word - 1)
-	if n*8 > d.Remaining() {
-		d.fail("float slice of %d entries exceeds %d remaining bytes", n, d.Remaining())
+	n = int(word - 1)
+	if n*width > d.Remaining() {
+		d.fail("%d rows of %d bytes exceed %d remaining bytes", n, width, d.Remaining())
+		return 0, true
+	}
+	return n, false
+}
+
+// F64Slice decodes F64Slice's nil-preserving layout.
+func (d *Decoder) F64Slice() []float64 {
+	n, isNil := d.Rows(8)
+	if isNil {
 		return nil
 	}
 	v := make([]float64, n)
@@ -324,9 +392,10 @@ func (d *Decoder) Any() any {
 // i64 MsgID, i64 Epoch, then the Any-encoded Data. Encoding is
 // deterministic: equal messages produce equal bytes.
 func AppendMessage(buf []byte, m comm.Message) []byte {
-	var e Encoder
+	e := encoders.Get().(*Encoder)
+	scratch := e.buf
 	e.buf = buf
-	start := beginFrame(&e, frameMessage)
+	start := beginFrame(e, frameMessage)
 	e.U32(uint32(m.From))
 	e.U32(uint32(m.To))
 	e.U16(uint16(m.Kind))
@@ -335,7 +404,10 @@ func AppendMessage(buf []byte, m comm.Message) []byte {
 	e.I64(m.MsgID)
 	e.I64(m.Epoch)
 	e.Any(m.Data)
-	return endFrame(&e, start)
+	buf = endFrame(e, start)
+	e.buf = scratch
+	encoders.Put(e)
+	return buf
 }
 
 // DecodeMessage decodes a message frame body (the bytes after the

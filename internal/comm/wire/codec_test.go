@@ -147,6 +147,24 @@ func TestEncodeUnregisteredPanics(t *testing.T) {
 	e.Any(nobody{1})
 }
 
+// TestPayloadSizeUnregisteredCountsZero: a value with no codec has no
+// wire form, so sizing it is zero rather than Any's panic — at the top,
+// and nested, where the envelope around it is all that is counted.
+func TestPayloadSizeUnregisteredCountsZero(t *testing.T) {
+	registerTestPayloads()
+	type nobody struct{ X int }
+	if n := PayloadSize(nobody{1}); n != 0 {
+		t.Errorf("PayloadSize(unregistered) = %d, want 0", n)
+	}
+	const envelope = 2 + 8 + 4 + 1 // id, A, nil B, Flag
+	if n := PayloadSize(testPayload{Inner: nobody{1}}); n != envelope {
+		t.Errorf("PayloadSize(envelope around unregistered) = %d, want %d", n, envelope)
+	}
+	if n := PayloadSize(testPayload{}); n != envelope+2 {
+		t.Errorf("PayloadSize(envelope around nil) = %d, want %d", n, envelope+2)
+	}
+}
+
 func TestHelloRoundTrip(t *testing.T) {
 	h := helloBody{JobID: 0xDEADBEEF, Ranks: 12, Nodes: 3, Node: 2, Lo: 8, Hi: 12}
 	frame := appendHello(nil, h)

@@ -12,15 +12,16 @@ import (
 	"temperedlb/internal/core"
 )
 
-// registerColorState installs the wire codec for the test object state,
-// in the application id band, so migrations can cross process-style
-// transport boundaries. The Blob padding is never written by any test,
-// so only Load crosses the wire and the decoded state is equal.
-var registerColorState = sync.OnceFunc(func() {
+// The wire codec for the test object state, in the application id band,
+// so migrations can cross process-style transport boundaries and every
+// test's MigrationBytes is 10 per object whichever tests ran before it.
+// The Blob padding is never written by any test, so only Load crosses
+// the wire and the decoded state is equal.
+func init() {
 	wire.RegisterPayload(100,
 		func(e *wire.Encoder, s *colorState) { e.F64(s.Load) },
 		func(d *wire.Decoder) *colorState { return &colorState{Load: d.F64()} })
-})
+}
 
 // crossTransportConfig pins Rounds to 1: single-round gossip knowledge
 // is a pure canonicalized merge, independent of arrival order, whereas
@@ -56,7 +57,6 @@ func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int,
 // reported as deadlocked.
 func runNodes(t *testing.T, transport string, nodes, nRanks, hot, objsPerHot int, setup func(node int, rt *amt.Runtime)) []DistResult {
 	t.Helper()
-	registerColorState()
 	cfg := crossTransportConfig()
 
 	results := make([]DistResult, nRanks)

@@ -129,7 +129,8 @@ type DistResult struct {
 	BestTrial        int
 	BestIteration    int
 	// Migrations and MigrationBytes count the objects this rank shipped
-	// out while committing the chosen distribution.
+	// out while committing the chosen distribution, and their states'
+	// wire-codec bytes (wire.PayloadSize).
 	Migrations     int
 	MigrationBytes int
 	// History holds per-iteration accounting aggregated over all ranks —

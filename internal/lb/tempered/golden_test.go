@@ -35,7 +35,12 @@ type workingSetGolden struct {
 // protocol-determined. Trajectories, best pick, per-rank migration
 // counts and the committed placement must all match to the bit; JSON
 // renders a float64 as its shortest round-trip decimal, so comparing
-// bytes compares bits.
+// bytes compares bits. Regenerate with -update-golden only for an
+// intended protocol change; the one re-recording so far changed the four
+// non-zero MigrationBytes entries and nothing else, when a state's size
+// became what the wire codec writes (10 bytes for a *colorState: the
+// payload id and one F64) instead of a gob stream with its type
+// descriptor (≈150).
 func TestDistributedWorkingSetGolden(t *testing.T) {
 	const nRanks = 64
 	a, err := workload.Generate(workload.Spec{

@@ -13,31 +13,21 @@ func init() {
 	wire.RegisterPayload(32,
 		func(e *wire.Encoder, v core.InformMsg) {
 			e.I64(int64(v.Round))
-			if v.Entries == nil {
-				e.U32(0)
-				return
-			}
-			e.U32(uint32(len(v.Entries)) + 1)
-			for _, en := range v.Entries {
-				e.I32(int32(en.Rank))
-				e.F64(en.Load)
-			}
+			e.Rows(len(v.Entries), v.Entries == nil, func(lo, hi int) {
+				for _, en := range v.Entries[lo:hi] {
+					e.I32(int32(en.Rank))
+					e.F64(en.Load)
+				}
+			})
 		},
 		func(d *wire.Decoder) core.InformMsg {
 			m := core.InformMsg{Round: int(d.I64())}
-			word := d.U32()
-			if word == 0 || d.Err() != nil {
-				return m
-			}
-			n := int(word - 1)
-			if n*12 > d.Remaining() {
-				d.Failf("inform message claims %d entries with %d bytes left", n, d.Remaining())
-				return m
-			}
-			m.Entries = make([]core.RankLoad, n)
-			for i := range m.Entries {
-				m.Entries[i].Rank = core.Rank(d.I32())
-				m.Entries[i].Load = d.F64()
+			if n, isNil := d.Rows(12); !isNil {
+				m.Entries = make([]core.RankLoad, n)
+				for i := range m.Entries {
+					m.Entries[i].Rank = core.Rank(d.I32())
+					m.Entries[i].Load = d.F64()
+				}
 			}
 			return m
 		})

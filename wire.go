@@ -24,6 +24,13 @@ type (
 // Registration typically happens in an init function, mirroring
 // encoding/gob's Register. Panics on a duplicate id, like the
 // underlying registry.
+//
+// The codec is also how the runtime weighs T: comm_bytes_total and
+// amt_migration_bytes_total are the bytes the registered encoder
+// writes, on every transport, and a value whose type has no codec
+// counts zero. Encode a slice of fixed-width elements with
+// WireEncoder.Rows (WireDecoder.Rows reads it back) and sizing it is
+// arithmetic instead of a walk.
 func RegisterWirePayload[T any](id WirePayloadID, enc func(*WireEncoder, T), dec func(*WireDecoder) T) {
 	wire.RegisterPayload(id, enc, dec)
 }

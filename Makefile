@@ -145,9 +145,13 @@ bench-compare:
 
 # How much code there is: non-test Go lines per package (bench/ is the
 # benchmark, not the product; go list already skips testdata and
-# dot-directories), their total, and the number of identifiers the root
+# dot-directories), their total, the number of identifiers the root
 # package exports (package-level funcs, types, vars and consts of the
-# gofmt-formatted non-test files). A PR that says "simpler" quotes this.
+# gofmt-formatted non-test files), and the command-line flags declared
+# under cmd/ (every x.Int / x.StringVar / … call, on any receiver, that
+# names its flag; a name declared twice is a vocabulary drifting apart —
+# the shared ones live once in cmd/internal/cli). A PR that says "simpler"
+# quotes this.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | grep -v '^temperedlb/bench ' | \
 	while read pkg dir files; do \
@@ -159,3 +163,7 @@ loc:
 		/^\)/ { group = 0 } \
 		group && /^\t[A-Z]/ { sub(/=.*/, ""); n += split($$0, names, ",") } \
 		END { printf "%-40s %6d\n", "temperedlb exported identifiers", n }'
+	@find cmd -name '*.go' ! -name '*_test.go' | xargs grep -ohE \
+		'\b[a-zA-Z_]+\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(([^"()]*, )?"[^"]+"' | \
+		sed 's/"$$//; s/.*"//' | sort | uniq -c | \
+		awk '{ n += $$1 } END { printf "%-40s %6s\n", "flag declarations / distinct names", n " / " NR }'

@@ -8,11 +8,10 @@ import (
 	"io"
 	"log"
 	"os"
-	"os/signal"
 	"strings"
 	"time"
 
-	"temperedlb/internal/comm"
+	"temperedlb/cmd/internal/cli"
 	"temperedlb/internal/core"
 	"temperedlb/internal/empire"
 	"temperedlb/internal/lbaf"
@@ -24,24 +23,29 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("empire: ")
+	// -seed is the physics seed; -trace the virtual per-step timeline, one
+	// track per configuration; -serve one frame per simulated step.
 	var (
-		exp        = flag.String("exp", "all", "experiment: fig2 | fig3 | fig4a | fig4b | fig4c | fig4d | all")
-		scale      = flag.String("scale", "full", "full (paper scale, 400 ranks) | small (test scale)")
-		steps      = flag.Int("steps", 0, "override timestep count (0 = config default)")
-		trials     = flag.Int("trials", 0, "override TemperedLB trials (0 = paper's 10)")
-		iters      = flag.Int("iters", 0, "override TemperedLB iterations (0 = paper's 8)")
-		rounds     = flag.Int("k", 3, "gossip rounds for the distributed balancers (~log_f P)")
-		every      = flag.Int("every", 0, "series sampling stride (0 = auto)")
-		seed       = flag.Int64("seed", 1, "physics seed")
-		csvDir     = flag.String("csv", "", "also dump per-step series as CSV files into this directory")
-		plot       = flag.Bool("plot", false, "render ASCII charts of the fig4a/fig4c series")
-		dumpStep   = flag.Int("dumpstep", 0, "run the physics to this step and dump the color loads as a JSON workload trace (requires -dumpfile)")
-		dumpFile   = flag.String("dumpfile", "", "trace output path for -dumpstep")
-		traceOut   = flag.String("trace", "", "write the virtual per-step timeline as Chrome trace_event JSON to this file (one track per configuration; open in Perfetto)")
-		metricsOut = flag.String("metrics", "", "write per-configuration summary metrics in Prometheus text format to this file")
-		workers    = flag.Int("workers", 0, "concurrent tracker goroutines per step (0 = GOMAXPROCS, 1 = serial); output is identical at any worker count")
-		faults     = flag.String("faults", "", "inject gossip transport faults in the simulated balancers, e.g. \"seed=7,drop=0.05,dup=0.02,delay=5ms,slow=3:2ms\" (retry knobs are distributed-only no-ops)")
-		serveAddr  = flag.String("serve", "", "serve live observability HTTP on this address: every tracker publishes one frame per simulated step (watch with lbtop -url)")
+		wl  = cli.Workload{Seed: 1}
+		rtf cli.Runtime
+		out cli.Outputs
+	)
+	wl.Register(flag.CommandLine, "seed")
+	rtf.Register(flag.CommandLine, "faults")
+	out.Register(flag.CommandLine, "trace", "metrics", "serve")
+	var (
+		exp      = flag.String("exp", "all", "experiment: fig2 | fig3 | fig4a | fig4b | fig4c | fig4d | all")
+		scale    = flag.String("scale", "full", "full (paper scale, 400 ranks) | small (test scale)")
+		steps    = flag.Int("steps", 0, "override timestep count (0 = config default)")
+		trials   = flag.Int("trials", 0, "override TemperedLB trials (0 = paper's 10)")
+		iters    = flag.Int("iters", 0, "override TemperedLB iterations (0 = paper's 8)")
+		rounds   = flag.Int("k", 3, "gossip rounds for the distributed balancers (~log_f P)")
+		every    = flag.Int("every", 0, "series sampling stride (0 = auto)")
+		csvDir   = flag.String("csv", "", "also dump per-step series as CSV files into this directory")
+		plot     = flag.Bool("plot", false, "render ASCII charts of the fig4a/fig4c series")
+		dumpStep = flag.Int("dumpstep", 0, "run the physics to this step and dump the color loads as a JSON workload trace (requires -dumpfile)")
+		dumpFile = flag.String("dumpfile", "", "trace output path for -dumpstep")
+		workers  = flag.Int("workers", 0, "concurrent tracker goroutines per step (0 = GOMAXPROCS, 1 = serial); output is identical at any worker count")
 	)
 	flag.Parse()
 
@@ -49,7 +53,7 @@ func main() {
 	if *scale == "small" {
 		cfg = empire.Small()
 	}
-	cfg.Seed = *seed
+	cfg.Seed = wl.Seed
 	if *steps > 0 {
 		cfg.Steps = *steps
 		cfg.Dt = 1.0 / float64(*steps)
@@ -62,7 +66,7 @@ func main() {
 		stride = *every
 	}
 
-	faultSpec, err := comm.ParseFaultSpec(*faults)
+	faultSpec, err := rtf.FaultSpec()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,19 +97,12 @@ func main() {
 		return
 	}
 
-	var stream *obs.Stream
-	if *serveAddr != "" {
-		stream = obs.NewStream(obs.DefaultStreamCapacity)
-		srv, bound, err := obs.StartServer(*serveAddr, stream, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		log.Printf("serving observability on http://%s (attach with: lbtop -url http://%s)", bound, bound)
+	if err := out.Open(nil); err != nil {
+		log.Fatal(err)
 	}
 	attachStream := func(trackers []*sim.Tracker) {
 		for _, t := range trackers {
-			t.Stream = stream
+			t.Stream = out.Stream()
 		}
 	}
 
@@ -169,24 +166,12 @@ func main() {
 		log.Fatalf("unknown experiment %q", *exp)
 	}
 
-	if *traceOut != "" {
-		events, names := virtualTimeline(allTrackers)
-		writeExport(*traceOut, func(w io.Writer) error {
-			return obs.WriteChromeTraceNamed(w, events, names)
-		})
-		log.Printf("wrote %d virtual-time trace events to %s (open in ui.perfetto.dev)", len(events), *traceOut)
+	x := cli.Export{Metrics: trackerMetrics(allTrackers)}
+	if out.Trace != "" {
+		x.Events, x.Tracks = virtualTimeline(allTrackers)
 	}
-	if *metricsOut != "" {
-		writeExport(*metricsOut, func(w io.Writer) error {
-			return obs.WritePrometheus(w, trackerMetrics(allTrackers))
-		})
-		log.Printf("wrote metrics to %s", *metricsOut)
-	}
-	if *serveAddr != "" {
-		log.Print("run finished; still serving recorded frames (Ctrl-C to exit)")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
+	if err := out.Finish(x); err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -236,7 +221,7 @@ func trackerMetrics(trackers []*sim.Tracker) *obs.Metrics {
 	m.SetHelp("empire_total_step_seconds", "Total modeled step time in virtual seconds.")
 	m.SetHelp("empire_imbalance_final", "Imbalance I after the final timestep.")
 	for _, t := range trackers {
-		label := metricLabel(t.Name)
+		label := cli.MetricLabel(t.Name)
 		m.Counter(obs.LabeledName("empire_lb_invocations_total", "config", label)).Add(int64(t.LBStats.Invocations))
 		m.Counter(obs.LabeledName("empire_lb_messages_total", "config", label)).Add(int64(t.LBStats.Messages))
 		m.Counter(obs.LabeledName("empire_lb_moved_tasks_total", "config", label)).Add(int64(t.LBStats.MovedTasks))
@@ -251,36 +236,6 @@ func trackerMetrics(trackers []*sim.Tracker) *obs.Metrics {
 		}
 	}
 	return m
-}
-
-// metricLabel reduces a configuration name to a label-safe slug.
-func metricLabel(name string) string {
-	name = strings.ToLower(name)
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		case b.Len() > 0 && !strings.HasSuffix(b.String(), "_"):
-			b.WriteByte('_')
-		}
-	}
-	return strings.Trim(b.String(), "_")
-}
-
-// writeExport creates path and streams one exporter into it.
-func writeExport(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
 }
 
 // dumpWorkloadAt advances the physics alone to the given step and
@@ -300,10 +255,5 @@ func dumpWorkloadAt(cfg empire.Config, step int, path string) error {
 	for c, l := range loads {
 		a.Add(l, app.Coloring.HomeRank(mesh.ColorID(c)))
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return lbaf.SaveWorkload(f, a)
+	return cli.WriteExport(path, func(w io.Writer) error { return lbaf.SaveWorkload(w, a) })
 }

@@ -11,14 +11,16 @@ import (
 	"net"
 	"time"
 
+	"temperedlb/cmd/internal/cli"
 	"temperedlb/internal/comm/wire"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lbcoord: ")
+	job := cli.Runtime{Nodes: 2} // -nodes: the lbnode processes to wait for
+	job.Register(flag.CommandLine, "nodes")
 	var (
-		nodes   = flag.Int("nodes", 2, "number of lbnode processes to wait for")
 		listen  = flag.String("listen", "127.0.0.1:9099", "address to listen on (lbnode -coord points here)")
 		timeout = flag.Duration("timeout", 60*time.Second, "give up if the job has not fully checked in after this long")
 	)
@@ -28,14 +30,14 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen %s: %v (address already in use?)", *listen, err)
 	}
-	log.Printf("waiting for %d nodes on %s", *nodes, ln.Addr())
+	log.Printf("waiting for %d nodes on %s", job.Nodes, ln.Addr())
 
-	specs, err := wire.ServeRendezvous(ln, *nodes, *timeout)
+	specs, err := wire.ServeRendezvous(ln, job.Nodes, *timeout)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, s := range specs {
 		fmt.Printf("node %d  ranks [%d,%d)  %s\n", s.Node, s.Lo, s.Hi, s.Addr)
 	}
-	log.Printf("distributed the map to %d nodes; done", *nodes)
+	log.Printf("distributed the map to %d nodes; done", job.Nodes)
 }

@@ -1,16 +1,28 @@
 package main
 
 import (
+	"errors"
+	"net"
 	"strings"
 	"testing"
+
+	"temperedlb/cmd/internal/cli"
+	"temperedlb/internal/amt"
+	"temperedlb/internal/comm/wire"
 )
 
+// TestValidateGeometry drives the one validation path every runtime binary
+// takes (cli.Runtime.Validate) through lbnode's geometry, the strictest:
+// node index, listen address and rendezvous included. The last rows are
+// the in-process case (no Self), which lbplay and lbserve take.
 func TestValidateGeometry(t *testing.T) {
 	type args struct {
-		ranks, nodes, node                  int
-		transport, listen, peers, coordAddr string
+		ranks, nodes, node, fanout, rounds          int
+		transport, listen, peers, coordAddr, faults string
+		inProcess                                   bool
 	}
-	ok := args{ranks: 12, nodes: 2, node: 0, transport: "tcp", peers: "peers.txt"}
+	ok := args{ranks: 12, nodes: 2, node: 0, fanout: 4, transport: "tcp", peers: "peers.txt"}
+	inProcess := func(a *args) { a.inProcess, a.peers, a.node = true, "", -1 }
 	cases := []struct {
 		name    string
 		mutate  func(*args)
@@ -32,12 +44,30 @@ func TestValidateGeometry(t *testing.T) {
 		{"unix without listen", func(a *args) { a.transport = "unix" }, "-listen socket path"},
 		{"both rendezvous", func(a *args) { a.coordAddr = "127.0.0.1:9999" }, "pick one"},
 		{"no rendezvous", func(a *args) { a.peers = "" }, "no rendezvous configured"},
+
+		{"fanout one", func(a *args) { a.fanout = 1 }, "-fanout 1"},
+		{"negative rounds", func(a *args) { a.rounds = -1 }, "-rounds -1"},
+		{"bad fault spec", func(a *args) { a.faults = "drop" }, "-faults"},
+		{"memory transport", func(a *args) { a.transport = "memory" }, "want tcp or unix"},
+		{"in-process memory", func(a *args) { inProcess(a); a.transport = "memory" }, ""},
+		{"in-process memory ignores nodes", func(a *args) { inProcess(a); a.transport, a.nodes = "memory", 0 }, ""},
+		{"in-process unix", func(a *args) { inProcess(a); a.transport = "unix" }, ""},
+		{"in-process zero ranks", func(a *args) { inProcess(a); a.transport, a.ranks = "memory", 0 }, "-ranks 0"},
+		{"in-process zero nodes", func(a *args) { inProcess(a); a.transport, a.nodes = "unix", 0 }, "-nodes 0"},
+		{"in-process nodes above ranks", func(a *args) { inProcess(a); a.nodes = 13 }, "ranks must be >= nodes"},
+		{"in-process fanout one", func(a *args) { inProcess(a); a.transport, a.fanout = "memory", 1 }, "-fanout 1"},
+		{"in-process unknown transport", func(a *args) { inProcess(a); a.transport = "quic" }, "want memory, unix or tcp"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mutate(&a)
-			err := validateGeometry(a.ranks, a.nodes, a.node, a.transport, a.listen, a.peers, a.coordAddr)
+			rt := cli.Runtime{Transport: a.transport, Nodes: a.nodes, Fanout: a.fanout, Rounds: a.rounds, Faults: a.faults}
+			self := &cli.Self{Node: a.node, Listen: a.listen, Peers: a.peers, Coord: a.coordAddr}
+			if a.inProcess {
+				self = nil
+			}
+			err := rt.Validate(a.ranks, self)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid geometry rejected: %v", err)
@@ -47,9 +77,64 @@ func TestValidateGeometry(t *testing.T) {
 			if err == nil {
 				t.Fatalf("accepted; want error containing %q", tc.wantErr)
 			}
+			if !strings.HasPrefix(err.Error(), "-") && !strings.HasPrefix(err.Error(), "no rendezvous") {
+				t.Errorf("error %q does not start with the flag it is about", err)
+			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestNodeErrorNamesTheFailedTransport: lbnode's share of a job (amt.Join
+// over the transport it connected) reports a rank's error as an error —
+// the process used to die inside the rank body, transport open — and when
+// a stray client has failed the node's socket with garbage, says that
+// ahead of the rank error it caused.
+func TestNodeErrorNamesTheFailedTransport(t *testing.T) {
+	refused := func(*amt.Runtime) func(*amt.Context) error {
+		return func(rc *amt.Context) error {
+			if rc.Rank() > 0 {
+				return errors.New("config refused")
+			}
+			return nil
+		}
+	}
+	cluster, err := wire.NewCluster("unix", 4, 2, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	peer := make(chan error, 1)
+	go func() { peer <- amt.Join("unix", cluster.Transports[1]).Run(refused) }()
+	if err := amt.Join("unix", cluster.Transports[0]).Run(refused); err == nil || err.Error() != "rank 1: config refused" {
+		t.Errorf("node 0: got %v", err)
+	}
+	if err := <-peer; err == nil || err.Error() != "rank 2: config refused" {
+		t.Errorf("node 1: got %v", err)
+	}
+
+	cluster, err = wire.NewCluster("unix", 4, 2, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	victim := cluster.Transports[1]
+	conn, err := net.Dial("unix", victim.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0, 0, 0, 2, 0xEE, 0xEE}); err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := victim.LocalRange()
+	if _, ok := victim.RecvWait(lo); ok { // returns once the failed transport has closed itself
+		t.Fatal("message on an idle transport")
+	}
+	err = amt.Join("unix", victim).Run(refused)
+	if err == nil || !strings.HasPrefix(err.Error(), "unix transport failed: ") {
+		t.Fatalf("failed transport: got %v", err)
 	}
 }

@@ -1,46 +1,91 @@
 package main
 
 import (
-	"errors"
-	"net"
+	"flag"
+	"io"
 	"strings"
 	"testing"
-
-	"temperedlb/internal/comm/wire"
 )
 
-// TestJobErrorNamesTheFailedTransport: a stray client that opens a node's
-// socket with garbage fails that transport; the run's verdict must say so
-// ahead of any rank's error, and be nil for a clean job.
-func TestJobErrorNamesTheFailedTransport(t *testing.T) {
-	cluster, err := wire.NewCluster("unix", 4, 2, 99)
-	if err != nil {
-		t.Fatal(err)
+// TestFlagAppliesToMode: a flag the chosen mode does not read is refused by
+// name, whichever it is, and every flag is accepted in a mode that reads
+// it. -order under -distributed, and -rounds, -fanout and -nodes without
+// it, used to be accepted and ignored.
+func TestFlagAppliesToMode(t *testing.T) {
+	const engine, distributed, both = 1, 2, 3
+	for _, tc := range []struct {
+		args []string // one flag and its value
+		mode int      // the modes that read it
+	}{
+		{[]string{"-ranks", "8"}, both},
+		{[]string{"-tasks", "50"}, both},
+		{[]string{"-loaded", "2"}, both},
+		{[]string{"-placement", "uniform"}, both},
+		{[]string{"-loads", "exp"}, both},
+		{[]string{"-seed", "9"}, both},
+		{[]string{"-trace", "t.json"}, both},
+		{[]string{"-strategy", "greedy"}, engine},
+		{[]string{"-order", "arbitrary"}, engine},
+		{[]string{"-transport", "unix"}, distributed},
+		{[]string{"-fanout", "2"}, distributed},
+		{[]string{"-faults", "drop=0.1"}, distributed},
+		{[]string{"-rounds", "1"}, distributed},
+		{[]string{"-metrics", "m.prom"}, distributed},
+		{[]string{"-serve", ":0"}, distributed},
+		{[]string{"-frames", "f.ndjson"}, distributed},
+		{[]string{"-result", "r.json"}, distributed},
+	} {
+		for _, mode := range []int{engine, distributed} {
+			args, when := tc.args, "without -distributed"
+			if mode == distributed {
+				args, when = append([]string{"-distributed"}, args...), "with -distributed -transport memory"
+			}
+			fs := flag.NewFlagSet("lbplay", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			_, err := parse(fs, args)
+			switch want := tc.args[0] + " has no effect " + when; {
+			case tc.mode&mode != 0 && err != nil:
+				t.Errorf("lbplay %s: %v", strings.Join(args, " "), err)
+			case tc.mode&mode == 0 && (err == nil || err.Error() != want):
+				t.Errorf("lbplay %s: got %v, want %q", strings.Join(args, " "), err, want)
+			}
+		}
 	}
-	defer cluster.Close()
-	if err := jobError("unix", cluster, make([]error, 4)); err != nil {
-		t.Fatalf("clean job: %v", err)
-	}
-	rankErr := []error{nil, nil, errors.New("boom"), nil}
-	if err := jobError("memory", nil, rankErr); err == nil || err.Error() != "rank 2: boom" {
-		t.Fatalf("rank error: got %v", err)
-	}
+}
 
-	victim := cluster.Transports[1]
-	conn, err := net.Dial("unix", victim.Addr())
-	if err != nil {
-		t.Fatal(err)
+// TestNodesAppliesToSocketJobs: -nodes is read by a -distributed job on a
+// socket transport only; the in-memory job has no nodes and used to accept
+// and ignore it.
+func TestNodesAppliesToSocketJobs(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-nodes 3", "-nodes has no effect without -distributed"},
+		{"-distributed -nodes 3", "-nodes has no effect with -distributed -transport memory"},
+		{"-distributed -transport memory -nodes 3", "-nodes has no effect with -distributed -transport memory"},
+		{"-distributed -transport unix -nodes 3", ""},
+		{"-distributed -transport tcp -nodes 3", ""},
+	} {
+		fs := flag.NewFlagSet("lbplay", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parse(fs, strings.Fields(tc.args))
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("lbplay %s: got %q, want %q", tc.args, got, tc.want)
+		}
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{0, 0, 0, 2, 0xEE, 0xEE}); err != nil {
-		t.Fatal(err)
-	}
-	lo, _ := victim.LocalRange()
-	if _, ok := victim.RecvWait(lo); ok { // returns once the failed transport has closed itself
-		t.Fatal("message on an idle transport")
-	}
-	err = jobError("unix", cluster, rankErr)
-	if err == nil || !strings.HasPrefix(err.Error(), "unix transport failed: ") {
-		t.Fatalf("failed transport: got %v", err)
+}
+
+// TestServiceModeIsGone: `lbplay -service` was a second driver of the
+// online service that accepted -trace, -faults, -rounds and -result and
+// ignored them. cmd/lbserve is the service; here its flags are unknown.
+func TestServiceModeIsGone(t *testing.T) {
+	for _, name := range []string{"-service", "-scenario", "-phases", "-trigger", "-lbcost"} {
+		fs := flag.NewFlagSet("lbplay", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parse(fs, []string{name, "1"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("lbplay %s: got %v, want an unknown-flag error", name, err)
+		}
 	}
 }

@@ -10,6 +10,7 @@
 // Modes:
 //
 //	lbserve [flags]                  run the service, print the trigger log
+//	                                 (-serve/-frames/-metrics to watch it)
 //	lbserve -record FILE [flags]     write the scenario's event trace as JSON
 //	lbserve -tune FAMILIES [flags]   grid-search trigger parameters offline
 //	                                 (against -trace FILE, or the scenario)
@@ -19,55 +20,56 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
-	"sync"
 
 	"temperedlb"
-	"temperedlb/internal/comm/wire"
+	"temperedlb/cmd/internal/cli"
+	"temperedlb/internal/amt"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("lbserve: ")
 	var (
+		wl  = cli.Workload{Ranks: 8, Seed: 7}
+		svc = cli.Service{Scenario: "burst", Phases: 40, Trigger: "forecast", LBCost: 20}
+		rtf = cli.Runtime{Transport: "memory", Nodes: 2, Fanout: 4}
+		out cli.Outputs
+	)
+	wl.Register(flag.CommandLine, "ranks", "seed")
+	svc.Register(flag.CommandLine)
+	rtf.Register(flag.CommandLine, "transport", "nodes", "fanout")
+	out.Register(flag.CommandLine, "metrics", "serve", "frames")
+	var (
 		// Scenario.
-		scenario = flag.String("scenario", "burst", "workload stream: ramp | diurnal | burst | churn")
-		ranks    = flag.Int("ranks", 8, "number of ranks")
-		phases   = flag.Int("phases", 40, "number of service phases")
-		items    = flag.Int("items", 64, "number of logical tasks over the run")
-		seed     = flag.Int64("seed", 7, "scenario and protocol seed")
-		hot      = flag.Int("hot", 0, "ranks homing the skewed share of the items (0 = ranks/4)")
+		items = flag.Int("items", 64, "number of logical tasks over the run")
+		hot   = flag.Int("hot", 0, "ranks homing the skewed share of the items (0 = ranks/4)")
 
-		// Trigger and predictor.
-		trigger = flag.String("trigger", "forecast", "always | every:K | threshold:H | forecast[:headroom=X]")
-		alpha   = flag.Float64("alpha", 0.5, "load model level smoothing in (0,1]")
-		beta    = flag.Float64("beta", 0.3, "load model trend smoothing in [0,1]")
-		maxAge  = flag.Int("maxage", 0, "phases an absent object survives in the model (0 = default)")
-		lbCost  = flag.Float64("lbcost", 20, "cost of one balancer invocation, in load units")
+		// Predictor.
+		alpha  = flag.Float64("alpha", 0.5, "load model level smoothing in (0,1]")
+		beta   = flag.Float64("beta", 0.3, "load model trend smoothing in [0,1]")
+		maxAge = flag.Int("maxage", 0, "phases an absent object survives in the model (0 = default)")
 
-		// Runtime.
-		transport = flag.String("transport", "memory", "memory | unix | tcp (unix/tcp run an in-process socket cluster)")
-		nodes     = flag.Int("nodes", 2, "socket-cluster node count for -transport=unix|tcp")
-		fanout    = flag.Int("fanout", 4, "arity of the collective reduction tree")
-
-		// Modes and output.
-		recordOut  = flag.String("record", "", "write the scenario's event trace as JSON to this file and exit")
-		tuneFams   = flag.String("tune", "", "tune trigger parameters offline: comma-separated families (every,threshold,forecast) or \"all\"")
-		tracePath  = flag.String("trace", "", "replay trace file for -tune (default: record from the scenario flags)")
-		metricsOut = flag.String("metrics", "", "write runtime metrics in Prometheus text format to this file")
-		quiet      = flag.Bool("quiet", false, "suppress the per-phase trigger log, print only the summary")
+		// Modes and output. -trace is not the outputs group's flag: here it
+		// is an input, the recording -tune replays.
+		recordOut = flag.String("record", "", "write the scenario's event trace as JSON to this file and exit")
+		tuneFams  = flag.String("tune", "", "tune trigger parameters offline: comma-separated families (every,threshold,forecast) or \"all\"")
+		tracePath = flag.String("trace", "", "replay trace file for -tune (default: record from the scenario flags)")
+		quiet     = flag.Bool("quiet", false, "suppress the per-phase trigger log, print only the summary")
 	)
 	flag.Parse()
 
-	kind, err := temperedlb.ParseScenarioKind(*scenario)
+	if err := rtf.Validate(wl.Ranks, nil); err != nil {
+		log.Fatal(err)
+	}
+	kind, err := temperedlb.ParseScenarioKind(svc.Scenario)
 	if err != nil {
 		log.Fatal(err)
 	}
 	spec := temperedlb.ScenarioSpec{
-		Kind: kind, Ranks: *ranks, Phases: *phases, Items: *items, Seed: *seed, Hot: *hot,
+		Kind: kind, Ranks: wl.Ranks, Phases: svc.Phases, Items: *items, Seed: wl.Seed, Hot: *hot,
 	}
 
 	if *recordOut != "" {
@@ -75,111 +77,68 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		writeJSON(*recordOut, temperedlb.RecordServiceTrace(sc))
-		log.Printf("wrote %d-phase trace to %s", *phases, *recordOut)
+		if err := cli.WriteJSON(*recordOut, temperedlb.RecordServiceTrace(sc)); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("wrote %d-phase trace to %s", svc.Phases, *recordOut)
 		return
 	}
 
-	sim := temperedlb.SimConfig{Alpha: *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: *lbCost}
+	sim := temperedlb.SimConfig{Alpha: *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: svc.LBCost}
 	if *tuneFams != "" {
 		tune(*tuneFams, *tracePath, spec, sim)
 		return
 	}
 
-	ts, err := temperedlb.ParseTrigger(*trigger)
+	ts, err := temperedlb.ParseTrigger(svc.Trigger)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := temperedlb.ServiceConfig{
 		Scenario: spec, Trigger: ts,
-		Alpha: *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: *lbCost,
+		Alpha: *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: svc.LBCost,
 	}
-
-	res, metrics, err := runService(cfg, *transport, *nodes, *fanout, *metricsOut != "")
-	if err != nil {
+	if err := serveJob(cfg, &rtf, &out, *quiet); err != nil {
 		log.Fatal(err)
-	}
-	if *quiet {
-		short := res
-		short.Rows = nil
-		if err := temperedlb.WriteServiceLog(os.Stdout, cfg, short); err != nil {
-			log.Fatal(err)
-		}
-	} else if err := temperedlb.WriteServiceLog(os.Stdout, cfg, res); err != nil {
-		log.Fatal(err)
-	}
-	if *metricsOut != "" {
-		writeExport(*metricsOut, func(w io.Writer) error {
-			return temperedlb.WritePrometheus(w, metrics)
-		})
-		log.Printf("wrote metrics to %s", *metricsOut)
 	}
 }
 
-// runService executes the service on the chosen transport and returns
-// rank 0's result (identical on every rank apart from the local
-// migration count, which is summed into it for reporting).
-func runService(cfg temperedlb.ServiceConfig, transport string, nodes, fanout int, wantMetrics bool) (temperedlb.ServiceResult, *temperedlb.Metrics, error) {
-	n := cfg.Scenario.Ranks
-	results := make([]temperedlb.ServiceResult, n)
-	errs := make([]error, n)
-	body := func(h *temperedlb.LBHandlers) func(rc *temperedlb.RankContext) {
-		return func(rc *temperedlb.RankContext) {
-			res, err := temperedlb.RunService(rc, h, cfg)
-			results[rc.Rank()], errs[rc.Rank()] = res, err
-		}
+// serveJob stands the job up, runs the service on every rank of it and
+// prints the trigger log — rank 0's result, identical on every rank apart
+// from the local migration count, which is summed into it — observed as
+// the output flags ask.
+func serveJob(cfg temperedlb.ServiceConfig, rtf *cli.Runtime, out *cli.Outputs, quiet bool) error {
+	job, err := rtf.Launch(cfg.Scenario.Ranks, uint64(cfg.Scenario.Seed)+0x5e12e)
+	if err != nil {
+		return err
 	}
-	opts := []temperedlb.RuntimeOption{temperedlb.WithFanout(fanout)}
-	if wantMetrics {
-		opts = append(opts, temperedlb.WithMetrics())
+	defer job.Close()
+	if err := out.Open(job.Runtimes[0]); err != nil {
+		return err
 	}
-
-	var metrics *temperedlb.Metrics
-	switch transport {
-	case "memory":
-		rt := temperedlb.NewRuntime(n, opts...)
-		rt.Run(body(temperedlb.RegisterLBHandlers(rt, 1)))
-		metrics = rt.Metrics()
-	case "unix", "tcp":
-		cluster, err := wire.NewCluster(transport, n, nodes, uint64(cfg.Scenario.Seed)+0x5e12e)
-		if err != nil {
-			return temperedlb.ServiceResult{}, nil, err
+	results := make([]temperedlb.ServiceResult, cfg.Scenario.Ranks)
+	err = job.Run(func(rt *amt.Runtime) func(*amt.Context) error {
+		h := temperedlb.RegisterLBHandlers(rt, 1)
+		return func(rc *amt.Context) (err error) {
+			results[rc.Rank()], err = temperedlb.RunService(rc, h, cfg)
+			return err
 		}
-		defer cluster.Close()
-		var wg sync.WaitGroup
-		for i, tr := range cluster.Transports {
-			rt := temperedlb.NewRuntime(n, append(opts, temperedlb.WithTransport(tr))...)
-			if i == 0 {
-				metrics = rt.Metrics()
-			}
-			b := body(temperedlb.RegisterLBHandlers(rt, 1))
-			wg.Add(1)
-			go func(rt *temperedlb.Runtime) {
-				defer wg.Done()
-				rt.Run(b)
-			}(rt)
-		}
-		wg.Wait()
-		for _, tr := range cluster.Transports {
-			if err := tr.Err(); err != nil {
-				return temperedlb.ServiceResult{}, nil, fmt.Errorf("%s transport failed: %w", transport, err)
-			}
-		}
-	default:
-		return temperedlb.ServiceResult{}, nil, fmt.Errorf("unknown transport %q (want memory, unix or tcp)", transport)
-	}
-
-	for r, err := range errs {
-		if err != nil {
-			return temperedlb.ServiceResult{}, nil, fmt.Errorf("rank %d: %w", r, err)
-		}
+	})
+	if err != nil {
+		return err
 	}
 	res := results[0]
 	res.LocalMigrations = 0
 	for _, r := range results {
 		res.LocalMigrations += r.LocalMigrations
 	}
-	return res, metrics, nil
+	if quiet {
+		res.Rows = nil
+	}
+	if err := temperedlb.WriteServiceLog(os.Stdout, cfg, res); err != nil {
+		return err
+	}
+	return out.Finish(cli.Export{})
 }
 
 // tune grid-searches trigger parameters against a trace and prints the
@@ -217,27 +176,4 @@ func tune(families, tracePath string, spec temperedlb.ScenarioSpec, sim tempered
 			c.Spec, c.Result.Fires, c.Result.TotalWaste, c.Result.LBPaid, c.Result.TotalCost)
 	}
 	fmt.Printf("# best: %s  total %.4f (fires %d)\n", best.Spec, best.Result.TotalCost, best.Result.Fires)
-}
-
-func writeJSON(path string, v any) {
-	writeExport(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	})
-}
-
-// writeExport creates path and streams one exporter into it.
-func writeExport(path string, write func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
 }

@@ -2,13 +2,11 @@ package amt
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"temperedlb/internal/comm"
-	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
 	"temperedlb/internal/obs"
 )
@@ -22,12 +20,23 @@ const (
 	hWave
 )
 
+// launch stands up a job for a test and closes it with the test.
+func launch(t *testing.T, network string, n, nodes int, opts ...Option) *Job {
+	t.Helper()
+	job, err := Launch(network, n, nodes, 0xB0220, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(job.Close)
+	return job
+}
+
 // runFanCascade runs epochs of cascading handlers on every runtime of a
 // job (one per node) and returns the handler invocations and the borrows
 // it saw. Each rank counts the goroutines inside its handlers and its
 // epoch bodies: with borrowed execution a rank's code runs on whichever
 // goroutine sent to it, and the count proves it is never two at once.
-func runFanCascade(t *testing.T, n int, rts []*Runtime) (calls, lent int64) {
+func runFanCascade(t *testing.T, n int, job *Job) (calls, lent int64) {
 	t.Helper()
 	inFlight := make([]atomic.Int32, n)
 	enter := func(rc *Context) {
@@ -37,8 +46,7 @@ func runFanCascade(t *testing.T, n int, rts []*Runtime) (calls, lent int64) {
 	}
 	leave := func(rc *Context) { inFlight[rc.Rank()].Add(-1) }
 	var nCalls, nLent atomic.Int64
-	var wg sync.WaitGroup
-	for _, rt := range rts {
+	err := job.Run(func(rt *Runtime) func(*Context) error {
 		rt.Register(hFanCascade, func(rc *Context, from core.Rank, data any) {
 			enter(rc)
 			defer leave(rc)
@@ -49,26 +57,25 @@ func runFanCascade(t *testing.T, n int, rts []*Runtime) (calls, lent int64) {
 				rc.Send(core.Rank((r*3+hops+1)%n), hFanCascade, hops-1)
 			}
 		})
-		wg.Add(1)
-		go func(rt *Runtime) {
-			defer wg.Done()
-			rt.Run(func(rc *Context) {
-				for e := 0; e < 4; e++ {
-					rc.Epoch(func() {
-						enter(rc)
-						defer leave(rc)
-						rc.Send(core.Rank((int(rc.Rank())+e+1)%n), hFanCascade, 5)
-					})
-					if rc.depth != 0 {
-						t.Errorf("rank %d: depth %d on its own goroutine: a borrow was not cleared", rc.Rank(), rc.depth)
-					}
-					rc.Barrier()
+		return func(rc *Context) error {
+			for e := 0; e < 4; e++ {
+				rc.Epoch(func() {
+					enter(rc)
+					defer leave(rc)
+					rc.Send(core.Rank((int(rc.Rank())+e+1)%n), hFanCascade, 5)
+				})
+				if rc.depth != 0 {
+					t.Errorf("rank %d: depth %d on its own goroutine: a borrow was not cleared", rc.Rank(), rc.depth)
 				}
-				nLent.Add(int64(rc.Stats.Lent))
-			})
-		}(rt)
+				rc.Barrier()
+			}
+			nLent.Add(int64(rc.Stats.Lent))
+			return nil
+		}
+	})
+	if err != nil {
+		t.Error(err)
 	}
-	wg.Wait()
 	return nCalls.Load(), nLent.Load()
 }
 
@@ -76,7 +83,7 @@ func runFanCascade(t *testing.T, n int, rts []*Runtime) (calls, lent int64) {
 // level: 64 ranks, cascading handlers, every send a chance to borrow.
 func TestOneGoroutineRunsARank(t *testing.T) {
 	const n = 64
-	calls, lent := runFanCascade(t, n, []*Runtime{New(n)})
+	calls, lent := runFanCascade(t, n, launch(t, "memory", n, 1))
 	if want := int64(4 * n * (1<<6 - 1)); calls != want {
 		t.Errorf("%d handler calls, want %d", calls, want)
 	}
@@ -85,28 +92,12 @@ func TestOneGoroutineRunsARank(t *testing.T) {
 	}
 }
 
-// twoNodes returns the runtimes of an n-rank job on a two-node unix
-// cluster, one per node, closed with the test.
-func twoNodes(t *testing.T, n int) []*Runtime {
-	t.Helper()
-	cluster, err := wire.NewCluster("unix", n, 2, 0xB0220)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	rts := make([]*Runtime, len(cluster.Transports))
-	for i, tr := range cluster.Transports {
-		rts[i] = New(n, WithTransport(tr))
-	}
-	return rts
-}
-
 // TestOneGoroutineRunsARankAcrossNodes is the same on a two-node unix
 // cluster: local sends borrow, remote ones arrive from reader goroutines
 // that never do.
 func TestOneGoroutineRunsARankAcrossNodes(t *testing.T) {
 	const n = 64
-	calls, _ := runFanCascade(t, n, twoNodes(t, n))
+	calls, _ := runFanCascade(t, n, launch(t, "unix", n, 2))
 	if want := int64(4 * n * (1<<6 - 1)); calls != want {
 		t.Errorf("%d handler calls, want %d", calls, want)
 	}
@@ -122,11 +113,11 @@ func TestFaultPlanNeverLends(t *testing.T) {
 		{Seed: 5, Drop: 0.05, Dup: 0.05},
 		{Seed: 7, SlowRanks: map[int]time.Duration{2: 100 * time.Microsecond}},
 	} {
-		rt := New(n)
-		if err := rt.SetFaults(sp); err != nil {
+		job := launch(t, "memory", n, 1)
+		if err := job.Runtimes[0].SetFaults(sp); err != nil {
 			t.Fatal(err)
 		}
-		if _, lent := runFanCascade(t, n, []*Runtime{rt}); lent != 0 {
+		if _, lent := runFanCascade(t, n, job); lent != 0 {
 			t.Errorf("%+v: %d sends ran their destination under a fault plan", sp, lent)
 		}
 	}
@@ -170,37 +161,35 @@ func TestCascadeDeeperThanBorrowBound(t *testing.T) {
 // rank 0 lets its first wave go: an empty epoch, or with cascade one in
 // which every rank starts a chain of handlers as long as the borrow bound
 // is deep. It returns every rank's context, to be read once Run is over.
-func runWave(t *testing.T, n int, rts []*Runtime, cascade bool) []*Context {
+func runWave(t *testing.T, n int, job *Job, cascade bool) []*Context {
 	t.Helper()
 	var entered atomic.Int64
-	var wg sync.WaitGroup
-	for _, rt := range rts {
+	err := job.Run(func(rt *Runtime) func(*Context) error {
 		rt.Register(hWave, func(rc *Context, from core.Rank, data any) {
 			if left := data.(int); left > 0 {
 				rc.Send((rc.Rank()+1)%core.Rank(n), hWave, left-1)
 			}
 		})
-		wg.Add(1)
-		go func(rt *Runtime) {
-			defer wg.Done()
-			rt.Run(func(rc *Context) {
-				rc.Epoch(func() {
-					if entered.Add(1); rc.Rank() == 0 {
-						for entered.Load() < int64(n) {
-							time.Sleep(100 * time.Microsecond)
-						}
-						time.Sleep(10 * time.Millisecond)
+		return func(rc *Context) error {
+			rc.Epoch(func() {
+				if entered.Add(1); rc.Rank() == 0 {
+					for entered.Load() < int64(n) {
+						time.Sleep(100 * time.Microsecond)
 					}
-					if cascade {
-						rc.Send((rc.Rank()+1)%core.Rank(n), hWave, 2*maxBorrowDepth)
-					}
-				})
+					time.Sleep(10 * time.Millisecond)
+				}
+				if cascade {
+					rc.Send((rc.Rank()+1)%core.Rank(n), hWave, 2*maxBorrowDepth)
+				}
 			})
-		}(rt)
+			return nil
+		}
+	})
+	if err != nil {
+		t.Error(err)
 	}
-	wg.Wait()
 	var ranks []*Context
-	for _, rt := range rts {
+	for _, rt := range job.Runtimes {
 		ranks = append(ranks, rt.ranks...)
 	}
 	return ranks
@@ -235,14 +224,15 @@ func checkWave(t *testing.T, ranks []*Context, deepest int) {
 // nest to the bound, and a token met down there is followed at that depth.
 func TestWaveIsFollowedNotNested(t *testing.T) {
 	for _, n := range []int{5, 64, 1024} {
-		rt := New(n)
-		checkWave(t, runWave(t, n, []*Runtime{rt}, false), 1)
+		job := launch(t, "memory", n, 1)
+		rt := job.Runtimes[0]
+		checkWave(t, runWave(t, n, job, false), 1)
 		// Followed or not, a hop is a transport message: an empty epoch is
 		// one trip round the ring, and the transport counted all of it.
 		if hops := rt.nw.SentByKind(kindToken); hops != int64(n) {
 			t.Errorf("%d ranks: the transport counted %d token messages, want %d", n, hops, n)
 		}
-		checkWave(t, runWave(t, n, []*Runtime{New(n)}, true), maxBorrowDepth)
+		checkWave(t, runWave(t, n, launch(t, "memory", n, 1), true), maxBorrowDepth)
 	}
 }
 
@@ -267,8 +257,9 @@ func (p *releasedBeforeHop) Emit(e obs.Event) {
 func TestHopIsMadeAfterRelease(t *testing.T) {
 	const n = 16
 	tr := &releasedBeforeHop{t: t}
-	tr.rt = New(n, WithTracer(tr))
-	checkWave(t, runWave(t, n, []*Runtime{tr.rt}, false), 1)
+	job := launch(t, "memory", n, 1, WithTracer(tr))
+	tr.rt = job.Runtimes[0]
+	checkWave(t, runWave(t, n, job, false), 1)
 }
 
 // TestWaveResumesAcrossNodes: on a two-node unix cluster the hops 0→63
@@ -277,7 +268,7 @@ func TestHopIsMadeAfterRelease(t *testing.T) {
 func TestWaveResumesAcrossNodes(t *testing.T) {
 	const n = 64
 	for _, cascade := range []bool{false, true} {
-		ranks := runWave(t, n, twoNodes(t, n), cascade)
+		ranks := runWave(t, n, launch(t, "unix", n, 2), cascade)
 		deepest := 1
 		if cascade {
 			deepest = maxBorrowDepth
@@ -291,13 +282,15 @@ func TestWaveResumesAcrossNodes(t *testing.T) {
 // which is running and cannot be claimed: the hop is a push to its own
 // inbox, and epochs — empty or cascading onto itself — still terminate.
 func TestOneRankRing(t *testing.T) {
-	rt := New(1)
-	checkWave(t, runWave(t, 1, []*Runtime{rt}, false), 0)
+	job := launch(t, "memory", 1, 1)
+	rt := job.Runtimes[0]
+	checkWave(t, runWave(t, 1, job, false), 0)
 	if rt.ranks[0].Stats.EpochsRun != 1 {
 		t.Errorf("%d epochs run, want 1", rt.ranks[0].Stats.EpochsRun)
 	}
-	rt = New(1)
-	checkWave(t, runWave(t, 1, []*Runtime{rt}, true), 0)
+	job = launch(t, "memory", 1, 1)
+	rt = job.Runtimes[0]
+	checkWave(t, runWave(t, 1, job, true), 0)
 	if sent := rt.ranks[0].Stats.UserSent; sent != 2*maxBorrowDepth+1 {
 		t.Errorf("%d user sends, want %d", sent, 2*maxBorrowDepth+1)
 	}

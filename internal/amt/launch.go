@@ -1,0 +1,109 @@
+package amt
+
+import (
+	"fmt"
+	"sync"
+
+	"temperedlb/internal/comm/wire"
+)
+
+// Job is a job stood up in this process, and Launch the one place that
+// happens: a single Runtime over every rank on the in-memory network; on
+// "unix" or "tcp" an in-process socket cluster, one Runtime per node, each
+// hosting a contiguous rank range behind a partial network joined to the
+// others by real OS sockets — the topology cmd/lbnode spreads over
+// processes (Join wraps one process's share).
+type Job struct {
+	// Runtimes holds one runtime per node this process hosts, in node
+	// order. Before Run, give whichever node should have them a tracer,
+	// metrics, a stream (SetTracer, EnableMetrics, SetStream) or faults.
+	Runtimes []*Runtime
+
+	network    string
+	transports []*wire.Transport // nil on the in-memory network
+	cluster    *wire.Cluster     // nil unless Launch built one
+}
+
+// Launch stands up a job of ranks ranks on network "memory", "unix" or
+// "tcp"; the socket networks split them over nodes in-process nodes
+// (ignored on "memory") whose connections jobID guards. opts apply to
+// every runtime. A geometry no job can have is an error, not a panic
+// further down. Close the job when done with it.
+func Launch(network string, ranks, nodes int, jobID uint64, opts ...Option) (*Job, error) {
+	if ranks < 1 {
+		return nil, fmt.Errorf("amt: launch: %d ranks: a job needs at least one", ranks)
+	}
+	switch network {
+	case "memory":
+		return &Job{Runtimes: []*Runtime{New(ranks, opts...)}, network: network}, nil
+	case "unix", "tcp":
+	default:
+		return nil, fmt.Errorf("amt: launch: unknown network %q (want memory, unix or tcp)", network)
+	}
+	if nodes < 1 || nodes > ranks {
+		return nil, fmt.Errorf("amt: launch: %d nodes for %d ranks: need 1 <= nodes <= ranks", nodes, ranks)
+	}
+	cluster, err := wire.NewCluster(network, ranks, nodes, jobID)
+	if err != nil {
+		return nil, err
+	}
+	j := &Job{network: network, transports: cluster.Transports, cluster: cluster}
+	for _, tr := range cluster.Transports {
+		j.Runtimes = append(j.Runtimes, New(ranks, append([]Option{WithTransport(tr)}, opts...)...))
+	}
+	return j, nil
+}
+
+// Join is this process's share of a multi-process job: one runtime over a
+// transport the caller has connected to its peers (cmd/lbnode, after its
+// own rendezvous). network names it in Run's error; Close closes it.
+func Join(network string, tr *wire.Transport, opts ...Option) *Job {
+	return &Job{
+		Runtimes:   []*Runtime{New(tr.NumRanks(), append([]Option{WithTransport(tr)}, opts...)...)},
+		network:    network,
+		transports: []*wire.Transport{tr},
+	}
+}
+
+// Run calls bind once per runtime on the caller's goroutine — the place
+// to register handlers, which are per runtime — then runs the rank body
+// each call returned on every rank of its runtime, all runtimes at once,
+// and waits. It returns one error: a transport that failed (a lost peer, a
+// bad frame) is named first, because it is usually what the ranks then
+// tripped over; otherwise the lowest erring rank's own error.
+func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
+	errs := make([]error, j.Runtimes[0].NumRanks())
+	var wg sync.WaitGroup
+	for _, rt := range j.Runtimes {
+		body := bind(rt)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt.Run(func(rc *Context) { errs[rc.Rank()] = body(rc) })
+		}()
+	}
+	wg.Wait()
+	for _, tr := range j.transports {
+		if err := tr.Err(); err != nil {
+			return fmt.Errorf("%s transport failed: %w", j.network, err)
+		}
+	}
+	for r, err := range errs {
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", r, err)
+		}
+	}
+	return nil
+}
+
+// Close tears the job's sockets down and removes what they left on disk.
+// Idempotent; a no-op on the in-memory network.
+func (j *Job) Close() {
+	if j.cluster != nil {
+		j.cluster.Close()
+		return
+	}
+	for _, tr := range j.transports {
+		tr.Close()
+	}
+}

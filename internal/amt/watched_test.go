@@ -3,10 +3,9 @@ package amt
 import (
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
-	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/obs"
 )
 
@@ -41,39 +40,37 @@ func TestWatchedMemory(t *testing.T) {
 func TestWatchedAgreesAcrossNodes(t *testing.T) {
 	const nRanks, nodes = 6, 2
 	for _, watching := range []int{-1, 0, 1} {
-		cluster, err := wire.NewCluster("unix", nRanks, nodes, 0xA11)
+		job, err := Launch("unix", nRanks, nodes, 0xA11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stream := obs.NewStream(4)
-		var wg sync.WaitGroup
-		for node, tr := range cluster.Transports {
-			rt := New(nRanks, WithTransport(tr))
-			if node == watching {
-				rt.SetStream(stream)
-			}
-			lo, _ := tr.LocalRange()
-			wg.Add(1)
-			go func(node int) {
-				defer wg.Done()
-				rt.Run(func(rc *Context) {
-					first, second := rc.Watched(), rc.Watched()
-					if first != (watching >= 0) || second != first {
-						t.Errorf("watching node %d, rank %d: Watched = %v then %v", watching, rc.Rank(), first, second)
-					}
-					if rc.Stats.Collectives != 1 {
-						t.Errorf("watching node %d, rank %d: two Watched calls took %d collectives, want 1",
-							watching, rc.Rank(), rc.Stats.Collectives)
-					}
-					publishes := node == watching && int(rc.Rank()) == lo
-					if (rc.Stream() != nil) != publishes {
-						t.Errorf("watching node %d, rank %d on node %d: Stream = %p", watching, rc.Rank(), node, rc.Stream())
-					}
-				})
-			}(node)
+		if watching >= 0 {
+			job.Runtimes[watching].SetStream(stream)
 		}
-		wg.Wait()
-		cluster.Close()
+		err = job.Run(func(rt *Runtime) func(*Context) error {
+			node := slices.Index(job.Runtimes, rt)
+			lo, _ := rt.Transport().LocalRange()
+			return func(rc *Context) error {
+				first, second := rc.Watched(), rc.Watched()
+				if first != (watching >= 0) || second != first {
+					t.Errorf("watching node %d, rank %d: Watched = %v then %v", watching, rc.Rank(), first, second)
+				}
+				if rc.Stats.Collectives != 1 {
+					t.Errorf("watching node %d, rank %d: two Watched calls took %d collectives, want 1",
+						watching, rc.Rank(), rc.Stats.Collectives)
+				}
+				publishes := node == watching && int(rc.Rank()) == lo
+				if (rc.Stream() != nil) != publishes {
+					t.Errorf("watching node %d, rank %d on node %d: Stream = %p", watching, rc.Rank(), node, rc.Stream())
+				}
+				return nil
+			}
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		job.Close()
 	}
 }
 

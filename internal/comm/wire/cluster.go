@@ -8,11 +8,13 @@ import (
 )
 
 // Cluster is a set of socket transports for one job, all hosted in the
-// current process. It exists for tests and for `lbplay -transport=unix`
-// style demos: the protocol stack sees genuinely separate partial
-// networks talking through the OS socket layer, without the
-// orchestration cost of separate processes. Production jobs run one
-// Transport per process via cmd/lbnode instead.
+// current process. It exists for amt.Launch — the one launcher, which
+// puts a runtime on each transport, behind `lbplay -distributed
+// -transport unix|tcp`, lbserve and the tests — and for this package's
+// own tests: the protocol stack sees genuinely separate partial networks
+// talking through the OS socket layer, without the orchestration cost of
+// separate processes. Production jobs run one Transport per process via
+// cmd/lbnode instead.
 type Cluster struct {
 	Transports []*Transport
 	dir        string

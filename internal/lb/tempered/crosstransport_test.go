@@ -2,7 +2,6 @@ package tempered
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -50,74 +49,51 @@ func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int,
 }
 
 // runNodes is runOnTransport with the node count and the per-node
-// runtime set-up chosen by the caller. On "unix" and "tcp" the job is a
-// cluster of partial networks joined by real sockets, one runtime per
-// node exactly as cmd/lbnode hosts one per process; on "memory" it is
-// the single node 0. A job that has not finished after a minute is
-// reported as deadlocked.
+// runtime set-up chosen by the caller. The job is stood up by amt.Launch:
+// on "unix" and "tcp" a cluster of partial networks joined by real
+// sockets, one runtime per node exactly as cmd/lbnode hosts one per
+// process; on "memory" the single node 0. A job that has not finished
+// after a minute is reported as deadlocked.
 func runNodes(t *testing.T, transport string, nodes, nRanks, hot, objsPerHot int, setup func(node int, rt *amt.Runtime)) []DistResult {
 	t.Helper()
 	cfg := crossTransportConfig()
 
-	results := make([]DistResult, nRanks)
-	makeBody := func(h *Handlers) func(rc *amt.Context) {
-		return func(rc *amt.Context) {
-			loads := make(map[amt.ObjectID]float64)
-			if int(rc.Rank()) < hot {
-				for i := 0; i < objsPerHot; i++ {
-					l := dyadicLoad(int(rc.Rank()), i, objsPerHot)
-					id := rc.CreateObject(&colorState{Load: l})
-					loads[id] = l
-				}
-			}
-			rc.Barrier()
-			res, err := RunDistributed(rc, h, cfg, loads)
-			if err != nil {
-				t.Errorf("rank %d: %v", rc.Rank(), err)
-				return
-			}
-			results[rc.Rank()] = res
-		}
-	}
-
-	if transport == "memory" {
-		rt := amt.New(nRanks)
-		setup(0, rt)
-		rt.Run(makeBody(RegisterHandlers(rt, 100)))
-		return results
-	}
-
-	cluster, err := wire.NewCluster(transport, nRanks, nodes, 0xC0FFEE)
+	job, err := amt.Launch(transport, nRanks, nodes, 0xC0FFEE)
 	if err != nil {
-		t.Fatalf("%s cluster: %v", transport, err)
+		t.Fatalf("%s job: %v", transport, err)
 	}
-	defer cluster.Close()
-
-	var wg sync.WaitGroup
-	for node, tr := range cluster.Transports {
-		rt := amt.New(nRanks, amt.WithTransport(tr))
+	defer job.Close()
+	for node, rt := range job.Runtimes {
 		setup(node, rt)
-		body := makeBody(RegisterHandlers(rt, 100))
-		wg.Add(1)
-		go func(rt *amt.Runtime) {
-			defer wg.Done()
-			rt.Run(body)
-		}(rt)
 	}
-	done := make(chan struct{})
+
+	results := make([]DistResult, nRanks)
+	done := make(chan error, 1)
 	go func() {
-		wg.Wait()
-		close(done)
+		done <- job.Run(func(rt *amt.Runtime) func(*amt.Context) error {
+			h := RegisterHandlers(rt, 100)
+			return func(rc *amt.Context) (err error) {
+				loads := make(map[amt.ObjectID]float64)
+				if int(rc.Rank()) < hot {
+					for i := 0; i < objsPerHot; i++ {
+						l := dyadicLoad(int(rc.Rank()), i, objsPerHot)
+						id := rc.CreateObject(&colorState{Load: l})
+						loads[id] = l
+					}
+				}
+				rc.Barrier()
+				results[rc.Rank()], err = RunDistributed(rc, h, cfg, loads)
+				return err
+			}
+		})
 	}()
 	select {
-	case <-done:
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(time.Minute):
 		t.Fatalf("%s: %d-node job still running after a minute (deadlocked collective?)", transport, nodes)
-	}
-	for _, tr := range cluster.Transports {
-		if err := tr.Err(); err != nil {
-			t.Fatalf("%s transport failed: %v", transport, err)
-		}
 	}
 	return results
 }

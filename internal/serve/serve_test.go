@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"temperedlb/internal/amt"
-	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
 	"temperedlb/internal/lb/tempered"
 	"temperedlb/internal/obs"
@@ -38,42 +36,28 @@ func runService(t *testing.T, transport string, nodes int, cfg Config, streams .
 }
 
 // runRanks runs body on every rank of an n-rank job with the LB handlers
-// registered. For "unix" and "tcp" the job is an in-process cluster of
-// `nodes` partial networks joined by real sockets, one runtime per node
-// — exactly how cmd/lbserve hosts them. Node i is given streams[i] when
-// there is one.
+// registered. The job is stood up by amt.Launch, exactly as cmd/lbserve
+// hosts it: for "unix" and "tcp" an in-process cluster of `nodes` partial
+// networks joined by real sockets, one runtime per node. Node i is given
+// streams[i] when there is one.
 func runRanks(t *testing.T, transport string, nodes, n int, streams []*obs.Stream, body func(*amt.Context, *tempered.Handlers)) {
 	t.Helper()
-	bind := func(rt *amt.Runtime) func(*amt.Context) {
-		h := tempered.RegisterHandlers(rt, 100)
-		return func(rc *amt.Context) { body(rc, h) }
-	}
-	streams = append(streams, make([]*obs.Stream, nodes)...)
-	if transport == "memory" {
-		rt := amt.New(n, amt.WithStream(streams[0]))
-		rt.Run(bind(rt))
-		return
-	}
-	cluster, err := wire.NewCluster(transport, n, nodes, 0x5e12e)
+	job, err := amt.Launch(transport, n, nodes, 0x5e12e)
 	if err != nil {
-		t.Fatalf("%s cluster: %v", transport, err)
+		t.Fatalf("%s job: %v", transport, err)
 	}
-	defer cluster.Close()
-	var wg sync.WaitGroup
-	for node, tr := range cluster.Transports {
-		rt := amt.New(n, amt.WithTransport(tr), amt.WithStream(streams[node]))
-		b := bind(rt)
-		wg.Add(1)
-		go func(rt *amt.Runtime) {
-			defer wg.Done()
-			rt.Run(b)
-		}(rt)
-	}
-	wg.Wait()
-	for _, tr := range cluster.Transports {
-		if err := tr.Err(); err != nil {
-			t.Fatalf("%s transport failed: %v", transport, err)
+	defer job.Close()
+	for node, rt := range job.Runtimes {
+		if node < len(streams) {
+			rt.SetStream(streams[node])
 		}
+	}
+	err = job.Run(func(rt *amt.Runtime) func(*amt.Context) error {
+		h := tempered.RegisterHandlers(rt, 100)
+		return func(rc *amt.Context) error { body(rc, h); return nil }
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -150,8 +150,10 @@ bench-compare:
 # gofmt-formatted non-test files), and the command-line flags declared
 # under cmd/ (every x.Int / x.StringVar / … call, on any receiver, that
 # names its flag; a name declared twice is a vocabulary drifting apart —
-# the shared ones live once in cmd/internal/cli). A PR that says "simpler"
-# quotes this.
+# the shared ones live once in cmd/internal/cli), and two option counts:
+# the methods a transport must implement (comm.Transport) and the fields a
+# caller can set on the balancer (core.Config; a line `A, B int` counts
+# two). A PR that says "simpler" or "fewer options" quotes this.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | grep -v '^temperedlb/bench ' | \
 	while read pkg dir files; do \
@@ -167,3 +169,9 @@ loc:
 		'\b[a-zA-Z_]+\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(([^"()]*, )?"[^"]+"' | \
 		sed 's/"$$//; s/.*"//' | sort | uniq -c | \
 		awk '{ n += $$1 } END { printf "%-40s %6s\n", "flag declarations / distinct names", n " / " NR }'
+	@awk '/^type Transport interface/ { on = 1; next } on && /^}/ { exit } \
+		on && /^\t[A-Z][A-Za-z]*\(/ { n++ } \
+		END { printf "%-40s %6d\n", "comm.Transport methods", n }' internal/comm/transport.go
+	@awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } \
+		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
+		END { printf "%-40s %6d\n", "core.Config fields", n }' internal/core/config.go

@@ -115,8 +115,7 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		_, usage, _ := run(name, "-h")
 		n := 0
 		for _, m := range shown.FindAllStringSubmatch(usage, -1) {
-			// lbserve -trace is the one namesake: the file -tune replays.
-			if !slices.Contains(names, m[1]) || name == "lbserve" && m[1] == "trace" {
+			if !slices.Contains(names, m[1]) {
 				continue
 			}
 			if n++; !strings.Contains(usage, "\n    \t"+groups.Lookup(m[1]).Usage) {
@@ -135,6 +134,15 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbserve", "-fanout 1", "lbserve: -fanout 1: "},
 		{"lbserve", "-ranks 0", "lbserve: -ranks 0: "},
 		{"lbserve", "-transport quic", `lbserve: -transport "quic": `},
+		{"lbserve", "-record r.json -serve :0", "lbserve: -serve has no effect with -record"},
+		{"lbserve", "-record r.json -transport unix", "lbserve: -transport has no effect with -record"},
+		{"lbserve", "-record r.json -tune all", "lbserve: -tune has no effect with -record"},
+		{"lbserve", "-tune all -frames f.ndjson", "lbserve: -frames has no effect with -tune"},
+		{"lbserve", "-tune all -metrics m.prom", "lbserve: -metrics has no effect with -tune"},
+		{"lbserve", "-tune all -trigger always", "lbserve: -trigger has no effect with -tune"},
+		{"lbserve", "-tune all -replay r.json -phases 3", "lbserve: -phases has no effect with -tune -replay"},
+		{"lbserve", "-replay r.json", "lbserve: -replay has no effect without -tune"},
+		{"lbserve", "-nodes 3", "lbserve: -nodes has no effect with -transport memory"},
 		{"lbplay", "-distributed -fanout 1", "lbplay: -fanout 1: "},
 		{"lbplay", "-distributed -ranks 0", "lbplay: -ranks 0: "},
 		{"lbplay", "-distributed -transport tcp -nodes 65", "lbplay: -ranks 64 < -nodes 65: "},

@@ -16,7 +16,6 @@ import (
 	"temperedlb"
 	"temperedlb/cmd/internal/cli"
 	"temperedlb/internal/amt"
-	"temperedlb/internal/comm"
 )
 
 // options is lbplay's command line: the three shared groups and its own
@@ -143,28 +142,7 @@ func runDistributed(o *options, a *temperedlb.Assignment) error {
 		return err
 	}
 
-	res := results[0]
-	migs := 0
-	for _, r := range results {
-		migs += r.Migrations
-	}
-	var totalMsgs int64
-	var ws comm.WireStats
-	var st amt.FaultStats
-	for _, rt := range job.Runtimes {
-		totalMsgs += rt.TotalMessages()
-		if w, ok := rt.Transport().(comm.WireStater); ok {
-			s := w.WireStats()
-			ws.FramesOut += s.FramesOut
-			ws.BytesOut += s.BytesOut
-			ws.Redials += s.Redials
-		}
-		s := rt.FaultStats()
-		st.Dropped += s.Dropped
-		st.Duplicated += s.Duplicated
-		st.Retries += s.Retries
-		st.DupDrops += s.DupDrops
-	}
+	res, ns := results[0], job.Stats()
 	if o.rt.Transport == "memory" {
 		fmt.Printf("strategy        TemperedLB (distributed, %d ranks / %d goroutines)\n", n, n)
 	} else {
@@ -172,17 +150,18 @@ func runDistributed(o *options, a *temperedlb.Assignment) error {
 	}
 	fmt.Printf("imbalance       %.4f -> %.4f (best trial %d iter %d)\n",
 		res.InitialImbalance, res.FinalImbalance, res.BestTrial, res.BestIteration)
-	fmt.Printf("migrations      %d objects actually moved\n", migs)
-	fmt.Printf("transport       %d messages total (gossip, transfers, termination, commit)\n", totalMsgs)
+	fmt.Printf("migrations      %d objects actually moved\n", ns.Ranks[amt.Migrations])
+	fmt.Printf("transport       %d messages total (gossip, transfers, termination, commit)\n", ns.Transport.Sent.Total())
 	fmt.Printf("collectives     %d-ary reduction tree\n", rt0.Fanout())
 	fmt.Printf("protocol cost   %d gossip + %d transfer messages, %.3fs wall clock\n",
 		res.GossipMessages, res.TransferMessages, res.ElapsedSeconds)
 	if o.rt.Transport != "memory" {
 		fmt.Printf("wire            %d frames / %d bytes shipped between nodes, %d redials\n",
-			ws.FramesOut, ws.BytesOut, ws.Redials)
+			ns.Wire.FramesOut, ns.Wire.BytesOut, ns.Wire.Redials)
 	}
 	if sp, _ := o.rt.FaultSpec(); !sp.Empty() { // Validate has vouched for it
 		fmt.Printf("faults          %s\n", sp)
+		st := ns.Faults()
 		fmt.Printf("fault damage    %d dropped, %d duplicated; recovery: %d retries, %d dup discards\n",
 			st.Dropped, st.Duplicated, st.Retries, st.DupDrops)
 	}

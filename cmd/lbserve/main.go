@@ -13,7 +13,9 @@
 //	                                 (-serve/-frames/-metrics to watch it)
 //	lbserve -record FILE [flags]     write the scenario's event trace as JSON
 //	lbserve -tune FAMILIES [flags]   grid-search trigger parameters offline
-//	                                 (against -trace FILE, or the scenario)
+//	                                 (against -replay FILE, or the scenario)
+//
+// A flag the chosen mode does not read is refused, not ignored.
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"temperedlb"
@@ -52,16 +55,40 @@ func main() {
 		beta   = flag.Float64("beta", 0.3, "load model trend smoothing in [0,1]")
 		maxAge = flag.Int("maxage", 0, "phases an absent object survives in the model (0 = default)")
 
-		// Modes and output. -trace is not the outputs group's flag: here it
-		// is an input, the recording -tune replays.
+		// Modes and output.
 		recordOut = flag.String("record", "", "write the scenario's event trace as JSON to this file and exit")
 		tuneFams  = flag.String("tune", "", "tune trigger parameters offline: comma-separated families (every,threshold,forecast) or \"all\"")
-		tracePath = flag.String("trace", "", "replay trace file for -tune (default: record from the scenario flags)")
+		replay    = flag.String("replay", "", "recorded trace file for -tune to replay (default: record from the scenario flags)")
 		quiet     = flag.Bool("quiet", false, "suppress the per-phase trigger log, print only the summary")
 	)
 	flag.Parse()
 
-	if err := rtf.Validate(wl.Ranks, nil); err != nil {
+	err := rtf.Validate(wl.Ranks, nil)
+	if err == nil {
+		// What each mode reads: -record the scenario; -tune the load model
+		// and a trace, replayed or recorded from the scenario; a run all but
+		// -replay, and -nodes only where there are nodes.
+		var (
+			scenario = []string{"ranks", "seed", "scenario", "phases", "items", "hot"}
+			model    = []string{"alpha", "beta", "maxage", "lbcost"}
+			job      = []string{"trigger", "transport", "nodes", "fanout", "metrics", "serve", "frames", "quiet"}
+		)
+		switch fs := flag.CommandLine; {
+		case *recordOut != "":
+			err = cli.CheckApplies(fs, "with -record", scenario, []string{"record"})
+		case *tuneFams != "" && *replay != "":
+			err = cli.CheckApplies(fs, "with -tune -replay", model, []string{"tune", "replay"})
+		case *tuneFams != "":
+			err = cli.CheckApplies(fs, "with -tune", scenario, model, []string{"tune"})
+		default:
+			err = cli.CheckApplies(fs, "without -tune", scenario, model, job)
+			if err == nil && rtf.Transport == "memory" {
+				job = slices.DeleteFunc(job, func(name string) bool { return name == "nodes" })
+				err = cli.CheckApplies(fs, "with -transport memory", scenario, model, job)
+			}
+		}
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	kind, err := temperedlb.ParseScenarioKind(svc.Scenario)
@@ -86,7 +113,7 @@ func main() {
 
 	sim := temperedlb.SimConfig{Alpha: *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: svc.LBCost}
 	if *tuneFams != "" {
-		tune(*tuneFams, *tracePath, spec, sim)
+		tune(*tuneFams, *replay, spec, sim)
 		return
 	}
 

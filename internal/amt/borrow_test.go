@@ -69,7 +69,7 @@ func runFanCascade(t *testing.T, n int, job *Job) (calls, lent int64) {
 				}
 				rc.Barrier()
 			}
-			nLent.Add(int64(rc.Stats.Lent))
+			nLent.Add(rc.Stats[Lent].Load())
 			return nil
 		}
 	})
@@ -190,7 +190,9 @@ func runWave(t *testing.T, n int, job *Job, cascade bool) []*Context {
 	}
 	var ranks []*Context
 	for _, rt := range job.Runtimes {
-		ranks = append(ranks, rt.ranks...)
+		for i := range rt.ranks {
+			ranks = append(ranks, rt.ranks[i].Load())
+		}
 	}
 	return ranks
 }
@@ -210,7 +212,7 @@ func checkWave(t *testing.T, ranks []*Context, deepest int) {
 		if rc.tokenDepth > deepest {
 			t.Errorf("rank %d handled a token %d borrows deep, want at most %d", rc.rank, rc.tokenDepth, deepest)
 		}
-		longest = max(longest, rc.Stats.Lent)
+		longest = max(longest, int(rc.Stats[Lent].Load()))
 	}
 	if want := min(len(ranks)-1, maxBorrowDepth+1); longest < want {
 		t.Errorf("no rank ran more than %d others, want %d: the wave was not followed", longest, want)
@@ -229,7 +231,7 @@ func TestWaveIsFollowedNotNested(t *testing.T) {
 		checkWave(t, runWave(t, n, job, false), 1)
 		// Followed or not, a hop is a transport message: an empty epoch is
 		// one trip round the ring, and the transport counted all of it.
-		if hops := rt.nw.SentByKind(kindToken); hops != int64(n) {
+		if hops := rt.nw.Stats().Sent[kindToken]; hops != int64(n) {
 			t.Errorf("%d ranks: the transport counted %d token messages, want %d", n, hops, n)
 		}
 		checkWave(t, runWave(t, n, launch(t, "memory", n, 1), true), maxBorrowDepth)
@@ -247,7 +249,7 @@ func (p *releasedBeforeHop) Emit(e obs.Event) {
 	if e.Type != obs.EvTokenRound || e.Rank == 0 {
 		return // rank 0 starts the wave: it had the token from nobody
 	}
-	if from := p.rt.ranks[(e.Rank+1)%p.rt.n]; from.depth != 0 {
+	if from := p.rt.ranks[(e.Rank+1)%p.rt.n].Load(); from.depth != 0 {
 		p.t.Errorf("rank %d holds the token while rank %d, which sent it, is still borrowed", e.Rank, from.rank)
 	}
 }
@@ -285,13 +287,13 @@ func TestOneRankRing(t *testing.T) {
 	job := launch(t, "memory", 1, 1)
 	rt := job.Runtimes[0]
 	checkWave(t, runWave(t, 1, job, false), 0)
-	if rt.ranks[0].Stats.EpochsRun != 1 {
-		t.Errorf("%d epochs run, want 1", rt.ranks[0].Stats.EpochsRun)
+	if got := rt.ranks[0].Load().Stats[EpochsRun].Load(); got != 1 {
+		t.Errorf("%d epochs run, want 1", got)
 	}
 	job = launch(t, "memory", 1, 1)
 	rt = job.Runtimes[0]
 	checkWave(t, runWave(t, 1, job, true), 0)
-	if sent := rt.ranks[0].Stats.UserSent; sent != 2*maxBorrowDepth+1 {
+	if sent := rt.ranks[0].Load().Stats[UserSent].Load(); sent != 2*maxBorrowDepth+1 {
 		t.Errorf("%d user sends, want %d", sent, 2*maxBorrowDepth+1)
 	}
 }

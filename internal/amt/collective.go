@@ -50,26 +50,20 @@ type collState struct {
 	got  int
 }
 
-// collStart opens a collective's instrumentation window; the returned
-// closer emits the EvCollective span (stamped with the tree geometry and
-// the messages this rank sent for the collective) and bumps the
-// counters. Both calls are single nil-checks when observability is off.
+// collStart opens a collective's tracing window; the returned closer
+// emits the EvCollective span, stamped with the tree geometry and the
+// messages this rank sent for the collective. Without a tracer both calls
+// are a nil check.
 func (rc *Context) collStart(name string) func() {
-	if rc.tr == nil && rc.ins == nil {
+	if rc.tr == nil {
 		return func() {}
 	}
 	start := clock.Now()
 	return func() {
-		if rc.tr != nil {
-			rc.Emit(obs.Event{Type: obs.EvCollective, Peer: -1, Object: -1,
-				Name: name, Value: float64(rc.collMsgs),
-				Fanout: rc.rt.fanout, Depth: rc.treeDepth,
-				Dur: clock.Since(start)})
-		}
-		if rc.ins != nil {
-			rc.ins.collectives.Inc()
-			rc.ins.collMsgs.Add(int64(rc.collMsgs))
-		}
+		rc.Emit(obs.Event{Type: obs.EvCollective, Peer: -1, Object: -1,
+			Name: name, Value: float64(rc.collMsgs),
+			Fanout: rc.rt.fanout, Depth: rc.treeDepth,
+			Dur: clock.Since(start)})
 	}
 }
 
@@ -99,7 +93,8 @@ func (rc *Context) collStart(name string) func() {
 func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []ReduceOp) []float64 {
 	defer rc.collStart(name)()
 	rc.collSeq++
-	rc.Stats.Collectives++
+	rc.Stats[Collectives].Add(1)
+	rc.Stats[CollectiveMsgs].Add(int64(rc.collMsgs))
 	seq := rc.collSeq
 
 	acc := append([]float64(nil), in...)

@@ -156,30 +156,15 @@ type Context struct {
 
 	phase phaseState
 
-	// tr and ins mirror the runtime's tracer and metric handles; both are
-	// nil when observability is off, so instrumented paths pay one
-	// pointer comparison.
-	tr  obs.Tracer
-	ins *instruments
+	// tr and ins mirror the runtime's tracer and latency histograms, nil
+	// when off. timed says either is on: the one check a site that measures
+	// a duration makes before it reads the clock.
+	tr    obs.Tracer
+	ins   *instruments
+	timed bool
 
-	// Stats counts this rank's traffic for experiment accounting.
+	// Stats counts what this rank did (see ContextStats).
 	Stats ContextStats
-}
-
-// ContextStats aggregates per-rank runtime statistics.
-type ContextStats struct {
-	UserSent       int
-	ObjectSent     int
-	Forwards       int
-	Migrations     int
-	MigrationBytes int
-	EpochsRun      int
-	Collectives    int
-	// Lent counts the times this rank ran a parked rank on its own
-	// goroutine instead of waking its owner: once for every send the
-	// transport granted it, and once for every further rank it reached
-	// following a termination token — a followed hop is a borrow.
-	Lent int
 }
 
 func newContext(rt *Runtime, rank core.Rank) *Context {
@@ -194,6 +179,7 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 		location:      make(map[ObjectID]core.Rank),
 		tr:            rt.tracer,
 		ins:           rt.ins,
+		timed:         rt.tracer != nil || rt.ins != nil,
 	}
 	k := rt.fanout
 	r := int(rank)
@@ -275,29 +261,11 @@ func (rc *Context) Watched() bool {
 	return rc.watched
 }
 
-// TransportTotals returns the transport's cumulative message and
-// payload-byte counts across all kinds (bytes are zero unless byte
-// accounting is on — metrics or streaming enabled). Safe to call during
-// Run; the totals are monotone atomics.
-func (rc *Context) TransportTotals() (msgs, bytes int64) {
-	return rc.rt.nw.TotalSent(), rc.rt.nw.TotalBytes()
-}
-
-// WireTotals returns the socket transport's frame counters and reports
-// whether the runtime is on one; on the in-memory transport ok is
-// false. Safe to call during Run.
-func (rc *Context) WireTotals() (st comm.WireStats, ok bool) {
-	ws, ok := rc.rt.nw.(comm.WireStater)
-	if !ok {
-		return comm.WireStats{}, false
-	}
-	return ws.WireStats(), true
-}
-
-// FaultTotals returns the runtime's cumulative fault-injection and
-// recovery counters (all zero without a fault plan). Safe to call
-// during Run.
-func (rc *Context) FaultTotals() FaultStats { return rc.rt.FaultStats() }
+// NodeStats folds the view of the node this rank runs on (see
+// Runtime.Stats): every hosted rank's counts and the transport's, not this
+// rank's alone. Bytes are zero unless byte accounting is on — metrics or
+// a stream attached.
+func (rc *Context) NodeStats() NodeStats { return rc.rt.Stats() }
 
 // Emit stamps the event with this context's rank and forwards it to the
 // tracer; a no-op when tracing is disabled.
@@ -318,7 +286,7 @@ func (rc *Context) Send(to core.Rank, h HandlerID, data any) {
 	if rc.rt.handler(h) == nil {
 		panic(fmt.Sprintf("amt: Send to unregistered handler %d", h))
 	}
-	rc.Stats.UserSent++
+	rc.Stats[UserSent].Add(1)
 	rc.send(comm.Message{
 		From:    int(rc.rank),
 		To:      int(to),
@@ -360,7 +328,7 @@ func (rc *Context) transmit(m comm.Message) {
 		return
 	}
 	if rc.rt.nw.SendClaim(m) {
-		rc.lend(rc.rt.ranks[m.To-rc.rt.lo], m)
+		rc.lend(rc.rt.ranks[m.To-rc.rt.lo].Load(), m)
 	}
 }
 
@@ -378,13 +346,12 @@ func (rc *Context) transmit(m comm.Message) {
 // the plain push it would have been. lentTo follows the chain, so a panic
 // names the rank that ran; one clock pair brackets all of it.
 func (rc *Context) lend(t *Context, m comm.Message) {
-	timed := rc.tr != nil || rc.ins != nil
 	var start time.Time
-	if timed {
+	if rc.timed {
 		start = clock.Now()
 	}
 	for {
-		rc.Stats.Lent++
+		rc.Stats[Lent].Add(1)
 		rc.lentTo = t
 		t.depth = rc.depth + 1
 		t.dispatch(m)
@@ -407,10 +374,10 @@ func (rc *Context) lend(t *Context, m comm.Message) {
 		if !owed || !rc.rt.nw.SendClaim(hop) {
 			break
 		}
-		t, m = rc.rt.ranks[hop.To-rc.rt.lo], hop
+		t, m = rc.rt.ranks[hop.To-rc.rt.lo].Load(), hop
 	}
 	rc.lentTo = nil
-	if timed {
+	if rc.timed {
 		rc.lentTime += clock.Since(start)
 	}
 }
@@ -540,7 +507,7 @@ func (rc *Context) Epoch(body func()) {
 	rc.epochSeq++
 	rc.inEpoch = true
 	rc.epochDone = false
-	rc.Stats.EpochsRun++
+	rc.Stats[EpochsRun].Add(1)
 	if rc.det == nil {
 		rc.det = termination.New(int(rc.rank), rc.n)
 	} else {
@@ -549,10 +516,8 @@ func (rc *Context) Epoch(body func()) {
 	rc.open = rc.det
 
 	var epochStart time.Time
-	if rc.tr != nil || rc.ins != nil {
+	if rc.timed {
 		epochStart = clock.Now()
-	}
-	if rc.tr != nil {
 		rc.Emit(obs.Event{Type: obs.EvEpochOpen, Peer: -1, Object: -1, Epoch: rc.epochSeq})
 	}
 
@@ -573,18 +538,15 @@ func (rc *Context) Epoch(body func()) {
 	rc.pump(waitEpoch, 0)
 	rc.assertAcked(rc.epochSeq)
 	waves := rc.det.Wave()
+	rc.Stats[TokenRounds].Add(int64(waves))
 	rc.inEpoch = false
 	rc.open = nil
-	if rc.tr != nil || rc.ins != nil {
+	if rc.timed {
 		elapsed := clock.Since(epochStart)
-		if rc.tr != nil {
-			rc.Emit(obs.Event{Type: obs.EvEpochClose, Peer: -1, Object: -1,
-				Epoch: rc.epochSeq, Value: float64(waves), Dur: elapsed})
-		}
+		rc.Emit(obs.Event{Type: obs.EvEpochClose, Peer: -1, Object: -1,
+			Epoch: rc.epochSeq, Value: float64(waves), Dur: elapsed})
 		if rc.ins != nil {
-			rc.ins.epochs.Inc()
 			rc.ins.epochSeconds.Observe(int(rc.rank), elapsed.Seconds())
-			rc.ins.tokenRounds.Add(int64(waves))
 		}
 	}
 }
@@ -622,9 +584,10 @@ func (rc *Context) dispatch(m comm.Message) {
 	switch m.Kind {
 	case kindUser:
 		rc.countReceive(m)
+		rc.Stats[HandlerCalls].Add(1)
 		h := HandlerID(m.Handler)
 		fn := rc.rt.handler(h)
-		if rc.tr == nil && rc.ins == nil {
+		if !rc.timed {
 			fn(rc, core.Rank(m.From), m.Data)
 		} else {
 			rc.timedHandler(h, m.From, -1, func() {
@@ -656,9 +619,9 @@ func (rc *Context) dispatch(m comm.Message) {
 	}
 }
 
-// timedHandler runs a handler invocation under the tracer/metrics
-// instrumentation. Only called when at least one of the two is active;
-// the uninstrumented dispatch path never reaches it.
+// timedHandler runs a handler invocation under the clock, for the tracer's
+// span and the latency histogram. Only called when rc.timed; the
+// uninstrumented dispatch path never reaches it.
 func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func()) {
 	lent := rc.lentTime
 	start := clock.Now()
@@ -671,7 +634,6 @@ func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func())
 			Name: rc.rt.handlerName(h), Dur: elapsed})
 	}
 	if rc.ins != nil {
-		rc.ins.handlerCalls.Inc()
 		rc.ins.handlerSeconds.Observe(int(rc.rank), elapsed.Seconds())
 	}
 }

@@ -56,6 +56,17 @@
 // with a fault plan installed never grants a borrow — the plan decides
 // that delivery — and neither do messages arriving from another process.
 //
+// # Counting
+//
+// A runtime fact is counted once (stats.go). What a rank did is its
+// ContextStats, written only by whoever runs the rank; what the
+// transport carried is comm.Transport.Stats. Runtime.Stats folds both
+// into a NodeStats that may be read while Run is in flight, and every
+// report — the metrics registry (Runtime.Metrics, refolded on every
+// export, a live /metrics scrape included), FaultStats, TotalMessages,
+// stream frames — is a read of that fold, so none can drift from
+// another. Only the two latency histograms are written as the run goes.
+//
 // # Concurrency
 //
 // At most one goroutine runs a rank at a time, and the hand-over happens
@@ -67,7 +78,8 @@
 // exclusively through the comm transport's goroutine-safe inboxes; a
 // Context and everything reached from it (objects, phase
 // instrumentation, collection slices) belong to whoever runs the rank
-// and must not be touched from anywhere else. Register handlers and
+// and must not be touched from anywhere else — Context.Stats excepted,
+// whose counters anyone may load. Register handlers and
 // attach observability options before Runtime.Run; the registries are
 // read-only while ranks execute.
 package amt

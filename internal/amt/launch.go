@@ -96,6 +96,15 @@ func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 	return nil
 }
 
+// Stats folds the view of every node this process hosts: the job's, when
+// it hosts them all. Safe to call at any time, as Runtime.Stats is.
+func (j *Job) Stats() (ns NodeStats) {
+	for _, rt := range j.Runtimes {
+		rt.addStats(&ns)
+	}
+	return ns
+}
+
 // Close tears the job's sockets down and removes what they left on disk.
 // Idempotent; a no-op on the in-memory network.
 func (j *Job) Close() {

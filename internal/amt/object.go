@@ -92,7 +92,7 @@ func (rc *Context) SendObject(id ObjectID, h HandlerID, data any) {
 	if rc.rt.objHandler(h) == nil {
 		panic(fmt.Sprintf("amt: SendObject to unregistered object handler %d", h))
 	}
-	rc.Stats.ObjectSent++
+	rc.Stats[ObjectSent].Add(1)
 	env := objEnvelope{Obj: id, Origin: rc.rank, Data: data}
 	rc.routeObject(comm.Message{
 		From: int(rc.rank), To: int(rc.bestKnown(id)), Kind: kindObject,
@@ -137,7 +137,7 @@ func (rc *Context) dispatchObject(m comm.Message) {
 		// retry converges.
 		next = rc.rank
 	}
-	rc.Stats.Forwards++
+	rc.Stats[Forwards].Add(1)
 	// send re-stamps the epoch tag under our own detector.
 	rc.send(comm.Message{
 		From: int(rc.rank), To: int(next), Kind: kindObject,
@@ -162,26 +162,21 @@ func (rc *Context) Migrate(id ObjectID, dest core.Rank) {
 	}
 	rc.location[id] = dest
 	bytes := wire.PayloadSize(state)
-	rc.Stats.Migrations++
-	rc.Stats.MigrationBytes += bytes
-	if rc.tr != nil {
-		rc.Emit(obs.Event{Type: obs.EvMigration, Peer: int(dest),
-			Object: int64(id), Bytes: bytes})
-	}
-	if rc.ins != nil {
-		rc.ins.migrations.Inc()
-		rc.ins.migrationBytes.Add(int64(bytes))
-	}
+	rc.Stats[Migrations].Add(1)
+	rc.Stats[MigrationBytes].Add(int64(bytes))
+	rc.Emit(obs.Event{Type: obs.EvMigration, Peer: int(dest),
+		Object: int64(id), Bytes: bytes})
 	rc.send(comm.Message{
 		From: int(rc.rank), To: int(dest), Kind: kindMigrate,
 		Data: migrateEnvelope{Obj: id, State: state},
 	})
 }
 
-// runObjectHandler invokes an object handler, under the timing
-// instrumentation when observability is on.
+// runObjectHandler invokes an object handler, under the clock when a
+// tracer or the latency histograms want its duration.
 func (rc *Context) runObjectHandler(h HandlerID, env objEnvelope, state any) {
-	if rc.tr == nil && rc.ins == nil {
+	rc.Stats[HandlerCalls].Add(1)
+	if !rc.timed {
 		rc.rt.objHandler(h)(rc, env.Obj, state, env.Origin, env.Data)
 		return
 	}

@@ -143,7 +143,7 @@ func TestMigrateToSelfIsNoop(t *testing.T) {
 		if !rc.HasObject(id) {
 			t.Error("self-migration lost the object")
 		}
-		if rc.Stats.Migrations != 0 {
+		if rc.Stats[Migrations].Load() != 0 {
 			t.Error("self-migration counted")
 		}
 	})
@@ -277,8 +277,9 @@ func TestMigrationStatsAccounted(t *testing.T) {
 				rc.Migrate(id, 1)
 			}
 		})
-		if rc.Rank() == 0 && (rc.Stats.Migrations != len(moved) || rc.Stats.MigrationBytes != want) {
-			t.Errorf("stats: %+v, want %d migrations of %d bytes", rc.Stats, len(moved), want)
+		migs, bytes := rc.Stats[Migrations].Load(), rc.Stats[MigrationBytes].Load()
+		if rc.Rank() == 0 && (migs != int64(len(moved)) || bytes != want) {
+			t.Errorf("stats: %d migrations of %d bytes, want %d of %d", migs, bytes, len(moved), want)
 		}
 		if rc.Rank() == 1 && len(rc.LocalObjects()) != len(moved) {
 			t.Errorf("rank 1 holds %d objects, want %d", len(rc.LocalObjects()), len(moved))
@@ -416,11 +417,13 @@ func TestContextStatsCounts(t *testing.T) {
 			}
 		})
 		if rc.Rank() == 0 {
-			if rc.Stats.UserSent != 1 || rc.Stats.ObjectSent != 1 || rc.Stats.Migrations != 1 {
-				t.Errorf("stats: %+v", rc.Stats)
+			st := &rc.Stats
+			if st[UserSent].Load() != 1 || st[ObjectSent].Load() != 1 || st[Migrations].Load() != 1 {
+				t.Errorf("stats: %d user sends, %d object sends, %d migrations, want 1 each",
+					st[UserSent].Load(), st[ObjectSent].Load(), st[Migrations].Load())
 			}
-			if rc.Stats.EpochsRun != 1 {
-				t.Errorf("epochs: %d", rc.Stats.EpochsRun)
+			if got := st[EpochsRun].Load(); got != 1 {
+				t.Errorf("epochs: %d", got)
 			}
 		}
 	})

@@ -1,7 +1,12 @@
 package amt
 
 import (
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,31 +84,65 @@ func TestAllReduceVecInputAliasing(t *testing.T) {
 }
 
 // TestRuntimeTracingAndMetrics drives every instrumented runtime path —
-// epochs, rank and object handlers, migration, collectives, phases —
-// with a recorder attached and checks both the event stream and the
-// folded metrics registry.
+// epochs, rank and object handlers, migration, collectives, phases — with
+// a recorder, the registry and a stream all attached, fault-free and under
+// a plan that drops and duplicates, and holds every counted fact to one
+// value wherever it is reported: the registry family, the fold of
+// ContextStats and Transport.Stats it is stored from, and the count (or
+// summed Value) of the recorded events. Rank 0 also scrapes /metrics from
+// inside an epoch: a live scrape is the same fold.
 func TestRuntimeTracingAndMetrics(t *testing.T) {
-	const n = 4
+	t.Run("fault-free", func(t *testing.T) { testTracingAndMetrics(t, comm.FaultSpec{}) })
+	t.Run("faulted", func(t *testing.T) { testTracingAndMetrics(t, lossySpec(42)) })
+}
+
+func testTracingAndMetrics(t *testing.T, faults comm.FaultSpec) {
+	const n, chain = 4, 25
 	rec := obs.NewRecorder()
-	rt := New(n, WithTracer(rec), WithMetrics())
+	rt := New(n, WithTracer(rec), WithMetrics(), WithStream(obs.NewStream(0)))
+	if err := rt.SetFaults(faults); err != nil {
+		t.Fatal(err)
+	}
 	rt.NameHandler(hPing, "test.ping")
 	rt.Register(hPing, func(rc *Context, from core.Rank, data any) {})
+	rt.Register(hCascade, func(rc *Context, from core.Rank, data any) {
+		if k := data.(int); k > 0 {
+			rc.Send((rc.Rank()+1)%n, hCascade, k-1)
+		}
+	})
 	rt.RegisterObject(hObjAdd, func(rc *Context, obj ObjectID, state any, from core.Rank, data any) {
 		state.(*counterState).Value += data.(int)
 	})
+	srv := httptest.NewServer(obs.NewServeMux(nil, rt.EnableMetrics()))
+	defer srv.Close()
+	var live string
 
 	rt.Run(func(rc *Context) {
 		id := rc.CreateObject(&counterState{})
+		sized := rc.CreateObject(2.5) // a state the wire codec can weigh
 		rc.PhaseBegin()
 		rc.RecordWork(id, 1.5)
 		rc.PhaseEnd()
 
+		next := core.Rank((int(rc.Rank()) + 1) % n)
 		rc.Epoch(func() {
-			rc.Send(core.Rank((int(rc.Rank())+1)%n), hPing, 1)
+			rc.Send(next, hPing, 1)
+			rc.Send(next, hCascade, chain)
 			rc.SendObject(id, hObjAdd, 2)
 		})
 		rc.Epoch(func() {
-			rc.Migrate(id, core.Rank((int(rc.Rank())+1)%n))
+			rc.Migrate(id, next)
+			rc.Migrate(sized, next)
+			if rc.Rank() == 0 {
+				resp, err := http.Get(srv.URL + "/metrics")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				body, _ := io.ReadAll(resp.Body)
+				live = string(body)
+			}
 		})
 		if s := rc.AllReduce(1, ReduceSum); s != n {
 			t.Errorf("allreduce = %g", s)
@@ -111,82 +150,134 @@ func TestRuntimeTracingAndMetrics(t *testing.T) {
 		rc.Barrier()
 	})
 
+	// The scrape taken inside the second epoch already had the first
+	// epoch's transport traffic and rank counts.
+	for _, fam := range []string{"comm_messages_all_total", "amt_epochs_total", "amt_handler_invocations_total"} {
+		var v int64
+		for _, line := range strings.Split(live, "\n") {
+			if rest, ok := strings.CutPrefix(line, fam+" "); ok {
+				v, _ = strconv.ParseInt(rest, 10, 64)
+			}
+		}
+		if v <= 0 {
+			t.Errorf("mid-run scrape: %s = %d, want > 0", fam, v)
+		}
+	}
+
 	events := rec.Events()
 	byType := map[obs.EventType]int{}
+	sumValue := map[obs.EventType]float64{}
+	migrationBytes := 0
 	ranks := map[int]bool{}
 	for _, e := range events {
 		byType[e.Type]++
+		sumValue[e.Type] += e.Value
 		ranks[e.Rank] = true
+		if e.Type == obs.EvMigration {
+			migrationBytes += e.Bytes
+		}
+		// Epoch close events carry the wave count and a duration.
+		if e.Type == obs.EvEpochClose && (e.Value < 1 || e.Dur <= 0) {
+			t.Errorf("rank %d epoch close: wave %g, dur %v", e.Rank, e.Value, e.Dur)
+		}
 	}
 	if len(ranks) != n {
 		t.Errorf("events cover %d ranks, want %d", len(ranks), n)
 	}
-	wantCounts := map[obs.EventType]int{
+	for ty, want := range map[obs.EventType]int{
 		obs.EvEpochOpen:  2 * n,
 		obs.EvEpochClose: 2 * n,
 		obs.EvPhaseBegin: n,
 		obs.EvPhaseEnd:   n,
-		obs.EvMigration:  n,
-	}
-	for ty, want := range wantCounts {
+		obs.EvMigration:  2 * n,
+		obs.EvCollective: 2 * n,
+	} {
 		if byType[ty] != want {
 			t.Errorf("%v events = %d, want %d", ty, byType[ty], want)
 		}
 	}
-	// Handlers ran (ping + object pokes, some possibly via forwards),
-	// tokens circulated, and every rank saw the two collectives.
-	if byType[obs.EvHandler] < 2*n {
-		t.Errorf("handler events = %d, want >= %d", byType[obs.EvHandler], 2*n)
-	}
 	if byType[obs.EvTokenRound] == 0 {
 		t.Error("no token-round events")
-	}
-	if byType[obs.EvCollective] != 2*n {
-		t.Errorf("collective events = %d, want %d", byType[obs.EvCollective], 2*n)
-	}
-	// Epoch close events carry the wave count and a duration.
-	for _, e := range events {
-		if e.Type == obs.EvEpochClose && e.Rank == 0 {
-			if e.Value < 1 {
-				t.Errorf("epoch close wave = %g", e.Value)
-			}
-			if e.Dur <= 0 {
-				t.Errorf("epoch close dur = %v", e.Dur)
-			}
-		}
 	}
 
 	m := rt.Metrics()
 	if m == nil {
 		t.Fatal("Metrics() = nil after EnableMetrics")
 	}
-	if got := m.Counter("amt_epochs_total").Value(); got != 2*n {
-		t.Errorf("amt_epochs_total = %d, want %d", got, 2*n)
+	// One value per fact: registry == fold == recorded events.
+	ns := rt.Stats()
+	fromEvents := map[string]int64{
+		"amt_handler_invocations_total":  int64(byType[obs.EvHandler]),
+		"amt_epochs_total":               int64(byType[obs.EvEpochClose]),
+		"termination_token_rounds_total": int64(sumValue[obs.EvEpochClose]),
+		"amt_migrations_total":           int64(byType[obs.EvMigration]),
+		"amt_migration_bytes_total":      int64(migrationBytes),
+		"amt_collectives_total":          int64(byType[obs.EvCollective]),
+		"amt_collective_messages_total":  int64(sumValue[obs.EvCollective]),
+		"amt_retries_total":              int64(byType[obs.EvRetry]),
+		"amt_duplicates_dropped_total":   int64(byType[obs.EvDupDrop]),
+		"comm_messages_all_total":        rt.TotalMessages(), // the transport emits no events
+		"comm_bytes_all_total":           ns.Transport.Bytes.Total(),
 	}
-	if got := m.Counter("amt_migrations_total").Value(); got != n {
-		t.Errorf("amt_migrations_total = %d, want %d", got, n)
+	for _, f := range nodeFamilies {
+		reg, fold := m.Counter(f.name).Value(), f.read(&ns)
+		ev, ok := fromEvents[f.name]
+		if !ok {
+			t.Fatalf("%s: nothing to hold it to", f.name)
+		}
+		if reg != fold || reg != ev {
+			t.Errorf("%s: registry %d, fold %d, recorded events %d", f.name, reg, fold, ev)
+		}
 	}
-	// A *counterState has no wire codec, so it weighs nothing; sized
-	// states are TestMigrationStatsAccounted's.
-	if got := m.Counter("amt_migration_bytes_total").Value(); got != 0 {
-		t.Errorf("amt_migration_bytes_total = %d for states with no codec", got)
+	// A *counterState has no wire codec and weighs nothing; the float64
+	// states weigh 10 bytes each (TestMigrationStatsAccounted has more).
+	if got := m.Counter("amt_migration_bytes_total").Value(); got != 10*n {
+		t.Errorf("amt_migration_bytes_total = %d, want %d", got, 10*n)
 	}
-	if m.Counter("amt_handler_invocations_total").Value() != int64(byType[obs.EvHandler]) {
-		t.Errorf("handler counter %d != handler events %d",
-			m.Counter("amt_handler_invocations_total").Value(), byType[obs.EvHandler])
-	}
-	// The folded transport counters must agree with the network totals.
-	if got := m.Counter("comm_messages_all_total").Value(); got != rt.TotalMessages() {
-		t.Errorf("comm_messages_all_total = %d, transport sent %d", got, rt.TotalMessages())
-	}
-	if got := m.Counter(`comm_messages_total{kind="user"}`).Value(); got != n {
-		t.Errorf("user kind messages = %d, want %d", got, n)
-	}
-	if got := m.Counter(`comm_messages_total{kind="migrate"}`).Value(); got != n {
-		t.Errorf("migrate kind messages = %d, want %d", got, n)
+	for _, f := range kindFamilies {
+		counts := f.of(&ns.Transport)
+		for k, name := range kindNames {
+			if got := m.Counter(obs.LabeledName(f.name, "kind", name)).Value(); got != counts[k] {
+				t.Errorf("%s{kind=%q} = %d, Transport.Stats has %d", f.name, name, got, counts[k])
+			}
+		}
 	}
 	if m.Counter("comm_bytes_all_total").Value() <= 0 {
 		t.Error("byte accounting produced no bytes")
+	}
+	// FaultStats is the same fold: its four numbers are the registry's.
+	overKinds := func(family string) (total int64) {
+		for _, name := range kindNames {
+			total += m.Counter(obs.LabeledName(family, "kind", name)).Value()
+		}
+		return total
+	}
+	if got, want := rt.FaultStats(), (FaultStats{
+		Dropped:    overKinds("comm_dropped_total"),
+		Duplicated: overKinds("comm_duplicated_total"),
+		Retries:    m.Counter("amt_retries_total").Value(),
+		DupDrops:   m.Counter("amt_duplicates_dropped_total").Value(),
+	}); got != want {
+		t.Errorf("FaultStats %+v, registry says %+v", got, want)
+	}
+
+	if faults.Empty() {
+		// What the body sent, exactly: a ping, a cascade of chain+1 hops
+		// and an object poke per rank, and two migrations.
+		if got := m.Counter(`comm_messages_total{kind="user"}`).Value(); got != n*(chain+2) {
+			t.Errorf("user kind messages = %d, want %d", got, n*(chain+2))
+		}
+		if got := m.Counter(`comm_messages_total{kind="migrate"}`).Value(); got != 2*n {
+			t.Errorf("migrate kind messages = %d, want %d", got, 2*n)
+		}
+		if got := m.Counter("amt_handler_invocations_total").Value(); got != n*(chain+3) {
+			t.Errorf("handler invocations = %d, want %d", got, n*(chain+3))
+		}
+		if st := rt.FaultStats(); st != (FaultStats{}) {
+			t.Errorf("fault-free run: %+v", st)
+		}
+	} else if st := rt.FaultStats(); st.Dropped == 0 || st.Duplicated == 0 || st.Retries == 0 || st.DupDrops == 0 {
+		t.Errorf("expected a lossy run, got %+v", st)
 	}
 }
 

@@ -146,13 +146,8 @@ func (rc *Context) accept(m comm.Message) bool {
 		From: int(rc.rank), To: m.From, Kind: kindAck, Data: m.MsgID,
 	})
 	if dup {
-		rc.rt.dupDrops.Add(1)
-		if rc.tr != nil {
-			rc.Emit(obs.Event{Type: obs.EvDupDrop, Peer: m.From, Object: -1})
-		}
-		if rc.ins != nil {
-			rc.ins.dupDrops.Inc()
-		}
+		rc.Stats[DupDrops].Add(1)
+		rc.Emit(obs.Event{Type: obs.EvDupDrop, Peer: m.From, Object: -1})
 	}
 	return !dup
 }
@@ -217,14 +212,9 @@ func (rc *Context) retryDue() {
 			backoff = rc.rel.cap
 		}
 		p.deadline = now.Add(backoff)
-		rc.rt.retries.Add(1)
-		if rc.tr != nil {
-			rc.Emit(obs.Event{Type: obs.EvRetry, Peer: p.m.To, Object: -1,
-				Epoch: p.m.Epoch, Value: float64(p.attempts)})
-		}
-		if rc.ins != nil {
-			rc.ins.retries.Inc()
-		}
+		rc.Stats[Retries].Add(1)
+		rc.Emit(obs.Event{Type: obs.EvRetry, Peer: p.m.To, Object: -1,
+			Epoch: p.m.Epoch, Value: float64(p.attempts)})
 		rc.rt.nw.Send(p.m)
 	}
 }

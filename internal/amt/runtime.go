@@ -37,10 +37,12 @@ type Runtime struct {
 	handlerNames map[HandlerID]string
 	running      bool
 
-	// ranks holds the Context of every local rank, indexed by rank−lo.
-	// Each rank publishes its own before it first parks, which is before
-	// any sender can be granted it, so a borrower always finds the entry.
-	ranks []*Context
+	// ranks holds the Context of every local rank, indexed by rank−lo and
+	// sized with the transport. Each rank publishes its own before it first
+	// parks, which is before any sender can be granted it, so a borrower
+	// always finds the entry; whoever folds the node's counters (Stats)
+	// finds nil until then.
+	ranks []atomic.Pointer[Context]
 	lo    int
 
 	// fanout is the arity k of the collective tree: rank r's parent is
@@ -48,34 +50,24 @@ type Runtime struct {
 	fanout int
 
 	// Fault recovery (see SetFaults and reliable.go): reliable switches
-	// the contexts to ack/retry delivery; the atomics aggregate the
-	// per-rank recovery activity for FaultStats.
+	// the contexts to ack/retry delivery.
 	reliable            bool
 	retryBase, retryCap time.Duration
-	retries             atomic.Int64
-	dupDrops            atomic.Int64
 
 	tracer  obs.Tracer
 	metrics *obs.Metrics
+	foldMu  sync.Mutex // one fold into metrics at a time (see Metrics)
 	ins     *instruments
 	stream  *obs.Stream
 }
 
-// instruments caches the resolved metric handles so the instrumented
-// paths never touch the registry's lock; a nil *instruments disables
-// metric recording entirely (one pointer check on the hot path).
+// instruments are the two latency histograms of the registry — the only
+// instruments the runtime writes as it goes, because a distribution cannot
+// be folded from a count afterwards. Nil without metrics. Every counter
+// family is stored by Metrics from the node's Stats.
 type instruments struct {
-	handlerCalls   *obs.Counter
 	handlerSeconds *obs.Histogram
-	epochs         *obs.Counter
 	epochSeconds   *obs.Histogram
-	tokenRounds    *obs.Counter
-	migrations     *obs.Counter
-	migrationBytes *obs.Counter
-	collectives    *obs.Counter
-	collMsgs       *obs.Counter
-	retries        *obs.Counter
-	dupDrops       *obs.Counter
 }
 
 // Option configures a Runtime at construction.
@@ -125,6 +117,7 @@ func New(n int, opts ...Option) *Runtime {
 		nw:           comm.NewNetwork(n),
 		handlerNames: make(map[HandlerID]string),
 		fanout:       DefaultFanout,
+		ranks:        make([]atomic.Pointer[Context], n),
 	}
 	for _, opt := range opts {
 		opt(rt)
@@ -153,6 +146,8 @@ func (rt *Runtime) SetTransport(t comm.Transport) {
 		t.EnableByteAccounting(wire.PayloadSize)
 	}
 	rt.nw = t
+	lo, hi := t.LocalRange()
+	rt.lo, rt.ranks = lo, make([]atomic.Pointer[Context], hi-lo)
 }
 
 // Transport returns the runtime's message transport.
@@ -172,112 +167,6 @@ func (rt *Runtime) SetFanout(k int) {
 
 // Fanout returns the collective tree's arity.
 func (rt *Runtime) Fanout() int { return rt.fanout }
-
-// EnableMetrics switches on the runtime's metrics registry and the
-// transport's payload byte accounting — every send sized by
-// wire.PayloadSize, so comm_bytes_total is wire-codec bytes on every
-// transport — and returns the registry. It is idempotent; call before
-// Run.
-func (rt *Runtime) EnableMetrics() *obs.Metrics {
-	rt.mustNotRun("EnableMetrics")
-	if rt.metrics != nil {
-		return rt.metrics
-	}
-	m := obs.NewMetrics()
-	lat := obs.DefaultLatencyBounds()
-	rt.ins = &instruments{
-		handlerCalls:   m.Counter("amt_handler_invocations_total"),
-		handlerSeconds: m.Histogram("amt_handler_seconds", lat),
-		epochs:         m.Counter("amt_epochs_total"),
-		epochSeconds:   m.Histogram("amt_epoch_seconds", lat),
-		tokenRounds:    m.Counter("termination_token_rounds_total"),
-		migrations:     m.Counter("amt_migrations_total"),
-		migrationBytes: m.Counter("amt_migration_bytes_total"),
-		collectives:    m.Counter("amt_collectives_total"),
-		collMsgs:       m.Counter("amt_collective_messages_total"),
-		retries:        m.Counter("amt_retries_total"),
-		dupDrops:       m.Counter("amt_duplicates_dropped_total"),
-	}
-	for fam, help := range map[string]string{
-		"amt_handler_invocations_total":  "Active-message handler invocations.",
-		"amt_handler_seconds":            "Handler execution time in seconds.",
-		"amt_epochs_total":               "Epochs run under termination detection.",
-		"amt_epoch_seconds":              "Epoch wall-clock duration in seconds.",
-		"termination_token_rounds_total": "Safra termination-token rounds.",
-		"amt_migrations_total":           "Objects migrated between ranks.",
-		"amt_migration_bytes_total":      "Wire-codec bytes of migrated object state.",
-		"amt_collectives_total":          "Tree-collective rounds completed.",
-		"amt_collective_messages_total":  "Messages sent by tree collectives.",
-		"amt_retries_total":              "Retransmissions of unacknowledged epoch sends.",
-		"amt_duplicates_dropped_total":   "Receiver-side discards of redundant deliveries.",
-		"comm_messages_total":            "Transport messages sent, by kind.",
-		"comm_bytes_total":               "Wire-codec payload bytes sent, by kind.",
-		"comm_dropped_total":             "Messages dropped by fault injection, by kind.",
-		"comm_duplicated_total":          "Messages duplicated by fault injection, by kind.",
-		"comm_messages_all_total":        "Transport messages sent, all kinds.",
-		"comm_bytes_all_total":           "Wire-codec payload bytes sent, all kinds.",
-		"wire_frames_out_total":          "Encoded frames written to peer processes.",
-		"wire_bytes_out_total":           "Frame bytes written to peer processes.",
-		"wire_frames_in_total":           "Frames decoded from peer processes.",
-		"wire_bytes_in_total":            "Frame bytes read from peer processes.",
-		"wire_peers":                     "Connected peer processes.",
-		"wire_redials_total":             "Connection attempts beyond the first, per peer.",
-		"wire_queue_highwater":           "Deepest per-peer writer queue seen, in messages.",
-	} {
-		m.SetHelp(fam, help)
-	}
-	rt.metrics = m
-	rt.nw.EnableByteAccounting(wire.PayloadSize)
-	return m
-}
-
-// kindNames maps transport kinds to the labels of the comm_* metric
-// families; keep in sync with the kind constants in context.go.
-var kindNames = [...]string{
-	"user", "object", "migrate", "locupdate", "token", "done",
-	"coll_up", "coll_down", "ack",
-}
-
-// Metrics returns the runtime's registry with the transport-level
-// per-kind message and byte totals folded in as of the call, or nil when
-// metrics were not enabled. Safe to call during and after Run.
-func (rt *Runtime) Metrics() *obs.Metrics {
-	if rt.metrics == nil {
-		return nil
-	}
-	var msgs, bytes int64
-	for k, name := range kindNames {
-		sent := rt.nw.SentByKind(comm.Kind(k))
-		b := rt.nw.BytesByKind(comm.Kind(k))
-		msgs += sent
-		bytes += b
-		if sent > 0 {
-			rt.metrics.Counter(obs.LabeledName("comm_messages_total", "kind", name)).Store(sent)
-		}
-		if b > 0 {
-			rt.metrics.Counter(obs.LabeledName("comm_bytes_total", "kind", name)).Store(b)
-		}
-		if d := rt.nw.DroppedByKind(comm.Kind(k)); d > 0 {
-			rt.metrics.Counter(obs.LabeledName("comm_dropped_total", "kind", name)).Store(d)
-		}
-		if d := rt.nw.DuplicatedByKind(comm.Kind(k)); d > 0 {
-			rt.metrics.Counter(obs.LabeledName("comm_duplicated_total", "kind", name)).Store(d)
-		}
-	}
-	rt.metrics.Counter("comm_messages_all_total").Store(msgs)
-	rt.metrics.Counter("comm_bytes_all_total").Store(bytes)
-	if ws, ok := rt.nw.(comm.WireStater); ok {
-		st := ws.WireStats()
-		rt.metrics.Counter("wire_frames_out_total").Store(st.FramesOut)
-		rt.metrics.Counter("wire_bytes_out_total").Store(st.BytesOut)
-		rt.metrics.Counter("wire_frames_in_total").Store(st.FramesIn)
-		rt.metrics.Counter("wire_bytes_in_total").Store(st.BytesIn)
-		rt.metrics.Counter("wire_peers").Store(st.Peers)
-		rt.metrics.Counter("wire_redials_total").Store(st.Redials)
-		rt.metrics.Counter("wire_queue_highwater").Store(st.QueueHighWater)
-	}
-	return rt.metrics
-}
 
 // SetStream attaches a live observability stream: protocol loops built
 // on the runtime (the distributed balancer, the service) publish
@@ -388,7 +277,6 @@ func (rt *Runtime) mustNotRun(op string) {
 func (rt *Runtime) Run(main func(rc *Context)) {
 	rt.running = true
 	lo, hi := rt.nw.LocalRange()
-	rt.lo, rt.ranks = lo, make([]*Context, hi-lo)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -400,7 +288,7 @@ func (rt *Runtime) Run(main func(rc *Context)) {
 		go func(rank int) {
 			defer wg.Done()
 			rc := newContext(rt, core.Rank(rank))
-			rt.ranks[rank-lo] = rc
+			rt.ranks[rank-lo].Store(rc)
 			defer func() {
 				if p := recover(); p != nil {
 					at := rc
@@ -424,10 +312,6 @@ func (rt *Runtime) Run(main func(rc *Context)) {
 		panic(fmt.Sprintf("amt: rank %d panicked: %v", failedOn, failed))
 	}
 }
-
-// TotalMessages returns the number of transport messages sent so far
-// (including control traffic).
-func (rt *Runtime) TotalMessages() int64 { return rt.nw.TotalSent() }
 
 // SetFaults installs a fault-injection spec on the transport and, when
 // the spec can lose or duplicate messages, switches the runtime to
@@ -485,26 +369,4 @@ func (rt *Runtime) SetFaults(sp comm.FaultSpec) error {
 	}
 	rt.retryCap = sp.RetryCap
 	return nil
-}
-
-// FaultStats reports the damage a fault plan did and what recovery it
-// took. Safe to call during and after Run.
-type FaultStats struct {
-	// Dropped and Duplicated count transport-level injections.
-	Dropped, Duplicated int64
-	// Retries counts retransmissions of unacknowledged epoch sends;
-	// DupDrops counts receiver-side discards of redundant deliveries
-	// (transport duplicates and redundant retransmissions).
-	Retries, DupDrops int64
-}
-
-// FaultStats returns the accumulated fault-injection and recovery
-// counters.
-func (rt *Runtime) FaultStats() FaultStats {
-	return FaultStats{
-		Dropped:    rt.nw.TotalDropped(),
-		Duplicated: rt.nw.TotalDuplicated(),
-		Retries:    rt.retries.Load(),
-		DupDrops:   rt.dupDrops.Load(),
-	}
 }

@@ -19,8 +19,8 @@ func TestWatchedMemory(t *testing.T) {
 			if got := rc.Watched(); got != (stream != nil) {
 				t.Errorf("rank %d: Watched = %v with stream %p", rc.Rank(), got, stream)
 			}
-			if rc.Stats.Collectives != 0 {
-				t.Errorf("rank %d: Watched took %d collectives on the memory transport", rc.Rank(), rc.Stats.Collectives)
+			if got := rc.Stats[Collectives].Load(); got != 0 {
+				t.Errorf("rank %d: Watched took %d collectives on the memory transport", rc.Rank(), got)
 			}
 			want := stream
 			if rc.Rank() != 0 {
@@ -56,9 +56,9 @@ func TestWatchedAgreesAcrossNodes(t *testing.T) {
 				if first != (watching >= 0) || second != first {
 					t.Errorf("watching node %d, rank %d: Watched = %v then %v", watching, rc.Rank(), first, second)
 				}
-				if rc.Stats.Collectives != 1 {
+				if got := rc.Stats[Collectives].Load(); got != 1 {
 					t.Errorf("watching node %d, rank %d: two Watched calls took %d collectives, want 1",
-						watching, rc.Rank(), rc.Stats.Collectives)
+						watching, rc.Rank(), got)
 				}
 				publishes := node == watching && int(rc.Rank()) == lo
 				if (rc.Stream() != nil) != publishes {

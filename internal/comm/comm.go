@@ -148,7 +148,7 @@ func (nw *Network) Inject(m Message) {
 // plans mid-traffic would make runs unreproducible and race with
 // in-flight accounting; calling it after a Send panics.
 func (nw *Network) SetFaultPlan(p *FaultPlan) {
-	if nw.TotalSent() > 0 {
+	if nw.Stats().Sent.Total() > 0 {
 		panic("comm: SetFaultPlan after traffic has flowed")
 	}
 	if !p.active() {
@@ -252,17 +252,6 @@ func (nw *Network) deliverAfter(m Message, delay time.Duration) {
 	}()
 }
 
-// TotalSent returns the number of messages sent on the network so far,
-// summed over the per-kind counters so Send pays one shared atomic add,
-// not two.
-func (nw *Network) TotalSent() int64 {
-	total := int64(0)
-	for k := range nw.sentKind {
-		total += nw.sentKind[k].Load()
-	}
-	return total
-}
-
 // EnableByteAccounting turns on per-kind payload byte accounting: every
 // subsequent Send adds size(m.Data) to its kind's total. The runtime
 // passes wire.PayloadSize, so the totals are wire-codec bytes on every
@@ -274,68 +263,18 @@ func (nw *Network) EnableByteAccounting(size func(any) int) { nw.size.Store(&siz
 // ByteAccounting reports whether payload sizing is enabled.
 func (nw *Network) ByteAccounting() bool { return nw.size.Load() != nil }
 
-// SentByKind returns the number of messages of the given kind sent so
-// far.
-func (nw *Network) SentByKind(k Kind) int64 {
-	if k < 0 || k >= MaxKinds {
-		return 0
+// Stats snapshots the per-kind counters (see Stats). Each counter is read
+// atomically; a snapshot taken while ranks send is not one instant across
+// kinds.
+func (nw *Network) Stats() Stats {
+	var s Stats
+	for k := range s.Sent {
+		s.Sent[k] = nw.sentKind[k].Load()
+		s.Bytes[k] = nw.bytesKind[k].Load()
+		s.Dropped[k] = nw.dropKind[k].Load()
+		s.Duplicated[k] = nw.dupKind[k].Load()
 	}
-	return nw.sentKind[k].Load()
-}
-
-// DroppedByKind returns the number of messages of the given kind the
-// fault plan has dropped so far.
-func (nw *Network) DroppedByKind(k Kind) int64 {
-	if k < 0 || k >= MaxKinds {
-		return 0
-	}
-	return nw.dropKind[k].Load()
-}
-
-// DuplicatedByKind returns the number of messages of the given kind the
-// fault plan has duplicated so far (each counted once, however many
-// copies landed).
-func (nw *Network) DuplicatedByKind(k Kind) int64 {
-	if k < 0 || k >= MaxKinds {
-		return 0
-	}
-	return nw.dupKind[k].Load()
-}
-
-// TotalDropped sums the fault-plan drops over all kinds.
-func (nw *Network) TotalDropped() int64 {
-	total := int64(0)
-	for k := range nw.dropKind {
-		total += nw.dropKind[k].Load()
-	}
-	return total
-}
-
-// TotalDuplicated sums the fault-plan duplications over all kinds.
-func (nw *Network) TotalDuplicated() int64 {
-	total := int64(0)
-	for k := range nw.dupKind {
-		total += nw.dupKind[k].Load()
-	}
-	return total
-}
-
-// BytesByKind returns the accumulated payload bytes of the given kind;
-// zero unless byte accounting was enabled before the traffic flowed.
-func (nw *Network) BytesByKind(k Kind) int64 {
-	if k < 0 || k >= MaxKinds {
-		return 0
-	}
-	return nw.bytesKind[k].Load()
-}
-
-// TotalBytes sums the accounted payload bytes over all kinds.
-func (nw *Network) TotalBytes() int64 {
-	total := int64(0)
-	for k := range nw.bytesKind {
-		total += nw.bytesKind[k].Load()
-	}
-	return total
+	return s
 }
 
 // Recv pops the next message for rank without blocking; ok is false when

@@ -138,8 +138,8 @@ func TestPendingAndTotalSent(t *testing.T) {
 	if nw.Pending(1) != 2 {
 		t.Errorf("Pending = %d", nw.Pending(1))
 	}
-	if nw.TotalSent() != 2 {
-		t.Errorf("TotalSent = %d", nw.TotalSent())
+	if got := nw.Stats().Sent.Total(); got != 2 {
+		t.Errorf("Stats().Sent.Total() = %d", got)
 	}
 	nw.Recv(1)
 	if nw.Pending(1) != 1 {
@@ -256,21 +256,17 @@ func TestPerKindCounters(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		nw.Send(Message{From: 0, To: 1, Kind: 9})
 	}
-	if got := nw.SentByKind(3); got != 5 {
-		t.Errorf("SentByKind(3) = %d, want 5", got)
+	st := nw.Stats()
+	if st.Sent[3] != 5 || st.Sent[9] != 2 || st.Sent[4] != 0 {
+		t.Errorf("Sent[3], [9], [4] = %d, %d, %d, want 5, 2, 0", st.Sent[3], st.Sent[9], st.Sent[4])
 	}
-	if got := nw.SentByKind(9); got != 2 {
-		t.Errorf("SentByKind(9) = %d, want 2", got)
+	if st.Sent.Total() != 7 {
+		t.Errorf("Sent.Total() = %d", st.Sent.Total())
 	}
-	if got := nw.SentByKind(4); got != 0 {
-		t.Errorf("SentByKind(4) = %d, want 0", got)
-	}
-	if nw.TotalSent() != 7 {
-		t.Errorf("TotalSent = %d", nw.TotalSent())
-	}
-	// Out-of-range kinds read as zero rather than panicking.
-	if nw.SentByKind(-1) != 0 || nw.SentByKind(MaxKinds) != 0 {
-		t.Error("out-of-range kind counters nonzero")
+	// Two transports' snapshots add kind by kind.
+	st.Add(nw.Stats())
+	if st.Sent[3] != 10 || st.Sent.Total() != 14 {
+		t.Errorf("after Add: Sent[3] = %d, total %d, want 10, 14", st.Sent[3], st.Sent.Total())
 	}
 }
 
@@ -309,13 +305,14 @@ func TestByteAccountingConcurrentSenders(t *testing.T) {
 	}
 	wg.Wait()
 	want := int64(senders * each * per)
-	if got := nw.TotalBytes(); got != want {
-		t.Errorf("TotalBytes = %d, want %d", got, want)
+	st := nw.Stats()
+	if got := st.Bytes.Total(); got != want {
+		t.Errorf("Bytes.Total() = %d, want %d", got, want)
 	}
-	if got := nw.BytesByKind(0) + nw.BytesByKind(1); got != want {
+	if got := st.Bytes[0] + st.Bytes[1]; got != want {
 		t.Errorf("per-kind bytes = %d, want %d", got, want)
 	}
-	if got := nw.SentByKind(0) + nw.SentByKind(1); got != senders*each {
+	if got := st.Sent[0] + st.Sent[1]; got != senders*each {
 		t.Errorf("per-kind sends = %d, want %d", got, senders*each)
 	}
 }
@@ -325,15 +322,16 @@ func TestByteAccountingConcurrentSenders(t *testing.T) {
 func TestByteAccountingOffByDefault(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 4096)})
-	if nw.ByteAccounting() || nw.TotalBytes() != 0 {
-		t.Errorf("TotalBytes = %d without byte accounting", nw.TotalBytes())
+	st := nw.Stats()
+	if nw.ByteAccounting() || st.Bytes.Total() != 0 {
+		t.Errorf("Bytes.Total() = %d without byte accounting", st.Bytes.Total())
 	}
-	if nw.SentByKind(1) != 1 {
-		t.Errorf("message counting must stay on: %d", nw.SentByKind(1))
+	if st.Sent[1] != 1 {
+		t.Errorf("message counting must stay on: %d", st.Sent[1])
 	}
 	nw.EnableByteAccounting(func(v any) int { return len(v.([]byte)) })
 	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 7)})
-	if got := nw.BytesByKind(1); got != 7 {
-		t.Errorf("BytesByKind(1) = %d after one sized send of 7, want 7", got)
+	if got := nw.Stats().Bytes[1]; got != 7 {
+		t.Errorf("Bytes[1] = %d after one sized send of 7, want 7", got)
 	}
 }

@@ -1,8 +1,9 @@
 // Package comm provides the in-memory message transport underneath the
 // AMT runtime: per-rank unbounded inboxes with blocking, non-blocking
 // and batched receive (RecvBatch drains a whole burst under one lock
-// acquisition), per-sender FIFO ordering, and optional payload byte
-// accounting. Each inbox also says who may run its rank — running,
+// acquisition), per-sender FIFO ordering, and per-kind accounting of what
+// was sent, dropped and duplicated — payload bytes optionally — read as
+// one Stats snapshot. Each inbox also says who may run its rank — running,
 // parked or borrowed — so that a sender can run a parked rank instead of
 // waking it (SendClaim, Release, WaitOwned). Deadline waits reuse a
 // single timer per inbox rather than arming a fresh one per call, so

@@ -80,7 +80,7 @@ func TestFaultPlanDropIsSeededAndDeterministic(t *testing.T) {
 		for _, m := range drainAll(nw, 1) {
 			delivered[m.Data.(int)] = true
 		}
-		return delivered, nw.TotalDropped()
+		return delivered, nw.Stats().Dropped.Total()
 	}
 	d1, n1 := run()
 	d2, n2 := run()
@@ -116,7 +116,7 @@ func nwDropOther(t *testing.T) int64 {
 	if got := len(drainAll(nw, 1)); got != 100 {
 		t.Fatalf("kind 2 lost messages: %d of 100", got)
 	}
-	return nw.DroppedByKind(2)
+	return nw.Stats().Dropped[2]
 }
 
 func TestFaultPlanDuplication(t *testing.T) {
@@ -132,7 +132,8 @@ func TestFaultPlanDuplication(t *testing.T) {
 	for _, m := range drainAll(nw, 1) {
 		copies[m.Data.(int)]++
 	}
-	dups := nw.TotalDuplicated()
+	st := nw.Stats()
+	dups := st.Duplicated.Total()
 	if dups == 0 {
 		t.Fatal("dup plan duplicated nothing")
 	}
@@ -150,8 +151,8 @@ func TestFaultPlanDuplication(t *testing.T) {
 	if doubled != dups || int64(total) != int64(n)+dups {
 		t.Fatalf("copies %d, doubled %d, dup counter %d", total, doubled, dups)
 	}
-	if got := nw.DuplicatedByKind(0); got != dups {
-		t.Fatalf("DuplicatedByKind(0) = %d, want %d", got, dups)
+	if got := st.Duplicated[0]; got != dups {
+		t.Fatalf("Duplicated[0] = %d, want %d", got, dups)
 	}
 }
 
@@ -226,7 +227,7 @@ func TestEmptyFaultPlanIsInert(t *testing.T) {
 			t.Fatalf("message %d out of order or missing (%v, %v)", i, m.Data, ok)
 		}
 	}
-	if nw.TotalDropped() != 0 || nw.TotalDuplicated() != 0 {
+	if st := nw.Stats(); st.Dropped.Total() != 0 || st.Duplicated.Total() != 0 {
 		t.Fatal("empty plan produced faults")
 	}
 }

@@ -37,8 +37,6 @@ type Transport interface {
 	Send(Message)
 	Recv(rank int) (Message, bool)
 	RecvBatch(rank int, buf []Message) []Message
-	RecvWait(rank int) (Message, bool)
-	Pending(rank int) int
 
 	// The ownership trio (see Network): SendClaim is Send that may hand
 	// the caller a parked local destination rank to run, Release ends
@@ -55,18 +53,45 @@ type Transport interface {
 
 	EnableByteAccounting(size func(any) int)
 	ByteAccounting() bool
-	TotalSent() int64
-	SentByKind(Kind) int64
-	BytesByKind(Kind) int64
-	DroppedByKind(Kind) int64
-	DuplicatedByKind(Kind) int64
-	TotalDropped() int64
-	TotalDuplicated() int64
-	TotalBytes() int64
+	// Stats snapshots the per-kind accounting; safe at any time.
+	Stats() Stats
 }
 
 // The in-memory Network is the reference Transport.
 var _ Transport = (*Network)(nil)
+
+// KindCounts holds one count per message kind.
+type KindCounts [MaxKinds]int64
+
+// Total sums the counts over all kinds.
+func (c KindCounts) Total() int64 {
+	total := int64(0)
+	for _, v := range c {
+		total += v
+	}
+	return total
+}
+
+// Stats is a snapshot of what a transport has counted since it was made,
+// per message kind: messages sent (every Send and SendClaim, whatever
+// became of the message), their payload bytes (zero unless byte accounting
+// was on when they were sent), and the messages its fault plan dropped and
+// duplicated (a duplicated message counts once, however many copies
+// landed). It is the only place these facts are counted; everything that
+// reports them reads a snapshot.
+type Stats struct {
+	Sent, Bytes, Dropped, Duplicated KindCounts
+}
+
+// Add folds another transport's snapshot into s.
+func (s *Stats) Add(o Stats) {
+	for k := range s.Sent {
+		s.Sent[k] += o.Sent[k]
+		s.Bytes[k] += o.Bytes[k]
+		s.Dropped[k] += o.Dropped[k]
+		s.Duplicated[k] += o.Duplicated[k]
+	}
+}
 
 // WireStats are the cross-process counters of a socket-backed
 // transport: encoded frames and payload bytes in each direction, the
@@ -81,6 +106,18 @@ type WireStats struct {
 	// messages, across all peers) — the early-warning gauge for a peer
 	// that has stopped draining.
 	QueueHighWater int64
+}
+
+// Add folds another transport's counters into s: sums, and the deeper of
+// the two queue high-water marks.
+func (s *WireStats) Add(o WireStats) {
+	s.FramesOut += o.FramesOut
+	s.BytesOut += o.BytesOut
+	s.FramesIn += o.FramesIn
+	s.BytesIn += o.BytesIn
+	s.Peers += o.Peers
+	s.Redials += o.Redials
+	s.QueueHighWater = max(s.QueueHighWater, o.QueueHighWater)
 }
 
 // WireStater is implemented by transports that move bytes between

@@ -172,19 +172,6 @@ type Config struct {
 	// per-trial streams are derived from it.
 	Seed int64
 
-	// FloodForward, when true, forwards gossip on every received message
-	// as literally written in Algorithm 1 (exponential message growth;
-	// only sensible at small scale). When false (the default and what
-	// practical implementations do) a rank forwards a given round's
-	// knowledge at most once.
-	FloodForward bool
-
-	// PersistKnowledge keeps each rank's gossip knowledge across the
-	// iterations of a trial instead of resetting it, trading staleness
-	// for fewer messages. The paper resets; this is an ablation knob of
-	// the synchronous engine, and the distributed balancer refuses it.
-	PersistKnowledge bool
-
 	// NegativeAcks enables the recipient-side veto of Menon's original
 	// GrapevineLB that the paper chose not to employ (§V-A): a transfer
 	// that would push the actual recipient above the average is bounced
@@ -214,15 +201,6 @@ type Config struct {
 	// The distributed balancer refuses a non-empty spec: its faults are
 	// the runtime's (amt.Runtime.SetFaults).
 	GossipFaults comm.FaultSpec
-
-	// Stream, when non-nil, receives one obs.Snapshot frame per engine
-	// iteration (plus an initial frame), carrying per-rank loads and the
-	// cumulative gossip/transfer accounting. StreamTag overrides the
-	// frame's Source field ("engine" when empty) so concurrent engines
-	// can share one stream distinguishably. Nil costs one comparison per
-	// iteration.
-	Stream    *obs.Stream
-	StreamTag string
 
 	// CommBias, in [0,1), activates the communication-aware extension
 	// (§VII future work) when a CommGraph is supplied to

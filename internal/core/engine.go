@@ -207,10 +207,6 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 		tr.Emit(obs.Event{Type: obs.EvLBBegin, Peer: -1, Object: -1,
 			Value: res.InitialImbalance})
 	}
-	stream := e.cfg.Stream
-	if stream != nil {
-		e.publishFrame(obs.Snapshot{Phase: "init", Loads: a.RankLoads()}, res)
-	}
 
 	numRanks := a.NumRanks()
 	sc := &e.sc
@@ -242,10 +238,8 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 					Trial: trial, Iteration: iter})
 			}
 
-			if !e.cfg.PersistKnowledge || iter == 1 {
-				for _, s := range sc.states {
-					s.Reset()
-				}
+			for _, s := range sc.states {
+				s.Reset()
 			}
 			e.gossip(work, ave, &st)
 			e.transferPass(work, ave, g, &st)
@@ -258,12 +252,6 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 					Dur: clock.Since(iterStart)})
 			}
 			res.History = append(res.History, st)
-			if stream != nil {
-				e.publishFrame(obs.Snapshot{
-					Phase: "iter", Trial: trial, Iteration: iter,
-					Loads: work.RankLoads(), IterMs: st.ElapsedSeconds * 1e3,
-				}, res)
-			}
 			if st.Imbalance < res.FinalImbalance { // line 10: keep the best
 				res.FinalImbalance = st.Imbalance
 				res.BestTrial, res.BestIteration = trial, iter
@@ -386,27 +374,6 @@ func (e *Engine) transferPass(work *Assignment, ave float64, g *CommGraph, st *I
 	if overloaded > 0 {
 		st.KnowledgeAvg = float64(knowSum) / float64(overloaded)
 	}
-}
-
-// publishFrame stamps the engine's identity and cumulative accounting
-// onto a frame and publishes it to the configured stream. Counters are
-// re-summed from the history — at most Trials×Iterations rows, noise
-// next to a gossip pass.
-func (e *Engine) publishFrame(f obs.Snapshot, res *Result) {
-	f.Source = e.cfg.StreamTag
-	if f.Source == "" {
-		f.Source = "engine"
-	}
-	f.Ranks = len(f.Loads)
-	f.FillLoadStats()
-	for _, st := range res.History {
-		f.GossipMsgs += int64(st.GossipMessages)
-		f.GossipEntries += int64(st.GossipEntries)
-		f.TransferMsgs += int64(st.Transfers)
-		f.Dropped += int64(st.GossipDropped)
-		f.Duplicated += int64(st.GossipDuplicated)
-	}
-	e.cfg.Stream.Publish(f)
 }
 
 // String summarizes a result for logs.

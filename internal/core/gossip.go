@@ -28,7 +28,7 @@ type InformState struct {
 	cfg       *Config
 	rng       *rand.Rand
 	know      *Knowledge
-	forwarded []bool // by round, when !cfg.FloodForward
+	forwarded []bool // by round
 
 	// Reused buffers: sendBuf backs the slices returned by Begin and
 	// Receive (overwritten by the next call); permBuf serves the
@@ -88,11 +88,11 @@ func (st *InformState) Begin(ave, own float64) []Send {
 
 // Receive implements INFORMHANDLER (Algorithm 1 lines 15–25): merge the
 // incoming knowledge and, if more rounds remain, forward to f random
-// ranks not already known to be underloaded. Unless cfg.FloodForward is
-// set, a rank forwards a given round at most once and only when the
-// message taught it something new (the standard epidemic suppression
-// that keeps message volume near P·f·k instead of f^k); later or
-// redundant messages of the same round only merge. It returns the number
+// ranks not already known to be underloaded. A rank forwards a given
+// round at most once and only when the message taught it something new
+// (the standard epidemic suppression that keeps message volume near P·f·k
+// instead of the f^k of Algorithm 1 read literally); later or redundant
+// messages of the same round only merge. It returns the number
 // of newly learned entries alongside the messages to send; the sends
 // slice is reused by the state's next Begin or Receive, so consume or
 // copy it before driving this rank again.
@@ -101,12 +101,10 @@ func (st *InformState) Receive(m InformMsg) (sends []Send, added int) {
 	if m.Round >= st.cfg.Rounds {
 		return nil, added
 	}
-	if !st.cfg.FloodForward {
-		if st.forwarded[m.Round] || added == 0 {
-			return nil, added
-		}
-		st.forwarded[m.Round] = true
+	if st.forwarded[m.Round] || added == 0 {
+		return nil, added
 	}
+	st.forwarded[m.Round] = true
 	return st.fanOutAvoidKnown(m.Round + 1), added
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"temperedlb/internal/comm"
-	"temperedlb/internal/obs"
 )
 
 // TestEngineGossipFaultsRich drives the delay-ordered gossip queue with
@@ -98,59 +97,6 @@ func TestEngineGossipZeroDelayRichMatchesFIFO(t *testing.T) {
 	}
 }
 
-// TestEngineStreamFrames checks the engine's frame publishing: one init
-// frame plus one per iteration, phases and cumulative counters correct,
-// and the stream attachment changing no balancing decision.
-func TestEngineStreamFrames(t *testing.T) {
-	a := clusteredAssignment(32, 2, 200, 5)
-	plain, _ := NewEngine(smallTempered())
-	resPlain, err := plain.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := smallTempered()
-	cfg.Stream = obs.NewStream(256)
-	cfg.StreamTag = "engine-test"
-	eng, _ := NewEngine(cfg)
-	res, err := eng.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalImbalance != resPlain.FinalImbalance || len(res.Moves) != len(resPlain.Moves) {
-		t.Errorf("attaching a stream changed the outcome: %v vs %v", res, resPlain)
-	}
-
-	frames := cfg.Stream.Frames()
-	want := 1 + cfg.Trials*cfg.Iterations
-	if len(frames) != want {
-		t.Fatalf("published %d frames, want %d", len(frames), want)
-	}
-	if frames[0].Phase != "init" || frames[0].Source != "engine-test" {
-		t.Errorf("first frame = %+v, want init from engine-test", frames[0])
-	}
-	last := frames[len(frames)-1]
-	if last.Phase != "iter" || last.Ranks != a.NumRanks() || len(last.Loads) != a.NumRanks() {
-		t.Errorf("last frame malformed: %+v", last)
-	}
-	gossip, xfers := 0, 0
-	for _, st := range res.History {
-		gossip += st.GossipMessages
-		xfers += st.Transfers
-	}
-	if last.GossipMsgs != int64(gossip) || last.TransferMsgs != int64(xfers) {
-		t.Errorf("cumulative counters wrong: frame %d/%d, history %d/%d",
-			last.GossipMsgs, last.TransferMsgs, gossip, xfers)
-	}
-	// The frame recomputes the average from its loads vector, the history
-	// row from the assignment's running totals — same value up to
-	// summation rounding.
-	if d := last.Imbalance - res.History[len(res.History)-1].Imbalance; d > 1e-9 || d < -1e-9 {
-		t.Errorf("frame imbalance %g, want %g", last.Imbalance,
-			res.History[len(res.History)-1].Imbalance)
-	}
-}
-
 // TestGossipFaultConfigValidate: the engine's spec is checked by the
 // transport's validator, ranges at NewEngine and rank bounds at Run —
 // including the two cases the old engine-side copy let through (a
@@ -228,10 +174,11 @@ func TestGossipQueueMatchesNetwork(t *testing.T) {
 		t.Fatalf("nothing to compare: %d stamps, %d dropped, %d duplicated",
 			stamps, last.GossipDropped, last.GossipDuplicated)
 	}
-	if int(nw.TotalDropped()) != last.GossipDropped || q.dropped != last.GossipDropped {
-		t.Errorf("dropped: network %d, queue %d, iteration %d", nw.TotalDropped(), q.dropped, last.GossipDropped)
+	st := nw.Stats()
+	if int(st.Dropped.Total()) != last.GossipDropped || q.dropped != last.GossipDropped {
+		t.Errorf("dropped: network %d, queue %d, iteration %d", st.Dropped.Total(), q.dropped, last.GossipDropped)
 	}
-	if int(nw.TotalDuplicated()) != last.GossipDuplicated || q.duplicated != last.GossipDuplicated {
-		t.Errorf("duplicated: network %d, queue %d, iteration %d", nw.TotalDuplicated(), q.duplicated, last.GossipDuplicated)
+	if int(st.Duplicated.Total()) != last.GossipDuplicated || q.duplicated != last.GossipDuplicated {
+		t.Errorf("duplicated: network %d, queue %d, iteration %d", st.Duplicated.Total(), q.duplicated, last.GossipDuplicated)
 	}
 }

@@ -179,9 +179,8 @@ var (
 
 // CheckConfig reports whether RunDistributed will run cfg: it must be
 // valid, and must set none of the knobs only the synchronous engine
-// implements. The distributed protocol has no recipient veto, resets
-// knowledge every iteration, carries no communication graph and takes
-// its faults from the runtime's transport; running on as if such a knob
+// implements. The distributed protocol has no recipient veto, carries no
+// communication graph and takes its faults from the runtime's transport; running on as if such a knob
 // were off would report results the configuration did not ask for. A
 // caller that will invoke the balancer later (serve.Run) checks up
 // front, so every rank fails the same way before any work is done.
@@ -193,8 +192,6 @@ func CheckConfig(cfg core.Config) error {
 	switch {
 	case cfg.NegativeAcks:
 		knob = "NegativeAcks"
-	case cfg.PersistKnowledge:
-		knob = "PersistKnowledge"
 	case cfg.CommBias > 0:
 		knob = "CommBias"
 	case !cfg.GossipFaults.Empty():
@@ -279,7 +276,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	}
 
 	st.best.copyFrom(&st.input)
-	migBefore, bytesBefore := rc.Stats.Migrations, rc.Stats.MigrationBytes
+	migBefore, bytesBefore := rc.Stats[amt.Migrations].Load(), rc.Stats[amt.MigrationBytes].Load()
 
 	for trial := 1; trial <= cfg.Trials; trial++ {
 		st.virtual.copyFrom(&st.input) // Algorithm 3 line 3
@@ -425,8 +422,8 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			}
 		}
 	})
-	res.Migrations = rc.Stats.Migrations - migBefore
-	res.MigrationBytes = rc.Stats.MigrationBytes - bytesBefore
+	res.Migrations = int(rc.Stats[amt.Migrations].Load() - migBefore)
+	res.MigrationBytes = int(rc.Stats[amt.MigrationBytes].Load() - bytesBefore)
 	if watched {
 		// The one collective a watcher adds: the commit frame's migration
 		// total. Its loads are the best iteration's, already reduced.
@@ -448,24 +445,24 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 
 // publishFrame fills a frame's loads and load statistics from a reduced
 // load summary and the job's total load, stamps the run-wide counters
-// onto it and publishes it. Only a node's publishing rank calls it; the
-// transport and fault totals are runtime-global, so the frame describes
-// the node's whole run, not one rank.
+// onto it and publishes it. Only a node's publishing rank calls it. The
+// transport, fault and wire totals are the node's (amt.NodeStats), so the
+// frame describes the node's whole run; collectives and epochs are the
+// publishing rank's own, which every rank of the job shares.
 func publishFrame(rc *amt.Context, stream *obs.Stream, res *DistResult, entries int, reduced []float64, total float64, f obs.Snapshot) {
 	f.Source = "distributed"
 	obs.NewLoadSummary(rc.NumRanks()).Fill(&f, reduced, total)
 	f.GossipMsgs = int64(res.GossipMessages)
 	f.GossipEntries = int64(entries)
 	f.TransferMsgs = int64(res.TransferMessages)
-	f.Msgs, f.Bytes = rc.TransportTotals()
-	fs := rc.FaultTotals()
+	ns := rc.NodeStats()
+	f.Msgs, f.Bytes = ns.Transport.Sent.Total(), ns.Transport.Bytes.Total()
+	fs := ns.Faults()
 	f.Dropped, f.Duplicated = fs.Dropped, fs.Duplicated
 	f.Retries, f.DupDrops = fs.Retries, fs.DupDrops
-	f.Collectives = int64(rc.Stats.Collectives)
-	f.Epochs = int64(rc.Stats.EpochsRun)
-	if ws, ok := rc.WireTotals(); ok {
-		f.WireBytesOut, f.WireBytesIn, f.WirePeers = ws.BytesOut, ws.BytesIn, ws.Peers
-	}
+	f.Collectives = rc.Stats[amt.Collectives].Load()
+	f.Epochs = rc.Stats[amt.EpochsRun].Load()
+	f.WireBytesOut, f.WireBytesIn, f.WirePeers = ns.Wire.BytesOut, ns.Wire.BytesIn, ns.Wire.Peers
 	stream.Publish(f)
 }
 

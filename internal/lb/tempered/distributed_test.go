@@ -179,7 +179,6 @@ func TestDistributedBadConfig(t *testing.T) {
 	}{
 		{"fanout", func(c *core.Config) { c.Fanout = 0 }},
 		{"NegativeAcks", func(c *core.Config) { c.NegativeAcks = true }},
-		{"PersistKnowledge", func(c *core.Config) { c.PersistKnowledge = true }},
 		{"CommBias", func(c *core.Config) { c.CommBias = 0.3 }},
 		{"GossipFaults", func(c *core.Config) { c.GossipFaults.Drop = 0.1 }},
 		{"Runtime.SetFaults", func(c *core.Config) { c.GossipFaults.DelayMax = time.Millisecond }},

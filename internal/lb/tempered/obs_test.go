@@ -6,21 +6,37 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"temperedlb/internal/amt"
+	"temperedlb/internal/comm"
 	"temperedlb/internal/obs"
 )
 
 // TestDistributedTracingAcceptance is the observability acceptance run:
-// RunDistributed on 16 ranks with the full stack attached must produce
-// (a) a Chrome trace with one named track per rank and a rich event
-// vocabulary, (b) per-iteration History identical on every rank, and
-// (c) balancer-level gossip+transfer message counts that exactly match
-// the transport's user-kind totals.
+// RunDistributed on 16 ranks with the full stack attached — tracer,
+// registry and stream — must produce (a) a Chrome trace with one named
+// track per rank and a rich event vocabulary, (b) per-iteration History
+// identical on every rank, (c) balancer-level gossip+transfer message
+// counts that exactly match the transport's user-kind totals, (d) the
+// tree's collective accounting, and (e) one value per counted fact across
+// the registry, the recorded events and the last frame. It runs fault-free
+// and under a plan that drops and duplicates.
 func TestDistributedTracingAcceptance(t *testing.T) {
+	t.Run("fault-free", func(t *testing.T) { testTracingAcceptance(t, comm.FaultSpec{}) })
+	t.Run("faulted", func(t *testing.T) {
+		testTracingAcceptance(t, comm.FaultSpec{Seed: 3, Drop: 0.05, Dup: 0.05, RetryBase: time.Millisecond})
+	})
+}
+
+func testTracingAcceptance(t *testing.T, faults comm.FaultSpec) {
 	const nRanks, hot, objsPerHot = 16, 2, 24
 	rec := obs.NewRecorder()
-	rt := amt.New(nRanks, amt.WithTracer(rec), amt.WithMetrics())
+	stream := obs.NewStream(0)
+	rt := amt.New(nRanks, amt.WithTracer(rec), amt.WithMetrics(), amt.WithStream(stream))
+	if err := rt.SetFaults(faults); err != nil {
+		t.Fatal(err)
+	}
 	h := RegisterHandlers(rt, 100)
 	results := make([]DistResult, nRanks)
 	var mu sync.Mutex
@@ -47,10 +63,12 @@ func TestDistributedTracingAcceptance(t *testing.T) {
 
 	// (c) Message accounting: the balancer is the only source of
 	// user-kind traffic here, so its own counts must reconcile exactly
-	// with the transport.
+	// with the transport — which under a fault plan also carries the
+	// retransmissions.
 	res := results[0]
-	user := rt.Metrics().Counter(`comm_messages_total{kind="user"}`).Value()
-	if got := int64(res.GossipMessages + res.TransferMessages); got != user {
+	m := rt.Metrics()
+	user := m.Counter(`comm_messages_total{kind="user"}`).Value()
+	if got := int64(res.GossipMessages + res.TransferMessages); got != user && faults.Empty() || got > user {
 		t.Errorf("balancer counted %d gossip + %d transfer = %d user messages, transport sent %d",
 			res.GossipMessages, res.TransferMessages, got, user)
 	}
@@ -144,10 +162,11 @@ func TestDistributedTracingAcceptance(t *testing.T) {
 			t.Errorf("collective event geometry: fanout %d depth %d", e.Fanout, e.Depth)
 		}
 	}
-	// One explicit barrier before the LB call, then mixed-op reduces
-	// only: one prologue round and one per iteration.
+	// One explicit barrier before the LB call, then mixed-op reduces: one
+	// prologue round and one per iteration; the attached stream adds the
+	// commit frame's migration total.
 	wantMixed := 1 + cfg.Trials*cfg.Iterations
-	wantColl := 1 + wantMixed
+	wantColl := 1 + wantMixed + 1
 	for r := 0; r < nRanks; r++ {
 		if perRank[r] != wantColl {
 			t.Errorf("rank %d ran %d collectives, want %d", r, perRank[r], wantColl)
@@ -155,6 +174,71 @@ func TestDistributedTracingAcceptance(t *testing.T) {
 		if mixed[r] != wantMixed {
 			t.Errorf("rank %d ran %d mixed-op reduces, want %d", r, mixed[r], wantMixed)
 		}
+	}
+
+	// (e) One value per fact. Rank counts: registry == recorded events, and
+	// the commit frame carries the same numbers — everything but the
+	// dup-drop count is final by then (no counted message is sent after the
+	// commit epoch; a redundant copy may still be discarded later), and its
+	// collectives and epochs are one rank's, the same on every rank.
+	byType := map[obs.EventType]int64{}
+	sumValue := map[obs.EventType]float64{}
+	var migrationBytes int64
+	for _, e := range events {
+		byType[e.Type]++
+		sumValue[e.Type] += e.Value
+		if e.Type == obs.EvMigration {
+			migrationBytes += int64(e.Bytes)
+		}
+	}
+	frames := stream.Frames()
+	last := frames[len(frames)-1]
+	if last.Phase != "commit" {
+		t.Fatalf("last frame is %q, want the commit frame", last.Phase)
+	}
+	for _, fact := range []struct {
+		family string
+		events int64
+		frame  int64 // -1: the frame does not carry it
+	}{
+		{"amt_handler_invocations_total", byType[obs.EvHandler], -1},
+		{"amt_epochs_total", byType[obs.EvEpochClose], nRanks * last.Epochs},
+		{"termination_token_rounds_total", int64(sumValue[obs.EvEpochClose]), -1},
+		{"amt_migrations_total", byType[obs.EvMigration], last.Migrations},
+		{"amt_migration_bytes_total", migrationBytes, -1},
+		{"amt_collectives_total", byType[obs.EvCollective], nRanks * last.Collectives},
+		{"amt_collective_messages_total", int64(sumValue[obs.EvCollective]), -1},
+		{"amt_retries_total", byType[obs.EvRetry], last.Retries},
+		{"amt_duplicates_dropped_total", byType[obs.EvDupDrop], -1},
+	} {
+		reg := m.Counter(fact.family).Value()
+		if reg != fact.events || fact.frame >= 0 && reg != fact.frame {
+			t.Errorf("%s: registry %d, recorded events %d, commit frame %d", fact.family, reg, fact.events, fact.frame)
+		}
+	}
+	// Transport counts: registry == FaultStats == frame for what the fault
+	// plan did; the frame's message and byte totals stop where it was
+	// published, the down-sweep of the last collective still to come.
+	st := rt.FaultStats()
+	if last.Dropped != st.Dropped || last.Duplicated != st.Duplicated || last.DupDrops > st.DupDrops {
+		t.Errorf("commit frame: %d dropped, %d duplicated, %d dup-drops; FaultStats %+v",
+			last.Dropped, last.Duplicated, last.DupDrops, st)
+	}
+	var dropped, duplicated int64
+	for _, kind := range []string{"user", "object", "migrate", "locupdate"} { // the kinds a plan may lose
+		dropped += m.Counter(obs.LabeledName("comm_dropped_total", "kind", kind)).Value()
+		duplicated += m.Counter(obs.LabeledName("comm_duplicated_total", "kind", kind)).Value()
+	}
+	if dropped != st.Dropped || duplicated != st.Duplicated {
+		t.Errorf("registry: %d dropped, %d duplicated over the counted kinds; FaultStats %+v", dropped, duplicated, st)
+	}
+	sent, sentBytes := m.Counter("comm_messages_all_total").Value(), m.Counter("comm_bytes_all_total").Value()
+	if sent != rt.TotalMessages() || last.Msgs <= 0 || last.Msgs > sent || last.Bytes <= 0 || last.Bytes > sentBytes {
+		t.Errorf("registry %d messages / %d bytes, TotalMessages %d, commit frame %d / %d",
+			sent, sentBytes, rt.TotalMessages(), last.Msgs, last.Bytes)
+	}
+	if lossy := st.Dropped > 0 && st.Duplicated > 0 && st.Retries > 0 && st.DupDrops > 0; lossy == faults.Empty() {
+		t.Errorf("fault plan %v, FaultStats %+v", faults, st)
 	}
 
 	var buf bytes.Buffer

@@ -10,7 +10,9 @@
 // that is nil by default and only constructs and emits events inside
 // `if tr != nil` guards. Metrics follow the same discipline — instrument
 // pointers are resolved once at setup and the disabled path never
-// touches them.
+// touches them. A counter that reports a total kept elsewhere is not
+// incremented alongside it: its owner stores it when the registry is
+// exported (Metrics.OnScrape), so the two cannot disagree.
 //
 // # Concurrency
 //

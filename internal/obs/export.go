@@ -321,8 +321,11 @@ func sampleName(fam, suffix, labels, extra string) string {
 // text (when registered via Metrics.SetHelp) and a TYPE line, each
 // emitted exactly once per family even when many labelled series share
 // it; histogram label suffixes merge with the le label instead of
-// nesting braces.
+// nesting braces. A registry with an OnScrape function is refreshed first.
 func WritePrometheus(w io.Writer, m *Metrics) error {
+	if m.onScrape != nil {
+		m.onScrape()
+	}
 	bw := bufio.NewWriter(w)
 	seenHeader := map[string]bool{}
 	header := func(fam, kind string) {

@@ -129,6 +129,7 @@ type Metrics struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	help     map[string]string // family -> HELP text
+	onScrape func()            // refreshes folded counters before an export
 }
 
 // NewMetrics creates an empty registry.
@@ -149,6 +150,13 @@ func (m *Metrics) SetHelp(family, text string) {
 	m.help[family] = text
 	m.mu.Unlock()
 }
+
+// OnScrape registers the function every export of the registry
+// (WritePrometheus, so a file and a /metrics request alike) runs first:
+// the owner of counters that are folded from totals kept elsewhere stores
+// them there, so no reader sees a registry older than its own request.
+// Set it at setup time, before the registry is shared.
+func (m *Metrics) OnScrape(refresh func()) { m.onScrape = refresh }
 
 // helpFor returns the registered HELP text for a family, "" when none.
 func (m *Metrics) helpFor(family string) string {

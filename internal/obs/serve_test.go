@@ -16,6 +16,10 @@ func TestServeSnapshotAndFrames(t *testing.T) {
 	s := NewStream(8)
 	m := NewMetrics()
 	m.Counter("test_total").Add(3)
+	// A counter folded from a total kept elsewhere: every request reads
+	// the total as of the request, not as of the last one.
+	folded := int64(0)
+	m.OnScrape(func() { folded += 7; m.Counter("folded_total").Store(folded) })
 	srv := httptest.NewServer(NewServeMux(s, m))
 	defer srv.Close()
 
@@ -60,8 +64,12 @@ func TestServeSnapshotAndFrames(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), "test_total 3") {
-		t.Fatalf("/metrics missing counter:\n%s", body)
+	if !strings.Contains(string(body), "test_total 3") || !strings.Contains(string(body), "folded_total 7") {
+		t.Fatalf("/metrics missing a counter:\n%s", body)
+	}
+	var again strings.Builder
+	if err := WritePrometheus(&again, m); err != nil || !strings.Contains(again.String(), "folded_total 14") {
+		t.Fatalf("second export did not refold (err %v):\n%s", err, again.String())
 	}
 
 	resp, err = http.Get(srv.URL + "/debug/pprof/cmdline")

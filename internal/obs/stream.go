@@ -22,10 +22,10 @@ type Snapshot struct {
 	Seq    int64   `json:"seq"`
 	TimeMs float64 `json:"time_ms"`
 
-	// Source names the producer ("distributed", "engine", or a
+	// Source names the producer ("distributed", "serve", or a
 	// simulation configuration name); Phase locates the frame inside the
 	// producer's protocol: "init", "iter", "commit" for balancer runs,
-	// "step" for per-timestep simulation frames.
+	// "phase" for the service's, "step" for per-timestep simulation frames.
 	Source string `json:"source,omitempty"`
 	Phase  string `json:"phase,omitempty"`
 
@@ -36,9 +36,9 @@ type Snapshot struct {
 	Iteration int `json:"iter,omitempty"`
 
 	// Ranks is the rank count. Loads describes the per-rank loads in rank
-	// order: the exact vector when len(Loads) == Ranks (engine and
-	// simulation frames, and every frame of a job of at most LoadCells
-	// ranks), otherwise the cells of a LoadSummary — cell i holds the
+	// order: the exact vector when len(Loads) == Ranks (simulation
+	// frames, and every frame of a job of at most LoadCells ranks),
+	// otherwise the cells of a LoadSummary — cell i holds the
 	// largest load among ranks [i·Ranks/c, (i+1)·Ranks/c), c = len(Loads).
 	// A consumer tells the two apart by comparing len(Loads) with Ranks.
 	Ranks int       `json:"ranks"`

@@ -217,8 +217,8 @@ func NewScenario(spec Spec) (*Scenario, error) {
 
 	sc.arrivals = make([][]int, spec.Ranks)
 	for p := 0; p < spec.Phases; p++ {
-		for i, it := range sc.items {
-			if it.Start == p {
+		for i := range sc.items { // by index: every rank runs this Phases×Items loop
+			if it := &sc.items[i]; it.Start == p {
 				sc.arrivals[it.Home] = append(sc.arrivals[it.Home], i)
 			}
 		}

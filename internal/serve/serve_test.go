@@ -245,7 +245,6 @@ func TestServiceRejectsLBConfigUpFront(t *testing.T) {
 		set  func(*core.Config)
 	}{
 		{"NegativeAcks", func(c *core.Config) { c.NegativeAcks = true }},
-		{"PersistKnowledge", func(c *core.Config) { c.PersistKnowledge = true }},
 		{"CommBias", func(c *core.Config) { c.CommBias = 0.3 }},
 		{"GossipFaults", func(c *core.Config) { c.GossipFaults.Drop = 0.1 }},
 		{"trials", func(c *core.Config) { c.Trials = 0 }},

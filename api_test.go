@@ -2,7 +2,12 @@ package temperedlb_test
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -245,4 +250,55 @@ func TestPublicAPISyncEngineTracer(t *testing.T) {
 			t.Errorf("history[%d].ElapsedSeconds = %g", i, h.ElapsedSeconds)
 		}
 	}
+}
+
+// TestPublicAPISize gates the number of identifiers the root package
+// exports — package-level funcs, types, vars and consts of the non-test
+// files, the figure `make loc` prints — at the count it has today, so the
+// surface cannot grow unnoticed: a PR that adds to it raises the number
+// here and says why.
+func TestPublicAPISize(t *testing.T) {
+	const max = 148
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	count := func(id *ast.Ident) {
+		if id.IsExported() {
+			n++
+		}
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					count(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						count(s.Name)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							count(id)
+						}
+					}
+				}
+			}
+		}
+	}
+	if n > max {
+		t.Errorf("package temperedlb exports %d identifiers, more than the %d it is gated at", n, max)
+	}
+	t.Logf("package temperedlb exports %d identifiers", n)
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"flag"
@@ -10,8 +11,10 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // allGroups registers the four groups, whole, on one FlagSet. The flag
@@ -28,8 +31,8 @@ func allGroups() (*flag.FlagSet, []string) {
 
 func TestGroupsAreDisjointAndTakeSubsets(t *testing.T) {
 	fs, names := allGroups()
-	if len(names) != 20 {
-		t.Errorf("the four groups declare %d flags, want 20: %v", len(names), names)
+	if len(names) != 27 {
+		t.Errorf("the four groups declare %d flags, want 27: %v", len(names), names)
 	}
 	fs.VisitAll(func(f *flag.Flag) {
 		if !slices.Contains(names, f.Name) {
@@ -50,6 +53,12 @@ func TestGroupsAreDisjointAndTakeSubsets(t *testing.T) {
 	}
 	if err := fs.Parse([]string{"-ranks", "5"}); err != nil || wl.Ranks != 5 || wl.Seed != 7 {
 		t.Errorf("parsed into %+v, %v", wl, err)
+	}
+	// A binary that does not take -node (lbserve) hosts the whole job.
+	rt := Runtime{Transport: "unix", Nodes: 2, Fanout: 4}
+	rt.Register(flag.NewFlagSet("subset", flag.ContinueOnError), "transport", "nodes", "fanout")
+	if rt.isNode() || rt.Validate(4) != nil {
+		t.Errorf("a runtime group registered without -node: isNode %v, Validate %v", rt.isNode(), rt.Validate(4))
 	}
 	defer func() {
 		if recover() == nil {
@@ -74,15 +83,28 @@ func TestCheckApplies(t *testing.T) {
 	}
 }
 
-// binaries builds every command under cmd/ once into a scratch directory.
+// binaries builds every command under cmd/ once into a scratch directory:
+// six of them, the node and coordinator binaries no longer among them.
 func binaries(t *testing.T) string {
 	t.Helper()
+	if testing.Short() {
+		t.Skip("builds the binaries")
+	}
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go tool to build the binaries with")
 	}
 	dir := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "temperedlb/cmd/...").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	built, err := os.ReadDir(dir)
+	if err != nil || len(built) != 6 {
+		t.Errorf("built %d binaries (%v), want 6", len(built), err)
+	}
+	for _, gone := range []string{"lbnode", "lbcoord"} {
+		if out, err := exec.Command("go", "build", "-o", os.DevNull, "temperedlb/cmd/"+gone).CombinedOutput(); err == nil {
+			t.Errorf("cmd/%s still builds:\n%s", gone, out)
+		}
 	}
 	return dir
 }
@@ -93,9 +115,6 @@ func binaries(t *testing.T) string {
 // had drifted into is an error naming the flag, exit status 1, no stack
 // trace — or, for the deleted `lbplay -service`, an unknown flag.
 func TestBinariesSpeakOneVocabulary(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds the binaries")
-	}
 	bin := binaries(t)
 	run := func(name string, args ...string) (stdout, stderr string, exit int) {
 		var o, e bytes.Buffer
@@ -111,14 +130,14 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 
 	groups, names := allGroups()
 	shown := regexp.MustCompile(`(?m)^  -([a-z]+)\b`)
-	for _, name := range []string{"lbplay", "lbnode", "lbserve", "lbaf", "empire", "lbcoord"} {
+	for _, name := range []string{"lbplay", "lbserve", "lbaf", "empire"} {
 		_, usage, _ := run(name, "-h")
 		n := 0
 		for _, m := range shown.FindAllStringSubmatch(usage, -1) {
 			if !slices.Contains(names, m[1]) {
 				continue
 			}
-			if n++; !strings.Contains(usage, "\n    \t"+groups.Lookup(m[1]).Usage) {
+			if n++; !strings.Contains(usage, "\t"+groups.Lookup(m[1]).Usage) {
 				t.Errorf("%s -h: -%s does not carry the group's help string", name, m[1])
 			}
 		}
@@ -150,10 +169,28 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbplay", "-distributed -order arbitrary", "lbplay: -order has no effect with -distributed"},
 		{"lbplay", "-nodes 3", "lbplay: -nodes has no effect without -distributed"},
 		{"lbplay", "-distributed -nodes 3", "lbplay: -nodes has no effect with -distributed -transport memory"},
-		{"lbnode", "-node 0 -peers p -fanout 1", "lbnode 0: -fanout 1: "},
-		{"lbnode", "-node 0 -peers p -ranks 0", "lbnode 0: -ranks 0: "},
-		{"lbnode", "-node 0 -peers p -nodes 13", "lbnode 0: -ranks 12 < -nodes 13: "},
-		{"lbnode", "-node 0 -peers p -transport memory", `lbnode 0: -transport "memory": `},
+		{"lbserve", "-alpha 2", "lbserve: -alpha 2: want in (0,1]"},
+		{"lbserve", "-alpha -0.5", "lbserve: -alpha -0.5: want in (0,1]"},
+		{"lbserve", "-beta 2", "lbserve: -beta 2: want in [0,1]"},
+		{"lbserve", "-beta -1", "lbserve: -beta -1: want in [0,1]"},
+		{"lbserve", "-maxage -1", "lbserve: -maxage -1: want >= 0"},
+		{"lbserve", "-lbcost -1", "lbserve: -lbcost -1: want >= 0"},
+		{"lbserve", "-hot -1", "lbserve: -hot -1: want in [0,8]"},
+		{"lbserve", "-hot 9", "lbserve: -hot 9: want in [0,8]"},
+		{"lbserve", "-phases 0", "lbserve: -phases 0: want >= 1"},
+		{"lbserve", "-items 0", "lbserve: -items 0: want >= 1"},
+		{"lbserve", "-tune all -alpha 2", "lbserve: -alpha 2: want in (0,1]"},
+		{"lbserve", "-record r.json -items 0", "lbserve: -items 0: want >= 1"},
+		{"lbplay", "-distributed -transport tcp -node 0 -peers p -fanout 1", "lbplay: -fanout 1: "},
+		{"lbplay", "-distributed -transport tcp -node 0 -peers p -ranks 0", "lbplay: -ranks 0: "},
+		{"lbplay", "-distributed -transport tcp -node 0 -peers p -nodes 65", "lbplay: -ranks 64 < -nodes 65: "},
+		{"lbplay", "-distributed -transport tcp -node 2 -peers p", "lbplay: -node 2 outside [0,2)"},
+		{"lbplay", "-distributed -transport unix -node 0 -peers p", "lbplay: -transport unix needs an explicit -listen"},
+		{"lbplay", "-distributed -transport tcp -node 0", "lbplay: no rendezvous configured: "},
+		{"lbplay", "-distributed -transport tcp -node 0 -peers p -coord :1", "lbplay: -peers and -coord are both set"},
+		{"lbplay", "-distributed -node 0 -peers p", "lbplay: -node has no effect with -distributed -transport memory"},
+		{"lbplay", "-node 0", "lbplay: -node has no effect without -distributed"},
+		{"lbplay", "-distributed -transport tcp -peers p", "lbplay: -peers has no effect with -distributed and no -node"},
 	} {
 		stdout, stderr, exit := run(tc.name, strings.Fields(tc.args)...)
 		if exit != 1 || stdout != "" || !strings.HasPrefix(stderr, tc.want) || strings.Contains(stderr, "goroutine") {
@@ -169,5 +206,91 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(bin, f)); err == nil {
 			t.Errorf("lbplay -service wrote %s", f)
 		}
+	}
+}
+
+// TestLostPeerIsANamedError: `kill -9` of one of two lbplay processes in the
+// middle of a run ends the survivor, within the 10 s a drain may take, with
+// exit status 1 and one line naming the failed transport — it used to be
+// the runtime's panic with a goroutine trace, exit status 2.
+func TestLostPeerIsANamedError(t *testing.T) {
+	bin, dir := binaries(t), t.TempDir()
+	sock := func(node int) string { return filepath.Join(dir, "n"+strconv.Itoa(node)) }
+	peers := filepath.Join(dir, "peers")
+	if err := os.WriteFile(peers, []byte("0 "+sock(0)+"\n1 "+sock(1)+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// start runs node k of a job long enough (≈ 1.5 s) to be struck inside
+	// an epoch, and returns it with its stderr, line by line.
+	start := func(node int) (*exec.Cmd, <-chan string) {
+		cmd := exec.Command(filepath.Join(bin, "lbplay"), "-distributed", "-transport", "unix", "-nodes", "2",
+			"-node", strconv.Itoa(node), "-listen", sock(node), "-peers", peers,
+			"-ranks", "512", "-tasks", "20000", "-rounds", "10")
+		stderr, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cmd.Process.Kill() })
+		lines := make(chan string, 64) // a run logs three lines; what a trace adds beyond 64 is dropped, not waited on
+		go func() {
+			defer close(lines)
+			for sc := bufio.NewScanner(stderr); sc.Scan(); {
+				select {
+				case lines <- sc.Text():
+				default:
+				}
+			}
+		}()
+		return cmd, lines
+	}
+	timeout := time.After(30 * time.Second)
+	awaitConnected := func(lines <-chan string) {
+		for {
+			select {
+			case l, ok := <-lines:
+				if !ok {
+					t.Fatal("a node exited before it had connected")
+				}
+				if strings.Contains(l, "connected") {
+					return
+				}
+			case <-timeout:
+				t.Fatal("the nodes did not connect within 30s")
+			}
+		}
+	}
+	survivor, lines := start(0)
+	victim, victimLines := start(1)
+	awaitConnected(lines)
+	awaitConnected(victimLines)
+	time.Sleep(200 * time.Millisecond) // past object creation, into the protocol's epochs
+	if err := victim.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	victim.Wait()
+
+	var after []string
+	deadline := time.After(10 * time.Second)
+collect:
+	for {
+		select {
+		case l, ok := <-lines:
+			if !ok {
+				break collect
+			}
+			after = append(after, l)
+		case <-deadline:
+			t.Fatalf("the survivor is still running 10s after its peer was killed; stderr so far:\n%s", strings.Join(after, "\n"))
+		}
+	}
+	err := survivor.Wait()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || len(after) != 1 ||
+		!strings.HasPrefix(after[0], "lbplay: unix transport failed: wire: ") {
+		t.Errorf("survivor: %v, stderr after connecting:\n%s\nwant exit status 1 and the one line \"lbplay: unix transport failed: wire: …\"",
+			err, strings.Join(after, "\n"))
 	}
 }

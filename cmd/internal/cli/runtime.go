@@ -3,6 +3,9 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"log"
+	"net"
+	"time"
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm"
@@ -18,34 +21,55 @@ type Runtime struct {
 	Transport             string
 	Nodes, Fanout, Rounds int
 	Faults                string
+
+	// One node of a job spread over processes (Node -1: the whole job is
+	// hosted here); the flags above must then match on every node, -faults
+	// (this node's sends) apart.
+	Node                 int
+	Listen, Peers, Coord string
+	JobID                uint64
+	Timeout              time.Duration
+	Verbose              bool
 }
 
-// Register declares -transport -nodes -fanout -faults -rounds on fs and
-// returns the names it declared.
+// Register declares -transport -nodes -fanout -faults -rounds and the
+// node flags -node -listen -peers -coord -jobid -timeout -v on fs and
+// returns the names it declared. -node and -timeout have one default for
+// every binary (-1, 30s), set even where the binary does not take them.
 func (r *Runtime) Register(fs *flag.FlagSet, only ...string) []string {
 	return register(fs, only, func(g *flag.FlagSet) {
-		g.StringVar(&r.Transport, "transport", r.Transport, "message substrate: memory | unix | tcp (unix and tcp run an in-process socket cluster; lbnode, one process of a multi-process job, takes unix | tcp)")
-		g.IntVar(&r.Nodes, "nodes", r.Nodes, "nodes of a socket job: in-process nodes under -transport unix|tcp, processes for lbnode and lbcoord (must match on all of them)")
+		g.StringVar(&r.Transport, "transport", r.Transport, "message substrate: memory | unix | tcp (unix and tcp run an in-process socket cluster, or with -node one process of a multi-process job)")
+		g.IntVar(&r.Nodes, "nodes", r.Nodes, "nodes of a socket job: in-process nodes under -transport unix|tcp, processes with -node (must match on all of them)")
 		g.IntVar(&r.Fanout, "fanout", r.Fanout, "arity (>= 2) of the runtime's collective reduction tree")
 		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (lbaf and empire apply them to the simulated gossip, where the retry knobs are no-ops)")
 		g.IntVar(&r.Rounds, "rounds", r.Rounds, "gossip rounds per iteration (0 = strategy default; cross-transport diffs need -rounds 1)")
+		g.IntVar(&r.Node, "node", -1, "host only this node, in [0,nodes), of a job spread over -nodes processes (default: the whole job in this process)")
+		g.StringVar(&r.Listen, "listen", r.Listen, "address this node listens on: host:port for tcp (default 127.0.0.1:0), socket path for unix (required)")
+		g.StringVar(&r.Peers, "peers", r.Peers, "static rendezvous: file of \"<node> <addr>\" lines covering every node")
+		g.StringVar(&r.Coord, "coord", r.Coord, "coordinator rendezvous: host:port on node 0's host, where node 0 collects every node's address and hands back the map")
+		g.Uint64Var(&r.JobID, "jobid", r.JobID, "job id guarding against cross-job connections (must match on all nodes; default: derived from -seed)")
+		g.DurationVar(&r.Timeout, "timeout", 30*time.Second, "rendezvous and peer-connect timeout")
+		g.BoolVar(&r.Verbose, "v", r.Verbose, "log connection lifecycle events")
 	})
 }
 
-// Self is where one process of a multi-process job (lbnode) stands in it:
-// its node index, its listen address and how it finds its peers.
-type Self struct {
-	Node                 int
-	Listen, Peers, Coord string
+// NodeFlags names the group's flags that only a node of a multi-process job reads.
+func NodeFlags() []string { return []string{"listen", "peers", "coord", "jobid", "timeout", "v"} }
+
+// isNode reports whether the flags describe one node of a multi-process
+// job: its index, or an address only a node has (Validate asks the index).
+func (r *Runtime) isNode() bool {
+	return r.Node >= 0 || r.Listen != "" || r.Peers != "" || r.Coord != ""
 }
 
 // Validate rejects, before anything is stood up, a geometry no job can
 // have, with an error that names the flag and the fix — each of these
 // otherwise surfaces late: a panic in SplitRanks or SetFanout, a listen
-// error, a silent hang waiting for a peer set that can never agree. self
-// is nil for a job hosted in this one process, which may also run on the
-// in-memory transport, where -nodes is not read.
-func (r *Runtime) Validate(ranks int, self *Self) error {
+// error, a silent hang waiting for a peer set that can never agree. A job
+// hosted whole in this process may also run on the in-memory transport,
+// where -nodes is not read; one node of a job needs a socket to listen on
+// and one way to find its peers.
+func (r *Runtime) Validate(ranks int) error {
 	if ranks < 1 {
 		return fmt.Errorf("-ranks %d: a job needs at least one rank", ranks)
 	}
@@ -58,16 +82,17 @@ func (r *Runtime) Validate(ranks int, self *Self) error {
 	if _, err := r.FaultSpec(); err != nil {
 		return err
 	}
+	node := r.isNode()
 	switch {
-	case r.Transport == "memory" && self == nil:
+	case r.Transport == "memory" && !node:
 		return nil
 	case r.Transport != "unix" && r.Transport != "tcp":
 		want := "memory, unix or tcp"
-		if self != nil {
+		if node {
 			want = "tcp or unix"
 		}
 		return fmt.Errorf("-transport %q: want %s", r.Transport, want)
-	case r.Transport == "unix" && self != nil && self.Listen == "":
+	case r.Transport == "unix" && node && r.Listen == "":
 		return fmt.Errorf("-transport unix needs an explicit -listen socket path")
 	}
 	if r.Nodes < 1 {
@@ -76,17 +101,17 @@ func (r *Runtime) Validate(ranks int, self *Self) error {
 	if ranks < r.Nodes {
 		return fmt.Errorf("-ranks %d < -nodes %d: every node hosts at least one rank, so ranks must be >= nodes", ranks, r.Nodes)
 	}
-	if self == nil {
+	if !node {
 		return nil
 	}
-	if self.Node < 0 || self.Node >= r.Nodes {
-		return fmt.Errorf("-node %d outside [0,%d); every process needs a distinct index", self.Node, r.Nodes)
+	if r.Node < 0 || r.Node >= r.Nodes {
+		return fmt.Errorf("-node %d outside [0,%d); every process needs a distinct index", r.Node, r.Nodes)
 	}
-	if self.Peers != "" && self.Coord != "" {
+	if r.Peers != "" && r.Coord != "" {
 		return fmt.Errorf("-peers and -coord are both set; they are competing rendezvous mechanisms, pick one")
 	}
-	if self.Peers == "" && self.Coord == "" {
-		return fmt.Errorf("no rendezvous configured: give either -peers <file> (static) or -coord <host:port> (lbcoord)")
+	if r.Peers == "" && r.Coord == "" {
+		return fmt.Errorf("no rendezvous configured: give either -peers <file> (static) or -coord <host:port> (served by node 0)")
 	}
 	return nil
 }
@@ -100,27 +125,18 @@ func (r *Runtime) FaultSpec() (comm.FaultSpec, error) {
 	return sp, nil
 }
 
-// Launch stands up in this process the job the flags describe
-// (amt.Launch), fault plan installed on every node. Validate first, right
-// after parsing, so a bad flag is refused before any work; Close the job.
+// Launch stands up the job the flags describe, fault plan installed on
+// every node it hosts: the whole job in this process (amt.Launch), or with
+// -node this process's share of it (amt.Join) over a transport connected
+// to its peers. Validate first, right after parsing, so a bad flag is
+// refused before any work; Close the job.
 func (r *Runtime) Launch(ranks int, jobID uint64) (*amt.Job, error) {
-	job, err := amt.Launch(r.Transport, ranks, r.Nodes, jobID, amt.WithFanout(r.Fanout))
+	sp, err := r.FaultSpec()
 	if err != nil {
 		return nil, err
 	}
-	return r.withFaults(job)
-}
-
-// Join is Launch for one process of a multi-process job: its share of the
-// job over tr, which the caller has connected to its peers.
-func (r *Runtime) Join(tr *wire.Transport) (*amt.Job, error) {
-	return r.withFaults(amt.Join(r.Transport, tr, amt.WithFanout(r.Fanout)))
-}
-
-func (r *Runtime) withFaults(job *amt.Job) (*amt.Job, error) {
-	sp, err := r.FaultSpec()
+	job, err := r.host(ranks, jobID)
 	if err != nil {
-		job.Close()
 		return nil, err
 	}
 	for _, rt := range job.Runtimes {
@@ -132,8 +148,66 @@ func (r *Runtime) withFaults(job *amt.Job) (*amt.Job, error) {
 	return job, nil
 }
 
-// RunDemo is the one-shot run `lbplay -distributed` and lbnode share —
-// `make wire-smoke` diffs their results, so there is one copy of it: every
+// host is Launch before the fault plan. A node listens, learns every node's
+// address and builds the mesh, guarded by -jobid if given, else by jobID.
+func (r *Runtime) host(ranks int, jobID uint64) (*amt.Job, error) {
+	if !r.isNode() {
+		return amt.Launch(r.Transport, ranks, r.Nodes, jobID, amt.WithFanout(r.Fanout))
+	}
+	if r.JobID != 0 {
+		jobID = r.JobID
+	}
+	cfg := wire.Config{
+		Network: r.Transport,
+		Ranks:   ranks, Nodes: r.Nodes, Self: r.Node,
+		Listen: r.Listen, JobID: jobID,
+		ConnectTimeout: r.Timeout,
+	}
+	if r.Verbose {
+		cfg.Logf = log.Printf
+	}
+	tr, err := wire.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi := tr.LocalRange()
+	log.Printf("node %d listening on %s (%s), hosting ranks [%d,%d) of %d", r.Node, tr.Addr(), r.Transport, lo, hi, ranks)
+	specs, err := r.rendezvous(wire.NodeSpec{Node: r.Node, Lo: lo, Hi: hi, Addr: tr.Addr()}, ranks)
+	if err == nil {
+		err = tr.Connect(specs)
+	}
+	if err != nil {
+		tr.Close()
+		return nil, err
+	}
+	log.Printf("node %d connected to %d peers", r.Node, r.Nodes-1)
+	return amt.Join(r.Transport, tr, amt.WithFanout(r.Fanout)), nil
+}
+
+// rendezvous returns the job's node map: the -peers file, or what the
+// one-shot coordinator on -coord hands every node once all have announced
+// themselves — served by node 0 until then, or the timeout, and dialed by
+// every node, node 0 included, with retries until it is up.
+func (r *Runtime) rendezvous(self wire.NodeSpec, ranks int) ([]wire.NodeSpec, error) {
+	if r.Peers != "" {
+		return wire.ParsePeersFile(r.Peers, ranks, r.Nodes)
+	}
+	if r.Node == 0 {
+		ln, err := net.Listen("tcp", r.Coord)
+		if err != nil {
+			return nil, fmt.Errorf("-coord %s: %w (node 0 serves the rendezvous: the address must be on its host, and free)", r.Coord, err)
+		}
+		go func() {
+			if _, err := wire.ServeRendezvous(ln, r.Nodes, r.Timeout); err != nil {
+				log.Print(err) // who is missing, which the dialing side cannot see
+			}
+		}()
+	}
+	return wire.Rendezvous("tcp", r.Coord, self, r.Timeout)
+}
+
+// RunDemo is the one-shot run of `lbplay -distributed`, whatever hosts
+// the job — `make wire-smoke` diffs its results across shapes: every local
 // rank creates its tasks of a as objects (state: the load itself), the
 // job barriers, and the distributed balancer runs at the demo's 4 trials
 // × 4 iterations. It returns every local rank's result, indexed by rank.

@@ -1,20 +1,20 @@
-package main
+package cli
 
 import (
 	"errors"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
-	"temperedlb/cmd/internal/cli"
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm/wire"
 )
 
 // TestValidateGeometry drives the one validation path every runtime binary
-// takes (cli.Runtime.Validate) through lbnode's geometry, the strictest:
+// takes (Runtime.Validate) through one node's geometry, the strictest:
 // node index, listen address and rendezvous included. The last rows are
-// the in-process case (no Self), which lbplay and lbserve take.
+// the in-process case (no node flag set), which lbserve always takes.
 func TestValidateGeometry(t *testing.T) {
 	type args struct {
 		ranks, nodes, node, fanout, rounds          int
@@ -62,12 +62,14 @@ func TestValidateGeometry(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := ok
 			tc.mutate(&a)
-			rt := cli.Runtime{Transport: a.transport, Nodes: a.nodes, Fanout: a.fanout, Rounds: a.rounds, Faults: a.faults}
-			self := &cli.Self{Node: a.node, Listen: a.listen, Peers: a.peers, Coord: a.coordAddr}
-			if a.inProcess {
-				self = nil
+			rt := Runtime{
+				Transport: a.transport, Nodes: a.nodes, Fanout: a.fanout, Rounds: a.rounds, Faults: a.faults,
+				Node: a.node, Listen: a.listen, Peers: a.peers, Coord: a.coordAddr,
 			}
-			err := rt.Validate(a.ranks, self)
+			if a.inProcess != !rt.isNode() {
+				t.Fatalf("row hosts the whole job: %v, flags say %v", a.inProcess, !rt.isNode())
+			}
+			err := rt.Validate(a.ranks)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid geometry rejected: %v", err)
@@ -87,7 +89,7 @@ func TestValidateGeometry(t *testing.T) {
 	}
 }
 
-// TestNodeErrorNamesTheFailedTransport: lbnode's share of a job (amt.Join
+// TestNodeErrorNamesTheFailedTransport: one node's share of a job (amt.Join
 // over the transport it connected) reports a rank's error as an error —
 // the process used to die inside the rank body, transport open — and when
 // a stray client has failed the node's socket with garbage, says that
@@ -136,5 +138,56 @@ func TestNodeErrorNamesTheFailedTransport(t *testing.T) {
 	err = amt.Join("unix", victim).Run(refused)
 	if err == nil || !strings.HasPrefix(err.Error(), "unix transport failed: ") {
 		t.Fatalf("failed transport: got %v", err)
+	}
+}
+
+// TestCoordIsServedByNodeZero: three nodes given one -coord address and
+// ephemeral listen ports, started in any order — here node 0, which serves
+// the rendezvous the others are already dialing, last — form one job with
+// no coordinator process.
+func TestCoordIsServedByNodeZero(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := ln.Addr().String() // free now, and most likely a moment from now
+	ln.Close()
+
+	const ranks, nodes = 7, 3
+	sums := make([]float64, ranks)
+	done := make(chan error, nodes)
+	for _, node := range []int{2, 1, 0} {
+		r := Runtime{
+			Transport: "tcp", Nodes: nodes, Fanout: 2,
+			Node: node, Listen: "127.0.0.1:0", Coord: coord, Timeout: 20 * time.Second,
+		}
+		if err := r.Validate(ranks); err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			job, err := r.Launch(ranks, 11)
+			if err != nil {
+				done <- err
+				return
+			}
+			defer job.Close()
+			done <- job.Run(func(*amt.Runtime) func(*amt.Context) error {
+				return func(rc *amt.Context) error {
+					sums[rc.Rank()] = rc.AllReduce(float64(rc.Rank()), amt.ReduceSum)
+					return nil
+				}
+			})
+		}()
+		time.Sleep(20 * time.Millisecond) // so the order is the one written
+	}
+	for range nodes {
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+	for r, s := range sums {
+		if s != ranks*(ranks-1)/2 {
+			t.Errorf("rank %d: sum of ranks %v, want %d", r, s, ranks*(ranks-1)/2)
+		}
 	}
 }

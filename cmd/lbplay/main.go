@@ -1,9 +1,14 @@
 // Command lbplay runs any of the bundled load balancing strategies on a
 // synthetic workload — either through the offline engine or, with
-// -distributed, the gossip balancer on a real AMT job stood up by the one
-// launcher (amt.Launch: in memory, or an in-process unix/tcp socket
-// cluster) — and prints before/after statistics. The shared flags come
-// from cmd/internal/cli; cmd/lbserve runs the online service.
+// -distributed, the gossip balancer on a real AMT job — and prints
+// before/after statistics. The runtime flags say how the job is hosted
+// (cli.Runtime.Launch): in memory, as an in-process unix/tcp socket
+// cluster, or with -node k as one of -nodes processes — the paper's MPI
+// job spanning nodes. Processes with matching flags, -node 0..N-1 and one
+// rendezvous (-peers, or -coord, which node 0 serves) form one job whose
+// DistResult is the single-process run's (`make wire-smoke`; OPERATIONS.md
+// is the operator's guide). The shared flags come from cmd/internal/cli;
+// cmd/lbserve runs the online service.
 package main
 
 import (
@@ -31,8 +36,8 @@ type options struct {
 
 // parse declares lbplay's flags on fs, parses and validates args, and
 // refuses a flag the chosen mode does not read: engine mode takes the
-// workload, -strategy, -order and -trace; -distributed takes everything
-// but those two, -nodes only on a socket transport.
+// workload, -strategy, -order and -trace; -distributed everything but those
+// two, -nodes and -node on a socket transport only, the rest under -node.
 func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{
 		wl: cli.Workload{Ranks: 64, Tasks: 1000, Loaded: 4, Placement: "clustered", Loads: "uniform", Seed: 1},
@@ -43,22 +48,26 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	outputs := o.out.Register(fs)
 	fs.StringVar(&o.strategy, "strategy", "tempered", "engine strategy: tempered | grapevine | greedy | hier | refine")
 	fs.StringVar(&o.order, "order", "fewest-migrations", "task traversal ordering of the tempered engine strategy")
-	fs.BoolVar(&o.distributed, "distributed", false, "run the gossip balancer on the real AMT runtime (then -transport, -nodes, -fanout, -faults, -rounds and every output apply)")
+	fs.BoolVar(&o.distributed, "distributed", false, "run the gossip balancer on the real AMT runtime (then -transport, -nodes, -fanout, -faults, -rounds, -node and every output apply)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if err := o.rt.Validate(o.wl.Ranks, nil); err != nil {
+	reads, when := [][]string{workload, {"strategy", "order", "trace"}}, "without -distributed"
+	if o.distributed {
+		var unread []string
+		switch when = "with -distributed"; {
+		case o.rt.Transport == "memory":
+			when, unread = when+" -transport memory", append(cli.NodeFlags(), "nodes", "node")
+		case o.rt.Node < 0:
+			when, unread = when+" and no -node", cli.NodeFlags()
+		}
+		runtime = slices.DeleteFunc(runtime, func(name string) bool { return slices.Contains(unread, name) })
+		reads = [][]string{workload, runtime, outputs, {"distributed"}}
+	}
+	if err := cli.CheckApplies(fs, when, reads...); err != nil {
 		return nil, err
 	}
-	if o.distributed {
-		when := "with -distributed"
-		if o.rt.Transport == "memory" {
-			when += " -transport memory"
-			runtime = slices.DeleteFunc(runtime, func(name string) bool { return name == "nodes" })
-		}
-		return o, cli.CheckApplies(fs, when, workload, runtime, outputs, []string{"distributed"})
-	}
-	return o, cli.CheckApplies(fs, "without -distributed", workload, []string{"strategy", "order", "trace"})
+	return o, o.rt.Validate(o.wl.Ranks)
 }
 
 func main() {
@@ -123,9 +132,10 @@ func runEngine(o *options, a *temperedlb.Assignment) error {
 }
 
 // runDistributed scatters a's tasks as objects over a real AMT job and
-// executes the distributed protocol (cli.Runtime.RunDemo, the run lbnode
-// shares), with the observability the output flags ask for attached to
-// the job's first node; any one node's stream receives the job's frames.
+// executes the distributed protocol (cli.Runtime.RunDemo), with the
+// observability the output flags ask for attached to the first node this
+// process hosts; any one node's stream receives the job's frames. Under
+// -node the counts printed are this node's, the imbalance line the job's.
 func runDistributed(o *options, a *temperedlb.Assignment) error {
 	n := a.NumRanks()
 	job, err := o.rt.Launch(n, uint64(o.wl.Seed))
@@ -142,11 +152,15 @@ func runDistributed(o *options, a *temperedlb.Assignment) error {
 		return err
 	}
 
-	res, ns := results[0], job.Stats()
-	if o.rt.Transport == "memory" {
+	lo, hi := rt0.Transport().LocalRange()
+	res, ns := results[lo], job.Stats()
+	switch {
+	case o.rt.Transport == "memory":
 		fmt.Printf("strategy        TemperedLB (distributed, %d ranks / %d goroutines)\n", n, n)
-	} else {
+	case o.rt.Node < 0:
 		fmt.Printf("strategy        TemperedLB (distributed, %d ranks over %d %s-socket nodes)\n", n, o.rt.Nodes, o.rt.Transport)
+	default:
+		fmt.Printf("strategy        TemperedLB (distributed, node %d of %d %s-socket nodes, ranks [%d,%d) of %d)\n", o.rt.Node, o.rt.Nodes, o.rt.Transport, lo, hi, n)
 	}
 	fmt.Printf("imbalance       %.4f -> %.4f (best trial %d iter %d)\n",
 		res.InitialImbalance, res.FinalImbalance, res.BestTrial, res.BestIteration)

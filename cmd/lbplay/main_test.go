@@ -77,6 +77,38 @@ func TestNodesAppliesToSocketJobs(t *testing.T) {
 	}
 }
 
+// TestNodeFlagsApplyToOneNodeOfAJob: -node is read by a -distributed job
+// on a socket transport, and the flags that say where a node listens and
+// how it finds its peers only with -node; each is otherwise refused by name.
+func TestNodeFlagsApplyToOneNodeOfAJob(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-node 0", "-node has no effect without -distributed"},
+		{"-distributed -node 0", "-node has no effect with -distributed -transport memory"},
+		{"-distributed -transport memory -jobid 3", "-jobid has no effect with -distributed -transport memory"},
+		{"-distributed -transport tcp -listen :0", "-listen has no effect with -distributed and no -node"},
+		{"-distributed -transport tcp -peers p", "-peers has no effect with -distributed and no -node"},
+		{"-distributed -transport tcp -coord :9", "-coord has no effect with -distributed and no -node"},
+		{"-distributed -transport tcp -jobid 3", "-jobid has no effect with -distributed and no -node"},
+		{"-distributed -transport tcp -timeout 1s", "-timeout has no effect with -distributed and no -node"},
+		{"-distributed -transport tcp -v", "-v has no effect with -distributed and no -node"},
+		{"-distributed -transport tcp -order arbitrary", "-order has no effect with -distributed and no -node"},
+		{"-distributed -transport tcp -node 0 -peers p -order arbitrary", "-order has no effect with -distributed"},
+		{"-distributed -transport tcp -node 1 -listen :0 -peers p -jobid 3 -timeout 1s -v", ""},
+		{"-distributed -transport unix -node 0 -listen s -coord :9", ""},
+	} {
+		fs := flag.NewFlagSet("lbplay", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		_, err := parse(fs, strings.Fields(tc.args))
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("lbplay %s: got %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
 // TestServiceModeIsGone: `lbplay -service` was a second driver of the
 // online service that accepted -trace, -faults, -rounds and -result and
 // ignored them. cmd/lbserve is the service; here its flags are unknown.

@@ -63,7 +63,7 @@ func main() {
 	)
 	flag.Parse()
 
-	err := rtf.Validate(wl.Ranks, nil)
+	err := rtf.Validate(wl.Ranks)
 	if err == nil {
 		// What each mode reads: -record the scenario; -tune the load model
 		// and a trace, replayed or recorded from the scenario; a run all but
@@ -95,12 +95,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	spec := temperedlb.ScenarioSpec{
-		Kind: kind, Ranks: wl.Ranks, Phases: svc.Phases, Items: *items, Seed: wl.Seed, Hot: *hot,
+	ts, err := temperedlb.ParseTrigger(svc.Trigger)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := temperedlb.ServiceConfig{
+		Scenario: temperedlb.ScenarioSpec{
+			Kind: kind, Ranks: wl.Ranks, Phases: svc.Phases, Items: *items, Seed: wl.Seed, Hot: *hot,
+		},
+		Trigger: ts,
+		Alpha:   *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: svc.LBCost,
+	}
+	// In every mode, before any work; Validate spells a field as its flag.
+	if err := cfg.Validate(); err != nil {
+		log.Fatalf("-%v", err)
 	}
 
-	if *recordOut != "" {
-		sc, err := temperedlb.NewScenario(spec)
+	switch {
+	case *recordOut != "":
+		sc, err := temperedlb.NewScenario(cfg.Scenario)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,25 +121,12 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("wrote %d-phase trace to %s", svc.Phases, *recordOut)
-		return
-	}
-
-	sim := temperedlb.SimConfig{Alpha: *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: svc.LBCost}
-	if *tuneFams != "" {
-		tune(*tuneFams, *replay, spec, sim)
-		return
-	}
-
-	ts, err := temperedlb.ParseTrigger(svc.Trigger)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := temperedlb.ServiceConfig{
-		Scenario: spec, Trigger: ts,
-		Alpha: *alpha, Beta: *beta, MaxAge: *maxAge, LBCost: svc.LBCost,
-	}
-	if err := serveJob(cfg, &rtf, &out, *quiet); err != nil {
-		log.Fatal(err)
+	case *tuneFams != "":
+		tune(*tuneFams, *replay, cfg)
+	default:
+		if err := serveJob(cfg, &rtf, &out, *quiet); err != nil {
+			log.Fatal(err)
+		}
 	}
 }
 
@@ -171,7 +171,7 @@ func serveJob(cfg temperedlb.ServiceConfig, rtf *cli.Runtime, out *cli.Outputs, 
 // tune grid-searches trigger parameters against a trace and prints the
 // sweep, cheapest first configuration last so it is what the eye lands
 // on.
-func tune(families, tracePath string, spec temperedlb.ScenarioSpec, sim temperedlb.SimConfig) {
+func tune(families, tracePath string, cfg temperedlb.ServiceConfig) {
 	var tr temperedlb.ServiceTrace
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
@@ -183,7 +183,7 @@ func tune(families, tracePath string, spec temperedlb.ScenarioSpec, sim tempered
 			log.Fatalf("decode %s: %v", tracePath, err)
 		}
 	} else {
-		sc, err := temperedlb.NewScenario(spec)
+		sc, err := temperedlb.NewScenario(cfg.Scenario)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -193,6 +193,7 @@ func tune(families, tracePath string, spec temperedlb.ScenarioSpec, sim tempered
 	if families != "all" {
 		fams = strings.Split(families, ",")
 	}
+	sim := temperedlb.SimConfig{Alpha: cfg.Alpha, Beta: cfg.Beta, MaxAge: cfg.MaxAge, LBCost: cfg.LBCost}
 	best, all, err := temperedlb.TuneTrigger(tr, fams, sim)
 	if err != nil {
 		log.Fatal(err)

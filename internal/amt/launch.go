@@ -7,12 +7,12 @@ import (
 	"temperedlb/internal/comm/wire"
 )
 
-// Job is a job stood up in this process, and Launch the one place that
-// happens: a single Runtime over every rank on the in-memory network; on
+// Job is what this process hosts of a job. Launch stands a whole job up
+// here: a single Runtime over every rank on the in-memory network; on
 // "unix" or "tcp" an in-process socket cluster, one Runtime per node, each
 // hosting a contiguous rank range behind a partial network joined to the
-// others by real OS sockets — the topology cmd/lbnode spreads over
-// processes (Join wraps one process's share).
+// others by real OS sockets. Join wraps one node of that topology when it
+// is spread over processes (`lbplay -distributed -node k`).
 type Job struct {
 	// Runtimes holds one runtime per node this process hosts, in node
 	// order. Before Run, give whichever node should have them a tracer,
@@ -55,8 +55,8 @@ func Launch(network string, ranks, nodes int, jobID uint64, opts ...Option) (*Jo
 }
 
 // Join is this process's share of a multi-process job: one runtime over a
-// transport the caller has connected to its peers (cmd/lbnode, after its
-// own rendezvous). network names it in Run's error; Close closes it.
+// transport the caller has connected to its peers (cli.Runtime.Launch under
+// -node, after its rendezvous). network names it in Run's error; Close it.
 func Join(network string, tr *wire.Transport, opts ...Option) *Job {
 	return &Job{
 		Runtimes:   []*Runtime{New(tr.NumRanks(), append([]Option{WithTransport(tr)}, opts...)...)},
@@ -70,15 +70,29 @@ func Join(network string, tr *wire.Transport, opts ...Option) *Job {
 // each call returned on every rank of its runtime, all runtimes at once,
 // and waits. It returns one error: a transport that failed (a lost peer, a
 // bad frame) is named first, because it is usually what the ranks then
-// tripped over; otherwise the lowest erring rank's own error.
+// tripped over, the runtime's panic on a closed network included; otherwise
+// the lowest erring rank's own error. A runtime's panic with every transport
+// healthy is a rank's bug: re-raised here, the job's other nodes closed.
 func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 	errs := make([]error, j.Runtimes[0].NumRanks())
-	var wg sync.WaitGroup
+	var (
+		wg     sync.WaitGroup
+		first  sync.Once
+		raised any
+	)
 	for _, rt := range j.Runtimes {
 		body := bind(rt)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					first.Do(func() {
+						raised = p
+						j.Close() // the other nodes' ranks are waiting on this one's
+					})
+				}
+			}()
 			rt.Run(func(rc *Context) { errs[rc.Rank()] = body(rc) })
 		}()
 	}
@@ -87,6 +101,9 @@ func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 		if err := tr.Err(); err != nil {
 			return fmt.Errorf("%s transport failed: %w", j.network, err)
 		}
+	}
+	if raised != nil {
+		panic(raised)
 	}
 	for r, err := range errs {
 		if err != nil {

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"temperedlb/internal/comm/wire"
 )
 
 // erringRanks is a rank body that talks to nobody: the ranks in bad fail.
@@ -20,6 +23,21 @@ func erringRanks(bad ...int) func(*Runtime) func(*Context) error {
 			}
 			return nil
 		}
+	}
+}
+
+// sendGarbage is a stray client that opens victim's socket and writes what
+// is no frame: the transport fails and closes itself, as on a lost peer.
+func sendGarbage(t *testing.T, victim *wire.Transport) {
+	t.Helper()
+	conn, err := net.Dial("unix", victim.Addr())
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0, 0, 0, 2, 0xEE, 0xEE}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -73,14 +91,7 @@ func TestRunErrorPrecedence(t *testing.T) {
 	}
 	defer job.Close()
 	victim := job.transports[1]
-	conn, err := net.Dial("unix", victim.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte{0, 0, 0, 2, 0xEE, 0xEE}); err != nil {
-		t.Fatal(err)
-	}
+	sendGarbage(t, victim)
 	lo, _ := victim.LocalRange()
 	if _, ok := victim.RecvWait(lo); ok { // returns once the failed transport has closed itself
 		t.Fatal("message on an idle transport")
@@ -114,4 +125,90 @@ func TestCloseIsIdempotent(t *testing.T) {
 	}
 	mem.Close()
 	mem.Close()
+}
+
+// TestRunContainsARuntimePanic strikes a unix job while its ranks are
+// inside an epoch — rank 0 and rank 3 in its body, ranks 1 and 2 parked on
+// its termination. A transport that fails under them (a stray client's
+// garbage, which is how a lost peer looks from here) is Run's named error
+// on the caller, where it used to be the runtime's panic on a goroutine
+// nobody could recover; a rank's bug, or a transport closed under a running
+// job, is still a panic, but on the caller, after the other node has been
+// released — so the deferred Close runs and the socket directory goes. The
+// bug strikes a one-node job: a node with peers first waits out the drain
+// for their goodbye, as it always has.
+func TestRunContainsARuntimePanic(t *testing.T) {
+	await := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("no %s within 5s", what)
+				return
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		nodes     int
+		strike    func(job *Job)
+		bug       bool
+		wantErr   string // prefix of Run's error
+		wantPanic string // substring of Run's panic
+	}{
+		{name: "failed transport", nodes: 2, wantErr: "unix transport failed: wire: ", strike: func(job *Job) {
+			victim := job.transports[1]
+			sendGarbage(t, victim)
+			await("transport failure", func() bool { return victim.Err() != nil })
+		}},
+		{name: "rank bug", nodes: 1, bug: true, wantPanic: "amt: rank 3 panicked: bug", strike: func(*Job) {}},
+		{name: "closed transport", nodes: 2, wantPanic: "closed", strike: func(job *Job) {
+			go job.transports[1].Close() // returns once Run has closed the peer
+			await("closed network", job.transports[1].Closed)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job, err := Launch("unix", 4, tc.nodes, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Dir(job.transports[0].Addr())
+			inEpoch, struck := make(chan struct{}), make(chan struct{})
+			go func() {
+				<-inEpoch
+				tc.strike(job)
+				close(struck)
+			}()
+			var panicked any
+			func() {
+				defer job.Close()
+				defer func() { panicked = recover() }()
+				err = job.Run(func(*Runtime) func(*Context) error {
+					return func(rc *Context) error {
+						rc.Epoch(func() {
+							switch rc.Rank() {
+							case 0:
+								close(inEpoch)
+								<-struck
+							case 3:
+								if <-struck; tc.bug {
+									panic("bug")
+								}
+							}
+						})
+						return nil
+					}
+				})
+			}()
+			switch {
+			case tc.wantPanic != "":
+				if s, _ := panicked.(string); !strings.Contains(s, tc.wantPanic) {
+					t.Errorf("Run panicked with %v (error %v), want a panic containing %q", panicked, err, tc.wantPanic)
+				}
+			case panicked != nil || err == nil || !strings.HasPrefix(err.Error(), tc.wantErr):
+				t.Errorf("Run: error %v, panic %v; want an error starting %q", err, panicked, tc.wantErr)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Errorf("socket directory %s survives (stat: %v)", dir, err)
+			}
+		})
+	}
 }

@@ -133,9 +133,8 @@ func (rt *Runtime) SetTracer(t obs.Tracer) {
 
 // SetTransport replaces the default in-memory transport, letting this
 // runtime host only the transport's local rank range while remote
-// ranks live in other processes (see internal/comm/wire and
-// cmd/lbnode). The transport's total rank count must match the
-// runtime's. Call before Run; byte accounting already requested by
+// ranks live in other processes (see internal/comm/wire and Join).
+// The transport's total rank count must match the runtime's. Call before Run; byte accounting already requested by
 // metrics or streaming is re-applied to the new transport.
 func (rt *Runtime) SetTransport(t comm.Transport) {
 	rt.mustNotRun("SetTransport")

@@ -13,8 +13,8 @@ import (
 // -transport unix|tcp`, lbserve and the tests — and for this package's
 // own tests: the protocol stack sees genuinely separate partial networks
 // talking through the OS socket layer, without the orchestration cost of
-// separate processes. Production jobs run one Transport per process via
-// cmd/lbnode instead.
+// separate processes. Production jobs run one Transport per process
+// (`lbplay -distributed -node k`) instead.
 type Cluster struct {
 	Transports []*Transport
 	dir        string

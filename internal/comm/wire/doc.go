@@ -3,12 +3,12 @@
 // Unix-domain sockets, with per-peer connection management, dial
 // backoff and a graceful close-drain. Where the in-memory Network
 // plays the role of the paper's MPI layer inside one process, this
-// package plays it between processes — cmd/lbnode hosts one Transport
-// per process and a balancing job spans as many machines as the
-// rendezvous map names. The codec is hand-rolled rather than
-// gob/protobuf so the byte layout is deterministic (fixed field order,
-// big-endian, explicit version byte) and the frame decoder can be
-// fuzzed against truncation, oversizing and garbage without ever
+// package plays it between processes — `lbplay -distributed -node k`
+// hosts one Transport per process and a balancing job spans as many
+// machines as the rendezvous map names. The codec is hand-rolled
+// rather than gob/protobuf so the byte layout is deterministic (fixed
+// field order, big-endian, explicit version byte) and the frame decoder
+// can be fuzzed against truncation, oversizing and garbage without ever
 // panicking.
 //
 // The Transport embeds a partial in-memory Network for its local rank

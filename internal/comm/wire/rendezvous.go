@@ -20,9 +20,9 @@ import (
 //
 //   - a static peers file (ParsePeersFile): addresses are fixed up
 //     front, e.g. by a job script or by convention;
-//   - a coordinator (ServeRendezvous + Rendezvous): each node dials a
-//     well-known address, announces itself, and receives the full map
-//     once everyone has checked in. The protocol is JSON lines — one
+//   - a coordinator (ServeRendezvous, which node 0 of a job runs, +
+//     Rendezvous): each node dials a well-known address, announces
+//     itself, and receives the full map once everyone has checked in. The protocol is JSON lines — one
 //     NodeSpec from each client, one NodeSpec array back — chosen for
 //     debuggability over `nc`; the deterministic binary codec is not
 //     needed here because rendezvous happens before the protocol clock
@@ -135,9 +135,8 @@ func ServeRendezvous(ln net.Listener, nodes int, timeout time.Duration) ([]NodeS
 	return specs, nil
 }
 
-// Rendezvous announces self to a coordinator at addr (started with
-// ServeRendezvous or cmd/lbcoord) and blocks until the full node map
-// comes back. Dialing retries with backoff until timeout, since the
+// Rendezvous announces self to a coordinator at addr (ServeRendezvous,
+// on node 0) and blocks until the full node map comes back. Dialing retries with backoff until timeout, since the
 // coordinator may start after the nodes.
 func Rendezvous(network, addr string, self NodeSpec, timeout time.Duration) ([]NodeSpec, error) {
 	if timeout <= 0 {

@@ -158,8 +158,8 @@ type Config struct {
 	// pass over O^p (Passes = 1), but the per-iteration rejection counts
 	// the paper reports from LBAF (≈16 evaluations per task in §V-B)
 	// imply the tool retries rejected tasks until a full pass accepts
-	// nothing; Passes <= 0 selects that until-quiescence behaviour, the
-	// default for both shipped configurations.
+	// nothing; Passes <= 0 selects that until-quiescence behaviour. Both
+	// shipped configurations set 1; cmd/lbaf and the table benchmarks, 0.
 	Passes int
 
 	// Trials and Iterations drive the refinement of Algorithm 3: each of

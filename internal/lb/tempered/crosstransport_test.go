@@ -51,7 +51,7 @@ func runOnTransport(t *testing.T, transport string, nRanks, hot, objsPerHot int,
 // runNodes is runOnTransport with the node count and the per-node
 // runtime set-up chosen by the caller. The job is stood up by amt.Launch:
 // on "unix" and "tcp" a cluster of partial networks joined by real
-// sockets, one runtime per node exactly as cmd/lbnode hosts one per
+// sockets, one runtime per node exactly as `lbplay -node` hosts one per
 // process; on "memory" the single node 0. A job that has not finished
 // after a minute is reported as deadlocked.
 func runNodes(t *testing.T, transport string, nodes, nRanks, hot, objsPerHot int, setup func(node int, rt *amt.Runtime)) []DistResult {

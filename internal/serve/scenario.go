@@ -85,18 +85,17 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
+// validate checks the spec as given: Hot 0 selects the default.
 func (s Spec) validate() error {
-	if s.Ranks < 1 {
-		return fmt.Errorf("serve: scenario needs at least 1 rank, got %d", s.Ranks)
-	}
-	if s.Phases < 1 {
-		return fmt.Errorf("serve: scenario needs at least 1 phase, got %d", s.Phases)
-	}
-	if s.Items < 1 {
-		return fmt.Errorf("serve: scenario needs at least 1 item, got %d", s.Items)
-	}
-	if s.Hot > s.Ranks {
-		return fmt.Errorf("serve: %d hot ranks exceed %d ranks", s.Hot, s.Ranks)
+	switch {
+	case s.Ranks < 1:
+		return fmt.Errorf("ranks %d: want >= 1", s.Ranks)
+	case s.Phases < 1:
+		return fmt.Errorf("phases %d: want >= 1", s.Phases)
+	case s.Items < 1:
+		return fmt.Errorf("items %d: want >= 1", s.Items)
+	case s.Hot < 0 || s.Hot > s.Ranks:
+		return fmt.Errorf("hot %d: want in [0,%d]", s.Hot, s.Ranks)
 	}
 	return nil
 }
@@ -140,10 +139,10 @@ type Scenario struct {
 
 // NewScenario builds the deterministic event stream for a spec.
 func NewScenario(spec Spec) (*Scenario, error) {
-	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: scenario: %w", err)
 	}
+	spec = spec.withDefaults()
 	sc := &Scenario{Spec: spec}
 	sc.period = spec.Phases / 4
 	if sc.period < 8 {

@@ -47,20 +47,23 @@ func (c Config) withDefaults() Config {
 		c.LB.Trials, c.LB.Iterations = 2, 4
 		c.LB.Seed = c.Scenario.Seed
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.3
-	}
-	if c.MaxAge == 0 {
-		c.MaxAge = amt.DefaultMaxAge
-	}
-	if c.LBCost == 0 {
-		c.LBCost = 20
-	}
+	m := SimConfig{c.Alpha, c.Beta, c.MaxAge, c.LBCost}.withDefaults()
+	c.Alpha, c.Beta, c.MaxAge, c.LBCost = m.Alpha, m.Beta, m.MaxAge, m.LBCost
 	c.Scenario = c.Scenario.withDefaults()
 	return c
+}
+
+// Validate reports the first value no run can have — a scenario without
+// ranks, phases or items, a hot set outside [0,Ranks], a smoothing factor
+// outside its interval, a negative age-out or cost — as "<field> <value>:
+// want <range>", the field spelled as lbserve's flag; zero, "the default",
+// passes. Run calls it, and a driver before it stands a job up, where a bad
+// value is then refused once and not on every rank.
+func (c Config) Validate() error {
+	if err := c.Scenario.validate(); err != nil {
+		return err
+	}
+	return SimConfig{c.Alpha, c.Beta, c.MaxAge, c.LBCost}.validate()
 }
 
 // Row is one phase's entry in the trigger-decision log. Every field
@@ -127,6 +130,9 @@ var summaryOps = []amt.ReduceOp{amt.ReduceMax, amt.ReduceMax, amt.ReduceSum, amt
 // collective call sequence never diverges — the property the
 // cross-transport tests pin down.
 func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, fmt.Errorf("serve: %w", err)
+	}
 	cfg = cfg.withDefaults()
 	// A balancer configuration RunDistributed would refuse fails here, on
 	// every rank alike and before any phase, not at the first fire.

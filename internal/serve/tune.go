@@ -68,6 +68,21 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
+// validate is Config.Validate's half for the predictor and cost knobs.
+func (c SimConfig) validate() error {
+	switch c = c.withDefaults(); {
+	case !(c.Alpha > 0 && c.Alpha <= 1):
+		return fmt.Errorf("alpha %g: want in (0,1]", c.Alpha)
+	case !(c.Beta >= 0 && c.Beta <= 1):
+		return fmt.Errorf("beta %g: want in [0,1]", c.Beta)
+	case c.MaxAge < 0:
+		return fmt.Errorf("maxage %d: want >= 0", c.MaxAge)
+	case !(c.LBCost >= 0):
+		return fmt.Errorf("lbcost %g: want >= 0", c.LBCost)
+	}
+	return nil
+}
+
 // SimResult is one replay's cost accounting — the same objective the
 // live Result reports, so offline and online numbers compare directly.
 type SimResult struct {
@@ -85,6 +100,9 @@ type SimResult struct {
 // loads (the offline stand-in for the tempered protocol). Deterministic
 // in its inputs.
 func Simulate(tr Trace, ts TriggerSpec, sim SimConfig) (SimResult, error) {
+	if err := sim.validate(); err != nil {
+		return SimResult{}, fmt.Errorf("serve: %w", err)
+	}
 	sim = sim.withDefaults()
 	if tr.Ranks < 1 {
 		return SimResult{}, fmt.Errorf("serve: trace has %d ranks", tr.Ranks)

@@ -75,7 +75,7 @@ func WithFanout(k int) RuntimeOption { return amt.WithFanout(k) }
 
 // WithTransport substitutes the runtime's message transport, e.g. a
 // TCP or Unix-socket transport hosting this process's rank range of a
-// multi-process job (see cmd/lbnode). The default is the in-memory
+// multi-process job (see `lbplay -node`). The default is the in-memory
 // network spanning every rank. The transport's total rank count must
 // match the runtime's.
 func WithTransport(t Transport) RuntimeOption { return amt.WithTransport(t) }

@@ -86,9 +86,13 @@ wire-smoke:
 # byte (cmd/lbserve/testdata/serve_smoke.golden), and the same run over
 # Unix- and TCP-socket clusters must match the in-memory log exactly —
 # the rank-identical trigger claim of DESIGN.md §11, checked with the
-# shipped binary. Regenerate the golden with lbserve after intentional
-# format or scenario changes.
-SERVE_SMOKE_ARGS = -scenario burst -ranks 8 -phases 24 -items 48 -seed 7 -trigger forecast
+# shipped binary. Then the tuner: `-tune forecast` on the same scenario
+# runs that service once per candidate, so its forecast:headroom=1 row
+# must carry the fires and total cost of the golden's summary line.
+# Regenerate the golden with lbserve after intentional format or
+# scenario changes.
+SERVE_SMOKE_SCENARIO = -scenario burst -ranks 8 -phases 24 -items 48 -seed 7
+SERVE_SMOKE_ARGS = $(SERVE_SMOKE_SCENARIO) -trigger forecast
 serve-smoke:
 	@rm -rf .serve-smoke && mkdir .serve-smoke
 	$(GO) build -o .serve-smoke/ ./cmd/lbserve
@@ -98,8 +102,10 @@ serve-smoke:
 	diff .serve-smoke/memory.log .serve-smoke/unix.log
 	./.serve-smoke/lbserve $(SERVE_SMOKE_ARGS) -transport tcp -nodes 2 > .serve-smoke/tcp.log
 	diff .serve-smoke/memory.log .serve-smoke/tcp.log
+	./.serve-smoke/lbserve $(SERVE_SMOKE_SCENARIO) -tune forecast | awk '$$1 == "forecast:headroom=1" { print $$3, $$9 }' > .serve-smoke/tuned.txt
+	awk '/^# fires/ { print $$3, $$11 }' cmd/lbserve/testdata/serve_smoke.golden | diff - .serve-smoke/tuned.txt
 	@rm -rf .serve-smoke
-	@echo "serve-smoke: trigger log matches golden and is identical on memory/unix/tcp"
+	@echo "serve-smoke: trigger log matches golden, is identical on memory/unix/tcp, and is the tuner's row"
 
 # The CI gate: static analysis (go vet and the project's lbvet
 # analyzers), the race-enabled suite, the chaos suite (which includes

@@ -153,14 +153,10 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbserve", "-fanout 1", "lbserve: -fanout 1: "},
 		{"lbserve", "-ranks 0", "lbserve: -ranks 0: "},
 		{"lbserve", "-transport quic", `lbserve: -transport "quic": `},
-		{"lbserve", "-record r.json -serve :0", "lbserve: -serve has no effect with -record"},
-		{"lbserve", "-record r.json -transport unix", "lbserve: -transport has no effect with -record"},
-		{"lbserve", "-record r.json -tune all", "lbserve: -tune has no effect with -record"},
 		{"lbserve", "-tune all -frames f.ndjson", "lbserve: -frames has no effect with -tune"},
 		{"lbserve", "-tune all -metrics m.prom", "lbserve: -metrics has no effect with -tune"},
 		{"lbserve", "-tune all -trigger always", "lbserve: -trigger has no effect with -tune"},
-		{"lbserve", "-tune all -replay r.json -phases 3", "lbserve: -phases has no effect with -tune -replay"},
-		{"lbserve", "-replay r.json", "lbserve: -replay has no effect without -tune"},
+		{"lbserve", "-tune all -transport unix", "lbserve: -transport has no effect with -tune"},
 		{"lbserve", "-nodes 3", "lbserve: -nodes has no effect with -transport memory"},
 		{"lbplay", "-distributed -fanout 1", "lbplay: -fanout 1: "},
 		{"lbplay", "-distributed -ranks 0", "lbplay: -ranks 0: "},
@@ -180,7 +176,11 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbserve", "-phases 0", "lbserve: -phases 0: want >= 1"},
 		{"lbserve", "-items 0", "lbserve: -items 0: want >= 1"},
 		{"lbserve", "-tune all -alpha 2", "lbserve: -alpha 2: want in (0,1]"},
-		{"lbserve", "-record r.json -items 0", "lbserve: -items 0: want >= 1"},
+		{"lbserve", "-tune all -items 0", "lbserve: -items 0: want >= 1"},
+		{"lbserve", "-alpha 0", "lbserve: -alpha 0: want in (0,1] (zero selects the library default)"},
+		{"lbserve", "-beta 0", "lbserve: -beta 0: want in (0,1] (zero selects the library default)"},
+		{"lbserve", "-tune all -lbcost 0", "lbserve: -lbcost 0: want > 0 (zero selects the library default)"},
+		{"lbserve", "-trigger threshold:NaN", `lbserve: serve: trigger "threshold:NaN": want threshold:H with H >= 0`},
 		{"lbplay", "-distributed -transport tcp -node 0 -peers p -fanout 1", "lbplay: -fanout 1: "},
 		{"lbplay", "-distributed -transport tcp -node 0 -peers p -ranks 0", "lbplay: -ranks 0: "},
 		{"lbplay", "-distributed -transport tcp -node 0 -peers p -nodes 65", "lbplay: -ranks 64 < -nodes 65: "},
@@ -196,6 +196,33 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		if exit != 1 || stdout != "" || !strings.HasPrefix(stderr, tc.want) || strings.Contains(stderr, "goroutine") {
 			t.Errorf("%s %s: exit %d, stdout %q, stderr %q; want exit 1 and %q", tc.name, tc.args, exit, stdout, stderr, tc.want)
 		}
+	}
+
+	// The replay trace format went with the loop that read it.
+	for _, gone := range []string{"-record", "-replay"} {
+		_, stderr, exit := run("lbserve", gone, "r.json", "-tune", "all")
+		if exit != 2 || !strings.HasPrefix(stderr, "flag provided but not defined: "+gone) {
+			t.Errorf("lbserve %s: exit %d, stderr %q", gone, exit, stderr)
+		}
+	}
+	// A tuner row is the live run's row: the same service, run in memory.
+	// fields picks columns of the one line of out that starts with prefix.
+	fields := func(out, prefix string, cols ...int) (got []string) {
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); strings.HasPrefix(line, prefix) && len(f) > slices.Max(cols) {
+				for _, c := range cols {
+					got = append(got, f[c])
+				}
+			}
+		}
+		return got
+	}
+	tuned, _, _ := run("lbserve", "-tune", "forecast")
+	live, _, _ := run("lbserve", "-trigger", "forecast:headroom=2", "-quiet")
+	row := fields(tuned, "forecast:headroom=2 ", 2, 4, 6, 8) // fires, waste, lb_paid, total
+	sum := fields(live, "# fires ", 2, 6, 8, 10)
+	if len(row) != 4 || !slices.Equal(row, sum) {
+		t.Errorf("lbserve -tune forecast reports %v for forecast:headroom=2, the run itself %v\n%s%s", row, sum, tuned, live)
 	}
 
 	_, stderr, exit := run("lbplay", strings.Fields("-service -trace t.json -faults drop=0.1 -rounds 3 -result r.json")...)

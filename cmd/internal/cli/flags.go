@@ -65,6 +65,6 @@ func (s *Service) Register(fs *flag.FlagSet, only ...string) []string {
 		g.StringVar(&s.Scenario, "scenario", s.Scenario, "workload stream: ramp | diurnal | burst | churn")
 		g.IntVar(&s.Phases, "phases", s.Phases, "number of service phases")
 		g.StringVar(&s.Trigger, "trigger", s.Trigger, "when to invoke the balancer: always | every:K | threshold:H | forecast[:headroom=X]")
-		g.Float64Var(&s.LBCost, "lbcost", s.LBCost, "cost of one balancer invocation, in load units")
+		g.Float64Var(&s.LBCost, "lbcost", s.LBCost, "cost of one balancer invocation, in load units, > 0")
 	})
 }

@@ -11,15 +11,14 @@
 //
 //	lbserve [flags]                  run the service, print the trigger log
 //	                                 (-serve/-frames/-metrics to watch it)
-//	lbserve -record FILE [flags]     write the scenario's event trace as JSON
-//	lbserve -tune FAMILIES [flags]   grid-search trigger parameters offline
-//	                                 (against -replay FILE, or the scenario)
+//	lbserve -tune FAMILIES [flags]   run the service in memory once per point
+//	                                 of a trigger-parameter grid, print every
+//	                                 run's cost and the cheapest
 //
 // A flag the chosen mode does not read is refused, not ignored.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -52,44 +51,43 @@ func main() {
 
 		// Predictor.
 		alpha  = flag.Float64("alpha", 0.5, "load model level smoothing in (0,1]")
-		beta   = flag.Float64("beta", 0.3, "load model trend smoothing in [0,1]")
+		beta   = flag.Float64("beta", 0.3, "load model trend smoothing in (0,1]")
 		maxAge = flag.Int("maxage", 0, "phases an absent object survives in the model (0 = default)")
 
 		// Modes and output.
-		recordOut = flag.String("record", "", "write the scenario's event trace as JSON to this file and exit")
-		tuneFams  = flag.String("tune", "", "tune trigger parameters offline: comma-separated families (every,threshold,forecast) or \"all\"")
-		replay    = flag.String("replay", "", "recorded trace file for -tune to replay (default: record from the scenario flags)")
-		quiet     = flag.Bool("quiet", false, "suppress the per-phase trigger log, print only the summary")
+		tuneFams = flag.String("tune", "", "tune trigger parameters: run the scenario in memory once per grid point of the comma-separated families (every,threshold,forecast) or \"all\"")
+		quiet    = flag.Bool("quiet", false, "suppress the per-phase trigger log, print only the summary")
 	)
 	flag.Parse()
 
 	err := rtf.Validate(wl.Ranks)
 	if err == nil {
-		// What each mode reads: -record the scenario; -tune the load model
-		// and a trace, replayed or recorded from the scenario; a run all but
-		// -replay, and -nodes only where there are nodes.
+		// What each mode reads: -tune the scenario and the load model; a run
+		// those and the job's flags, -nodes only where there are nodes.
 		var (
 			scenario = []string{"ranks", "seed", "scenario", "phases", "items", "hot"}
 			model    = []string{"alpha", "beta", "maxage", "lbcost"}
 			job      = []string{"trigger", "transport", "nodes", "fanout", "metrics", "serve", "frames", "quiet"}
 		)
-		switch fs := flag.CommandLine; {
-		case *recordOut != "":
-			err = cli.CheckApplies(fs, "with -record", scenario, []string{"record"})
-		case *tuneFams != "" && *replay != "":
-			err = cli.CheckApplies(fs, "with -tune -replay", model, []string{"tune", "replay"})
-		case *tuneFams != "":
+		if fs := flag.CommandLine; *tuneFams != "" {
 			err = cli.CheckApplies(fs, "with -tune", scenario, model, []string{"tune"})
-		default:
-			err = cli.CheckApplies(fs, "without -tune", scenario, model, job)
-			if err == nil && rtf.Transport == "memory" {
-				job = slices.DeleteFunc(job, func(name string) bool { return name == "nodes" })
-				err = cli.CheckApplies(fs, "with -transport memory", scenario, model, job)
-			}
+		} else if err = cli.CheckApplies(fs, "without -tune", scenario, model, job); err == nil && rtf.Transport == "memory" {
+			job = slices.DeleteFunc(job, func(name string) bool { return name == "nodes" })
+			err = cli.CheckApplies(fs, "with -transport memory", scenario, model, job)
 		}
 	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	// Zero means "the default" to the library, and the flags carry the
+	// defaults: a zero here was typed, and would silently become one.
+	for _, f := range []struct {
+		name, want string
+		v          float64
+	}{{"alpha", "in (0,1]", *alpha}, {"beta", "in (0,1]", *beta}, {"lbcost", "> 0", svc.LBCost}} {
+		if f.v == 0 {
+			log.Fatalf("-%s 0: want %s (zero selects the library default)", f.name, f.want)
+		}
 	}
 	kind, err := temperedlb.ParseScenarioKind(svc.Scenario)
 	if err != nil {
@@ -111,22 +109,13 @@ func main() {
 		log.Fatalf("-%v", err)
 	}
 
-	switch {
-	case *recordOut != "":
-		sc, err := temperedlb.NewScenario(cfg.Scenario)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cli.WriteJSON(*recordOut, temperedlb.RecordServiceTrace(sc)); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %d-phase trace to %s", svc.Phases, *recordOut)
-	case *tuneFams != "":
-		tune(*tuneFams, *replay, cfg)
-	default:
-		if err := serveJob(cfg, &rtf, &out, *quiet); err != nil {
-			log.Fatal(err)
-		}
+	if *tuneFams != "" {
+		err = tune(*tuneFams, cfg)
+	} else {
+		err = serveJob(cfg, &rtf, &out, *quiet)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 
@@ -168,40 +157,23 @@ func serveJob(cfg temperedlb.ServiceConfig, rtf *cli.Runtime, out *cli.Outputs, 
 	return out.Finish(cli.Export{})
 }
 
-// tune grid-searches trigger parameters against a trace and prints the
-// sweep, cheapest first configuration last so it is what the eye lands
-// on.
-func tune(families, tracePath string, cfg temperedlb.ServiceConfig) {
-	var tr temperedlb.ServiceTrace
-	if tracePath != "" {
-		f, err := os.Open(tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := json.NewDecoder(f).Decode(&tr); err != nil {
-			log.Fatalf("decode %s: %v", tracePath, err)
-		}
-	} else {
-		sc, err := temperedlb.NewScenario(cfg.Scenario)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr = temperedlb.RecordServiceTrace(sc)
-	}
+// tune grid-searches trigger parameters, each candidate one in-memory run
+// of the service, and prints the sweep in grid order, the cheapest
+// configuration last so it is what the eye lands on.
+func tune(families string, cfg temperedlb.ServiceConfig) error {
 	var fams []string
 	if families != "all" {
 		fams = strings.Split(families, ",")
 	}
-	sim := temperedlb.SimConfig{Alpha: cfg.Alpha, Beta: cfg.Beta, MaxAge: cfg.MaxAge, LBCost: cfg.LBCost}
-	best, all, err := temperedlb.TuneTrigger(tr, fams, sim)
+	best, all, err := temperedlb.TuneTrigger(cfg, fams)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("# tune: %d candidates over %d phases, lbcost %g\n", len(all), len(tr.Phases), sim.LBCost)
+	fmt.Printf("# tune: %d candidates over %d phases, lbcost %g\n", len(all), cfg.Scenario.Phases, cfg.LBCost)
 	for _, c := range all {
 		fmt.Printf("%-24s fires %3d  waste %10.4f  lb_paid %10.4f  total %10.4f\n",
 			c.Spec, c.Result.Fires, c.Result.TotalWaste, c.Result.LBPaid, c.Result.TotalCost)
 	}
 	fmt.Printf("# best: %s  total %.4f (fires %d)\n", best.Spec, best.Result.TotalCost, best.Result.Fires)
+	return nil
 }

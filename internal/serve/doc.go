@@ -39,8 +39,8 @@
 //     phase index, keeping the protocol's own determinism guarantees
 //     intact.
 //
-// Tune replays a recorded Trace of the event stream against a grid of
-// trigger parameters under a greedy rebalance model, picking the
-// cheapest configuration offline before committing the live service to
-// it.
+// Tune runs the service itself — Simulate: the whole job on the in-memory
+// network, inside the calling process — once per point of a grid of
+// trigger parameters and picks the cheapest configuration. By the contract
+// above a candidate's Result is the one any transport returns for it.
 package serve

@@ -47,8 +47,18 @@ func (c Config) withDefaults() Config {
 		c.LB.Trials, c.LB.Iterations = 2, 4
 		c.LB.Seed = c.Scenario.Seed
 	}
-	m := SimConfig{c.Alpha, c.Beta, c.MaxAge, c.LBCost}.withDefaults()
-	c.Alpha, c.Beta, c.MaxAge, c.LBCost = m.Alpha, m.Beta, m.MaxAge, m.LBCost
+	if c.Alpha == 0 {
+		c.Alpha = 0.5
+	}
+	if c.Beta == 0 {
+		c.Beta = 0.3
+	}
+	if c.MaxAge == 0 {
+		c.MaxAge = amt.DefaultMaxAge
+	}
+	if c.LBCost == 0 {
+		c.LBCost = 20
+	}
 	c.Scenario = c.Scenario.withDefaults()
 	return c
 }
@@ -63,7 +73,35 @@ func (c Config) Validate() error {
 	if err := c.Scenario.validate(); err != nil {
 		return err
 	}
-	return SimConfig{c.Alpha, c.Beta, c.MaxAge, c.LBCost}.validate()
+	switch c = c.withDefaults(); {
+	case !(c.Alpha > 0 && c.Alpha <= 1):
+		return fmt.Errorf("alpha %g: want in (0,1]", c.Alpha)
+	case !(c.Beta >= 0 && c.Beta <= 1):
+		return fmt.Errorf("beta %g: want in [0,1]", c.Beta)
+	case c.MaxAge < 0:
+		return fmt.Errorf("maxage %d: want >= 0", c.MaxAge)
+	case !(c.LBCost >= 0):
+		return fmt.Errorf("lbcost %g: want >= 0", c.LBCost)
+	}
+	return nil
+}
+
+// prepare is what Run does before it touches the runtime: the configuration
+// with its defaults applied and a fresh trigger built from it, or the error
+// every rank would return alike. Simulate asks once, before it stands a job
+// up.
+func (c Config) prepare() (Config, Trigger, error) {
+	if err := c.Validate(); err != nil {
+		return c, nil, fmt.Errorf("serve: %w", err)
+	}
+	c = c.withDefaults()
+	// A balancer configuration RunDistributed would refuse fails here, on
+	// every rank alike and before any phase, not at the first fire.
+	if err := tempered.CheckConfig(c.LB); err != nil {
+		return c, nil, fmt.Errorf("serve: LB configuration: %w", err)
+	}
+	trig, err := c.Trigger.New()
+	return c, trig, err
 }
 
 // Row is one phase's entry in the trigger-decision log. Every field
@@ -130,14 +168,9 @@ var summaryOps = []amt.ReduceOp{amt.ReduceMax, amt.ReduceMax, amt.ReduceSum, amt
 // collective call sequence never diverges — the property the
 // cross-transport tests pin down.
 func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, fmt.Errorf("serve: %w", err)
-	}
-	cfg = cfg.withDefaults()
-	// A balancer configuration RunDistributed would refuse fails here, on
-	// every rank alike and before any phase, not at the first fire.
-	if err := tempered.CheckConfig(cfg.LB); err != nil {
-		return Result{}, fmt.Errorf("serve: LB configuration: %w", err)
+	cfg, trig, err := cfg.prepare()
+	if err != nil {
+		return Result{}, err
 	}
 	sc, err := NewScenario(cfg.Scenario)
 	if err != nil {
@@ -145,10 +178,6 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 	}
 	if rc.NumRanks() != sc.Spec.Ranks {
 		return Result{}, fmt.Errorf("serve: scenario spans %d ranks but the runtime has %d", sc.Spec.Ranks, rc.NumRanks())
-	}
-	trig, err := cfg.Trigger.New()
-	if err != nil {
-		return Result{}, err
 	}
 	model := amt.NewLoadModel(cfg.Alpha)
 	model.SetTrend(cfg.Beta)

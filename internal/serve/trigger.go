@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -195,7 +196,7 @@ func ParseTrigger(s string) (TriggerSpec, error) {
 		h := 0.1
 		if hasArg {
 			v, err := strconv.ParseFloat(arg, 64)
-			if err != nil || v < 0 {
+			if err != nil || !(v >= 0) {
 				return TriggerSpec{}, fmt.Errorf("serve: trigger %q: want threshold:H with H >= 0", s)
 			}
 			h = v
@@ -209,7 +210,7 @@ func ParseTrigger(s string) (TriggerSpec, error) {
 				return TriggerSpec{}, fmt.Errorf("serve: trigger %q: want forecast or forecast:headroom=X", s)
 			}
 			v, err := strconv.ParseFloat(val, 64)
-			if err != nil || v <= 0 {
+			if err != nil || !(v > 0) {
 				return TriggerSpec{}, fmt.Errorf("serve: trigger %q: headroom must be > 0", s)
 			}
 			head = v
@@ -219,7 +220,9 @@ func ParseTrigger(s string) (TriggerSpec, error) {
 	return TriggerSpec{}, fmt.Errorf("serve: unknown trigger family %q (want always, every, threshold or forecast)", fam)
 }
 
-// New constructs a fresh Trigger from the spec.
+// New constructs a fresh Trigger from the spec, or reports a spec no
+// trigger can be built from: an unknown family, or a NaN parameter, which
+// every comparison would answer "skip".
 func (ts TriggerSpec) New() (Trigger, error) {
 	switch ts.Family {
 	case "every":
@@ -229,8 +232,14 @@ func (ts TriggerSpec) New() (Trigger, error) {
 		}
 		return &EveryK{K: k}, nil
 	case "threshold":
+		if math.IsNaN(ts.Threshold) {
+			return nil, fmt.Errorf("serve: trigger %s: a NaN threshold never fires", ts)
+		}
 		return &ImbalanceThreshold{H: ts.Threshold}, nil
 	case "forecast":
+		if math.IsNaN(ts.Headroom) {
+			return nil, fmt.Errorf("serve: trigger %s: a NaN headroom never fires", ts)
+		}
 		head := ts.Headroom
 		if head <= 0 {
 			head = 1

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -134,9 +135,17 @@ func TestParseTriggerRoundTrip(t *testing.T) {
 }
 
 func TestParseTriggerRejects(t *testing.T) {
-	for _, s := range []string{"", "sometimes", "every:0", "every:x", "threshold:-1", "forecast:headroom=0", "forecast:x=1", "always:2"} {
+	for _, s := range []string{"", "sometimes", "every:0", "every:x", "threshold:-1", "forecast:headroom=0", "forecast:x=1", "always:2",
+		"threshold:NaN", "forecast:headroom=NaN", "forecast:headroom=nan"} {
 		if _, err := ParseTrigger(s); err == nil {
 			t.Errorf("%q: accepted", s)
+		}
+	}
+	// A spec built in code gets the same answer from New: a NaN parameter
+	// compares false with everything and would skip every phase.
+	for _, ts := range []TriggerSpec{{Family: "threshold", Threshold: math.NaN()}, {Family: "forecast", Headroom: math.NaN()}} {
+		if trig, err := ts.New(); err == nil {
+			t.Errorf("%s: New built %s", ts, trig.Name())
 		}
 	}
 }

@@ -32,13 +32,8 @@ type (
 	Trigger = serve.Trigger
 	// TriggerSummary is the rank-identical phase view triggers consume.
 	TriggerSummary = serve.Summary
-	// ServiceTrace is the offline replay format for trigger tuning.
-	ServiceTrace = serve.Trace
-	// SimConfig are the offline replay knobs.
-	SimConfig = serve.SimConfig
-	// SimResult is one offline replay's cost accounting.
-	SimResult = serve.SimResult
-	// TuneCandidate is one grid point of a tuning sweep.
+	// TuneCandidate is one grid point of a tuning sweep: a trigger and
+	// the ServiceResult of the service run with it.
 	TuneCandidate = serve.Candidate
 )
 
@@ -76,19 +71,16 @@ func WriteServiceLog(w io.Writer, cfg ServiceConfig, res ServiceResult) error {
 	return serve.WriteLog(w, cfg, res)
 }
 
-// RecordServiceTrace renders a scenario into its replay trace.
-func RecordServiceTrace(sc *Scenario) ServiceTrace { return serve.RecordTrace(sc) }
+// SimulateService runs the service for cfg inside this process, on an
+// in-memory job of cfg.Scenario.Ranks ranks, and returns its result with
+// LocalMigrations summed over the ranks — what RunService returns on any
+// transport, without a job to stand up.
+func SimulateService(cfg ServiceConfig) (ServiceResult, error) { return serve.Simulate(cfg) }
 
-// SimulateTrace replays a trace against one trigger configuration
-// under a greedy rebalance model and returns the cost accounting.
-func SimulateTrace(tr ServiceTrace, ts TriggerSpec, sim SimConfig) (SimResult, error) {
-	return serve.Simulate(tr, ts, sim)
-}
-
-// TuneTrigger grid-searches trigger parameters against a trace and
-// returns the cheapest candidate plus the full sweep. families
-// selects trigger families ("every", "threshold", "forecast"); nil
-// sweeps all three.
-func TuneTrigger(tr ServiceTrace, families []string, sim SimConfig) (TuneCandidate, []TuneCandidate, error) {
-	return serve.Tune(tr, families, sim)
+// TuneTrigger grid-searches trigger parameters for cfg (its Trigger is
+// ignored), one SimulateService run per candidate, and returns the
+// cheapest candidate plus the full sweep. families selects trigger
+// families ("every", "threshold", "forecast"); nil sweeps all three.
+func TuneTrigger(cfg ServiceConfig, families []string) (TuneCandidate, []TuneCandidate, error) {
+	return serve.Tune(cfg, families)
 }

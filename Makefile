@@ -29,7 +29,7 @@ lint-fix:
 race:
 	$(GO) test -race ./...
 
-# The fault-injection suite under the race detector: seeded drop/dup/
+# The fault-injection part of `race`, on its own: seeded drop/dup/
 # delay/straggler plans against the transport, the ack/retry layer, and
 # the distributed balancer end-to-end (including the faulted-equals-
 # fault-free and delay-window bit-determinism checks, and the
@@ -108,11 +108,12 @@ serve-smoke:
 	@echo "serve-smoke: trigger log matches golden, is identical on memory/unix/tcp, and is the tuner's row"
 
 # The CI gate: static analysis (go vet and the project's lbvet
-# analyzers), the race-enabled suite, the chaos suite (which includes
-# the storm), the observability, wire and serve smokes, one iteration of
-# every benchmark inside internal/ (so they cannot rot), and the
-# benchmark regression diff against the committed trajectory.
-check: vet lint race chaos obs-smoke wire-smoke serve-smoke bench-smoke bench-compare
+# analyzers), the race-enabled suite (of which chaos and storm are
+# subsets, kept as targets for local use), the observability, wire and
+# serve smokes, one iteration of every benchmark inside internal/ (so
+# they cannot rot), and the benchmark regression diff against the
+# committed trajectory.
+check: vet lint race obs-smoke wire-smoke serve-smoke bench-smoke bench-compare
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPIEngineWithCustomConfig(t *testing.T) {
-	cfg := temperedlb.Tempered()
+	cfg := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 	cfg.Order = temperedlb.OrderLightest
 	cfg.Trials, cfg.Iterations = 2, 3
 	cfg.Criterion = temperedlb.CriterionRelaxed
@@ -215,7 +216,7 @@ func TestPublicAPIObservability(t *testing.T) {
 	}
 }
 
-// TestPublicAPISyncEngineTracer pins Config.Tracer on the synchronous
+// TestPublicAPISyncEngineTracer pins EngineConfig.Tracer on the synchronous
 // engine: lb.run and lb.iteration events with populated ElapsedSeconds.
 func TestPublicAPISyncEngineTracer(t *testing.T) {
 	spec := temperedlb.VBWorkload(3)
@@ -225,7 +226,7 @@ func TestPublicAPISyncEngineTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := temperedlb.NewTraceRecorder()
-	cfg := temperedlb.Tempered()
+	cfg := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 	cfg.Trials, cfg.Iterations = 2, 3
 	cfg.Tracer = rec
 	eng, err := temperedlb.NewEngine(cfg)
@@ -301,4 +302,15 @@ func TestPublicAPISize(t *testing.T) {
 		t.Errorf("package temperedlb exports %d identifiers, more than the %d it is gated at", n, max)
 	}
 	t.Logf("package temperedlb exports %d identifiers", n)
+}
+
+// TestConfigSize gates, the same way, the fields of Config — the other
+// figure `make loc` prints. Each is a knob both drivers of the protocol
+// read (TestEveryConfigFieldReachesBothDrivers in internal/lb/tempered
+// has a row per field); what only the engine takes goes in EngineConfig.
+func TestConfigSize(t *testing.T) {
+	const max = 12
+	if n := reflect.TypeOf(temperedlb.Config{}).NumField(); n > max {
+		t.Errorf("Config has %d fields, more than the %d it is gated at", n, max)
+	}
 }

@@ -53,13 +53,13 @@ func benchJSONSuite() []struct {
 		}
 		return a
 	}
-	engineCfg := func() core.Config {
-		cfg := core.Tempered()
+	engineCfg := func() core.EngineConfig {
+		cfg := core.EngineConfig{Config: core.Tempered()}
 		cfg.Trials, cfg.Iterations = 2, 4
 		cfg.Rounds, cfg.Fanout = 6, 4
 		return cfg
 	}
-	runEngine := func(b *testing.B, cfg core.Config) {
+	runEngine := func(b *testing.B, cfg core.EngineConfig) {
 		a := engineSpec()
 		eng, err := core.NewEngine(cfg)
 		if err != nil {

@@ -76,7 +76,7 @@ func BenchmarkTableVD(b *testing.B) {
 func BenchmarkTableCompare(b *testing.B) {
 	spec, cfg := benchVBSpec(), benchLBAFConfig()
 	for i := 0; i < b.N; i++ {
-		c, err := lbaf.RunComparison(spec, cfg)
+		c, err := lbaf.RunComparison(spec, core.EngineConfig{Config: cfg})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func benchEmpire(b *testing.B, trackers []*sim.Tracker) {
 	}
 }
 
-func quickTweak(c core.Config) core.Config {
+func quickTweak(c core.EngineConfig) core.EngineConfig {
 	c.Trials, c.Iterations, c.Rounds = 4, 4, 3
 	return c
 }
@@ -197,7 +197,7 @@ func BenchmarkAblationTrials(b *testing.B) {
 	}
 	for _, tc := range []struct{ trials, iters int }{{1, 1}, {1, 4}, {4, 4}, {10, 8}} {
 		b.Run(fmt.Sprintf("trials=%d/iters=%d", tc.trials, tc.iters), func(b *testing.B) {
-			cfg := core.Tempered()
+			cfg := core.EngineConfig{Config: core.Tempered()}
 			cfg.Trials, cfg.Iterations = tc.trials, tc.iters
 			cfg.Rounds, cfg.Fanout = 6, 4
 			eng, err := core.NewEngine(cfg)
@@ -224,7 +224,7 @@ func BenchmarkAblationGossip(b *testing.B) {
 	}
 	for _, tc := range []struct{ f, k int }{{2, 2}, {2, 6}, {4, 4}, {6, 10}} {
 		b.Run(fmt.Sprintf("f=%d/k=%d", tc.f, tc.k), func(b *testing.B) {
-			cfg := core.Tempered()
+			cfg := core.EngineConfig{Config: core.Tempered()}
 			cfg.Trials, cfg.Iterations = 2, 4
 			cfg.Fanout, cfg.Rounds = tc.f, tc.k
 			eng, err := core.NewEngine(cfg)
@@ -264,7 +264,7 @@ func BenchmarkAblationNacks(b *testing.B) {
 		{"refinement/no-nacks", false, 2, 4},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.Tempered()
+			cfg := core.EngineConfig{Config: core.Tempered()}
 			cfg.NegativeAcks = tc.nacks
 			cfg.Trials, cfg.Iterations = tc.trials, tc.iters
 			cfg.Rounds, cfg.Fanout = 6, 4
@@ -292,7 +292,7 @@ func BenchmarkAblationLimitedInfo(b *testing.B) {
 	}
 	for _, cap := range []int{0, 32, 8, 2} {
 		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			cfg := core.Tempered()
+			cfg := core.EngineConfig{Config: core.Tempered()}
 			cfg.Trials, cfg.Iterations = 2, 4
 			cfg.Rounds, cfg.Fanout = 6, 4
 			cfg.MaxGossipEntries = cap
@@ -336,7 +336,7 @@ func BenchmarkAblationCommBias(b *testing.B) {
 	}
 	for _, bias := range []float64{0, 0.5, 0.9} {
 		b.Run(fmt.Sprintf("bias=%.1f", bias), func(b *testing.B) {
-			cfg := core.Tempered()
+			cfg := core.EngineConfig{Config: core.Tempered()}
 			cfg.Trials, cfg.Iterations = 3, 5
 			cfg.CommBias = bias
 			eng, err := core.NewEngine(cfg)
@@ -367,7 +367,7 @@ func BenchmarkAblationLBFrequency(b *testing.B) {
 				cfg.LBPeriod = period
 				tr := &sim.Tracker{
 					Name: "tempered", AMT: true,
-					Strategy: temperedlb.NewTemperedLBWith(quickTweak(core.Tempered())),
+					Strategy: temperedlb.NewTemperedLBWith(quickTweak(core.EngineConfig{Config: core.Tempered()})),
 				}
 				if _, err := sim.RunTrackers(cfg, []*sim.Tracker{tr}); err != nil {
 					b.Fatal(err)
@@ -400,7 +400,7 @@ func BenchmarkPersistenceSensitivity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := core.Tempered()
+				cfg := core.EngineConfig{Config: core.Tempered()}
 				cfg.Trials, cfg.Iterations = 2, 4
 				cfg.Rounds, cfg.Fanout = 4, 3
 				res, err := lbaf.RunPhaseStudy(a, ev, tempered.New(cfg), 60, 5)
@@ -505,7 +505,7 @@ func BenchmarkEngineScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := core.Tempered()
+			cfg := core.EngineConfig{Config: core.Tempered()}
 			cfg.Trials, cfg.Iterations = 1, 2
 			cfg.Rounds = 3
 			eng, err := core.NewEngine(cfg)

@@ -66,11 +66,11 @@ func main() {
 		stride = *every
 	}
 
-	faultSpec, err := rtf.FaultSpec()
+	faultSpec, err := rtf.EngineFaultSpec()
 	if err != nil {
 		log.Fatal(err)
 	}
-	tweak := func(c core.Config) core.Config {
+	tweak := func(c core.EngineConfig) core.EngineConfig {
 		if *trials > 0 {
 			c.Trials = *trials
 		}

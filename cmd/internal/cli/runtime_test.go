@@ -89,28 +89,71 @@ func TestValidateGeometry(t *testing.T) {
 	}
 }
 
-// TestNodeErrorNamesTheFailedTransport: one node's share of a job (amt.Join
-// over the transport it connected) reports a rank's error as an error —
-// the process used to die inside the rank body, transport open — and when
-// a stray client has failed the node's socket with garbage, says that
-// ahead of the rank error it caused.
-func TestNodeErrorNamesTheFailedTransport(t *testing.T) {
-	refused := func(*amt.Runtime) func(*amt.Context) error {
+// runWatched is job.Run under a watchdog: a job whose ranks are left parked
+// fails the test instead of hanging it.
+func runWatched(t *testing.T, job *amt.Job, bind func(*amt.Runtime) func(*amt.Context) error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- job.Run(bind) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run has not returned after 10s: ranks are parked on one that is gone")
+		return nil
+	}
+}
+
+// refusedOn returns a rank body that returns an error on the ranks for
+// which erring holds while every other rank waits for them in a barrier.
+func refusedOn(erring func(rank int) bool) func(*amt.Runtime) func(*amt.Context) error {
+	return func(*amt.Runtime) func(*amt.Context) error {
 		return func(rc *amt.Context) error {
-			if rc.Rank() > 0 {
+			if erring(int(rc.Rank())) {
 				return errors.New("config refused")
 			}
+			rc.Barrier()
 			return nil
 		}
 	}
+}
+
+// TestReturnedErrorEndsTheJob: a rank that returns an error while its peers
+// wait on it ends the job — in memory and over an in-process socket cluster
+// alike — and Run returns that rank's error, not the closed-network panics
+// of the ranks it released. They used to stay parked and Run never returned.
+func TestReturnedErrorEndsTheJob(t *testing.T) {
+	for _, network := range []string{"memory", "unix"} {
+		job, err := amt.Launch(network, 4, 2, 98)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = runWatched(t, job, refusedOn(func(rank int) bool { return rank == 2 }))
+		job.Close()
+		if err == nil || err.Error() != "rank 2: config refused" {
+			t.Errorf("%s: got %v, want rank 2's error", network, err)
+		}
+	}
+}
+
+// TestNodeErrorNamesTheFailedTransport: one node's share of a job (amt.Join
+// over the transport it connected) reports a rank's error as an error —
+// the process used to die inside the rank body, transport open — and hangs
+// up on its peers, so the node whose ranks were waiting on it reports a
+// lost connection instead of waiting forever on one that said goodbye. When
+// a stray client has failed the node's socket with garbage, Run says that
+// ahead of the rank error.
+func TestNodeErrorNamesTheFailedTransport(t *testing.T) {
 	cluster, err := wire.NewCluster("unix", 4, 2, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cluster.Close()
+	refused := refusedOn(func(rank int) bool { return rank >= 2 }) // node 1's ranks
 	peer := make(chan error, 1)
 	go func() { peer <- amt.Join("unix", cluster.Transports[1]).Run(refused) }()
-	if err := amt.Join("unix", cluster.Transports[0]).Run(refused); err == nil || err.Error() != "rank 1: config refused" {
+	err = runWatched(t, amt.Join("unix", cluster.Transports[0]), refused)
+	if err == nil || !strings.HasPrefix(err.Error(), "unix transport failed: wire: connection from node 1 lost before BYE") {
 		t.Errorf("node 0: got %v", err)
 	}
 	if err := <-peer; err == nil || err.Error() != "rank 2: config refused" {

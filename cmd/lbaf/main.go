@@ -52,30 +52,28 @@ func main() {
 		log.Printf("wrote %d tasks over %d ranks to %s", a.NumTasks(), a.NumRanks(), *outFile)
 		return
 	}
-	var traced *core.Assignment
-	if *inFile != "" {
+	// The tables' input: the traced workload if given (the sweeps generate theirs).
+	var a *core.Assignment
+	if *inFile == "" {
+		a, err = workload.Generate(spec)
+		check(err)
+	} else {
 		f, err := os.Open(*inFile)
 		check(err)
-		traced, err = lbaf.LoadWorkload(f)
+		a, err = lbaf.LoadWorkload(f)
 		check(err)
 		check(f.Close())
-	}
-	table := func(title string, cfg core.Config) (lbaf.Table, error) {
-		if traced != nil {
-			return lbaf.RunIterationTableOn(title, traced, cfg)
-		}
-		return lbaf.RunIterationTable(title, spec, cfg)
 	}
 
 	var tables []lbaf.Table
 
-	base := core.Grapevine()
+	base := core.EngineConfig{Config: core.Grapevine()}
 	base.Iterations = *iters
 	base.Rounds = *rounds
 	base.Fanout = *fanout
 	base.Threshold = *thresh
 	base.Seed = wl.Seed
-	base.GossipFaults, err = rtf.FaultSpec()
+	base.GossipFaults, err = rtf.EngineFaultSpec()
 	check(err)
 	base.Tracer = out.Tracer()
 	// The paper's LBAF accounting implies rejected tasks are retried
@@ -90,22 +88,16 @@ func main() {
 
 	switch *exp {
 	case "vb":
-		t, err := table("§V-B: original criterion", base)
+		t, err := lbaf.RunIterationTableOn("§V-B: original criterion", a, base)
 		check(err)
 		t.Render(os.Stdout)
 		tables = append(tables, t)
 	case "vd":
-		t, err := table("§V-D: relaxed criterion", relaxed)
+		t, err := lbaf.RunIterationTableOn("§V-D: relaxed criterion", a, relaxed)
 		check(err)
 		t.Render(os.Stdout)
 		tables = append(tables, t)
 	case "compare":
-		a := traced
-		if a == nil {
-			var err error
-			a, err = workload.Generate(spec)
-			check(err)
-		}
 		c, err := lbaf.RunComparisonOnParallel(a, base, *workers)
 		check(err)
 		c.Original.Render(os.Stdout)

@@ -96,7 +96,7 @@ func runEngine(o *options, a *temperedlb.Assignment) error {
 	var s temperedlb.Strategy
 	switch o.strategy {
 	case "tempered":
-		cfg := temperedlb.Tempered()
+		cfg := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 		cfg.Seed = o.wl.Seed
 		ord, err := temperedlb.ParseOrdering(o.order)
 		if err != nil {

@@ -13,7 +13,7 @@ import (
 func ExampleRunSweepParallel() {
 	spec := temperedlb.VBWorkload(1)
 	spec.NumRanks, spec.LoadedRanks, spec.NumTasks = 64, 4, 500
-	base := temperedlb.Tempered()
+	base := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 	base.Trials, base.Iterations = 2, 3
 	configs := temperedlb.GossipSweepConfigs(base, []int{2, 4}, []int{2, 4})
 
@@ -56,12 +56,12 @@ func ExampleRunDistributedLB() {
 	// Output: improved: true
 }
 
-// Hook a trace recorder into the synchronous engine via Config.Tracer:
+// Hook a trace recorder into the synchronous engine via EngineConfig.Tracer:
 // each run emits an lb.run span plus one lb.iteration span per
 // refinement iteration.
 func ExampleNewTraceRecorder() {
 	rec := temperedlb.NewTraceRecorder()
-	cfg := temperedlb.Tempered()
+	cfg := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 	cfg.Trials, cfg.Iterations = 1, 4
 	cfg.Tracer = rec
 

@@ -13,7 +13,7 @@ func ExampleNewEngine() {
 	for i := 0; i < 64; i++ {
 		a.Add(1.0, 0) // everything on rank 0
 	}
-	eng, _ := temperedlb.NewEngine(temperedlb.Tempered())
+	eng, _ := temperedlb.NewEngine(temperedlb.EngineConfig{Config: temperedlb.Tempered()})
 	res, _ := eng.Run(a)
 	res.Apply(a)
 	fmt.Printf("I: %.0f -> %.0f\n", res.InitialImbalance, res.FinalImbalance)

@@ -72,7 +72,7 @@ func run(rebalance bool) (total float64, migrations int) {
 		total += max
 
 		if rebalance && phase%lbEvery == 0 {
-			cfg := temperedlb.Tempered()
+			cfg := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 			cfg.Trials, cfg.Iterations = 4, 4
 			cfg.Seed = int64(phase)
 			eng, err := temperedlb.NewEngine(cfg)

@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("%-10s %10s %14s %16s\n", "bias", "final I", "remote volume", "volume fraction")
 	for _, bias := range []float64{0, 0.3, 0.6, 0.9} {
 		a, g := buildWorkload(*seed)
-		cfg := temperedlb.Tempered()
+		cfg := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 		cfg.Trials, cfg.Iterations = 4, 6
 		cfg.CommBias = bias
 		eng, err := temperedlb.NewEngine(cfg)

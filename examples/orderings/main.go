@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("%-20s %12s %12s %14s\n", "ordering", "final I", "migrations", "moved load")
 	for _, ord := range orderings {
 		a := buildWorkload(*seed)
-		cfg := temperedlb.Tempered()
+		cfg := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 		cfg.Order = ord
 		cfg.Trials, cfg.Iterations = 4, 6
 		eng, err := temperedlb.NewEngine(cfg)

@@ -29,7 +29,7 @@ func main() {
 
 	// TemperedLB with the paper's defaults: relaxed criterion, modified
 	// CMF, Fewest Migrations ordering, 10 trials x 8 iterations.
-	eng, err := temperedlb.NewEngine(temperedlb.Tempered())
+	eng, err := temperedlb.NewEngine(temperedlb.EngineConfig{Config: temperedlb.Tempered()})
 	if err != nil {
 		log.Fatal(err)
 	}

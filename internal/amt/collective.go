@@ -228,9 +228,8 @@ func (rc *Context) AllGather(value float64) []float64 {
 // AllReduceVec combines a fixed-width vector elementwise across all
 // ranks with op and returns the result on every rank — one collective
 // where a loop of AllReduce calls would cost a full tree sweep per
-// element. The distributed balancer uses it to aggregate its
-// per-iteration statistics in a single exchange. All ranks must pass the
-// same length; the input slice is neither retained nor mutated.
+// element. All ranks must pass the same length; the input slice is
+// neither retained nor mutated.
 func (rc *Context) AllReduceVec(values []float64, op ReduceOp) []float64 {
 	return rc.treeCollective("allreduce_vec", values, op, nil)
 }

@@ -68,11 +68,12 @@ func Join(network string, tr *wire.Transport, opts ...Option) *Job {
 // Run calls bind once per runtime on the caller's goroutine — the place
 // to register handlers, which are per runtime — then runs the rank body
 // each call returned on every rank of its runtime, all runtimes at once,
-// and waits. It returns one error: a transport that failed (a lost peer, a
-// bad frame) is named first, because it is usually what the ranks then
-// tripped over, the runtime's panic on a closed network included; otherwise
-// the lowest erring rank's own error. A runtime's panic with every transport
-// healthy is a rank's bug: re-raised here, the job's other nodes closed.
+// and waits. A rank that returns an error ends the job: ranks parked on it,
+// here or on another process's node, unwind instead of waiting forever. Run
+// returns one error: a transport that failed (a lost peer, a bad frame) is
+// named first, because it is usually what the ranks then tripped over; then
+// the lowest erring rank's own error, ahead of the panics it set off. Any
+// other runtime panic is a rank's bug: re-raised here, the other nodes closed.
 func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 	errs := make([]error, j.Runtimes[0].NumRanks())
 	var (
@@ -93,7 +94,12 @@ func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 					})
 				}
 			}()
-			rt.Run(func(rc *Context) { errs[rc.Rank()] = body(rc) })
+			rt.Run(func(rc *Context) {
+				if err := body(rc); err != nil {
+					errs[rc.Rank()] = err
+					first.Do(j.abort) // its peers may be waiting on this rank
+				}
+			})
 		}()
 	}
 	wg.Wait()
@@ -102,15 +108,26 @@ func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 			return fmt.Errorf("%s transport failed: %w", j.network, err)
 		}
 	}
-	if raised != nil {
-		panic(raised)
-	}
 	for r, err := range errs {
 		if err != nil {
 			return fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
+	if raised != nil {
+		panic(raised)
+	}
 	return nil
+}
+
+// abort closes the job under its running ranks; one node of a job spread
+// over processes hangs up first, so its peers see it lost, not leaving.
+func (j *Job) abort() {
+	if j.cluster == nil {
+		for _, tr := range j.transports {
+			tr.Abort()
+		}
+	}
+	j.Close()
 }
 
 // Stats folds the view of every node this process hosts: the job's, when
@@ -122,14 +139,14 @@ func (j *Job) Stats() (ns NodeStats) {
 	return ns
 }
 
-// Close tears the job's sockets down and removes what they left on disk.
-// Idempotent; a no-op on the in-memory network.
+// Close closes every node's network, tearing the job's sockets down and
+// removing what they left on disk. Idempotent.
 func (j *Job) Close() {
 	if j.cluster != nil {
 		j.cluster.Close()
 		return
 	}
-	for _, tr := range j.transports {
-		tr.Close()
+	for _, rt := range j.Runtimes {
+		rt.nw.Close()
 	}
 }

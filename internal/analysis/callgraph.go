@@ -88,7 +88,7 @@ type funcSummary struct {
 // summaries computes (and caches on the package) the funcSummary of
 // every function declared in pkg, keyed by its *types.Func. Seed-flow
 // marks are propagated to a fixed point within the package, so a
-// wrapper like SeededRNG -> newRNG -> composite literal resolves.
+// wrapper like NewEngine's -> SeededRNG -> composite literal resolves.
 func summaries(pkg *Package) map[*types.Func]*funcSummary {
 	if pkg.funcSummaries != nil {
 		return pkg.funcSummaries

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,6 +207,7 @@ func New(cfg Config) (*Transport, error) {
 		ln:      ln,
 		addr:    ln.Addr().String(),
 		inbound: map[int]net.Conn{},
+		peers:   make([]*peer, cfg.Nodes),
 	}
 	t.inCond = sync.NewCond(&t.mu)
 	t.Network = comm.NewPartialNetwork(cfg.Ranks, spec.Lo, spec.Hi, t.forwardRemote)
@@ -261,7 +263,6 @@ func (t *Transport) Connect(nodes []NodeSpec) error {
 			t.rankNode[r] = s.Node
 		}
 	}
-	t.peers = make([]*peer, t.cfg.Nodes)
 
 	// Dial every peer concurrently; each failure is fatal for Connect.
 	errs := make([]error, t.cfg.Nodes)
@@ -383,7 +384,9 @@ func (t *Transport) dialPeer(node int) error {
 	}
 	p := &peer{t: t, node: node, conn: conn, done: make(chan struct{})}
 	p.cond = sync.NewCond(&p.mu)
+	t.mu.Lock() // a failure's shutdown may already be reading the table
 	t.peers[node] = p
+	t.mu.Unlock()
 	t.connectedPeers.Add(1)
 	go p.writeLoop()
 	return nil
@@ -634,7 +637,16 @@ func (t *Transport) fail(err error) {
 //  4. force-close whatever is left.
 //
 // Close is idempotent and safe to call from any goroutine.
-func (t *Transport) Close() {
+func (t *Transport) Close() { t.shutdown(t.cfg.DrainTimeout) }
+
+// Abort is Close for a node whose share of the job has failed while its
+// peers may be parked on its ranks: it hangs up without the BYE, so every
+// peer's transport fails with a lost connection instead of recording an
+// orderly leave and waiting forever. Nothing is drained or waited for.
+func (t *Transport) Abort() { t.shutdown(0) }
+
+// shutdown is Close with the given bound on its drains; zero aborts.
+func (t *Transport) shutdown(drain time.Duration) {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
 	}
@@ -644,18 +656,24 @@ func (t *Transport) Close() {
 	// One timer bounds both waits below and is stopped on return: a
 	// time.After per wait would sit in the runtime's timer heap for the
 	// whole DrainTimeout after every Close, however fast the drain was.
-	deadline := time.Now().Add(t.cfg.DrainTimeout)
+	deadline := time.Now().Add(drain)
 	expired := make(chan struct{})
-	timer := time.AfterFunc(t.cfg.DrainTimeout, func() { close(expired) })
+	timer := time.AfterFunc(drain, func() { close(expired) })
 	defer timer.Stop()
-	for _, p := range t.peers {
+	t.mu.Lock()
+	peers := slices.Clone(t.peers)
+	t.mu.Unlock()
+	for _, p := range peers {
 		if p == nil {
 			continue
+		}
+		if drain == 0 {
+			p.conn.Close() // before the writer can be asked for a BYE
 		}
 		p.conn.SetWriteDeadline(deadline)
 		p.beginBye()
 	}
-	for _, p := range t.peers {
+	for _, p := range peers {
 		if p == nil {
 			continue
 		}
@@ -687,7 +705,7 @@ func (t *Transport) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	for _, p := range t.peers {
+	for _, p := range peers {
 		if p != nil {
 			p.conn.Close()
 		}

@@ -131,7 +131,7 @@ func commClusteredWorkload(seed int64) (*Assignment, *CommGraph) {
 func TestCommBiasReducesRemoteVolume(t *testing.T) {
 	run := func(bias float64) *Result {
 		a, g := commClusteredWorkload(5)
-		cfg := Tempered()
+		cfg := EngineConfig{Config: Tempered()}
 		cfg.Trials, cfg.Iterations = 3, 6
 		cfg.Rounds, cfg.Fanout = 4, 3
 		cfg.CommBias = bias
@@ -166,7 +166,7 @@ func TestCommBiasReducesRemoteVolume(t *testing.T) {
 
 func TestRunWithCommReportsVolumes(t *testing.T) {
 	a, g := commClusteredWorkload(6)
-	cfg := Tempered()
+	cfg := EngineConfig{Config: Tempered()}
 	cfg.Trials, cfg.Iterations = 1, 2
 	cfg.Rounds, cfg.Fanout = 3, 3
 	eng, _ := NewEngine(cfg)
@@ -193,7 +193,7 @@ func TestRunWithoutCommReportsZero(t *testing.T) {
 }
 
 func TestConfigValidatesCommBias(t *testing.T) {
-	cfg := Tempered()
+	cfg := EngineConfig{Config: Tempered()}
 	cfg.CommBias = 1.0
 	if err := cfg.Validate(); err == nil {
 		t.Error("CommBias=1 accepted")

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"temperedlb/internal/comm"
-	"temperedlb/internal/obs"
-)
+import "fmt"
 
 // Criterion selects the transfer acceptance test of Algorithm 2
 // (EVALUATECRITERION, lines 33–39).
@@ -132,8 +127,9 @@ func ParseOrdering(s string) (Ordering, error) {
 	return 0, fmt.Errorf("core: unknown ordering %q", s)
 }
 
-// Config collects every knob of the TemperedLB algorithm family. The
-// zero value is not useful; start from Tempered() or Grapevine().
+// Config collects the knobs of the TemperedLB protocol, each read by both
+// drivers; what only the Engine takes is in EngineConfig. The zero value
+// is not useful; start from Tempered() or Grapevine().
 type Config struct {
 	// Fanout is the gossip branching factor f of Algorithm 1.
 	Fanout int
@@ -172,50 +168,12 @@ type Config struct {
 	// per-trial streams are derived from it.
 	Seed int64
 
-	// NegativeAcks enables the recipient-side veto of Menon's original
-	// GrapevineLB that the paper chose not to employ (§V-A): a transfer
-	// that would push the actual recipient above the average is bounced
-	// back to the sender. Iterative refinement subsumes it; this knob
-	// exists to quantify that claim, in the synchronous engine only: the
-	// distributed balancer refuses it.
-	NegativeAcks bool
-
 	// MaxGossipEntries caps the number of knowledge entries carried per
 	// gossip message (0 = unlimited). Footnote 2 of the paper flags the
 	// O(P) list size as a scalability pitfall and defers limited-
 	// information balancing to future work; this implements it. Entries
 	// are sampled uniformly from the sender's knowledge.
 	MaxGossipEntries int
-
-	// GossipFaults subjects the synchronous engine's simulated gossip
-	// transport — the one protocol the engine simulates asynchronously —
-	// to the distributed runtime's fault model: the spec compiles to a
-	// comm.FaultPlan, and every gossip send is put to it with the
-	// transport's own key (the sender and that sender's send index), so
-	// a message meets the fate comm.Network would deal it: dropped (the
-	// knowledge simply never arrives), duplicated, or held back in
-	// virtual time, which reorders deliveries. Decisions are drawn per
-	// (trial, iteration) under the spec's seed, or Seed when that is
-	// zero; the retry tuning has no engine counterpart. The zero value
-	// injects nothing and leaves the delivery loop a plain FIFO walk.
-	// The distributed balancer refuses a non-empty spec: its faults are
-	// the runtime's (amt.Runtime.SetFaults).
-	GossipFaults comm.FaultSpec
-
-	// CommBias, in [0,1), activates the communication-aware extension
-	// (§VII future work) when a CommGraph is supplied to
-	// Engine.RunWithComm: recipient selection blends the load-deficit
-	// CMF with each candidate's communication affinity for the task,
-	// p' = (1−CommBias)·p_cmf + CommBias·p_affinity, steering tasks
-	// toward ranks hosting their communication partners. The distributed
-	// balancer carries no communication graph and refuses a positive bias.
-	CommBias float64
-
-	// Tracer, when non-nil, receives lb.run and lb.iteration span events
-	// from the synchronous engine (the distributed balancer uses the
-	// runtime's tracer instead). Nil — the default — costs one pointer
-	// comparison per iteration.
-	Tracer obs.Tracer
 }
 
 // Grapevine returns the configuration matching the original GrapevineLB
@@ -266,10 +224,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: trials must be >= 1, got %d", c.Trials)
 	case c.Iterations < 1:
 		return fmt.Errorf("core: iterations must be >= 1, got %d", c.Iterations)
-	case c.CommBias < 0 || c.CommBias >= 1:
-		return fmt.Errorf("core: comm bias must be in [0,1), got %g", c.CommBias)
 	case c.MaxGossipEntries < 0:
 		return fmt.Errorf("core: max gossip entries must be >= 0, got %d", c.MaxGossipEntries)
 	}
-	return c.GossipFaults.Validate(0)
+	return nil
 }

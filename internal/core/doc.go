@@ -10,7 +10,7 @@
 //   - The inform (gossip) stage of Algorithm 1 as a reusable per-rank
 //     state machine (InformState) so the same logic drives both the
 //     synchronous LBAF-style simulator and the asynchronous AMT runtime.
-//   - The transfer stage of Algorithm 2 (RunTransfer) with the original
+//   - The transfer stage of Algorithm 2 (RunTransferScratch) with the original
 //     and relaxed criteria, the original and modified CMFs, and optional
 //     CMF recomputation.
 //   - The four task traversal orderings of §V-E (OrderTasks).

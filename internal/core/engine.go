@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"temperedlb/internal/clock"
+	"temperedlb/internal/comm"
 	"temperedlb/internal/obs"
 )
 
@@ -20,7 +21,7 @@ type IterationStats struct {
 	GossipMessages int
 	GossipEntries  int
 
-	// GossipDropped counts gossip messages Config.GossipFaults lost
+	// GossipDropped counts gossip messages EngineConfig.GossipFaults lost
 	// before delivery; GossipDuplicated counts the extra deliveries it
 	// injected (both always zero when the spec is empty).
 	GossipDropped    int
@@ -37,7 +38,7 @@ type IterationStats struct {
 	// Transfers and Rejected are the accepted/rejected decision counts
 	// summed over all ranks; NoCandidate counts transfer loops that
 	// stopped for lack of CMF mass. Nacks counts transfers vetoed by
-	// their recipient when Config.NegativeAcks is set.
+	// their recipient when EngineConfig.NegativeAcks is set.
 	Transfers   int
 	Rejected    int
 	NoCandidate int
@@ -117,7 +118,7 @@ func (r *Result) MovedLoad(a *Assignment) float64 {
 // parallel experiment sweeps run one Engine per configuration, sharing
 // the input Assignment read-only.
 type Engine struct {
-	cfg Config
+	cfg EngineConfig
 	sc  engineScratch
 }
 
@@ -152,26 +153,75 @@ func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
 	sc.states = make([]*InformState, numRanks)
 	sc.transferRNG = make([]*rand.Rand, numRanks)
 	for r := 0; r < numRanks; r++ {
-		sc.states[r] = NewInformState(Rank(r), numRanks, cfg, newRNG(cfg.Seed))
-		sc.transferRNG[r] = newRNG(cfg.Seed)
+		sc.states[r] = NewInformState(Rank(r), numRanks, cfg, SeededRNG(cfg.Seed))
+		sc.transferRNG[r] = SeededRNG(cfg.Seed)
 	}
-	sc.orderRNG = newRNG(cfg.Seed)
+	sc.orderRNG = SeededRNG(cfg.Seed)
 	sc.order = make([]int, numRanks)
 	sc.work = nil
 }
 
-// NewEngine validates the configuration and returns an engine. The
-// rank bounds of Config.GossipFaults are checked by RunWithComm, which
-// knows the rank count.
-func NewEngine(cfg Config) (*Engine, error) {
+// EngineConfig is a Config plus what only the synchronous Engine takes:
+// two extensions the distributed protocol does not run, and the fault
+// plan and tracer the distributed balancer is handed by its runtime
+// (amt.Runtime.SetFaults, SetTracer) rather than by its configuration.
+// EngineConfig{Config: Tempered()} sets none of the four.
+type EngineConfig struct {
+	Config
+
+	// NegativeAcks enables the recipient-side veto of Menon's original
+	// GrapevineLB that the paper chose not to employ (§V-A): a transfer
+	// that would push the actual recipient above the average is bounced
+	// back to the sender. Iterative refinement subsumes it; this knob
+	// exists to quantify that claim.
+	NegativeAcks bool
+
+	// CommBias, in [0,1), activates the communication-aware extension
+	// (§VII future work) when a CommGraph is supplied to RunWithComm:
+	// recipient selection blends the load-deficit CMF with each
+	// candidate's communication affinity for the task,
+	// p' = (1−CommBias)·p_cmf + CommBias·p_affinity, steering tasks
+	// toward ranks hosting their communication partners.
+	CommBias float64
+
+	// GossipFaults subjects the engine's simulated gossip transport —
+	// the one protocol the engine simulates asynchronously — to the
+	// distributed runtime's fault model: the spec compiles to a
+	// comm.FaultPlan, and every gossip send is put to it with the
+	// transport's own key (the sender and that sender's send index), so
+	// a message meets the fate comm.Network would deal it: dropped (the
+	// knowledge simply never arrives), duplicated, or held back in
+	// virtual time, which reorders deliveries. Decisions are drawn per
+	// (trial, iteration) under the spec's seed, or Seed when that is
+	// zero; the retry tuning has no engine counterpart. The zero value
+	// injects nothing and leaves the delivery loop a plain FIFO walk.
+	GossipFaults comm.FaultSpec
+
+	// Tracer, when non-nil, receives lb.run and lb.iteration span
+	// events. Nil — the default — costs one pointer comparison per
+	// iteration.
+	Tracer obs.Tracer
+}
+
+// Validate reports whether the configuration is runnable; RunWithComm,
+// which knows the rank count, checks GossipFaults' rank bounds.
+func (c EngineConfig) Validate() error {
+	if err := c.Config.Validate(); err != nil {
+		return err
+	}
+	if c.CommBias < 0 || c.CommBias >= 1 {
+		return fmt.Errorf("core: comm bias must be in [0,1), got %g", c.CommBias)
+	}
+	return c.GossipFaults.Validate(0)
+}
+
+// NewEngine validates the configuration and returns an engine.
+func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Engine{cfg: cfg}, nil
 }
-
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Run executes Trials×Iterations inform+transfer passes over a working
 // copy of the assignment and returns the best distribution found. The
@@ -181,7 +231,7 @@ func (e *Engine) Run(a *Assignment) (*Result, error) {
 }
 
 // RunWithComm is Run with the communication-aware extension of §VII:
-// when g is non-nil and Config.CommBias > 0, recipient selection is
+// when g is non-nil and EngineConfig.CommBias > 0, recipient selection is
 // biased toward ranks hosting each task's communication partners (using
 // the owner snapshot of the current iteration — the same staleness the
 // gossip knowledge has), and the result reports the remote communication
@@ -210,7 +260,7 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 
 	numRanks := a.NumRanks()
 	sc := &e.sc
-	sc.prepare(numRanks, &e.cfg)
+	sc.prepare(numRanks, &e.cfg.Config)
 	sc.queue.compile(e.cfg.GossipFaults, numRanks)
 	sc.haveBest = false
 
@@ -226,7 +276,7 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 		// sequences are bit-identical to freshly allocated generators.
 		for r := 0; r < numRanks; r++ {
 			sc.states[r].StartTrial(trial)
-			reseed(sc.transferRNG[r], e.cfg.Seed, int64(trial), int64(r), 0x7af)
+			ReseedTransfer(sc.transferRNG[r], e.cfg.Seed, trial, Rank(r))
 		}
 		reseed(sc.orderRNG, e.cfg.Seed, int64(trial), 0x0deb)
 
@@ -326,11 +376,11 @@ func (e *Engine) transferPass(work *Assignment, ave float64, g *CommGraph, st *I
 	// Snapshot owners once per iteration for the communication-affinity
 	// lookups: senders see partner locations with the same staleness
 	// their gossip knowledge has.
-	var affinity AffinityFunc
+	var affinity *Affinity
 	if g != nil && e.cfg.CommBias > 0 {
 		sc.owners = work.AppendOwners(sc.owners[:0])
 		owners := sc.owners
-		affinity = func(task TaskID, to Rank) float64 {
+		affinity = &Affinity{Bias: e.cfg.CommBias, Volume: func(task TaskID, to Rank) float64 {
 			sum := 0.0
 			for _, edge := range g.Edges(task) {
 				if owners[edge.Peer] == to {
@@ -338,7 +388,7 @@ func (e *Engine) transferPass(work *Assignment, ave float64, g *CommGraph, st *I
 				}
 			}
 			return sum
-		}
+		}}
 	}
 	permInto(sc.orderRNG, sc.order)
 	overloaded, knowSum := 0, 0
@@ -355,7 +405,7 @@ func (e *Engine) transferPass(work *Assignment, ave float64, g *CommGraph, st *I
 			st.KnowledgeMin = k
 		}
 		sc.tasks = work.AppendTasksOf(sc.tasks[:0], r)
-		proposals, ts, _ := RunTransferScratch(r, sc.tasks, load, ave, sc.states[r].Knowledge(), &e.cfg, sc.transferRNG[r], affinity, &sc.xfer)
+		proposals, ts, _ := RunTransferScratch(r, sc.tasks, load, ave, sc.states[r].Knowledge(), &e.cfg.Config, sc.transferRNG[r], affinity, &sc.xfer)
 		st.Rejected += ts.Rejected
 		st.NoCandidate += ts.NoCandidate
 		for _, p := range proposals {

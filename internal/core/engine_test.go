@@ -19,8 +19,8 @@ func clusteredAssignment(p, k, n int, seed int64) *Assignment {
 	return a
 }
 
-func smallTempered() Config {
-	cfg := Tempered()
+func smallTempered() EngineConfig {
+	cfg := EngineConfig{Config: Tempered()}
 	cfg.Trials = 2
 	cfg.Iterations = 4
 	cfg.Rounds = 5
@@ -233,12 +233,12 @@ func TestEngineGrapevineVsTemperedQuality(t *testing.T) {
 		a.Add(2.0+rng.Float64(), Rank(rng.Intn(4)))
 	}
 
-	gv := Grapevine()
+	gv := EngineConfig{Config: Grapevine()}
 	gv.Iterations = 8
 	gvEng, _ := NewEngine(gv)
 	gvRes, _ := gvEng.Run(a)
 
-	tp := Tempered()
+	tp := EngineConfig{Config: Tempered()}
 	tp.Trials = 2
 	tp.Iterations = 8
 	tpEng, _ := NewEngine(tp)
@@ -274,7 +274,7 @@ func TestEngineMovedLoad(t *testing.T) {
 }
 
 func TestNewEngineRejectsBadConfig(t *testing.T) {
-	cfg := Tempered()
+	cfg := EngineConfig{Config: Tempered()}
 	cfg.Fanout = 0
 	if _, err := NewEngine(cfg); err == nil {
 		t.Error("NewEngine accepted invalid config")

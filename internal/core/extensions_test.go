@@ -11,7 +11,7 @@ import (
 // accepted transfers.
 func TestNegativeAcksPreventRecipientOverload(t *testing.T) {
 	a := clusteredAssignment(32, 2, 200, 1)
-	cfg := Grapevine()
+	cfg := EngineConfig{Config: Grapevine()}
 	cfg.Iterations = 4
 	cfg.Rounds, cfg.Fanout = 4, 3
 	cfg.NegativeAcks = true
@@ -57,14 +57,14 @@ func TestNegativeAcksPreventRecipientOverload(t *testing.T) {
 func TestNegativeAcksSubsumedByIteration(t *testing.T) {
 	mk := func() *Assignment { return clusteredAssignment(48, 3, 400, 2) }
 
-	withNacks := Grapevine()
+	withNacks := EngineConfig{Config: Grapevine()}
 	withNacks.Criterion = CriterionRelaxed
 	withNacks.CMF = CMFModified
 	withNacks.NegativeAcks = true
 	e1, _ := NewEngine(withNacks)
 	r1, _ := e1.Run(mk())
 
-	iterated := Tempered()
+	iterated := EngineConfig{Config: Tempered()}
 	iterated.Trials, iterated.Iterations = 2, 6
 	iterated.Rounds, iterated.Fanout = 4, 3
 	e2, _ := NewEngine(iterated)
@@ -108,7 +108,7 @@ func TestMaxGossipEntriesCapsPayloads(t *testing.T) {
 // converges more slowly but still improves substantially.
 func TestLimitedInformationStillBalances(t *testing.T) {
 	a := clusteredAssignment(64, 4, 400, 3)
-	cfg := Tempered()
+	cfg := EngineConfig{Config: Tempered()}
 	cfg.Trials, cfg.Iterations = 2, 5
 	cfg.Rounds, cfg.Fanout = 5, 3
 	cfg.MaxGossipEntries = 8
@@ -127,7 +127,7 @@ func TestLimitedInformationStillBalances(t *testing.T) {
 func TestLimitedInformationReducesVolume(t *testing.T) {
 	run := func(cap int) int {
 		a := clusteredAssignment(64, 4, 300, 4)
-		cfg := Tempered()
+		cfg := EngineConfig{Config: Tempered()}
 		cfg.Trials, cfg.Iterations = 1, 3
 		cfg.Rounds, cfg.Fanout = 5, 3
 		cfg.MaxGossipEntries = cap

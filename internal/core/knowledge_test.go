@@ -275,7 +275,7 @@ func BenchmarkKnowledgeCanonicalize(b *testing.B) {
 func BenchmarkInformTrialStart(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := Tempered()
-	st := NewInformState(7, benchRanks, &cfg, newRNG(cfg.Seed))
+	st := NewInformState(7, benchRanks, &cfg, SeededRNG(cfg.Seed))
 	st.Receive(InformMsg{Round: cfg.Rounds, Entries: randomLog(rng, benchRanks, benchKnown)})
 	full := slices.Clone(st.know.member)
 	b.ResetTimer()

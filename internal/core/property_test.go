@@ -45,7 +45,7 @@ func TestQuickTransferConservation(t *testing.T) {
 			total += tasks[i].Load
 		}
 		self := Rank(len(recips))
-		props, _, after := RunTransfer(self, tasks, total, 1.0, know, &cfg, rand.New(rand.NewSource(seed)))
+		props, _, after := RunTransferScratch(self, tasks, total, 1.0, know, &cfg, rand.New(rand.NewSource(seed)), nil, &TransferScratch{})
 		sent := 0.0
 		for _, p := range props {
 			sent += tasks[p.Task].Load
@@ -82,7 +82,7 @@ func TestQuickProposalsUnique(t *testing.T) {
 			tasks[i] = Task{ID: TaskID(i), Load: rng.Float64()}
 			total += tasks[i].Load
 		}
-		props, _, _ := RunTransfer(10, tasks, total, total/32, know, &cfg, rng)
+		props, _, _ := RunTransferScratch(10, tasks, total, total/32, know, &cfg, rng, nil, &TransferScratch{})
 		seen := map[TaskID]bool{}
 		for _, p := range props {
 			if seen[p.Task] {
@@ -280,7 +280,7 @@ func TestQuickEngineNeverWorsens(t *testing.T) {
 			cfg.Criterion = CriterionRelaxed
 			cfg.CMF = CMFModified
 		}
-		eng, err := NewEngine(cfg)
+		eng, err := NewEngine(EngineConfig{Config: cfg})
 		if err != nil {
 			return false
 		}

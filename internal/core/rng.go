@@ -39,25 +39,25 @@ func (s *splitmixSource) Uint64() uint64 {
 
 func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-// newRNG returns a seeded generator for the given stream.
-func newRNG(base int64, streams ...int64) *rand.Rand {
-	return rand.New(&splitmixSource{state: uint64(deriveSeed(base, streams...))})
-}
-
 // SeededRNG returns a generator for an independent random stream derived
-// from a base seed and stream identifiers (rank, trial, …). The
-// distributed balancer uses it to give every rank its own reproducible
-// stream.
+// from a base seed and stream identifiers (rank, trial, …).
 func SeededRNG(base int64, streams ...int64) *rand.Rand {
-	return newRNG(base, streams...)
+	return rand.New(&splitmixSource{state: uint64(deriveSeed(base, streams...))})
 }
 
 // reseed re-points an existing generator at the given stream. Seeding a
 // reused *rand.Rand produces the exact same sequence as allocating a
-// fresh one with newRNG, which lets the engine recycle its per-rank
+// fresh one with SeededRNG, which lets the drivers recycle their per-rank
 // generators across trials without allocating.
 func reseed(rng *rand.Rand, base int64, streams ...int64) {
 	rng.Seed(deriveSeed(base, streams...))
+}
+
+// ReseedTransfer re-points a rank's transfer-stage generator at a trial's
+// stream: the transfer twin of InformState.StartTrial, which both drivers
+// call at every trial, so they draw the same dice.
+func ReseedTransfer(rng *rand.Rand, seed int64, trial int, self Rank) {
+	reseed(rng, seed, int64(trial), int64(self), 0x7af)
 }
 
 // permInto fills buf with a pseudo-random permutation of [0, len(buf)),

@@ -24,34 +24,13 @@ type TransferStats struct {
 	CMFBuilds int
 }
 
-// RunTransfer executes the transfer stage (Algorithm 2) for one
-// overloaded rank.
-//
-// tasks is the rank's current task set T^p; selfLoad its load l^p; ave
-// the global average l_ave. know is the rank's gossip knowledge and is
-// mutated in place: accepted transfers bump the recipient's known load
-// (line 12) so subsequent decisions — and the recomputed CMF, when
-// cfg.RecomputeCMF is set — see them. rng must be the rank's private
-// generator.
-//
-// It returns the proposals, the decision statistics, and the rank's
-// load after the scheduled transfers.
-func RunTransfer(self Rank, tasks []Task, selfLoad, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand) ([]Proposal, TransferStats, float64) {
-	return RunTransferAffinity(self, tasks, selfLoad, ave, know, cfg, rng, nil)
-}
-
-// AffinityFunc reports the communication volume a task exchanges with
-// peers currently hosted on a candidate rank; the communication-aware
-// extension biases recipient selection with it.
-type AffinityFunc func(task TaskID, to Rank) float64
-
-// RunTransferAffinity is RunTransfer with the communication-aware
-// recipient bias of the §VII extension: when affinity is non-nil and
-// cfg.CommBias > 0, each task samples from a CMF blended toward ranks
-// hosting its communication partners.
-func RunTransferAffinity(self Rank, tasks []Task, selfLoad, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity AffinityFunc) ([]Proposal, TransferStats, float64) {
-	var scr TransferScratch
-	return RunTransferScratch(self, tasks, selfLoad, ave, know, cfg, rng, affinity, &scr)
+// Affinity is the communication-aware recipient bias of the §VII
+// extension, which only the engine runs: Volume reports the volume a task
+// exchanges with peers currently hosted on a candidate rank, and each task
+// samples from the CMF blended p' = (1−Bias)·p_cmf + Bias·p_affinity.
+type Affinity struct {
+	Volume func(task TaskID, to Rank) float64
+	Bias   float64
 }
 
 // TransferScratch holds the buffers one transfer-stage execution needs —
@@ -67,19 +46,24 @@ type TransferScratch struct {
 	proposals []Proposal
 }
 
-// RunTransferScratch is RunTransferAffinity drawing every buffer it
-// needs from scr. The input tasks slice is copied, not modified. The
-// returned proposals are backed by scr and remain valid only until the
-// next call with the same scratch; callers that retain them across calls
-// must copy.
-func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity AffinityFunc, scr *TransferScratch) ([]Proposal, TransferStats, float64) {
+// RunTransferScratch executes the transfer stage (Algorithm 2) for one
+// overloaded rank, drawing every buffer it needs from scr.
+//
+// tasks is the rank's current task set T^p, copied, not modified;
+// selfLoad its load l^p; ave the global average l_ave. know is the
+// rank's gossip knowledge and is mutated in place: accepted transfers
+// bump the recipient's known load (line 12) so subsequent decisions —
+// and the recomputed CMF, when cfg.RecomputeCMF is set — see them. rng
+// must be the rank's private generator; a nil affinity selects by load.
+//
+// It returns the proposals, the decision statistics, and the rank's
+// load after the scheduled transfers. The proposals are backed by scr
+// and valid only until its next run; callers that retain them must copy.
+func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity *Affinity, scr *TransferScratch) ([]Proposal, TransferStats, float64) {
 	var st TransferStats
 	scr.proposals = scr.proposals[:0]
 	if know.Len() == 0 {
 		return nil, st, selfLoad
-	}
-	if cfg.CommBias <= 0 {
-		affinity = nil
 	}
 
 	maxPasses := cfg.Passes
@@ -112,7 +96,7 @@ func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Kn
 // pass, and reports the number of acceptances plus whether the loop
 // ended for good (no longer overloaded or no candidate mass left).
 // ordered is sorted in place; it must be scratch-owned.
-func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity AffinityFunc, scr *TransferScratch, st *TransferStats) (accepted int, done bool) {
+func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity *Affinity, scr *TransferScratch, st *TransferStats) (accepted int, done bool) {
 	OrderTasksInPlace(ordered, ave, *selfLoad, cfg.Order)
 
 	if !cfg.RecomputeCMF { // line 5: build once
@@ -136,7 +120,7 @@ func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, kno
 		o := ordered[n]
 		pick := scr.cmf
 		if affinity != nil {
-			pick = scr.cmf.Blend(func(r Rank) float64 { return affinity(o.ID, r) }, cfg.CommBias)
+			pick = scr.cmf.Blend(func(r Rank) float64 { return affinity.Volume(o.ID, r) }, affinity.Bias)
 		}
 		px := pick.Sample(rng)                                  // line 9
 		lx := know.Load(px)                                     // line 10

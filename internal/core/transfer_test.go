@@ -19,7 +19,7 @@ func transferConfig(crit Criterion) Config {
 func TestRunTransferEmptyKnowledge(t *testing.T) {
 	cfg := transferConfig(CriterionOriginal)
 	know := NewKnowledge(4)
-	props, st, load := RunTransfer(0, tasksFromLoads(5, 5), 10, 1, know, &cfg, rand.New(rand.NewSource(1)))
+	props, st, load := RunTransferScratch(0, tasksFromLoads(5, 5), 10, 1, know, &cfg, rand.New(rand.NewSource(1)), nil, &TransferScratch{})
 	if props != nil || st.Accepted != 0 || load != 10 {
 		t.Errorf("transfer with no knowledge did something: %v %+v %g", props, st, load)
 	}
@@ -28,7 +28,7 @@ func TestRunTransferEmptyKnowledge(t *testing.T) {
 func TestRunTransferNotOverloaded(t *testing.T) {
 	cfg := transferConfig(CriterionOriginal)
 	know := knowledgeFrom(t, RankLoad{1, 0})
-	props, st, load := RunTransfer(0, tasksFromLoads(1), 1, 2, know, &cfg, rand.New(rand.NewSource(1)))
+	props, st, load := RunTransferScratch(0, tasksFromLoads(1), 1, 2, know, &cfg, rand.New(rand.NewSource(1)), nil, &TransferScratch{})
 	if len(props) != 0 || st.Accepted+st.Rejected != 0 || load != 1 {
 		t.Errorf("non-overloaded rank transferred: %v %+v", props, st)
 	}
@@ -39,7 +39,7 @@ func TestRunTransferShedsUntilThreshold(t *testing.T) {
 	// Rank 0 has 10 unit tasks; ave 2; plenty of empty recipients.
 	know := knowledgeFrom(t, RankLoad{1, 0}, RankLoad{2, 0}, RankLoad{3, 0}, RankLoad{4, 0})
 	tasks := tasksFromLoads(1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-	props, st, load := RunTransfer(0, tasks, 10, 2, know, &cfg, rand.New(rand.NewSource(2)))
+	props, st, load := RunTransferScratch(0, tasks, 10, 2, know, &cfg, rand.New(rand.NewSource(2)), nil, &TransferScratch{})
 	if load > 2+1e-9 {
 		t.Errorf("rank still overloaded: %g", load)
 	}
@@ -70,7 +70,7 @@ func TestRunTransferOriginalNeverOverloadsKnownRecipient(t *testing.T) {
 			total += l
 		}
 		ave := 2.5
-		_, _, _ = RunTransfer(0, tasks, total, ave, know, &cfg, rng)
+		_, _, _ = RunTransferScratch(0, tasks, total, ave, know, &cfg, rng, nil, &TransferScratch{})
 		for _, e := range know.Entries() {
 			if know.Load(e.Rank) >= ave+1e-9 {
 				t.Fatalf("recipient %d pushed to %g >= ave %g under original criterion",
@@ -100,7 +100,7 @@ func TestRunTransferRelaxedRecipientBelowSenderPriorLoad(t *testing.T) {
 			total += l
 		}
 		before := total
-		_, _, _ = RunTransfer(0, tasks, total, 1.0, know, &cfg, rng)
+		_, _, _ = RunTransferScratch(0, tasks, total, 1.0, know, &cfg, rng, nil, &TransferScratch{})
 		for _, e := range know.Entries() {
 			if know.Load(e.Rank) >= before+1e-9 {
 				t.Fatalf("recipient %d at %g >= sender initial %g", e.Rank, know.Load(e.Rank), before)
@@ -123,7 +123,7 @@ func TestRunTransferConservation(t *testing.T) {
 	for _, task := range tasks {
 		total += task.Load
 	}
-	props, _, after := RunTransfer(0, tasks, total, 1.5, know, &cfg, rng)
+	props, _, after := RunTransferScratch(0, tasks, total, 1.5, know, &cfg, rng, nil, &TransferScratch{})
 	sent := 0.0
 	for _, p := range props {
 		sent += tasks[p.Task].Load
@@ -145,7 +145,7 @@ func TestRunTransferProposalsTargetKnownRanks(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	know := knowledgeFrom(t, RankLoad{2, 0}, RankLoad{5, 0.5})
 	tasks := tasksFromLoads(1, 1, 1, 1)
-	props, _, _ := RunTransfer(7, tasks, 4, 0.5, know, &cfg, rng)
+	props, _, _ := RunTransferScratch(7, tasks, 4, 0.5, know, &cfg, rng, nil, &TransferScratch{})
 	for _, p := range props {
 		if p.To != 2 && p.To != 5 {
 			t.Errorf("proposal to unknown rank %d", p.To)
@@ -162,7 +162,7 @@ func TestRunTransferSinglePassBoundsEvaluations(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	know := knowledgeFrom(t, RankLoad{1, 0})
 	tasks := tasksFromLoads(5, 5, 5, 5, 5) // all unplaceable: 0+5 >= ave 1
-	_, st, _ := RunTransfer(0, tasks, 25, 1, know, &cfg, rng)
+	_, st, _ := RunTransferScratch(0, tasks, 25, 1, know, &cfg, rng, nil, &TransferScratch{})
 	if st.Accepted != 0 {
 		t.Errorf("accepted %d unplaceable tasks", st.Accepted)
 	}
@@ -179,7 +179,7 @@ func TestRunTransferQuiescenceStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	know := knowledgeFrom(t, RankLoad{1, 0})
 	tasks := tasksFromLoads(5, 5, 5)
-	_, st, _ := RunTransfer(0, tasks, 15, 1, know, &cfg, rng)
+	_, st, _ := RunTransferScratch(0, tasks, 15, 1, know, &cfg, rng, nil, &TransferScratch{})
 	if st.Rejected != len(tasks) {
 		t.Errorf("quiescence made %d rejections, want one pass of %d", st.Rejected, len(tasks))
 	}
@@ -197,11 +197,11 @@ func TestRunTransferMultiPassRetriesRejected(t *testing.T) {
 
 	single := base
 	single.Passes = 1
-	_, st1, _ := RunTransfer(0, tasks, 2, 1.0, know1, &single, rand.New(rand.NewSource(9)))
+	_, st1, _ := RunTransferScratch(0, tasks, 2, 1.0, know1, &single, rand.New(rand.NewSource(9)), nil, &TransferScratch{})
 
 	multi := base
 	multi.Passes = 0
-	_, st2, _ := RunTransfer(0, tasks, 2, 1.0, know2, &multi, rand.New(rand.NewSource(9)))
+	_, st2, _ := RunTransferScratch(0, tasks, 2, 1.0, know2, &multi, rand.New(rand.NewSource(9)), nil, &TransferScratch{})
 
 	if st2.Accepted < st1.Accepted {
 		t.Errorf("multi-pass accepted %d < single-pass %d", st2.Accepted, st1.Accepted)
@@ -212,7 +212,7 @@ func TestRunTransferNoCandidateMass(t *testing.T) {
 	cfg := transferConfig(CriterionOriginal)
 	// Every known rank at the average: zero CMF mass, loop must exit.
 	know := knowledgeFrom(t, RankLoad{1, 2}, RankLoad{2, 2})
-	_, st, load := RunTransfer(0, tasksFromLoads(1, 1, 1), 3, 2, know, &cfg, rand.New(rand.NewSource(10)))
+	_, st, load := RunTransferScratch(0, tasksFromLoads(1, 1, 1), 3, 2, know, &cfg, rand.New(rand.NewSource(10)), nil, &TransferScratch{})
 	if st.NoCandidate == 0 {
 		t.Error("expected NoCandidate exit")
 	}

@@ -1,8 +1,8 @@
 package tempered
 
 import (
-	"fmt"
 	"math"
+	"math/rand"
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/clock"
@@ -49,8 +49,10 @@ type rankState struct {
 	gossipSent    int
 	gossipEntries int
 
-	// xfer is the transfer stage's reused scratch.
-	xfer core.TransferScratch
+	// xfer is the transfer stage's reused scratch, xferRNG its private
+	// generator, re-pointed at each trial's stream.
+	xfer    core.TransferScratch
+	xferRNG *rand.Rand
 
 	// reduce is the reused input of the invocation's statistics reduces.
 	reduce []float64
@@ -177,31 +179,6 @@ var (
 	}
 )
 
-// CheckConfig reports whether RunDistributed will run cfg: it must be
-// valid, and must set none of the knobs only the synchronous engine
-// implements. The distributed protocol has no recipient veto, carries no
-// communication graph and takes its faults from the runtime's transport; running on as if such a knob
-// were off would report results the configuration did not ask for. A
-// caller that will invoke the balancer later (serve.Run) checks up
-// front, so every rank fails the same way before any work is done.
-func CheckConfig(cfg core.Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	var knob string
-	switch {
-	case cfg.NegativeAcks:
-		knob = "NegativeAcks"
-	case cfg.CommBias > 0:
-		knob = "CommBias"
-	case !cfg.GossipFaults.Empty():
-		knob = "GossipFaults (the runtime's transport takes the spec: Runtime.SetFaults)"
-	default:
-		return nil
-	}
-	return fmt.Errorf("tempered: %s is not supported by the distributed balancer (synchronous engine only)", knob)
-}
-
 // RunDistributed executes the full TemperedLB protocol on the calling
 // rank: the statistics all-reduce, then Trials×Iterations of (gossip
 // epoch, transfer epoch, imbalance all-reduce) over a virtual working
@@ -209,7 +186,7 @@ func CheckConfig(cfg core.Config) error {
 // the best distribution found (Algorithm 3's deferred transfers). All
 // ranks must call it collectively with their local instrumented loads.
 func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt.ObjectID]float64) (DistResult, error) {
-	if err := CheckConfig(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return DistResult{}, err
 	}
 	self := rc.Rank()
@@ -218,7 +195,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	// process pays only for the ranks it hosts and only once they balance.
 	st := h.st[self]
 	if st == nil {
-		st = &rankState{}
+		st = &rankState{xferRNG: core.SeededRNG(cfg.Seed)}
 		h.st[self] = st
 	}
 	start := clock.Now()
@@ -280,7 +257,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 
 	for trial := 1; trial <= cfg.Trials; trial++ {
 		st.virtual.copyFrom(&st.input) // Algorithm 3 line 3
-		xferRNG := core.SeededRNG(cfg.Seed, int64(trial), int64(self), 0x7af)
+		core.ReseedTransfer(st.xferRNG, cfg.Seed, trial, self)
 		// One gossip state per invocation, re-pointed at each trial's
 		// stream the way the engine does it and reset at each iteration:
 		// the previous iteration's epochs have quiesced by then, so no
@@ -325,7 +302,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 				kn := st.inform.Knowledge()
 				kn.Canonicalize()
 				knowledge = float64(kn.Len())
-				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &cfg, xferRNG, nil, &st.xfer)
+				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &cfg, st.xferRNG, nil, &st.xfer)
 				ts = tstats
 				for _, p := range props {
 					m := st.virtual.cede(p.Task)

@@ -7,30 +7,30 @@ import (
 
 // Strategy adapts the core engine to the lb.Strategy interface.
 type Strategy struct {
-	cfg  core.Config
+	cfg  core.EngineConfig
 	name string
 }
 
 // New returns a TemperedLB strategy with the given configuration.
-func New(cfg core.Config) *Strategy {
+func New(cfg core.EngineConfig) *Strategy {
 	return &Strategy{cfg: cfg, name: "TemperedLB"}
 }
 
 // NewGrapevine returns the configuration matching the original
 // GrapevineLB algorithm (the paper's AMT w/GrapevineLB bar).
 func NewGrapevine() *Strategy {
-	return &Strategy{cfg: core.Grapevine(), name: "GrapevineLB"}
+	return &Strategy{cfg: core.EngineConfig{Config: core.Grapevine()}, name: "GrapevineLB"}
 }
 
 // NewTempered returns the paper's TemperedLB defaults (relaxed
 // criterion, modified CMF, recomputed, Fewest Migrations, 10×8
 // refinement).
 func NewTempered() *Strategy {
-	return &Strategy{cfg: core.Tempered(), name: "TemperedLB"}
+	return New(core.EngineConfig{Config: core.Tempered()})
 }
 
 // Config returns the underlying configuration.
-func (s *Strategy) Config() core.Config { return s.cfg }
+func (s *Strategy) Config() core.EngineConfig { return s.cfg }
 
 // WithSeed returns a copy of the strategy with a new seed, so each LB
 // invocation of a long run draws fresh randomness deterministically.

@@ -22,7 +22,7 @@ func fastTempered() *Strategy {
 	cfg.Iterations = 4
 	cfg.Rounds = 5
 	cfg.Fanout = 3
-	return New(cfg)
+	return New(core.EngineConfig{Config: cfg})
 }
 
 func TestStrategyImproves(t *testing.T) {
@@ -95,7 +95,7 @@ func TestStrategyMessagesAccounted(t *testing.T) {
 func TestStrategyBadConfig(t *testing.T) {
 	cfg := core.Tempered()
 	cfg.Rounds = 0
-	if _, err := New(cfg).Rebalance(skewed(8, 1, 10, 3)); err == nil {
+	if _, err := New(core.EngineConfig{Config: cfg}).Rebalance(skewed(8, 1, 10, 3)); err == nil {
 		t.Error("bad config accepted")
 	}
 }

@@ -39,11 +39,11 @@ func RunIterationTable(title string, spec workload.Spec, cfg core.Config) (Table
 	if err != nil {
 		return Table{}, err
 	}
-	return RunIterationTableOn(title, a, cfg)
+	return RunIterationTableOn(title, a, core.EngineConfig{Config: cfg})
 }
 
 // RunIterationTableOn is RunIterationTable over a pre-built assignment.
-func RunIterationTableOn(title string, a *core.Assignment, cfg core.Config) (Table, error) {
+func RunIterationTableOn(title string, a *core.Assignment, cfg core.EngineConfig) (Table, error) {
 	cfg.Trials = 1
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
@@ -97,25 +97,20 @@ type Comparison struct {
 
 // RunComparison builds both tables over the identical initial
 // distribution.
-func RunComparison(spec workload.Spec, base core.Config) (Comparison, error) {
+func RunComparison(spec workload.Spec, base core.EngineConfig) (Comparison, error) {
 	a, err := workload.Generate(spec)
 	if err != nil {
 		return Comparison{}, err
 	}
-	return RunComparisonOn(a, base)
-}
-
-// RunComparisonOn is RunComparison over a pre-built assignment (e.g. a
-// loaded workload trace).
-func RunComparisonOn(a *core.Assignment, base core.Config) (Comparison, error) {
 	return RunComparisonOnParallel(a, base, 1)
 }
 
-// RunComparisonOnParallel is RunComparisonOn running the two criterion
-// tables on up to workers goroutines (0 means GOMAXPROCS). Each table
+// RunComparisonOnParallel is RunComparison over a pre-built assignment
+// (e.g. a loaded workload trace), running the two criterion tables on
+// up to workers goroutines (0 means GOMAXPROCS). Each table
 // owns its engine and seeded streams over the shared read-only
 // assignment, so the output is bit-identical to the serial run.
-func RunComparisonOnParallel(a *core.Assignment, base core.Config, workers int) (Comparison, error) {
+func RunComparisonOnParallel(a *core.Assignment, base core.EngineConfig, workers int) (Comparison, error) {
 	origCfg := base
 	origCfg.Criterion = core.CriterionOriginal
 	origCfg.CMF = core.CMFOriginal
@@ -128,7 +123,7 @@ func RunComparisonOnParallel(a *core.Assignment, base core.Config, workers int) 
 
 	jobs := []struct {
 		title string
-		cfg   core.Config
+		cfg   core.EngineConfig
 	}{
 		{"criterion 35 (original)", origCfg},
 		{"criterion 37 (relaxed)", relCfg},

@@ -71,7 +71,7 @@ func TestRunIterationTableRelaxedConverges(t *testing.T) {
 }
 
 func TestRunComparisonRelaxedWins(t *testing.T) {
-	c, err := RunComparison(smallVB(2), smallConfig())
+	c, err := RunComparison(smallVB(2), core.EngineConfig{Config: smallConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestComparisonRender(t *testing.T) {
-	c, err := RunComparison(smallVB(4), smallConfig())
+	c, err := RunComparison(smallVB(4), core.EngineConfig{Config: smallConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestGossipAccountingPositive(t *testing.T) {
 }
 
 func TestRunSweepGossipGrid(t *testing.T) {
-	base := core.Tempered()
+	base := core.EngineConfig{Config: core.Tempered()}
 	base.Trials, base.Iterations = 1, 3
 	configs := GossipSweepConfigs(base, []int{2, 4}, []int{2, 4})
 	if len(configs) != 4 {
@@ -190,7 +190,7 @@ func TestRunSweepGossipGrid(t *testing.T) {
 }
 
 func TestRunSweepRefinementGrid(t *testing.T) {
-	base := core.Tempered()
+	base := core.EngineConfig{Config: core.Tempered()}
 	base.Rounds, base.Fanout = 4, 3
 	configs := RefinementSweepConfigs(base, []int{1, 3}, []int{1, 4})
 	sw, err := RunSweep("refinement", smallVB(21), configs)
@@ -205,7 +205,7 @@ func TestRunSweepRefinementGrid(t *testing.T) {
 }
 
 func TestRunSweepBadConfig(t *testing.T) {
-	bad := core.Tempered()
+	bad := core.EngineConfig{Config: core.Tempered()}
 	bad.Fanout = 0
 	_, err := RunSweep("x", smallVB(22), []SweepConfig{{Label: "bad", Cfg: bad}})
 	if err == nil {

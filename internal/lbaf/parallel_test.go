@@ -15,7 +15,7 @@ import (
 // rendered table.
 func renderSweep(t *testing.T, workers int) string {
 	t.Helper()
-	base := core.Tempered()
+	base := core.EngineConfig{Config: core.Tempered()}
 	base.Trials, base.Iterations = 2, 3
 	configs := append(
 		GossipSweepConfigs(base, []int{2, 4}, []int{2, 4}),
@@ -50,7 +50,7 @@ func TestComparisonSerialVsParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := smallConfig()
+	base := core.EngineConfig{Config: smallConfig()}
 	serial, err := RunComparisonOnParallel(a, base, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestComparisonSerialVsParallelBitIdentical(t *testing.T) {
 func TestParallelSweepWithObsIsRaceFree(t *testing.T) {
 	rec := obs.NewRecorder()
 	m := obs.NewMetrics()
-	base := core.Tempered()
+	base := core.EngineConfig{Config: core.Tempered()}
 	base.Trials, base.Iterations = 1, 2
 	configs := GossipSweepConfigs(base, []int{2, 3, 4}, []int{2, 3})
 	a, err := workload.Generate(smallVB(55))
@@ -130,12 +130,12 @@ func finalImbalance(t Table) float64 {
 // TestSweepConfigNamedType pins the exported configuration type so the
 // grid builders and RunSweep compose without anonymous structs.
 func TestSweepConfigNamedType(t *testing.T) {
-	grid := GossipSweepConfigs(core.Tempered(), []int{2}, []int{3})
+	grid := GossipSweepConfigs(core.EngineConfig{Config: core.Tempered()}, []int{2}, []int{3})
 	var sc SweepConfig = grid[0]
 	if sc.Label != "f=2 k=3" || sc.Cfg.Fanout != 2 || sc.Cfg.Rounds != 3 {
 		t.Fatalf("unexpected SweepConfig %+v", sc)
 	}
-	if _, err := RunSweep("typed", smallVB(66), []SweepConfig{{Label: "pt", Cfg: smallConfig()}}); err != nil {
+	if _, err := RunSweep("typed", smallVB(66), []SweepConfig{{Label: "pt", Cfg: core.EngineConfig{Config: smallConfig()}}}); err != nil {
 		t.Fatal(err)
 	}
 	_ = fmt.Sprintf("%v", sc)

@@ -23,7 +23,7 @@ func phaseWorkload(t *testing.T, seed int64) *core.Assignment {
 }
 
 func phaseStrategy() *tempered.Strategy {
-	cfg := core.Tempered()
+	cfg := core.EngineConfig{Config: core.Tempered()}
 	cfg.Trials, cfg.Iterations = 2, 4
 	cfg.Rounds, cfg.Fanout = 4, 3
 	return tempered.New(cfg)

@@ -12,7 +12,7 @@ import (
 // SweepConfig is one labeled engine configuration of a parameter sweep.
 type SweepConfig struct {
 	Label string
-	Cfg   core.Config
+	Cfg   core.EngineConfig
 }
 
 // SweepPoint is one cell of a parameter sweep: the configuration values
@@ -75,7 +75,7 @@ func RunSweepParallel(title string, spec workload.Spec, configs []SweepConfig, w
 
 // GossipSweepConfigs builds the fanout/rounds grid of the footnote-2
 // study on top of a base configuration.
-func GossipSweepConfigs(base core.Config, fanouts, rounds []int) []SweepConfig {
+func GossipSweepConfigs(base core.EngineConfig, fanouts, rounds []int) []SweepConfig {
 	var out []SweepConfig
 	for _, f := range fanouts {
 		for _, k := range rounds {
@@ -89,7 +89,7 @@ func GossipSweepConfigs(base core.Config, fanouts, rounds []int) []SweepConfig {
 
 // RefinementSweepConfigs builds the trials/iterations grid of the
 // Algorithm-3 budget study.
-func RefinementSweepConfigs(base core.Config, trials, iters []int) []SweepConfig {
+func RefinementSweepConfigs(base core.EngineConfig, trials, iters []int) []SweepConfig {
 	var out []SweepConfig
 	for _, tr := range trials {
 		for _, it := range iters {

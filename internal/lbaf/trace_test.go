@@ -43,11 +43,11 @@ func TestTraceAnalysisMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := RunIterationTableOn("x", a, smallConfig())
+	t1, err := RunIterationTableOn("x", a, core.EngineConfig{Config: smallConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := RunIterationTableOn("x", b, smallConfig())
+	t2, err := RunIterationTableOn("x", b, core.EngineConfig{Config: smallConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,10 @@ const (
 	// EvTransferPropose is one transfer proposal sent to Peer (Object,
 	// Value = task load). EvTransferReject and EvTransferNoCandidate
 	// summarize the rejected/no-candidate decision counts of one rank's
-	// transfer stage in Value. EvTransferNack is a recipient veto.
+	// transfer stage in Value.
 	EvTransferPropose
 	EvTransferReject
 	EvTransferNoCandidate
-	EvTransferNack
 	// EvTokenRound is one hand-off of the termination-detection token;
 	// Value is the wave number, Peer the ring successor.
 	EvTokenRound
@@ -85,7 +84,6 @@ var eventNames = [numEventTypes]string{
 	EvTransferPropose:     "transfer.propose",
 	EvTransferReject:      "transfer.reject",
 	EvTransferNoCandidate: "transfer.nocandidate",
-	EvTransferNack:        "transfer.nack",
 	EvTokenRound:          "token.round",
 	EvMigration:           "migration",
 	EvPhaseBegin:          "phase",

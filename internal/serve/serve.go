@@ -97,7 +97,7 @@ func (c Config) prepare() (Config, Trigger, error) {
 	c = c.withDefaults()
 	// A balancer configuration RunDistributed would refuse fails here, on
 	// every rank alike and before any phase, not at the first fire.
-	if err := tempered.CheckConfig(c.LB); err != nil {
+	if err := c.LB.Validate(); err != nil {
 		return c, nil, fmt.Errorf("serve: LB configuration: %w", err)
 	}
 	trig, err := c.Trigger.New()

@@ -235,18 +235,15 @@ func TestServiceRejectsBadConfig(t *testing.T) {
 }
 
 // TestServiceRejectsLBConfigUpFront: a balancer configuration the
-// distributed protocol refuses — an engine-only knob or an invalid value
-// — is the same named error on every rank before phase 0 creates its
-// first object, on memory and across two socket-joined nodes, instead
-// of surfacing at whichever phase first fires the trigger.
+// distributed protocol refuses — an invalid value — is the same named
+// error on every rank before phase 0 creates its first object, on
+// memory and across two socket-joined nodes, instead of surfacing at
+// whichever phase first fires the trigger.
 func TestServiceRejectsLBConfigUpFront(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		set  func(*core.Config)
 	}{
-		{"NegativeAcks", func(c *core.Config) { c.NegativeAcks = true }},
-		{"CommBias", func(c *core.Config) { c.CommBias = 0.3 }},
-		{"GossipFaults", func(c *core.Config) { c.GossipFaults.Drop = 0.1 }},
 		{"trials", func(c *core.Config) { c.Trials = 0 }},
 	} {
 		cfg := serveConfig(KindBurst)

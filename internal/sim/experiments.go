@@ -16,12 +16,13 @@ import (
 // SPMD (no AMT), AMT without LB, AMT w/GrapevineLB, AMT w/GreedyLB,
 // AMT w/HierLB, AMT w/TemperedLB. tweak, when non-nil, adjusts the
 // tempered-family configurations (e.g. fewer trials for quick runs).
-func StandardTrackers(tweak func(core.Config) core.Config) []*Tracker {
-	adjust := func(cfg core.Config) core.Config {
+func StandardTrackers(tweak func(core.EngineConfig) core.EngineConfig) []*Tracker {
+	adjust := func(cfg core.Config) core.EngineConfig {
+		ec := core.EngineConfig{Config: cfg}
 		if tweak != nil {
-			return tweak(cfg)
+			ec = tweak(ec)
 		}
-		return cfg
+		return ec
 	}
 	return []*Tracker{
 		{Name: "SPMD (no AMT)"},
@@ -35,9 +36,9 @@ func StandardTrackers(tweak func(core.Config) core.Config) []*Tracker {
 
 // OrderingTrackers returns the Fig. 4d configurations: TemperedLB with
 // the three traversal orderings of §V-E.
-func OrderingTrackers(tweak func(core.Config) core.Config) []*Tracker {
+func OrderingTrackers(tweak func(core.EngineConfig) core.EngineConfig) []*Tracker {
 	mk := func(ord core.Ordering) *Tracker {
-		cfg := core.Tempered()
+		cfg := core.EngineConfig{Config: core.Tempered()}
 		cfg.Order = ord
 		if tweak != nil {
 			cfg = tweak(cfg)

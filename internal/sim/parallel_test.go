@@ -15,7 +15,7 @@ func runCSV(t *testing.T, workers int) map[string][]byte {
 	t.Helper()
 	cfg := empire.Small()
 	cfg.Steps = 12
-	tweak := func(c core.Config) core.Config {
+	tweak := func(c core.EngineConfig) core.EngineConfig {
 		c.Trials, c.Iterations = 2, 3
 		return c
 	}

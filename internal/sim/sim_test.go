@@ -14,7 +14,7 @@ import (
 	"temperedlb/internal/lb/tempered"
 )
 
-func quickTweak(c core.Config) core.Config {
+func quickTweak(c core.EngineConfig) core.EngineConfig {
 	c.Trials = 2
 	c.Iterations = 3
 	c.Rounds = 3
@@ -34,7 +34,7 @@ func runSmall(t *testing.T) []*Tracker {
 // quality gaps; cached across tests needing it.
 func runMedium(t *testing.T) []*Tracker {
 	t.Helper()
-	trackers := StandardTrackers(func(c core.Config) core.Config {
+	trackers := StandardTrackers(func(c core.EngineConfig) core.EngineConfig {
 		c.Trials, c.Iterations, c.Rounds = 4, 4, 3
 		return c
 	})
@@ -272,7 +272,7 @@ func TestNewExperimentBadConfig(t *testing.T) {
 
 func TestRebalanceReseedsStrategy(t *testing.T) {
 	cfg := empire.Small()
-	strat := tempered.New(quickTweak(core.Tempered()))
+	strat := tempered.New(quickTweak(core.EngineConfig{Config: core.Tempered()}))
 	seedBefore := strat.Config().Seed
 	tr := &Tracker{Name: "x", AMT: true, Strategy: strat}
 	if _, err := RunTrackers(cfg, []*Tracker{tr}); err != nil {

@@ -51,7 +51,6 @@ const (
 	EvTransferPropose     = obs.EvTransferPropose
 	EvTransferReject      = obs.EvTransferReject
 	EvTransferNoCandidate = obs.EvTransferNoCandidate
-	EvTransferNack        = obs.EvTransferNack
 	EvTokenRound          = obs.EvTokenRound
 	EvMigration           = obs.EvMigration
 	EvPhaseBegin          = obs.EvPhaseBegin

@@ -102,8 +102,7 @@ func RegisterLBHandlers(rt *Runtime, base HandlerID) *LBHandlers {
 // and a commit epoch that migrates the chosen objects. loads maps each
 // of the calling rank's local objects to its instrumented load (e.g.
 // from PhaseStats.Loads). It returns an error, the same on every rank,
-// for an invalid configuration and for the knobs only the synchronous
-// engine implements (NegativeAcks, CommBias > 0, GossipFaults).
+// for an invalid configuration.
 func RunDistributedLB(rc *RankContext, h *LBHandlers, cfg Config, loads map[ObjectID]float64) (DistributedResult, error) {
 	return tempered.RunDistributed(rc, h, cfg, loads)
 }

@@ -40,26 +40,26 @@ func RunSweepParallel(title string, spec WorkloadSpec, configs []SweepConfig, wo
 
 // GossipSweepConfigs builds the fanout × rounds grid for the information
 // propagation stage (Algorithm 1's knobs).
-func GossipSweepConfigs(base Config, fanouts, rounds []int) []SweepConfig {
+func GossipSweepConfigs(base EngineConfig, fanouts, rounds []int) []SweepConfig {
 	return lbaf.GossipSweepConfigs(base, fanouts, rounds)
 }
 
 // RefinementSweepConfigs builds the trials × iterations grid for the
 // refinement loop (Algorithm 3's knobs).
-func RefinementSweepConfigs(base Config, trials, iters []int) []SweepConfig {
+func RefinementSweepConfigs(base EngineConfig, trials, iters []int) []SweepConfig {
 	return lbaf.RefinementSweepConfigs(base, trials, iters)
 }
 
 // RunComparison generates the workload described by spec and runs the
 // §V-D comparison: the original criterion versus the relaxed criterion
 // with the modified CMF, on the identical initial distribution.
-func RunComparison(spec WorkloadSpec, base Config) (Comparison, error) {
+func RunComparison(spec WorkloadSpec, base EngineConfig) (Comparison, error) {
 	return lbaf.RunComparison(spec, base)
 }
 
 // RunComparisonParallel runs the §V-D comparison on an existing
 // assignment with up to `workers` concurrent engine runs (0 means
 // GOMAXPROCS). Output is identical at any worker count.
-func RunComparisonParallel(a *Assignment, base Config, workers int) (Comparison, error) {
+func RunComparisonParallel(a *Assignment, base EngineConfig, workers int) (Comparison, error) {
 	return lbaf.RunComparisonOnParallel(a, base, workers)
 }

@@ -18,7 +18,7 @@
 //	for i := 0; i < 1000; i++ {
 //		a.Add(load(i), temperedlb.Rank(i%4)) // clustered on 4 ranks
 //	}
-//	eng, _ := temperedlb.NewEngine(temperedlb.Tempered())
+//	eng, _ := temperedlb.NewEngine(temperedlb.EngineConfig{Config: temperedlb.Tempered()})
 //	res, _ := eng.Run(a)
 //	res.Apply(a) // a is now balanced; res.FinalImbalance tells how well
 //
@@ -54,8 +54,10 @@ type (
 
 // Algorithm configuration and the synchronous engine.
 type (
-	// Config holds every knob of the TemperedLB algorithm family.
+	// Config holds the knobs of the TemperedLB protocol both drivers read.
 	Config = core.Config
+	// EngineConfig is a Config plus what only the synchronous engine takes.
+	EngineConfig = core.EngineConfig
 	// Criterion selects the transfer acceptance test.
 	Criterion = core.Criterion
 	// CMFKind selects the recipient-selection mass function.
@@ -98,7 +100,7 @@ func Tempered() Config { return core.Tempered() }
 
 // NewEngine validates the configuration and returns the synchronous
 // engine (Algorithm 3 wrapping Algorithms 1 and 2).
-func NewEngine(cfg Config) (*Engine, error) { return core.NewEngine(cfg) }
+func NewEngine(cfg EngineConfig) (*Engine, error) { return core.NewEngine(cfg) }
 
 // ParseOrdering converts an ordering name ("arbitrary",
 // "load-intensive", "fewest-migrations", "lightest") to its value.
@@ -122,7 +124,7 @@ func NewTemperedLB() Strategy { return tempered.NewTempered() }
 
 // NewTemperedLBWith returns a TemperedLB Strategy with a custom
 // configuration (e.g. a different ordering or criterion).
-func NewTemperedLBWith(cfg Config) Strategy { return tempered.New(cfg) }
+func NewTemperedLBWith(cfg EngineConfig) Strategy { return tempered.New(cfg) }
 
 // NewGrapevineLB returns the original GrapevineLB as a Strategy.
 func NewGrapevineLB() Strategy { return tempered.NewGrapevine() }
@@ -147,7 +149,7 @@ type (
 )
 
 // NewCommGraph creates an empty communication graph over numTasks
-// tasks. Supply it to Engine.RunWithComm with Config.CommBias > 0 to
+// tasks. Supply it to Engine.RunWithComm with EngineConfig.CommBias > 0 to
 // steer tasks toward ranks hosting their communication partners.
 func NewCommGraph(numTasks int) *CommGraph { return core.NewCommGraph(numTasks) }
 

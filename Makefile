@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run pairs bench-json bench-compare loc
+.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run pairs profile bench-json bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -142,6 +142,22 @@ N ?= 10
 pairs:
 	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<parent checkout> [WORKLOAD=$(WORKLOAD) SEED=$(SEED) N=$(N)]"; exit 2; }
 	sh scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
+
+# CPU and allocation profiles of root-package benchmarks matching BENCH
+# (BenchmarkPaperCase is workload A of bench/, which has no profile flag),
+# written with the test binary under $(TMPDIR) — never into the repo:
+#   make profile BENCH=PaperCase BENCHTIME=2x
+#   go tool pprof -top $(TMPDIR)/temperedlb-profile/temperedlb.test $(TMPDIR)/temperedlb-profile/cpu.prof
+BENCH ?= PaperCase
+BENCHTIME ?= 1x
+TMPDIR ?= /tmp
+PROFILE_DIR = $(TMPDIR)/temperedlb-profile
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/temperedlb.test .
+	$(PROFILE_DIR)/temperedlb.test -test.run '^$$' -test.bench '$(BENCH)' -test.benchtime $(BENCHTIME) -test.benchmem \
+		-test.outputdir $(PROFILE_DIR) -test.cpuprofile cpu.prof -test.memprofile mem.prof
+	@echo "profiles: $(PROFILE_DIR)/cpu.prof $(PROFILE_DIR)/mem.prof (binary $(PROFILE_DIR)/temperedlb.test)"
 
 # Regenerate BENCH_lb.json, the machine-readable perf trajectory
 # (ns/op, B/op, allocs/op per recorded configuration).

@@ -105,45 +105,19 @@ func benchJSONSuite() []struct {
 			runEngine(b, cfg)
 		}},
 		{"distributed_lb_16ranks", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rt := temperedlb.NewRuntime(16)
-				h := temperedlb.RegisterLBHandlers(rt, 1)
-				rt.Run(func(rc *temperedlb.RankContext) {
-					loads := map[temperedlb.ObjectID]float64{}
-					if rc.Rank() < 2 {
-						for j := 0; j < 64; j++ {
-							loads[rc.CreateObject(j)] = 0.5 + float64(j%7)/7
-						}
-					}
-					rc.Barrier()
-					cfg := temperedlb.Tempered()
-					cfg.Trials, cfg.Iterations, cfg.Rounds = 2, 3, 4
-					if _, err := temperedlb.RunDistributedLB(rc, h, cfg, loads); err != nil {
-						b.Error(err)
-					}
-				})
-			}
+			distributedLB16(b, func() []temperedlb.RuntimeOption { return nil })
 		}},
 		{"distributed_lb_16ranks_observed", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rec := temperedlb.NewTraceRecorder()
-				rt := temperedlb.NewRuntime(16, temperedlb.WithTracer(rec), temperedlb.WithMetrics())
-				h := temperedlb.RegisterLBHandlers(rt, 1)
-				rt.Run(func(rc *temperedlb.RankContext) {
-					loads := map[temperedlb.ObjectID]float64{}
-					if rc.Rank() < 2 {
-						for j := 0; j < 64; j++ {
-							loads[rc.CreateObject(j)] = 0.5 + float64(j%7)/7
-						}
-					}
-					rc.Barrier()
-					cfg := temperedlb.Tempered()
-					cfg.Trials, cfg.Iterations, cfg.Rounds = 2, 3, 4
-					if _, err := temperedlb.RunDistributedLB(rc, h, cfg, loads); err != nil {
-						b.Error(err)
-					}
-				})
-			}
+			distributedLB16(b, func() []temperedlb.RuntimeOption {
+				return []temperedlb.RuntimeOption{temperedlb.WithTracer(temperedlb.NewTraceRecorder()), temperedlb.WithMetrics()}
+			})
+		}},
+		{"distributed_lb_16ranks_metrics", func(b *testing.B) {
+			// What -serve and -metrics attach: the registry and a stream,
+			// no tracer. Between the unobserved row and the traced one.
+			distributedLB16(b, func() []temperedlb.RuntimeOption {
+				return []temperedlb.RuntimeOption{temperedlb.WithMetrics(), temperedlb.WithStream(temperedlb.NewStream(0))}
+			})
 		}},
 		{"distributed_lb_1024ranks_tree", func(b *testing.B) {
 			// Paper-scale collective path: the cost here is dominated by
@@ -235,6 +209,30 @@ func benchJSONSuite() []struct {
 				core.OrderTasks(tasks, total/400, total, core.OrderFewestMigrations)
 			}
 		}},
+	}
+}
+
+// distributedLB16 is one op per b.N of the 16-rank rows: a fresh runtime
+// with opts() attached, 128 objects on two ranks, one distributed
+// invocation.
+func distributedLB16(b *testing.B, opts func() []temperedlb.RuntimeOption) {
+	for i := 0; i < b.N; i++ {
+		rt := temperedlb.NewRuntime(16, opts()...)
+		h := temperedlb.RegisterLBHandlers(rt, 1)
+		rt.Run(func(rc *temperedlb.RankContext) {
+			loads := map[temperedlb.ObjectID]float64{}
+			if rc.Rank() < 2 {
+				for j := 0; j < 64; j++ {
+					loads[rc.CreateObject(j)] = 0.5 + float64(j%7)/7
+				}
+			}
+			rc.Barrier()
+			cfg := temperedlb.Tempered()
+			cfg.Trials, cfg.Iterations, cfg.Rounds = 2, 3, 4
+			if _, err := temperedlb.RunDistributedLB(rc, h, cfg, loads); err != nil {
+				b.Error(err)
+			}
+		})
 	}
 }
 

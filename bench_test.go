@@ -552,3 +552,38 @@ func BenchmarkDistributedScaling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPaperCase is one op of the benchmark's paper_vb_4096_mem
+// workload (bench/, workload A): the §V-B case — 10^4 tasks on 16 of 4096
+// ranks, f = 6, k = 10 — through 4 trials × 4 iterations of the
+// distributed protocol, on a fresh runtime per op. It exists to be
+// profiled (`make profile BENCH=PaperCase`): bench/ is a frozen main
+// package with no profile flag. ≈ 4 s and 0.9 GB allocated per op (2 cores).
+func BenchmarkPaperCase(b *testing.B) {
+	a, err := workload.Generate(workload.VBCase(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := temperedlb.Tempered()
+	cfg.Trials, cfg.Iterations = 4, 4
+	imb := 0.0
+	for i := 0; i < b.N; i++ {
+		rt := temperedlb.NewRuntime(a.NumRanks())
+		h := temperedlb.RegisterLBHandlers(rt, 1)
+		rt.Run(func(rc *temperedlb.RankContext) {
+			loads := map[temperedlb.ObjectID]float64{}
+			for _, task := range a.TasksOf(rc.Rank()) {
+				loads[rc.CreateObject(task.Load)] = task.Load
+			}
+			rc.Barrier()
+			res, err := temperedlb.RunDistributedLB(rc, h, cfg, loads)
+			if err != nil {
+				b.Error(err)
+			}
+			if rc.Rank() == 0 {
+				imb = res.FinalImbalance
+			}
+		})
+	}
+	b.ReportMetric(imb, "final-I")
+}

@@ -101,8 +101,9 @@ type Context struct {
 	// wait and waitSeq say what the rank is in the pump for (waitNone
 	// outside it). depth is how deep this rank's current run nests below
 	// the goroutine's own rank (0 when its owner runs it), lentTo the rank
-	// it is running nested right now, and lentTime the time spent doing
-	// so — what timedHandler subtracts to keep handler time self time.
+	// it is running nested right now, and lentTime, under a tracer, the
+	// time spent doing so — what timedHandler subtracts to keep handler
+	// time self time.
 	wait     waitKind
 	waitSeq  int64
 	depth    int
@@ -156,12 +157,12 @@ type Context struct {
 
 	phase phaseState
 
-	// tr and ins mirror the runtime's tracer and latency histograms, nil
-	// when off. timed says either is on: the one check a site that measures
-	// a duration makes before it reads the clock.
-	tr    obs.Tracer
-	ins   *instruments
-	timed bool
+	// tr and epochSeconds mirror the runtime's tracer and epoch-latency
+	// histogram, nil when off. A duration measured per message — a handler
+	// run, a borrow — is the tracer's alone, so the clock is read per
+	// message only when tr is set; metrics time nothing finer than an epoch.
+	tr           obs.Tracer
+	epochSeconds *obs.Histogram
 
 	// Stats counts what this rank did (see ContextStats).
 	Stats ContextStats
@@ -178,8 +179,7 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 		objects:       make(map[ObjectID]any),
 		location:      make(map[ObjectID]core.Rank),
 		tr:            rt.tracer,
-		ins:           rt.ins,
-		timed:         rt.tracer != nil || rt.ins != nil,
+		epochSeconds:  rt.epochSeconds,
 	}
 	k := rt.fanout
 	r := int(rank)
@@ -344,10 +344,11 @@ func (rc *Context) transmit(m comm.Message) {
 // borrowed, and a wave crossing parked ranks is this loop, one borrow deep
 // however long the ring; if not (a busy rank, a remote one) the hop was
 // the plain push it would have been. lentTo follows the chain, so a panic
-// names the rank that ran; one clock pair brackets all of it.
+// names the rank that ran; under a tracer, one clock pair brackets all of
+// it.
 func (rc *Context) lend(t *Context, m comm.Message) {
 	var start time.Time
-	if rc.timed {
+	if rc.tr != nil {
 		start = clock.Now()
 	}
 	for {
@@ -377,7 +378,7 @@ func (rc *Context) lend(t *Context, m comm.Message) {
 		t, m = rc.rt.ranks[hop.To-rc.rt.lo].Load(), hop
 	}
 	rc.lentTo = nil
-	if rc.timed {
+	if rc.tr != nil {
 		rc.lentTime += clock.Since(start)
 	}
 }
@@ -515,8 +516,10 @@ func (rc *Context) Epoch(body func()) {
 	}
 	rc.open = rc.det
 
+	// One clock pair per epoch, for the tracer's span and the histogram.
+	timed := rc.tr != nil || rc.epochSeconds != nil
 	var epochStart time.Time
-	if rc.timed {
+	if timed {
 		epochStart = clock.Now()
 		rc.Emit(obs.Event{Type: obs.EvEpochOpen, Peer: -1, Object: -1, Epoch: rc.epochSeq})
 	}
@@ -541,12 +544,12 @@ func (rc *Context) Epoch(body func()) {
 	rc.Stats[TokenRounds].Add(int64(waves))
 	rc.inEpoch = false
 	rc.open = nil
-	if rc.timed {
+	if timed {
 		elapsed := clock.Since(epochStart)
 		rc.Emit(obs.Event{Type: obs.EvEpochClose, Peer: -1, Object: -1,
 			Epoch: rc.epochSeq, Value: float64(waves), Dur: elapsed})
-		if rc.ins != nil {
-			rc.ins.epochSeconds.Observe(int(rc.rank), elapsed.Seconds())
+		if rc.epochSeconds != nil {
+			rc.epochSeconds.Observe(int(rc.rank), elapsed.Seconds())
 		}
 	}
 }
@@ -587,7 +590,7 @@ func (rc *Context) dispatch(m comm.Message) {
 		rc.Stats[HandlerCalls].Add(1)
 		h := HandlerID(m.Handler)
 		fn := rc.rt.handler(h)
-		if !rc.timed {
+		if rc.tr == nil {
 			fn(rc, core.Rank(m.From), m.Data)
 		} else {
 			rc.timedHandler(h, m.From, -1, func() {
@@ -620,8 +623,8 @@ func (rc *Context) dispatch(m comm.Message) {
 }
 
 // timedHandler runs a handler invocation under the clock, for the tracer's
-// span and the latency histogram. Only called when rc.timed; the
-// uninstrumented dispatch path never reaches it.
+// handler span. Only called with a tracer attached; every other dispatch,
+// metrics-only included, reads no clock.
 func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func()) {
 	lent := rc.lentTime
 	start := clock.Now()
@@ -629,13 +632,8 @@ func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func())
 	// Self time: what the handler spent running other ranks it borrowed
 	// is those ranks' handler time, not this one's.
 	elapsed := clock.Since(start) - (rc.lentTime - lent)
-	if rc.tr != nil {
-		rc.Emit(obs.Event{Type: obs.EvHandler, Peer: from, Object: int64(obj),
-			Name: rc.rt.handlerName(h), Dur: elapsed})
-	}
-	if rc.ins != nil {
-		rc.ins.handlerSeconds.Observe(int(rc.rank), elapsed.Seconds())
-	}
+	rc.Emit(obs.Event{Type: obs.EvHandler, Peer: from, Object: int64(obj),
+		Name: rc.rt.handlerName(h), Dur: elapsed})
 }
 
 // forwardDone relays the open epoch's done announcement to this rank's

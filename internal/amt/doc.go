@@ -65,7 +65,9 @@
 // report — the metrics registry (Runtime.Metrics, refolded on every
 // export, a live /metrics scrape included), FaultStats, TotalMessages,
 // stream frames — is a read of that fold, so none can drift from
-// another. Only the two latency histograms are written as the run goes.
+// another. Only the epoch-latency histogram is written as the run goes,
+// once per epoch: with metrics on and no tracer, dispatching a message
+// reads no clock. A handler's duration is the tracer's handler span.
 //
 // # Concurrency
 //

@@ -173,10 +173,10 @@ func (rc *Context) Migrate(id ObjectID, dest core.Rank) {
 }
 
 // runObjectHandler invokes an object handler, under the clock when a
-// tracer or the latency histograms want its duration.
+// tracer wants its duration.
 func (rc *Context) runObjectHandler(h HandlerID, env objEnvelope, state any) {
 	rc.Stats[HandlerCalls].Add(1)
-	if !rc.timed {
+	if rc.tr == nil {
 		rc.rt.objHandler(h)(rc, env.Obj, state, env.Origin, env.Data)
 		return
 	}

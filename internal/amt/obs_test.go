@@ -1,6 +1,8 @@
 package amt
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -375,5 +377,112 @@ func TestChaosInstrumentedJitter(t *testing.T) {
 	}
 	if got := m.Counter("amt_epochs_total").Value(); got != rounds*n {
 		t.Errorf("amt_epochs_total = %d, want %d", got, rounds*n)
+	}
+}
+
+// TestMetricsOnlyTimesEpochsNotMessages: with metrics and a stream on and
+// no tracer — what -serve and -metrics attach — the one duration the
+// runtime measures is an epoch's. amt_epoch_seconds holds one observation
+// per epoch run, the only handler family exported is the invocation count,
+// and a borrow reads no clock: lentTime stays zero though ranks were lent.
+func TestMetricsOnlyTimesEpochsNotMessages(t *testing.T) {
+	const n = 64
+	job := launch(t, "memory", n, 1, WithMetrics(), WithStream(obs.NewStream(0)))
+	if _, lent := runFanCascade(t, n, job); lent == 0 {
+		t.Fatal("no send ran its destination: lend was not exercised")
+	}
+	rt := job.Runtimes[0]
+	var prom bytes.Buffer
+	if err := obs.WritePrometheus(&prom, rt.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	epochs := rt.Stats().Ranks[EpochsRun]
+	if want := fmt.Sprintf("amt_epoch_seconds_count %d\n", epochs); epochs == 0 || !strings.Contains(prom.String(), want) {
+		t.Errorf("want %q (Σ EpochsRun) in the export", want)
+	}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+		if strings.HasPrefix(name, "amt_handler_") && !strings.HasPrefix(name, "amt_handler_invocations_total") {
+			t.Errorf("a handler family beside the invocation count is exported: %q", line)
+		}
+	}
+	for i := range rt.ranks {
+		if rc := rt.ranks[i].Load(); rc.lentTime != 0 {
+			t.Errorf("rank %d: lentTime %v without a tracer: lend read the clock", rc.Rank(), rc.lentTime)
+		}
+	}
+}
+
+// TestScrapesAreMonotoneAndEndAtTheFold: a scrape reads counters that ranks
+// on other goroutines are writing as it runs — the transport's striped
+// send counters, per-rank stats, borrowed runs included. Scraped from
+// another goroutine for the whole run, no total ever goes down, and the
+// scrape after Run is Job.Stats() to the count.
+func TestScrapesAreMonotoneAndEndAtTheFold(t *testing.T) {
+	const n = 64
+	job := launch(t, "memory", n, 1, WithMetrics(), WithStream(obs.NewStream(0)))
+	rt := job.Runtimes[0]
+	read := func(m *obs.Metrics) map[string]int64 {
+		got := map[string]int64{}
+		for _, f := range nodeFamilies {
+			got[f.name] = m.Counter(f.name).Value()
+		}
+		for _, f := range kindFamilies {
+			for _, kind := range kindNames {
+				name := obs.LabeledName(f.name, "kind", kind)
+				got[name] = m.Counter(name).Value()
+			}
+		}
+		return got
+	}
+	stop, scrapes := make(chan struct{}), make(chan int)
+	go func() {
+		var prev map[string]int64
+		var prevNS NodeStats
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				scrapes <- i
+				return
+			default:
+			}
+			cur, ns := read(rt.Metrics()), rt.Stats()
+			for name, v := range prev {
+				if cur[name] < v {
+					t.Errorf("scrape %d: %s went down, %d → %d", i, name, v, cur[name])
+				}
+			}
+			for s := range ns.Ranks {
+				if ns.Ranks[s] < prevNS.Ranks[s] {
+					t.Errorf("scrape %d: Stats().Ranks[%d] went down, %d → %d", i, s, prevNS.Ranks[s], ns.Ranks[s])
+				}
+			}
+			for k := range ns.Transport.Sent {
+				if ns.Transport.Sent[k] < prevNS.Transport.Sent[k] || ns.Transport.Bytes[k] < prevNS.Transport.Bytes[k] {
+					t.Errorf("scrape %d: kind %d transport counts went down", i, k)
+				}
+			}
+			prev, prevNS = cur, ns
+		}
+	}()
+	_, lent := runFanCascade(t, n, job)
+	close(stop)
+	t.Logf("%d scrapes during the run", <-scrapes)
+	if lent == 0 {
+		t.Error("no send ran its destination: the run exercised only woken owners")
+	}
+	final, ns := read(rt.Metrics()), job.Stats()
+	for _, f := range nodeFamilies {
+		if final[f.name] != f.read(&ns) {
+			t.Errorf("final scrape %s = %d, Job.Stats() %d", f.name, final[f.name], f.read(&ns))
+		}
+	}
+	for _, f := range kindFamilies {
+		counts := f.of(&ns.Transport)
+		for k, kind := range kindNames {
+			if name := obs.LabeledName(f.name, "kind", kind); final[name] != counts[k] {
+				t.Errorf("final scrape %s = %d, Job.Stats() %d", name, final[name], counts[k])
+			}
+		}
 	}
 }

@@ -57,17 +57,14 @@ type Runtime struct {
 	tracer  obs.Tracer
 	metrics *obs.Metrics
 	foldMu  sync.Mutex // one fold into metrics at a time (see Metrics)
-	ins     *instruments
 	stream  *obs.Stream
-}
 
-// instruments are the two latency histograms of the registry — the only
-// instruments the runtime writes as it goes, because a distribution cannot
-// be folded from a count afterwards. Nil without metrics. Every counter
-// family is stored by Metrics from the node's Stats.
-type instruments struct {
-	handlerSeconds *obs.Histogram
-	epochSeconds   *obs.Histogram
+	// epochSeconds is the registry's epoch-latency histogram, nil without
+	// metrics: the only instrument the runtime writes as it goes, because a
+	// distribution cannot be folded from a count afterwards, and written
+	// once per epoch, never per message. Every counter family is stored by
+	// Metrics from the node's Stats.
+	epochSeconds *obs.Histogram
 }
 
 // Option configures a Runtime at construction.

@@ -178,12 +178,7 @@ func (rt *Runtime) EnableMetrics() *obs.Metrics {
 		return rt.metrics
 	}
 	m := obs.NewMetrics()
-	lat := obs.DefaultLatencyBounds()
-	rt.ins = &instruments{
-		handlerSeconds: m.Histogram("amt_handler_seconds", lat),
-		epochSeconds:   m.Histogram("amt_epoch_seconds", lat),
-	}
-	m.SetHelp("amt_handler_seconds", "Handler execution time in seconds.")
+	rt.epochSeconds = m.Histogram("amt_epoch_seconds", obs.DefaultLatencyBounds())
 	m.SetHelp("amt_epoch_seconds", "Epoch wall-clock duration in seconds.")
 	for _, f := range slices.Concat(nodeFamilies, wireFamilies) {
 		m.SetHelp(f.name, f.help)

@@ -1,9 +1,13 @@
 package comm
 
 import (
+	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSendRecvBasic(t *testing.T) {
@@ -333,5 +337,47 @@ func TestByteAccountingOffByDefault(t *testing.T) {
 	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 7)})
 	if got := nw.Stats().Bytes[1]; got != 7 {
 		t.Errorf("Bytes[1] = %d after one sized send of 7, want 7", got)
+	}
+}
+
+// TestNetworkCountersCostAConstant: the send counters are striped into a
+// fixed number of stripes inside the Network, so a network grows with its
+// rank count by exactly what it always has — per rank an inbox and its
+// condition variable (the two allocations), the inbox pointer and the
+// sender's sequence number — and the stripes are a constant on top.
+func TestNetworkCountersCostAConstant(t *testing.T) {
+	const big = 4096
+	// The least of a few readings: MemStats counts the whole process, so a
+	// reading may include what another goroutine allocated meanwhile.
+	measure := func(n int) (allocs, bytes uint64) {
+		allocs, bytes = math.MaxUint64, math.MaxUint64
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			nw := NewNetwork(n)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(nw)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		return allocs, bytes
+	}
+	allocs1, bytes1 := measure(1)
+	allocsBig, bytesBig := measure(big)
+	t.Logf("NewNetwork(1): %d allocs, %d B; NewNetwork(%d): %d allocs, %d B", allocs1, bytes1, big, allocsBig, bytesBig)
+	if got := allocsBig - allocs1; got != 2*(big-1) {
+		t.Errorf("NewNetwork(%d) makes %d allocations more than NewNetwork(1), want 2 per extra rank (%d)", big, got, 2*(big-1))
+	}
+	// The two per-rank allocations round up to their size class — a
+	// multiple of 16 at these sizes — and the two per-rank slices may round
+	// up to a page each.
+	class := func(size uintptr) uintptr { return (size + 15) &^ 15 }
+	perRank := class(unsafe.Sizeof(inbox{})) + class(unsafe.Sizeof(sync.Cond{})) + unsafe.Sizeof(&inbox{}) + unsafe.Sizeof(atomic.Int64{})
+	if limit := uint64(perRank)*(big-1) + 2*8192; bytesBig-bytes1 > limit {
+		t.Errorf("NewNetwork(%d) allocates %d B more than NewNetwork(1), over the %d B its per-rank items can take", big, bytesBig-bytes1, limit)
+	}
+	if limit := uint64(unsafe.Sizeof(Network{})) + 1024; bytes1 > 2*limit {
+		t.Errorf("NewNetwork(1) allocates %d B, more than the Network struct (%d B) and one rank", bytes1, unsafe.Sizeof(Network{}))
 	}
 }

@@ -3,9 +3,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"temperedlb/internal/comm"
 )
@@ -62,10 +64,20 @@ type payloadEntry struct {
 	dec func(*Decoder) any
 }
 
+// registry is one immutable snapshot of the registered codecs. Every
+// sized, encoded or decoded payload looks its codec up, from every sending
+// goroutine at once, so a lookup is one atomic load and a map read — no
+// lock, whose reader count is a write to a line every core shares.
+// RegisterPayload, normally run at init time, copies the snapshot, adds to
+// the copy and publishes it.
+type registry struct {
+	byType map[reflect.Type]*payloadEntry
+	byID   map[PayloadID]*payloadEntry
+}
+
 var (
-	regMu     sync.RWMutex
-	regByType = map[reflect.Type]*payloadEntry{}
-	regByID   = map[PayloadID]*payloadEntry{}
+	regMu      sync.Mutex // serializes RegisterPayload's copy-and-publish
+	registered atomic.Pointer[registry]
 )
 
 // RegisterPayload installs the wire codec for payload type T under the
@@ -94,27 +106,38 @@ func RegisterPayload[T any](id PayloadID, enc func(*Encoder, T), dec func(*Decod
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if prev, dup := regByID[id]; dup {
+	old := snapshot()
+	if prev, dup := old.byID[id]; dup {
 		panic(fmt.Sprintf("wire: payload id %d already registered for %v", id, prev.typ))
 	}
-	if prev, dup := regByType[typ]; dup {
+	if prev, dup := old.byType[typ]; dup {
 		panic(fmt.Sprintf("wire: payload type %v already registered as id %d", typ, prev.id))
 	}
-	regByID[id] = e
-	regByType[typ] = e
+	next := &registry{
+		byType: make(map[reflect.Type]*payloadEntry, len(old.byType)+1),
+		byID:   make(map[PayloadID]*payloadEntry, len(old.byID)+1),
+	}
+	maps.Copy(next.byType, old.byType)
+	maps.Copy(next.byID, old.byID)
+	next.byType[typ] = e
+	next.byID[id] = e
+	registered.Store(next)
 }
 
-func lookupType(t reflect.Type) *payloadEntry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return regByType[t]
+// snapshot returns the registry as of the call; its maps are never written
+// again. Before the first registration it is empty.
+func snapshot() *registry {
+	if r := registered.Load(); r != nil {
+		return r
+	}
+	return &noCodecs
 }
 
-func lookupID(id PayloadID) *payloadEntry {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return regByID[id]
-}
+var noCodecs registry
+
+func lookupType(t reflect.Type) *payloadEntry { return snapshot().byType[t] }
+
+func lookupID(id PayloadID) *payloadEntry { return snapshot().byID[id] }
 
 // Encoder appends big-endian fixed-width fields to a buffer. The zero
 // value is ready to use; Bytes returns the accumulated encoding.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"temperedlb/internal/comm"
@@ -162,6 +163,65 @@ func TestPayloadSizeUnregisteredCountsZero(t *testing.T) {
 	}
 	if n := PayloadSize(testPayload{}); n != envelope+2 {
 		t.Errorf("PayloadSize(envelope around nil) = %d, want %d", n, envelope+2)
+	}
+}
+
+// lateProbe is registered by TestRegisterWhileSizing alone, once per
+// process, at an application id.
+type lateProbe struct{ V int64 }
+
+var lateProbeTaken atomic.Bool
+
+// TestRegisterWhileSizing: lookups read the registry without a lock, so a
+// registration made while other goroutines size, encode and decode must
+// race with none of them (go test -race) and must reach all of them: a
+// lateProbe has no wire form — it weighs 0 — until its codec is
+// published, then weighs 10 everywhere, and the registered payloads keep
+// round-tripping throughout.
+func TestRegisterWhileSizing(t *testing.T) {
+	if !lateProbeTaken.CompareAndSwap(false, true) {
+		t.Skip("lateProbe registers once per process")
+	}
+	registerTestPayloads()
+	const workers = 4
+	var started, done sync.WaitGroup
+	started.Add(workers)
+	done.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer done.Done()
+			m := comm.Message{From: 1, To: 2, Kind: 3,
+				Data: testPayload{A: int64(w), B: []float64{1, 2}, Inner: innerPayload{X: 3}}}
+			var frame []byte
+			for i := 0; ; i++ {
+				frame = AppendMessage(frame[:0], m)
+				got, err := DecodeMessage(frame[4+frameHeaderLen:], 4)
+				if err != nil || !reflect.DeepEqual(got, m) || len(frame) != MessageOverhead+PayloadSize(m.Data) {
+					t.Errorf("worker %d: round trip %+v, %v (frame %d bytes)", w, got, err, len(frame))
+					return
+				}
+				n := PayloadSize(lateProbe{V: int64(i)})
+				if i == 0 {
+					started.Done()
+				}
+				switch n {
+				case 0: // not published yet
+				case 2 + 8:
+					return
+				default:
+					t.Errorf("worker %d: PayloadSize(lateProbe) = %d, want 0 or 10", w, n)
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	RegisterPayload(202, func(e *Encoder, p lateProbe) { e.I64(p.V) },
+		func(d *Decoder) lateProbe { return lateProbe{V: d.I64()} })
+	done.Wait()
+	m := comm.Message{From: 0, To: 1, Data: lateProbe{V: -9}}
+	if got, err := DecodeMessage(frameBody(t, AppendMessage(nil, m)), 2); err != nil || got.Data != m.Data {
+		t.Errorf("lateProbe round trip: %+v, %v", got.Data, err)
 	}
 }
 

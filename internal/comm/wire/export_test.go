@@ -6,10 +6,9 @@ const FramePrefixLen = 4 + frameHeaderLen
 
 // RegisteredIDs lists every payload id with a codec, in no order.
 func RegisteredIDs() []PayloadID {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	ids := make([]PayloadID, 0, len(regByID))
-	for id := range regByID {
+	byID := snapshot().byID
+	ids := make([]PayloadID, 0, len(byID))
+	for id := range byID {
 		ids = append(ids, id)
 	}
 	return ids

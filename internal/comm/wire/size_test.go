@@ -128,6 +128,28 @@ func BenchmarkPayloadSize(b *testing.B) {
 	}
 }
 
+// BenchmarkPayloadSizeParallel is BenchmarkPayloadSize from every core at
+// once, as the transport's byte accounting runs it: what a lookup shares
+// between sizing goroutines — a lock's reader count did, the registry
+// snapshot does not — shows here and not in the serial row.
+func BenchmarkPayloadSizeParallel(b *testing.B) {
+	for _, entries := range []int{1, 4096} {
+		var data any = informMsg(entries)
+		b.Run(fmt.Sprintf("InformMsg/entries=%d", entries), func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				n := 0
+				for pb.Next() {
+					n += wire.PayloadSize(data)
+				}
+				if n < 0 {
+					sizeSink = n
+				}
+			})
+		})
+	}
+}
+
 // TestPayloadSizeIsArithmetic: sizing a knowledge vector must not walk
 // it. A walk would make 4096 entries cost about a thousand times one;
 // the best of several timings of each keeps scheduler noise out of a

@@ -116,9 +116,9 @@ func isAppendOf(info *types.Info, call *ast.CallExpr, target string) bool {
 }
 
 // sortedAfter reports whether a statement after rs in its enclosing
-// block sorts (or canonicalizes) target: a call into the sort or slices
-// package, or a method named Sort or Canonicalize, mentioning the exact
-// target expression. This recognizes the collect-then-sort idiom.
+// block sorts target: a call into the sort or slices package, or a
+// method named Sort, mentioning the exact target expression. This
+// recognizes the collect-then-sort idiom.
 func sortedAfter(pass *Pass, rs *ast.RangeStmt, stack []ast.Node, target string) bool {
 	info := pass.Pkg.Info
 	// Locate the innermost enclosing block and the statement within it
@@ -158,8 +158,7 @@ func stmtSorts(info *types.Info, stmt ast.Stmt, target string) bool {
 			sortingCall = true
 		} else if _, ok := pkgFunc(info, call, "slices"); ok {
 			sortingCall = true
-		} else if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
-			(sel.Sel.Name == "Sort" || sel.Sel.Name == "Canonicalize") {
+		} else if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sort" {
 			sortingCall = true
 			if types.ExprString(sel.X) == target {
 				found = true

@@ -3,6 +3,8 @@ package wire_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,6 +23,16 @@ func informMsg(entries int) core.InformMsg {
 		m.Entries[i] = core.RankLoad{Rank: core.Rank(i), Load: float64(i) + 0.5}
 	}
 	return m
+}
+
+// snapshotMsg returns a fan-out of a 4096-rank gossip state that has
+// learned entries: a message in snapshot form, carrying the same set as
+// the explicit list of entries in rank order.
+func snapshotMsg(entries []core.RankLoad) core.InformMsg {
+	cfg := core.Tempered()
+	st := core.NewInformStateOn(core.NewLoadTable(4096), 0, &cfg, core.SeededRNG(1))
+	sends, _ := st.Receive(core.InformMsg{Round: 2, Entries: entries})
+	return sends[0].Msg
 }
 
 // sizedPayloads writes the Any encoding of values of every payload type
@@ -51,6 +63,7 @@ var sizedPayloads = []struct {
 	{"InformMsg/empty Entries", 32, func(e *wire.Encoder) { e.Any(core.InformMsg{Round: 1, Entries: []core.RankLoad{}}) }},
 	{"InformMsg/1 entry", 32, func(e *wire.Encoder) { e.Any(informMsg(1)) }},
 	{"InformMsg/4096 entries", 32, func(e *wire.Encoder) { e.Any(informMsg(4096)) }},
+	{"InformMsg/snapshot", 32, func(e *wire.Encoder) { e.Any(snapshotMsg(informMsg(70).Entries)) }},
 	{"xferMsg", 33, func(e *wire.Encoder) { e.U16(33); e.I64(80); e.F64(1.75) }},
 }
 
@@ -97,6 +110,44 @@ func TestFrameIsOverheadPlusPayloadSize(t *testing.T) {
 	for _, id := range wire.RegisteredIDs() {
 		if id < 64 && !covered[id] {
 			t.Errorf("payload id %d is registered by the runtime or the balancer and missing from sizedPayloads", id)
+		}
+	}
+}
+
+// TestSnapshotHasTheListsWireForm: a gossip payload in snapshot form
+// and the rank-ordered explicit list of the same set are one message on
+// the wire — the same frame bytes and the same PayloadSize — and either
+// decodes to that list.
+func TestSnapshotHasTheListsWireForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 63, 64, 65, 700, 4095} {
+		learned := make([]core.RankLoad, n)
+		for i, r := range rng.Perm(4095)[:n] {
+			learned[i] = core.RankLoad{Rank: core.Rank(r + 1), Load: rng.Float64()}
+		}
+		snap := snapshotMsg(learned)
+		list := slices.Clone(learned)
+		slices.SortFunc(list, func(a, b core.RankLoad) int { return int(a.Rank - b.Rank) })
+		explicit := core.InformMsg{Round: snap.Round, Entries: list}
+		if snap.Len() != n {
+			t.Fatalf("%d entries: the snapshot has %d", n, snap.Len())
+		}
+		frame := func(data core.InformMsg) []byte {
+			return wire.AppendMessage(nil, comm.Message{From: 1, To: 2, Handler: 4, Seq: 5, Data: data})
+		}
+		fs, fe := frame(snap), frame(explicit)
+		if !bytes.Equal(fs, fe) {
+			t.Fatalf("%d entries: snapshot and list frames differ", n)
+		}
+		if ps, pe := wire.PayloadSize(snap), wire.PayloadSize(explicit); ps != pe {
+			t.Fatalf("%d entries: PayloadSize %d for the snapshot, %d for the list", n, ps, pe)
+		}
+		m, err := wire.DecodeMessage(fs[wire.FramePrefixLen:], 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Data.(core.InformMsg); got.Round != snap.Round || !slices.Equal(got.Entries, list) {
+			t.Fatalf("%d entries: decoded %d entries of round %d, want the rank-ordered list", n, len(got.Entries), got.Round)
 		}
 	}
 }

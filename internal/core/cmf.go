@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -54,22 +55,24 @@ func (c *CMF) Rebuild(know *Knowledge, self Rank, ave float64, kind CMFKind) boo
 	if n := know.Len(); cap(c.ranks) < n {
 		c.ranks, c.cum = make([]Rank, 0, n), make([]float64, 0, n)
 	}
-	// The log lists exactly the known ranks, so the table is read
-	// directly: no per-entry membership check.
+	// Candidates in rank order, so the CMF — and every sample drawn from
+	// it — does not depend on the order gossip arrived in.
 	load := know.loads()
 	z := 0.0
-	for _, e := range know.entries {
-		r := e.Rank
-		if r == self {
-			continue
+	for i, word := range know.member[know.lo:know.hi] {
+		for ; word != 0; word &= word - 1 {
+			r := Rank((know.lo+i)<<6 | bits.TrailingZeros64(word))
+			if r == self {
+				continue
+			}
+			p := 1 - load[r]/ls
+			if p < 0 {
+				p = 0
+			}
+			z += p
+			c.ranks = append(c.ranks, r)
+			c.cum = append(c.cum, z)
 		}
-		p := 1 - load[r]/ls
-		if p < 0 {
-			p = 0
-		}
-		z += p
-		c.ranks = append(c.ranks, r)
-		c.cum = append(c.cum, z)
 	}
 	if z <= 0 {
 		c.ranks = c.ranks[:0]

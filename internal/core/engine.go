@@ -127,6 +127,7 @@ type Engine struct {
 // allocations happened, so results are bit-identical to the allocating
 // implementation.
 type engineScratch struct {
+	table       *LoadTable // the one load table every state gossips over
 	states      []*InformState
 	transferRNG []*rand.Rand
 	orderRNG    *rand.Rand
@@ -150,10 +151,11 @@ func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
 	// seeds before any draw (see the StartTrial loop in run); deriving the
 	// placeholders from cfg.Seed keeps every construction site fed from
 	// the plumbed seed.
+	sc.table = NewLoadTable(numRanks)
 	sc.states = make([]*InformState, numRanks)
 	sc.transferRNG = make([]*rand.Rand, numRanks)
 	for r := 0; r < numRanks; r++ {
-		sc.states[r] = NewInformState(Rank(r), numRanks, cfg, SeededRNG(cfg.Seed))
+		sc.states[r] = NewInformStateOn(sc.table, Rank(r), cfg, SeededRNG(cfg.Seed))
 		sc.transferRNG[r] = SeededRNG(cfg.Seed)
 	}
 	sc.orderRNG = SeededRNG(cfg.Seed)
@@ -358,7 +360,7 @@ func (e *Engine) gossip(work *Assignment, ave float64, st *IterationStats) {
 	}
 	for s := q.next(); s != nil; s = q.next() {
 		st.GossipMessages++
-		st.GossipEntries += len(s.Msg.Entries)
+		st.GossipEntries += s.Msg.Len()
 		more, _ := states[s.To].Receive(s.Msg)
 		q.send(s.To, more)
 	}

@@ -1,12 +1,66 @@
 package core
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // InformMsg is the payload of one gossip message of Algorithm 1: the
 // sender's current knowledge of underloaded ranks plus the round number.
+//
+// The knowledge has one of two forms. A state's own fan-outs carry a
+// snapshot: a copy of the sender's membership bitset, the table its
+// loads live in, and its count. Entries is the explicit form, carried
+// by a message decoded from another node, by a payload capped by
+// Config.MaxGossipEntries, and by messages built by hand. Len and Rows
+// read either form the same way.
 type InformMsg struct {
 	Round   int
 	Entries []RankLoad
+	known   snapshot
+}
+
+// snapshot is the bitset form of a payload: words are the sender's
+// bitset words [base, base+len(words)), outside which it had no member.
+// table is nil for a message in explicit form.
+type snapshot struct {
+	words       []uint64
+	table       *LoadTable
+	base, count int32
+}
+
+// Len returns the number of entries the message carries.
+func (m InformMsg) Len() int {
+	if m.known.table != nil {
+		return int(m.known.count)
+	}
+	return len(m.Entries)
+}
+
+// Rows calls row for the message's entries [lo, hi) — in rank order for
+// a snapshot, in list order for the explicit form — so an encoder walks
+// both forms alike and a snapshot is never turned into a list.
+func (m InformMsg) Rows(lo, hi int, row func(RankLoad)) {
+	s := m.known
+	if s.table == nil {
+		for _, e := range m.Entries[lo:hi] {
+			row(e)
+		}
+		return
+	}
+	i := 0
+	for w, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			if i == hi {
+				return
+			}
+			if i >= lo {
+				r := Rank((int(s.base)+w)<<6 | bits.TrailingZeros64(word))
+				row(RankLoad{Rank: r, Load: s.table.load(r)})
+			}
+			i++
+		}
+	}
 }
 
 // Send is a directed gossip message produced by the inform state machine;
@@ -31,21 +85,32 @@ type InformState struct {
 	forwarded []bool // by round
 
 	// Reused buffers: sendBuf backs the slices returned by Begin and
-	// Receive (overwritten by the next call); permBuf serves the
-	// capped-payload down-sampling and is consumed within one call.
+	// Receive (overwritten by the next call); arena backs the bitsets of
+	// the stage's snapshots, at most one per round, and is truncated at
+	// Reset; permBuf and rankBuf serve the capped-payload down-sampling
+	// and are consumed within one call.
 	sendBuf []Send
+	arena   []uint64
 	permBuf []int
+	rankBuf []Rank
 }
 
-// NewInformState creates the gossip state for one rank. The rng must be
-// private to the rank for reproducibility.
+// NewInformState creates the gossip state for one rank over a private
+// load table. The rng must be private to the rank for reproducibility.
 func NewInformState(self Rank, numRanks int, cfg *Config, rng *rand.Rand) *InformState {
+	return NewInformStateOn(NewLoadTable(numRanks), self, cfg, rng)
+}
+
+// NewInformStateOn creates the gossip state for one rank over the table
+// every gossip state of its node shares; only states on one table can
+// merge each other's snapshots. The rng must be private to the rank.
+func NewInformStateOn(table *LoadTable, self Rank, cfg *Config, rng *rand.Rand) *InformState {
 	return &InformState{
 		self:      self,
-		numRanks:  numRanks,
+		numRanks:  len(table.slot),
 		cfg:       cfg,
 		rng:       rng,
-		know:      NewKnowledge(numRanks),
+		know:      newKnowledgeOn(table),
 		forwarded: make([]bool, cfg.Rounds+2),
 	}
 }
@@ -56,6 +121,7 @@ func (st *InformState) Knowledge() *Knowledge { return st.know }
 // Reset clears the knowledge and forwarding state for a fresh iteration.
 func (st *InformState) Reset() {
 	st.know.Reset()
+	st.arena = st.arena[:0]
 	for i := range st.forwarded {
 		st.forwarded[i] = false
 	}
@@ -74,10 +140,11 @@ func (st *InformState) StartTrial(trial int) {
 }
 
 // Begin implements INFORM (Algorithm 1 lines 5–14): if this rank is
-// underloaded it records itself and seeds f round-1 messages to random
-// ranks. The returned sends must be delivered by the caller; the slice
-// is reused by the state's next Begin or Receive, so consume or copy it
-// before driving this rank again.
+// underloaded it records itself — the one write of its table slot in the
+// stage — and seeds f round-1 messages to random ranks. The returned
+// sends must be delivered by the caller; the slice is reused by the
+// state's next Begin or Receive, so consume or copy it before driving
+// this rank again.
 func (st *InformState) Begin(ave, own float64) []Send {
 	if own >= ave {
 		return nil
@@ -97,7 +164,7 @@ func (st *InformState) Begin(ave, own float64) []Send {
 // slice is reused by the state's next Begin or Receive, so consume or
 // copy it before driving this rank again.
 func (st *InformState) Receive(m InformMsg) (sends []Send, added int) {
-	added = st.know.Merge(m.Entries)
+	added = st.know.merge(&m)
 	if m.Round >= st.cfg.Rounds {
 		return nil, added
 	}
@@ -108,29 +175,41 @@ func (st *InformState) Receive(m InformMsg) (sends []Send, added int) {
 	return st.fanOutAvoidKnown(m.Round + 1), added
 }
 
-// payload snapshots the knowledge to send, respecting the
-// limited-information cap of cfg.MaxGossipEntries: an over-long
-// knowledge list is down-sampled uniformly so message size stays
+// payload builds the message of one fan-out. Normally it is a snapshot:
+// the bitset's occupied span copied into the arena, which holds a
+// stage's snapshots without moving — a rank snapshots at most once per
+// round — so a message in flight stays valid until Reset. Under the
+// limited-information cap of cfg.MaxGossipEntries an over-long knowledge
+// is down-sampled uniformly into an explicit list so message size stays
 // bounded (footnote 2).
-func (st *InformState) payload() []RankLoad {
-	entries := st.know.Entries()
+func (st *InformState) payload(round int) InformMsg {
+	k := st.know
 	max := st.cfg.MaxGossipEntries
-	if max <= 0 || len(entries) <= max {
-		return entries
+	if max <= 0 || k.n <= max {
+		span := k.member[k.lo:k.hi]
+		if st.arena == nil {
+			st.arena = make([]uint64, 0, len(span)+(st.cfg.Rounds-1)*len(k.member))
+		}
+		at := len(st.arena)
+		st.arena = append(st.arena, span...)
+		words := st.arena[at:len(st.arena):len(st.arena)]
+		return InformMsg{Round: round, known: snapshot{words: words, table: k.table, base: int32(k.lo), count: int32(k.n)}}
 	}
-	if cap(st.permBuf) < len(entries) {
-		st.permBuf = make([]int, len(entries))
+	st.rankBuf = k.appendMembers(st.rankBuf[:0])
+	if cap(st.permBuf) < k.n {
+		st.permBuf = make([]int, k.n)
 	}
-	perm := st.permBuf[:len(entries)]
+	perm := st.permBuf[:k.n]
 	permInto(st.rng, perm)
 	// The down-sampled payload must be freshly allocated: it rides in
 	// messages that can be delivered after this state's next fan-out, so
 	// unlike permBuf it cannot be reused.
 	out := make([]RankLoad, max)
 	for i, j := range perm[:max] {
-		out[i] = entries[j]
+		r := st.rankBuf[j]
+		out[i] = RankLoad{Rank: r, Load: k.table.load(r)}
 	}
-	return out
+	return InformMsg{Round: round, Entries: out}
 }
 
 // fanOut picks f targets uniformly from all ranks except self (line 10).
@@ -138,14 +217,17 @@ func (st *InformState) fanOut(round int) []Send {
 	if st.numRanks < 2 {
 		return nil
 	}
-	entries := st.payload()
+	msg := st.payload(round)
 	st.sendBuf = st.sendBuf[:0]
+	if st.sendBuf == nil {
+		st.sendBuf = make([]Send, 0, st.cfg.Fanout)
+	}
 	for i := 0; i < st.cfg.Fanout; i++ {
 		t := Rank(st.rng.Intn(st.numRanks - 1))
 		if t >= st.self {
 			t++
 		}
-		st.sendBuf = append(st.sendBuf, Send{To: t, Msg: InformMsg{Round: round, Entries: entries}})
+		st.sendBuf = append(st.sendBuf, Send{To: t, Msg: msg})
 	}
 	//lint:ignore scratchescape documented contract: the slice is valid until the next fanOut call
 	return st.sendBuf
@@ -160,11 +242,14 @@ func (st *InformState) fanOutAvoidKnown(round int) []Send {
 	if st.numRanks < 2 {
 		return nil
 	}
-	entries := st.payload()
+	msg := st.payload(round)
 	st.sendBuf = st.sendBuf[:0]
+	if st.sendBuf == nil {
+		st.sendBuf = make([]Send, 0, st.cfg.Fanout)
+	}
 	for i := 0; i < st.cfg.Fanout; i++ {
 		t := st.sampleUnknown()
-		st.sendBuf = append(st.sendBuf, Send{To: t, Msg: InformMsg{Round: round, Entries: entries}})
+		st.sendBuf = append(st.sendBuf, Send{To: t, Msg: msg})
 	}
 	//lint:ignore scratchescape documented contract: the slice is valid until the next fanOut call
 	return st.sendBuf

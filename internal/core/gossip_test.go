@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -22,9 +23,10 @@ func runGossip(t *testing.T, loads []float64, cfg Config) ([]*InformState, int) 
 		sum += l
 	}
 	ave := sum / float64(n)
+	table := NewLoadTable(n)
 	states := make([]*InformState, n)
 	for r := range states {
-		states[r] = NewInformState(Rank(r), n, &cfg, rand.New(rand.NewSource(int64(r)+100)))
+		states[r] = NewInformStateOn(table, Rank(r), &cfg, rand.New(rand.NewSource(int64(r)+100)))
 	}
 	var queue []Send
 	for r := range states {
@@ -146,9 +148,9 @@ func TestGossipKnowledgeGrowsMonotonically(t *testing.T) {
 				sum += l
 			}
 			ave := sum / float64(len(loads))
-			for _, e := range k.Entries() {
-				if loads[e.Rank] >= ave {
-					t.Fatalf("rank %d knows overloaded rank %d", r, e.Rank)
+			for _, x := range members(k) {
+				if loads[x] >= ave {
+					t.Fatalf("rank %d knows overloaded rank %d", r, x)
 				}
 			}
 		}
@@ -187,13 +189,13 @@ func TestGossipDeterministic(t *testing.T) {
 		t.Fatalf("message counts differ: %d vs %d", n1, n2)
 	}
 	for r := range s1 {
-		e1, e2 := s1[r].Knowledge().Entries(), s2[r].Knowledge().Entries()
-		if len(e1) != len(e2) {
+		k1, k2 := s1[r].Knowledge(), s2[r].Knowledge()
+		if !slices.Equal(members(k1), members(k2)) {
 			t.Fatalf("rank %d knowledge differs", r)
 		}
-		for i := range e1 {
-			if e1[i] != e2[i] {
-				t.Fatalf("rank %d entry %d differs", r, i)
+		for _, x := range members(k1) {
+			if k1.Load(x) != k2.Load(x) {
+				t.Fatalf("rank %d: load of rank %d differs", r, x)
 			}
 		}
 	}
@@ -239,29 +241,30 @@ func TestKnowledgeBasics(t *testing.T) {
 }
 
 func TestKnowledgeEntriesSnapshotImmutable(t *testing.T) {
-	k := NewKnowledge(8)
-	k.Add(1, 1)
-	snap := k.Entries()
+	cfg := gossipConfig(2, 3)
+	st := NewInformState(1, 8, &cfg, rand.New(rand.NewSource(1)))
+	snap := st.Begin(2, 1)[0].Msg
+	k := st.Knowledge()
 	k.Add(2, 2)
 	k.Update(1, 99)
-	if len(snap) != 1 || snap[0].Load != 1 {
-		t.Errorf("snapshot mutated: %v", snap)
+	if got := rows(snap); len(got) != 1 || got[0] != (RankLoad{1, 1}) || snap.Len() != 1 {
+		t.Errorf("snapshot mutated: %v", got)
 	}
 }
 
 func TestKnowledgeMergeAndReset(t *testing.T) {
 	k := NewKnowledge(8)
 	added := k.Merge([]RankLoad{{1, 1}, {2, 2}, {1, 9}})
-	if added != 2 || k.Len() != 2 {
-		t.Errorf("Merge added %d, len %d", added, k.Len())
+	if added != 2 || k.Len() != 2 || k.Load(1) != 1 {
+		t.Errorf("Merge added %d, len %d, load of 1 %g", added, k.Len(), k.Load(1))
 	}
-	snap := k.Entries()
+	k.Update(2, 7)
 	k.Reset()
 	if k.Len() != 0 || k.Contains(1) {
 		t.Error("Reset did not clear")
 	}
-	if len(snap) != 2 {
-		t.Error("Reset invalidated prior snapshot")
+	if k.Add(2, 3); k.Load(2) != 3 {
+		t.Error("Reset kept an Update")
 	}
 	if !k.Add(1, 5) {
 		t.Error("Add after Reset failed")

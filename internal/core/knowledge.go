@@ -1,6 +1,10 @@
 package core
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"sync/atomic"
+)
 
 // RankLoad is one entry of the gossip payload: an underloaded rank and
 // its load as known to the sender.
@@ -9,79 +13,114 @@ type RankLoad struct {
 	Load float64
 }
 
+// LoadTable is the load map LOAD of one node's gossip stage: slot r holds
+// the load rank r announced at Begin (Algorithm 1 line 8). Every gossip
+// state of a node points at the same table — the engine owns one for all
+// its ranks, the distributed balancer one per runtime — because that is
+// the only value any copy of r's entry can carry within a stage: entries
+// originate only at Begin, and Update never reaches a payload. A merge
+// therefore moves membership bits, not loads.
+//
+// Slots are read and written with atomic 64-bit operations: several local
+// ranks may merge the same remote entry at once, and they all store the
+// same value. Slots of ranks no state knows are stale and never read.
+type LoadTable struct {
+	slot []atomic.Uint64 // math.Float64bits of the load
+}
+
+// NewLoadTable returns a table over numRanks ranks.
+func NewLoadTable(numRanks int) *LoadTable {
+	return &LoadTable{slot: make([]atomic.Uint64, numRanks)}
+}
+
+func (t *LoadTable) store(r Rank, l float64) { t.slot[r].Store(math.Float64bits(l)) }
+
+func (t *LoadTable) load(r Rank) float64 { return math.Float64frombits(t.slot[r].Load()) }
+
 // Knowledge is a rank's accumulated partial view of the underloaded
 // ranks in the system: the set S^p and load map LOAD^p of the paper's
 // notation, kept consistent by construction (|S^p| ≡ |LOAD^p()|).
 //
-// Two parts are eager, written by every Add: the entry log, append-only
-// between resets and in insertion order (so payloads and the CMF built
-// over them are deterministic for a deterministic message order, and
-// Entries is a zero-copy snapshot — footnote 2 of the paper is about
-// exactly this O(P) list), and a membership bitset of one bit per rank.
-// The third is on demand: the rank-indexed load table is allocated, and
-// caught up from the log, only when Load, Update, MaxLoad or
-// Canonicalize first asks. The gossip stage never does, so a rank that
-// only relays knowledge carries P/8 bytes beside its log and only ranks
-// that enter a transfer stage pay for the 8·P-byte table.
+// S^p is a membership bitset of one bit per rank and a count; the loads
+// live in the node's LoadTable. Every walk over S^p — the CMF, MaxLoad,
+// payloads — is in rank order, so nothing the knowledge produces depends
+// on the order in which messages arrived. Walks, snapshots and Reset
+// cover only the span of words that can hold members, so a set of a few
+// ranks costs a few words however large P is.
+//
+// The transfer stage's Updates go to a private overlay instead of the
+// shared table: its first read of a load copies the table, and Update
+// writes the copy. The gossip stage never reads a load, so only ranks
+// that enter a transfer stage allocate the overlay's 8·P bytes.
 type Knowledge struct {
-	entries  []RankLoad
-	member   []uint64 // bit r set iff rank r is in S^p
-	numRanks int
+	member []uint64 // bit r set iff rank r is in S^p
+	lo, hi int      // every word outside member[lo:hi] is zero
+	n      int      // |S^p|
+	table  *LoadTable
 
-	// load is LOAD^p by rank, nil until first needed, current for the
-	// ranks of entries[:tabled]: the load as learned, or what Update last
-	// wrote. Slots of unknown ranks are stale and never read — every
-	// lookup is guarded by the bitset or walks the log.
-	load   []float64
-	tabled int
-
-	below []int32 // Canonicalize scratch: members below each bitset word
+	// over is LOAD^p as the transfer stage sees it, valid for members
+	// while overlaid: the table's loads as of its first read since the
+	// last Reset, then what Update wrote.
+	over     []float64
+	overlaid bool
 }
 
-// NewKnowledge returns empty knowledge over numRanks ranks.
+// NewKnowledge returns empty knowledge over numRanks ranks, on a private
+// table.
 func NewKnowledge(numRanks int) *Knowledge {
+	return newKnowledgeOn(NewLoadTable(numRanks))
+}
+
+func newKnowledgeOn(t *LoadTable) *Knowledge {
 	return &Knowledge{
-		member:   make([]uint64, (numRanks+63)/64),
-		numRanks: numRanks,
+		member: make([]uint64, (len(t.slot)+63)/64),
+		table:  t,
 	}
 }
 
 // Add inserts rank r with load l if not yet known and reports whether
 // the entry was new. An existing entry is left untouched: the first load
 // learned for a rank wins, matching set-union semantics of Algorithm 1
-// lines 16–17.
+// lines 16–17. A new entry writes the table's slot r.
 func (k *Knowledge) Add(r Rank, l float64) bool {
 	w, bit := uint(r)>>6, uint64(1)<<(uint(r)&63)
 	if k.member[w]&bit != 0 {
 		return false
 	}
 	k.member[w] |= bit
-	k.entries = append(k.entries, RankLoad{Rank: r, Load: l})
+	k.cover(int(w), int(w)+1)
+	k.n++
+	k.table.store(r, l)
+	if k.overlaid {
+		k.over[r] = l
+	}
 	return true
 }
 
-// loads returns the load table, first bringing it up to date with the
-// log. Entries past the tabled mark are ranks the table has not seen, so
-// scattering them cannot overwrite an Update.
+// loads returns the overlay, first copying the members' slots of the
+// table into it if this is the first read since the last Reset.
 func (k *Knowledge) loads() []float64 {
-	if k.tabled < len(k.entries) {
-		if k.load == nil {
-			k.load = make([]float64, k.numRanks)
+	if !k.overlaid {
+		if k.over == nil {
+			k.over = make([]float64, len(k.table.slot))
 		}
-		for _, e := range k.entries[k.tabled:] {
-			k.load[e.Rank] = e.Load
+		for i, word := range k.member[k.lo:k.hi] {
+			for ; word != 0; word &= word - 1 {
+				r := Rank((k.lo+i)<<6 | bits.TrailingZeros64(word))
+				k.over[r] = k.table.load(r)
+			}
 		}
-		k.tabled = len(k.entries)
+		k.overlaid = true
 	}
-	return k.load
+	return k.over
 }
 
 // Update overwrites the known load of rank r; r must already be known.
 // The transfer stage uses it to account scheduled transfers (Algorithm 2
 // line 12). Updates are visible through Load and the CMF, and survive
-// later Adds and Merges, but never reach the log: Entries snapshots and
-// payloads keep the loads frozen at gossip time — exactly the staleness
-// in-flight messages would carry.
+// later Adds and Merges, but never reach the table: payloads keep the
+// loads frozen at gossip time — exactly the staleness in-flight messages
+// would carry.
 func (k *Knowledge) Update(r Rank, l float64) {
 	if !k.Contains(r) {
 		panic("core: Knowledge.Update of unknown rank")
@@ -103,21 +142,13 @@ func (k *Knowledge) Load(r Rank) float64 {
 }
 
 // Len returns |S^p|.
-func (k *Knowledge) Len() int { return len(k.entries) }
+func (k *Knowledge) Len() int { return k.n }
 
 // NumRanks returns the size of the rank space the knowledge covers.
-func (k *Knowledge) NumRanks() int { return k.numRanks }
+func (k *Knowledge) NumRanks() int { return len(k.table.slot) }
 
-// Entries returns the knowledge as a payload slice in insertion order.
-// The returned slice is a snapshot: later Adds only append past its
-// length (or move the log to a larger array, leaving the snapshot's
-// behind), so holders — in-flight messages within the current iteration
-// — stay valid with no copying. Canonicalize reorders it in place and
-// Reset reuses its array, so a snapshot must not be read across either.
-func (k *Knowledge) Entries() []RankLoad { return k.entries[:len(k.entries):len(k.entries)] }
-
-// Merge adds all unknown entries from the payload and returns the number
-// of new entries (Algorithm 1 lines 16–17).
+// Merge adds all unknown entries of an explicit payload, writing their
+// slots, and returns the number of new entries (Algorithm 1 lines 16–17).
 func (k *Knowledge) Merge(entries []RankLoad) int {
 	added := 0
 	for _, e := range entries {
@@ -128,69 +159,88 @@ func (k *Knowledge) Merge(entries []RankLoad) int {
 	return added
 }
 
+// cover widens the span of words that can hold members to include
+// [lo, hi).
+func (k *Knowledge) cover(lo, hi int) {
+	if k.lo == k.hi {
+		k.lo, k.hi = lo, hi
+		return
+	}
+	k.lo, k.hi = min(k.lo, lo), max(k.hi, hi)
+}
+
+// merge adds the entries of m, whichever form it has. A snapshot is a
+// union of bitsets: the new members are theirs &^ mine, and their loads
+// are already in the shared table. A snapshot taken over another table
+// names slots this knowledge cannot read, so it is refused.
+func (k *Knowledge) merge(m *InformMsg) int {
+	s := &m.known
+	if s.table == nil {
+		return k.Merge(m.Entries)
+	}
+	if s.table != k.table {
+		panic("core: gossip snapshot from another load table")
+	}
+	base, added := int(s.base), 0
+	mine := k.member[base : base+len(s.words)]
+	for i, theirs := range s.words {
+		fresh := theirs &^ mine[i]
+		if fresh == 0 {
+			continue
+		}
+		mine[i] |= fresh
+		added += bits.OnesCount64(fresh)
+		for ; k.overlaid && fresh != 0; fresh &= fresh - 1 {
+			r := Rank((base+i)<<6 | bits.TrailingZeros64(fresh))
+			k.over[r] = k.table.load(r)
+		}
+	}
+	k.cover(base, base+len(s.words))
+	k.n += added
+	return added
+}
+
+// appendMembers appends S^p to dst in rank order.
+func (k *Knowledge) appendMembers(dst []Rank) []Rank {
+	for i, word := range k.member[k.lo:k.hi] {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, Rank((k.lo+i)<<6|bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
 // MaxLoad returns the largest known load (0 when empty), used by the
 // modified CMF's l_s = max(l_ave, max LOAD^p).
 func (k *Knowledge) MaxLoad() float64 {
 	load := k.loads()
 	max := 0.0
-	for _, e := range k.entries {
-		if l := load[e.Rank]; l > max {
-			max = l
+	for i, word := range k.member[k.lo:k.hi] {
+		for ; word != 0; word &= word - 1 {
+			if l := load[(k.lo+i)<<6|bits.TrailingZeros64(word)]; l > max {
+				max = l
+			}
 		}
 	}
 	return max
 }
 
-// Canonicalize sorts the log by rank, making the CMF built over it —
-// and hence transfer-candidate sampling — independent of the order in
-// which gossip messages happened to arrive. Asynchronous transports
-// reorder deliveries (and fault injection reorders them aggressively), so
-// the distributed balancer canonicalizes at the gossip/transfer stage
-// boundary; the synchronous engine keeps raw insertion order, preserving
-// its historical byte-identical outputs.
-//
-// Ranks are unique in the log, so an entry's sorted position is the
-// number of members below its rank, a popcount over the bitset, and the
-// sort is a permutation applied in place by following its cycles:
-// O(P/64 + n), no comparisons. Entries keep the load the log recorded,
-// whatever Update has written to the table, which is brought up to date
-// first so the transfer stage that follows finds it ready. Previously
-// taken Entries snapshots share the reordered array, so it must only be
-// called at a quiescent point where none is in flight — the start of a
-// transfer stage, after the gossip epoch has terminated, qualifies.
-func (k *Knowledge) Canonicalize() {
-	k.loads()
-	if k.below == nil {
-		k.below = make([]int32, len(k.member))
-	}
-	n := 0
-	for w, word := range k.member {
-		k.below[w] = int32(n)
-		n += bits.OnesCount64(word)
-	}
-	log := k.entries
-	for i := range log {
-		for {
-			r := uint(log[i].Rank)
-			j := int(k.below[r>>6]) + bits.OnesCount64(k.member[r>>6]&(1<<(r&63)-1))
-			if j == i {
-				break
-			}
-			log[i], log[j] = log[j], log[i] // log[j] is now final: < n swaps in all
-		}
-	}
-}
+// Canonicalize does nothing: every walk over the knowledge is in rank
+// order already. It is kept only because the benchmark's probes
+// (bench/probes.go), frozen with their recorded reference values, still
+// call it; it goes when the benchmark is unfrozen (ROADMAP item 4).
+func (k *Knowledge) Canonicalize() {}
 
 // Reset empties the knowledge for reuse in a new iteration: the bitset
-// is cleared, the log truncated in place, and the load table — kept
-// allocated — forgotten, Updates included, since the next lookup refills
-// it from the new log. Snapshots taken before the reset become invalid:
-// every driver must deliver (or drop) all in-flight messages of an
-// iteration before resetting — the synchronous engine drains its queue
-// to quiescence and the distributed balancer closes the iteration's
-// epoch, so both satisfy this by construction.
+// is cleared and the overlay, Updates included, forgotten. The table is
+// left alone; the next Begin writes the slots the new stage will read.
+// Snapshots taken before the reset become invalid: every caller must
+// deliver (or drop) all in-flight messages of an iteration before
+// resetting — the synchronous engine drains its queue to quiescence and
+// the distributed balancer closes the iteration's epoch, so both satisfy
+// this by construction.
 func (k *Knowledge) Reset() {
-	clear(k.member)
-	k.entries = k.entries[:0]
-	k.tabled = 0
+	clear(k.member[k.lo:k.hi])
+	k.lo, k.hi, k.n = 0, 0, 0
+	k.overlaid = false
 }

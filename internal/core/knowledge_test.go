@@ -4,15 +4,37 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
+	"time"
+
+	"temperedlb/internal/comm"
 )
 
+// members returns S^p in rank order.
+func members(k *Knowledge) []Rank { return k.appendMembers(nil) }
+
+// rows returns a message's entries in the order Rows walks them.
+func rows(m InformMsg) []RankLoad {
+	var out []RankLoad
+	m.Rows(0, m.Len(), func(e RankLoad) { out = append(out, e) })
+	return out
+}
+
+// explicit returns m in explicit form: what a frame decoded from another
+// node carries.
+func explicit(m InformMsg) InformMsg { return InformMsg{Round: m.Round, Entries: rows(m)} }
+
+// snapshotOf returns a snapshot-form message of k's current set, as a
+// fan-out of a state on k's table would carry it.
+func snapshotOf(k *Knowledge) *InformMsg {
+	words := slices.Clone(k.member[k.lo:k.hi])
+	return &InformMsg{known: snapshot{words: words, table: k.table, base: int32(k.lo), count: int32(k.n)}}
+}
+
 // knowledgeModel is the plain reference the generated-input tests hold
-// Knowledge to: a log in insertion order with the loads as learned, and
-// a map of current loads that Update overwrites.
+// Knowledge to: the set S^p as a map from rank to its current load, which
+// Add and Merge fill and Update overwrites.
 type knowledgeModel struct {
-	log  []RankLoad
 	load map[Rank]float64
 }
 
@@ -25,13 +47,7 @@ func (m *knowledgeModel) add(r Rank, l float64) bool {
 		return false
 	}
 	m.load[r] = l
-	m.log = append(m.log, RankLoad{Rank: r, Load: l})
 	return true
-}
-
-func (m *knowledgeModel) reset() {
-	m.log = m.log[:0]
-	clear(m.load)
 }
 
 func (m *knowledgeModel) maxLoad() float64 {
@@ -44,20 +60,12 @@ func (m *knowledgeModel) maxLoad() float64 {
 	return max
 }
 
-// sorted returns the model's log stably sorted by rank: what
-// Canonicalize must leave in Entries, gossip-time loads included.
-func (m *knowledgeModel) sorted() []RankLoad {
-	out := slices.Clone(m.log)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return out
-}
-
 // check compares every read path of k with the model over the whole
 // rank space.
 func (m *knowledgeModel) check(t *testing.T, k *Knowledge, numRanks int, when string) {
 	t.Helper()
-	if k.Len() != len(m.log) {
-		t.Fatalf("%s: Len %d, model %d", when, k.Len(), len(m.log))
+	if k.Len() != len(m.load) {
+		t.Fatalf("%s: Len %d, model %d", when, k.Len(), len(m.load))
 	}
 	for r := Rank(0); int(r) < numRanks; r++ {
 		want, known := m.load[r]
@@ -71,86 +79,65 @@ func (m *knowledgeModel) check(t *testing.T, k *Knowledge, numRanks int, when st
 	if got, want := k.MaxLoad(), m.maxLoad(); got != want {
 		t.Fatalf("%s: MaxLoad %g, model %g", when, got, want)
 	}
+	for w, word := range k.member {
+		if word != 0 && (w < k.lo || w >= k.hi) {
+			t.Fatalf("%s: word %d holds members outside the span [%d, %d)", when, w, k.lo, k.hi)
+		}
+	}
 }
 
 // randomLog draws n distinct ranks of [0, numRanks) in random order with
-// random loads; the highest rank is always among them, so the last bit
-// of the last bitset word is exercised at every size.
-func randomLog(rng *rand.Rand, numRanks, n int) []RankLoad {
+// loads from load; the highest rank is always among them, so the last
+// bit of the last bitset word is exercised at every size.
+func randomLog(rng *rand.Rand, numRanks, n int, load func(Rank) float64) []RankLoad {
 	perm := rng.Perm(numRanks)
 	at := slices.Index(perm, numRanks-1)
 	perm[0], perm[at] = perm[at], perm[0]
 	log := make([]RankLoad, n)
 	for i := range log {
-		log[i] = RankLoad{Rank: Rank(perm[i]), Load: rng.Float64()}
+		log[i] = RankLoad{Rank: Rank(perm[i]), Load: load(Rank(perm[i]))}
 	}
 	rng.Shuffle(n, func(i, j int) { log[i], log[j] = log[j], log[i] })
 	return log
 }
 
-func TestCanonicalizeEqualsStableSort(t *testing.T) {
-	for _, numRanks := range []int{1, 2, 63, 64, 65, 4096} {
-		t.Run(fmt.Sprint("P=", numRanks), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(numRanks)))
-			k := NewKnowledge(numRanks)
-			for round := 0; round < 20; round++ {
-				k.Reset()
-				m := newKnowledgeModel()
-				for _, e := range randomLog(rng, numRanks, 1+rng.Intn(numRanks)) {
-					k.Add(e.Rank, e.Load)
-					m.add(e.Rank, e.Load)
-				}
-				update := func() {
-					for i := rng.Intn(8); i > 0; i-- {
-						r := m.log[rng.Intn(len(m.log))].Rank
-						l := 10 * rng.Float64()
-						k.Update(r, l)
-						m.load[r] = l
-					}
-				}
-				if round%2 == 1 {
-					update() // Updates before the sort must not leak into the log
-				}
-				k.Canonicalize()
-				want := m.sorted()
-				if got := k.Entries(); !slices.Equal(got, want) {
-					t.Fatalf("round %d: Canonicalize left %v, want %v", round, got, want)
-				}
-				m.check(t, k, numRanks, "after Canonicalize")
-
-				update()
-				k.Canonicalize()
-				if got := k.Entries(); !slices.Equal(got, want) {
-					t.Fatalf("round %d: Canonicalize after Updates left %v, want %v", round, got, want)
-				}
-				m.check(t, k, numRanks, "after Updates and a second Canonicalize")
-			}
-		})
-	}
-}
-
 // TestKnowledgeMatchesModel interleaves every mutation and holds the
-// read paths to the model after each. It pins the on-demand load table:
-// an Update made between two Merges must survive the second one, loads
-// learned after the table was first built must still be found, and a
-// Reset must forget Updates along with everything else.
+// read paths to the set model after each: membership, count, loads, the
+// Update overlay and Reset. A second knowledge on the same table feeds
+// snapshot merges. As in a gossip stage, every rank has one load per
+// stage, redrawn at each Reset; Updates must survive later Adds and
+// merges of both forms, must never reach the shared table, and a Reset
+// must forget them along with everything else.
 func TestKnowledgeMatchesModel(t *testing.T) {
 	for _, numRanks := range []int{1, 2, 63, 64, 65, 300} {
 		t.Run(fmt.Sprint("P=", numRanks), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(numRanks) + 1000))
-			k := NewKnowledge(numRanks)
+			table := NewLoadTable(numRanks)
+			k, src := newKnowledgeOn(table), newKnowledgeOn(table)
 			m := newKnowledgeModel()
-			for step := 0; step < 2000; step++ {
+			stage := make([]float64, numRanks)
+			newStage := func() {
+				for r := range stage {
+					stage[r] = rng.Float64()
+				}
+			}
+			newStage()
+			staged := func(r Rank) float64 { return stage[r] }
+			for step := 0; step < 3000; step++ {
 				var when string
-				switch op := rng.Intn(20); {
-				case op < 8:
-					r, l := Rank(rng.Intn(numRanks)), rng.Float64()
+				switch op := rng.Intn(24); {
+				case op < 6:
+					r := Rank(rng.Intn(numRanks))
+					l := stage[r]
+					if k.Contains(r) {
+						l = 10 + rng.Float64() // a known rank keeps its first load
+					}
 					when = fmt.Sprintf("step %d: Add(%d)", step, r)
 					if got, want := k.Add(r, l), m.add(r, l); got != want {
 						t.Fatalf("%s reported %v, model %v", when, got, want)
 					}
-				case op < 12:
-					payload := randomLog(rng, numRanks, 1+rng.Intn(min(numRanks, 12)))
+				case op < 9:
+					payload := randomLog(rng, numRanks, 1+rng.Intn(min(numRanks, 12)), staged)
 					when = fmt.Sprintf("step %d: Merge of %d", step, len(payload))
 					want := 0
 					for _, e := range payload {
@@ -161,30 +148,151 @@ func TestKnowledgeMatchesModel(t *testing.T) {
 					if got := k.Merge(payload); got != want {
 						t.Fatalf("%s added %d, model %d", when, got, want)
 					}
-				case op < 17:
-					if len(m.log) == 0 {
+				case op < 12:
+					r := Rank(rng.Intn(numRanks))
+					when = fmt.Sprintf("step %d: source Add(%d)", step, r)
+					src.Add(r, stage[r])
+				case op < 15:
+					when = fmt.Sprintf("step %d: snapshot merge of %d", step, src.Len())
+					want := 0
+					for _, r := range members(src) {
+						if m.add(r, stage[r]) {
+							want++
+						}
+					}
+					if got := k.merge(snapshotOf(src)); got != want {
+						t.Fatalf("%s added %d, model %d", when, got, want)
+					}
+				case op < 22:
+					if k.Len() == 0 {
 						continue
 					}
-					r, l := m.log[rng.Intn(len(m.log))].Rank, 10*rng.Float64()
+					known := members(k)
+					r, l := known[rng.Intn(len(known))], 10*rng.Float64()
 					when = fmt.Sprintf("step %d: Update(%d)", step, r)
 					k.Update(r, l)
 					m.load[r] = l
-				case op < 19:
-					when = fmt.Sprintf("step %d: Canonicalize", step)
-					k.Canonicalize()
-					m.log = m.sorted()
 				default:
 					when = fmt.Sprintf("step %d: Reset", step)
 					k.Reset()
-					m.reset()
+					src.Reset()
+					clear(m.load)
+					newStage()
 				}
-				// Half the steps leave the table alone, so Adds pile up
-				// behind it between lookups.
+				// Half the steps leave the overlay alone, so Adds and merges
+				// pile up before and after it is taken.
 				if step%2 == 0 {
 					m.check(t, k, numRanks, when)
 				}
-				if got := k.Entries(); !slices.Equal(got, m.log) {
-					t.Fatalf("%s: Entries %v, model %v", when, got, m.log)
+				for _, r := range members(k) {
+					if got := table.load(r); got != stage[r] {
+						t.Fatalf("%s: table slot %d holds %g, its stage load is %g", when, r, got, stage[r])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestForeignSnapshotIsRefused: a snapshot names slots of its own table,
+// so a state on another table must not merge it.
+func TestForeignSnapshotIsRefused(t *testing.T) {
+	a, b := NewKnowledge(8), NewKnowledge(8)
+	a.Add(3, 1)
+	mustPanic(t, "foreign snapshot", func() { b.merge(snapshotOf(a)) })
+	if got := b.Merge(explicit(*snapshotOf(a)).Entries); got != 1 || b.Load(3) != 1 {
+		t.Errorf("explicit form of the same set: added %d, load %g", got, b.Load(3))
+	}
+}
+
+// TestSnapshotGossipMatchesExplicitGossip is the invariant the shared
+// table rests on: within a gossip stage every copy of rank r's entry
+// carries the load r announced at Begin. The same gossip runs twice from
+// the same seeds — once with snapshot payloads over one shared table,
+// once with every payload turned into its explicit list and merged into
+// private per-state tables — through the engine's queue under a fault
+// plan that drops, duplicates and delays, so deliveries are reordered.
+// Every explicit entry must carry its rank's Begin load, and at every
+// rank both runs must end with the same membership and the same loads.
+func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
+	const n = 200
+	for _, tc := range []struct {
+		f, k, cap int
+	}{{2, 3, 0}, {3, 6, 0}, {4, 10, 0}, {3, 6, 12}} {
+		t.Run(fmt.Sprintf("f=%d,k=%d,cap=%d", tc.f, tc.k, tc.cap), func(t *testing.T) {
+			cfg := gossipConfig(tc.f, tc.k)
+			cfg.MaxGossipEntries = tc.cap
+			rng := rand.New(rand.NewSource(int64(tc.f*100 + tc.k)))
+			loads := make([]float64, n)
+			sum := 0.0
+			for r := range loads {
+				loads[r] = rng.Float64()
+				if r%10 == 0 {
+					loads[r] = 5 + rng.Float64()
+				}
+				sum += loads[r]
+			}
+			ave := sum / n
+			spec := comm.FaultSpec{Seed: 9, Drop: 0.05, Dup: 0.2,
+				DelayMin: time.Millisecond, DelayMax: 8 * time.Millisecond}
+
+			run := func(shared bool) []*InformState {
+				table := NewLoadTable(n)
+				states := make([]*InformState, n)
+				for r := range states {
+					rng := SeededRNG(cfg.Seed)
+					if shared {
+						states[r] = NewInformStateOn(table, Rank(r), &cfg, rng)
+					} else {
+						states[r] = NewInformState(Rank(r), n, &cfg, rng)
+					}
+					states[r].StartTrial(1)
+				}
+				var q gossipQueue
+				q.compile(spec, n)
+				q.reset(77)
+				var out []Send
+				send := func(from Rank, sends []Send) {
+					if shared {
+						q.send(from, sends)
+						return
+					}
+					out = out[:0]
+					for _, s := range sends {
+						s.Msg = explicit(s.Msg)
+						for _, e := range s.Msg.Entries {
+							if e.Load != loads[e.Rank] {
+								t.Fatalf("rank %d sent rank %d's entry with load %g, its Begin load is %g",
+									from, e.Rank, e.Load, loads[e.Rank])
+							}
+						}
+						out = append(out, s)
+					}
+					q.send(from, out)
+				}
+				for r, st := range states {
+					send(Rank(r), st.Begin(ave, loads[r]))
+				}
+				for s := q.next(); s != nil; s = q.next() {
+					more, _ := states[s.To].Receive(s.Msg)
+					send(s.To, more)
+				}
+				if q.dropped == 0 || q.duplicated == 0 {
+					t.Fatalf("fault plan injected nothing: %d dropped, %d duplicated", q.dropped, q.duplicated)
+				}
+				return states
+			}
+			snap, list := run(true), run(false)
+			for r := range snap {
+				ks, kl := snap[r].Knowledge(), list[r].Knowledge()
+				if ks.Len() != kl.Len() || !slices.Equal(members(ks), members(kl)) {
+					t.Fatalf("rank %d: snapshot run knows %v, explicit run %v", r, members(ks), members(kl))
+				}
+				for _, x := range members(ks) {
+					if ks.Load(x) != loads[x] || kl.Load(x) != loads[x] {
+						t.Fatalf("rank %d: rank %d's load is %g (snapshots), %g (lists), Begin load %g",
+							r, x, ks.Load(x), kl.Load(x), loads[x])
+					}
 				}
 			}
 		})
@@ -192,27 +300,59 @@ func TestKnowledgeMatchesModel(t *testing.T) {
 }
 
 // TestEntriesSnapshotSurvivesAdds: a payload in flight must not change
-// when its sender learns more, whether the log grows in place or moves.
+// when its sender learns more or updates a load, through every round of
+// a stage.
 func TestEntriesSnapshotSurvivesAdds(t *testing.T) {
 	const numRanks = 4096
 	rng := rand.New(rand.NewSource(5))
-	k := NewKnowledge(numRanks)
-	type held struct{ snap, copy []RankLoad }
+	cfg := gossipConfig(2, 10)
+	st := NewInformState(7, numRanks, &cfg, SeededRNG(cfg.Seed))
+	type held struct {
+		msg  InformMsg
+		copy []RankLoad
+	}
 	var snaps []held
-	for _, e := range randomLog(rng, numRanks, numRanks) {
-		k.Add(e.Rank, e.Load)
-		if rng.Intn(64) == 0 {
-			s := k.Entries()
-			snaps = append(snaps, held{s, slices.Clone(s)})
-		}
-		if rng.Intn(256) == 0 {
-			k.Update(e.Rank, 99) // table writes never reach the log
+	hold := func(sends []Send) {
+		for _, s := range sends[:min(1, len(sends))] {
+			snaps = append(snaps, held{s.Msg, rows(s.Msg)})
 		}
 	}
+	hold(st.Begin(1, 0.5))
+	log := randomLog(rng, numRanks, numRanks, func(Rank) float64 { return rng.Float64() })
+	for round := 1; round < cfg.Rounds; round++ {
+		batch := log[(round-1)*numRanks/cfg.Rounds : round*numRanks/cfg.Rounds]
+		sends, _ := st.Receive(InformMsg{Round: round, Entries: batch})
+		hold(sends)
+		st.Knowledge().Update(batch[0].Rank, 99) // Updates never reach a payload
+	}
+	if len(snaps) != cfg.Rounds {
+		t.Fatalf("held %d snapshots, want one per round (%d)", len(snaps), cfg.Rounds)
+	}
 	for i, h := range snaps {
-		if !slices.Equal(h.snap, h.copy) {
+		if got := rows(h.msg); !slices.Equal(got, h.copy) {
 			t.Fatalf("snapshot %d of %d entries changed under later Adds", i, len(h.copy))
 		}
+	}
+}
+
+// TestFanOutDoesNotAllocate: once the arena is warm, receiving a
+// snapshot that triggers a fan-out allocates nothing — the merge is a
+// bitset union and the payload a copy into the arena.
+func TestFanOutDoesNotAllocate(t *testing.T) {
+	const numRanks = 4096
+	cfg := Tempered()
+	table := NewLoadTable(numRanks)
+	a := NewInformStateOn(table, 1, &cfg, SeededRNG(cfg.Seed))
+	b := NewInformStateOn(table, 2, &cfg, SeededRNG(cfg.Seed))
+	msg := a.Begin(1, 0.5)[0].Msg
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Reset()
+		if sends, added := b.Receive(msg); added != 1 || len(sends) != cfg.Fanout {
+			t.Fatalf("Receive added %d and sent %d, want 1 and %d", added, len(sends), cfg.Fanout)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Receive of a snapshot with a fan-out: %v allocations, want 0", allocs)
 	}
 }
 
@@ -223,7 +363,7 @@ var (
 )
 
 // benchRanks is the paper's scale; benchKnown the underloaded set of its
-// §V-B case (all but the 16 loaded ranks), the size every knowledge log
+// §V-B case (all but the 16 loaded ranks), the size every knowledge
 // converges to there.
 const (
 	benchRanks = 4096
@@ -232,41 +372,27 @@ const (
 
 func BenchmarkKnowledgeMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	payload := randomLog(rng, benchRanks, benchKnown)
+	table := NewLoadTable(benchRanks)
+	src := newKnowledgeOn(table)
+	src.Merge(randomLog(rng, benchRanks, benchKnown, func(Rank) float64 { return rng.Float64() }))
+	payload := snapshotOf(src)
 	// novel: every entry of the payload is new — the first message a rank
 	// hears. redundant: none is — the steady state of rounds 4 to 10.
 	b.Run("novel", func(b *testing.B) {
-		k := NewKnowledge(benchRanks)
-		k.Merge(payload)
-		b.ResetTimer()
+		k := newKnowledgeOn(table)
 		for i := 0; i < b.N; i++ {
 			k.Reset()
-			sinkInt = k.Merge(payload)
+			sinkInt = k.merge(payload)
 		}
 	})
 	b.Run("redundant", func(b *testing.B) {
-		k := NewKnowledge(benchRanks)
-		k.Merge(payload)
+		k := newKnowledgeOn(table)
+		k.merge(payload)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sinkInt = k.Merge(payload)
+			sinkInt = k.merge(payload)
 		}
 	})
-}
-
-func BenchmarkKnowledgeCanonicalize(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	payload := randomLog(rng, benchRanks, benchKnown)
-	k := NewKnowledge(benchRanks)
-	k.Merge(payload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Put the log back in arrival order (a 64 KB copy against a
-		// permutation of 4080 entries); membership is unchanged.
-		copy(k.entries, payload)
-		k.Canonicalize()
-	}
-	sinkInt = k.Len()
 }
 
 // BenchmarkInformTrialStart is what a rank pays to begin a trial with
@@ -276,14 +402,13 @@ func BenchmarkInformTrialStart(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := Tempered()
 	st := NewInformState(7, benchRanks, &cfg, SeededRNG(cfg.Seed))
-	st.Receive(InformMsg{Round: cfg.Rounds, Entries: randomLog(rng, benchRanks, benchKnown)})
+	st.Receive(InformMsg{Round: cfg.Rounds, Entries: randomLog(rng, benchRanks, benchKnown, func(Rank) float64 { return rng.Float64() })})
 	full := slices.Clone(st.know.member)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Put the previous trial's knowledge back: the log at full
-		// length and a 512-byte bitset.
-		st.know.entries = st.know.entries[:benchKnown]
+		// Put the previous trial's knowledge back: a 512-byte bitset.
 		copy(st.know.member, full)
+		st.know.lo, st.know.hi, st.know.n = 0, len(full), benchKnown
 		st.StartTrial(1 + i%cfg.Trials)
 		sinkSends = st.Begin(1, 0.5)
 	}

@@ -54,8 +54,8 @@ func TestQuickTransferConservation(t *testing.T) {
 			}
 		}
 		knowAfter := 0.0
-		for _, e := range know.Entries() {
-			knowAfter += know.Load(e.Rank)
+		for _, r := range members(know) {
+			knowAfter += know.Load(r)
 		}
 		return math.Abs((total-after)-sent) < 1e-9 &&
 			math.Abs((knowAfter-before)-sent) < 1e-9
@@ -186,8 +186,8 @@ func TestQuickKnowledgeMergeIdempotent(t *testing.T) {
 		if k1.Len() != k2.Len() {
 			return false
 		}
-		for _, e := range k1.Entries() {
-			if !k2.Contains(e.Rank) {
+		for _, r := range members(k1) {
+			if !k2.Contains(r) {
 				return false
 			}
 		}

@@ -71,10 +71,10 @@ func TestRunTransferOriginalNeverOverloadsKnownRecipient(t *testing.T) {
 		}
 		ave := 2.5
 		_, _, _ = RunTransferScratch(0, tasks, total, ave, know, &cfg, rng, nil, &TransferScratch{})
-		for _, e := range know.Entries() {
-			if know.Load(e.Rank) >= ave+1e-9 {
+		for _, r := range members(know) {
+			if know.Load(r) >= ave+1e-9 {
 				t.Fatalf("recipient %d pushed to %g >= ave %g under original criterion",
-					e.Rank, know.Load(e.Rank), ave)
+					r, know.Load(r), ave)
 			}
 		}
 	}
@@ -101,9 +101,9 @@ func TestRunTransferRelaxedRecipientBelowSenderPriorLoad(t *testing.T) {
 		}
 		before := total
 		_, _, _ = RunTransferScratch(0, tasks, total, 1.0, know, &cfg, rng, nil, &TransferScratch{})
-		for _, e := range know.Entries() {
-			if know.Load(e.Rank) >= before+1e-9 {
-				t.Fatalf("recipient %d at %g >= sender initial %g", e.Rank, know.Load(e.Rank), before)
+		for _, r := range members(know) {
+			if know.Load(r) >= before+1e-9 {
+				t.Fatalf("recipient %d at %g >= sender initial %g", r, know.Load(r), before)
 			}
 		}
 	}
@@ -132,8 +132,8 @@ func TestRunTransferConservation(t *testing.T) {
 		t.Errorf("conservation: dropped %g but proposed %g", total-after, sent)
 	}
 	gained := 0.0
-	for _, e := range know.Entries() {
-		gained += know.Load(e.Rank)
+	for _, r := range members(know) {
+		gained += know.Load(r)
 	}
 	if math.Abs(gained-sent) > 1e-9 {
 		t.Errorf("knowledge gained %g, proposals carry %g", gained, sent)

@@ -20,6 +20,9 @@ type Handlers struct {
 	// st is indexed by rank; a rank's entry is nil until its first
 	// invocation, and only whoever runs a rank touches its entry.
 	st []*rankState
+	// table is the load table every local rank's gossip state shares:
+	// the balancer's one cross-rank structure (core.LoadTable).
+	table *core.LoadTable
 
 	// freshTrialState makes every trial build a new gossip state instead
 	// of re-pointing the invocation's one. Only tests set it, to show the
@@ -74,6 +77,7 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		xfer:   base + 1,
 		fetch:  base + 2,
 		st:     make([]*rankState, rt.NumRanks()),
+		table:  core.NewLoadTable(rt.NumRanks()),
 	}
 	rt.NameHandler(h.gossip, "lb.gossip")
 	rt.NameHandler(h.xfer, "lb.transfer")
@@ -87,7 +91,7 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		tracing := rc.Tracer() != nil
 		if tracing {
 			rc.Emit(obs.Event{Type: obs.EvInformRecv, Peer: int(from), Object: -1,
-				Trial: st.trial, Iteration: st.iter, Value: float64(len(m.Entries))})
+				Trial: st.trial, Iteration: st.iter, Value: float64(m.Len())})
 		}
 		sends, _ := st.inform.Receive(m)
 		sendFanOut(rc, h.gossip, st, sends, tracing)
@@ -110,7 +114,7 @@ func sendFanOut(rc *amt.Context, gossip amt.HandlerID, st *rankState, sends []co
 		return
 	}
 	var msg any = sends[0].Msg
-	entries := len(sends[0].Msg.Entries)
+	entries := sends[0].Msg.Len()
 	for _, s := range sends {
 		st.gossipSent++
 		st.gossipEntries += entries
@@ -264,7 +268,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 		// in-flight message can observe a recycled knowledge buffer. The
 		// RNG stream is continuous across a trial's iterations.
 		if st.inform == nil || h.freshTrialState {
-			st.inform = core.NewInformState(self, n, &cfg, core.SeededRNG(cfg.Seed))
+			st.inform = core.NewInformStateOn(h.table, self, &cfg, core.SeededRNG(cfg.Seed))
 		}
 		st.inform.StartTrial(trial)
 
@@ -295,12 +299,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 					return
 				}
 				overloaded = 1
-				// The gossip epoch has terminated, so no Entries snapshot is
-				// in flight: sort the knowledge so candidate sampling does
-				// not depend on message arrival order (or on the reordering
-				// a fault plan injects).
 				kn := st.inform.Knowledge()
-				kn.Canonicalize()
 				knowledge = float64(kn.Len())
 				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &cfg, st.xferRNG, nil, &st.xfer)
 				ts = tstats

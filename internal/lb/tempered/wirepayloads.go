@@ -11,13 +11,16 @@ import (
 // changes are a wire.Version bump.
 func init() {
 	wire.RegisterPayload(32,
+		// A snapshot streams as the rank-ordered rows of its explicit
+		// list, so both forms have one wire form and decode to the list.
+		// A snapshot always holds an entry, so nil still means a nil list.
 		func(e *wire.Encoder, v core.InformMsg) {
 			e.I64(int64(v.Round))
-			e.Rows(len(v.Entries), v.Entries == nil, func(lo, hi int) {
-				for _, en := range v.Entries[lo:hi] {
+			e.Rows(v.Len(), v.Len() == 0 && v.Entries == nil, func(lo, hi int) {
+				v.Rows(lo, hi, func(en core.RankLoad) {
 					e.I32(int32(en.Rank))
 					e.F64(en.Load)
-				}
+				})
 			})
 		},
 		func(d *wire.Decoder) core.InformMsg {

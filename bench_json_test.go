@@ -198,6 +198,42 @@ func benchJSONSuite() []struct {
 				}
 			}
 		}},
+		{"transfer_stage_4080", func(b *testing.B) {
+			// One overloaded rank's transfer stage at the paper's scale,
+			// as internal/core's BenchmarkTransferStage/recompute=true
+			// runs it: 625 tasks against knowledge of 4080 idle ranks,
+			// warm scratch, the CMF raised after every accepted transfer.
+			// Re-learning the knowledge between ops is not timed.
+			const ranks, known = 4096, 4080
+			tasks := make([]core.Task, 625)
+			load := 0.0
+			for i := range tasks {
+				tasks[i] = core.Task{ID: core.TaskID(i), Load: 0.1 + 0.8*float64((i*2654435761)%1000)/1000}
+				load += tasks[i].Load
+			}
+			cfg := core.Tempered()
+			know := core.NewKnowledge(ranks)
+			rng := core.SeededRNG(1, 2)
+			var scr core.TransferScratch
+			stage := func() {
+				b.StopTimer()
+				know.Reset()
+				for r := ranks - known; r < ranks; r++ {
+					know.Add(core.Rank(r), 0)
+				}
+				rng.Seed(2) // every op the same stage, so none grows a buffer
+				b.StartTimer()
+				core.RunTransferScratch(0, tasks, load, load*16/ranks, know, &cfg, rng, nil, &scr)
+			}
+			// Warm the scratch and the knowledge's overlay: two ops, as the
+			// task buffers swap roles every pass.
+			stage()
+			stage()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stage()
+			}
+		}},
 		{"orderings_fewest_migrations_10k", func(b *testing.B) {
 			tasks := make([]core.Task, 10_000)
 			total := 0.0

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -21,13 +22,24 @@ func knowledgeFrom(t *testing.T, entries ...RankLoad) *Knowledge {
 	return k
 }
 
+// buildCMF returns a CMF built over know.
+func buildCMF(know *Knowledge, self Rank, ave float64, kind CMFKind) (*CMF, bool) {
+	c := new(CMF)
+	ok := c.Build(know, self, ave, kind)
+	return c, ok
+}
+
+// cum returns the normalized mass of candidates 0..i: the i-th element of
+// the cumulative mass function, in prefix form.
+func (c *CMF) cum(i int) float64 { return c.prefix(i+1) / c.z }
+
 func TestBuildCMFOriginalWeights(t *testing.T) {
 	// ave = 4; loads 0 and 2 -> masses (1-0/4)=1 and (1-2/4)=0.5,
 	// normalized to 2/3 and 1/3.
 	k := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 2})
-	cmf, ok := BuildCMF(k, 5, 4, CMFOriginal)
+	cmf, ok := buildCMF(k, 5, 4, CMFOriginal)
 	if !ok {
-		t.Fatal("BuildCMF failed")
+		t.Fatal("Build failed")
 	}
 	if cmf.Len() != 2 {
 		t.Fatalf("Len = %d", cmf.Len())
@@ -43,9 +55,9 @@ func TestBuildCMFOriginalWeights(t *testing.T) {
 func TestBuildCMFOriginalClampsOverloaded(t *testing.T) {
 	// A known rank above the average gets zero probability, not negative.
 	k := knowledgeFrom(t, RankLoad{0, 10}, RankLoad{1, 1})
-	cmf, ok := BuildCMF(k, 5, 4, CMFOriginal)
+	cmf, ok := buildCMF(k, 5, 4, CMFOriginal)
 	if !ok {
-		t.Fatal("BuildCMF failed")
+		t.Fatal("Build failed")
 	}
 	if got := cmf.Prob(0); got != 0 {
 		t.Errorf("overloaded rank prob = %g, want 0", got)
@@ -59,9 +71,9 @@ func TestBuildCMFModifiedUsesMaxLoad(t *testing.T) {
 	// ave = 2 but max known load is 6 -> l_s = 6;
 	// masses (1-0/6)=1, (1-6/6)=0 -> probs 1, 0.
 	k := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 6})
-	cmf, ok := BuildCMF(k, 5, 2, CMFModified)
+	cmf, ok := buildCMF(k, 5, 2, CMFModified)
 	if !ok {
-		t.Fatal("BuildCMF failed")
+		t.Fatal("Build failed")
 	}
 	if got := cmf.Prob(0); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Prob(0) = %g, want 1", got)
@@ -73,9 +85,9 @@ func TestBuildCMFModifiedUsesMaxLoad(t *testing.T) {
 
 func TestBuildCMFExcludesSelf(t *testing.T) {
 	k := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 0})
-	cmf, ok := BuildCMF(k, 0, 4, CMFOriginal)
+	cmf, ok := buildCMF(k, 0, 4, CMFOriginal)
 	if !ok {
-		t.Fatal("BuildCMF failed")
+		t.Fatal("Build failed")
 	}
 	if cmf.Len() != 1 || cmf.Rank(0) != 1 {
 		t.Errorf("self not excluded: len=%d", cmf.Len())
@@ -85,7 +97,7 @@ func TestBuildCMFExcludesSelf(t *testing.T) {
 func TestBuildCMFNoMass(t *testing.T) {
 	// Everything at or above the normalization level: no candidates.
 	k := knowledgeFrom(t, RankLoad{0, 4}, RankLoad{1, 5})
-	if _, ok := BuildCMF(k, 9, 4, CMFOriginal); ok {
+	if _, ok := buildCMF(k, 9, 4, CMFOriginal); ok {
 		t.Error("expected ok=false for zero total mass")
 	}
 }
@@ -99,7 +111,7 @@ func TestBuildCMFModifiedNeverNegative(t *testing.T) {
 			k.Add(Rank(r), rng.Float64()*10)
 		}
 		ave := rng.Float64() * 5
-		cmf, ok := BuildCMF(k, Rank(n), ave, CMFModified)
+		cmf, ok := buildCMF(k, Rank(n), ave, CMFModified)
 		if !ok {
 			// Legal only when every load equals the max and exceeds ave,
 			// collapsing all mass; skip.
@@ -110,26 +122,28 @@ func TestBuildCMFModifiedNeverNegative(t *testing.T) {
 			if p := cmf.Prob(i); p < 0 {
 				t.Fatalf("negative probability %g", p)
 			}
-			if cmf.cum[i] < prev {
+			// Fenwick prefixes of neighbours sum different nodes, so
+			// they are non-decreasing up to rounding of the total.
+			if cmf.cum(i) < prev-1e-12 {
 				t.Fatalf("non-monotone cum at %d", i)
 			}
-			prev = cmf.cum[i]
+			prev = cmf.cum(i)
 		}
-		if math.Abs(cmf.cum[cmf.Len()-1]-1) > 1e-12 {
-			t.Fatalf("cum does not end at 1: %g", cmf.cum[cmf.Len()-1])
+		if math.Abs(cmf.cum(cmf.Len()-1)-1) > 1e-12 {
+			t.Fatalf("cum does not end at 1: %g", cmf.cum(cmf.Len()-1))
 		}
 	}
 }
 
 func TestCMFSampleRespectsZeroMass(t *testing.T) {
 	k := knowledgeFrom(t, RankLoad{0, 4}, RankLoad{1, 0}, RankLoad{2, 4})
-	cmf, ok := BuildCMF(k, 9, 4, CMFOriginal)
+	cmf, ok := buildCMF(k, 9, 4, CMFOriginal)
 	if !ok {
-		t.Fatal("BuildCMF failed")
+		t.Fatal("Build failed")
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		if got := cmf.Sample(rng); got != 1 {
+		if got, _ := cmf.Sample(rng); got != 1 {
 			t.Fatalf("sampled zero-mass rank %d", got)
 		}
 	}
@@ -138,12 +152,12 @@ func TestCMFSampleRespectsZeroMass(t *testing.T) {
 func TestCMFSampleDistribution(t *testing.T) {
 	// probs 2/3 and 1/3: empirical frequencies must be near.
 	k := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 2})
-	cmf, _ := BuildCMF(k, 9, 4, CMFOriginal)
+	cmf, _ := buildCMF(k, 9, 4, CMFOriginal)
 	rng := rand.New(rand.NewSource(2))
 	const n = 30000
 	count := 0
 	for i := 0; i < n; i++ {
-		if cmf.Sample(rng) == 0 {
+		if got, _ := cmf.Sample(rng); got == 0 {
 			count++
 		}
 	}
@@ -192,7 +206,7 @@ func TestCMFEdgeCases(t *testing.T) {
 			ave: 4, entries: []RankLoad{{0, 4}, {1, 9}}, wantOK: false,
 		},
 		{
-			// l_s = ave = 0: mass is undefined, Rebuild must refuse.
+			// l_s = ave = 0: mass is undefined, Build must refuse.
 			name: "zero average zero loads", kind: CMFOriginal,
 			ave: 0, entries: []RankLoad{{0, 0}, {1, 0}}, wantOK: false,
 		},
@@ -216,7 +230,7 @@ func TestCMFEdgeCases(t *testing.T) {
 			for _, e := range tc.entries {
 				k.Add(e.Rank, e.Load)
 			}
-			cmf, ok := BuildCMF(k, 9, tc.ave, tc.kind)
+			cmf, ok := buildCMF(k, 9, tc.ave, tc.kind)
 			if ok != tc.wantOK {
 				t.Fatalf("ok = %v, want %v", ok, tc.wantOK)
 			}
@@ -238,23 +252,23 @@ func TestCMFEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCMFRebuildRecoversAfterFailure exercises the in-place Rebuild used
-// by the RecomputeCMF transfer loop: a failed rebuild empties the
-// receiver, and a subsequent successful one restores it.
+// TestCMFRebuildRecoversAfterFailure exercises the in-place Build the
+// transfer stage repeats once per pass on one scratch: a failed rebuild
+// empties the receiver, and a subsequent successful one restores it.
 func TestCMFRebuildRecoversAfterFailure(t *testing.T) {
 	good := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 2})
 	bad := knowledgeFrom(t, RankLoad{0, 4}, RankLoad{1, 5})
 	var c CMF
-	if !c.Rebuild(good, 9, 4, CMFOriginal) {
+	if !c.Build(good, 9, 4, CMFOriginal) {
 		t.Fatal("initial rebuild failed")
 	}
-	if c.Rebuild(bad, 9, 4, CMFOriginal) {
+	if c.Build(bad, 9, 4, CMFOriginal) {
 		t.Fatal("rebuild over zero-mass knowledge succeeded")
 	}
 	if c.Len() != 0 {
 		t.Errorf("failed rebuild kept %d stale candidates", c.Len())
 	}
-	if !c.Rebuild(good, 9, 4, CMFOriginal) {
+	if !c.Build(good, 9, 4, CMFOriginal) {
 		t.Fatal("rebuild after failure failed")
 	}
 	if c.Len() != 2 || c.Rank(0) != 0 || c.Rank(1) != 1 {
@@ -262,22 +276,22 @@ func TestCMFRebuildRecoversAfterFailure(t *testing.T) {
 	}
 }
 
-// TestCMFSampleSkipsTrailingZeroMass pins the binary-search boundary: a
-// zero-mass bucket in the final position shares its cumulative value with
-// its predecessor and must never be selected.
+// TestCMFSampleSkipsTrailingZeroMass pins the search boundary: a
+// zero-mass bucket in the final position shares its prefix mass with its
+// predecessor and must never be selected.
 func TestCMFSampleSkipsTrailingZeroMass(t *testing.T) {
 	// ls = 6: masses 2/3 for rank 0, exactly 0 for the trailing rank 1.
 	k := knowledgeFrom(t, RankLoad{0, 2}, RankLoad{1, 6})
-	cmf, ok := BuildCMF(k, 9, 2, CMFModified)
+	cmf, ok := buildCMF(k, 9, 2, CMFModified)
 	if !ok {
-		t.Fatal("BuildCMF failed")
+		t.Fatal("Build failed")
 	}
 	if got := cmf.Prob(1); got != 0 {
 		t.Fatalf("trailing prob = %g, want 0", got)
 	}
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 2000; i++ {
-		if got := cmf.Sample(rng); got != 0 {
+		if got, _ := cmf.Sample(rng); got != 0 {
 			t.Fatalf("sampled trailing zero-mass rank %d", got)
 		}
 	}
@@ -301,10 +315,10 @@ func TestKnowledgeCanonicalizeOrderIndependent(t *testing.T) {
 			t.Errorf("load of rank %d: %g and %g, want %g", e.Rank, forward.Load(e.Rank), backward.Load(e.Rank), e.Load)
 		}
 	}
-	a, okA := BuildCMF(forward, 5, 2, CMFModified)
-	b, okB := BuildCMF(backward, 5, 2, CMFModified)
+	a, okA := buildCMF(forward, 5, 2, CMFModified)
+	b, okB := buildCMF(backward, 5, 2, CMFModified)
 	if !okA || !okB || a.Len() != len(entries) || b.Len() != len(entries) {
-		t.Fatal("BuildCMF failed")
+		t.Fatal("Build failed")
 	}
 	for i := 0; i < a.Len(); i++ {
 		if a.Rank(i) != Rank(i) {
@@ -324,18 +338,223 @@ func TestCMFSampleAlwaysKnownRank(t *testing.T) {
 		for r := 0; r < n-1; r++ {
 			k.Add(Rank(r), rng.Float64())
 		}
-		cmf, ok := BuildCMF(k, Rank(n-1), 2, CMFModified)
+		cmf, ok := buildCMF(k, Rank(n-1), 2, CMFModified)
 		if !ok {
 			continue
 		}
 		for i := 0; i < 50; i++ {
-			r := cmf.Sample(rng)
+			r, _ := cmf.Sample(rng)
 			if !k.Contains(r) {
 				t.Fatalf("sampled unknown rank %d", r)
 			}
 			if r == Rank(n-1) {
 				t.Fatalf("sampled self")
 			}
+		}
+	}
+}
+
+// linearCMF is the reference the Fenwick CMF is held to: BUILDCMF as a
+// rank-order walk, a linear cumulative sum normalized to end at exactly 1,
+// and a bisection over it — the CMF before it became a tree, rebuilt from
+// the knowledge wherever the tree is updated instead.
+type linearCMF struct {
+	ranks []Rank
+	mass  []float64 // 1 − l/l_s, clamped at 0
+	cum   []float64
+	ls    float64
+}
+
+func linearBuild(know *Knowledge, self Rank, ave float64, kind CMFKind) (linearCMF, bool) {
+	c := linearCMF{ls: ave}
+	if kind == CMFModified {
+		for _, r := range members(know) {
+			c.ls = max(c.ls, know.Load(r))
+		}
+	}
+	if c.ls <= 0 {
+		return c, false
+	}
+	z := 0.0
+	for _, r := range members(know) {
+		if r == self {
+			continue
+		}
+		p := max(1-know.Load(r)/c.ls, 0)
+		z += p
+		c.ranks = append(c.ranks, r)
+		c.mass = append(c.mass, p)
+		c.cum = append(c.cum, z)
+	}
+	if z <= 0 {
+		return linearCMF{ls: c.ls}, false
+	}
+	for i := range c.cum {
+		c.cum[i] /= z
+	}
+	c.cum[len(c.cum)-1] = 1
+	return c, true
+}
+
+func (c linearCMF) prob(i int) float64 {
+	if i == 0 {
+		return c.cum[0]
+	}
+	return c.cum[i] - c.cum[i-1]
+}
+
+// search is the linear CMF's Sample for the draw u.
+func (c linearCMF) search(u float64) int {
+	return min(sort.Search(len(c.cum), func(j int) bool { return c.cum[j] > u }), len(c.cum)-1)
+}
+
+// TestCMFMatchesLinearOracle holds the Fenwick CMF to the linear one on
+// generated knowledge — both kinds, self a member or not, loads at 0,
+// below, at and above the average, several at the shared maximum, and a
+// trailing zero-mass candidate — through random sequences of Raise, each
+// mirrored by a Knowledge.Update the oracle is rebuilt from. After every
+// step: l_s is the oracle's exactly (max(l_ave, largest known load,
+// self's included) under CMFModified); ok agrees; every candidate's mass
+// and prefix mass agree within 1e-12 of the total and its zero-mass flag
+// exactly; and over 10^4 draws Sample returns the oracle's index unless
+// the draw lies within 1e-12 of a bucket edge, and never a zero-mass
+// candidate.
+func TestCMFMatchesLinearOracle(t *testing.T) {
+	// The fixed case first: l_s reads post-Update loads, not Begin ones.
+	k := NewKnowledge(8)
+	k.Add(1, 3)
+	k.Add(2, 7)
+	k.Update(2, 1)
+	k.Update(1, 4)
+	if c, ok := buildCMF(k, 0, 2, CMFModified); !ok || c.ls != 4 {
+		t.Fatalf("l_s = %g (ok %v), want 4: the largest post-update load", c.ls, ok)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	check := func(t *testing.T, c *CMF, ok bool, know *Knowledge, self Rank, ave float64, kind CMFKind, seed int64) {
+		t.Helper()
+		want, wantOK := linearBuild(know, self, ave, kind)
+		if ok != wantOK {
+			t.Fatalf("ok = %v, oracle %v", ok, wantOK)
+		}
+		if c.ls != want.ls {
+			t.Fatalf("l_s = %g, oracle %g", c.ls, want.ls)
+		}
+		if !ok {
+			return
+		}
+		if c.Len() != len(want.ranks) {
+			t.Fatalf("%d candidates, oracle %d", c.Len(), len(want.ranks))
+		}
+		for i := range want.ranks {
+			if c.Rank(i) != want.ranks[i] {
+				t.Fatalf("candidate %d is rank %d, oracle %d", i, c.Rank(i), want.ranks[i])
+			}
+			if got := c.Prob(i); math.Abs(got-want.prob(i)) > 1e-12 {
+				t.Fatalf("candidate %d: mass %g of the total, oracle %g", i, got, want.prob(i))
+			}
+			if got := c.cum(i); math.Abs(got-want.cum[i]) > 1e-12 {
+				t.Fatalf("candidate %d: prefix mass %g of the total, oracle %g", i, got, want.cum[i])
+			}
+			if c.isZero(i) != (want.mass[i] == 0) {
+				t.Fatalf("candidate %d: zero-mass %v, oracle mass %g", i, c.isZero(i), want.mass[i])
+			}
+		}
+		draw, u := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for d := 0; d < 10_000; d++ {
+			u := u.Float64()
+			r, i := c.Sample(draw)
+			if r != c.Rank(i) {
+				t.Fatalf("Sample returned rank %d with index %d, which is rank %d", r, i, c.Rank(i))
+			}
+			if want.mass[i] == 0 {
+				t.Fatalf("draw %g sampled zero-mass candidate %d", u, i)
+			}
+			if j := want.search(u); i != j && math.Abs(u-want.cum[min(i, j)]) > 1e-12 {
+				t.Fatalf("draw %g: candidate %d, oracle %d, away from any bucket edge", u, i, j)
+			}
+		}
+	}
+
+	for trial := 0; trial < 60; trial++ {
+		numRanks := 2 + rng.Intn(300)
+		ave := 0.5 + rng.Float64()
+		kind := CMFKind(rng.Intn(2))
+		self := Rank(rng.Intn(numRanks))
+		know := NewKnowledge(numRanks)
+		top := 2 * ave // the shared maximum some loads sit at
+		last := Rank(-1)
+		for r := Rank(0); int(r) < numRanks; r++ {
+			if r == self && rng.Intn(2) == 0 || rng.Intn(10) < 3 {
+				continue
+			}
+			var l float64
+			switch rng.Intn(6) {
+			case 0:
+				l = 0
+			case 1:
+				l = ave
+			case 2:
+				l = ave + rng.Float64()*ave
+			case 3:
+				l = top
+			default:
+				l = rng.Float64() * ave
+			}
+			know.Add(r, l)
+			if r != self {
+				last = r
+			}
+		}
+		if last >= 0 && rng.Intn(2) == 0 {
+			// A trailing zero-mass candidate: the last one at the maximum.
+			know.Update(last, top)
+		}
+		t.Run("", func(t *testing.T) {
+			c := new(CMF)
+			ok := c.Build(know, self, ave, kind)
+			check(t, c, ok, know, self, ave, kind, int64(trial))
+			for step := 0; ok && step < 8; step++ {
+				var i int
+				if rng.Intn(2) == 0 {
+					_, i = c.Sample(rng) // a recipient, as the transfer stage raises
+				} else {
+					i = rng.Intn(c.Len()) // any candidate, zero mass included
+				}
+				from := know.Load(c.Rank(i))
+				var to float64
+				switch rng.Intn(3) {
+				case 0:
+					to = from + rng.Float64()*ave/4
+				case 1:
+					to = max(from, c.ls) // exactly to l_s
+				default:
+					to = max(from, c.ls) + rng.Float64()*ave // past l_s
+				}
+				know.Update(c.Rank(i), to)
+				c.Raise(i, from, to)
+				ok = c.hasMass()
+				check(t, c, ok, know, self, ave, kind, int64(trial*100+step))
+			}
+		})
+	}
+}
+
+// TestCMFNearestLive pins where Sample steps to when rounding lands it on
+// a zero-mass candidate: the first live one after it, else the last
+// before it.
+func TestCMFNearestLive(t *testing.T) {
+	k := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 4}, RankLoad{2, 5}, RankLoad{3, 1}, RankLoad{4, 4})
+	c, ok := buildCMF(k, 9, 4, CMFOriginal)
+	if !ok {
+		t.Fatal("Build failed")
+	}
+	for i, want := range []int{1, 3, 3, 3, 3} {
+		if !c.isZero(i) {
+			continue
+		}
+		if got := c.nearestLive(i); got != want {
+			t.Errorf("nearestLive(%d) = %d, want %d", i, got, want)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func TestCommGraphPanicsOutOfRange(t *testing.T) {
 
 func TestCMFBlendProperties(t *testing.T) {
 	k := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 1}, RankLoad{2, 2})
-	base, ok := BuildCMF(k, 9, 4, CMFOriginal)
+	base, ok := buildCMF(k, 9, 4, CMFOriginal)
 	if !ok {
 		t.Fatal("base CMF failed")
 	}
@@ -92,12 +92,12 @@ func TestCMFBlendProperties(t *testing.T) {
 	// Blended CMF remains a valid distribution.
 	prev := 0.0
 	for i := 0; i < heavy.Len(); i++ {
-		if heavy.Prob(i) < -1e-12 || heavy.cum[i] < prev {
+		if heavy.Prob(i) < -1e-12 || heavy.cum(i) < prev {
 			t.Fatal("blend broke CMF validity")
 		}
-		prev = heavy.cum[i]
+		prev = heavy.cum(i)
 	}
-	if math.Abs(heavy.cum[heavy.Len()-1]-1) > 1e-12 {
+	if math.Abs(heavy.cum(heavy.Len()-1)-1) > 1e-12 {
 		t.Error("blend does not end at 1")
 	}
 }

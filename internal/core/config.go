@@ -144,9 +144,11 @@ type Config struct {
 	CMF       CMFKind
 	Order     Ordering
 
-	// RecomputeCMF rebuilds the CMF inside the transfer loop (line 7 of
+	// RecomputeCMF recomputes the CMF inside the transfer loop (line 7 of
 	// Algorithm 2) so locally scheduled transfers immediately influence
 	// recipient selection; the original algorithm builds it once (line 5).
+	// Either way it is built once per pass; recomputing raises the
+	// recipient of each accepted transfer in it, in O(log |S|).
 	RecomputeCMF bool
 
 	// Passes bounds repeated traversals of the task list within one

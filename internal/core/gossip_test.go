@@ -273,17 +273,3 @@ func TestKnowledgeMergeAndReset(t *testing.T) {
 		t.Error("load after Reset wrong")
 	}
 }
-
-func TestKnowledgeMaxLoad(t *testing.T) {
-	k := NewKnowledge(8)
-	if k.MaxLoad() != 0 {
-		t.Error("MaxLoad of empty != 0")
-	}
-	k.Add(1, 3)
-	k.Add(2, 7)
-	k.Update(2, 1)
-	k.Update(1, 4)
-	if got := k.MaxLoad(); got != 4 {
-		t.Errorf("MaxLoad = %g, want 4 (post-update values)", got)
-	}
-}

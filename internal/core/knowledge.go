@@ -42,7 +42,7 @@ func (t *LoadTable) load(r Rank) float64 { return math.Float64frombits(t.slot[r]
 // notation, kept consistent by construction (|S^p| ≡ |LOAD^p()|).
 //
 // S^p is a membership bitset of one bit per rank and a count; the loads
-// live in the node's LoadTable. Every walk over S^p — the CMF, MaxLoad,
+// live in the node's LoadTable. Every walk over S^p — the CMF build,
 // payloads — is in rank order, so nothing the knowledge produces depends
 // on the order in which messages arrived. Walks, snapshots and Reset
 // cover only the span of words that can hold members, so a set of a few
@@ -208,21 +208,6 @@ func (k *Knowledge) appendMembers(dst []Rank) []Rank {
 		}
 	}
 	return dst
-}
-
-// MaxLoad returns the largest known load (0 when empty), used by the
-// modified CMF's l_s = max(l_ave, max LOAD^p).
-func (k *Knowledge) MaxLoad() float64 {
-	load := k.loads()
-	max := 0.0
-	for i, word := range k.member[k.lo:k.hi] {
-		for ; word != 0; word &= word - 1 {
-			if l := load[(k.lo+i)<<6|bits.TrailingZeros64(word)]; l > max {
-				max = l
-			}
-		}
-	}
-	return max
 }
 
 // Canonicalize does nothing: every walk over the knowledge is in rank

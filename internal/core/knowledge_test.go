@@ -50,16 +50,6 @@ func (m *knowledgeModel) add(r Rank, l float64) bool {
 	return true
 }
 
-func (m *knowledgeModel) maxLoad() float64 {
-	max := 0.0
-	for _, l := range m.load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
-}
-
 // check compares every read path of k with the model over the whole
 // rank space.
 func (m *knowledgeModel) check(t *testing.T, k *Knowledge, numRanks int, when string) {
@@ -75,9 +65,6 @@ func (m *knowledgeModel) check(t *testing.T, k *Knowledge, numRanks int, when st
 		if known && k.Load(r) != want {
 			t.Fatalf("%s: Load(%d) = %g, model %g", when, r, k.Load(r), want)
 		}
-	}
-	if got, want := k.MaxLoad(), m.maxLoad(); got != want {
-		t.Fatalf("%s: MaxLoad %g, model %g", when, got, want)
 	}
 	for w, word := range k.member {
 		if word != 0 && (w < k.lo || w >= k.hi) {

@@ -97,8 +97,9 @@ func TestQuickProposalsUnique(t *testing.T) {
 	}
 }
 
-// TestQuickCMFValid: for arbitrary knowledge and averages, a built CMF is
-// non-decreasing, ends at exactly 1, and has no negative mass.
+// TestQuickCMFValid: for arbitrary knowledge and averages, a built CMF's
+// normalized prefix mass is non-decreasing and ends at 1, and no
+// candidate has negative mass.
 func TestQuickCMFValid(t *testing.T) {
 	f := func(loads []uint8, aveRaw uint8, modified bool) bool {
 		if len(loads) == 0 {
@@ -116,18 +117,18 @@ func TestQuickCMFValid(t *testing.T) {
 			kind = CMFModified
 		}
 		ave := float64(aveRaw)/32 + 0.01
-		cmf, ok := BuildCMF(know, Rank(len(loads)), ave, kind)
+		cmf, ok := buildCMF(know, Rank(len(loads)), ave, kind)
 		if !ok {
 			return true
 		}
 		prev := 0.0
 		for i := 0; i < cmf.Len(); i++ {
-			if cmf.Prob(i) < -1e-12 || cmf.cum[i] < prev-1e-12 {
+			if cmf.Prob(i) < -1e-12 || cmf.cum(i) < prev-1e-12 {
 				return false
 			}
-			prev = cmf.cum[i]
+			prev = cmf.cum(i)
 		}
-		return math.Abs(cmf.cum[cmf.Len()-1]-1) < 1e-12
+		return math.Abs(cmf.cum(cmf.Len()-1)-1) < 1e-12
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)

@@ -20,8 +20,6 @@ type TransferStats struct {
 	// NoCandidate counts loop exits because the CMF had no positive mass
 	// (every known rank at or above the normalization level).
 	NoCandidate int
-	// CMFBuilds counts BUILDCMF invocations.
-	CMFBuilds int
 }
 
 // Affinity is the communication-aware recipient bias of the §VII
@@ -53,7 +51,7 @@ type TransferScratch struct {
 // selfLoad its load l^p; ave the global average l_ave. know is the
 // rank's gossip knowledge and is mutated in place: accepted transfers
 // bump the recipient's known load (line 12) so subsequent decisions —
-// and the recomputed CMF, when cfg.RecomputeCMF is set — see them. rng
+// and the CMF, when cfg.RecomputeCMF is set — see them. rng
 // must be the rank's private generator; a nil affinity selects by load.
 //
 // It returns the proposals, the decision statistics, and the rank's
@@ -96,37 +94,38 @@ func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Kn
 // pass, and reports the number of acceptances plus whether the loop
 // ended for good (no longer overloaded or no candidate mass left).
 // ordered is sorted in place; it must be scratch-owned.
+//
+// The CMF is built once per pass (line 5). With cfg.RecomputeCMF each
+// accepted transfer then raises its recipient in it (line 7), which keeps
+// it the CMF a rebuild over the updated knowledge would give.
 func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity *Affinity, scr *TransferScratch, st *TransferStats) (accepted int, done bool) {
 	OrderTasksInPlace(ordered, ave, *selfLoad, cfg.Order)
 
-	if !cfg.RecomputeCMF { // line 5: build once
-		st.CMFBuilds++
-		if !scr.cmf.Rebuild(know, self, ave, cfg.CMF) {
-			st.NoCandidate++
-			return 0, true
-		}
+	if !scr.cmf.Build(know, self, ave, cfg.CMF) { // line 5
+		st.NoCandidate++
+		return 0, true
 	}
 
 	n := 0
 	for ; *selfLoad > cfg.Threshold*ave && n < len(ordered); n++ {
-		if cfg.RecomputeCMF { // line 7: rebuild with updated knowledge
-			st.CMFBuilds++
-			if !scr.cmf.Rebuild(know, self, ave, cfg.CMF) {
-				st.NoCandidate++
-				scr.kept = append(scr.kept, ordered[n:]...)
-				return accepted, true
-			}
+		if !scr.cmf.hasMass() {
+			st.NoCandidate++
+			return accepted, true
 		}
 		o := ordered[n]
-		pick := scr.cmf
+		pick := &scr.cmf
 		if affinity != nil {
-			pick = scr.cmf.Blend(func(r Rank) float64 { return affinity.Volume(o.ID, r) }, affinity.Bias)
+			blended := scr.cmf.Blend(func(r Rank) float64 { return affinity.Volume(o.ID, r) }, affinity.Bias)
+			pick = &blended
 		}
-		px := pick.Sample(rng)                                  // line 9
+		px, i := pick.Sample(rng)                               // line 9
 		lx := know.Load(px)                                     // line 10
 		if cfg.Criterion.Evaluate(lx, o.Load, ave, *selfLoad) { // line 11
 			know.Update(px, lx+o.Load) // line 12
-			*selfLoad -= o.Load        // line 13
+			if cfg.RecomputeCMF {
+				scr.cmf.Raise(i, lx, lx+o.Load) // line 7
+			}
+			*selfLoad -= o.Load // line 13
 			scr.proposals = append(scr.proposals, Proposal{Task: o.ID, To: px})
 			st.Accepted++
 			accepted++

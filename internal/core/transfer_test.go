@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -218,5 +219,53 @@ func TestRunTransferNoCandidateMass(t *testing.T) {
 	}
 	if load != 3 {
 		t.Errorf("load changed without candidates: %g", load)
+	}
+}
+
+// BenchmarkTransferStage is one overloaded rank's transfer stage at the
+// paper's scale, the shape of bench/'s core.transfer_stage_us probe: 625
+// tasks (10^4 over 16 ranks) against knowledge of the 4080 idle ranks,
+// warm scratch, 0 allocs/op. An op starts from the gossip stage's
+// knowledge — a snapshot merge, which forgets the last op's Updates.
+// With the CMF raised after each accepted transfer (line 7), recompute
+// costs what building once per pass costs.
+func BenchmarkTransferStage(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]Task, 625)
+	load := 0.0
+	for i := range tasks {
+		tasks[i] = Task{ID: TaskID(i), Load: 0.1 + 0.8*rng.Float64()}
+		load += tasks[i].Load
+	}
+	ave := load * 16 / benchRanks
+	src := NewKnowledge(benchRanks)
+	for r := benchRanks - benchKnown; r < benchRanks; r++ {
+		src.Add(Rank(r), 0)
+	}
+	gossiped := snapshotOf(src)
+	for _, recompute := range []bool{false, true} {
+		b.Run(fmt.Sprint("recompute=", recompute), func(b *testing.B) {
+			cfg := Tempered()
+			cfg.RecomputeCMF = recompute
+			know := newKnowledgeOn(src.table)
+			xrng := SeededRNG(1, 2)
+			var scr TransferScratch
+			stage := func() {
+				know.Reset()
+				know.merge(gossiped)
+				xrng.Seed(2) // every op the same stage, so none grows a buffer
+				props, _, _ := RunTransferScratch(0, tasks, load, ave, know, &cfg, xrng, nil, &scr)
+				sinkInt = len(props)
+			}
+			// Warm the scratch and the knowledge's overlay: two ops, as the
+			// task buffers swap roles every pass.
+			stage()
+			stage()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stage()
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run pairs profile bench-json bench-compare loc
+.PHONY: build test vet lint race chaos storm obs-smoke wire-smoke serve-smoke check bench bench-smoke bench-run pairs profile bench-json bench-compare loc
 
 build:
 	$(GO) build ./...
@@ -11,18 +11,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the determinism and concurrency
-# contracts of DESIGN.md §9, enforced by cmd/lbvet, plus a gofmt gate.
+# Project-specific static analysis: the determinism contracts of
+# DESIGN.md §9, enforced by cmd/lbvet, plus a gofmt gate.
 lint:
 	$(GO) run ./cmd/lbvet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
-
-# Apply every machine-applicable suggested fix (clock-funnel rewrites,
-# stale-directive deletions), then report whatever remains. Idempotent:
-# a second run applies nothing (enforced by TestFixIdempotent).
-lint-fix:
-	$(GO) run ./cmd/lbvet -fix ./...
 
 # Full race-detector pass; includes the obs-instrumented chaos tests,
 # which is how we prove the tracer and metrics add no data races.

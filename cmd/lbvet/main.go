@@ -1,33 +1,23 @@
 // Command lbvet runs the module's project-specific static analyzers —
-// the machine-checked form of the determinism and concurrency contracts
-// of DESIGN.md §9 — over the given package patterns.
+// the machine-checked form of the determinism contracts of DESIGN.md §9
+// — over the given package patterns.
 //
 // Usage:
 //
-//	lbvet [-only=analyzer,...] [-json] [-list] [-fix] [patterns...]
+//	lbvet [-json] [-list] [patterns...]
 //
-// Patterns are ./...-style directory patterns relative to the module
-// root (default ./...). Findings print as `file:line: message
-// [analyzer]`; with -json they print as a JSON array (each entry noting
-// whether a suggested fix exists). The exit status is 1 when findings
-// exist, 2 on usage or load errors.
-//
-// -fix applies every machine-applicable suggested fix in place (stale
-// directive deletion, time.Now -> clock.Now where internal/clock is
-// already imported), then reports only the findings that remain
-// unfixed; the exit status reflects those. Applying fixes is
-// idempotent: a second -fix run changes nothing.
-//
-// Suppress a finding with a directive on the offending line or the line
-// above it:
-//
-//	//lint:ignore <analyzer> <reason>
+// Patterns are go package patterns (default ./...), resolved by the go
+// command, which lbvet runs once to list the packages and build the
+// export data of their imports. Findings print as `file:line: message
+// [analyzer]`; with -json they print as a JSON array. The exit status is
+// 1 when findings exist, 2 on usage or load errors.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,71 +29,39 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lbvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	fix := fs.Bool("fix", false, "apply machine-applicable suggested fixes in place")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	all := analysis.Analyzers()
+	analyzers := analysis.Analyzers()
 	if *list {
-		for _, a := range all {
+		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	selected, err := analysis.Select(all, *only)
-	if err != nil {
-		fmt.Fprintln(stderr, "lbvet:", err)
-		return 2
-	}
 
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		fmt.Fprintln(stderr, "lbvet:", err)
-		return 2
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintln(stderr, "lbvet:", err)
-		return 2
-	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs, err = filterPackages(pkgs, loader.ModuleRoot(), patterns)
+	loader, err := analysis.NewLoader(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "lbvet:", err)
 		return 2
 	}
-
-	runner := &analysis.Runner{Analyzers: selected}
-	diags := runner.Run(pkgs)
-
-	if *fix {
-		applied, files, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "lbvet:", err)
-			return 2
-		}
-		if applied > 0 {
-			fmt.Fprintf(stderr, "lbvet: applied %d fixes to %d files\n", applied, len(files))
-		}
-		// Only findings without a fix remain outstanding.
-		remaining := diags[:0]
-		for _, d := range diags {
-			if len(d.Fixes) == 0 {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
+	pkgs := loader.LoadAll()
+	if len(pkgs) == 0 {
+		fmt.Fprintln(stderr, "lbvet: no packages match", strings.Join(patterns, " "))
+		return 2
 	}
+	runner := &analysis.Runner{Analyzers: analyzers}
+	diags := runner.Run(pkgs)
 
 	// Report positions relative to the working directory for readable,
 	// clickable output.
@@ -124,13 +82,12 @@ func run(args []string, stdout, stderr *os.File) int {
 			Column   int    `json:"column"`
 			Analyzer string `json:"analyzer"`
 			Message  string `json:"message"`
-			Fixable  bool   `json:"fixable,omitempty"`
 		}
 		out := make([]finding, 0, len(diags))
 		for _, d := range diags {
 			out = append(out, finding{
 				File: d.Pos.Filename, Line: d.Pos.Line, Column: d.Pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message, Fixable: len(d.Fixes) > 0,
+				Analyzer: d.Analyzer, Message: d.Message,
 			})
 		}
 		enc := json.NewEncoder(stdout)
@@ -148,47 +105,4 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 1
 	}
 	return 0
-}
-
-// filterPackages keeps the packages matching the ./...-style patterns,
-// interpreted relative to the current working directory.
-func filterPackages(pkgs []*analysis.Package, modRoot string, patterns []string) ([]*analysis.Package, error) {
-	wd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	var out []*analysis.Package
-	for _, p := range pkgs {
-		for _, pat := range patterns {
-			ok, err := matchPattern(p.Dir, wd, pat)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, p)
-				break
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no packages match %s", strings.Join(patterns, " "))
-	}
-	return out, nil
-}
-
-func matchPattern(dir, wd, pat string) (bool, error) {
-	recursive := false
-	if pat == "..." {
-		pat, recursive = ".", true
-	} else if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-		pat, recursive = rest, true
-	}
-	base, err := filepath.Abs(filepath.Join(wd, filepath.FromSlash(pat)))
-	if err != nil {
-		return false, err
-	}
-	if dir == base {
-		return true, nil
-	}
-	return recursive && strings.HasPrefix(dir, base+string(filepath.Separator)), nil
 }

@@ -1,20 +1,12 @@
 // Package analysis is a self-contained static-analysis framework for
-// this module: a loader that parses and typechecks every package with
-// nothing but the standard library (go/parser, go/ast, go/types — no
-// golang.org/x/tools), a driver that runs project-specific analyzers
-// over the loaded packages, and the analyzers themselves, which turn
-// the repo's determinism and concurrency contracts (DESIGN.md §9) into
-// machine-checked gates.
+// this module: a loader that typechecks each package from source against
+// the compiler's export data for its imports (go/parser, go/types and
+// go/importer over one `go list -export` call — no golang.org/x/tools),
+// a driver that runs project-specific analyzers over each loaded package
+// on its own, and the analyzers themselves, which turn the repo's
+// determinism contracts (DESIGN.md §9) into machine-checked gates.
 //
 // The cmd/lbvet binary is the front end; `make lint` runs it over ./...
-//
-// Findings can be suppressed with a directive comment on the offending
-// line or the line directly above it:
-//
-//	//lint:ignore <analyzer> <reason>
-//
-// The reason is mandatory: a suppression is a documented exception to a
-// contract, not an off switch.
 package analysis
 
 import (
@@ -22,18 +14,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
-	"strings"
 )
 
-// Diagnostic is one finding, resolved to a file position. Fixes, when
-// non-empty, are machine-applicable repairs applied by `lbvet -fix`.
+// Diagnostic is one finding, resolved to a file position.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []SuggestedFix
 }
 
 // String renders the finding in the canonical `file:line: message
@@ -43,16 +31,11 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one project-specific check. Run is invoked once per
-// loaded package; Finish, when non-nil, is invoked once after every
-// package has been visited, for checks that need module-wide
-// aggregation (atomicfields). Analyzers may carry state between Run
-// calls, so a fresh set must be created per driver run (see Analyzers).
+// loaded package and sees nothing but that package.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass)
-	// Finish reports module-level findings after all packages ran.
-	Finish func(report func(pos token.Pos, format string, args ...any))
 }
 
 // Pass carries one package through one analyzer.
@@ -71,27 +54,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportWithFix records a finding at pos carrying a machine-applicable
-// suggested fix.
-func (p *Pass) ReportWithFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      p.Pkg.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fixes:    []SuggestedFix{fix},
-	})
-}
-
 // TypeOf returns the type of e, or nil when unknown.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
-// Runner drives a set of analyzers over loaded packages and applies
-// suppression directives.
+// Runner drives a set of analyzers over loaded packages.
 type Runner struct {
 	Analyzers []*Analyzer
-	// fset is taken from the first package; all packages of one Loader
-	// share it.
-	fset *token.FileSet
 }
 
 // typecheckAnalyzer is the pseudo-analyzer name under which load and
@@ -99,19 +67,15 @@ type Runner struct {
 // itself a finding — the driver must never panic on one.
 const typecheckAnalyzer = "typecheck"
 
-// Run executes every analyzer over every package, collects the
-// diagnostics, filters suppressed ones, and returns the remainder
-// sorted by position. Packages that failed to typecheck contribute
-// their type errors as `typecheck` diagnostics and are excluded from
-// analysis (their type information is incomplete).
+// Run executes every analyzer over every package and returns the
+// diagnostics sorted by position. Packages that failed to typecheck
+// contribute their type errors as `typecheck` diagnostics and are
+// excluded from analysis (their type information is incomplete).
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 
 	for _, pkg := range pkgs {
-		if r.fset == nil {
-			r.fset = pkg.Fset
-		}
 		if len(pkg.TypeErrors) > 0 {
 			for _, err := range pkg.TypeErrors {
 				diags = append(diags, typeErrorDiagnostic(pkg, err))
@@ -119,35 +83,9 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 			continue
 		}
 		for _, a := range r.Analyzers {
-			if a.Run == nil {
-				continue
-			}
 			a.Run(&Pass{Analyzer: a, Pkg: pkg, report: report})
 		}
 	}
-	if r.fset == nil {
-		r.fset = token.NewFileSet()
-	}
-	for _, a := range r.Analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		name := a.Name
-		a.Finish(func(pos token.Pos, format string, args ...any) {
-			diags = append(diags, Diagnostic{
-				Pos:      r.fset.Position(pos),
-				Analyzer: name,
-				Message:  fmt.Sprintf(format, args...),
-			})
-		})
-	}
-
-	directives, malformed := r.collectDirectives(pkgs)
-	r.filterSuppressed(&diags, directives)
-	if r.selectedByName(unusedSuppressionName) != nil {
-		diags = append(diags, r.unusedDirectiveDiags(directives)...)
-	}
-	diags = append(diags, malformed...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -166,203 +104,8 @@ func typeErrorDiagnostic(pkg *Package, err error) Diagnostic {
 	if te, ok := err.(types.Error); ok {
 		d.Pos = te.Fset.Position(te.Pos)
 		d.Message = te.Msg
-	} else if d.Pos.Filename == "" {
+	} else {
 		d.Pos = token.Position{Filename: pkg.Dir}
 	}
 	return d
-}
-
-// ignoreDirective is one parsed //lint:ignore comment, with enough
-// position detail to judge whether it suppressed anything and to delete
-// it mechanically when it did not.
-type ignoreDirective struct {
-	analyzer string
-	file     string
-	line     int
-	pos      token.Position // of the comment's start
-	end      token.Position // of the comment's end
-	// used is set when the directive suppressed at least one diagnostic
-	// of this run.
-	used bool
-	// broken marks directives in packages with type errors: no analyzer
-	// ran there, so unusedness cannot be judged.
-	broken bool
-}
-
-// collectDirectives parses every //lint:ignore comment of pkgs,
-// returning the directives plus diagnostics for malformed ones (a
-// directive without both analyzer and reason suppresses nothing and is
-// itself a finding).
-func (r *Runner) collectDirectives(pkgs []*Package) ([]*ignoreDirective, []Diagnostic) {
-	var directives []*ignoreDirective
-	var malformed []Diagnostic
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					if !strings.HasPrefix(text, "lint:ignore") {
-						continue
-					}
-					fields := strings.Fields(strings.TrimPrefix(text, "lint:ignore"))
-					pos := pkg.Fset.Position(c.Pos())
-					if len(fields) < 2 {
-						malformed = append(malformed, Diagnostic{
-							Pos:      pos,
-							Analyzer: "lint",
-							Message:  "malformed lint:ignore directive: want //lint:ignore <analyzer> <reason>",
-						})
-						continue
-					}
-					directives = append(directives, &ignoreDirective{
-						analyzer: fields[0],
-						file:     pos.Filename,
-						line:     pos.Line,
-						pos:      pos,
-						end:      pkg.Fset.Position(c.End()),
-						broken:   len(pkg.TypeErrors) > 0,
-					})
-				}
-			}
-		}
-	}
-	return directives, malformed
-}
-
-// filterSuppressed drops diagnostics covered by a directive on the same
-// line or the line directly above, marking the covering directives
-// used. It mutates diags in place.
-func (r *Runner) filterSuppressed(diags *[]Diagnostic, directives []*ignoreDirective) {
-	byLine := make(map[string]map[int][]*ignoreDirective)
-	for _, d := range directives {
-		if byLine[d.file] == nil {
-			byLine[d.file] = make(map[int][]*ignoreDirective)
-		}
-		byLine[d.file][d.line] = append(byLine[d.file][d.line], d)
-	}
-	covering := func(d Diagnostic) *ignoreDirective {
-		lines := byLine[d.Pos.Filename]
-		for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-			for _, dir := range lines[line] {
-				if dir.analyzer == d.Analyzer {
-					return dir
-				}
-			}
-		}
-		return nil
-	}
-	kept := (*diags)[:0]
-	for _, d := range *diags {
-		if dir := covering(d); dir != nil {
-			dir.used = true
-			continue
-		}
-		kept = append(kept, d)
-	}
-	*diags = kept
-}
-
-// selectedByName returns the analyzer with the given name from this
-// run's selection, or nil.
-func (r *Runner) selectedByName(name string) *Analyzer {
-	for _, a := range r.Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// unusedDirectiveDiags reports, under the unusedsuppression analyzer,
-// every directive that suppressed nothing in this run. Only directives
-// naming an analyzer in the current selection are judged (a `-only`
-// run cannot know what the others would have found), and directives in
-// packages with type errors are exempt. Each finding carries a
-// suggested fix deleting the directive — the whole line when the
-// comment stands alone, just the comment when it trails code. The
-// unused findings are themselves suppressible by a directive naming
-// unusedsuppression; such a meta-directive counts as used when it
-// covers one.
-func (r *Runner) unusedDirectiveDiags(directives []*ignoreDirective) []Diagnostic {
-	var out []Diagnostic
-	for _, dir := range directives {
-		if dir.used || dir.broken || dir.analyzer == unusedSuppressionName {
-			continue
-		}
-		if r.selectedByName(dir.analyzer) == nil {
-			continue
-		}
-		out = append(out, Diagnostic{
-			Pos:      dir.pos,
-			Analyzer: unusedSuppressionName,
-			Message: fmt.Sprintf(
-				"lint:ignore %s directive suppresses no finding: delete it (the allowlist only shrinks)", dir.analyzer),
-			Fixes: []SuggestedFix{deleteDirectiveFix(dir)},
-		})
-	}
-	// Meta-suppression pass: a //lint:ignore unusedsuppression <reason>
-	// covering an unused finding keeps it out of the report.
-	r.filterSuppressed(&out, directives)
-	return out
-}
-
-// deleteDirectiveFix builds the edit removing dir from its file: the
-// entire line when the comment is alone on it (including the trailing
-// newline), otherwise the comment and the whitespace run before it.
-func deleteDirectiveFix(dir *ignoreDirective) SuggestedFix {
-	start, end := dir.pos.Offset, dir.end.Offset
-	if src, err := os.ReadFile(dir.file); err == nil && end <= len(src) {
-		lineStart := start
-		for lineStart > 0 && src[lineStart-1] != '\n' {
-			lineStart--
-		}
-		alone := strings.TrimSpace(string(src[lineStart:start])) == ""
-		if alone {
-			start = lineStart
-			if end < len(src) && src[end] == '\n' {
-				end++
-			}
-		} else {
-			for start > lineStart && (src[start-1] == ' ' || src[start-1] == '\t') {
-				start--
-			}
-		}
-	}
-	return SuggestedFix{
-		Message: "delete the unused directive",
-		Edits:   []TextEdit{{Filename: dir.file, Start: start, End: end}},
-	}
-}
-
-// Select resolves a comma-separated -only list against the given
-// analyzers, preserving registration order. An empty spec selects all;
-// an unknown name is an error naming the valid set.
-func Select(all []*Analyzer, only string) ([]*Analyzer, error) {
-	if strings.TrimSpace(only) == "" {
-		return all, nil
-	}
-	byName := make(map[string]*Analyzer, len(all))
-	names := make([]string, 0, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-		names = append(names, a.Name)
-	}
-	want := make(map[string]bool)
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if byName[name] == nil {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, strings.Join(names, ", "))
-		}
-		want[name] = true
-	}
-	var sel []*Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			sel = append(sel, a)
-		}
-	}
-	return sel, nil
 }

@@ -1,18 +1,11 @@
 package analysis
 
-// Analyzers returns a fresh instance of every project analyzer, in
-// stable order. Instances carry module-level aggregation state, so a
-// new set must be created for each Runner.
+// Analyzers returns every project analyzer, in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		newNodeterminism(),
 		newMaporder(),
-		newLockdiscipline(),
-		newAtomicfields(),
-		newScratchescape(),
 		newCollectivesym(),
-		newPayloadcodec(),
 		newSeedflow(),
-		newUnusedsuppression(),
 	}
 }

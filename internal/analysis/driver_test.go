@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -29,68 +30,52 @@ func TestTypecheckFailureIsDiagnostic(t *testing.T) {
 	}
 }
 
-// TestIgnoreSuppressesExactlyOne runs nodeterminism over a fixture with
-// two identical violations, one covered by //lint:ignore: exactly the
-// uncovered one must survive.
-func TestIgnoreSuppressesExactlyOne(t *testing.T) {
-	pkg := testLoader(t).LoadDir(filepath.Join("testdata", "ignore"), "td/internal/core/ignore")
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture does not typecheck: %v", pkg.TypeErrors)
-	}
-	runner := &Runner{Analyzers: []*Analyzer{analyzerByName(t, "nodeterminism")}}
-	diags := runner.Run([]*Package{pkg})
-	if len(diags) != 1 {
-		t.Fatalf("got %d findings, want exactly 1: %v", len(diags), diags)
-	}
-	if d := diags[0]; d.Analyzer != "nodeterminism" || !strings.Contains(d.Message, "time.Now") {
-		t.Errorf("surviving finding is not the expected one: %s", d)
-	}
-}
-
-// TestMalformedIgnoreDirective: a directive without a reason suppresses
-// nothing and is itself reported.
-func TestMalformedIgnoreDirective(t *testing.T) {
-	pkg := testLoader(t).LoadDir(filepath.Join("testdata", "malformed"), "td/internal/core/malformed")
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture does not typecheck: %v", pkg.TypeErrors)
-	}
-	runner := &Runner{Analyzers: []*Analyzer{analyzerByName(t, "nodeterminism")}}
-	diags := runner.Run([]*Package{pkg})
-	var sawMalformed, sawFinding bool
-	for _, d := range diags {
-		switch d.Analyzer {
-		case "lint":
-			sawMalformed = strings.Contains(d.Message, "malformed lint:ignore")
-		case "nodeterminism":
-			sawFinding = true
+// TestLoadAllReportsABrokenPackage lists a module in which one package
+// has a type error and another imports it. The go command builds no
+// export data for either, so both must come back as typecheck
+// diagnostics — the error itself, and the failed import naming the
+// broken package — rather than as an error from the loader or a panic.
+func TestLoadAllReportsABrokenPackage(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":       "module brokenmod\n\ngo 1.22\n",
+		"bad/bad.go":   "package bad\n\nvar X int = missingName\n",
+		"user/user.go": "package user\n\nimport \"brokenmod/bad\"\n\nvar Y = bad.X\n",
+	} {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !sawMalformed {
-		t.Errorf("malformed directive not reported: %v", diags)
+	ld, err := NewLoader(dir, "./...")
+	if err != nil {
+		t.Fatalf("NewLoader failed on a module that does not build: %v", err)
 	}
-	if !sawFinding {
-		t.Errorf("malformed directive suppressed the finding: %v", diags)
+	pkgs := ld.LoadAll()
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want 2", len(pkgs))
 	}
-}
-
-// TestSelect covers the -only flag resolution: empty selects all, a
-// known name selects it, an unknown name errors listing the valid set.
-func TestSelect(t *testing.T) {
-	all := Analyzers()
-	sel, err := Select(all, "")
-	if err != nil || len(sel) != len(all) {
-		t.Errorf("empty spec: got %d analyzers, err %v; want all %d", len(sel), err, len(all))
+	var bad, user bool
+	for _, d := range (&Runner{Analyzers: Analyzers()}).Run(pkgs) {
+		if d.Analyzer != "typecheck" {
+			t.Errorf("not a typecheck diagnostic: %s", d)
+		}
+		switch filepath.Base(d.Pos.Filename) {
+		case "bad.go":
+			bad = bad || strings.Contains(d.Message, "missingName")
+		case "user.go":
+			user = user || strings.Contains(d.Message, "brokenmod/bad")
+		default:
+			t.Errorf("finding outside the two broken packages: %s", d)
+		}
 	}
-	sel, err = Select(all, "maporder")
-	if err != nil || len(sel) != 1 || sel[0].Name != "maporder" {
-		t.Errorf("single name: got %v, err %v", sel, err)
+	if !bad {
+		t.Error("no diagnostic names the type error in brokenmod/bad")
 	}
-	_, err = Select(all, "nosuch")
-	if err == nil {
-		t.Fatal("unknown analyzer did not error")
-	}
-	if !strings.Contains(err.Error(), `unknown analyzer "nosuch"`) ||
-		!strings.Contains(err.Error(), "maporder") {
-		t.Errorf("error does not name the unknown analyzer and the valid set: %v", err)
+	if !user {
+		t.Error("no diagnostic names the failed import of brokenmod/bad")
 	}
 }

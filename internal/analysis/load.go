@@ -1,22 +1,26 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// Package is one loaded, typechecked package of the module.
+// Package is one loaded, typechecked package.
 type Package struct {
 	Path  string // import path, e.g. temperedlb/internal/core
-	Dir   string // absolute directory
+	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -32,187 +36,122 @@ type Package struct {
 	funcSummaries map[*types.Func]*funcSummary
 }
 
-// Loader parses and typechecks packages of one module with a single
-// shared FileSet, resolving module-internal imports from source and
-// standard-library imports through go/importer's source importer (the
-// module has no external dependencies, so nothing else can appear).
+// Loader typechecks packages from source, one at a time, importing
+// every dependency — standard library and module alike — from the gc
+// export data the go command builds (or finds in its build cache). It
+// therefore needs the go command on PATH.
 //
 // Test files (_test.go) are not loaded: the analyzers guard production
 // protocol code, and tests legitimately use wall clocks, global
 // randomness and unordered iteration.
 type Loader struct {
 	Fset    *token.FileSet
-	modPath string
-	modRoot string
-	std     types.Importer
-	pkgs    map[string]*loadEntry
+	listed  []listedPackage   // the packages the patterns name, dependencies first
+	exports map[string]string // import path → export data file
+	imports types.Importer
 }
 
-type loadEntry struct {
-	pkg     *Package
-	loading bool
+// listedPackage is the part of `go list -json` output the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Error      *struct{ Err string }
 }
 
-// NewLoader locates the enclosing module of dir (via go.mod) and
-// returns a loader for it.
-func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
+// NewLoader runs `go list -e -export -deps` once, in dir, over the
+// given package patterns: the go command resolves the patterns and
+// compiles the export data of every package they name and depend on.
+// Only a failure of the go command, or a pattern that names no
+// directory, is an error; a package that does not build is listed with
+// its error and reported by LoadAll.
+func NewLoader(dir string, patterns ...string) (*Loader, error) {
+	args := append([]string{"list", "-e", "-export", "-deps",
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w: %s", err, bytes.TrimSpace(exit.Stderr))
+		}
+		return nil, fmt.Errorf("analysis: go list: %w", err)
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
+	l := &Loader{Fset: token.NewFileSet(), exports: make(map[string]string)}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("analysis: reading go list output: %w", err)
 		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("analysis: no go.mod found above %s", abs)
+		if p.Export != "" {
+			l.exports[p.ImportPath] = p.Export
 		}
-		root = parent
+		if p.DepOnly {
+			continue
+		}
+		if p.Dir == "" && p.Error != nil {
+			// A pattern that names no directory is a usage error.
+			return nil, fmt.Errorf("analysis: %s", strings.TrimSpace(p.Error.Err))
+		}
+		l.listed = append(l.listed, p)
 	}
-	modPath, err := moduleName(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:    fset,
-		modPath: modPath,
-		modRoot: root,
-		std:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    make(map[string]*loadEntry),
-	}, nil
-}
-
-// ModulePath returns the module's import path.
-func (l *Loader) ModulePath() string { return l.modPath }
-
-// ModuleRoot returns the module's root directory.
-func (l *Loader) ModuleRoot() string { return l.modRoot }
-
-func moduleName(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			name := strings.TrimSpace(rest)
-			if name != "" {
-				return strings.Trim(name, `"`), nil
-			}
+	l.imports = importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := l.exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s (it does not build, or was not listed)", path)
 		}
-	}
-	return "", fmt.Errorf("analysis: no module line in %s", gomod)
-}
-
-// LoadAll discovers and loads every package under the module root,
-// skipping testdata, hidden and underscore-prefixed directories.
-// Packages are returned in import-path order. Load failures of a
-// package are recorded on it, never returned as an error: a package
-// that does not typecheck is a diagnostic, not a crash.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	var dirs []string
-	err := filepath.WalkDir(l.modRoot, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.modRoot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
-		}
-		if hasGoSource(path) {
-			dirs = append(dirs, path)
-		}
-		return nil
+		return os.Open(file)
 	})
-	if err != nil {
-		return nil, err
-	}
+	return l, nil
+}
+
+// LoadAll typechecks every package the loader's patterns named,
+// dependencies first. Failures are recorded on the package, never
+// returned: a package that does not typecheck is a diagnostic, not a
+// crash. A listed directory with no non-test Go files is skipped.
+func (l *Loader) LoadAll() []*Package {
 	var pkgs []*Package
-	for _, dir := range dirs {
-		rel, err := filepath.Rel(l.modRoot, dir)
-		if err != nil {
-			return nil, err
-		}
-		path := l.modPath
-		if rel != "." {
-			path = l.modPath + "/" + filepath.ToSlash(rel)
-		}
-		pkgs = append(pkgs, l.Load(path))
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
-}
-
-func hasGoSource(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			return true
+	for _, p := range l.listed {
+		switch {
+		case len(p.GoFiles) > 0:
+			// go list's own error for such a package is dropped: the
+			// typecheck finds it again, with a position.
+			pkgs = append(pkgs, l.check(p.ImportPath, p.Dir, p.GoFiles))
+		case p.Error != nil:
+			pkgs = append(pkgs, &Package{Path: p.ImportPath, Dir: p.Dir, Fset: l.Fset,
+				TypeErrors: []error{errors.New(strings.TrimSpace(p.Error.Err))}})
 		}
 	}
-	return false
+	return pkgs
 }
 
-// Load returns the package with the given module-internal import path,
-// loading and typechecking it (and, recursively, its module-internal
-// imports) on first use. Errors are recorded in the package's
-// TypeErrors.
-func (l *Loader) Load(path string) *Package {
-	if e, ok := l.pkgs[path]; ok {
-		return e.pkg
-	}
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")
-	return l.loadDir(filepath.Join(l.modRoot, filepath.FromSlash(rel)), path)
-}
-
-// LoadDir loads the single package in dir under the given import path,
-// without requiring dir to live inside the module tree. The golden-file
-// tests use it to typecheck testdata packages under synthetic protocol
-// paths.
+// LoadDir typechecks the non-test Go files of dir as the package with
+// import path asPath, against the export data of the loader's listing.
+// The golden-file tests use it to check testdata packages under
+// synthetic protocol paths.
 func (l *Loader) LoadDir(dir, asPath string) *Package {
-	if e, ok := l.pkgs[asPath]; ok {
-		return e.pkg
-	}
-	return l.loadDir(dir, asPath)
-}
-
-func (l *Loader) loadDir(dir, path string) *Package {
-	entry := &loadEntry{loading: true}
-	l.pkgs[path] = entry
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset}
-	entry.pkg = pkg
-	defer func() { entry.loading = false }()
-
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		pkg.TypeErrors = append(pkg.TypeErrors, err)
-		return pkg
+		return &Package{Path: asPath, Dir: dir, Fset: l.Fset, TypeErrors: []error{err}}
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		pkg.TypeErrors = append(pkg.TypeErrors, fmt.Errorf("no Go source files in %s", dir))
-		return pkg
-	}
+	return l.check(asPath, dir, names)
+}
+
+// check parses the named files of dir and typechecks them as package
+// path.
+func (l *Loader) check(path, dir string, names []string) *Package {
+	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset}
 	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
 			pkg.TypeErrors = append(pkg.TypeErrors, err)
 			continue
@@ -220,59 +159,22 @@ func (l *Loader) loadDir(dir, path string) *Package {
 		pkg.Files = append(pkg.Files, f)
 	}
 	if len(pkg.Files) == 0 {
+		if len(pkg.TypeErrors) == 0 {
+			pkg.TypeErrors = append(pkg.TypeErrors, fmt.Errorf("no Go source files in %s", dir))
+		}
 		return pkg
 	}
-
 	pkg.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{
-		Importer: importerFunc(func(ipath string) (*types.Package, error) { return l.importPkg(ipath) }),
+		Importer: l.imports,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
-	tpkg, err := conf.Check(path, l.Fset, pkg.Files, pkg.Info)
-	pkg.Types = tpkg
-	if err != nil && len(pkg.TypeErrors) == 0 {
-		pkg.TypeErrors = append(pkg.TypeErrors, err)
-	}
+	// Every error reaches conf.Error; Check's return repeats the first.
+	pkg.Types, _ = conf.Check(path, l.Fset, pkg.Files, pkg.Info)
 	return pkg
 }
-
-// importPkg resolves one import during typechecking: module-internal
-// paths recurse into the loader, everything else (the standard library)
-// goes to the source importer.
-func (l *Loader) importPkg(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
-		if e, ok := l.pkgs[path]; ok {
-			if e.loading {
-				return nil, fmt.Errorf("import cycle through %s", path)
-			}
-			return l.importedTypes(e.pkg)
-		}
-		return l.importedTypes(l.Load(path))
-	}
-	return l.std.Import(path)
-}
-
-func (l *Loader) importedTypes(pkg *Package) (*types.Package, error) {
-	if pkg.Types == nil {
-		return nil, fmt.Errorf("package %s failed to load", pkg.Path)
-	}
-	if len(pkg.TypeErrors) > 0 {
-		return nil, fmt.Errorf("package %s has type errors", pkg.Path)
-	}
-	return pkg.Types, nil
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"strconv"
-	"strings"
-)
+import "go/ast"
 
 // forbiddenTimeFuncs are the wall-clock reads banned from protocol
 // packages. time.Until and time.Since read the clock exactly like
@@ -49,10 +45,6 @@ var globalRandFuncs = map[string]bool{
 // dashboard refresh are operator I/O, not protocol decisions — the
 // protocol work those commands trigger lives in internal/ and is
 // covered there).
-//
-// When the offending file already imports internal/clock, the finding
-// carries a suggested fix rewriting time.X to the clock funnel's
-// equivalent (applied by `lbvet -fix`).
 func newNodeterminism() *Analyzer {
 	a := &Analyzer{
 		Name: "nodeterminism",
@@ -63,29 +55,14 @@ func newNodeterminism() *Analyzer {
 			return
 		}
 		for _, f := range pass.Pkg.Files {
-			clockName := clockImportName(f)
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
 				if name, ok := pkgFunc(pass.Pkg.Info, call, "time"); ok && forbiddenTimeFuncs[name] {
-					msg := "wall-clock read time.%s in protocol package: use internal/clock (observability stamps and retry pacing only)"
-					if clockName == "" {
-						pass.Reportf(call.Pos(), msg, name)
-						return true
-					}
-					funPos := pass.Pkg.Fset.Position(call.Fun.Pos())
-					funEnd := pass.Pkg.Fset.Position(call.Fun.End())
-					pass.ReportWithFix(call.Pos(), SuggestedFix{
-						Message: "route through internal/clock",
-						Edits: []TextEdit{{
-							Filename: funPos.Filename,
-							Start:    funPos.Offset,
-							End:      funEnd.Offset,
-							New:      clockName + "." + name,
-						}},
-					}, msg, name)
+					pass.Reportf(call.Pos(),
+						"wall-clock read time.%s in protocol package: use internal/clock (observability stamps and retry pacing only)", name)
 					return true
 				}
 				for _, randPkg := range []string{"math/rand", "math/rand/v2"} {
@@ -100,22 +77,4 @@ func newNodeterminism() *Analyzer {
 		}
 	}
 	return a
-}
-
-// clockImportName returns the local name under which f imports
-// internal/clock, or "" when it does not. The suggested fix only
-// rewrites time.X calls in files where the funnel is already in scope —
-// adding imports is beyond a blindly-applicable edit.
-func clockImportName(f *ast.File) string {
-	for _, imp := range f.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || !strings.HasSuffix(path, "internal/clock") {
-			continue
-		}
-		if imp.Name != nil {
-			return imp.Name.Name
-		}
-		return "clock"
-	}
-	return ""
 }

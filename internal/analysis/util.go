@@ -58,18 +58,6 @@ func methodOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// fieldOf resolves a selector expression to the struct field it
-// selects, or nil when it selects something else (method, package
-// member, …).
-func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	return v
-}
-
 // rootIdent returns the leftmost identifier of a selector/index/slice
 // chain (x in x.f.g[i]), or nil.
 func rootIdent(e ast.Expr) *ast.Ident {
@@ -167,9 +155,8 @@ func matchesSegmentPath(path, p string) bool {
 	}
 }
 
-// sendMethodNames are the method names the maporder and lockdiscipline
-// analyzers treat as message sends: the transport's and the runtime's
-// outbound calls.
+// sendMethodNames are the method names the maporder analyzer treats as
+// message sends: the transport's and the runtime's outbound calls.
 var sendMethodNames = map[string]bool{
 	"Send":       true,
 	"SendObject": true,

@@ -154,7 +154,6 @@ type Encoder struct {
 
 // Bytes returns the encoded buffer (owned by the encoder until Reset).
 func (e *Encoder) Bytes() []byte {
-	//lint:ignore scratchescape documented contract: the slice is owned by the encoder until Reset
 	return e.buf
 }
 
@@ -525,6 +524,5 @@ func beginFrame(e *Encoder, ftype byte) int {
 
 func endFrame(e *Encoder, start int) []byte {
 	binary.BigEndian.PutUint32(e.buf[start:], uint32(len(e.buf)-start-4))
-	//lint:ignore scratchescape documented contract: the frame aliases the encoder's buffer until Reset
 	return e.buf
 }

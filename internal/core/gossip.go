@@ -229,7 +229,6 @@ func (st *InformState) fanOut(round int) []Send {
 		}
 		st.sendBuf = append(st.sendBuf, Send{To: t, Msg: msg})
 	}
-	//lint:ignore scratchescape documented contract: the slice is valid until the next fanOut call
 	return st.sendBuf
 }
 
@@ -251,7 +250,6 @@ func (st *InformState) fanOutAvoidKnown(round int) []Send {
 		t := st.sampleUnknown()
 		st.sendBuf = append(st.sendBuf, Send{To: t, Msg: msg})
 	}
-	//lint:ignore scratchescape documented contract: the slice is valid until the next fanOut call
 	return st.sendBuf
 }
 

@@ -84,7 +84,6 @@ func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Kn
 			break
 		}
 	}
-	//lint:ignore scratchescape documented contract: proposals are valid until the scratch's next run
 	return scr.proposals, st, selfLoad
 }
 

@@ -5,8 +5,9 @@ import "temperedlb/internal/comm/wire"
 // WireEncoder and WireDecoder alias the wire codec's encoder and
 // decoder so applications can register payload codecs without importing
 // internal packages. Field order is the wire format: encoder and
-// decoder must move the same fields in the same order (the payloadcodec
-// lint check enforces this).
+// decoder must move the same fields in the same order (a round trip that
+// must re-encode byte-identically checks it; see
+// examples/pic2d/codec_test.go).
 type (
 	WireEncoder = wire.Encoder
 	WireDecoder = wire.Decoder

@@ -141,7 +141,8 @@ pairs:
 # (BenchmarkPaperCase is workload A of bench/, which has no profile flag),
 # written with the test binary under $(TMPDIR) — never into the repo:
 #   make profile BENCH=PaperCase BENCHTIME=2x
-#   go tool pprof -top $(TMPDIR)/temperedlb-profile/temperedlb.test $(TMPDIR)/temperedlb-profile/cpu.prof
+# and prints the two commands that read them: CPU time, and bytes
+# allocated per site (alloc_space).
 BENCH ?= PaperCase
 BENCHTIME ?= 1x
 TMPDIR ?= /tmp
@@ -152,6 +153,8 @@ profile:
 	$(PROFILE_DIR)/temperedlb.test -test.run '^$$' -test.bench '$(BENCH)' -test.benchtime $(BENCHTIME) -test.benchmem \
 		-test.outputdir $(PROFILE_DIR) -test.cpuprofile cpu.prof -test.memprofile mem.prof
 	@echo "profiles: $(PROFILE_DIR)/cpu.prof $(PROFILE_DIR)/mem.prof (binary $(PROFILE_DIR)/temperedlb.test)"
+	@echo "  cpu:   $(GO) tool pprof -top $(PROFILE_DIR)/temperedlb.test $(PROFILE_DIR)/cpu.prof"
+	@echo "  alloc: $(GO) tool pprof -sample_index=alloc_space -top $(PROFILE_DIR)/temperedlb.test $(PROFILE_DIR)/mem.prof"
 
 # Regenerate BENCH_lb.json, the machine-readable perf trajectory
 # (ns/op, B/op, allocs/op per recorded configuration).

@@ -223,8 +223,8 @@ func benchJSONSuite() []struct {
 				b.StartTimer()
 				core.RunTransferScratch(0, tasks, load, load*16/ranks, know, &cfg, rng, nil, &scr)
 			}
-			// Warm the scratch and the knowledge's overlay: two ops, as the
-			// task buffers swap roles every pass.
+			// Warm the scratch: two ops, as the task buffers swap roles
+			// every pass.
 			stage()
 			stage()
 			b.ResetTimer()

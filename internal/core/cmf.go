@@ -18,11 +18,19 @@ import (
 // at candidate k (1-based), and k&-k is also how many candidates it
 // counts. Moving l_s re-weights every candidate without touching the
 // tree, and a load change touches O(log n) nodes.
+//
+// The CMF also carries LOAD^p for its candidates, read from the node's
+// table by Build: load[i] is candidate i's gossiped load plus the
+// transfers the stage has scheduled to it (lines 10 and 12). Nothing
+// outside the running stage reads those, so they live here, sized to
+// |S^p|, and not on the knowledge.
 type CMF struct {
 	ranks []Rank
+	load  []float64 // load[i] is candidate i's known load, line 12's updates included
 	tree  []float64 // tree[k-1] is Fenwick node k over v
 	ls    float64   // l_s
 	vmax  float64   // l_ave under CMFOriginal (its clamp), +Inf under CMFModified
+	floor float64   // max(l_ave, self's v): what l_s never falls below
 
 	// zero marks the candidates whose mass is exactly 0 (v_i = l_s) and
 	// live counts the others. A Fenwick sum rounds differently from the
@@ -48,37 +56,58 @@ type CMF struct {
 // included: the paper's §V-C fix that keeps every mass non-negative by
 // construction. Either way l_s is the largest v, floored at l_ave.
 func (c *CMF) Build(know *Knowledge, self Rank, ave float64, kind CMFKind) bool {
-	ls, vmax := ave, ave
+	c.vmax, c.floor = ave, ave
 	if kind == CMFModified {
-		vmax = math.Inf(1)
+		c.vmax = math.Inf(1)
 	}
-	// Sized once from the knowledge, not grown by doubling: every
-	// overloaded rank's first build of an invocation starts from nothing.
+	// Sized once from the knowledge, not grown by doubling: a scratch's
+	// first build starts from nothing.
 	if n := know.Len(); cap(c.ranks) < n {
-		c.ranks, c.tree, c.zero = make([]Rank, 0, n), make([]float64, 0, n), make([]uint64, (n+63)/64)
+		c.ranks, c.load, c.tree, c.zero = make([]Rank, 0, n), make([]float64, 0, n), make([]float64, 0, n), make([]uint64, (n+63)/64)
 	}
-	ranks, tree := c.ranks[:0], c.tree[:0]
+	ranks, load, table := c.ranks[:0], c.load[:0], know.table
 	// Candidates in rank order, so the CMF — and every sample drawn from
 	// it — does not depend on the order gossip arrived in.
-	load := know.loads()
 	for i, word := range know.member[know.lo:know.hi] {
 		for ; word != 0; word &= word - 1 {
 			r := Rank((know.lo+i)<<6 | bits.TrailingZeros64(word))
-			v := min(load[r], vmax)
-			ls = max(ls, v)
-			if r != self {
-				ranks = append(ranks, r)
-				tree = append(tree, v)
+			if r == self {
+				c.floor = max(c.floor, min(table.load(r), c.vmax))
+				continue
 			}
+			ranks = append(ranks, r)
+			load = append(load, table.load(r))
 		}
 	}
-	c.ranks, c.tree, c.ls, c.vmax = ranks, tree, ls, vmax
+	c.ranks, c.load = ranks, load
+	return c.Rebuild()
+}
+
+// Rebuild re-derives the CMF from its candidates' loads, as Build would
+// over a knowledge whose table held them: the CMF of line 5 for a pass
+// after the first. No gossip runs inside a transfer stage, so the
+// candidates cannot change between passes. It reports what Build would.
+func (c *CMF) Rebuild() bool {
+	tree, ls := c.tree[:len(c.load)], c.floor
+	for i, l := range c.load {
+		v := min(l, c.vmax)
+		// A compare, not max: loads are never NaN, and a rarely taken branch
+		// keeps max's NaN and signed-zero handling off the loop's chain.
+		if v > ls {
+			ls = v
+		}
+		tree[i] = v
+	}
+	c.tree, c.ls = tree, ls
 	if ls <= 0 { // no deficit is defined
-		c.ranks, c.tree = ranks[:0], tree[:0]
+		c.truncate()
 		return false
 	}
 	return c.index()
 }
+
+// truncate leaves the receiver with no candidates.
+func (c *CMF) truncate() { c.ranks, c.load, c.tree = c.ranks[:0], c.load[:0], c.tree[:0] }
 
 // index turns c.tree, holding each candidate's v, into its Fenwick tree in
 // O(n), marking the zero-mass candidates first. It reports whether any
@@ -94,7 +123,7 @@ func (c *CMF) index() bool {
 		}
 	}
 	if c.live == 0 {
-		c.ranks, c.tree = c.ranks[:0], c.tree[:0]
+		c.truncate()
 		return false
 	}
 	for k := 1; k <= n; k++ {
@@ -108,8 +137,9 @@ func (c *CMF) index() bool {
 
 // Raise accounts an accepted transfer (Algorithm 2 line 12) raising
 // candidate i's load from `from` to `to`, in O(log n). It leaves the CMF
-// BUILDCMF would build over the updated knowledge: the paper's line-7
-// recompute without the rebuild. Within a transfer stage loads only
+// BUILDCMF would build over the updated loads: the paper's line-7
+// recompute without the rebuild. The caller writes load[i] itself; Raise
+// only moves the tree. Within a transfer stage loads only
 // rise, so l_s only rises: under CMFModified a load above l_s becomes
 // l_s, which leaves the recipient the one zero-mass candidate. to must
 // not be below from.
@@ -141,6 +171,10 @@ func (c *CMF) Len() int { return len(c.ranks) }
 
 // Rank returns the i-th candidate rank.
 func (c *CMF) Rank(i int) Rank { return c.ranks[i] }
+
+// Load returns the i-th candidate's known load, the stage's scheduled
+// transfers to it included.
+func (c *CMF) Load(i int) float64 { return c.load[i] }
 
 // Sample draws a recipient according to the mass function with one
 // rng.Float64, and returns it with its candidate index, the i Raise takes.

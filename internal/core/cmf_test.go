@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -252,9 +253,9 @@ func TestCMFEdgeCases(t *testing.T) {
 	}
 }
 
-// TestCMFRebuildRecoversAfterFailure exercises the in-place Build the
-// transfer stage repeats once per pass on one scratch: a failed rebuild
-// empties the receiver, and a subsequent successful one restores it.
+// TestCMFRebuildRecoversAfterFailure exercises the in-place Build a
+// scratch repeats at every stage it serves: a failed build empties the
+// receiver, and a subsequent successful one restores it.
 func TestCMFRebuildRecoversAfterFailure(t *testing.T) {
 	good := knowledgeFrom(t, RankLoad{0, 0}, RankLoad{1, 2})
 	bad := knowledgeFrom(t, RankLoad{0, 4}, RankLoad{1, 5})
@@ -357,7 +358,7 @@ func TestCMFSampleAlwaysKnownRank(t *testing.T) {
 // linearCMF is the reference the Fenwick CMF is held to: BUILDCMF as a
 // rank-order walk, a linear cumulative sum normalized to end at exactly 1,
 // and a bisection over it — the CMF before it became a tree, rebuilt from
-// the knowledge wherever the tree is updated instead.
+// its own loads wherever the tree is updated instead.
 type linearCMF struct {
 	ranks []Rank
 	mass  []float64 // 1 − l/l_s, clamped at 0
@@ -365,11 +366,13 @@ type linearCMF struct {
 	ls    float64
 }
 
-func linearBuild(know *Knowledge, self Rank, ave float64, kind CMFKind) (linearCMF, bool) {
+// linearBuild walks S^p, the members of know, reading each load from
+// load, the oracle's own map.
+func linearBuild(know *Knowledge, load map[Rank]float64, self Rank, ave float64, kind CMFKind) (linearCMF, bool) {
 	c := linearCMF{ls: ave}
 	if kind == CMFModified {
 		for _, r := range members(know) {
-			c.ls = max(c.ls, know.Load(r))
+			c.ls = max(c.ls, load[r])
 		}
 	}
 	if c.ls <= 0 {
@@ -380,7 +383,7 @@ func linearBuild(know *Knowledge, self Rank, ave float64, kind CMFKind) (linearC
 		if r == self {
 			continue
 		}
-		p := max(1-know.Load(r)/c.ls, 0)
+		p := max(1-load[r]/c.ls, 0)
 		z += p
 		c.ranks = append(c.ranks, r)
 		c.mass = append(c.mass, p)
@@ -412,7 +415,7 @@ func (c linearCMF) search(u float64) int {
 // generated knowledge — both kinds, self a member or not, loads at 0,
 // below, at and above the average, several at the shared maximum, and a
 // trailing zero-mass candidate — through random sequences of Raise, each
-// mirrored by a Knowledge.Update the oracle is rebuilt from. After every
+// mirrored in the load map the oracle is rebuilt from. After every
 // step: l_s is the oracle's exactly (max(l_ave, largest known load,
 // self's included) under CMFModified); ok agrees; every candidate's mass
 // and prefix mass agree within 1e-12 of the total and its zero-mass flag
@@ -420,20 +423,22 @@ func (c linearCMF) search(u float64) int {
 // the draw lies within 1e-12 of a bucket edge, and never a zero-mass
 // candidate.
 func TestCMFMatchesLinearOracle(t *testing.T) {
-	// The fixed case first: l_s reads post-Update loads, not Begin ones.
+	// The fixed case first: a Raise past l_s moves l_s to the raised load.
 	k := NewKnowledge(8)
 	k.Add(1, 3)
-	k.Add(2, 7)
-	k.Update(2, 1)
-	k.Update(1, 4)
-	if c, ok := buildCMF(k, 0, 2, CMFModified); !ok || c.ls != 4 {
-		t.Fatalf("l_s = %g (ok %v), want 4: the largest post-update load", c.ls, ok)
+	k.Add(2, 1)
+	c, ok := buildCMF(k, 0, 2, CMFModified)
+	if !ok || c.ls != 3 {
+		t.Fatalf("l_s = %g (ok %v), want 3: the largest known load", c.ls, ok)
+	}
+	if c.Raise(1, 1, 4); c.ls != 4 {
+		t.Fatalf("l_s = %g after raising rank 2 to 4, want 4", c.ls)
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	check := func(t *testing.T, c *CMF, ok bool, know *Knowledge, self Rank, ave float64, kind CMFKind, seed int64) {
+	check := func(t *testing.T, c *CMF, ok bool, know *Knowledge, load map[Rank]float64, self Rank, ave float64, kind CMFKind, seed int64) {
 		t.Helper()
-		want, wantOK := linearBuild(know, self, ave, kind)
+		want, wantOK := linearBuild(know, load, self, ave, kind)
 		if ok != wantOK {
 			t.Fatalf("ok = %v, oracle %v", ok, wantOK)
 		}
@@ -481,7 +486,7 @@ func TestCMFMatchesLinearOracle(t *testing.T) {
 		ave := 0.5 + rng.Float64()
 		kind := CMFKind(rng.Intn(2))
 		self := Rank(rng.Intn(numRanks))
-		know := NewKnowledge(numRanks)
+		load := map[Rank]float64{}
 		top := 2 * ave // the shared maximum some loads sit at
 		last := Rank(-1)
 		for r := Rank(0); int(r) < numRanks; r++ {
@@ -501,19 +506,25 @@ func TestCMFMatchesLinearOracle(t *testing.T) {
 			default:
 				l = rng.Float64() * ave
 			}
-			know.Add(r, l)
+			load[r] = l
 			if r != self {
 				last = r
 			}
 		}
 		if last >= 0 && rng.Intn(2) == 0 {
 			// A trailing zero-mass candidate: the last one at the maximum.
-			know.Update(last, top)
+			load[last] = top
+		}
+		know := NewKnowledge(numRanks)
+		for r := Rank(0); int(r) < numRanks; r++ {
+			if l, ok := load[r]; ok {
+				know.Add(r, l)
+			}
 		}
 		t.Run("", func(t *testing.T) {
 			c := new(CMF)
 			ok := c.Build(know, self, ave, kind)
-			check(t, c, ok, know, self, ave, kind, int64(trial))
+			check(t, c, ok, know, load, self, ave, kind, int64(trial))
 			for step := 0; ok && step < 8; step++ {
 				var i int
 				if rng.Intn(2) == 0 {
@@ -521,7 +532,7 @@ func TestCMFMatchesLinearOracle(t *testing.T) {
 				} else {
 					i = rng.Intn(c.Len()) // any candidate, zero mass included
 				}
-				from := know.Load(c.Rank(i))
+				from := load[c.Rank(i)]
 				var to float64
 				switch rng.Intn(3) {
 				case 0:
@@ -531,12 +542,95 @@ func TestCMFMatchesLinearOracle(t *testing.T) {
 				default:
 					to = max(from, c.ls) + rng.Float64()*ave // past l_s
 				}
-				know.Update(c.Rank(i), to)
+				load[c.Rank(i)] = to
 				c.Raise(i, from, to)
 				ok = c.hasMass()
-				check(t, c, ok, know, self, ave, kind, int64(trial*100+step))
+				check(t, c, ok, know, load, self, ave, kind, int64(trial*100+step))
 			}
 		})
+	}
+}
+
+// TestRebuildMatchesBuild: after a pass of accepted transfers, Rebuild
+// over the CMF's own loads is bit for bit the CMF a fresh Build gives over
+// a knowledge whose table holds those loads — the same candidates, tree,
+// l_s, total mass and zero-mass bitset — for both kinds, self a member or
+// not, with the CMF raised per transfer or not. This is what keeps the
+// multi-pass tables byte-identical to rebuilding from the knowledge.
+func TestRebuildMatchesBuild(t *testing.T) {
+	const numRanks = 300
+	rng := rand.New(rand.NewSource(13))
+	for _, kind := range []CMFKind{CMFOriginal, CMFModified} {
+		for _, recompute := range []bool{false, true} {
+			for _, selfKnown := range []bool{false, true} {
+				cfg := Grapevine()
+				cfg.CMF, cfg.RecomputeCMF = kind, recompute
+				if kind == CMFModified {
+					cfg.Criterion = CriterionRelaxed
+				}
+				accepted := 0
+				for trial := 0; trial < 20; trial++ {
+					ave := 0.5 + rng.Float64()
+					self := Rank(rng.Intn(numRanks))
+					know := NewKnowledge(numRanks)
+					for r := Rank(0); int(r) < numRanks; r++ {
+						if r == self && selfKnown || r != self && rng.Intn(4) == 0 {
+							know.Add(r, rng.Float64()*2*ave)
+						}
+					}
+					tasks := tasksFromLoads(0.3, 0.1, 0.5, 0.2, 0.4, 0.3, 0.1, 0.2)
+					var scr TransferScratch
+					scr.tasks = append(scr.tasks[:0], tasks...)
+					selfLoad, st := 2*ave+1, TransferStats{}
+					n, _ := transferPass(0, self, scr.tasks, &selfLoad, ave, know, &cfg, rng, nil, &scr, &st)
+					if n == 0 {
+						continue
+					}
+					accepted++
+					// The knowledge the next pass would read if line 12 wrote
+					// it: every rank at the load the pass scheduled it.
+					updated := NewKnowledge(numRanks)
+					for _, e := range scheduledLoads(t, know, tasks, scr.proposals) {
+						updated.Add(e.Rank, e.Load)
+					}
+					got := scr.cmf
+					gotOK := got.Rebuild()
+					var want CMF
+					wantOK := want.Build(updated, self, ave, kind)
+					sameCMF(t, &got, gotOK, &want, wantOK)
+				}
+				if accepted == 0 {
+					t.Fatalf("%v recompute=%v self known=%v: no pass accepted a transfer", kind, recompute, selfKnown)
+				}
+			}
+		}
+	}
+}
+
+// sameCMF fails unless got and want are bitwise one CMF.
+func sameCMF(t *testing.T, got *CMF, gotOK bool, want *CMF, wantOK bool) {
+	t.Helper()
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if gotOK != wantOK || math.Float64bits(got.ls) != math.Float64bits(want.ls) {
+		t.Fatalf("Rebuild: ok %v, l_s %v; Build: ok %v, l_s %v", gotOK, got.ls, wantOK, want.ls)
+	}
+	if !slices.Equal(got.ranks, want.ranks) || !slices.Equal(bits(got.load), bits(want.load)) {
+		t.Fatalf("Rebuild has candidates %v at %v, Build %v at %v", got.ranks, got.load, want.ranks, want.load)
+	}
+	if !wantOK {
+		return
+	}
+	words := (len(want.ranks) + 63) / 64
+	if !slices.Equal(bits(got.tree), bits(want.tree)) || math.Float64bits(got.z) != math.Float64bits(want.z) ||
+		!slices.Equal(got.zero[:words], want.zero[:words]) || got.live != want.live {
+		t.Fatalf("Rebuild's tree %v, z %v, zero %b; Build's %v, %v, %b",
+			got.tree, got.z, got.zero[:words], want.tree, want.z, want.zero[:words])
 	}
 }
 

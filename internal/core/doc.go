@@ -29,9 +29,10 @@
 // which makes the parallel-sweep pattern safe: many engines, each owned
 // by one worker goroutine, over one shared read-only input assignment.
 // InformState, TransferScratch and Knowledge follow the same
-// single-owner rule — in the distributed balancer each rank owns its own
-// set, and the runtime runs a rank on one goroutine at a time. The one
-// exception is the LoadTable the gossip states of a node share: its slots
-// are atomic, and every store to a slot within a gossip stage writes the
-// same value.
+// single-owner rule — in the distributed balancer each rank owns its
+// gossip state, and the runtime runs a rank on one goroutine at a time; a
+// TransferScratch is lent to one running transfer stage at a time from a
+// node-wide pool. The one exception is the LoadTable the gossip states of
+// a node share: its slots are atomic, and every store to a slot within a
+// gossip stage writes the same value.
 package core

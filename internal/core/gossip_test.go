@@ -226,17 +226,12 @@ func TestKnowledgeBasics(t *testing.T) {
 	if k.Load(3) != 1.5 {
 		t.Error("duplicate Add overwrote load")
 	}
-	k.Update(3, 2.0)
-	if k.Load(3) != 2.0 {
-		t.Error("Update did not apply")
-	}
 	if k.Len() != 1 || !k.Contains(3) || k.Contains(4) {
 		t.Error("membership wrong")
 	}
 	if k.NumRanks() != 8 {
 		t.Error("NumRanks wrong")
 	}
-	mustPanic(t, "Update unknown", func() { k.Update(5, 1) })
 	mustPanic(t, "Load unknown", func() { k.Load(5) })
 }
 
@@ -246,7 +241,6 @@ func TestKnowledgeEntriesSnapshotImmutable(t *testing.T) {
 	snap := st.Begin(2, 1)[0].Msg
 	k := st.Knowledge()
 	k.Add(2, 2)
-	k.Update(1, 99)
 	if got := rows(snap); len(got) != 1 || got[0] != (RankLoad{1, 1}) || snap.Len() != 1 {
 		t.Errorf("snapshot mutated: %v", got)
 	}
@@ -258,13 +252,12 @@ func TestKnowledgeMergeAndReset(t *testing.T) {
 	if added != 2 || k.Len() != 2 || k.Load(1) != 1 {
 		t.Errorf("Merge added %d, len %d, load of 1 %g", added, k.Len(), k.Load(1))
 	}
-	k.Update(2, 7)
 	k.Reset()
 	if k.Len() != 0 || k.Contains(1) {
 		t.Error("Reset did not clear")
 	}
-	if k.Add(2, 3); k.Load(2) != 3 {
-		t.Error("Reset kept an Update")
+	if !k.Add(2, 3) || k.Load(2) != 3 {
+		t.Error("Add after Reset kept the old load")
 	}
 	if !k.Add(1, 5) {
 		t.Error("Add after Reset failed")

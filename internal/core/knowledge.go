@@ -18,8 +18,9 @@ type RankLoad struct {
 // state of a node points at the same table — the engine owns one for all
 // its ranks, the distributed balancer one per runtime — because that is
 // the only value any copy of r's entry can carry within a stage: entries
-// originate only at Begin, and Update never reaches a payload. A merge
-// therefore moves membership bits, not loads.
+// originate only at Begin, and the transfer stage keeps the loads it
+// schedules in its own CMF. A merge therefore moves membership bits, not
+// loads.
 //
 // Slots are read and written with atomic 64-bit operations: several local
 // ranks may merge the same remote entry at once, and they all store the
@@ -47,22 +48,11 @@ func (t *LoadTable) load(r Rank) float64 { return math.Float64frombits(t.slot[r]
 // on the order in which messages arrived. Walks, snapshots and Reset
 // cover only the span of words that can hold members, so a set of a few
 // ranks costs a few words however large P is.
-//
-// The transfer stage's Updates go to a private overlay instead of the
-// shared table: its first read of a load copies the table, and Update
-// writes the copy. The gossip stage never reads a load, so only ranks
-// that enter a transfer stage allocate the overlay's 8·P bytes.
 type Knowledge struct {
 	member []uint64 // bit r set iff rank r is in S^p
 	lo, hi int      // every word outside member[lo:hi] is zero
 	n      int      // |S^p|
 	table  *LoadTable
-
-	// over is LOAD^p as the transfer stage sees it, valid for members
-	// while overlaid: the table's loads as of its first read since the
-	// last Reset, then what Update wrote.
-	over     []float64
-	overlaid bool
 }
 
 // NewKnowledge returns empty knowledge over numRanks ranks, on a private
@@ -91,41 +81,7 @@ func (k *Knowledge) Add(r Rank, l float64) bool {
 	k.cover(int(w), int(w)+1)
 	k.n++
 	k.table.store(r, l)
-	if k.overlaid {
-		k.over[r] = l
-	}
 	return true
-}
-
-// loads returns the overlay, first copying the members' slots of the
-// table into it if this is the first read since the last Reset.
-func (k *Knowledge) loads() []float64 {
-	if !k.overlaid {
-		if k.over == nil {
-			k.over = make([]float64, len(k.table.slot))
-		}
-		for i, word := range k.member[k.lo:k.hi] {
-			for ; word != 0; word &= word - 1 {
-				r := Rank((k.lo+i)<<6 | bits.TrailingZeros64(word))
-				k.over[r] = k.table.load(r)
-			}
-		}
-		k.overlaid = true
-	}
-	return k.over
-}
-
-// Update overwrites the known load of rank r; r must already be known.
-// The transfer stage uses it to account scheduled transfers (Algorithm 2
-// line 12). Updates are visible through Load and the CMF, and survive
-// later Adds and Merges, but never reach the table: payloads keep the
-// loads frozen at gossip time — exactly the staleness in-flight messages
-// would carry.
-func (k *Knowledge) Update(r Rank, l float64) {
-	if !k.Contains(r) {
-		panic("core: Knowledge.Update of unknown rank")
-	}
-	k.loads()[r] = l
 }
 
 // Contains reports whether rank r is in S^p.
@@ -133,12 +89,12 @@ func (k *Knowledge) Contains(r Rank) bool {
 	return k.member[uint(r)>>6]&(1<<(uint(r)&63)) != 0
 }
 
-// Load returns the known load of rank r; r must be known.
+// Load returns the known load of rank r, its table slot; r must be known.
 func (k *Knowledge) Load(r Rank) float64 {
 	if !k.Contains(r) {
 		panic("core: Knowledge.Load of unknown rank")
 	}
-	return k.loads()[r]
+	return k.table.load(r)
 }
 
 // Len returns |S^p|.
@@ -190,10 +146,6 @@ func (k *Knowledge) merge(m *InformMsg) int {
 		}
 		mine[i] |= fresh
 		added += bits.OnesCount64(fresh)
-		for ; k.overlaid && fresh != 0; fresh &= fresh - 1 {
-			r := Rank((base+i)<<6 | bits.TrailingZeros64(fresh))
-			k.over[r] = k.table.load(r)
-		}
 	}
 	k.cover(base, base+len(s.words))
 	k.n += added
@@ -217,8 +169,8 @@ func (k *Knowledge) appendMembers(dst []Rank) []Rank {
 func (k *Knowledge) Canonicalize() {}
 
 // Reset empties the knowledge for reuse in a new iteration: the bitset
-// is cleared and the overlay, Updates included, forgotten. The table is
-// left alone; the next Begin writes the slots the new stage will read.
+// is cleared. The table is left alone; the next Begin writes the slots
+// the new stage will read.
 // Snapshots taken before the reset become invalid: every caller must
 // deliver (or drop) all in-flight messages of an iteration before
 // resetting — the synchronous engine drains its queue to quiescence and
@@ -227,5 +179,4 @@ func (k *Knowledge) Canonicalize() {}
 func (k *Knowledge) Reset() {
 	clear(k.member[k.lo:k.hi])
 	k.lo, k.hi, k.n = 0, 0, 0
-	k.overlaid = false
 }

@@ -32,8 +32,8 @@ func snapshotOf(k *Knowledge) *InformMsg {
 }
 
 // knowledgeModel is the plain reference the generated-input tests hold
-// Knowledge to: the set S^p as a map from rank to its current load, which
-// Add and Merge fill and Update overwrites.
+// Knowledge to: the set S^p as a map from rank to its load, which Add and
+// Merge fill.
 type knowledgeModel struct {
 	load map[Rank]float64
 }
@@ -89,12 +89,10 @@ func randomLog(rng *rand.Rand, numRanks, n int, load func(Rank) float64) []RankL
 }
 
 // TestKnowledgeMatchesModel interleaves every mutation and holds the
-// read paths to the set model after each: membership, count, loads, the
-// Update overlay and Reset. A second knowledge on the same table feeds
-// snapshot merges. As in a gossip stage, every rank has one load per
-// stage, redrawn at each Reset; Updates must survive later Adds and
-// merges of both forms, must never reach the shared table, and a Reset
-// must forget them along with everything else.
+// read paths to the set model after each: membership, count, loads and
+// Reset. A second knowledge on the same table feeds snapshot merges. As
+// in a gossip stage, every rank has one load per stage, redrawn at each
+// Reset, and a known rank's Add must not overwrite its table slot.
 func TestKnowledgeMatchesModel(t *testing.T) {
 	for _, numRanks := range []int{1, 2, 63, 64, 65, 300} {
 		t.Run(fmt.Sprint("P=", numRanks), func(t *testing.T) {
@@ -112,7 +110,7 @@ func TestKnowledgeMatchesModel(t *testing.T) {
 			staged := func(r Rank) float64 { return stage[r] }
 			for step := 0; step < 3000; step++ {
 				var when string
-				switch op := rng.Intn(24); {
+				switch op := rng.Intn(17); {
 				case op < 6:
 					r := Rank(rng.Intn(numRanks))
 					l := stage[r]
@@ -150,15 +148,6 @@ func TestKnowledgeMatchesModel(t *testing.T) {
 					if got := k.merge(snapshotOf(src)); got != want {
 						t.Fatalf("%s added %d, model %d", when, got, want)
 					}
-				case op < 22:
-					if k.Len() == 0 {
-						continue
-					}
-					known := members(k)
-					r, l := known[rng.Intn(len(known))], 10*rng.Float64()
-					when = fmt.Sprintf("step %d: Update(%d)", step, r)
-					k.Update(r, l)
-					m.load[r] = l
 				default:
 					when = fmt.Sprintf("step %d: Reset", step)
 					k.Reset()
@@ -166,8 +155,8 @@ func TestKnowledgeMatchesModel(t *testing.T) {
 					clear(m.load)
 					newStage()
 				}
-				// Half the steps leave the overlay alone, so Adds and merges
-				// pile up before and after it is taken.
+				// Half the steps go unchecked, so Adds and merges pile up
+				// between reads.
 				if step%2 == 0 {
 					m.check(t, k, numRanks, when)
 				}
@@ -287,8 +276,7 @@ func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 }
 
 // TestEntriesSnapshotSurvivesAdds: a payload in flight must not change
-// when its sender learns more or updates a load, through every round of
-// a stage.
+// when its sender learns more, through every round of a stage.
 func TestEntriesSnapshotSurvivesAdds(t *testing.T) {
 	const numRanks = 4096
 	rng := rand.New(rand.NewSource(5))
@@ -310,7 +298,6 @@ func TestEntriesSnapshotSurvivesAdds(t *testing.T) {
 		batch := log[(round-1)*numRanks/cfg.Rounds : round*numRanks/cfg.Rounds]
 		sends, _ := st.Receive(InformMsg{Round: round, Entries: batch})
 		hold(sends)
-		st.Knowledge().Update(batch[0].Rank, 99) // Updates never reach a payload
 	}
 	if len(snaps) != cfg.Rounds {
 		t.Fatalf("held %d snapshots, want one per round (%d)", len(snaps), cfg.Rounds)

@@ -13,7 +13,7 @@ var quickCfg = &quick.Config{MaxCount: 200}
 // TestQuickTransferConservation: for arbitrary knowledge, task lists and
 // configs, the transfer stage conserves load exactly: the sender's drop
 // equals the sum of the proposed tasks' loads, and matches the total
-// growth of recipient knowledge.
+// growth of the recipients' loads the stage scheduled.
 func TestQuickTransferConservation(t *testing.T) {
 	f := func(loads []uint8, recips []uint8, seed int64, relaxed bool) bool {
 		if len(loads) == 0 || len(recips) == 0 {
@@ -54,8 +54,8 @@ func TestQuickTransferConservation(t *testing.T) {
 			}
 		}
 		knowAfter := 0.0
-		for _, r := range members(know) {
-			knowAfter += know.Load(r)
+		for _, e := range scheduledLoads(t, know, tasks, props) {
+			knowAfter += e.Load
 		}
 		return math.Abs((total-after)-sent) < 1e-9 &&
 			math.Abs((knowAfter-before)-sent) < 1e-9

@@ -32,11 +32,14 @@ type Affinity struct {
 }
 
 // TransferScratch holds the buffers one transfer-stage execution needs —
-// the CMF, the ordered/kept task double buffer, and the proposal list —
-// so a driver that runs the stage once per overloaded rank per iteration
-// (the engine, the distributed balancer) can reuse them and keep the hot
-// loop allocation-free. The zero value is ready to use. A scratch must
-// not be shared between concurrently running drivers.
+// the CMF with its candidates' loads, the ordered/kept task double buffer,
+// and the proposal list — so a driver that runs the stage once per
+// overloaded rank per iteration (the engine, the distributed balancer) can
+// reuse them and keep the hot loop allocation-free. Nothing in it outlives
+// a stage, so one scratch serves any rank: the engine keeps one, the
+// distributed balancer lends one from a node-wide pool to each running
+// stage. The zero value is ready to use. A scratch must not be shared
+// between concurrently running stages.
 type TransferScratch struct {
 	cmf       CMF
 	tasks     []Task
@@ -49,9 +52,9 @@ type TransferScratch struct {
 //
 // tasks is the rank's current task set T^p, copied, not modified;
 // selfLoad its load l^p; ave the global average l_ave. know is the
-// rank's gossip knowledge and is mutated in place: accepted transfers
-// bump the recipient's known load (line 12) so subsequent decisions —
-// and the CMF, when cfg.RecomputeCMF is set — see them. rng
+// rank's gossip knowledge and is only read: accepted transfers bump the
+// recipient's known load (line 12) in scr's CMF, so subsequent decisions
+// — and the CMF itself, when cfg.RecomputeCMF is set — see them. rng
 // must be the rank's private generator; a nil affinity selects by load.
 //
 // It returns the proposals, the decision statistics, and the rank's
@@ -75,7 +78,7 @@ func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Kn
 	remaining := scr.tasks
 	for pass := 0; pass < maxPasses && selfLoad > cfg.Threshold*ave && len(remaining) > 0; pass++ {
 		scr.kept = scr.kept[:0]
-		accepted, done := transferPass(self, remaining, &selfLoad, ave, know, cfg, rng, affinity, scr, &st)
+		accepted, done := transferPass(pass, self, remaining, &selfLoad, ave, know, cfg, rng, affinity, scr, &st)
 		// The rejected tasks become the next pass's input; the spent
 		// buffer becomes the next pass's kept list (double buffering).
 		scr.tasks, scr.kept = scr.kept, scr.tasks
@@ -94,13 +97,20 @@ func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Kn
 // ended for good (no longer overloaded or no candidate mass left).
 // ordered is sorted in place; it must be scratch-owned.
 //
-// The CMF is built once per pass (line 5). With cfg.RecomputeCMF each
-// accepted transfer then raises its recipient in it (line 7), which keeps
-// it the CMF a rebuild over the updated knowledge would give.
-func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity *Affinity, scr *TransferScratch, st *TransferStats) (accepted int, done bool) {
+// The CMF is built once per pass (line 5): from the knowledge on the
+// first, from its own loads after. With cfg.RecomputeCMF each accepted
+// transfer then raises its recipient in it (line 7), which keeps it the
+// CMF a rebuild over the updated loads would give.
+func transferPass(pass int, self Rank, ordered []Task, selfLoad *float64, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity *Affinity, scr *TransferScratch, st *TransferStats) (accepted int, done bool) {
 	OrderTasksInPlace(ordered, ave, *selfLoad, cfg.Order)
 
-	if !scr.cmf.Build(know, self, ave, cfg.CMF) { // line 5
+	var built bool // line 5
+	if pass == 0 {
+		built = scr.cmf.Build(know, self, ave, cfg.CMF)
+	} else {
+		built = scr.cmf.Rebuild()
+	}
+	if !built {
 		st.NoCandidate++
 		return 0, true
 	}
@@ -118,9 +128,9 @@ func transferPass(self Rank, ordered []Task, selfLoad *float64, ave float64, kno
 			pick = &blended
 		}
 		px, i := pick.Sample(rng)                               // line 9
-		lx := know.Load(px)                                     // line 10
+		lx := scr.cmf.Load(i)                                   // line 10
 		if cfg.Criterion.Evaluate(lx, o.Load, ave, *selfLoad) { // line 11
-			know.Update(px, lx+o.Load) // line 12
+			scr.cmf.load[i] = lx + o.Load // line 12
 			if cfg.RecomputeCMF {
 				scr.cmf.Raise(i, lx, lx+o.Load) // line 7
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -15,6 +16,27 @@ func transferConfig(crit Criterion) Config {
 		cfg.RecomputeCMF = true
 	}
 	return cfg
+}
+
+// scheduledLoads returns each known rank's load as a stage left it in the
+// sender's view, in rank order: its gossiped load plus the loads of the
+// tasks proposed to it, added in proposal order as line 12 adds them.
+// tasks is indexed by TaskID.
+func scheduledLoads(t *testing.T, know *Knowledge, tasks []Task, props []Proposal) []RankLoad {
+	t.Helper()
+	known := members(know)
+	out := make([]RankLoad, len(known))
+	for i, r := range known {
+		out[i] = RankLoad{r, know.Load(r)}
+	}
+	for _, p := range props {
+		i, ok := slices.BinarySearch(known, p.To)
+		if !ok {
+			t.Fatalf("proposal of task %d to rank %d, which the knowledge does not hold", p.Task, p.To)
+		}
+		out[i].Load += tasks[p.Task].Load
+	}
+	return out
 }
 
 func TestRunTransferEmptyKnowledge(t *testing.T) {
@@ -71,11 +93,11 @@ func TestRunTransferOriginalNeverOverloadsKnownRecipient(t *testing.T) {
 			total += l
 		}
 		ave := 2.5
-		_, _, _ = RunTransferScratch(0, tasks, total, ave, know, &cfg, rng, nil, &TransferScratch{})
-		for _, r := range members(know) {
-			if know.Load(r) >= ave+1e-9 {
+		props, _, _ := RunTransferScratch(0, tasks, total, ave, know, &cfg, rng, nil, &TransferScratch{})
+		for _, e := range scheduledLoads(t, know, tasks, props) {
+			if e.Load >= ave+1e-9 {
 				t.Fatalf("recipient %d pushed to %g >= ave %g under original criterion",
-					r, know.Load(r), ave)
+					e.Rank, e.Load, ave)
 			}
 		}
 	}
@@ -101,10 +123,10 @@ func TestRunTransferRelaxedRecipientBelowSenderPriorLoad(t *testing.T) {
 			total += l
 		}
 		before := total
-		_, _, _ = RunTransferScratch(0, tasks, total, 1.0, know, &cfg, rng, nil, &TransferScratch{})
-		for _, r := range members(know) {
-			if know.Load(r) >= before+1e-9 {
-				t.Fatalf("recipient %d at %g >= sender initial %g", r, know.Load(r), before)
+		props, _, _ := RunTransferScratch(0, tasks, total, 1.0, know, &cfg, rng, nil, &TransferScratch{})
+		for _, e := range scheduledLoads(t, know, tasks, props) {
+			if e.Load >= before+1e-9 {
+				t.Fatalf("recipient %d at %g >= sender initial %g", e.Rank, e.Load, before)
 			}
 		}
 	}
@@ -112,7 +134,7 @@ func TestRunTransferRelaxedRecipientBelowSenderPriorLoad(t *testing.T) {
 
 func TestRunTransferConservation(t *testing.T) {
 	// Sender's load drop must equal the sum of proposed task loads, and
-	// the knowledge-side load increases must match too.
+	// the recipients' scheduled load increases must match too.
 	cfg := transferConfig(CriterionRelaxed)
 	rng := rand.New(rand.NewSource(5))
 	know := NewKnowledge(8)
@@ -133,11 +155,11 @@ func TestRunTransferConservation(t *testing.T) {
 		t.Errorf("conservation: dropped %g but proposed %g", total-after, sent)
 	}
 	gained := 0.0
-	for _, r := range members(know) {
-		gained += know.Load(r)
+	for _, e := range scheduledLoads(t, know, tasks, props) {
+		gained += e.Load
 	}
 	if math.Abs(gained-sent) > 1e-9 {
-		t.Errorf("knowledge gained %g, proposals carry %g", gained, sent)
+		t.Errorf("recipients gained %g, proposals carry %g", gained, sent)
 	}
 }
 
@@ -222,13 +244,108 @@ func TestRunTransferNoCandidateMass(t *testing.T) {
 	}
 }
 
+// TestTransferStageLeavesKnowledgeAlone: the stage keeps the loads it
+// schedules in its CMF, so the node's load table — members' and stale
+// slots alike — and the knowledge's membership and loads are bit-identical
+// before and after it, for both criteria, with the CMF raised or rebuilt
+// per pass.
+func TestTransferStageLeavesKnowledgeAlone(t *testing.T) {
+	const numRanks = 200
+	rng := rand.New(rand.NewSource(12))
+	for _, crit := range []Criterion{CriterionOriginal, CriterionRelaxed} {
+		for _, recompute := range []bool{false, true} {
+			cfg := transferConfig(crit)
+			cfg.Passes, cfg.RecomputeCMF = 0, recompute
+			table := NewLoadTable(numRanks)
+			for r := range table.slot {
+				table.store(Rank(r), 10+rng.Float64()) // stale slots: no knowledge holds them
+			}
+			know := newKnowledgeOn(table)
+			for r := 1; r < numRanks; r++ {
+				if rng.Intn(3) == 0 {
+					know.Add(Rank(r), rng.Float64())
+				}
+			}
+			tasks := make([]Task, 40)
+			total := 0.0
+			for i := range tasks {
+				tasks[i] = Task{ID: TaskID(i), Load: 0.1 + rng.Float64()/2}
+				total += tasks[i].Load
+			}
+			slots := func() []uint64 {
+				out := make([]uint64, numRanks)
+				for r := range out {
+					out[r] = table.slot[r].Load()
+				}
+				return out
+			}
+			loads := func() []uint64 {
+				var out []uint64
+				for _, r := range members(know) {
+					out = append(out, math.Float64bits(know.Load(r)))
+				}
+				return out
+			}
+			wantSlots, wantWords, wantLoads := slots(), slices.Clone(know.member), loads()
+			span := [3]int{know.lo, know.hi, know.n}
+			props, _, _ := RunTransferScratch(0, tasks, total, 1.5, know, &cfg, rng, nil, &TransferScratch{})
+			if len(props) == 0 {
+				t.Fatalf("%v recompute=%v: no transfer accepted, so the case shows nothing", crit, recompute)
+			}
+			if !slices.Equal(slots(), wantSlots) {
+				t.Errorf("%v recompute=%v: the stage wrote the load table", crit, recompute)
+			}
+			if !slices.Equal(know.member, wantWords) || [3]int{know.lo, know.hi, know.n} != span {
+				t.Errorf("%v recompute=%v: the stage changed the knowledge's membership", crit, recompute)
+			}
+			if !slices.Equal(loads(), wantLoads) {
+				t.Errorf("%v recompute=%v: the stage changed the knowledge's loads", crit, recompute)
+			}
+		}
+	}
+}
+
+// TestTransferStageAllocatesPerCandidate: a stage's memory is O(|S^p|),
+// not O(P). With a fresh scratch at P = 65 536 and |S^p| = 64, one stage
+// allocates under 8 KB. Each op also makes the knowledge it reads, whose
+// P/8-byte bitset is subtracted: a fresh knowledge is what shows a
+// per-knowledge O(P) buffer, which a reused one would pay once.
+func TestTransferStageAllocatesPerCandidate(t *testing.T) {
+	const numRanks, known = 1 << 16, 64
+	table := NewLoadTable(numRanks)
+	src := newKnowledgeOn(table)
+	for i := 0; i < known; i++ {
+		src.Add(Rank(i*numRanks/known+7), 0) // spread over the rank space
+	}
+	gossiped := snapshotOf(src)
+	tasks := tasksFromLoads(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+	cfg := Tempered()
+	proposed := 0
+	res := testing.Benchmark(func(b *testing.B) {
+		rng := SeededRNG(1, 2)
+		for i := 0; i < b.N; i++ {
+			know := newKnowledgeOn(table)
+			know.merge(gossiped)
+			props, _, _ := RunTransferScratch(0, tasks, 16, 1, know, &cfg, rng, nil, new(TransferScratch))
+			proposed = len(props)
+		}
+	})
+	if proposed == 0 {
+		t.Fatal("the stage proposed nothing, so it shows nothing")
+	}
+	if got := res.AllocedBytesPerOp() - numRanks/8; got >= 8<<10 {
+		t.Errorf("a stage over %d candidates of %d ranks allocates %d B beyond the knowledge's bitset, want < 8192",
+			known, numRanks, got)
+	}
+}
+
 // BenchmarkTransferStage is one overloaded rank's transfer stage at the
 // paper's scale, the shape of bench/'s core.transfer_stage_us probe: 625
 // tasks (10^4 over 16 ranks) against knowledge of the 4080 idle ranks,
 // warm scratch, 0 allocs/op. An op starts from the gossip stage's
-// knowledge — a snapshot merge, which forgets the last op's Updates.
-// With the CMF raised after each accepted transfer (line 7), recompute
-// costs what building once per pass costs.
+// knowledge — a snapshot merge — which the stage only reads. With the CMF
+// raised after each accepted transfer (line 7), recompute costs what
+// building once per pass costs.
 func BenchmarkTransferStage(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tasks := make([]Task, 625)
@@ -257,8 +374,8 @@ func BenchmarkTransferStage(b *testing.B) {
 				props, _, _ := RunTransferScratch(0, tasks, load, ave, know, &cfg, xrng, nil, &scr)
 				sinkInt = len(props)
 			}
-			// Warm the scratch and the knowledge's overlay: two ops, as the
-			// task buffers swap roles every pass.
+			// Warm the scratch: two ops, as the task buffers swap roles
+			// every pass.
 			stage()
 			stage()
 			b.ReportAllocs()

@@ -3,6 +3,7 @@ package tempered
 import (
 	"math"
 	"math/rand"
+	"sync"
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/clock"
@@ -23,6 +24,10 @@ type Handlers struct {
 	// table is the load table every local rank's gossip state shares:
 	// the balancer's one cross-rank structure (core.LoadTable).
 	table *core.LoadTable
+	// scratch lends a *core.TransferScratch to each running transfer
+	// stage. A stage never yields, so it holds about one per goroutine
+	// running ranks, however many ranks the node hosts.
+	scratch sync.Pool
 
 	// freshTrialState makes every trial build a new gossip state instead
 	// of re-pointing the invocation's one. Only tests set it, to show the
@@ -52,9 +57,8 @@ type rankState struct {
 	gossipSent    int
 	gossipEntries int
 
-	// xfer is the transfer stage's reused scratch, xferRNG its private
-	// generator, re-pointed at each trial's stream.
-	xfer    core.TransferScratch
+	// xferRNG is the transfer stage's private generator, re-pointed at
+	// each trial's stream.
 	xferRNG *rand.Rand
 
 	// reduce is the reused input of the invocation's statistics reduces.
@@ -79,6 +83,7 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		st:     make([]*rankState, rt.NumRanks()),
 		table:  core.NewLoadTable(rt.NumRanks()),
 	}
+	h.scratch.New = func() any { return new(core.TransferScratch) }
 	rt.NameHandler(h.gossip, "lb.gossip")
 	rt.NameHandler(h.xfer, "lb.transfer")
 	rt.NameHandler(h.fetch, "lb.fetch")
@@ -301,7 +306,11 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 				overloaded = 1
 				kn := st.inform.Knowledge()
 				knowledge = float64(kn.Len())
-				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &cfg, st.xferRNG, nil, &st.xfer)
+				// The proposals are backed by the scratch: it goes back to
+				// the pool once they are sent.
+				scr := h.scratch.Get().(*core.TransferScratch)
+				defer h.scratch.Put(scr)
+				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &cfg, st.xferRNG, nil, scr)
 				ts = tstats
 				for _, p := range props {
 					m := st.virtual.cede(p.Task)

@@ -243,6 +243,30 @@ func benchJSONSuite() []struct {
 				core.OrderTasks(tasks, total/400, total, core.OrderFewestMigrations)
 			}
 		}},
+		{"lent_send", func(b *testing.B) {
+			// One message lent to a parked rank, as internal/amt's
+			// BenchmarkLentSend runs it: rank 0 sends to rank 1, parked in
+			// a barrier, and runs its empty handler on its own goroutine —
+			// claim, dispatch, the turn's empty RecvBatch, the release.
+			// The untimed sends before it wait for rank 1 to park.
+			const nop amt.HandlerID = 1
+			rt := amt.New(2)
+			rt.Register(nop, func(*amt.Context, core.Rank, any) {})
+			rt.Run(func(rc *amt.Context) {
+				rc.Barrier()
+				if rc.Rank() == 0 {
+					for rc.Stats[amt.Lent].Load() == 0 {
+						rc.Send(1, nop, nil)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						rc.Send(1, nop, nil)
+					}
+					b.StopTimer()
+				}
+				rc.Barrier()
+			})
+		}},
 	}
 }
 

@@ -43,7 +43,7 @@ func (r *Runtime) Register(fs *flag.FlagSet, only ...string) []string {
 		g.IntVar(&r.Nodes, "nodes", r.Nodes, "nodes of a socket job: in-process nodes under -transport unix|tcp, processes with -node (must match on all of them)")
 		g.IntVar(&r.Fanout, "fanout", r.Fanout, "arity (>= 2) of the runtime's collective reduction tree")
 		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (lbaf and empire apply them to the simulated gossip, which has no retry= or retrycap= to tune)")
-		g.IntVar(&r.Rounds, "rounds", r.Rounds, "gossip rounds per iteration (0 = strategy default; cross-transport diffs need -rounds 1)")
+		g.IntVar(&r.Rounds, "rounds", r.Rounds, fmt.Sprintf("gossip rounds per iteration, 1 to %d (0 = strategy default; cross-transport diffs need -rounds 1)", core.MaxRounds))
 		g.IntVar(&r.Node, "node", -1, "host only this node, in [0,nodes), of a job spread over -nodes processes (default: the whole job in this process)")
 		g.StringVar(&r.Listen, "listen", r.Listen, "address this node listens on: host:port for tcp (default 127.0.0.1:0), socket path for unix (required)")
 		g.StringVar(&r.Peers, "peers", r.Peers, "static rendezvous: file of \"<node> <addr>\" lines covering every node")
@@ -77,8 +77,8 @@ func (r *Runtime) Validate(ranks int) error {
 	if r.Fanout < 2 {
 		return fmt.Errorf("-fanout %d: a reduction tree needs arity >= 2", r.Fanout)
 	}
-	if r.Rounds < 0 {
-		return fmt.Errorf("-rounds %d: want >= 0 (0 = strategy default)", r.Rounds)
+	if r.Rounds < 0 || r.Rounds > core.MaxRounds {
+		return fmt.Errorf("-rounds %d: want in [0,%d] (0 = strategy default)", r.Rounds, core.MaxRounds)
 	}
 	if _, err := r.FaultSpec(); err != nil {
 		return err

@@ -47,6 +47,7 @@ func TestValidateGeometry(t *testing.T) {
 
 		{"fanout one", func(a *args) { a.fanout = 1 }, "-fanout 1"},
 		{"negative rounds", func(a *args) { a.rounds = -1 }, "-rounds -1"},
+		{"rounds past the forwarded mask", func(a *args) { a.rounds = 65 }, "-rounds 65: want in [0,64]"},
 		{"bad fault spec", func(a *args) { a.faults = "drop" }, "-faults"},
 		{"memory transport", func(a *args) { a.transport = "memory" }, "want tcp or unix"},
 		{"in-process memory", func(a *args) { inProcess(a); a.transport = "memory" }, ""},

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"temperedlb/internal/core"
 )
 
 // sinkVec keeps a benchmarked collective's result alive.
@@ -39,6 +41,39 @@ func BenchmarkEmptyEpoch(b *testing.B) {
 			benchRanks(b, n, func(rc *Context) { rc.Epoch(func() {}) })
 		})
 	}
+}
+
+// hNop is BenchmarkLentSend's handler: it does nothing, so what is timed
+// is the runtime's and the transport's share of a message.
+const hNop HandlerID = 60
+
+// BenchmarkLentSend is one message lent to a parked rank, the path most of
+// the paper case's gossip messages take: rank 0 sends to rank 1, parked in
+// a barrier, so one op is the claim, the dispatch of an empty handler, the
+// turn whose RecvBatch finds the inbox empty, and the release that wakes
+// nobody. The sends before the timer starts wait for rank 1 to park: the
+// first lent one proves it has. lent/op reads 1 when every timed send was
+// lent.
+func BenchmarkLentSend(b *testing.B) {
+	rt := New(2)
+	rt.Register(hNop, func(*Context, core.Rank, any) {})
+	var lent int64
+	rt.Run(func(rc *Context) {
+		rc.Barrier()
+		if rc.Rank() == 0 {
+			for rc.Stats[Lent].Load() == 0 {
+				rc.Send(1, hNop, nil)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc.Send(1, hNop, nil)
+			}
+			b.StopTimer()
+			lent = rc.Stats[Lent].Load() - 1
+		}
+		rc.Barrier()
+	})
+	b.ReportMetric(float64(lent)/float64(b.N), "lent/op")
 }
 
 // BenchmarkAllReduceMixed is the collective each balancer iteration ends

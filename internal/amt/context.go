@@ -451,12 +451,12 @@ func (rc *Context) satisfied() bool {
 // may run the ring predecessor and the parked ranks behind it (lend) —
 // and parks in the transport's owned wait between them. While the owner
 // is parked, any rank goroutine that sends to this rank may run it
-// instead (transmit); the transport hands the rank over under the inbox
-// lock, so at most one goroutine runs a rank at a time and everything one
-// of them wrote is visible to the next. With unacknowledged sends
-// outstanding the wait carries the reliable layer's next retry deadline
-// and retransmits whatever falls due, so a dropped message can never
-// wedge a wait.
+// instead (transmit); the transport hands the rank over with a CAS of the
+// inbox's state word or under its lock, so at most one goroutine runs a
+// rank at a time and everything one of them wrote is visible to the next.
+// With unacknowledged sends outstanding the wait carries the reliable
+// layer's next retry deadline and retransmits whatever falls due, so a
+// dropped message can never wedge a wait.
 func (rc *Context) pump(w waitKind, seq int64) {
 	prevWait, prevSeq := rc.wait, rc.waitSeq
 	rc.wait, rc.waitSeq = w, seq

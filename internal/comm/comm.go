@@ -198,7 +198,8 @@ func (nw *Network) Send(m Message) { nw.send(m, false) }
 // with a non-empty inbox is not worth taking: whoever queued the message
 // has woken its owner.) A claim is never granted under a fault plan — the
 // plan decides that delivery, and its delayed copies land from goroutines
-// that run no rank — nor for a remote destination.
+// that run no rank — nor for a remote destination. A granted claim takes
+// no lock.
 func (nw *Network) SendClaim(m Message) bool { return nw.send(m, true) }
 
 // send validates, stamps and accounts for m, then delivers it; claim asks
@@ -310,11 +311,13 @@ func (nw *Network) Recv(rank int) (Message, bool) {
 }
 
 // RecvBatch drains every currently queued message for rank into buf and
-// returns the extended slice, without blocking. The whole burst costs
-// one lock acquisition instead of one per message, and passing the
-// previous call's buf (resliced to [:0]) makes the steady state
-// allocation-free. The caller should zero consumed entries it no longer
-// needs so payload references are released.
+// returns the extended slice, without blocking. An empty inbox costs no
+// lock, a whole burst one lock acquisition instead of one per message.
+// An empty buf may be kept by the inbox as its next queue, the burst
+// coming back in the queue's array instead: pass the previous call's
+// result resliced to [:0] and the steady state neither copies nor
+// allocates. The caller should zero consumed entries so payload
+// references are released, and must not use buf again after the call.
 func (nw *Network) RecvBatch(rank int, buf []Message) []Message {
 	return nw.inbox(rank).popBatch(buf)
 }
@@ -347,7 +350,8 @@ func (nw *Network) WaitOwned(rank int, d time.Duration) (ok, timedOut bool) {
 // and owns the rank again. Otherwise the rank goes back to parked — unless
 // messages have queued during the borrow, in which case Release returns
 // false and the caller still holds the rank and must drain it (RecvBatch)
-// before trying again.
+// before trying again. A release that wakes nobody and finds nothing
+// queued takes no lock.
 func (nw *Network) Release(rank int, wake bool) bool {
 	return nw.inbox(rank).release(wake)
 }
@@ -379,30 +383,46 @@ func (nw *Network) Close() {
 // Closed reports whether Close has been called.
 func (nw *Network) Closed() bool { return nw.closed.Load() }
 
-// Ownership states of an inbox: who, if anyone, may run its rank. Every
-// transition happens under the inbox mutex the send path takes anyway.
+// The state word of an inbox: its ownership state — who, if anyone, may
+// run its rank — in the low two bits, and three flags.
 const (
 	// ownerRunning: the rank's own goroutine runs it, or nobody waits.
-	ownerRunning uint8 = iota
+	ownerRunning uint32 = iota
 	// ownerParked: the owner sleeps in waitOwned; a SendClaim may take
 	// the rank, a plain push wakes the owner.
 	ownerParked
 	// ownerBorrowed: a sender's goroutine runs the rank and the owner
 	// sleeps on; pushes only enqueue, the borrower finds them at release.
 	ownerBorrowed
+
+	ownerMask uint32 = 3
+	// stateQueued: the queue holds a message (head < len(queue)).
+	stateQueued uint32 = 1 << 2
+	// stateTimed: the owner sleeps against a deadline (see release).
+	stateTimed uint32 = 1 << 3
+	// stateClosed: the network is closed.
+	stateClosed uint32 = 1 << 4
 )
 
 // inbox is an unbounded MPSC queue with blocking pop and an ownership
 // state (see above).
+//
+// The flags change only under mu, and so does the ownership state, but
+// for two transitions that take no lock: a claim of a parked inbox with
+// nothing queued (parked → borrowed), and a quiet release, one that wakes
+// nobody and finds no flag set (borrowed → parked). Both are one CAS of
+// the whole word, so a push that sets stateQueued, a close or a timed
+// wait makes either fail and fall back to the locked path; and because
+// those two may run at any moment, every change made under mu is a CAS of
+// the whole word as well (set), never a plain store. A hand-over is then
+// either a CAS on the word or a lock/unlock pair of mu, and either orders
+// the previous runner's writes before the next one's reads.
 type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
-	head   int
-	closed bool
-
-	owner uint8
-	timed bool // the owner sleeps against a deadline (see release)
+	state atomic.Uint32
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []Message
+	head  int
 
 	// timer is waitOwned's single reusable deadline timer; lazily created
 	// on the first timed wait and Reset on every subsequent one instead
@@ -417,52 +437,81 @@ func newInbox() *inbox {
 	return ib
 }
 
+// set replaces the bits of mask in the state word with val and returns
+// the word it replaced. Callers hold mu; the CAS loop is there because a
+// claim or a quiet release may change the ownership bits without it.
+func (ib *inbox) set(mask, val uint32) (old uint32) {
+	for {
+		old = ib.state.Load()
+		if ib.state.CompareAndSwap(old, old&^mask|val) {
+			return old
+		}
+	}
+}
+
 // push enqueues m and wakes a parked owner. A running owner needs no
 // signal, and a borrowed rank's owner must sleep on: the borrower finds
-// the message when it releases.
+// the message when it releases. The owner took its wait ticket before it
+// let go of mu, so a signal sent after this Unlock still reaches it. Once
+// stateQueued is set only mu's holder changes the word — no claim or
+// quiet release succeeds on it — so a push behind another reads the owner
+// and writes nothing.
 func (ib *inbox) push(m Message) {
 	ib.mu.Lock()
-	ib.enqueueAndUnlock(m)
-}
-
-// pushClaim takes an idle parked rank for the caller — leaving m with it,
-// unqueued — and is push otherwise.
-func (ib *inbox) pushClaim(m Message) bool {
-	ib.mu.Lock()
-	if ib.owner == ownerParked && ib.head == len(ib.queue) {
-		ib.owner = ownerBorrowed
-		ib.mu.Unlock()
-		return true
-	}
-	ib.enqueueAndUnlock(m)
-	return false
-}
-
-// enqueueAndUnlock is the tail of both pushes; ib.mu is held on entry.
-func (ib *inbox) enqueueAndUnlock(m Message) {
 	ib.queue = append(ib.queue, m)
-	parked := ib.owner == ownerParked
+	old := ib.state.Load()
+	if old&stateQueued == 0 {
+		old = ib.set(stateQueued, stateQueued)
+	}
 	ib.mu.Unlock()
-	if parked {
+	if old&ownerMask == ownerParked {
 		ib.cond.Signal()
 	}
 }
 
-// release ends a borrow (see Network.Release). An owner sleeping against
-// a deadline is signalled whatever wake says, to re-check its clock.
+// pushClaim takes an idle parked rank for the caller — leaving m with it,
+// unqueued — and is push otherwise. The claim is one CAS: parked with
+// nothing queued and not closed (a timed owner may be claimed; it sleeps
+// through the borrow) becomes borrowed.
+func (ib *inbox) pushClaim(m Message) bool {
+	for {
+		s := ib.state.Load()
+		if s&^stateTimed != ownerParked {
+			break
+		}
+		if ib.state.CompareAndSwap(s, s&^ownerMask|ownerBorrowed) {
+			return true
+		}
+	}
+	ib.push(m)
+	return false
+}
+
+// release ends a borrow (see Network.Release). A quiet release — no wake,
+// nothing queued, no timed owner, not closed — is one CAS back to parked:
+// it signals nobody, so it needs no lock. Every other release takes mu.
+// A release that signals must: sync.Cond hands out its wait ticket while
+// the waiter still holds mu, so only a signal decided under mu is sure
+// to find the owner either not yet checking the state or holding a
+// ticket. An owner sleeping against a deadline is signalled whatever
+// wake says, to re-check its clock.
 func (ib *inbox) release(wake bool) bool {
+	if !wake && ib.state.CompareAndSwap(ownerBorrowed, ownerParked) {
+		return true
+	}
 	ib.mu.Lock()
-	if !wake && !ib.closed && ib.head < len(ib.queue) {
+	s := ib.state.Load()
+	if !wake && s&(stateClosed|stateQueued) == stateQueued {
 		ib.mu.Unlock()
 		return false
 	}
-	ib.owner = ownerParked
+	to := ownerParked
 	if wake {
-		ib.owner = ownerRunning
+		to = ownerRunning
 	}
-	signal := wake || ib.timed || ib.closed
+	ib.set(ownerMask, to)
 	ib.mu.Unlock()
-	if signal {
+	if wake || s&(stateTimed|stateClosed) != 0 {
 		ib.cond.Signal()
 	}
 	return true
@@ -505,30 +554,41 @@ func (ib *inbox) waitOwned(d time.Duration) (ok, timedOut bool) {
 		} else {
 			ib.timer.Reset(d)
 		}
-		ib.timed = true
+		ib.set(stateTimed, stateTimed)
 		defer func() {
 			ib.timer.Stop()
-			ib.timed = false
+			ib.set(stateTimed, 0)
 		}()
 	}
-	for parked := false; ; parked = true {
-		borrowed := ib.owner == ownerBorrowed
+	// Each change of the ownership bits is a CAS from the word the case
+	// was chosen on: a claim may take a parked rank between the load and
+	// the change, and the loop then looks again instead of overwriting it.
+	for parked := false; ; {
+		s := ib.state.Load()
+		owner := s & ownerMask
 		switch {
-		case !borrowed && (ib.head < len(ib.queue) || parked && ib.owner == ownerRunning):
+		case owner != ownerBorrowed && (s&stateQueued != 0 || parked && owner == ownerRunning):
 			// Work to do, or a releasing borrower found the wait over and
 			// handed the rank back as running.
-			ib.owner = ownerRunning
-			return true, false
-		case ib.closed:
+			if ib.state.CompareAndSwap(s, s&^ownerMask|ownerRunning) {
+				return true, false
+			}
+			continue
+		case s&stateClosed != 0:
 			return false, false
-		case borrowed:
+		case owner == ownerBorrowed:
 		case d > 0 && !clock.Now().Before(deadline):
-			ib.owner = ownerRunning
-			return false, true
-		default:
-			ib.owner = ownerParked
+			if ib.state.CompareAndSwap(s, s&^ownerMask|ownerRunning) {
+				return false, true
+			}
+			continue
+		case owner != ownerParked:
+			if !ib.state.CompareAndSwap(s, s&^ownerMask|ownerParked) {
+				continue
+			}
 		}
 		ib.cond.Wait()
+		parked = true
 	}
 }
 
@@ -539,8 +599,12 @@ func (ib *inbox) popLocked() (Message, bool) {
 	m := ib.queue[ib.head]
 	ib.queue[ib.head] = Message{} // release references
 	ib.head++
-	// Compact once the dead prefix dominates.
-	if ib.head > 64 && ib.head*2 >= len(ib.queue) {
+	if ib.head == len(ib.queue) {
+		ib.queue = ib.queue[:0]
+		ib.head = 0
+		ib.set(stateQueued, 0)
+	} else if ib.head > 64 && ib.head*2 >= len(ib.queue) {
+		// Compact once the dead prefix dominates.
 		n := copy(ib.queue, ib.queue[ib.head:])
 		ib.queue = ib.queue[:n]
 		ib.head = 0
@@ -548,17 +612,28 @@ func (ib *inbox) popLocked() (Message, bool) {
 	return m, true
 }
 
-// popBatch appends every queued message to buf under one lock and
-// resets the queue, retaining its capacity. Internal references are
-// cleared so the inbox never pins delivered payloads.
+// popBatch hands every queued message to the caller under one lock. With
+// nothing queued it returns buf at once, without the lock. Otherwise, when
+// buf is empty and nothing was popped singly, the queue and buf trade
+// places: the caller gets the queue's array and the inbox queues into
+// buf's from now on, so a caller that passes its previous batch back
+// (resliced to [:0], consumed entries zeroed) drains without copying or
+// allocating. Any other case appends a copy and clears the queue, so the
+// inbox never pins a delivered payload it copied out.
 func (ib *inbox) popBatch(buf []Message) []Message {
-	ib.mu.Lock()
-	if ib.head < len(ib.queue) {
-		buf = append(buf, ib.queue[ib.head:]...)
+	if ib.state.Load()&stateQueued == 0 {
+		return buf
 	}
-	clear(ib.queue)
-	ib.queue = ib.queue[:0]
-	ib.head = 0
+	ib.mu.Lock()
+	if len(buf) == 0 && ib.head == 0 {
+		buf, ib.queue = ib.queue, buf[:0]
+	} else {
+		buf = append(buf, ib.queue[ib.head:]...)
+		clear(ib.queue)
+		ib.queue = ib.queue[:0]
+		ib.head = 0
+	}
+	ib.set(stateQueued, 0)
 	ib.mu.Unlock()
 	return buf
 }
@@ -571,7 +646,7 @@ func (ib *inbox) len() int {
 
 func (ib *inbox) close() {
 	ib.mu.Lock()
-	ib.closed = true
+	ib.set(stateClosed, stateClosed)
 	ib.mu.Unlock()
 	ib.cond.Broadcast()
 }

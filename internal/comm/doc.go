@@ -1,9 +1,10 @@
 // Package comm provides the in-memory message transport underneath the
 // AMT runtime: per-rank unbounded inboxes with blocking, non-blocking
 // and batched receive (RecvBatch drains a whole burst under one lock
-// acquisition), per-sender FIFO ordering, and per-kind accounting of what
-// was sent, dropped and duplicated — payload bytes optionally — read as
-// one Stats snapshot. Each inbox also says who may run its rank — running,
+// acquisition, an empty inbox under none), per-sender FIFO ordering, and
+// per-kind accounting of what was sent, dropped and duplicated — payload
+// bytes optionally — read as one Stats snapshot. Each inbox also says who
+// may run its rank — running,
 // parked or borrowed — so that a sender can run a parked rank instead of
 // waking it (SendClaim, Release, WaitOwned). Deadline waits reuse a
 // single timer per inbox rather than arming a fresh one per call, so
@@ -25,10 +26,13 @@
 // stack and are fully goroutine-safe: any goroutine may Send to any
 // rank while that rank's goroutine blocks in Recv, and per-sender FIFO
 // order is preserved. The ownership state is part of that boundary: it
-// changes only under the inbox mutex, a claim is granted only while the
-// owner is parked, and the owner does not leave WaitOwned before the
-// borrower's Release — so at most one goroutine runs a rank at a time
-// and the mutex orders one runner's writes before the next one's reads.
+// lives in one atomic word per inbox with the queued, timed and closed
+// flags, a claim is granted only while the owner is parked, and the owner
+// does not leave WaitOwned before the borrower's Release — so at most one
+// goroutine runs a rank at a time. Claiming a parked rank with an empty
+// inbox and a release that wakes nobody are each one CAS of that word;
+// every other transition takes the inbox mutex. Either a CAS or a
+// lock/unlock pair orders one runner's writes before the next one's reads.
 // Everything layered above (amt, termination, the distributed balancer)
 // relies on this package for cross-rank safety and keeps its own state
 // one-runner-at-a-time.

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,6 +115,95 @@ func TestOwnershipProtocol(t *testing.T) {
 	}
 }
 
+// TestChaosStateWord races the inbox state word's lock-free transitions —
+// the claim, the empty RecvBatch, the quiet release — against everything
+// that takes the lock: plain pushes, the owner's waits, alternately
+// without a deadline and against a 50 µs one (so the timed flag comes and
+// goes under borrowers), and releases that wake the owner at random. Every
+// message must be handled once, in per-sender order, by one goroutine at a
+// time; and the run must end, which it cannot if a wake-up is lost: the
+// owner then sleeps through its last untimed wait.
+func TestChaosStateWord(t *testing.T) {
+	const senders, each, total = 8, 2000, 8 * 2000
+	nw := NewNetwork(senders + 1)
+	o := &ownedRank{t: t, next: make([]int, senders+1)}
+	var claims, wakes atomic.Int64
+	drain := func(buf []Message) []Message {
+		buf = nw.RecvBatch(0, buf[:0])
+		for i := range buf {
+			o.handle(buf[i])
+			buf[i] = Message{}
+		}
+		return buf
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for s := 1; s <= senders; s++ {
+			wg.Add(1)
+			go func(from int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(from)))
+				var buf []Message
+				for i := 0; i < each; i++ {
+					m := Message{From: from, To: 0, Data: i}
+					if rng.Intn(4) == 0 {
+						nw.Send(m)
+						continue
+					}
+					if !nw.SendClaim(m) {
+						// Give the owner time to drain and park, or claims
+						// are rarely granted.
+						time.Sleep(time.Duration(rng.Intn(20)) * time.Microsecond)
+						continue
+					}
+					claims.Add(1)
+					o.handle(m)
+					for {
+						wake := rng.Intn(2) == 0 || o.handled == total
+						if buf = drain(buf); len(buf) == 0 && nw.Release(0, wake) {
+							if wake {
+								wakes.Add(1)
+							}
+							break
+						}
+					}
+				}
+			}(s)
+		}
+		var buf []Message
+		for wait := 0; ; wait++ {
+			if buf = drain(buf); o.handled == total {
+				break
+			}
+			if len(buf) > 0 {
+				continue
+			}
+			var d time.Duration
+			if wait%2 == 1 {
+				d = 50 * time.Microsecond
+			}
+			if ok, timedOut := nw.WaitOwned(0, d); !ok && !timedOut {
+				t.Error("network closed under the owner")
+				break
+			}
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("not done after a minute: a wake-up was lost")
+	}
+	t.Logf("%d claims granted, %d released with a wake-up", claims.Load(), wakes.Load())
+	for from := 1; from <= senders; from++ {
+		if o.next[from] != each {
+			t.Errorf("sender %d: %d of %d messages handled", from, o.next[from], each)
+		}
+	}
+}
+
 // claimParked claims rank from a second goroutine's point of view: it
 // retries until the owner has parked. A refused claim enqueues its
 // message, which a correct owner drains and parks again.
@@ -121,6 +211,48 @@ func claimParked(nw *Network, rank int) {
 	for !nw.SendClaim(Message{From: 0, To: rank}) {
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// TestOwnershipReleaseRefusedWhileQueued: a message pushed during a
+// borrow makes the quiet release fail, so the borrower drains it instead
+// of parking the rank on a queue nobody will be woken for; once drained,
+// the release parks the rank and the next push wakes its owner.
+func TestOwnershipReleaseRefusedWhileQueued(t *testing.T) {
+	nw := NewNetwork(2)
+	woke := make(chan Message, 1)
+	go func() {
+		for {
+			if ok, _ := nw.WaitOwned(1, 0); !ok {
+				return
+			}
+			for _, m := range nw.RecvBatch(1, nil) {
+				if m.Data != nil { // not one of claimParked's refused claims
+					woke <- m
+				}
+			}
+		}
+	}()
+	claimParked(nw, 1)
+	nw.Send(Message{From: 0, To: 1, Data: "during"})
+	if nw.Release(1, false) {
+		t.Fatal("Release granted with a message queued during the borrow")
+	}
+	if got := nw.RecvBatch(1, nil); len(got) != 1 || got[0].Data != "during" {
+		t.Fatalf("borrower drained %v, want the message sent during the borrow", got)
+	}
+	if !nw.Release(1, false) {
+		t.Fatal("Release refused with an empty inbox")
+	}
+	nw.Send(Message{From: 0, To: 1, Data: "after"})
+	select {
+	case m := <-woke:
+		if m.Data != "after" {
+			t.Fatalf("owner got %v, want the message sent after the release", m.Data)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a push after the release did not wake the owner")
+	}
+	nw.Close()
 }
 
 // TestCloseEndsOwnedWaitWhileBorrowed: a borrower that dies mid-handler

@@ -20,6 +20,12 @@ import "time"
 //   - At most one goroutine runs a rank at a time: SendClaim grants a
 //     rank only while its owner is parked in WaitOwned, and the owner
 //     does not return from WaitOwned until the borrower has released it.
+//     Every hand-over — a granted claim, a Release, a return from
+//     WaitOwned — orders the previous runner's writes before the next
+//     runner's reads. The Network makes the hot ones lock-free (a claim
+//     of a parked, empty inbox, an empty RecvBatch, a Release that wakes
+//     nobody are each one atomic operation on the inbox's state word);
+//     the rest take the inbox mutex.
 //   - Recv* methods serve only ranks inside LocalRange; a transport
 //     hosting a slice of a larger job forwards everything else.
 //   - Close drains: no message accepted by Send before Close may be

@@ -213,6 +213,13 @@ func Tempered() Config {
 	return cfg
 }
 
+// MaxRounds bounds Config.Rounds: a gossip state keeps the rounds it has
+// forwarded in one 64-bit mask. The paper runs k ≤ 10.
+const MaxRounds = 64
+
+// ErrTooManyRounds is the error Validate wraps for Rounds > MaxRounds.
+var ErrTooManyRounds = fmt.Errorf("core: rounds must be <= %d", MaxRounds)
+
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
 	switch {
@@ -220,6 +227,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: fanout must be >= 1, got %d", c.Fanout)
 	case c.Rounds < 1:
 		return fmt.Errorf("core: rounds must be >= 1, got %d", c.Rounds)
+	case c.Rounds > MaxRounds:
+		return fmt.Errorf("%w, got %d", ErrTooManyRounds, c.Rounds)
 	case c.Threshold <= 0:
 		return fmt.Errorf("core: threshold must be > 0, got %g", c.Threshold)
 	case c.Trials < 1:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,5 +210,15 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
+	}
+	// The forwarded-round mask has a bit per round: 64 fits, 65 does not.
+	c := Tempered()
+	c.Rounds = MaxRounds
+	if err := c.Validate(); err != nil {
+		t.Errorf("Rounds = %d: %v", MaxRounds, err)
+	}
+	c.Rounds = MaxRounds + 1
+	if err := c.Validate(); !errors.Is(err, ErrTooManyRounds) {
+		t.Errorf("Rounds = %d: got %v, want ErrTooManyRounds", c.Rounds, err)
 	}
 }

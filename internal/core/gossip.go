@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 )
@@ -77,12 +78,17 @@ type Send struct {
 // in the LBAF simulator, via active messages under termination detection
 // in the AMT runtime.
 type InformState struct {
-	self      Rank
-	numRanks  int
-	cfg       *Config
-	rng       *rand.Rand
-	know      *Knowledge
-	forwarded []bool // by round
+	// What Receive reads on every message, inline and together: the
+	// knowledge itself, cfg.Rounds, and a mask whose bit r says round r
+	// has been forwarded (Validate bounds Rounds by MaxRounds for it).
+	know      Knowledge
+	rounds    int
+	forwarded uint64
+
+	self     Rank
+	numRanks int
+	cfg      *Config
+	rng      *rand.Rand
 
 	// Reused buffers: sendBuf backs the slices returned by Begin and
 	// Receive (overwritten by the next call); arena backs the bitsets of
@@ -104,27 +110,29 @@ func NewInformState(self Rank, numRanks int, cfg *Config, rng *rand.Rand) *Infor
 // NewInformStateOn creates the gossip state for one rank over the table
 // every gossip state of its node shares; only states on one table can
 // merge each other's snapshots. The rng must be private to the rank.
+// cfg.Rounds must be at most MaxRounds, as Validate checks.
 func NewInformStateOn(table *LoadTable, self Rank, cfg *Config, rng *rand.Rand) *InformState {
+	if cfg.Rounds > MaxRounds {
+		panic(fmt.Sprintf("core: InformState with %d rounds, more than MaxRounds (%d)", cfg.Rounds, MaxRounds))
+	}
 	return &InformState{
-		self:      self,
-		numRanks:  len(table.slot),
-		cfg:       cfg,
-		rng:       rng,
-		know:      newKnowledgeOn(table),
-		forwarded: make([]bool, cfg.Rounds+2),
+		know:     *newKnowledgeOn(table),
+		rounds:   cfg.Rounds,
+		self:     self,
+		numRanks: len(table.slot),
+		cfg:      cfg,
+		rng:      rng,
 	}
 }
 
 // Knowledge exposes the rank's accumulated view S^p / LOAD^p.
-func (st *InformState) Knowledge() *Knowledge { return st.know }
+func (st *InformState) Knowledge() *Knowledge { return &st.know }
 
 // Reset clears the knowledge and forwarding state for a fresh iteration.
 func (st *InformState) Reset() {
 	st.know.Reset()
 	st.arena = st.arena[:0]
-	for i := range st.forwarded {
-		st.forwarded[i] = false
-	}
+	st.forwarded = 0
 }
 
 // StartTrial prepares the rank for trial number trial of a refinement
@@ -165,13 +173,11 @@ func (st *InformState) Begin(ave, own float64) []Send {
 // copy it before driving this rank again.
 func (st *InformState) Receive(m InformMsg) (sends []Send, added int) {
 	added = st.know.merge(&m)
-	if m.Round >= st.cfg.Rounds {
+	round := uint64(1) << uint(m.Round)
+	if m.Round >= st.rounds || added == 0 || st.forwarded&round != 0 {
 		return nil, added
 	}
-	if st.forwarded[m.Round] || added == 0 {
-		return nil, added
-	}
-	st.forwarded[m.Round] = true
+	st.forwarded |= round
 	return st.fanOutAvoidKnown(m.Round + 1), added
 }
 
@@ -183,7 +189,7 @@ func (st *InformState) Receive(m InformMsg) (sends []Send, added int) {
 // is down-sampled uniformly into an explicit list so message size stays
 // bounded (footnote 2).
 func (st *InformState) payload(round int) InformMsg {
-	k := st.know
+	k := &st.know
 	max := st.cfg.MaxGossipEntries
 	if max <= 0 || k.n <= max {
 		span := k.member[k.lo:k.hi]

@@ -104,16 +104,21 @@ func TestGossipRoundsRespected(t *testing.T) {
 	}
 }
 
+// TestGossipForwardOncePerRound: a round is forwarded at most once, at
+// round 1 and at the highest round the forwarded mask has a bit for.
 func TestGossipForwardOncePerRound(t *testing.T) {
-	cfg := gossipConfig(2, 5)
-	st := NewInformState(0, 16, &cfg, rand.New(rand.NewSource(5)))
-	first, _ := st.Receive(InformMsg{Round: 1, Entries: []RankLoad{{Rank: 3, Load: 1}}})
-	if len(first) == 0 {
-		t.Fatal("first round-1 message not forwarded")
-	}
-	second, _ := st.Receive(InformMsg{Round: 1, Entries: []RankLoad{{Rank: 4, Load: 1}}})
-	if second != nil {
-		t.Error("second round-1 message also forwarded")
+	for _, tc := range []struct{ k, round int }{{5, 1}, {MaxRounds, MaxRounds - 1}} {
+		k, round := tc.k, tc.round
+		cfg := gossipConfig(2, k)
+		st := NewInformState(0, 16, &cfg, rand.New(rand.NewSource(5)))
+		first, _ := st.Receive(InformMsg{Round: round, Entries: []RankLoad{{Rank: 3, Load: 1}}})
+		if len(first) == 0 {
+			t.Fatalf("k=%d: first round-%d message not forwarded", k, round)
+		}
+		second, _ := st.Receive(InformMsg{Round: round, Entries: []RankLoad{{Rank: 4, Load: 1}}})
+		if second != nil {
+			t.Errorf("k=%d: second round-%d message also forwarded", k, round)
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ type Handlers struct {
 
 // rankState is the per-rank balancer state touched by handlers; at most
 // one goroutine runs a rank at a time — its own, or a sender's while the
-// rank is parked, handed over under the inbox lock — so no locking is
-// needed.
+// rank is parked, handed over by the transport (comm.Transport) — so no
+// locking is needed.
 type rankState struct {
 	inform *core.InformState
 
@@ -261,6 +261,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 		return res, nil
 	}
 
+	res.History = make([]core.IterationStats, 0, cfg.Trials*cfg.Iterations)
 	st.best.copyFrom(&st.input)
 	migBefore, bytesBefore := rc.Stats[amt.Migrations].Load(), rc.Stats[amt.MigrationBytes].Load()
 

@@ -28,9 +28,10 @@ race:
 # the distributed balancer end-to-end (including the faulted-equals-
 # fault-free and delay-window bit-determinism checks, and the
 # 1024-rank collective storm), and the engine's gossip queue under the
-# same fault plans.
+# same fault plans; plus the inbox ownership tests and the exhaustive
+# interleaving check of its state word.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Gossip|Determinism' ./...
+	$(GO) test -race -run 'Chaos|Fault|Gossip|Determinism|Ownership|Owned|StateWord' ./...
 
 # Just the paper-scale collective stress: 1024 ranks storm the k-ary
 # reduction tree (barriers, vector reduces, a scalar max) interleaved

@@ -42,10 +42,13 @@ type collMsg struct {
 	Values []float64
 }
 
-// collState accumulates one collective's child contributions on their
-// parent. Contributions are keyed by fixed child position, not arrival
-// order, so the fold below is topology-deterministic.
+// collState accumulates the child contributions of collective seq on
+// their parent. Contributions are keyed by fixed child position, not
+// arrival order, so the fold below is topology-deterministic. A rank needs
+// one: a child cannot leave collective s, and so cannot send its partial
+// of s+1, before its parent has folded s.
 type collState struct {
+	seq  int64
 	kids [][]float64 // one slot per tree child, in ascending rank order
 	got  int
 }
@@ -100,9 +103,8 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	acc := append([]float64(nil), in...)
 	if rc.nKids > 0 {
 		rc.pump(waitCollUp, seq)
-		st := rc.collUp[seq]
-		delete(rc.collUp, seq)
-		for _, kid := range st.kids {
+		for i, kid := range rc.coll.kids {
+			rc.coll.kids[i] = nil
 			if len(kid) != len(acc) {
 				panic(fmt.Sprintf("amt: %s length mismatch: %d vs %d",
 					name, len(kid), len(acc)))
@@ -117,7 +119,9 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 				}
 			}
 		}
+		rc.coll.got = 0
 	}
+	rc.coll.seq = seq + 1
 
 	if rc.parent >= 0 {
 		rc.transmit(comm.Message{
@@ -125,9 +129,7 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 			Data: collMsg{Seq: seq, Values: acc},
 		})
 		rc.pump(waitCollDown, seq)
-		acc = rc.collResult[seq]
-		delete(rc.collResult, seq)
-		delete(rc.collHasResult, seq)
+		acc, rc.result, rc.resultSeq = rc.result, nil, 0
 		return acc
 	}
 	// Root: the local fold is the global result; start the down phase.
@@ -150,38 +152,35 @@ func (rc *Context) sendDown(seq int64, result []float64) {
 	}
 }
 
-// onCollUp stores one child's partial for the keyed collective. Children
-// may race ahead of this rank's own entry into the collective (or even
-// into the next one); contributions are therefore buffered by sequence
-// and folded only once this rank reaches the matching call.
+// onCollUp stores one child's partial of the next collective this rank
+// folds. Children may race ahead of this rank's own entry into it, so the
+// partials are held until this rank reaches the matching call.
 func (rc *Context) onCollUp(m comm.Message) {
 	cm := m.Data.(collMsg)
-	st := rc.collUp[cm.Seq]
-	if st == nil {
-		st = &collState{kids: make([][]float64, rc.nKids)}
-		rc.collUp[cm.Seq] = st
+	if cm.Seq != rc.coll.seq {
+		panic(fmt.Sprintf("amt: rank %d got a partial of collective %d while collecting collective %d",
+			rc.rank, cm.Seq, rc.coll.seq))
 	}
-	st.kids[m.From-rc.childBase] = cm.Values
-	st.got++
+	if rc.coll.kids == nil {
+		rc.coll.kids = make([][]float64, rc.nKids)
+	}
+	rc.coll.kids[m.From-rc.childBase] = cm.Values
+	rc.coll.got++
 }
 
-// onCollDown installs the result of the keyed collective and forwards a
-// copy toward this rank's own subtree. A down message can only arrive
+// onCollDown installs the result of the collective this rank is in and
+// forwards a copy toward its own subtree. A down message can only arrive
 // after this rank sent its partial up, i.e. while it is blocked inside
 // the matching collective call, so the result is consumed immediately.
 func (rc *Context) onCollDown(m comm.Message) {
 	cm := m.Data.(collMsg)
-	rc.sendDown(cm.Seq, cm.Values)
-	if cm.Values == nil {
-		cm.Values = emptyResult
+	if cm.Seq != rc.collSeq || rc.resultSeq != 0 {
+		panic(fmt.Sprintf("amt: rank %d got the result of collective %d while in collective %d",
+			rc.rank, cm.Seq, rc.collSeq))
 	}
-	rc.collResult[cm.Seq] = cm.Values
-	rc.collHasResult[cm.Seq] = true
+	rc.sendDown(cm.Seq, cm.Values)
+	rc.result, rc.resultSeq = cm.Values, cm.Seq
 }
-
-// emptyResult stands in for a barrier's nil result vector so the zero
-// length survives the result map without extra bookkeeping.
-var emptyResult = []float64{}
 
 // Barrier blocks until every rank has reached the same barrier call: a
 // zero-length reduction, so release still takes one full up+down sweep.

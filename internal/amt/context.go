@@ -130,11 +130,14 @@ type Context struct {
 	treeDepth int
 	collMsgs  int
 
-	collSeq       int64
-	collUp        map[int64]*collState // child partials per collective seq
-	collResult    map[int64][]float64  // down-phase results received
-	collHasResult map[int64]bool
-	smallBuf      [1]float64 // scratch for the scalar collective wrapper
+	// collSeq is the collective this rank is in, or last left; coll holds
+	// its children's partials of the next one it folds, and result the down
+	// phase's result of collective resultSeq (0: none) until it is taken.
+	collSeq   int64
+	coll      collState
+	result    []float64
+	resultSeq int64
+	smallBuf  [1]float64 // scratch for the scalar collective wrapper
 
 	// stream is the node's frame stream on the one rank that publishes to
 	// it (see Stream), nil on every other; watched is Watched's answer
@@ -170,16 +173,14 @@ type Context struct {
 
 func newContext(rt *Runtime, rank core.Rank) *Context {
 	rc := &Context{
-		rt:            rt,
-		rank:          rank,
-		n:             rt.n,
-		collUp:        make(map[int64]*collState),
-		collResult:    make(map[int64][]float64),
-		collHasResult: make(map[int64]bool),
-		objects:       make(map[ObjectID]any),
-		location:      make(map[ObjectID]core.Rank),
-		tr:            rt.tracer,
-		epochSeconds:  rt.epochSeconds,
+		rt:           rt,
+		rank:         rank,
+		n:            rt.n,
+		coll:         collState{seq: 1},
+		objects:      make(map[ObjectID]any),
+		location:     make(map[ObjectID]core.Rank),
+		tr:           rt.tracer,
+		epochSeconds: rt.epochSeconds,
 	}
 	k := rt.fanout
 	r := int(rank)
@@ -437,10 +438,9 @@ func (rc *Context) satisfied() bool {
 	case waitEpoch:
 		return rc.epochDone
 	case waitCollUp:
-		st := rc.collUp[rc.waitSeq]
-		return st != nil && st.got >= rc.nKids
+		return rc.coll.got >= rc.nKids
 	case waitCollDown:
-		return rc.collHasResult[rc.waitSeq]
+		return rc.resultSeq == rc.waitSeq
 	default:
 		return true
 	}

@@ -38,7 +38,7 @@
 // termination and both waits of a collective are the same loop —
 // dispatch until the inbox is empty, do the passive share of Safra, park.
 // A parked rank is not woken per message. Its inbox has an ownership
-// state, changed only under the inbox mutex every send takes anyway:
+// state, one atomic word every transition changes with one CAS:
 // running (the rank's own goroutine), parked (the owner sleeps in the
 // pump), borrowed. A rank goroutine that sends to a local parked rank
 // borrows it: it dispatches the message and whatever else queues on the

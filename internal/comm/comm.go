@@ -325,7 +325,15 @@ func (nw *Network) RecvBatch(rank int, buf []Message) []Message {
 // RecvWait pops the next message for rank, blocking until one arrives or
 // the network is closed (ok=false).
 func (nw *Network) RecvWait(rank int) (Message, bool) {
-	return nw.inbox(rank).popWait()
+	ib := nw.inbox(rank)
+	for {
+		if m, ok := ib.pop(); ok {
+			return m, true
+		}
+		if ok, _ := ib.waitOwned(0); !ok {
+			return Message{}, false
+		}
+	}
 }
 
 // WaitOwned parks the calling goroutine — the owner of rank — until the
@@ -337,12 +345,11 @@ func (nw *Network) RecvWait(rank int) (Message, bool) {
 // and its inbox empty; d <= 0 waits without a deadline. Both results are
 // false once the network is closed and nothing is left to drain —
 // whatever the ownership state, so a borrower that died mid-handler
-// cannot strand the owner. Only the rank's own goroutine may call it.
+// cannot strand the owner. Only the rank's own goroutine may call it. It
+// takes no lock: it moves the inbox's state word by CAS and sleeps on the
+// inbox's wake token.
 func (nw *Network) WaitOwned(rank int, d time.Duration) (ok, timedOut bool) {
-	ib := nw.inbox(rank)
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return ib.waitOwned(d)
+	return nw.inbox(rank).waitOwned(d)
 }
 
 // Release ends the borrow a SendClaim granted on rank. wake reports that
@@ -350,15 +357,19 @@ func (nw *Network) WaitOwned(rank int, d time.Duration) (ok, timedOut bool) {
 // and owns the rank again. Otherwise the rank goes back to parked — unless
 // messages have queued during the borrow, in which case Release returns
 // false and the caller still holds the rank and must drain it (RecvBatch)
-// before trying again. A release that wakes nobody and finds nothing
-// queued takes no lock.
+// before trying again. Release takes no lock: it is one CAS of the
+// inbox's state word, followed by a wake token for the owner when it wakes
+// it.
 func (nw *Network) Release(rank int, wake bool) bool {
 	return nw.inbox(rank).release(wake)
 }
 
 // Pending returns the number of queued messages for rank.
 func (nw *Network) Pending(rank int) int {
-	return nw.inbox(rank).len()
+	ib := nw.inbox(rank)
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	return len(ib.queue) - ib.head
 }
 
 // Close wakes all blocked receivers; subsequent RecvWait calls drain
@@ -404,115 +415,154 @@ const (
 	stateClosed uint32 = 1 << 4
 )
 
-// inbox is an unbounded MPSC queue with blocking pop and an ownership
-// state (see above).
-//
-// The flags change only under mu, and so does the ownership state, but
-// for two transitions that take no lock: a claim of a parked inbox with
-// nothing queued (parked → borrowed), and a quiet release, one that wakes
-// nobody and finds no flag set (borrowed → parked). Both are one CAS of
-// the whole word, so a push that sets stateQueued, a close or a timed
-// wait makes either fail and fall back to the locked path; and because
-// those two may run at any moment, every change made under mu is a CAS of
-// the whole word as well (set), never a plain store. A hand-over is then
-// either a CAS on the word or a lock/unlock pair of mu, and either orders
-// the previous runner's writes before the next one's reads.
+// claimed takes a parked rank with nothing queued for a SendClaim: a
+// queued message must not be overtaken, and a closed inbox lends nothing.
+// A timed owner may be claimed; it sleeps through the borrow.
+func claimed(s uint32) uint32 {
+	if s&^stateTimed != ownerParked {
+		return s
+	}
+	return s&^ownerMask | ownerBorrowed
+}
+
+// released ends a borrow: back to running with wake, else back to parked
+// — but not while a message is queued, which the borrower must drain
+// first, for nobody would wake the owner for it.
+func released(s uint32, wake bool) uint32 {
+	switch {
+	case wake:
+		return s&^ownerMask | ownerRunning
+	case s&(stateClosed|stateQueued) == stateQueued:
+		return s
+	}
+	return s&^ownerMask | ownerParked
+}
+
+// ownerStep is the owner's step in waitOwned: slept reports that it has
+// taken a token since the call began, expired that its deadline has
+// passed. Work wins over a close, and a borrow over a deadline: the owner
+// sleeps through the borrow and looks at its clock after the release.
+func ownerStep(s uint32, slept, expired bool) (next uint32, sleep, ok, timedOut bool) {
+	owner, run := s&ownerMask, s&^ownerMask|ownerRunning
+	switch {
+	case owner != ownerBorrowed && (s&stateQueued != 0 || slept && owner == ownerRunning):
+		// Work to do, or a releasing borrower found the wait over and
+		// handed the rank back as running.
+		return run, false, true, false
+	case s&stateClosed != 0:
+		return s, false, false, false
+	case owner == ownerBorrowed:
+		return s, true, false, false
+	case expired:
+		return run, false, false, true
+	}
+	return s&^ownerMask | ownerParked, true, false, false
+}
+
+// inbox is an unbounded MPSC queue with an ownership state (see above)
+// and a wake token. Every change of the state word is one CAS (update), so
+// no transition overwrites another and each hand-over of the rank orders
+// one runner's writes before the next one's reads. mu guards only queue
+// and head. The owner sleeps by taking a token from wake, a channel of
+// capacity one, and whoever gives it work drops one there after its CAS,
+// without blocking: a token dropped before the owner sleeps is still there
+// when it does, and one that finds the slot full is not needed.
 type inbox struct {
 	state atomic.Uint32
+	wake  chan struct{}
 	mu    sync.Mutex
-	cond  *sync.Cond
 	queue []Message
 	head  int
 
-	// timer is waitOwned's single reusable deadline timer; lazily created
-	// on the first timed wait and Reset on every subsequent one instead
-	// of allocating an AfterFunc per call (hot in the reliable layer's
-	// retransmission pump). Guarded by mu.
+	// timer is waitOwned's single reusable deadline timer, created on the
+	// first timed wait and Reset on every later one (hot in the reliable
+	// layer's retransmission pump). Only the owner touches it. Its
+	// callback drops a token; one that fires after Stop is a spurious one.
 	timer *time.Timer
+	// sched is nil but in the interleaving check (statemodel_test.go).
+	sched scheduler
 }
 
 func newInbox() *inbox {
-	ib := &inbox{}
-	ib.cond = sync.NewCond(&ib.mu)
-	return ib
+	return &inbox{wake: make(chan struct{}, 1)}
 }
 
-// set replaces the bits of mask in the state word with val and returns
-// the word it replaced. Callers hold mu; the CAS loop is there because a
-// claim or a quiet release may change the ownership bits without it.
-func (ib *inbox) set(mask, val uint32) (old uint32) {
+// scheduler runs an inbox's goroutines one step at a time: step is called
+// before each step another goroutine could observe ("load" or "CAS" of the
+// word, "lock" of mu, "drop" or "take" of a token), and now is the clock.
+type scheduler interface {
+	step(op string)
+	now() time.Time
+}
+
+func (ib *inbox) step(op string) {
+	if ib.sched != nil {
+		ib.sched.step(op)
+	}
+}
+
+// update applies a transition f — a pure function from the word loaded to
+// the word to leave, the same word to change nothing — by a load and a CAS,
+// loading again if the CAS fails, and returns the word f was applied to.
+func (ib *inbox) update(f func(uint32) uint32) uint32 {
 	for {
-		old = ib.state.Load()
-		if ib.state.CompareAndSwap(old, old&^mask|val) {
-			return old
+		ib.step("load")
+		s := ib.state.Load()
+		next := f(s)
+		if next == s {
+			return s
+		}
+		ib.step("CAS")
+		if ib.state.CompareAndSwap(s, next) {
+			return s
 		}
 	}
 }
 
-// push enqueues m and wakes a parked owner. A running owner needs no
-// signal, and a borrowed rank's owner must sleep on: the borrower finds
-// the message when it releases. The owner took its wait ticket before it
-// let go of mu, so a signal sent after this Unlock still reaches it. Once
-// stateQueued is set only mu's holder changes the word — no claim or
-// quiet release succeeds on it — so a push behind another reads the owner
-// and writes nothing.
+// signal drops a wake token unless one is already there.
+func (ib *inbox) signal() {
+	ib.step("drop")
+	select {
+	case ib.wake <- struct{}{}:
+	default:
+	}
+}
+
+// push enqueues m and wakes a parked owner. The CAS that sets stateQueued
+// reads the owner, so a claim or a quiet release racing the push fails on
+// the flag; a borrowed rank's owner sleeps on, for its borrower finds the
+// message when it releases.
 func (ib *inbox) push(m Message) {
+	ib.step("lock")
 	ib.mu.Lock()
 	ib.queue = append(ib.queue, m)
-	old := ib.state.Load()
-	if old&stateQueued == 0 {
-		old = ib.set(stateQueued, stateQueued)
-	}
+	s := ib.update(func(s uint32) uint32 { return s | stateQueued })
 	ib.mu.Unlock()
-	if old&ownerMask == ownerParked {
-		ib.cond.Signal()
+	if s&ownerMask == ownerParked {
+		ib.signal()
 	}
 }
 
 // pushClaim takes an idle parked rank for the caller — leaving m with it,
-// unqueued — and is push otherwise. The claim is one CAS: parked with
-// nothing queued and not closed (a timed owner may be claimed; it sleeps
-// through the borrow) becomes borrowed.
+// unqueued — and is push otherwise.
 func (ib *inbox) pushClaim(m Message) bool {
-	for {
-		s := ib.state.Load()
-		if s&^stateTimed != ownerParked {
-			break
-		}
-		if ib.state.CompareAndSwap(s, s&^ownerMask|ownerBorrowed) {
-			return true
-		}
+	if s := ib.update(claimed); claimed(s) != s {
+		return true
 	}
 	ib.push(m)
 	return false
 }
 
-// release ends a borrow (see Network.Release). A quiet release — no wake,
-// nothing queued, no timed owner, not closed — is one CAS back to parked:
-// it signals nobody, so it needs no lock. Every other release takes mu.
-// A release that signals must: sync.Cond hands out its wait ticket while
-// the waiter still holds mu, so only a signal decided under mu is sure
-// to find the owner either not yet checking the state or holding a
-// ticket. An owner sleeping against a deadline is signalled whatever
-// wake says, to re-check its clock.
+// release ends a borrow (see Network.Release and released). It wakes the
+// owner it hands the rank back to, and an owner sleeping against a
+// deadline whatever wake says, to look at its clock.
 func (ib *inbox) release(wake bool) bool {
-	if !wake && ib.state.CompareAndSwap(ownerBorrowed, ownerParked) {
-		return true
-	}
-	ib.mu.Lock()
-	s := ib.state.Load()
-	if !wake && s&(stateClosed|stateQueued) == stateQueued {
-		ib.mu.Unlock()
+	s := ib.update(func(s uint32) uint32 { return released(s, wake) })
+	if released(s, wake) == s {
 		return false
 	}
-	to := ownerParked
-	if wake {
-		to = ownerRunning
-	}
-	ib.set(ownerMask, to)
-	ib.mu.Unlock()
-	if wake || s&(stateTimed|stateClosed) != 0 {
-		ib.cond.Signal()
+	if wake || s&stateTimed != 0 {
+		ib.signal()
 	}
 	return true
 }
@@ -520,79 +570,6 @@ func (ib *inbox) release(wake bool) bool {
 func (ib *inbox) pop() (Message, bool) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
-	return ib.popLocked()
-}
-
-func (ib *inbox) popWait() (Message, bool) {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	for {
-		if m, ok := ib.popLocked(); ok {
-			return m, true
-		}
-		if ok, _ := ib.waitOwned(0); !ok {
-			return Message{}, false
-		}
-	}
-}
-
-// waitOwned is WaitOwned with ib.mu held. The deadline rides the inbox's
-// single reusable timer, whose callback broadcasts on the condition
-// variable; each inbox has a single owner, so the wakeup cannot be stolen
-// by another waiter, and a stale callback from a Stop that lost the race
-// merely causes one spurious re-check of the loop condition.
-func (ib *inbox) waitOwned(d time.Duration) (ok, timedOut bool) {
-	var deadline time.Time
-	if d > 0 {
-		deadline = clock.Now().Add(d)
-		if ib.timer == nil {
-			ib.timer = time.AfterFunc(d, func() {
-				ib.mu.Lock()
-				defer ib.mu.Unlock()
-				ib.cond.Broadcast()
-			})
-		} else {
-			ib.timer.Reset(d)
-		}
-		ib.set(stateTimed, stateTimed)
-		defer func() {
-			ib.timer.Stop()
-			ib.set(stateTimed, 0)
-		}()
-	}
-	// Each change of the ownership bits is a CAS from the word the case
-	// was chosen on: a claim may take a parked rank between the load and
-	// the change, and the loop then looks again instead of overwriting it.
-	for parked := false; ; {
-		s := ib.state.Load()
-		owner := s & ownerMask
-		switch {
-		case owner != ownerBorrowed && (s&stateQueued != 0 || parked && owner == ownerRunning):
-			// Work to do, or a releasing borrower found the wait over and
-			// handed the rank back as running.
-			if ib.state.CompareAndSwap(s, s&^ownerMask|ownerRunning) {
-				return true, false
-			}
-			continue
-		case s&stateClosed != 0:
-			return false, false
-		case owner == ownerBorrowed:
-		case d > 0 && !clock.Now().Before(deadline):
-			if ib.state.CompareAndSwap(s, s&^ownerMask|ownerRunning) {
-				return false, true
-			}
-			continue
-		case owner != ownerParked:
-			if !ib.state.CompareAndSwap(s, s&^ownerMask|ownerParked) {
-				continue
-			}
-		}
-		ib.cond.Wait()
-		parked = true
-	}
-}
-
-func (ib *inbox) popLocked() (Message, bool) {
 	if ib.head >= len(ib.queue) {
 		return Message{}, false
 	}
@@ -602,7 +579,7 @@ func (ib *inbox) popLocked() (Message, bool) {
 	if ib.head == len(ib.queue) {
 		ib.queue = ib.queue[:0]
 		ib.head = 0
-		ib.set(stateQueued, 0)
+		ib.update(func(s uint32) uint32 { return s &^ stateQueued })
 	} else if ib.head > 64 && ib.head*2 >= len(ib.queue) {
 		// Compact once the dead prefix dominates.
 		n := copy(ib.queue, ib.queue[ib.head:])
@@ -610,6 +587,44 @@ func (ib *inbox) popLocked() (Message, bool) {
 		ib.head = 0
 	}
 	return m, true
+}
+
+// waitOwned is WaitOwned: it applies ownerStep until the step is not to
+// sleep, taking a token each time it is. The deadline rides the inbox's
+// timer; stateTimed is set for the whole wait, so that a release wakes an
+// owner whose deadline passed while its rank was borrowed.
+func (ib *inbox) waitOwned(d time.Duration) (ok, timedOut bool) {
+	now := clock.Now
+	if ib.sched != nil {
+		now = ib.sched.now
+	}
+	var deadline time.Time
+	if d > 0 {
+		deadline = now().Add(d)
+		if ib.timer == nil {
+			ib.timer = time.AfterFunc(d, ib.signal)
+		} else {
+			ib.timer.Reset(d)
+		}
+		ib.update(func(s uint32) uint32 { return s | stateTimed })
+	}
+	for slept := false; ; slept = true {
+		sleep := false
+		ib.update(func(s uint32) (next uint32) {
+			next, sleep, ok, timedOut = ownerStep(s, slept, d > 0 && !now().Before(deadline))
+			return next
+		})
+		if !sleep {
+			break
+		}
+		ib.step("take")
+		<-ib.wake
+	}
+	if d > 0 {
+		ib.timer.Stop()
+		ib.update(func(s uint32) uint32 { return s &^ stateTimed })
+	}
+	return ok, timedOut
 }
 
 // popBatch hands every queued message to the caller under one lock. With
@@ -621,9 +636,11 @@ func (ib *inbox) popLocked() (Message, bool) {
 // allocating. Any other case appends a copy and clears the queue, so the
 // inbox never pins a delivered payload it copied out.
 func (ib *inbox) popBatch(buf []Message) []Message {
+	ib.step("load")
 	if ib.state.Load()&stateQueued == 0 {
 		return buf
 	}
+	ib.step("lock")
 	ib.mu.Lock()
 	if len(buf) == 0 && ib.head == 0 {
 		buf, ib.queue = ib.queue, buf[:0]
@@ -633,20 +650,12 @@ func (ib *inbox) popBatch(buf []Message) []Message {
 		ib.queue = ib.queue[:0]
 		ib.head = 0
 	}
-	ib.set(stateQueued, 0)
+	ib.update(func(s uint32) uint32 { return s &^ stateQueued })
 	ib.mu.Unlock()
 	return buf
 }
 
-func (ib *inbox) len() int {
-	ib.mu.Lock()
-	defer ib.mu.Unlock()
-	return len(ib.queue) - ib.head
-}
-
 func (ib *inbox) close() {
-	ib.mu.Lock()
-	ib.set(stateClosed, stateClosed)
-	ib.mu.Unlock()
-	ib.cond.Broadcast()
+	ib.update(func(s uint32) uint32 { return s | stateClosed })
+	ib.signal()
 }

@@ -29,10 +29,10 @@
 // lives in one atomic word per inbox with the queued, timed and closed
 // flags, a claim is granted only while the owner is parked, and the owner
 // does not leave WaitOwned before the borrower's Release — so at most one
-// goroutine runs a rank at a time. Claiming a parked rank with an empty
-// inbox and a release that wakes nobody are each one CAS of that word;
-// every other transition takes the inbox mutex. Either a CAS or a
-// lock/unlock pair orders one runner's writes before the next one's reads.
+// goroutine runs a rank at a time. Every transition is one CAS of that
+// word, which orders one runner's writes before the next one's reads; the
+// inbox mutex guards only the queue; and a parked owner is woken by a
+// token in a one-slot channel, which a waker drops without blocking.
 // Everything layered above (amt, termination, the distributed balancer)
 // relies on this package for cross-rank safety and keeps its own state
 // one-runner-at-a-time.

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -80,19 +81,14 @@ func (sp FaultSpec) Validate(n int) error {
 // must tolerate that, and the delay-only chaos tests prove they do).
 func (sp FaultSpec) Plan(kinds ...Kind) *FaultPlan {
 	p := &FaultPlan{
-		Seed:     sp.Seed,
-		DelayMin: sp.DelayMin,
-		DelayMax: sp.DelayMax,
+		Seed:      sp.Seed,
+		DelayMin:  sp.DelayMin,
+		DelayMax:  sp.DelayMax,
+		SlowRanks: maps.Clone(sp.SlowRanks),
 	}
 	for _, k := range kinds {
 		p.Drop[k] = sp.Drop
 		p.Dup[k] = sp.Dup
-	}
-	if len(sp.SlowRanks) > 0 {
-		p.SlowRanks = make(map[int]time.Duration, len(sp.SlowRanks))
-		for r, d := range sp.SlowRanks {
-			p.SlowRanks[r] = d
-		}
 	}
 	return p
 }
@@ -253,12 +249,7 @@ func (p *FaultPlan) validate() {
 // clone deep-copies the plan so later caller mutations cannot race Send.
 func (p *FaultPlan) clone() *FaultPlan {
 	c := *p
-	if len(p.SlowRanks) > 0 {
-		c.SlowRanks = make(map[int]time.Duration, len(p.SlowRanks))
-		for r, d := range p.SlowRanks {
-			c.SlowRanks[r] = d
-		}
-	}
+	c.SlowRanks = maps.Clone(p.SlowRanks)
 	return &c
 }
 

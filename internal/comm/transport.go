@@ -22,10 +22,8 @@ import "time"
 //     does not return from WaitOwned until the borrower has released it.
 //     Every hand-over — a granted claim, a Release, a return from
 //     WaitOwned — orders the previous runner's writes before the next
-//     runner's reads. The Network makes the hot ones lock-free (a claim
-//     of a parked, empty inbox, an empty RecvBatch, a Release that wakes
-//     nobody are each one atomic operation on the inbox's state word);
-//     the rest take the inbox mutex.
+//     runner's reads; in the Network each is one CAS of the inbox's
+//     state word.
 //   - Recv* methods serve only ranks inside LocalRange; a transport
 //     hosting a slice of a larger job forwards everything else.
 //   - Close drains: no message accepted by Send before Close may be

@@ -148,8 +148,9 @@ type Transport struct {
 
 	mu       sync.Mutex
 	inbound  map[int]net.Conn // node id → accepted (read) connection
-	inCond   *sync.Cond
-	accepted []net.Conn // every accepted conn, for force-close
+	accepted []net.Conn       // every accepted conn, for force-close
+	// inWake is Connect's wake token: a handshake, failure or shutdown drops one.
+	inWake chan struct{}
 
 	readerWG sync.WaitGroup
 	closing  atomic.Bool
@@ -174,15 +175,16 @@ const DefaultMaxQueue = 1 << 17
 // peer owns the outbound connection to one remote node: an unbounded
 // queue drained by a writer goroutine, so Send never blocks on the
 // socket. The writer flushes whenever it catches up with the queue and
-// ends the stream with a BYE frame once drain begins.
+// ends the stream with a BYE frame once drain begins. Whoever changes queue
+// or bye drops a token on wake, on which the writer sleeps when idle.
 type peer struct {
 	t    *Transport
 	node int
 
 	mu    sync.Mutex
-	cond  *sync.Cond
 	queue []comm.Message
 	bye   bool
+	wake  chan struct{}
 
 	conn net.Conn
 	done chan struct{}
@@ -207,9 +209,9 @@ func New(cfg Config) (*Transport, error) {
 		ln:      ln,
 		addr:    ln.Addr().String(),
 		inbound: map[int]net.Conn{},
+		inWake:  make(chan struct{}, 1),
 		peers:   make([]*peer, cfg.Nodes),
 	}
-	t.inCond = sync.NewCond(&t.mu)
 	t.Network = comm.NewPartialNetwork(cfg.Ranks, spec.Lo, spec.Hi, t.forwardRemote)
 	go t.acceptLoop()
 	return t, nil
@@ -285,47 +287,35 @@ func (t *Transport) Connect(nodes []NodeSpec) error {
 		}
 	}
 
-	// Wait for every peer's inbound handshake.
-	deadline := time.Now().Add(t.cfg.ConnectTimeout)
-	// The deadline wakes the wait through a cell that is cleared on
-	// return. A stopped timer stays in the runtime's timer heap until the
-	// runtime next sweeps it, and whatever its callback references stays
-	// reachable meanwhile; through the cell that is one pointer, not this
-	// transport and every inbox behind it — which a process that builds
-	// clusters back to back would otherwise pile up by the dozen.
-	var wake atomic.Pointer[sync.Cond]
-	wake.Store(t.inCond)
-	timer := time.AfterFunc(t.cfg.ConnectTimeout, func() {
-		if c := wake.Load(); c != nil {
-			c.Broadcast()
-		}
-	})
-	defer func() {
-		timer.Stop()
-		wake.Store(nil)
-	}()
-	t.mu.Lock()
-	for len(t.inbound) < t.cfg.Nodes-1 {
+	// Wait for every peer's inbound handshake. A stopped timer stays in
+	// the runtime's timer heap, and what it references reachable, until
+	// the runtime next sweeps it: this one references only its channel.
+	timer := time.NewTimer(t.cfg.ConnectTimeout)
+	defer timer.Stop()
+	expired := false
+	for missing := t.missingPeers(); len(missing) > 0; missing = t.missingPeers() {
 		if err := t.Err(); err != nil {
-			t.mu.Unlock()
 			t.Close()
 			return err
 		}
-		if time.Now().After(deadline) {
-			missing := t.missingPeersLocked()
-			t.mu.Unlock()
+		if expired {
 			t.Close()
 			return fmt.Errorf("wire: node %d: peer timeout: no handshake from nodes %v within %v (peer not started? wrong address in map?)", t.cfg.Self, missing, t.cfg.ConnectTimeout)
 		}
-		t.inCond.Wait()
+		select {
+		case <-t.inWake:
+		case <-timer.C:
+			expired = true
+		}
 	}
-	t.mu.Unlock()
 	t.cfg.Logf("wire: node %d connected: %d peers, ranks [%d,%d) local", t.cfg.Self, t.cfg.Nodes-1, t.lo, t.hi)
 	return nil
 }
 
-// missingPeersLocked lists node ids that have not handshaken yet.
-func (t *Transport) missingPeersLocked() []int {
+// missingPeers lists node ids that have not handshaken yet.
+func (t *Transport) missingPeers() []int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var missing []int
 	for i := 0; i < t.cfg.Nodes; i++ {
 		if i == t.cfg.Self {
@@ -382,8 +372,7 @@ func (t *Transport) dialPeer(node int) error {
 		conn.Close()
 		return fmt.Errorf("wire: handshake to node %d: %w", node, err)
 	}
-	p := &peer{t: t, node: node, conn: conn, done: make(chan struct{})}
-	p.cond = sync.NewCond(&p.mu)
+	p := &peer{t: t, node: node, conn: conn, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	t.mu.Lock() // a failure's shutdown may already be reading the table
 	t.peers[node] = p
 	t.mu.Unlock()
@@ -452,7 +441,7 @@ func (t *Transport) handshakeInbound(conn net.Conn) {
 	// then on Close may run, and it waits for the readers.
 	t.readerWG.Add(1)
 	t.mu.Unlock()
-	t.inCond.Broadcast()
+	drop(t.inWake)
 	go t.readLoop(h.Node, conn, br)
 }
 
@@ -531,7 +520,7 @@ func (p *peer) enqueue(m comm.Message) {
 	p.queue = append(p.queue, m)
 	depth := int64(len(p.queue))
 	p.mu.Unlock()
-	p.cond.Signal()
+	drop(p.wake)
 	for {
 		hw := p.t.queueHighWater.Load()
 		if depth <= hw || p.t.queueHighWater.CompareAndSwap(hw, depth) {
@@ -549,7 +538,15 @@ func (p *peer) beginBye() {
 	p.mu.Lock()
 	p.bye = true
 	p.mu.Unlock()
-	p.cond.Signal()
+	drop(p.wake)
+}
+
+// drop leaves a wake token on c unless one is already there.
+func drop(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
 }
 
 // writeLoop drains the queue into the socket, flushing whenever it
@@ -564,14 +561,15 @@ func (p *peer) writeLoop() {
 	dead := false
 	for {
 		p.mu.Lock()
-		for len(p.queue) == 0 && !p.bye {
-			p.cond.Wait()
-		}
 		batch = append(batch[:0], p.queue...)
 		clear(p.queue)
 		p.queue = p.queue[:0]
 		finish := p.bye
 		p.mu.Unlock()
+		if len(batch) == 0 && !finish {
+			<-p.wake
+			continue
+		}
 
 		if !dead {
 			for i := range batch {
@@ -618,6 +616,7 @@ func (t *Transport) fail(err error) {
 		return
 	}
 	t.cfg.Logf("wire: fatal: %v", err)
+	drop(t.inWake)
 	go t.Close()
 }
 
@@ -686,7 +685,7 @@ func (t *Transport) shutdown(drain time.Duration) {
 	}
 
 	t.ln.Close()
-	t.inCond.Broadcast()
+	drop(t.inWake)
 
 	readersDone := make(chan struct{})
 	go func() {

@@ -281,7 +281,6 @@ func TestWriterQueueSoftCapFailsLoud(t *testing.T) {
 	defer ours.Close()
 	defer theirs.Close()
 	p := &peer{t: tr, node: 1, conn: ours, done: make(chan struct{})}
-	p.cond = sync.NewCond(&p.mu)
 	close(p.done) // no writeLoop: Close must not wait for one
 
 	for i := 0; i < 8; i++ {
@@ -318,7 +317,6 @@ func TestWriterQueueCapDisabled(t *testing.T) {
 	defer ours.Close()
 	defer theirs.Close()
 	p := &peer{t: tr, node: 1, conn: ours, done: make(chan struct{})}
-	p.cond = sync.NewCond(&p.mu)
 	close(p.done)
 
 	for i := 0; i < 100; i++ {

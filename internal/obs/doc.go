@@ -2,8 +2,7 @@
 // distributed stack: typed trace events emitted by the transport, the
 // AMT runtime, termination detection and the distributed balancer, plus
 // a lock-cheap metrics registry, with exporters to Chrome trace_event
-// JSON (chrome://tracing, Perfetto), Prometheus text exposition, and
-// CSV/JSON dumps.
+// JSON (chrome://tracing, Perfetto) and Prometheus text exposition.
 //
 // The design goal is a hot path that pays exactly one nil-check when
 // tracing is disabled: instrumented code holds a Tracer interface value

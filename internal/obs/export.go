@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -156,82 +155,6 @@ func sortedInts(set map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// WriteEventsCSV writes the events as a flat CSV (one row per event,
-// microsecond timestamps), the format the experiment harness ingests
-// alongside internal/sim's per-step series dumps.
-func WriteEventsCSV(w io.Writer, events []Event) error {
-	sorted := append([]Event(nil), events...)
-	sortEvents(sorted)
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"ts_us", "type", "rank", "peer", "trial", "iteration",
-		"epoch", "object", "value", "bytes", "fanout", "depth",
-		"dur_us", "name",
-	}); err != nil {
-		return err
-	}
-	for _, e := range sorted {
-		rec := []string{
-			strconv.FormatFloat(usec(e.TS), 'f', 3, 64),
-			e.Type.String(),
-			strconv.Itoa(e.Rank),
-			strconv.Itoa(e.Peer),
-			strconv.Itoa(e.Trial),
-			strconv.Itoa(e.Iteration),
-			strconv.FormatInt(e.Epoch, 10),
-			strconv.FormatInt(e.Object, 10),
-			strconv.FormatFloat(e.Value, 'g', -1, 64),
-			strconv.Itoa(e.Bytes),
-			strconv.Itoa(e.Fanout),
-			strconv.Itoa(e.Depth),
-			strconv.FormatFloat(usec(e.Dur), 'f', 3, 64),
-			e.Name,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// jsonEvent mirrors Event with stable JSON field names.
-type jsonEvent struct {
-	TSMicros  float64 `json:"ts_us"`
-	Type      string  `json:"type"`
-	Rank      int     `json:"rank"`
-	Peer      int     `json:"peer,omitempty"`
-	Trial     int     `json:"trial,omitempty"`
-	Iteration int     `json:"iteration,omitempty"`
-	Epoch     int64   `json:"epoch,omitempty"`
-	Object    int64   `json:"object,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-	Bytes     int     `json:"bytes,omitempty"`
-	Fanout    int     `json:"fanout,omitempty"`
-	Depth     int     `json:"depth,omitempty"`
-	DurMicros float64 `json:"dur_us,omitempty"`
-	Name      string  `json:"name,omitempty"`
-}
-
-// WriteEventsJSON writes the events as a JSON array, timestamp-sorted.
-func WriteEventsJSON(w io.Writer, events []Event) error {
-	sorted := append([]Event(nil), events...)
-	sortEvents(sorted)
-	out := make([]jsonEvent, len(sorted))
-	for i, e := range sorted {
-		out[i] = jsonEvent{
-			TSMicros: usec(e.TS), Type: e.Type.String(), Rank: e.Rank,
-			Peer: e.Peer, Trial: e.Trial, Iteration: e.Iteration,
-			Epoch: e.Epoch, Object: e.Object, Value: e.Value,
-			Bytes: e.Bytes, Fanout: e.Fanout, Depth: e.Depth,
-			DurMicros: usec(e.Dur), Name: e.Name,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
 }
 
 // splitLabels splits a metric name in exposition syntax into its family

@@ -178,33 +178,3 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestEventsCSVAndJSON(t *testing.T) {
-	events := fixtureEvents()
-	var buf bytes.Buffer
-	if err := WriteEventsCSV(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(events)+1 {
-		t.Fatalf("CSV rows = %d, want %d + header", len(lines)-1, len(events))
-	}
-	if !strings.HasPrefix(lines[0], "ts_us,type,rank") {
-		t.Fatalf("CSV header = %q", lines[0])
-	}
-
-	buf.Reset()
-	if err := WriteEventsJSON(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	var parsed []jsonEvent
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatal(err)
-	}
-	if len(parsed) != len(events) {
-		t.Fatalf("JSON events = %d, want %d", len(parsed), len(events))
-	}
-	if parsed[0].Type != "lb.run" || parsed[len(parsed)-1].Type != "lb.run" {
-		t.Errorf("ordering lost: first %q last %q", parsed[0].Type, parsed[len(parsed)-1].Type)
-	}
-}

@@ -148,23 +148,6 @@ func TestExportersEmptyInputs(t *testing.T) {
 	}
 
 	buf.Reset()
-	if err := WriteEventsCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := "ts_us,type,rank,peer,trial,iteration,epoch,object,value,bytes,fanout,depth,dur_us,name\n"
-	if buf.String() != want {
-		t.Errorf("empty CSV = %q, want header only", buf.String())
-	}
-
-	buf.Reset()
-	if err := WriteEventsJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(buf.String()) != "[]" {
-		t.Errorf("empty JSON = %q, want []", buf.String())
-	}
-
-	buf.Reset()
 	if err := WritePrometheus(&buf, NewMetrics()); err != nil {
 		t.Fatal(err)
 	}

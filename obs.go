@@ -87,16 +87,6 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 // exposition format.
 func WritePrometheus(w io.Writer, m *Metrics) error { return obs.WritePrometheus(w, m) }
 
-// WriteTraceCSV exports events as a flat CSV table.
-func WriteTraceCSV(w io.Writer, events []TraceEvent) error {
-	return obs.WriteEventsCSV(w, events)
-}
-
-// WriteTraceJSON exports events as a JSON array.
-func WriteTraceJSON(w io.Writer, events []TraceEvent) error {
-	return obs.WriteEventsJSON(w, events)
-}
-
 // NewStream creates a frame stream with the given ring capacity (<= 0
 // selects the default).
 func NewStream(capacity int) *Stream { return obs.NewStream(capacity) }

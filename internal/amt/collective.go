@@ -34,9 +34,11 @@ func (op ReduceOp) combine(a, b float64) float64 {
 	}
 }
 
-// collMsg is the wire payload of both tree-collective phases: a child's
-// folded partial on its way up (kindCollUp) and the final result on its
-// way down (kindCollDown). Values is nil for barriers.
+// collMsg is the wire payload of both tree-collective phases, always
+// sent by pointer: a child's folded partial on its way up (kindCollUp,
+// the child's Context.up) and the final result on its way down
+// (kindCollDown, one per collective for the whole tree). Values is nil
+// for barriers.
 type collMsg struct {
 	Seq    int64
 	Values []float64
@@ -79,9 +81,19 @@ func (rc *Context) collStart(name string) func() {
 // partial to its parent. Because the combine order is a function of the
 // topology alone (never of message arrival order), floating-point
 // reductions are bit-identical across runs, under jitter, delays and
-// stragglers included. Down phase: the root's fold is the result; every
-// rank forwards a private copy to each child (see dispatch), so the
-// returned slice is exclusively the caller's.
+// stragglers included. Down phase: the root copies its fold once into a
+// fresh result, and that one message goes down the whole tree — every
+// rank forwards what it received (see onCollDown) — so the returned slice
+// is shared by every rank of the node and must not be written.
+//
+// Nothing else is allocated per rank. The fold happens in rc.partial and
+// travels up in rc.up, both reused from one collective to the next: a
+// child enters collective s+1 only after the down message of s reached
+// it, and its parent sends that only after folding the child's partial of
+// s. No fault plan can break that order — collective kinds are never
+// dropped or duplicated (Runtime.SetFaults), a delayed partial still
+// arrives before its parent's fold, and a socket writer encodes a
+// partial before the parent can read it.
 //
 // ops selects a per-element combine (len(ops) == len(in)); a nil ops
 // applies op to every element. Per-rank traffic is at most fanout+1
@@ -100,7 +112,11 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	rc.Stats[CollectiveMsgs].Add(int64(rc.collMsgs))
 	seq := rc.collSeq
 
-	acc := append([]float64(nil), in...)
+	var acc []float64 // nil for a barrier
+	if in != nil {
+		acc = append(rc.partial[:0], in...)
+		rc.partial = acc
+	}
 	if rc.nKids > 0 {
 		rc.pump(waitCollUp, seq)
 		for i, kid := range rc.coll.kids {
@@ -124,39 +140,40 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	rc.coll.seq = seq + 1
 
 	if rc.parent >= 0 {
+		rc.up = collMsg{Seq: seq, Values: acc}
 		rc.transmit(comm.Message{
-			From: int(rc.rank), To: rc.parent, Kind: kindCollUp,
-			Data: collMsg{Seq: seq, Values: acc},
+			From: int(rc.rank), To: rc.parent, Kind: kindCollUp, Data: &rc.up,
 		})
 		rc.pump(waitCollDown, seq)
 		acc, rc.result, rc.resultSeq = rc.result, nil, 0
 		return acc
 	}
 	// Root: the local fold is the global result; start the down phase.
-	rc.sendDown(seq, acc)
-	return acc
+	var result []float64
+	if acc != nil {
+		result = append([]float64(nil), acc...)
+	}
+	rc.sendDown(&collMsg{Seq: seq, Values: result})
+	return result
 }
 
-// sendDown forwards a private copy of the result to each tree child —
-// pushed, never claimed (see transmit).
-func (rc *Context) sendDown(seq int64, result []float64) {
+// sendDown forwards the down message of a collective to each tree child
+// — the same payload to every child, pushed, never claimed (see
+// transmit).
+func (rc *Context) sendDown(down any) {
 	for c := rc.childBase; c < rc.childBase+rc.nKids; c++ {
-		var out []float64
-		if result != nil {
-			out = append([]float64(nil), result...)
-		}
 		rc.rt.nw.Send(comm.Message{
-			From: int(rc.rank), To: c, Kind: kindCollDown,
-			Data: collMsg{Seq: seq, Values: out},
+			From: int(rc.rank), To: c, Kind: kindCollDown, Data: down,
 		})
 	}
 }
 
 // onCollUp stores one child's partial of the next collective this rank
 // folds. Children may race ahead of this rank's own entry into it, so the
-// partials are held until this rank reaches the matching call.
+// partials are held until this rank reaches the matching call; a child
+// leaves its partial alone until then (see treeCollective).
 func (rc *Context) onCollUp(m comm.Message) {
-	cm := m.Data.(collMsg)
+	cm := m.Data.(*collMsg)
 	if cm.Seq != rc.coll.seq {
 		panic(fmt.Sprintf("amt: rank %d got a partial of collective %d while collecting collective %d",
 			rc.rank, cm.Seq, rc.coll.seq))
@@ -169,16 +186,17 @@ func (rc *Context) onCollUp(m comm.Message) {
 }
 
 // onCollDown installs the result of the collective this rank is in and
-// forwards a copy toward its own subtree. A down message can only arrive
-// after this rank sent its partial up, i.e. while it is blocked inside
-// the matching collective call, so the result is consumed immediately.
+// forwards the message it received, uncopied, toward its own subtree. A
+// down message can only arrive after this rank sent its partial up, i.e.
+// while it is blocked inside the matching collective call, so the result
+// is consumed immediately.
 func (rc *Context) onCollDown(m comm.Message) {
-	cm := m.Data.(collMsg)
+	cm := m.Data.(*collMsg)
 	if cm.Seq != rc.collSeq || rc.resultSeq != 0 {
 		panic(fmt.Sprintf("amt: rank %d got the result of collective %d while in collective %d",
 			rc.rank, cm.Seq, rc.collSeq))
 	}
-	rc.sendDown(cm.Seq, cm.Values)
+	rc.sendDown(m.Data)
 	rc.result, rc.resultSeq = cm.Values, cm.Seq
 }
 
@@ -192,8 +210,7 @@ func (rc *Context) Barrier() {
 // result on every rank. This is the constant-size statistics all-reduce
 // that precedes every LB invocation (§IV-B).
 func (rc *Context) AllReduce(value float64, op ReduceOp) float64 {
-	rc.smallBuf[0] = value
-	return rc.treeCollective("allreduce", rc.smallBuf[:1], op, nil)[0]
+	return rc.treeCollective("allreduce", []float64{value}, op, nil)[0]
 }
 
 // AllReduceMixed is AllReduceVec with a combine of its own per element:
@@ -202,7 +219,8 @@ func (rc *Context) AllReduce(value float64, op ReduceOp) float64 {
 // instead of one per operator; each element's fold order is the
 // topology's, exactly as in a single-operator reduce, so the results are
 // bit-identical to separate collectives. All ranks must pass the same
-// ops; neither slice is retained or mutated.
+// ops; neither slice is retained or mutated. The result is read-only, as
+// AllReduceVec's is.
 func (rc *Context) AllReduceMixed(values []float64, ops []ReduceOp) []float64 {
 	if len(ops) != len(values) {
 		panic(fmt.Sprintf("amt: AllReduceMixed with %d values and %d ops", len(values), len(ops)))
@@ -216,19 +234,27 @@ func (rc *Context) AllReduceMixed(values []float64, ops []ReduceOp) []float64 {
 // untouched. Every rank allocates and ships O(P) floats, so nothing on a
 // per-iteration or per-phase path may call it: the one caller left is
 // serve's assignmentFingerprint, once per service run (frames ride the
-// protocol's own reduces as an obs.LoadSummary instead). Like the other
-// collectives it must be called by all ranks in matching order.
+// protocol's own reduces as an obs.LoadSummary instead). The P-wide
+// vector is the call's own partial, folded in place and dropped with the
+// call, so no rank keeps a P-float buffer past it. Like the other
+// collectives it must be called by all ranks in matching order, and its
+// result is read-only, as AllReduceVec's is.
 func (rc *Context) AllGather(value float64) []float64 {
-	in := make([]float64, rc.n)
-	in[rc.rank] = value
-	return rc.treeCollective("allgather", in, ReduceSum, nil)
+	kept := rc.partial
+	rc.partial = make([]float64, rc.n)
+	rc.partial[rc.rank] = value
+	out := rc.treeCollective("allgather", rc.partial, ReduceSum, nil)
+	rc.partial = kept
+	return out
 }
 
 // AllReduceVec combines a fixed-width vector elementwise across all
 // ranks with op and returns the result on every rank — one collective
 // where a loop of AllReduce calls would cost a full tree sweep per
 // element. All ranks must pass the same length; the input slice is
-// neither retained nor mutated.
+// neither retained nor mutated. The result is one slice shared by every
+// rank of the node, and stays valid after later collectives: read it,
+// keep it, never write it.
 func (rc *Context) AllReduceVec(values []float64, op ReduceOp) []float64 {
 	return rc.treeCollective("allreduce_vec", values, op, nil)
 }

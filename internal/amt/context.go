@@ -133,11 +133,15 @@ type Context struct {
 	// collSeq is the collective this rank is in, or last left; coll holds
 	// its children's partials of the next one it folds, and result the down
 	// phase's result of collective resultSeq (0: none) until it is taken.
+	// partial is this rank's own fold and up the message that carries it
+	// to the parent, both reused from one collective to the next (see
+	// treeCollective).
 	collSeq   int64
 	coll      collState
 	result    []float64
 	resultSeq int64
-	smallBuf  [1]float64 // scratch for the scalar collective wrapper
+	partial   []float64
+	up        collMsg
 
 	// stream is the node's frame stream on the one rank that publishes to
 	// it (see Stream), nil on every other; watched is Watched's answer

@@ -22,7 +22,11 @@
 // paper's 4096-rank scale. The combine order is fixed by the topology
 // (own value, then children by ascending rank), never by message
 // arrival order, so floating-point reductions are bit-identical across
-// runs even under delays, stragglers and faults.
+// runs even under delays, stragglers and faults. Each rank folds into one
+// partial buffer reused from one collective to the next, and the root's
+// result is the one slice every rank of the node returns: read-only,
+// valid after later collectives, and the only thing a collective
+// allocates on the node.
 //
 // When Runtime.SetFaults installs a lossy transport plan, epoch sends
 // switch to reliable delivery (reliable.go): sequence-numbered sends,
@@ -81,7 +85,8 @@
 // Context and everything reached from it (objects, phase
 // instrumentation, collection slices) belong to whoever runs the rank
 // and must not be touched from anywhere else — Context.Stats excepted,
-// whose counters anyone may load. Register handlers and
-// attach observability options before Runtime.Run; the registries are
-// read-only while ranks execute.
+// whose counters anyone may load. A collective's result belongs to no
+// rank: every rank of the node may read it, none may write it. Register
+// handlers and attach observability options before Runtime.Run; the
+// registries are read-only while ranks execute.
 package amt

@@ -254,7 +254,7 @@ func TestMigrationChainForwarding(t *testing.T) {
 // registered codec — it can only exist on the memory transport — counts
 // zero and does not panic, with byte accounting sizing its envelope too.
 func TestMigrationStatsAccounted(t *testing.T) {
-	moved := []any{2.5, 7, collMsg{Seq: 1, Values: make([]float64, 5)}, &counterState{Value: 9}}
+	moved := []any{2.5, 7, &collMsg{Seq: 1, Values: make([]float64, 5)}, &counterState{Value: 9}}
 	const want = 10 + 10 + (2 + 8 + 4 + 5*8) + 0
 	sized := 0
 	for _, s := range moved {

@@ -68,12 +68,12 @@ func init() {
 			}
 		})
 	wire.RegisterPayload(6,
-		func(e *wire.Encoder, v collMsg) {
+		func(e *wire.Encoder, v *collMsg) {
 			e.I64(v.Seq)
 			e.F64Slice(v.Values)
 		},
-		func(d *wire.Decoder) collMsg {
-			return collMsg{Seq: d.I64(), Values: d.F64Slice()}
+		func(d *wire.Decoder) *collMsg {
+			return &collMsg{Seq: d.I64(), Values: d.F64Slice()}
 		})
 
 	// Scalar payloads the runtime sends bare: acks carry int64 ids; core.Rank rides object fetches; int and

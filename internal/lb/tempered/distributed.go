@@ -28,6 +28,10 @@ type Handlers struct {
 	// stage. A stage never yields, so it holds about one per goroutine
 	// running ranks, however many ranks the node hosts.
 	scratch sync.Pool
+	// openWatched and iterWatched are openOps and iterOps followed by the
+	// load summary's combine: the ops of a watched job's reduces, built
+	// once for every rank and invocation.
+	openWatched, iterWatched []amt.ReduceOp
 
 	// freshTrialState makes every trial build a new gossip state instead
 	// of re-pointing the invocation's one. Only tests set it, to show the
@@ -61,7 +65,8 @@ type rankState struct {
 	// each trial's stream.
 	xferRNG *rand.Rand
 
-	// reduce is the reused input of the invocation's statistics reduces.
+	// reduce is the reused input of the invocation's statistics reduces,
+	// made at the width of the widest, an iteration's.
 	reduce []float64
 }
 
@@ -83,6 +88,9 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		st:     make([]*rankState, rt.NumRanks()),
 		table:  core.NewLoadTable(rt.NumRanks()),
 	}
+	summary := obs.NewLoadSummary(rt.NumRanks())
+	h.openWatched = obs.WithSummaryOps(openOps, summary, amt.ReduceSum, amt.ReduceMax)
+	h.iterWatched = obs.WithSummaryOps(iterOps, summary, amt.ReduceSum, amt.ReduceMax)
 	h.scratch.New = func() any { return new(core.TransferScratch) }
 	rt.NameHandler(h.gossip, "lb.gossip")
 	rt.NameHandler(h.xfer, "lb.transfer")
@@ -200,13 +208,6 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	}
 	self := rc.Rank()
 	n := rc.NumRanks()
-	// A rank's balancer state is built at its first invocation, so a
-	// process pays only for the ranks it hosts and only once they balance.
-	st := h.st[self]
-	if st == nil {
-		st = &rankState{xferRNG: core.SeededRNG(cfg.Seed)}
-		h.st[self] = st
-	}
 	start := clock.Now()
 	tr := rc.Tracer()
 
@@ -220,8 +221,18 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	summary := obs.NewLoadSummary(n)
 	openWith, iterWith := openOps, iterOps
 	if watched {
-		openWith = obs.WithSummaryOps(openOps, summary, amt.ReduceSum, amt.ReduceMax)
-		iterWith = obs.WithSummaryOps(iterOps, summary, amt.ReduceSum, amt.ReduceMax)
+		openWith, iterWith = h.openWatched, h.iterWatched
+	}
+
+	// A rank's balancer state is built at its first invocation, so a
+	// process pays only for the ranks it hosts and only once they balance.
+	st := h.st[self]
+	if st == nil {
+		st = &rankState{
+			xferRNG: core.SeededRNG(cfg.Seed),
+			reduce:  make([]float64, 0, len(iterWith)),
+		}
+		h.st[self] = st
 	}
 
 	// The whole gossip prologue is one fused collective round: the load

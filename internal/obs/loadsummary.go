@@ -55,7 +55,9 @@ func (s LoadSummary) Append(dst []float64, rank int, load float64) []float64 {
 }
 
 // Fill sets the frame's rank count, load cells and load statistics from
-// a reduced summary and the job's total load. Loads aliases reduced. The
+// a reduced summary and the job's total load. Loads aliases reduced: a
+// collective's result, one read-only slice every rank of the node shares,
+// so neither the frame's publisher nor its readers may write it. The
 // maximum, minimum and cells are exact; the deviation comes from the
 // moments, Σl²/P − avg², clamped at zero against cancellation.
 func (s LoadSummary) Fill(f *Snapshot, reduced []float64, total float64) {

@@ -16,6 +16,7 @@ import (
 	"temperedlb/internal/amt"
 	"temperedlb/internal/analysis"
 	"temperedlb/internal/core"
+	"temperedlb/internal/lb/tempered"
 	"temperedlb/internal/lbaf"
 	"temperedlb/internal/obs"
 	"temperedlb/internal/serve"
@@ -266,6 +267,36 @@ func benchJSONSuite() []struct {
 				}
 				rc.Barrier()
 			})
+		}},
+		{"serve_phases_unix", func(b *testing.B) {
+			// The north star's service phase over real sockets: workload
+			// C's burst service with the forecast trigger, shrunk to 16
+			// ranks × 40 phases, on a fresh two-node unix-socket job per
+			// op. What a phase costs on the wire path — one frame buffer
+			// and decoder per connection, one phase map per rank — is
+			// what its B/op and allocs/op gate.
+			cfg := serve.Config{
+				Scenario: serve.Spec{Kind: serve.KindBurst, Ranks: 16, Phases: 40, Items: 512, Seed: 45},
+				Trigger:  serve.TriggerSpec{Family: "forecast", Headroom: 1},
+				LBCost:   20,
+			}
+			for i := 0; i < b.N; i++ {
+				job, err := amt.Launch("unix", cfg.Scenario.Ranks, 2, 0x5e12e)
+				if err != nil {
+					b.Fatal(err)
+				}
+				err = job.Run(func(rt *amt.Runtime) func(*amt.Context) error {
+					h := tempered.RegisterHandlers(rt, 1)
+					return func(rc *amt.Context) error {
+						_, err := serve.Run(rc, h, cfg)
+						return err
+					}
+				})
+				job.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		}},
 	}
 }

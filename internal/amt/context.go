@@ -613,7 +613,7 @@ func (rc *Context) dispatch(m comm.Message) {
 		if rc.depth > rc.tokenDepth {
 			rc.tokenDepth = rc.depth
 		}
-		rc.open.OnToken(m.Data.(termination.Token))
+		rc.open.OnToken(m.Data.(*termination.Token))
 	case kindDone:
 		rc.forwardDone()
 		rc.epochDone = true

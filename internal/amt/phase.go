@@ -10,7 +10,9 @@ import (
 // phaseState is the per-rank instrumentation of the current application
 // phase (§III-B): observed work per local object. The principle of
 // persistence lets the balancers use these observations as predictors
-// for the next phase.
+// for the next phase. loads is the rank's one phase map, made at the
+// first PhaseBegin with room for the rank's objects and cleared at every
+// later one.
 type phaseState struct {
 	active bool
 	loads  map[ObjectID]float64
@@ -19,7 +21,10 @@ type phaseState struct {
 // PhaseStats is the instrumentation gathered over one phase on one rank.
 type PhaseStats struct {
 	// Loads maps each object that did work this phase to its observed
-	// (virtual) load.
+	// (virtual) load. PhaseEnd hands out the rank's own map: it is valid
+	// until the rank's next PhaseBegin, which clears it for the next
+	// phase, so a caller that keeps the observations past that copies
+	// them.
 	Loads map[ObjectID]float64
 	// Total is the rank's summed task load for the phase — l^p.
 	Total float64
@@ -36,13 +41,18 @@ func (ps PhaseStats) MaxTaskLoad() float64 {
 	return max
 }
 
-// PhaseBegin opens an instrumentation window. Phases must not nest.
+// PhaseBegin opens an instrumentation window. Phases must not nest. It
+// empties the map the previous PhaseEnd returned as PhaseStats.Loads.
 func (rc *Context) PhaseBegin() {
 	if rc.phase.active {
 		panic("amt: PhaseBegin inside an open phase")
 	}
 	rc.phase.active = true
-	rc.phase.loads = make(map[ObjectID]float64)
+	if rc.phase.loads == nil {
+		rc.phase.loads = make(map[ObjectID]float64, len(rc.objects))
+	} else {
+		clear(rc.phase.loads)
+	}
 	if rc.tr != nil {
 		rc.Emit(obs.Event{Type: obs.EvPhaseBegin, Peer: -1, Object: -1})
 	}
@@ -65,7 +75,9 @@ func (rc *Context) RecordWork(id ObjectID, load float64) {
 	rc.phase.loads[id] += load
 }
 
-// PhaseEnd closes the window and returns the observations.
+// PhaseEnd closes the window and returns the observations. Their Loads
+// is the rank's phase map, read-only to the caller and valid until the
+// next PhaseBegin.
 func (rc *Context) PhaseEnd() PhaseStats {
 	if !rc.phase.active {
 		panic("amt: PhaseEnd without PhaseBegin")
@@ -95,7 +107,6 @@ func (rc *Context) PhaseEnd() PhaseStats {
 			st.Total += st.Loads[id]
 		}
 	}
-	rc.phase.loads = nil
 	if rc.tr != nil {
 		rc.Emit(obs.Event{Type: obs.EvPhaseEnd, Peer: -1, Object: -1, Value: st.Total})
 	}

@@ -54,14 +54,16 @@ func init() {
 				Loc: core.Rank(d.I32()),
 			}
 		})
+	// A token hop carries a pointer to the sender's outgoing token
+	// (termination.Detector.TryHandOff); the bytes are the value's.
 	wire.RegisterPayload(5,
-		func(e *wire.Encoder, v termination.Token) {
+		func(e *wire.Encoder, v *termination.Token) {
 			e.I64(int64(v.Count))
 			e.U8(uint8(v.Color))
 			e.I64(int64(v.Wave))
 		},
-		func(d *wire.Decoder) termination.Token {
-			return termination.Token{
+		func(d *wire.Decoder) *termination.Token {
+			return &termination.Token{
 				Count: int(d.I64()),
 				Color: termination.Color(d.U8()),
 				Wave:  int(d.I64()),

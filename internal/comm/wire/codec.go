@@ -436,7 +436,15 @@ func AppendMessage(buf []byte, m comm.Message) []byte {
 // version and type header). It errors — never panics — on truncated,
 // oversized, trailing-garbage or unregistered-payload input.
 func DecodeMessage(body []byte, totalRanks int) (comm.Message, error) {
-	d := NewDecoder(body)
+	return decodeMessage(new(Decoder), body, totalRanks)
+}
+
+// decodeMessage is DecodeMessage with the caller's decoder, which it
+// resets to body: a connection decodes every frame with its one Decoder
+// (registered decode functions are called through a func value, so a
+// Decoder made per message would be a heap allocation per message).
+func decodeMessage(d *Decoder, body []byte, totalRanks int) (comm.Message, error) {
+	*d = Decoder{b: body}
 	var m comm.Message
 	m.From = int(d.U32())
 	m.To = int(d.U32())

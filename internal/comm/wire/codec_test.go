@@ -46,7 +46,7 @@ var registerTestPayloads = sync.OnceFunc(func() {
 })
 
 // frameBody strips the length word and the version+type header from a
-// single encoded frame, returning the body a readFrame caller would
+// single encoded frame, returning the body a frameReader would
 // hand to DecodeMessage.
 func frameBody(t *testing.T, frame []byte) []byte {
 	t.Helper()

@@ -40,9 +40,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00})             // length 0: under the header
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x63, 0x02}) // wrong version
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		br := bufio.NewReader(bytes.NewReader(stream))
+		r := frameReader{br: bufio.NewReader(bytes.NewReader(stream))}
 		for {
-			_, _, err := readFrame(br, nil)
+			_, _, err := r.next()
 			if err != nil {
 				return
 			}

@@ -51,7 +51,7 @@ var sizedPayloads = []struct {
 	{"migrateEnvelope/float64 state", 3, func(e *wire.Encoder) { e.U16(3); e.I64(78); e.Any(2.5) }},
 	{"migrateEnvelope/nil state", 3, func(e *wire.Encoder) { e.U16(3); e.I64(78); e.Any(nil) }},
 	{"locEnvelope", 4, func(e *wire.Encoder) { e.U16(4); e.I64(79); e.I32(6) }},
-	{"Token", 5, func(e *wire.Encoder) { e.Any(termination.Token{Count: -2, Color: termination.Black, Wave: 9}) }},
+	{"Token", 5, func(e *wire.Encoder) { e.Any(&termination.Token{Count: -2, Color: termination.Black, Wave: 9}) }},
 	{"collMsg/nil Values", 6, func(e *wire.Encoder) { e.U16(6); e.I64(4); e.F64Slice(nil) }},
 	{"collMsg/empty Values", 6, func(e *wire.Encoder) { e.U16(6); e.I64(4); e.F64Slice([]float64{}) }},
 	{"collMsg/74 Values", 6, func(e *wire.Encoder) { e.U16(6); e.I64(4); e.F64Slice(make([]float64, 74)) }},

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -406,7 +407,8 @@ func (t *Transport) acceptLoop() {
 func (t *Transport) handshakeInbound(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(t.cfg.ConnectTimeout))
 	br := bufio.NewReader(conn)
-	ftype, body, err := readFrame(br, nil)
+	hello := frameReader{br: br}
+	ftype, body, err := hello.next()
 	if err != nil {
 		t.fail(fmt.Errorf("wire: inbound handshake from %v: %w", conn.RemoteAddr(), err))
 		conn.Close()
@@ -466,12 +468,14 @@ func (t *Transport) checkHello(h helloBody) error {
 // readLoop decodes message frames from one peer until its BYE (orderly
 // shutdown), a transport-wide close, or an error (fatal: a lost peer
 // wedges the collective protocol, so fail fast and loudly rather than
-// hang the epoch).
+// hang the epoch). Its frameReader is the connection's one frame buffer
+// and one decoder: a frame costs no allocation of its own, only what its
+// payload decodes to.
 func (t *Transport) readLoop(node int, conn net.Conn, br *bufio.Reader) {
 	defer t.readerWG.Done()
-	var buf []byte
+	r := &frameReader{br: br}
 	for {
-		ftype, body, err := readFrame(br, buf)
+		ftype, body, err := r.next()
 		if err != nil {
 			if t.closing.Load() {
 				return
@@ -479,12 +483,11 @@ func (t *Transport) readLoop(node int, conn net.Conn, br *bufio.Reader) {
 			t.fail(fmt.Errorf("wire: connection from node %d lost before BYE: %w", node, err))
 			return
 		}
-		buf = body[:0]
 		switch ftype {
 		case frameBye:
 			return
 		case frameMessage:
-			m, err := DecodeMessage(body, t.cfg.Ranks)
+			m, err := r.message(body, t.cfg.Ranks)
 			if err != nil {
 				t.fail(fmt.Errorf("wire: bad frame from node %d: %w", node, err))
 				return
@@ -731,30 +734,46 @@ func (t *Transport) RTTHint() time.Duration {
 	return time.Duration(t.rttMax.Load())
 }
 
-// readFrame reads one length-prefixed frame from br, reusing buf for
-// the body when it fits. It validates the length bounds and the
-// protocol version before returning the body.
-func readFrame(br *bufio.Reader, buf []byte) (ftype byte, body []byte, err error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+// frameReader is the read side of one connection: the length word, one
+// frame buffer kept at its high-water size and one decoder, reset for
+// every frame. A body it returns is valid until the next call; a decoded
+// payload owns its memory, since every Decoder primitive copies out of
+// the buffer.
+type frameReader struct {
+	br  *bufio.Reader
+	hdr [4]byte
+	buf []byte
+	dec Decoder
+}
+
+// next reads one length-prefixed frame, growing the buffer only when the
+// frame does not fit. It validates the length bounds and the protocol
+// version before returning the frame type and body.
+func (r *frameReader) next() (ftype byte, body []byte, err error) {
+	if _, err := io.ReadFull(r.br, r.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(uint32(lenBuf[0])<<24 | uint32(lenBuf[1])<<16 | uint32(lenBuf[2])<<8 | uint32(lenBuf[3]))
+	n := int(binary.BigEndian.Uint32(r.hdr[:]))
 	if n < frameHeaderLen {
 		return 0, nil, fmt.Errorf("frame length %d shorter than header", n)
 	}
 	if n > MaxFrameSize {
 		return 0, nil, fmt.Errorf("frame length %d exceeds limit %d", n, MaxFrameSize)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	if cap(r.buf) < n {
+		r.buf = make([]byte, n)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
+	frame := r.buf[:n]
+	if _, err := io.ReadFull(r.br, frame); err != nil {
 		return 0, nil, fmt.Errorf("truncated frame: %w", err)
 	}
-	if v := buf[0]; v != Version {
+	if v := frame[0]; v != Version {
 		return 0, nil, fmt.Errorf("protocol version mismatch: peer speaks v%d, this binary v%d (mixed builds in one job?)", v, Version)
 	}
-	return buf[1], buf[frameHeaderLen:], nil
+	return frame[1], frame[frameHeaderLen:], nil
+}
+
+// message decodes a message frame's body with the connection's decoder.
+func (r *frameReader) message(body []byte, totalRanks int) (comm.Message, error) {
+	return decodeMessage(&r.dec, body, totalRanks)
 }

@@ -280,7 +280,7 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 			sc.states[r].StartTrial(trial)
 			ReseedTransfer(sc.transferRNG[r], e.cfg.Seed, trial, Rank(r))
 		}
-		reseed(sc.orderRNG, e.cfg.Seed, int64(trial), 0x0deb)
+		Reseed(sc.orderRNG, e.cfg.Seed, int64(trial), 0x0deb)
 
 		for iter := 1; iter <= e.cfg.Iterations; iter++ {
 			st := IterationStats{Trial: trial, Iteration: iter}

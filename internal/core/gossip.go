@@ -143,7 +143,7 @@ func (st *InformState) Reset() {
 // here, so they draw the same sequence, bit-identical to a state
 // freshly constructed over a generator of that stream.
 func (st *InformState) StartTrial(trial int) {
-	reseed(st.rng, st.cfg.Seed, int64(trial), int64(st.self), 0x60551f)
+	Reseed(st.rng, st.cfg.Seed, int64(trial), int64(st.self), 0x60551f)
 	st.Reset()
 }
 

@@ -45,11 +45,12 @@ func SeededRNG(base int64, streams ...int64) *rand.Rand {
 	return rand.New(&splitmixSource{state: uint64(deriveSeed(base, streams...))})
 }
 
-// reseed re-points an existing generator at the given stream. Seeding a
+// Reseed re-points an existing generator at the given stream. Seeding a
 // reused *rand.Rand produces the exact same sequence as allocating a
 // fresh one with SeededRNG, which lets the drivers recycle their per-rank
-// generators across trials without allocating.
-func reseed(rng *rand.Rand, base int64, streams ...int64) {
+// generators across trials, and a scenario its one generator across
+// items, without allocating.
+func Reseed(rng *rand.Rand, base int64, streams ...int64) {
 	rng.Seed(deriveSeed(base, streams...))
 }
 
@@ -57,7 +58,7 @@ func reseed(rng *rand.Rand, base int64, streams ...int64) {
 // stream: the transfer twin of InformState.StartTrial, which both drivers
 // call at every trial, so they draw the same dice.
 func ReseedTransfer(rng *rand.Rand, seed int64, trial int, self Rank) {
-	reseed(rng, seed, int64(trial), int64(self), 0x7af)
+	Reseed(rng, seed, int64(trial), int64(self), 0x7af)
 }
 
 // permInto fills buf with a pseudo-random permutation of [0, len(buf)),

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sort"
 
 	"temperedlb/internal/core"
 )
@@ -131,10 +132,12 @@ type Scenario struct {
 	bursts []burstWindow
 	period int // diurnal wave period
 
-	// arrivals[rank] lists item indices in creation order: ascending by
-	// (Start, index). The service loop creates each rank's objects in
-	// exactly this order, so object ids are reproducible.
-	arrivals [][]int
+	// arrivals holds every item index once, grouped by home rank; rank
+	// r's group is arrivals[first[r]:first[r+1]], in creation order:
+	// ascending by (Start, index). The service loop creates each rank's
+	// objects in exactly this order, so object ids are reproducible.
+	arrivals []int
+	first    []int
 }
 
 // NewScenario builds the deterministic event stream for a spec.
@@ -151,9 +154,12 @@ func NewScenario(spec Spec) (*Scenario, error) {
 
 	// Item construction draws from per-item seeded streams, so the
 	// generator is insensitive to evaluation order and future spec
-	// fields can add streams without disturbing existing ones.
-	for i := 0; i < spec.Items; i++ {
-		rng := core.SeededRNG(spec.Seed, int64(i), 0x5ce)
+	// fields can add streams without disturbing existing ones. One
+	// generator is reseeded per stream: the same dice as a fresh one.
+	rng := core.SeededRNG(spec.Seed, 0, 0x5ce)
+	sc.items = make([]Item, spec.Items)
+	for i := range sc.items {
+		core.Reseed(rng, spec.Seed, int64(i), 0x5ce)
 		it := Item{Start: 0, End: spec.Phases}
 		// Placement: three quarters of the items cluster on the hot
 		// ranks, the rest spread uniformly — the clustered placement of
@@ -188,7 +194,7 @@ func NewScenario(spec Spec) (*Scenario, error) {
 				it.End = spec.Phases
 			}
 		}
-		sc.items = append(sc.items, it)
+		sc.items[i] = it
 	}
 
 	if spec.Kind == KindBurst {
@@ -196,8 +202,9 @@ func NewScenario(spec Spec) (*Scenario, error) {
 		if n < 1 {
 			n = 1
 		}
-		for b := 0; b < n; b++ {
-			rng := core.SeededRNG(spec.Seed, int64(b), 0xb1257)
+		sc.bursts = make([]burstWindow, n)
+		for b := range sc.bursts {
+			core.Reseed(rng, spec.Seed, int64(b), 0xb1257)
 			w := burstWindow{
 				Victim: int(rng.Int63n(int64(spec.Hot))),
 				Mult:   4 + 4*rng.Float64(),
@@ -210,19 +217,41 @@ func NewScenario(spec Spec) (*Scenario, error) {
 			if w.End > spec.Phases {
 				w.End = spec.Phases
 			}
-			sc.bursts = append(sc.bursts, w)
+			sc.bursts[b] = w
 		}
 	}
 
-	sc.arrivals = make([][]int, spec.Ranks)
-	for p := 0; p < spec.Phases; p++ {
-		for i := range sc.items { // by index: every rank runs this Phases×Items loop
-			if it := &sc.items[i]; it.Start == p {
-				sc.arrivals[it.Home] = append(sc.arrivals[it.Home], i)
-			}
-		}
+	// Two stable counting sorts of the item indices — by Start, then by
+	// Home — leave each rank's items together in (Start, index) order:
+	// O(Items + Phases + Ranks).
+	idx := make([]int, spec.Items)
+	for i := range idx {
+		idx[i] = i
 	}
+	byStart, _ := countingSort(idx, spec.Phases, func(i int) int { return sc.items[i].Start })
+	sc.arrivals, sc.first = countingSort(byStart, spec.Ranks, func(i int) int { return sc.items[i].Home })
 	return sc, nil
+}
+
+// countingSort returns idx stably sorted by key, which lies in [0, keys),
+// and the offset of each key's run: key k's indices are
+// sorted[first[k]:first[k+1]].
+func countingSort(idx []int, keys int, key func(i int) int) (sorted, first []int) {
+	first = make([]int, keys+1)
+	for _, i := range idx {
+		first[key(i)+1]++
+	}
+	for k := 1; k <= keys; k++ {
+		first[k] += first[k-1]
+	}
+	next := append([]int(nil), first[:keys]...)
+	sorted = make([]int, len(idx))
+	for _, i := range idx {
+		k := key(i)
+		sorted[next[k]] = i
+		next[k]++
+	}
+	return sorted, first
 }
 
 // NumItems returns the total item count.
@@ -233,19 +262,21 @@ func (sc *Scenario) Item(i int) Item { return sc.items[i] }
 
 // Arrivals returns the indices of the items a rank must create, in
 // creation order: items arriving at earlier phases first, ties by item
-// index. ArrivalsAt restricts to one phase.
-func (sc *Scenario) Arrivals(rank int) []int { return sc.arrivals[rank] }
+// index. ArrivalsAt restricts to one phase. The slice is a read-only
+// view into the scenario, shared by every caller.
+func (sc *Scenario) Arrivals(rank int) []int {
+	lo, hi := sc.first[rank], sc.first[rank+1]
+	return sc.arrivals[lo:hi:hi]
+}
 
 // ArrivalsAt returns the items a rank creates at the given phase, in
-// index order.
+// index order: a read-only sub-view of Arrivals(rank), found by binary
+// search, so asking costs no allocation.
 func (sc *Scenario) ArrivalsAt(rank, phase int) []int {
-	var out []int
-	for _, i := range sc.arrivals[rank] {
-		if sc.items[i].Start == phase {
-			out = append(out, i)
-		}
-	}
-	return out
+	all := sc.Arrivals(rank)
+	lo := sort.Search(len(all), func(j int) bool { return sc.items[all[j]].Start >= phase })
+	hi := lo + sort.Search(len(all)-lo, func(j int) bool { return sc.items[all[lo+j]].Start > phase })
+	return all[lo:hi:hi]
 }
 
 // Alive reports whether item i does work in the given phase.

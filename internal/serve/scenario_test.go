@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
+
+	"temperedlb/internal/core"
 )
 
 func testSpec(kind Kind) Spec {
@@ -143,4 +147,105 @@ func aliveCount(sc *Scenario, phase int) int {
 		}
 	}
 	return n
+}
+
+// referenceScenario is the construction NewScenario replaced, kept as its
+// oracle: a fresh generator per item stream, an append-grown item slice,
+// and each rank's arrivals found by scanning every item at every phase.
+func referenceScenario(spec Spec) (items []Item, bursts []burstWindow, arrivals [][]int) {
+	spec = spec.withDefaults()
+	period := max(spec.Phases/4, 8)
+	for i := 0; i < spec.Items; i++ {
+		rng := core.SeededRNG(spec.Seed, int64(i), 0x5ce)
+		it := Item{Start: 0, End: spec.Phases}
+		if rng.Float64() < 0.75 {
+			it.Home = int(rng.Int63n(int64(spec.Hot)))
+		} else {
+			it.Home = int(rng.Int63n(int64(spec.Ranks)))
+		}
+		it.Base = 1 + 4*rng.Float64()
+		switch spec.Kind {
+		case KindRamp:
+			if it.Home < spec.Hot {
+				it.Slope = 0.1 + 0.2*rng.Float64()
+			}
+		case KindDiurnal:
+			if it.Home >= spec.Hot {
+				it.Offset = period / 2
+			}
+		case KindChurn:
+			it.Start = int(rng.Int63n(int64(3*spec.Phases/4 + 1)))
+			life := max(spec.Phases/6+int(rng.Int63n(int64(spec.Phases/3+1))), 1)
+			it.End = min(it.Start+life, spec.Phases)
+		}
+		items = append(items, it)
+	}
+	if spec.Kind == KindBurst {
+		n := max(spec.Phases/12, 1)
+		for b := 0; b < n; b++ {
+			rng := core.SeededRNG(spec.Seed, int64(b), 0xb1257)
+			w := burstWindow{Victim: int(rng.Int63n(int64(spec.Hot))), Mult: 4 + 4*rng.Float64()}
+			span := spec.Phases / n
+			w.Start = b*span + span/3
+			w.End = min(w.Start+2+int(rng.Int63n(3)), spec.Phases)
+			bursts = append(bursts, w)
+		}
+	}
+	arrivals = make([][]int, spec.Ranks)
+	for p := 0; p < spec.Phases; p++ {
+		for i, it := range items {
+			if it.Start == p {
+				arrivals[it.Home] = append(arrivals[it.Home], i)
+			}
+		}
+	}
+	return items, bursts, arrivals
+}
+
+// TestScenarioMatchesReferenceConstruction: NewScenario — one reseeded
+// generator, a presized item slice, arrivals by counting sort — builds
+// the old construction's scenario item for item and arrival for arrival,
+// for every kind, and ArrivalsAt is that rank's phase-p arrivals as a
+// view that costs no allocation.
+func TestScenarioMatchesReferenceConstruction(t *testing.T) {
+	for _, kind := range []Kind{KindRamp, KindDiurnal, KindBurst, KindChurn} {
+		for _, spec := range []Spec{
+			testSpec(kind),
+			{Kind: kind, Ranks: 64, Phases: 200, Items: 2048, Seed: 45},
+			{Kind: kind, Ranks: 9, Phases: 1, Items: 5, Seed: 3, Hot: 9},
+			{Kind: kind, Ranks: 40, Phases: 13, Items: 30, Seed: -2},
+		} {
+			name := fmt.Sprintf("%s/%d ranks/%d phases/%d items", kind, spec.Ranks, spec.Phases, spec.Items)
+			sc, err := NewScenario(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			items, bursts, arrivals := referenceScenario(spec)
+			if !reflect.DeepEqual(sc.items, items) {
+				t.Errorf("%s: items differ from the reference construction", name)
+			}
+			if !reflect.DeepEqual(sc.bursts, bursts) {
+				t.Errorf("%s: burst windows %v, reference %v", name, sc.bursts, bursts)
+			}
+			for r := 0; r < spec.Ranks; r++ {
+				if got := sc.Arrivals(r); !slices.Equal(got, arrivals[r]) {
+					t.Fatalf("%s: rank %d arrivals %v, reference %v", name, r, got, arrivals[r])
+				}
+				for p := 0; p < spec.Phases; p++ {
+					var want []int
+					for _, i := range arrivals[r] {
+						if items[i].Start == p {
+							want = append(want, i)
+						}
+					}
+					if got := sc.ArrivalsAt(r, p); !slices.Equal(got, want) {
+						t.Fatalf("%s: rank %d phase %d arrivals %v, reference %v", name, r, p, got, want)
+					}
+				}
+			}
+			if a := testing.AllocsPerRun(10, func() { sc.ArrivalsAt(0, spec.Phases/2) }); a != 0 {
+				t.Errorf("%s: ArrivalsAt allocates %.0f times", name, a)
+			}
+		}
+	}
 }

@@ -185,7 +185,8 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 
 	self := int(rc.Rank())
 	n := float64(rc.NumRanks())
-	res := Result{Trigger: trig.Name(), Ranks: sc.Spec.Ranks, Phases: sc.Spec.Phases}
+	res := Result{Trigger: trig.Name(), Ranks: sc.Spec.Ranks, Phases: sc.Spec.Phases,
+		Rows: make([]Row, 0, sc.Spec.Phases)}
 
 	// When the job is watched (a job-wide fact), the phase reduce also
 	// carries the summary of the phase's rank loads, and each watching

@@ -50,6 +50,9 @@ type Detector struct {
 	hasToken bool
 	token    Token
 	done     bool
+	// out is the token this rank last handed on: TryHandOff returns a
+	// pointer to it, so a hop carries no value of its own.
+	out Token
 }
 
 // New creates the detector for one rank; rank 0 starts holding the
@@ -96,13 +99,15 @@ func (d *Detector) OnAck() {
 	d.color = Black
 }
 
-// OnToken records arrival of the probe token.
-func (d *Detector) OnToken(t Token) {
+// OnToken records arrival of the probe token, copying it: t is the
+// sender's outgoing token (TryHandOff), which the sender writes again at
+// its next hand-off.
+func (d *Detector) OnToken(t *Token) {
 	if d.hasToken {
 		panic("termination: duplicate token")
 	}
 	d.hasToken = true
-	d.token = t
+	d.token = *t
 }
 
 // HoldsToken reports whether this rank currently holds the probe.
@@ -125,9 +130,16 @@ func (d *Detector) Terminated() bool { return d.done }
 // either (rank 0) finishes a wave — detecting termination or launching a
 // new wave — or (other ranks) forwards the accumulated token. The
 // returned next is the rank to send the token to when send is true.
-func (d *Detector) TryHandOff() (t Token, next int, send bool) {
+//
+// The token t points into the detector: the hop carries the pointer and
+// the receiver's OnToken copies the value. That is safe because the
+// rank's next hand-off writes it again only after the token has been
+// all the way round the ring — through the receiver, which copied it on
+// arrival — and a token is never dropped or duplicated; a socket
+// transport encodes it before the receiver can see it.
+func (d *Detector) TryHandOff() (t *Token, next int, send bool) {
 	if !d.hasToken || d.done {
-		return Token{}, 0, false
+		return nil, 0, false
 	}
 	if d.rank == 0 {
 		// A wave completes when the token returns to rank 0. The system
@@ -136,22 +148,23 @@ func (d *Detector) TryHandOff() (t Token, next int, send bool) {
 		if d.token.Wave > 1 && d.token.Color == White && d.color == White && d.token.Count+d.counter == 0 {
 			d.done = true
 			d.hasToken = false
-			return Token{}, 0, false
+			return nil, 0, false
 		}
 		// Start a new wave.
 		d.color = White
 		d.hasToken = false
-		return Token{Count: 0, Color: White, Wave: d.token.Wave + 1}, d.prev(), true
+		d.out = Token{Count: 0, Color: White, Wave: d.token.Wave + 1}
+		return &d.out, d.prev(), true
 	}
 	// Accumulate and forward.
-	t = d.token
-	t.Count += d.counter
+	d.out = d.token
+	d.out.Count += d.counter
 	if d.color == Black {
-		t.Color = Black
+		d.out.Color = Black
 	}
 	d.color = White
 	d.hasToken = false
-	return t, d.prev(), true
+	return &d.out, d.prev(), true
 }
 
 // prev returns the ring predecessor, the token's next hop.

@@ -63,7 +63,7 @@ func (s *ringSim) step() bool {
 	}
 	// Token hop: deliver in-flight token, then let a passive holder act.
 	if s.tokenIn != nil {
-		s.det[s.tokenAt].OnToken(*s.tokenIn)
+		s.det[s.tokenAt].OnToken(s.tokenIn)
 		s.tokenIn = nil
 	}
 	for r := 0; r < s.n; r++ {
@@ -72,7 +72,7 @@ func (s *ringSim) step() bool {
 			tok, next, send := s.det[r].TryHandOff()
 			if send {
 				s.tokenAt = next
-				s.tokenIn = &tok
+				s.tokenIn = tok
 				return true
 			}
 			if s.det[r].Terminated() {
@@ -280,7 +280,7 @@ func (s *ackRingSim) step() bool {
 	// Token hop: deliver the in-flight token, then let a passive holder
 	// act.
 	if s.tokenIn != nil {
-		s.det[s.tokenAt].OnToken(*s.tokenIn)
+		s.det[s.tokenAt].OnToken(s.tokenIn)
 		s.tokenIn = nil
 	}
 	for r := 0; r < s.n; r++ {
@@ -288,7 +288,7 @@ func (s *ackRingSim) step() bool {
 			tok, next, send := s.det[r].TryHandOff()
 			if send {
 				s.tokenAt = next
-				s.tokenIn = &tok
+				s.tokenIn = tok
 				return true
 			}
 			if s.det[r].Terminated() {
@@ -323,7 +323,7 @@ func TestSafraResetClearsWave(t *testing.T) {
 	// non-zero ranks, so Wave() reported the old wave count instead of
 	// the documented 0 until the first probe of the new epoch arrived.
 	d := New(2, 4)
-	d.OnToken(Token{Color: White, Wave: 7})
+	d.OnToken(&Token{Color: White, Wave: 7})
 	if _, _, send := d.TryHandOff(); !send {
 		t.Fatal("holder must forward the token")
 	}
@@ -344,13 +344,13 @@ func TestSafraResetClearsWave(t *testing.T) {
 
 func TestSafraDuplicateTokenPanics(t *testing.T) {
 	d := New(1, 3)
-	d.OnToken(Token{})
+	d.OnToken(&Token{})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on duplicate token")
 		}
 	}()
-	d.OnToken(Token{})
+	d.OnToken(&Token{})
 }
 
 func TestSafraBadRankPanics(t *testing.T) {

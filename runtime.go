@@ -18,7 +18,8 @@ type (
 	HandlerID = amt.HandlerID
 	// ObjectID identifies a migratable object.
 	ObjectID = amt.ObjectID
-	// PhaseStats is one rank's per-phase task instrumentation.
+	// PhaseStats is one rank's per-phase task instrumentation. Its Loads
+	// is the rank's own map, valid until the rank's next PhaseBegin.
 	PhaseStats = amt.PhaseStats
 	// Collection is a distributed indexed array of migratable objects
 	// (vt's collection concept); create with RankContext.CreateCollection.

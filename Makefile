@@ -176,11 +176,12 @@ bench-compare:
 # gofmt-formatted non-test files), and the command-line flags declared
 # under cmd/ (every x.Int / x.StringVar / … call, on any receiver, that
 # names its flag; a name declared twice is a vocabulary drifting apart —
-# the shared ones live once in cmd/internal/cli), and two option counts:
-# the methods a transport must implement (comm.Transport) and the fields a
-# caller can set on the balancer (core.Config; a line `A, B int` counts
-# two), and the binaries (directories under cmd/ other than internal). A
-# PR that says "simpler" or "fewer options" quotes this.
+# the shared ones live once in cmd/internal/cli), and four option counts:
+# the methods a transport must implement (comm.Transport) and the exported
+# fields a caller can set on the balancer (core.Config), on a fault plan
+# (comm.FaultSpec) and on a socket transport (wire.Config) — a line
+# `A, B int` counts two — and the binaries (directories under cmd/ other
+# than internal). A PR that says "simpler" or "fewer options" quotes this.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' ./... | grep -v '^temperedlb/bench ' | \
 	while read pkg dir files; do \
@@ -202,4 +203,10 @@ loc:
 	@awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } \
 		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
 		END { printf "%-40s %6d\n", "core.Config fields", n }' internal/core/config.go
+	@awk '/^type FaultSpec struct/ { on = 1; next } on && /^}/ { exit } \
+		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
+		END { printf "%-40s %6d\n", "comm.FaultSpec fields", n }' internal/comm/fault.go
+	@awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } \
+		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
+		END { printf "%-40s %6d\n", "wire.Config fields", n }' internal/comm/wire/transport.go
 	@ls cmd | grep -vc '^internal$$' | awk '{ printf "%-40s %6d\n", "binaries", $$1 }'

@@ -45,7 +45,6 @@ func main() {
 		plot     = flag.Bool("plot", false, "render ASCII charts of the fig4a/fig4c series")
 		dumpStep = flag.Int("dumpstep", 0, "run the physics to this step and dump the color loads as a JSON workload trace (requires -dumpfile)")
 		dumpFile = flag.String("dumpfile", "", "trace output path for -dumpstep")
-		workers  = flag.Int("workers", 0, "concurrent tracker goroutines per step (0 = GOMAXPROCS, 1 = serial); output is identical at any worker count")
 	)
 	flag.Parse()
 
@@ -66,7 +65,7 @@ func main() {
 		stride = *every
 	}
 
-	faultSpec, err := rtf.EngineFaultSpec()
+	faultSpec, err := rtf.FaultSpec()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func main() {
 		allTrackers = append(allTrackers, trackers...)
 		log.Printf("running %d configurations at %dx%d ranks, %d steps ...",
 			len(trackers), cfg.RanksX, cfg.RanksY, cfg.Steps)
-		if _, err := sim.RunTrackersWith(cfg, trackers, *workers); err != nil {
+		if _, err := sim.RunTrackers(cfg, trackers); err != nil {
 			log.Fatal(err)
 		}
 		if want("fig2") {
@@ -157,7 +156,7 @@ func main() {
 		attachStream(trackers)
 		allTrackers = append(allTrackers, trackers...)
 		log.Printf("running %d ordering configurations ...", len(trackers))
-		if _, err := sim.RunTrackersWith(cfg, trackers, *workers); err != nil {
+		if _, err := sim.RunTrackers(cfg, trackers); err != nil {
 			log.Fatal(err)
 		}
 		sim.RenderFig4d(os.Stdout, trackers, stride)

@@ -191,8 +191,9 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbplay", "-distributed -node 0 -peers p", "lbplay: -node has no effect with -distributed -transport memory"},
 		{"lbplay", "-node 0", "lbplay: -node has no effect without -distributed"},
 		{"lbplay", "-distributed -transport tcp -peers p", "lbplay: -peers has no effect with -distributed and no -node"},
-		{"lbaf", "-exp vd -faults retry=5ms,retrycap=20ms", "lbaf: -faults: retry= has no effect on the engine's simulated gossip"},
-		{"empire", "-scale small -faults drop=0.1,retrycap=20ms", "empire: -faults: retrycap= has no effect on the engine's simulated gossip"},
+		{"lbaf", "-exp vd -faults retry=5ms", `lbaf: -faults: comm: fault spec: unknown key "retry"`},
+		{"empire", "-scale small -faults drop=0.1,retry=5ms", `empire: -faults: comm: fault spec: unknown key "retry"`},
+		{"lbplay", "-distributed -faults retry=5ms", `lbplay: -faults: comm: fault spec: unknown key "retry"`},
 	} {
 		stdout, stderr, exit := run(tc.name, strings.Fields(tc.args)...)
 		if exit != 1 || stdout != "" || !strings.HasPrefix(stderr, tc.want) || strings.Contains(stderr, "goroutine") {

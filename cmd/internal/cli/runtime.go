@@ -1,7 +1,6 @@
 package cli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -42,7 +41,7 @@ func (r *Runtime) Register(fs *flag.FlagSet, only ...string) []string {
 		g.StringVar(&r.Transport, "transport", r.Transport, "message substrate: memory | unix | tcp (unix and tcp run an in-process socket cluster, or with -node one process of a multi-process job)")
 		g.IntVar(&r.Nodes, "nodes", r.Nodes, "nodes of a socket job: in-process nodes under -transport unix|tcp, processes with -node (must match on all of them)")
 		g.IntVar(&r.Fanout, "fanout", r.Fanout, "arity (>= 2) of the runtime's collective reduction tree")
-		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (lbaf and empire apply them to the simulated gossip, which has no retry= or retrycap= to tune)")
+		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (lbaf and empire apply them to the simulated gossip; retries are paced from the delays)")
 		g.IntVar(&r.Rounds, "rounds", r.Rounds, fmt.Sprintf("gossip rounds per iteration, 1 to %d (0 = strategy default; cross-transport diffs need -rounds 1)", core.MaxRounds))
 		g.IntVar(&r.Node, "node", -1, "host only this node, in [0,nodes), of a job spread over -nodes processes (default: the whole job in this process)")
 		g.StringVar(&r.Listen, "listen", r.Listen, "address this node listens on: host:port for tcp (default 127.0.0.1:0), socket path for unix (required)")
@@ -124,18 +123,6 @@ func (r *Runtime) FaultSpec() (comm.FaultSpec, error) {
 		return sp, fmt.Errorf("-faults: %w", err)
 	}
 	return sp, nil
-}
-
-// EngineFaultSpec is FaultSpec for lbaf and empire, whose engine simulates
-// the gossip: it has no ack/retry layer for the retry knobs to tune.
-func (r *Runtime) EngineFaultSpec() (comm.FaultSpec, error) {
-	sp, err := r.FaultSpec()
-	if err == nil && sp.RetryBase != 0 {
-		err = errors.New("-faults: retry= has no effect on the engine's simulated gossip")
-	} else if err == nil && sp.RetryCap != 0 {
-		err = errors.New("-faults: retrycap= has no effect on the engine's simulated gossip")
-	}
-	return sp, err
 }
 
 // Launch stands up the job the flags describe, fault plan installed on

@@ -38,7 +38,6 @@ func main() {
 		rounds  = flag.Int("k", 10, "gossip rounds")
 		fanout  = flag.Int("f", 6, "gossip fanout")
 		thresh  = flag.Float64("h", 1.0, "overload threshold")
-		workers = flag.Int("workers", 1, "concurrent engine runs for compare/sweep experiments (0 = GOMAXPROCS); output is identical at any worker count")
 	)
 	flag.Parse()
 
@@ -73,7 +72,7 @@ func main() {
 	base.Fanout = *fanout
 	base.Threshold = *thresh
 	base.Seed = wl.Seed
-	base.GossipFaults, err = rtf.EngineFaultSpec()
+	base.GossipFaults, err = rtf.FaultSpec()
 	check(err)
 	base.Tracer = out.Tracer()
 	// The paper's LBAF accounting implies rejected tasks are retried
@@ -98,7 +97,7 @@ func main() {
 		t.Render(os.Stdout)
 		tables = append(tables, t)
 	case "compare":
-		c, err := lbaf.RunComparisonOnParallel(a, base, *workers)
+		c, err := lbaf.RunComparisonOn(a, base)
 		check(err)
 		c.Original.Render(os.Stdout)
 		fmt.Println()
@@ -109,13 +108,13 @@ func main() {
 	case "sweep-gossip":
 		cfg := relaxed
 		cfg.Trials = 1
-		sw, err := lbaf.RunSweepParallel("gossip fanout/rounds sweep (relaxed criterion)", spec,
-			lbaf.GossipSweepConfigs(cfg, []int{2, 4, 6, 8}, []int{2, 4, 6, 10}), *workers)
+		sw, err := lbaf.RunSweep("gossip fanout/rounds sweep (relaxed criterion)", spec,
+			lbaf.GossipSweepConfigs(cfg, []int{2, 4, 6, 8}, []int{2, 4, 6, 10}))
 		check(err)
 		sw.Render(os.Stdout)
 	case "sweep-refine":
-		sw, err := lbaf.RunSweepParallel("refinement trials/iterations sweep", spec,
-			lbaf.RefinementSweepConfigs(relaxed, []int{1, 4, 10}, []int{1, 4, 8}), *workers)
+		sw, err := lbaf.RunSweep("refinement trials/iterations sweep", spec,
+			lbaf.RefinementSweepConfigs(relaxed, []int{1, 4, 10}, []int{1, 4, 8}))
 		check(err)
 		sw.Render(os.Stdout)
 	default:

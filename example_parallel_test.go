@@ -7,24 +7,24 @@ import (
 	"temperedlb"
 )
 
-// A sweep fans a grid of configurations over one workload; the parallel
-// runner produces byte-identical output because every run owns its
-// seeded random streams.
-func ExampleRunSweepParallel() {
+// A sweep fans a grid of configurations over one workload across every
+// CPU; its output is byte-identical run to run because every
+// configuration owns its seeded random streams.
+func ExampleRunSweep() {
 	spec := temperedlb.VBWorkload(1)
 	spec.NumRanks, spec.LoadedRanks, spec.NumTasks = 64, 4, 500
 	base := temperedlb.EngineConfig{Config: temperedlb.Tempered()}
 	base.Trials, base.Iterations = 2, 3
 	configs := temperedlb.GossipSweepConfigs(base, []int{2, 4}, []int{2, 4})
 
-	serial, _ := temperedlb.RunSweep("fanout/rounds", spec, configs)
-	parallel, _ := temperedlb.RunSweepParallel("fanout/rounds", spec, configs, 4)
+	first, _ := temperedlb.RunSweep("fanout/rounds", spec, configs)
+	second, _ := temperedlb.RunSweep("fanout/rounds", spec, configs)
 
-	var s, p strings.Builder
-	serial.Render(&s)
-	parallel.Render(&p)
-	fmt.Printf("%d points, parallel identical: %v\n", len(configs), s.String() == p.String())
-	// Output: 4 points, parallel identical: true
+	var a, b strings.Builder
+	first.Render(&a)
+	second.Render(&b)
+	fmt.Printf("%d points, identical: %v\n", len(configs), a.String() == b.String())
+	// Output: 4 points, identical: true
 }
 
 // The distributed balancer runs the same decision logic as real active

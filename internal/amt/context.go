@@ -209,7 +209,7 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 		rc.collMsgs++
 	}
 	if rt.reliable {
-		rc.rel = newReliableState(rt.n, rt.retryBase, rt.retryCap)
+		rc.rel = newReliableState(rt.n, rt.retryBase)
 	}
 	if lo, _ := rt.nw.LocalRange(); r == lo {
 		rc.stream = rt.stream
@@ -486,18 +486,6 @@ func (rc *Context) pump(w waitKind, seq int64) {
 		}
 	}
 	rc.wait, rc.waitSeq = prevWait, prevSeq
-}
-
-// Poll processes one pending message if any is queued and reports
-// whether it did. Use it to keep the scheduler turning during local
-// work outside epochs.
-func (rc *Context) Poll() bool {
-	m, ok := rc.rt.nw.Recv(int(rc.rank))
-	if !ok {
-		return false
-	}
-	rc.dispatch(m)
-	return true
 }
 
 // Epoch runs body — typically a burst of sends that trigger cascading

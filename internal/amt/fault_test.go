@@ -1,6 +1,7 @@
 package amt
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +17,7 @@ import (
 func lossySpec(seed int64) comm.FaultSpec {
 	return comm.FaultSpec{
 		Seed: seed, Drop: 0.2, Dup: 0.2,
-		DelayMax:  time.Millisecond,
-		RetryBase: time.Millisecond,
+		DelayMax: time.Millisecond,
 	}
 }
 
@@ -132,7 +132,6 @@ func TestChaosFaultyStragglers(t *testing.T) {
 	sp := comm.FaultSpec{
 		Seed: 3, Drop: 0.1,
 		SlowRanks: map[int]time.Duration{2: 2 * time.Millisecond},
-		RetryBase: time.Millisecond,
 	}
 	if err := rt.SetFaults(sp); err != nil {
 		t.Fatal(err)
@@ -203,6 +202,84 @@ func TestFaultsInstrumented(t *testing.T) {
 	if retryEvents != st.Retries || dupEvents != st.DupDrops {
 		t.Errorf("trace has %d retries / %d dup-drops, FaultStats %+v",
 			retryEvents, dupEvents, st)
+	}
+}
+
+// pacedTransport records, per counted message, the gap between each of
+// its transmissions and the one before.
+type pacedTransport struct {
+	comm.Transport
+	mu   sync.Mutex
+	last map[pendKey]time.Time
+	gaps []time.Duration
+}
+
+func (p *pacedTransport) note(m comm.Message) {
+	if m.MsgID == 0 || m.Kind == kindAck {
+		return
+	}
+	now := time.Now()
+	p.mu.Lock()
+	k := pendKey{dest: m.To, id: m.MsgID}
+	if prev, ok := p.last[k]; ok {
+		p.gaps = append(p.gaps, now.Sub(prev))
+	}
+	p.last[k] = now
+	p.mu.Unlock()
+}
+
+func (p *pacedTransport) Send(m comm.Message) {
+	p.note(m)
+	p.Transport.Send(m)
+}
+
+func (p *pacedTransport) SendClaim(m comm.Message) bool {
+	p.note(m)
+	return p.Transport.SendClaim(m)
+}
+
+// TestRetryPacingFollowsFaultPlan pins the backoff to the derived first
+// timeout: under a 50 ms delay window that timeout is 200 ms, so the cap
+// must not sit below it, and no message may be retransmitted sooner after
+// its previous attempt than the first timeout.
+func TestRetryPacingFollowsFaultPlan(t *testing.T) {
+	const n, msgs = 8, 100
+	tr := &pacedTransport{Transport: comm.NewNetwork(n), last: map[pendKey]time.Time{}}
+	rt := New(n, WithTransport(tr))
+	if err := rt.SetFaults(comm.FaultSpec{Seed: 1, Drop: 0.05, DelayMax: 50 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	var got atomic.Int64
+	rt.Register(hPing, func(rc *Context, from core.Rank, data any) { got.Add(1) })
+	var base time.Duration
+	rt.Run(func(rc *Context) {
+		if rc.Rank() == 0 {
+			base = rc.rel.base
+			if rc.rel.cap < rc.rel.base {
+				t.Errorf("retry cap %v below first timeout %v", rc.rel.cap, rc.rel.base)
+			}
+		}
+		rc.Epoch(func() {
+			for i := 0; i < msgs; i++ {
+				rc.Send((rc.Rank()+1)%n, hPing, i)
+			}
+		})
+	})
+	if got.Load() != n*msgs {
+		t.Fatalf("delivered %d, want %d", got.Load(), n*msgs)
+	}
+	if base != 200*time.Millisecond {
+		t.Fatalf("first timeout %v, want 200ms", base)
+	}
+	if len(tr.gaps) == 0 {
+		t.Fatal("no retransmissions: the plan dropped nothing")
+	}
+	// A transmission is noted just after the deadline it set was stamped,
+	// so allow a scheduling hair below the timeout.
+	for _, g := range tr.gaps {
+		if g < base-5*time.Millisecond {
+			t.Errorf("retransmitted %v after the previous attempt, first timeout %v", g, base)
+		}
 	}
 }
 

@@ -377,29 +377,6 @@ func mustPanicAMT(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestPollProcessesOutsideEpoch(t *testing.T) {
-	rt := New(2)
-	var got atomic.Int32
-	rt.Register(hCollect, func(rc *Context, from core.Rank, data any) {
-		got.Store(int32(data.(int)))
-	})
-	rt.Run(func(rc *Context) {
-		rc.Barrier()
-		if rc.Rank() == 0 {
-			// Uncounted send outside any epoch.
-			rc.Send(1, hCollect, 7)
-		}
-		if rc.Rank() == 1 {
-			// Keep polling until the handler fired; Poll returns false
-			// while the inbox is empty and true once it dispatched.
-			for got.Load() != 7 {
-				rc.Poll()
-			}
-		}
-		rc.Barrier()
-	})
-}
-
 func TestContextStatsCounts(t *testing.T) {
 	rt := New(2)
 	rt.Register(hCollect, func(rc *Context, from core.Rank, data any) {})

@@ -307,6 +307,41 @@ func TestRuntimeNoTracerUnaffected(t *testing.T) {
 	})
 }
 
+// TestRunSizesPayloadsIffRead: Run switches on byte accounting exactly
+// when metrics or a stream will read the totals, whatever order the
+// setters ran in — a stream attached and detached again leaves the sends
+// unsized, and metrics enabled before a transport swap size the new one.
+func TestRunSizesPayloadsIffRead(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(rt *Runtime)
+		sized bool
+	}{
+		{"nothing attached", func(rt *Runtime) {}, false},
+		{"metrics", func(rt *Runtime) { rt.EnableMetrics() }, true},
+		{"stream", func(rt *Runtime) { rt.SetStream(obs.NewStream(0)) }, true},
+		{"stream detached", func(rt *Runtime) { rt.SetStream(obs.NewStream(0)); rt.SetStream(nil) }, false},
+		{"metrics, then a new transport", func(rt *Runtime) {
+			rt.EnableMetrics()
+			rt.SetTransport(comm.NewNetwork(2))
+		}, true},
+	} {
+		rt := New(2)
+		tc.setup(rt)
+		rt.Register(hPing, func(rc *Context, from core.Rank, data any) {})
+		rt.Run(func(rc *Context) {
+			rc.Epoch(func() {
+				if rc.Rank() == 0 {
+					rc.Send(1, hPing, 42)
+				}
+			})
+		})
+		if got := rt.Transport().Stats().Bytes.Total() > 0; got != tc.sized {
+			t.Errorf("%s: payloads sized %v, want %v", tc.name, got, tc.sized)
+		}
+	}
+}
+
 // TestChaosInstrumentedJitter reruns the cascading-epochs chaos workload
 // with the full observability stack attached and delivery order
 // scrambled: the protocols must still converge, and the trace must stay

@@ -40,10 +40,13 @@ import (
 // absorbed by the dedup filter before the "message for finished epoch"
 // guard, and late acks for retired credits are ignored.
 
-// Default retransmission tuning; FaultSpec.RetryBase/RetryCap override.
+// Retransmission pacing floors. SetFaults derives the first timeout
+// from the fault plan (never below minTimeout); the backoff cap is
+// max(minBackoffCap, first timeout), so a retry never comes sooner after
+// its previous attempt than the first one did.
 const (
-	defaultRetryBase = 2 * time.Millisecond
-	defaultRetryCap  = 64 * time.Millisecond
+	minTimeout    = 2 * time.Millisecond
+	minBackoffCap = 64 * time.Millisecond
 )
 
 // pendKey identifies one unacknowledged send. MsgIDs are per-destination
@@ -104,19 +107,13 @@ type reliableState struct {
 	base, cap time.Duration
 }
 
-func newReliableState(n int, base, cap time.Duration) *reliableState {
-	if base <= 0 {
-		base = defaultRetryBase
-	}
-	if cap < base {
-		cap = defaultRetryCap
-	}
+func newReliableState(n int, base time.Duration) *reliableState {
 	return &reliableState{
 		seq:     make([]int64, n),
 		pending: make(map[pendKey]*relPending),
 		seen:    make([]seenSet, n),
 		base:    base,
-		cap:     cap,
+		cap:     max(minBackoffCap, base),
 	}
 }
 

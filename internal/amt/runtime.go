@@ -50,9 +50,10 @@ type Runtime struct {
 	fanout int
 
 	// Fault recovery (see SetFaults and reliable.go): reliable switches
-	// the contexts to ack/retry delivery.
-	reliable            bool
-	retryBase, retryCap time.Duration
+	// the contexts to ack/retry delivery, whose first timeout SetFaults
+	// derives from the fault plan's delays.
+	reliable  bool
+	retryBase time.Duration
 
 	tracer  obs.Tracer
 	metrics *obs.Metrics
@@ -131,15 +132,12 @@ func (rt *Runtime) SetTracer(t obs.Tracer) {
 // SetTransport replaces the default in-memory transport, letting this
 // runtime host only the transport's local rank range while remote
 // ranks live in other processes (see internal/comm/wire and Join).
-// The transport's total rank count must match the runtime's. Call before Run; byte accounting already requested by
-// metrics or streaming is re-applied to the new transport.
+// The transport's total rank count must match the runtime's. Call before
+// Run.
 func (rt *Runtime) SetTransport(t comm.Transport) {
 	rt.mustNotRun("SetTransport")
 	if t.NumRanks() != rt.n {
 		panic(fmt.Sprintf("amt: SetTransport: transport spans %d ranks, runtime %d", t.NumRanks(), rt.n))
-	}
-	if rt.nw.ByteAccounting() {
-		t.EnableByteAccounting(wire.PayloadSize)
 	}
 	rt.nw = t
 	lo, hi := t.LocalRange()
@@ -168,16 +166,13 @@ func (rt *Runtime) Fanout() int { return rt.fanout }
 // on the runtime (the distributed balancer, the service) publish
 // periodic Snapshot frames to it from the lowest rank this runtime
 // hosts — in a multi-process job any node, or several, may attach one
-// (see Context.Watched) — and transport byte accounting (wire-codec
-// bytes, see EnableMetrics) is switched on so the frames can carry byte
-// totals. A nil stream — the default — costs the publishing sites a
-// single pointer comparison. Call before Run.
+// (see Context.Watched) — and Run switches on transport byte accounting
+// (wire-codec bytes) so the frames can carry byte totals. A nil stream —
+// the default — costs the publishing sites a single pointer comparison.
+// Call before Run.
 func (rt *Runtime) SetStream(s *obs.Stream) {
 	rt.mustNotRun("SetStream")
 	rt.stream = s
-	if s != nil {
-		rt.nw.EnableByteAccounting(wire.PayloadSize)
-	}
 }
 
 // Stream returns the attached observability stream (nil when streaming
@@ -272,6 +267,11 @@ func (rt *Runtime) mustNotRun(op string) {
 // under borrowed execution, need not be the one whose goroutine it was.
 func (rt *Runtime) Run(main func(rc *Context)) {
 	rt.running = true
+	// Payload bytes are measured for whoever reads them: the metrics
+	// registry and the stream's frames. Without either, no send is sized.
+	if rt.metrics != nil || rt.stream != nil {
+		rt.nw.EnableByteAccounting(wire.PayloadSize)
+	}
 	lo, hi := rt.nw.LocalRange()
 	var (
 		wg       sync.WaitGroup
@@ -334,35 +334,24 @@ func (rt *Runtime) SetFaults(sp comm.FaultSpec) error {
 	}
 	rt.nw.SetFaultPlan(sp.Plan(kindUser, kindObject, kindMigrate, kindLocUpdate))
 	rt.reliable = sp.Drop > 0 || sp.Dup > 0
-	rt.retryBase = sp.RetryBase
-	if rt.retryBase == 0 {
-		// The default must exceed the worst-case ack round trip under the
-		// spec's own delay bounds, or every delayed delivery triggers a
-		// spurious retransmission (harmless — the dedup filter absorbs it —
-		// but it floods the transport and drowns the retry statistics).
-		var slow time.Duration
-		for _, d := range sp.SlowRanks {
-			if d > slow {
-				slow = d
-			}
-		}
-		// Both legs of the round trip are delayed (the data message and its
-		// ack), each by up to DelayMax plus two straggler penalties, and
-		// queueing on a busy receiver adds more: give the first deadline
-		// 2x the worst-case transport round trip before retransmitting.
-		rt.retryBase = 4 * (sp.DelayMax + 2*slow)
-		if rt.retryBase < defaultRetryBase {
-			rt.retryBase = defaultRetryBase
-		}
-		// A socket transport adds real network latency on top of the
-		// injected delays; pace the retransmission clock to its measured
-		// round trip so cross-machine runs do not retransmit spuriously.
-		if rh, ok := rt.nw.(comm.RTTHinter); ok {
-			if floor := 4 * rh.RTTHint(); rt.retryBase < floor {
-				rt.retryBase = floor
-			}
-		}
+	// The first retransmission deadline must exceed the worst-case ack
+	// round trip under the spec's own delay bounds, or every delayed
+	// delivery triggers a spurious retransmission (harmless — the dedup
+	// filter absorbs it — but it floods the transport and drowns the retry
+	// statistics). Both legs of the round trip are delayed (the data
+	// message and its ack), each by up to DelayMax plus two straggler
+	// penalties, and queueing on a busy receiver adds more: give the first
+	// deadline 2x the worst-case transport round trip.
+	var slow time.Duration
+	for _, d := range sp.SlowRanks {
+		slow = max(slow, d)
 	}
-	rt.retryCap = sp.RetryCap
+	rt.retryBase = max(minTimeout, 4*(sp.DelayMax+2*slow))
+	// A socket transport adds real network latency on top of the injected
+	// delays; pace the retransmission clock to its measured round trip so
+	// cross-machine runs do not retransmit spuriously.
+	if rh, ok := rt.nw.(comm.RTTHinter); ok {
+		rt.retryBase = max(rt.retryBase, 4*rh.RTTHint())
+	}
 	return nil
 }

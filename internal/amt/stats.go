@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"temperedlb/internal/comm"
-	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/obs"
 )
 
@@ -166,9 +165,9 @@ var kindNames = [...]string{
 	"coll_up", "coll_down", "ack",
 }
 
-// EnableMetrics switches on the runtime's metrics registry and the
-// transport's payload byte accounting — every send sized by
-// wire.PayloadSize, so comm_bytes_total is wire-codec bytes on every
+// EnableMetrics switches on the runtime's metrics registry — and with it,
+// from Run on, the transport's payload byte accounting: every send sized
+// by wire.PayloadSize, so comm_bytes_total is wire-codec bytes on every
 // transport — and returns the registry. The registry refolds itself
 // whenever it is exported (obs.Metrics.OnScrape), so a live /metrics scrape
 // reads what Metrics would return. It is idempotent; call before Run.
@@ -188,7 +187,6 @@ func (rt *Runtime) EnableMetrics() *obs.Metrics {
 	}
 	m.OnScrape(func() { rt.Metrics() })
 	rt.metrics = m
-	rt.nw.EnableByteAccounting(wire.PayloadSize)
 	return m
 }
 

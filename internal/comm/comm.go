@@ -281,9 +281,6 @@ func (nw *Network) deliverAfter(m Message, delay time.Duration) {
 // never measured).
 func (nw *Network) EnableByteAccounting(size func(any) int) { nw.size.Store(&size) }
 
-// ByteAccounting reports whether payload sizing is enabled.
-func (nw *Network) ByteAccounting() bool { return nw.size.Load() != nil }
-
 // Stats snapshots the per-kind counters (see Stats), summing the send
 // stripes. Each counter is read atomically, so every total is monotone
 // across snapshots; one taken while ranks send is not one instant across

@@ -291,9 +291,6 @@ func TestSendBadKindPanics(t *testing.T) {
 func TestByteAccountingConcurrentSenders(t *testing.T) {
 	nw := NewNetwork(4)
 	nw.EnableByteAccounting(func(v any) int { return len(v.(string)) })
-	if !nw.ByteAccounting() {
-		t.Fatal("byte accounting not enabled")
-	}
 	payload := "0123456789abcdef"
 	per := len(payload)
 	const senders, each = 8, 400
@@ -327,7 +324,7 @@ func TestByteAccountingOffByDefault(t *testing.T) {
 	nw := NewNetwork(2)
 	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 4096)})
 	st := nw.Stats()
-	if nw.ByteAccounting() || st.Bytes.Total() != 0 {
+	if st.Bytes.Total() != 0 {
 		t.Errorf("Bytes.Total() = %d without byte accounting", st.Bytes.Total())
 	}
 	if st.Sent[1] != 1 {

@@ -10,12 +10,13 @@ import (
 )
 
 // FaultSpec is the kind-agnostic, flag-level description of a fault
-// plan: what users type after -faults. The runtime layer decides which
-// message kinds the scalar probabilities apply to (protocol control
-// traffic — termination tokens, acks, collectives — stays reliable) and
-// consumes the retry tuning; the transport consumes the rest via Plan.
+// plan: what users type after -faults. It describes the faults and
+// nothing else; the runtime layer decides which message kinds the scalar
+// probabilities apply to (protocol control traffic — termination tokens,
+// acks, collectives — stays reliable) and derives its retransmission
+// pacing from the delays; the transport consumes the spec via Plan.
 //
-// The zero value is the empty spec: no faults, no retry tuning.
+// The zero value is the empty spec: no faults.
 type FaultSpec struct {
 	// Seed drives every fault decision. Decisions are a pure function of
 	// (Seed, sender, per-sender transport sequence number, decision
@@ -35,15 +36,9 @@ type FaultSpec struct {
 	// SlowRanks adds a fixed straggler penalty to every delivery sent by
 	// or destined to the listed ranks, on top of the window above.
 	SlowRanks map[int]time.Duration
-
-	// RetryBase and RetryCap tune the runtime's retransmission timeout
-	// (initial value and exponential-backoff cap). The transport ignores
-	// them; zero means the runtime default.
-	RetryBase, RetryCap time.Duration
 }
 
-// Empty reports whether the spec injects no faults at all (retry tuning
-// alone does not count: with nothing to recover from it is inert).
+// Empty reports whether the spec injects no faults at all.
 func (sp FaultSpec) Empty() bool {
 	return sp.Drop == 0 && sp.Dup == 0 && sp.DelayMin == 0 && sp.DelayMax == 0 &&
 		len(sp.SlowRanks) == 0
@@ -61,8 +56,6 @@ func (sp FaultSpec) Validate(n int) error {
 		return fmt.Errorf("comm: fault delays must be >= 0, got [%v,%v]", sp.DelayMin, sp.DelayMax)
 	case sp.DelayMax < sp.DelayMin:
 		return fmt.Errorf("comm: fault delay window inverted: [%v,%v]", sp.DelayMin, sp.DelayMax)
-	case sp.RetryBase < 0 || sp.RetryCap < 0:
-		return fmt.Errorf("comm: retry tuning must be >= 0")
 	}
 	for r, d := range sp.SlowRanks {
 		if r < 0 || (n > 0 && r >= n) {
@@ -120,12 +113,6 @@ func (sp FaultSpec) String() string {
 	for _, r := range ranks {
 		add(fmt.Sprintf("slow=%d:%v", r, sp.SlowRanks[r]))
 	}
-	if sp.RetryBase > 0 {
-		add(fmt.Sprintf("retry=%v", sp.RetryBase))
-	}
-	if sp.RetryCap > 0 {
-		add(fmt.Sprintf("retrycap=%v", sp.RetryCap))
-	}
 	return strings.Join(parts, ",")
 }
 
@@ -133,7 +120,7 @@ func (sp FaultSpec) String() string {
 // key=value pairs from
 //
 //	drop=0.01 dup=0.01 delay=5ms delaymin=1ms seed=42
-//	slow=3:2ms (repeatable) retry=2ms retrycap=64ms
+//	slow=3:2ms (repeatable)
 //
 // An empty string parses to the empty spec. Ranges are validated
 // (without rank bounds; callers with a known rank count should
@@ -176,10 +163,6 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 					sp.SlowRanks[r] = d
 				}
 			}
-		case "retry":
-			sp.RetryBase, err = time.ParseDuration(val)
-		case "retrycap":
-			sp.RetryCap, err = time.ParseDuration(val)
 		default:
 			return sp, fmt.Errorf("comm: fault spec: unknown key %q", key)
 		}

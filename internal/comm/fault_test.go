@@ -6,7 +6,7 @@ import (
 )
 
 func TestParseFaultSpec(t *testing.T) {
-	sp, err := ParseFaultSpec("drop=0.01,dup=0.02,delay=5ms,delaymin=1ms,seed=42,slow=3:2ms,retry=2ms,retrycap=64ms")
+	sp, err := ParseFaultSpec("drop=0.01,dup=0.02,delay=5ms,delaymin=1ms,seed=42,slow=3:2ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -14,11 +14,9 @@ func TestParseFaultSpec(t *testing.T) {
 		Seed: 42, Drop: 0.01, Dup: 0.02,
 		DelayMin: time.Millisecond, DelayMax: 5 * time.Millisecond,
 		SlowRanks: map[int]time.Duration{3: 2 * time.Millisecond},
-		RetryBase: 2 * time.Millisecond, RetryCap: 64 * time.Millisecond,
 	}
 	if sp.Seed != want.Seed || sp.Drop != want.Drop || sp.Dup != want.Dup ||
 		sp.DelayMin != want.DelayMin || sp.DelayMax != want.DelayMax ||
-		sp.RetryBase != want.RetryBase || sp.RetryCap != want.RetryCap ||
 		len(sp.SlowRanks) != 1 || sp.SlowRanks[3] != 2*time.Millisecond {
 		t.Fatalf("parsed %+v, want %+v", sp, want)
 	}
@@ -37,6 +35,7 @@ func TestParseFaultSpec(t *testing.T) {
 	for _, bad := range []string{
 		"drop", "drop=x", "drop=1.5", "dup=-1", "delay=8", "wat=1",
 		"slow=3", "slow=a:1ms", "slow=0:-1ms", "delaymin=5ms,delay=1ms",
+		"retry=2ms", "retrycap=64ms",
 	} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("ParseFaultSpec(%q): expected error", bad)

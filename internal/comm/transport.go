@@ -24,7 +24,7 @@ import "time"
 //     WaitOwned — orders the previous runner's writes before the next
 //     runner's reads; in the Network each is one CAS of the inbox's
 //     state word.
-//   - Recv* methods serve only ranks inside LocalRange; a transport
+//   - RecvBatch serves only ranks inside LocalRange; a transport
 //     hosting a slice of a larger job forwards everything else.
 //   - Close drains: no message accepted by Send before Close may be
 //     lost because of Close (delayed deliveries land, outbound wire
@@ -39,7 +39,6 @@ type Transport interface {
 	LocalRange() (lo, hi int)
 
 	Send(Message)
-	Recv(rank int) (Message, bool)
 	RecvBatch(rank int, buf []Message) []Message
 
 	// The ownership trio (see Network): SendClaim is Send that may hand
@@ -55,8 +54,10 @@ type Transport interface {
 
 	SetFaultPlan(*FaultPlan)
 
+	// EnableByteAccounting sizes every later send's payload (see Stats);
+	// the runtime switches it on in Run when metrics or a stream is
+	// attached.
 	EnableByteAccounting(size func(any) int)
-	ByteAccounting() bool
 	// Stats snapshots the per-kind accounting; safe at any time.
 	Stats() Stats
 }

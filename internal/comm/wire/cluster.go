@@ -70,7 +70,7 @@ func NewCluster(network string, ranks, nodes int, jobID uint64) (*Cluster, error
 
 // Close closes every transport concurrently — each node's drain waits
 // for its peers' BYE frames, so sequential closes would serialize on
-// DrainTimeout — and removes the socket directory. Idempotent.
+// the drain timeout — and removes the socket directory. Idempotent.
 func (c *Cluster) Close() {
 	var wg sync.WaitGroup
 	for _, t := range c.Transports {

@@ -32,7 +32,7 @@
 // inbound connection decodes frames and injects them into the local
 // Network, which is the same cross-goroutine boundary as the
 // single-process case. Close drains writers (flush, BYE, half-close),
-// then readers (until peer BYEs), bounded by DrainTimeout; any fatal
+// then readers (until peer BYEs), bounded by a drain timeout; any fatal
 // wire error tears the whole transport down so blocked ranks observe a
 // closed network instead of hanging on a dead peer.
 package wire

@@ -172,7 +172,7 @@ func (e *protocolError) Error() string { return e.err.Error() }
 func (e *protocolError) Unwrap() error { return e.err }
 
 func rendezvousOnce(network, addr string, self NodeSpec, deadline time.Time) ([]NodeSpec, error) {
-	conn, err := net.DialTimeout(network, addr, time.Until(deadline))
+	conn, err := (&net.Dialer{Deadline: deadline}).Dial(network, addr)
 	if err != nil {
 		return nil, err
 	}

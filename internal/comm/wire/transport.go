@@ -63,27 +63,18 @@ type Config struct {
 	// different JobID are refused at handshake. Zero disables the check
 	// only if both sides use zero.
 	JobID uint64
-	// DialTimeout bounds the total dial-plus-backoff budget per peer
-	// (default 15s — peers may not have started listening yet).
-	DialTimeout time.Duration
-	// ConnectTimeout bounds Connect's wait for every peer's inbound
-	// handshake (default 30s).
+	// ConnectTimeout bounds Connect as a whole (default 30s): dialing
+	// every peer, with retries while peers have not started listening
+	// yet, and waiting for every peer's inbound handshake share one
+	// deadline. It also bounds each inbound connection's HELLO.
 	ConnectTimeout time.Duration
-	// DrainTimeout bounds the graceful close-drain: how long Close
-	// waits for outbound queues to flush and for every peer's BYE
-	// before force-closing connections (default 10s).
-	DrainTimeout time.Duration
-	// MaxQueue is the soft cap on any one peer's writer queue, in
-	// messages. A peer that stops draining (stalled process, dead TCP
-	// window) would otherwise grow its queue without bound until this
-	// process OOMs; crossing the cap instead fails the transport loudly
-	// with a queue-overflow error. 0 uses DefaultMaxQueue; negative
-	// disables the cap (the pre-cap behaviour, kept for tooling that
-	// prefers to watch the high-water stat itself).
-	MaxQueue int
 	// Logf receives connection-lifecycle and failure lines; nil is
 	// silent.
 	Logf func(format string, args ...any)
+
+	// maxQueue is the soft cap on any one peer's writer queue, in
+	// messages; zero means defaultMaxQueue. Only tests lower it.
+	maxQueue int
 }
 
 func (cfg *Config) setDefaults() error {
@@ -105,17 +96,11 @@ func (cfg *Config) setDefaults() error {
 	if cfg.Self < 0 || cfg.Self >= cfg.Nodes {
 		return fmt.Errorf("wire: self node %d outside [0,%d)", cfg.Self, cfg.Nodes)
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 15 * time.Second
-	}
 	if cfg.ConnectTimeout <= 0 {
 		cfg.ConnectTimeout = 30 * time.Second
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 10 * time.Second
-	}
-	if cfg.MaxQueue == 0 {
-		cfg.MaxQueue = DefaultMaxQueue
+	if cfg.maxQueue == 0 {
+		cfg.maxQueue = defaultMaxQueue
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -166,12 +151,19 @@ type Transport struct {
 	queueHighWater      atomic.Int64 // deepest writer queue seen, any peer
 }
 
-// DefaultMaxQueue is the writer-queue soft cap when Config.MaxQueue is
-// zero: deep enough that a healthy peer is never tripped by a send
-// burst (the protocol's per-epoch traffic is orders of magnitude
-// smaller), shallow enough to fail long before queued messages threaten
-// process memory.
-const DefaultMaxQueue = 1 << 17
+// defaultMaxQueue is the soft cap on any one peer's writer queue, in
+// messages. A peer that stops draining (stalled process, dead TCP window)
+// would otherwise grow its queue without bound until this process OOMs;
+// crossing the cap instead fails the transport loudly. It is deep enough
+// that a healthy peer is never tripped by a send burst (the protocol's
+// per-epoch traffic is orders of magnitude smaller), shallow enough to
+// fail long before queued messages threaten process memory.
+const defaultMaxQueue = 1 << 17
+
+// drainTimeout bounds the graceful close-drain: how long Close waits for
+// outbound queues to flush and for every peer's BYE before force-closing
+// connections.
+const drainTimeout = 10 * time.Second
 
 // peer owns the outbound connection to one remote node: an unbounded
 // queue drained by a writer goroutine, so Send never blocks on the
@@ -234,9 +226,10 @@ func (t *Transport) Err() error {
 // Connect installs the job's rank→address map and establishes the full
 // mesh: it dials every other node (with backoff — peers may start in
 // any order), sends the handshake, and waits until every peer has
-// dialed us back. After Connect returns nil the transport is ready for
-// Run.
+// dialed us back, all within ConnectTimeout. After Connect returns nil
+// the transport is ready for Run.
 func (t *Transport) Connect(nodes []NodeSpec) error {
+	deadline := time.Now().Add(t.cfg.ConnectTimeout)
 	if len(nodes) != t.cfg.Nodes {
 		return fmt.Errorf("wire: Connect got %d node specs, want %d", len(nodes), t.cfg.Nodes)
 	}
@@ -277,7 +270,7 @@ func (t *Transport) Connect(nodes []NodeSpec) error {
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			errs[node] = t.dialPeer(node)
+			errs[node] = t.dialPeer(node, deadline)
 		}(i)
 	}
 	wg.Wait()
@@ -291,7 +284,7 @@ func (t *Transport) Connect(nodes []NodeSpec) error {
 	// Wait for every peer's inbound handshake. A stopped timer stays in
 	// the runtime's timer heap, and what it references reachable, until
 	// the runtime next sweeps it: this one references only its channel.
-	timer := time.NewTimer(t.cfg.ConnectTimeout)
+	timer := time.NewTimer(time.Until(deadline))
 	defer timer.Stop()
 	expired := false
 	for missing := t.missingPeers(); len(missing) > 0; missing = t.missingPeers() {
@@ -330,10 +323,10 @@ func (t *Transport) missingPeers() []int {
 }
 
 // dialPeer establishes the outbound (write) connection to one node,
-// retrying with capped exponential backoff until DialTimeout: job
+// retrying with capped exponential backoff until deadline: job
 // processes start in arbitrary order, so early connection refusals are
 // expected, not errors.
-func (t *Transport) dialPeer(node int) error {
+func (t *Transport) dialPeer(node int, deadline time.Time) error {
 	spec := t.nodes[node]
 	var (
 		conn    net.Conn
@@ -341,13 +334,13 @@ func (t *Transport) dialPeer(node int) error {
 		backoff = 25 * time.Millisecond
 	)
 	start := time.Now()
-	deadline := start.Add(t.cfg.DialTimeout)
+	dialer := net.Dialer{Deadline: deadline}
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			t.redials.Add(1)
 		}
 		attemptStart := time.Now()
-		conn, err = net.DialTimeout(t.cfg.Network, spec.Addr, time.Until(deadline))
+		conn, err = dialer.Dial(t.cfg.Network, spec.Addr)
 		if err == nil {
 			if rtt := time.Since(attemptStart); rtt > time.Duration(t.rttMax.Load()) {
 				t.rttMax.Store(int64(rtt))
@@ -530,8 +523,8 @@ func (p *peer) enqueue(m comm.Message) {
 			break
 		}
 	}
-	if cap := p.t.cfg.MaxQueue; cap > 0 && depth > int64(cap) {
-		p.t.fail(fmt.Errorf("wire: writer queue to node %d overflowed the soft cap (%d queued > MaxQueue %d): peer is not draining", p.node, depth, cap))
+	if cap := p.t.cfg.maxQueue; depth > int64(cap) {
+		p.t.fail(fmt.Errorf("wire: writer queue to node %d overflowed the soft cap (%d queued > %d): peer is not draining", p.node, depth, cap))
 	}
 }
 
@@ -631,15 +624,15 @@ func (t *Transport) fail(err error) {
 //     delayed deliveries (including remote-bound ones) are waited for,
 //     local inboxes wake their receivers;
 //  2. ask every peer writer to flush its queue, append BYE and close
-//     the write side; wait for them (bounded by DrainTimeout via write
+//     the write side; wait for them (bounded by drainTimeout via write
 //     deadlines);
-//  3. stop accepting, then wait — again bounded by DrainTimeout — for
+//  3. stop accepting, then wait — again bounded by drainTimeout — for
 //     every peer's BYE so late inbound messages (acks, duplicates) are
 //     still injected while our process is alive;
 //  4. force-close whatever is left.
 //
 // Close is idempotent and safe to call from any goroutine.
-func (t *Transport) Close() { t.shutdown(t.cfg.DrainTimeout) }
+func (t *Transport) Close() { t.shutdown(drainTimeout) }
 
 // Abort is Close for a node whose share of the job has failed while its
 // peers may be parked on its ranks: it hangs up without the BYE, so every
@@ -657,7 +650,7 @@ func (t *Transport) shutdown(drain time.Duration) {
 
 	// One timer bounds both waits below and is stopped on return: a
 	// time.After per wait would sit in the runtime's timer heap for the
-	// whole DrainTimeout after every Close, however fast the drain was.
+	// whole drainTimeout after every Close, however fast the drain was.
 	deadline := time.Now().Add(drain)
 	expired := make(chan struct{})
 	timer := time.AfterFunc(drain, func() { close(expired) })

@@ -265,13 +265,13 @@ func TestRendezvousRefusesBadNode(t *testing.T) {
 // TestWriterQueueSoftCapFailsLoud is the regression test for the
 // unbounded-writer-queue bug: a peer whose writer never drains (stalled
 // process, dead TCP window) used to grow its queue silently until this
-// process OOMed. Now crossing Config.MaxQueue records a fatal transport
+// process OOMed. Now crossing the soft cap records a fatal transport
 // error, and the deepest queue observed is exported via
 // WireStats.QueueHighWater. The peer is hand-built with no writeLoop —
 // the deterministic stand-in for a fully stalled writer — so the test
 // needs no timing assumptions.
 func TestWriterQueueSoftCapFailsLoud(t *testing.T) {
-	tr, err := New(Config{Network: "tcp", Ranks: 2, Nodes: 2, Self: 0, MaxQueue: 8})
+	tr, err := New(Config{Network: "tcp", Ranks: 2, Nodes: 2, Self: 0, maxQueue: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -289,13 +289,13 @@ func TestWriterQueueSoftCapFailsLoud(t *testing.T) {
 			t.Fatalf("enqueue %d within the cap failed the transport: %v", i+1, err)
 		}
 	}
-	p.enqueue(comm.Message{From: 0, To: 1}) // 9th message crosses MaxQueue 8
+	p.enqueue(comm.Message{From: 0, To: 1}) // 9th message crosses the cap of 8
 
 	err = tr.Err()
 	if err == nil {
 		t.Fatal("queue overflow did not fail the transport")
 	}
-	if !strings.Contains(err.Error(), "MaxQueue") || !strings.Contains(err.Error(), "node 1") {
+	if !strings.Contains(err.Error(), "soft cap (9 queued > 8)") || !strings.Contains(err.Error(), "node 1") {
 		t.Errorf("overflow error does not name the cap and peer: %v", err)
 	}
 	if hw := tr.WireStats().QueueHighWater; hw != 9 {
@@ -303,30 +303,31 @@ func TestWriterQueueSoftCapFailsLoud(t *testing.T) {
 	}
 }
 
-// TestWriterQueueCapDisabled: a negative MaxQueue restores the pre-cap
-// behaviour (grow without failing) while still tracking the high-water
-// stat for operators who prefer to watch it themselves.
-func TestWriterQueueCapDisabled(t *testing.T) {
-	tr, err := New(Config{Network: "tcp", Ranks: 2, Nodes: 2, Self: 0, MaxQueue: -1})
+// TestConnectTimeoutBoundsDialing: -timeout is the whole connect
+// budget, dial retries included, so a peer that never starts listening
+// fails Connect once ConnectTimeout has passed, not after a fixed dial
+// budget of its own.
+func TestConnectTimeoutBoundsDialing(t *testing.T) {
+	tr, err := New(Config{Network: "tcp", Ranks: 2, Nodes: 2, Self: 0, ConnectTimeout: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer tr.Close()
-
-	ours, theirs := net.Pipe()
-	defer ours.Close()
-	defer theirs.Close()
-	p := &peer{t: tr, node: 1, conn: ours, done: make(chan struct{})}
-	close(p.done)
-
-	for i := 0; i < 100; i++ {
-		p.enqueue(comm.Message{From: 0, To: 1})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
-	if err := tr.Err(); err != nil {
-		t.Fatalf("disabled cap still failed the transport: %v", err)
+	nobody := ln.Addr().String()
+	ln.Close()
+
+	specs := SplitRanks(2, 2)
+	specs[0].Addr, specs[1].Addr = tr.Addr(), nobody
+	start := time.Now()
+	if err := tr.Connect(specs); err == nil {
+		t.Fatal("Connect to a peer nobody listens for succeeded")
 	}
-	if hw := tr.WireStats().QueueHighWater; hw != 100 {
-		t.Errorf("QueueHighWater = %d, want 100", hw)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("Connect gave up after %v, want within 2s of a 500ms ConnectTimeout", took)
 	}
 }
 

@@ -91,8 +91,7 @@ func stripTiming(r DistResult) DistResult { return r.StripTiming() }
 func TestDistributedChaosLossy(t *testing.T) {
 	sp := &comm.FaultSpec{
 		Seed: 1, Drop: 0.05, Dup: 0.05,
-		DelayMax:  2 * time.Millisecond,
-		RetryBase: time.Millisecond,
+		DelayMax: 2 * time.Millisecond,
 	}
 	results, st, census := runChaosCase(t, 12, 2, 40, distConfig(), sp, dyadicLoad)
 	if census != 80 {
@@ -132,8 +131,7 @@ func TestDistributedChaosMatchesFaultFree(t *testing.T) {
 	clean, _, cleanCensus := runChaosCase(t, 10, 2, 32, cfg, nil, dyadicLoad)
 	sp := &comm.FaultSpec{
 		Seed: 7, Drop: 0.1, Dup: 0.1,
-		DelayMax:  time.Millisecond,
-		RetryBase: time.Millisecond,
+		DelayMax: time.Millisecond,
 	}
 	faulted, st, faultedCensus := runChaosCase(t, 10, 2, 32, cfg, sp, dyadicLoad)
 	if st.Dropped == 0 || st.Duplicated == 0 || st.Retries == 0 {
@@ -206,7 +204,6 @@ func TestDistributedChaosStraggler(t *testing.T) {
 	sp := &comm.FaultSpec{
 		Seed: 3, Drop: 0.05,
 		SlowRanks: map[int]time.Duration{1: 2 * time.Millisecond},
-		RetryBase: time.Millisecond,
 	}
 	results, st, census := runChaosCase(t, 8, 1, 32, distConfig(), sp, dyadicLoad)
 	if census != 32 {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm"
@@ -25,7 +24,7 @@ import (
 func TestDistributedTracingAcceptance(t *testing.T) {
 	t.Run("fault-free", func(t *testing.T) { testTracingAcceptance(t, comm.FaultSpec{}) })
 	t.Run("faulted", func(t *testing.T) {
-		testTracingAcceptance(t, comm.FaultSpec{Seed: 3, Drop: 0.05, Dup: 0.05, RetryBase: time.Millisecond})
+		testTracingAcceptance(t, comm.FaultSpec{Seed: 3, Drop: 0.05, Dup: 0.05})
 	})
 }
 

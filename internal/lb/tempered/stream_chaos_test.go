@@ -116,8 +116,7 @@ func TestDistributedStreamingChaosIdentity(t *testing.T) {
 	clean, cleanFrames := runStreamCase(t, 10, 2, 32, nil)
 	sp := &comm.FaultSpec{
 		Seed: 7, Drop: 0.1, Dup: 0.1,
-		DelayMax:  time.Millisecond,
-		RetryBase: time.Millisecond,
+		DelayMax: time.Millisecond,
 	}
 	faulted, faultedFrames := runStreamCase(t, 10, 2, 32, sp)
 

@@ -32,14 +32,6 @@ func NewTempered() *Strategy {
 // Config returns the underlying configuration.
 func (s *Strategy) Config() core.EngineConfig { return s.cfg }
 
-// WithSeed returns a copy of the strategy with a new seed, so each LB
-// invocation of a long run draws fresh randomness deterministically.
-func (s *Strategy) WithSeed(seed int64) *Strategy {
-	c := *s
-	c.cfg.Seed = seed
-	return &c
-}
-
 // Reseed changes the seed in place; the experiment harness calls it
 // before every LB invocation so successive rebalances of a long run
 // draw fresh but reproducible randomness (implements lb.Reseeder).

@@ -67,17 +67,6 @@ func TestTemperedConfigMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestWithSeedIndependent(t *testing.T) {
-	s := fastTempered()
-	s2 := s.WithSeed(42)
-	if s2.Config().Seed != 42 {
-		t.Error("seed not applied")
-	}
-	if s.Config().Seed == 42 {
-		t.Error("WithSeed mutated the receiver")
-	}
-}
-
 func TestStrategyMessagesAccounted(t *testing.T) {
 	a := skewed(32, 2, 200, 2)
 	plan, err := fastTempered().Rebalance(a)

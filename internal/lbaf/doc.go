@@ -8,8 +8,9 @@
 //
 // # Concurrency
 //
-// The *Parallel runners (RunSweepParallel, RunComparisonOnParallel) fan
-// independent configuration runs across the exper worker pool: one
+// The sweep and comparison runners (RunSweep, RunComparison,
+// RunComparisonOn) fan independent configuration runs across the exper
+// worker pool, one goroutine per CPU (GOMAXPROCS): one
 // fresh core.Engine per configuration, all reading one shared
 // assignment that Engine.Run never mutates. Because every run draws
 // from its own seeded streams, the rendered output is byte-identical at

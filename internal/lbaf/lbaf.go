@@ -102,15 +102,21 @@ func RunComparison(spec workload.Spec, base core.EngineConfig) (Comparison, erro
 	if err != nil {
 		return Comparison{}, err
 	}
-	return RunComparisonOnParallel(a, base, 1)
+	return RunComparisonOn(a, base)
 }
 
-// RunComparisonOnParallel is RunComparison over a pre-built assignment
-// (e.g. a loaded workload trace), running the two criterion tables on
-// up to workers goroutines (0 means GOMAXPROCS). Each table
-// owns its engine and seeded streams over the shared read-only
-// assignment, so the output is bit-identical to the serial run.
-func RunComparisonOnParallel(a *core.Assignment, base core.EngineConfig, workers int) (Comparison, error) {
+// RunComparisonOn is RunComparison over a pre-built assignment (e.g. a
+// loaded workload trace), running the two criterion tables concurrently.
+// Each table owns its engine and seeded streams over the shared
+// read-only assignment, so the output is bit-identical to the serial run.
+func RunComparisonOn(a *core.Assignment, base core.EngineConfig) (Comparison, error) {
+	return runComparisonOn(a, base, 0)
+}
+
+// runComparisonOn is RunComparisonOn on up to workers goroutines (0 means
+// GOMAXPROCS, 1 runs serially): the serial mode is the reference the
+// determinism tests compare against.
+func runComparisonOn(a *core.Assignment, base core.EngineConfig, workers int) (Comparison, error) {
 	origCfg := base
 	origCfg.Criterion = core.CriterionOriginal
 	origCfg.CMF = core.CMFOriginal

@@ -20,7 +20,7 @@ func renderSweep(t *testing.T, workers int) string {
 	configs := append(
 		GossipSweepConfigs(base, []int{2, 4}, []int{2, 4}),
 		RefinementSweepConfigs(base, []int{1, 2}, []int{1, 3})...)
-	sw, err := RunSweepParallel("determinism", smallVB(33), configs, workers)
+	sw, err := runSweep("determinism", smallVB(33), configs, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestComparisonSerialVsParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := core.EngineConfig{Config: smallConfig()}
-	serial, err := RunComparisonOnParallel(a, base, 1)
+	serial, err := runComparisonOn(a, base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunComparisonOnParallel(a, base, 4)
+	parallel, err := runComparisonOn(a, base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,17 +34,18 @@ type Sweep struct {
 
 // RunSweep evaluates each labeled configuration on the same generated
 // workload, so every point starts from the identical initial
-// distribution. It is RunSweepParallel with one worker.
+// distribution, fanning the configurations across GOMAXPROCS goroutines.
+// Each point runs its own engine over the shared read-only assignment
+// with its own seeded random streams, and results are collected in
+// configuration order, so the sweep is bit-identical to a serial run.
 func RunSweep(title string, spec workload.Spec, configs []SweepConfig) (Sweep, error) {
-	return RunSweepParallel(title, spec, configs, 1)
+	return runSweep(title, spec, configs, 0)
 }
 
-// RunSweepParallel is RunSweep fanning the configurations across up to
-// workers goroutines (0 means GOMAXPROCS). Each point runs its own
-// engine over the shared read-only assignment with its own seeded random
-// streams, and results are collected in configuration order, so the
-// sweep is bit-identical to a serial run at any worker count.
-func RunSweepParallel(title string, spec workload.Spec, configs []SweepConfig, workers int) (Sweep, error) {
+// runSweep is RunSweep on up to workers goroutines (0 means GOMAXPROCS,
+// 1 runs serially): the serial mode is the reference the determinism
+// tests compare against.
+func runSweep(title string, spec workload.Spec, configs []SweepConfig, workers int) (Sweep, error) {
 	a, err := workload.Generate(spec)
 	if err != nil {
 		return Sweep{}, err

@@ -37,14 +37,6 @@ func (s Summary) Imbalance() float64 {
 	return s.Max/s.Avg - 1
 }
 
-// PredImbalance is the predicted next-phase I = max/avg − 1.
-func (s Summary) PredImbalance() float64 {
-	if s.PredAvg == 0 {
-		return 0
-	}
-	return s.PredMax/s.PredAvg - 1
-}
-
 // Waste is the phase's imbalance cost: the work the slowest rank did
 // beyond the mean, max − avg. Summed over phases this is exactly the
 // wall-clock lost to imbalance, the quantity the LB-invocation

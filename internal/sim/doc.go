@@ -11,8 +11,7 @@
 // One goroutine owns the Experiment and steps the shared physics.
 // Within each step the trackers are independent consumers of the same
 // read-only color loads, so they advance concurrently on the exper
-// worker pool, bounded by Experiment.Workers (0 = GOMAXPROCS, 1 =
-// serial). Each Tracker — its assignment, strategy and series — is
+// worker pool, one goroutine per CPU (GOMAXPROCS). Each Tracker — its assignment, strategy and series — is
 // touched by exactly one goroutine per step, and every randomized
 // strategy is reseeded deterministically per invocation, so the results
 // (and the WriteSeriesCSV dumps) are byte-identical at any worker

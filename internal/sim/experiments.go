@@ -9,7 +9,6 @@ import (
 	"temperedlb/internal/lb/greedy"
 	"temperedlb/internal/lb/hier"
 	"temperedlb/internal/lb/tempered"
-	"temperedlb/internal/viz"
 )
 
 // StandardTrackers returns the five configurations of Fig. 2:
@@ -56,22 +55,14 @@ func OrderingTrackers(tweak func(core.EngineConfig) core.EngineConfig) []*Tracke
 	}
 }
 
-// RunTrackers builds the experiment and runs it to completion with the
-// default worker count (GOMAXPROCS).
+// RunTrackers builds the experiment and runs it to completion, the
+// trackers of each step spread over GOMAXPROCS goroutines. The results
+// are identical at any worker count.
 func RunTrackers(cfg empire.Config, trackers []*Tracker) (*Experiment, error) {
-	return RunTrackersWith(cfg, trackers, 0)
-}
-
-// RunTrackersWith is RunTrackers with an explicit tracker-worker cap
-// (0 means GOMAXPROCS, 1 runs serially). The results are identical at
-// any worker count; the knob exists for the cmd/empire -workers flag
-// and the serial-vs-parallel determinism tests.
-func RunTrackersWith(cfg empire.Config, trackers []*Tracker, workers int) (*Experiment, error) {
 	e, err := NewExperiment(cfg, DefaultCostModel(), trackers)
 	if err != nil {
 		return nil, err
 	}
-	e.Workers = workers
 	if err := e.Run(); err != nil {
 		return nil, err
 	}
@@ -225,5 +216,5 @@ func plotSeries(w io.Writer, title string, trackers []*Tracker, width, height in
 		names[i] = t.Name
 		series[i] = get(t)
 	}
-	viz.Plot(w, title, names, series, width, height)
+	plot(w, title, names, series, width, height)
 }

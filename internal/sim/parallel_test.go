@@ -20,7 +20,12 @@ func runCSV(t *testing.T, workers int) map[string][]byte {
 		return c
 	}
 	trackers := StandardTrackers(tweak)
-	if _, err := RunTrackersWith(cfg, trackers, workers); err != nil {
+	e, err := NewExperiment(cfg, DefaultCostModel(), trackers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.workers = workers
+	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()

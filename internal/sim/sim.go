@@ -114,12 +114,13 @@ type LBStats struct {
 type Experiment struct {
 	App      *empire.App
 	Trackers []*Tracker
-	// Workers caps the goroutines advancing trackers within each step:
-	// 0 means GOMAXPROCS, 1 runs the trackers serially inline. Any value
-	// produces identical results — each tracker owns its assignment and
-	// strategy, and the shared per-step loads are read-only.
-	Workers int
-	cost    CostModel
+	cost     CostModel
+	// workers caps the goroutines advancing trackers within each step:
+	// 0 means GOMAXPROCS; the determinism tests set 1 for the serial
+	// reference. Any value produces identical results — each tracker owns
+	// its assignment and strategy, and the shared per-step loads are
+	// read-only.
+	workers int
 }
 
 // NewExperiment builds the application and wires the trackers.
@@ -146,8 +147,8 @@ func NewExperiment(cfg empire.Config, cost CostModel, trackers []*Tracker) (*Exp
 
 // Run advances the configured number of steps. The trackers are
 // independent consumers of the shared per-step loads, so within each
-// step they advance concurrently on the exper worker pool, bounded by
-// e.Workers.
+// step they advance concurrently on the exper worker pool, one goroutine
+// per CPU (GOMAXPROCS).
 func (e *Experiment) Run() error {
 	cfg := e.App.Cfg
 	errs := make([]error, len(e.Trackers))
@@ -158,7 +159,7 @@ func (e *Experiment) Run() error {
 		if s%cfg.LBPeriod == 0 {
 			tn += cfg.DiagCost // physics diagnostics share the interval
 		}
-		exper.Run(len(e.Trackers), e.Workers, func(i int) {
+		exper.Run(len(e.Trackers), e.workers, func(i int) {
 			t := e.Trackers[i]
 			if err := t.step(s, cfg, loads, tn); err != nil && errs[i] == nil {
 				errs[i] = fmt.Errorf("sim: tracker %s: %w", t.Name, err)

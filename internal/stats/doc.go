@@ -1,7 +1,7 @@
 // Package stats provides the load statistics used throughout the load
 // balancing algorithms: the imbalance metric of Menon et al. (Eq. 1 of
-// the paper), per-rank load summaries, and small descriptive-statistics
-// helpers shared by the simulator and the runtime.
+// the paper) and the lower bound on the best achievable maximum load
+// that the simulator plots.
 //
 // # Concurrency
 //

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Imbalance computes the load imbalance metric
 //
@@ -29,122 +25,6 @@ func Imbalance(loads []float64) float64 {
 	}
 	ave := sum / float64(len(loads))
 	return max/ave - 1
-}
-
-// Summary captures the constant-size statistical data the ranks exchange
-// in the initial all-reduce of the gossip protocol: the extrema, average,
-// and total of the per-rank loads.
-type Summary struct {
-	Count int
-	Min   float64
-	Max   float64
-	Sum   float64
-	Ave   float64
-}
-
-// Summarize reduces per-rank loads to a Summary. It is the local
-// equivalent of the all-reduce that starts every LB invocation.
-func Summarize(loads []float64) Summary {
-	s := Summary{Count: len(loads)}
-	if len(loads) == 0 {
-		return s
-	}
-	s.Min = math.Inf(1)
-	for _, l := range loads {
-		if l < s.Min {
-			s.Min = l
-		}
-		if l > s.Max {
-			s.Max = l
-		}
-		s.Sum += l
-	}
-	s.Ave = s.Sum / float64(s.Count)
-	return s
-}
-
-// Imbalance returns the imbalance metric computed from the summary.
-func (s Summary) Imbalance() float64 {
-	if s.Count == 0 || s.Sum == 0 {
-		return 0
-	}
-	return s.Max/s.Ave - 1
-}
-
-// Merge combines two summaries as an all-reduce combiner would: counts and
-// sums add, extrema take the min/max. Merging with a zero-count summary is
-// the identity.
-func (s Summary) Merge(o Summary) Summary {
-	if s.Count == 0 {
-		return o
-	}
-	if o.Count == 0 {
-		return s
-	}
-	m := Summary{
-		Count: s.Count + o.Count,
-		Min:   math.Min(s.Min, o.Min),
-		Max:   math.Max(s.Max, o.Max),
-		Sum:   s.Sum + o.Sum,
-	}
-	m.Ave = m.Sum / float64(m.Count)
-	return m
-}
-
-// String renders the summary in a compact single-line form.
-func (s Summary) String() string {
-	return fmt.Sprintf("count=%d min=%.4g max=%.4g ave=%.4g sum=%.4g I=%.4g",
-		s.Count, s.Min, s.Max, s.Ave, s.Sum, s.Imbalance())
-}
-
-// Quantiles returns the values at the given fractions (each in [0,1]) of
-// the sorted data. The input slice is not modified. Linear interpolation
-// is used between order statistics. Quantiles of an empty slice are zero.
-func Quantiles(data []float64, fracs ...float64) []float64 {
-	out := make([]float64, len(fracs))
-	if len(data) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), data...)
-	sort.Float64s(sorted)
-	for i, f := range fracs {
-		if f <= 0 {
-			out[i] = sorted[0]
-			continue
-		}
-		if f >= 1 {
-			out[i] = sorted[len(sorted)-1]
-			continue
-		}
-		pos := f * float64(len(sorted)-1)
-		lo := int(math.Floor(pos))
-		hi := int(math.Ceil(pos))
-		if lo == hi {
-			out[i] = sorted[lo]
-		} else {
-			frac := pos - float64(lo)
-			out[i] = sorted[lo]*(1-frac) + sorted[hi]*frac
-		}
-	}
-	return out
-}
-
-// StdDev returns the population standard deviation of the data.
-func StdDev(data []float64) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range data {
-		mean += v
-	}
-	mean /= float64(len(data))
-	ss := 0.0
-	for _, v := range data {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(data)))
 }
 
 // LowerBoundMax returns the lower bound for the best achievable maximum

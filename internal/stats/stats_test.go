@@ -85,92 +85,6 @@ func TestImbalanceZeroIffEqualProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.Count != 4 || !almostEqual(s.Min, 1) || !almostEqual(s.Max, 4) ||
-		!almostEqual(s.Sum, 10) || !almostEqual(s.Ave, 2.5) {
-		t.Errorf("Summarize = %+v", s)
-	}
-	if got, want := s.Imbalance(), 4/2.5-1; !almostEqual(got, want) {
-		t.Errorf("Summary.Imbalance = %g, want %g", got, want)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Count != 0 || s.Imbalance() != 0 {
-		t.Errorf("Summarize(nil) = %+v", s)
-	}
-}
-
-func TestSummaryMergeMatchesWhole(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(30)
-		loads := make([]float64, n)
-		for i := range loads {
-			loads[i] = rng.Float64() * 100
-		}
-		cut := rng.Intn(n + 1)
-		merged := Summarize(loads[:cut]).Merge(Summarize(loads[cut:]))
-		whole := Summarize(loads)
-		if merged.Count != whole.Count || !almostEqual(merged.Min, whole.Min) ||
-			!almostEqual(merged.Max, whole.Max) || !almostEqual(merged.Sum, whole.Sum) ||
-			!almostEqual(merged.Ave, whole.Ave) {
-			t.Fatalf("merge mismatch: %+v vs %+v", merged, whole)
-		}
-	}
-}
-
-func TestSummaryMergeIdentity(t *testing.T) {
-	s := Summarize([]float64{2, 4})
-	if got := s.Merge(Summary{}); got != s {
-		t.Errorf("Merge with zero = %+v, want %+v", got, s)
-	}
-	if got := (Summary{}).Merge(s); got != s {
-		t.Errorf("zero Merge = %+v, want %+v", got, s)
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	data := []float64{4, 1, 3, 2}
-	q := Quantiles(data, 0, 0.5, 1)
-	if !almostEqual(q[0], 1) || !almostEqual(q[1], 2.5) || !almostEqual(q[2], 4) {
-		t.Errorf("Quantiles = %v", q)
-	}
-	// Input must be unmodified.
-	if data[0] != 4 {
-		t.Error("Quantiles modified its input")
-	}
-}
-
-func TestQuantilesEmpty(t *testing.T) {
-	q := Quantiles(nil, 0.5)
-	if q[0] != 0 {
-		t.Errorf("Quantiles(nil) = %v", q)
-	}
-}
-
-func TestQuantilesOutOfRangeFracs(t *testing.T) {
-	q := Quantiles([]float64{1, 2, 3}, -1, 2)
-	if q[0] != 1 || q[1] != 3 {
-		t.Errorf("clamped quantiles = %v, want [1 3]", q)
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	if got := StdDev([]float64{2, 2, 2}); !almostEqual(got, 0) {
-		t.Errorf("StdDev(const) = %g", got)
-	}
-	// Population stddev of {1,3} is 1.
-	if got := StdDev([]float64{1, 3}); !almostEqual(got, 1) {
-		t.Errorf("StdDev = %g, want 1", got)
-	}
-	if got := StdDev(nil); got != 0 {
-		t.Errorf("StdDev(nil) = %g", got)
-	}
-}
-
 func TestLowerBoundMax(t *testing.T) {
 	if got := LowerBoundMax(2, 5); got != 5 {
 		t.Errorf("LowerBoundMax = %g, want 5", got)

@@ -5,10 +5,10 @@ import (
 )
 
 // Experiment-harness surface: the LBAF sweep and comparison runners that
-// regenerate the paper's §V-B/§V-D tables and knob sweeps. The *Parallel
-// variants fan the independent configuration runs across a worker pool;
-// because every run owns its seeded random streams, the results are
-// byte-identical at any worker count.
+// regenerate the paper's §V-B/§V-D tables and knob sweeps. They fan the
+// independent configuration runs across one goroutine per CPU
+// (GOMAXPROCS); because every run owns its seeded random streams, the
+// results are byte-identical at any worker count.
 type (
 	// SweepConfig is one labelled configuration of a sweep grid.
 	SweepConfig = lbaf.SweepConfig
@@ -25,17 +25,10 @@ type (
 	Comparison = lbaf.Comparison
 )
 
-// RunSweep runs every configuration serially over the workload described
-// by spec and summarizes each run as one sweep row.
+// RunSweep runs every configuration over the workload described by spec
+// and summarizes each run as one sweep row.
 func RunSweep(title string, spec WorkloadSpec, configs []SweepConfig) (Sweep, error) {
 	return lbaf.RunSweep(title, spec, configs)
-}
-
-// RunSweepParallel is RunSweep fanned across up to `workers` concurrent
-// engine runs (0 means GOMAXPROCS, 1 runs serially). Output is identical
-// at any worker count.
-func RunSweepParallel(title string, spec WorkloadSpec, configs []SweepConfig, workers int) (Sweep, error) {
-	return lbaf.RunSweepParallel(title, spec, configs, workers)
 }
 
 // GossipSweepConfigs builds the fanout × rounds grid for the information
@@ -57,9 +50,7 @@ func RunComparison(spec WorkloadSpec, base EngineConfig) (Comparison, error) {
 	return lbaf.RunComparison(spec, base)
 }
 
-// RunComparisonParallel runs the §V-D comparison on an existing
-// assignment with up to `workers` concurrent engine runs (0 means
-// GOMAXPROCS). Output is identical at any worker count.
-func RunComparisonParallel(a *Assignment, base EngineConfig, workers int) (Comparison, error) {
-	return lbaf.RunComparisonOnParallel(a, base, workers)
+// RunComparisonOn runs the §V-D comparison on an existing assignment.
+func RunComparisonOn(a *Assignment, base EngineConfig) (Comparison, error) {
+	return lbaf.RunComparisonOn(a, base)
 }

@@ -51,30 +51,32 @@ obs-smoke:
 	$(GO) test -count=1 -run 'TestObsSmoke|TestRenderGolden' ./internal/dash/
 	$(GO) test -count=1 -run 'TestOneNodeWatching' ./internal/lb/tempered/
 
-# Wire smoke: one binary against itself. A real 2-process Unix-socket
-# job (two `lbplay -distributed -node k` processes, static peers file, OS
-# sockets, separate address spaces) must produce the same
+# Wire smoke: one binary against itself, every job launched from a peers
+# file, the only rendezvous, which names where each node listens. A real
+# 2-process Unix-socket job (two `lbplay -distributed -node k` processes,
+# OS sockets, separate address spaces) must produce the same
 # protocol-determined DistResult as the in-memory single-process run —
 # the multi-process determinism claim of DESIGN.md §10, checked end to
-# end with the shipped binary — and a 3-process TCP job that meets on
-# -coord, which node 0 serves (no coordinator process), must print the
-# in-memory run's imbalance line on every node.
+# end with the shipped binary — and a 3-process TCP job on fixed loopback
+# ports, started in the order 2, 1, 0, must print the in-memory run's
+# imbalance line on every node.
 # Rounds is pinned to 1: see the determinism argument in §10.
 WIRE_SMOKE_ARGS = -distributed -ranks 12 -tasks 60 -seed 3 -rounds 1
 WIRE_SMOKE_UNIX = $(WIRE_SMOKE_ARGS) -transport unix -nodes 2 -peers .wire-smoke/peers
-WIRE_SMOKE_COORD = $(WIRE_SMOKE_ARGS) -transport tcp -nodes 3 -coord 127.0.0.1:39099
+WIRE_SMOKE_TCP = $(WIRE_SMOKE_ARGS) -transport tcp -nodes 3 -peers .wire-smoke/tcp-peers
 wire-smoke:
 	@rm -rf .wire-smoke && mkdir .wire-smoke
 	$(GO) build -o .wire-smoke/ ./cmd/lbplay
 	./.wire-smoke/lbplay $(WIRE_SMOKE_ARGS) -result .wire-smoke/memory.json 2>/dev/null | grep '^imbalance' > .wire-smoke/memory.txt
 	@printf '0 .wire-smoke/n0.sock\n1 .wire-smoke/n1.sock\n' > .wire-smoke/peers
-	./.wire-smoke/lbplay $(WIRE_SMOKE_UNIX) -node 1 -listen .wire-smoke/n1.sock >/dev/null 2>&1 & \
-	./.wire-smoke/lbplay $(WIRE_SMOKE_UNIX) -node 0 -listen .wire-smoke/n0.sock -result .wire-smoke/wire.json >/dev/null 2>&1 && wait
+	./.wire-smoke/lbplay $(WIRE_SMOKE_UNIX) -node 1 >/dev/null 2>&1 & \
+	./.wire-smoke/lbplay $(WIRE_SMOKE_UNIX) -node 0 -result .wire-smoke/wire.json >/dev/null 2>&1 && wait
 	diff .wire-smoke/memory.json .wire-smoke/wire.json
-	for k in 2 1 0; do ./.wire-smoke/lbplay $(WIRE_SMOKE_COORD) -node $$k 2>/dev/null | grep '^imbalance' > .wire-smoke/coord$$k.txt & done; wait
-	for k in 0 1 2; do diff .wire-smoke/memory.txt .wire-smoke/coord$$k.txt || exit 1; done
+	@printf '0 127.0.0.1:39099\n1 127.0.0.1:39100\n2 127.0.0.1:39101\n' > .wire-smoke/tcp-peers
+	for k in 2 1 0; do ./.wire-smoke/lbplay $(WIRE_SMOKE_TCP) -node $$k 2>/dev/null | grep '^imbalance' > .wire-smoke/tcp$$k.txt & done; wait
+	for k in 0 1 2; do diff .wire-smoke/memory.txt .wire-smoke/tcp$$k.txt || exit 1; done
 	@rm -rf .wire-smoke
-	@echo "wire-smoke: 2-process unix-socket DistResult identical to in-memory; 3-process -coord job agrees on every node"
+	@echo "wire-smoke: 2-process unix-socket DistResult identical to in-memory; 3-process tcp job from one peers file agrees on every node"
 
 # Serve smoke: a short deterministic run of the online balancer
 # service must reproduce the committed trigger-decision log byte for

@@ -257,7 +257,7 @@ func TestPublicAPISyncEngineTracer(t *testing.T) {
 // surface cannot grow unnoticed: a PR that adds to it raises the number
 // here and says why.
 func TestPublicAPISize(t *testing.T) {
-	const max = 141
+	const max = 140
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,8 @@ func allGroups() (*flag.FlagSet, []string) {
 
 func TestGroupsAreDisjointAndTakeSubsets(t *testing.T) {
 	fs, names := allGroups()
-	if len(names) != 27 {
-		t.Errorf("the four groups declare %d flags, want 27: %v", len(names), names)
+	if len(names) != 24 {
+		t.Errorf("the four groups declare %d flags, want 24: %v", len(names), names)
 	}
 	fs.VisitAll(func(f *flag.Flag) {
 		if !slices.Contains(names, f.Name) {
@@ -55,8 +55,8 @@ func TestGroupsAreDisjointAndTakeSubsets(t *testing.T) {
 		t.Errorf("parsed into %+v, %v", wl, err)
 	}
 	// A binary that does not take -node (lbserve) hosts the whole job.
-	rt := Runtime{Transport: "unix", Nodes: 2, Fanout: 4}
-	rt.Register(flag.NewFlagSet("subset", flag.ContinueOnError), "transport", "nodes", "fanout")
+	rt := Runtime{Transport: "unix", Nodes: 2}
+	rt.Register(flag.NewFlagSet("subset", flag.ContinueOnError), "transport", "nodes")
 	if rt.isNode() || rt.Validate(4) != nil {
 		t.Errorf("a runtime group registered without -node: isNode %v, Validate %v", rt.isNode(), rt.Validate(4))
 	}
@@ -150,7 +150,6 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		name, args, want string
 	}{
 		{"lbserve", "-transport unix -nodes 0", "lbserve: -nodes 0: "},
-		{"lbserve", "-fanout 1", "lbserve: -fanout 1: "},
 		{"lbserve", "-ranks 0", "lbserve: -ranks 0: "},
 		{"lbserve", "-transport quic", `lbserve: -transport "quic": `},
 		{"lbserve", "-tune all -frames f.ndjson", "lbserve: -frames has no effect with -tune"},
@@ -158,7 +157,6 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbserve", "-tune all -trigger always", "lbserve: -trigger has no effect with -tune"},
 		{"lbserve", "-tune all -transport unix", "lbserve: -transport has no effect with -tune"},
 		{"lbserve", "-nodes 3", "lbserve: -nodes has no effect with -transport memory"},
-		{"lbplay", "-distributed -fanout 1", "lbplay: -fanout 1: "},
 		{"lbplay", "-distributed -ranks 0", "lbplay: -ranks 0: "},
 		{"lbplay", "-distributed -transport tcp -nodes 65", "lbplay: -ranks 64 < -nodes 65: "},
 		{"lbplay", "-distributed -transport quic", `lbplay: -transport "quic": `},
@@ -181,13 +179,11 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbserve", "-beta 0", "lbserve: -beta 0: want in (0,1] (zero selects the library default)"},
 		{"lbserve", "-tune all -lbcost 0", "lbserve: -lbcost 0: want > 0 (zero selects the library default)"},
 		{"lbserve", "-trigger threshold:NaN", `lbserve: serve: trigger "threshold:NaN": want threshold:H with H >= 0`},
-		{"lbplay", "-distributed -transport tcp -node 0 -peers p -fanout 1", "lbplay: -fanout 1: "},
 		{"lbplay", "-distributed -transport tcp -node 0 -peers p -ranks 0", "lbplay: -ranks 0: "},
 		{"lbplay", "-distributed -transport tcp -node 0 -peers p -nodes 65", "lbplay: -ranks 64 < -nodes 65: "},
 		{"lbplay", "-distributed -transport tcp -node 2 -peers p", "lbplay: -node 2 outside [0,2)"},
-		{"lbplay", "-distributed -transport unix -node 0 -peers p", "lbplay: -transport unix needs an explicit -listen"},
-		{"lbplay", "-distributed -transport tcp -node 0", "lbplay: no rendezvous configured: "},
-		{"lbplay", "-distributed -transport tcp -node 0 -peers p -coord :1", "lbplay: -peers and -coord are both set"},
+		{"lbplay", "-distributed -transport unix -node 0 -peers p", "lbplay: -peers p: open p: "},
+		{"lbplay", "-distributed -transport tcp -node 0", "lbplay: -node 0 needs -peers: "},
 		{"lbplay", "-distributed -node 0 -peers p", "lbplay: -node has no effect with -distributed -transport memory"},
 		{"lbplay", "-node 0", "lbplay: -node has no effect without -distributed"},
 		{"lbplay", "-distributed -transport tcp -peers p", "lbplay: -peers has no effect with -distributed and no -node"},
@@ -201,6 +197,16 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		}
 	}
 
+	// A job is written down once: the peers file says where each node
+	// listens, and the collective tree has one arity.
+	for _, name := range []string{"lbplay", "lbserve"} {
+		for _, gone := range []string{"-fanout", "-coord", "-listen"} {
+			_, stderr, exit := run(name, gone, "2")
+			if exit != 2 || !strings.HasPrefix(stderr, "flag provided but not defined: "+gone) {
+				t.Errorf("%s %s: exit %d, stderr %q", name, gone, exit, stderr)
+			}
+		}
+	}
 	// The replay trace format went with the loop that read it.
 	for _, gone := range []string{"-record", "-replay"} {
 		_, stderr, exit := run("lbserve", gone, "r.json", "-tune", "all")
@@ -254,7 +260,7 @@ func TestLostPeerIsANamedError(t *testing.T) {
 	// an epoch, and returns it with its stderr, line by line.
 	start := func(node int) (*exec.Cmd, <-chan string) {
 		cmd := exec.Command(filepath.Join(bin, "lbplay"), "-distributed", "-transport", "unix", "-nodes", "2",
-			"-node", strconv.Itoa(node), "-listen", sock(node), "-peers", peers,
+			"-node", strconv.Itoa(node), "-peers", peers,
 			"-ranks", "512", "-tasks", "20000", "-rounds", "10")
 		stderr, err := cmd.StderrPipe()
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"time"
 
 	"temperedlb/internal/amt"
@@ -15,66 +14,60 @@ import (
 )
 
 // Runtime is the flag group of the job a run is hosted on: its message
-// substrate and geometry, the runtime's collective tree, injected faults,
-// and the gossip rounds of the protocol run on it.
+// substrate and geometry, injected faults, and the gossip rounds of the
+// protocol run on it.
 type Runtime struct {
-	Transport             string
-	Nodes, Fanout, Rounds int
-	Faults                string
+	Transport     string
+	Nodes, Rounds int
+	Faults        string
 
 	// One node of a job spread over processes (Node -1: the whole job is
-	// hosted here); the flags above must then match on every node, -faults
-	// (this node's sends) apart.
-	Node                 int
-	Listen, Peers, Coord string
-	JobID                uint64
-	Timeout              time.Duration
-	Verbose              bool
+	// hosted here), and the peers file that names every node's listen
+	// address, its own included; the flags above must then match on every
+	// node, -faults (this node's sends) apart.
+	Node    int
+	Peers   string
+	JobID   uint64
+	Timeout time.Duration
+	Verbose bool
 }
 
-// Register declares -transport -nodes -fanout -faults -rounds and the
-// node flags -node -listen -peers -coord -jobid -timeout -v on fs and
-// returns the names it declared. -node and -timeout have one default for
-// every binary (-1, 30s), set even where the binary does not take them.
+// Register declares -transport -nodes -faults -rounds and the node flags
+// -node -peers -jobid -timeout -v on fs and returns the names it declared.
+// -node and -timeout have one default for every binary (-1, 30s), set even
+// where the binary does not take them.
 func (r *Runtime) Register(fs *flag.FlagSet, only ...string) []string {
 	return register(fs, only, func(g *flag.FlagSet) {
 		g.StringVar(&r.Transport, "transport", r.Transport, "message substrate: memory | unix | tcp (unix and tcp run an in-process socket cluster, or with -node one process of a multi-process job)")
 		g.IntVar(&r.Nodes, "nodes", r.Nodes, "nodes of a socket job: in-process nodes under -transport unix|tcp, processes with -node (must match on all of them)")
-		g.IntVar(&r.Fanout, "fanout", r.Fanout, "arity (>= 2) of the runtime's collective reduction tree")
 		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (lbaf and empire apply them to the simulated gossip; retries are paced from the delays)")
 		g.IntVar(&r.Rounds, "rounds", r.Rounds, fmt.Sprintf("gossip rounds per iteration, 1 to %d (0 = strategy default; cross-transport diffs need -rounds 1)", core.MaxRounds))
-		g.IntVar(&r.Node, "node", -1, "host only this node, in [0,nodes), of a job spread over -nodes processes (default: the whole job in this process)")
-		g.StringVar(&r.Listen, "listen", r.Listen, "address this node listens on: host:port for tcp (default 127.0.0.1:0), socket path for unix (required)")
-		g.StringVar(&r.Peers, "peers", r.Peers, "static rendezvous: file of \"<node> <addr>\" lines covering every node")
-		g.StringVar(&r.Coord, "coord", r.Coord, "coordinator rendezvous: host:port on node 0's host, where node 0 collects every node's address and hands back the map")
+		g.IntVar(&r.Node, "node", -1, "host only this node, in [0,nodes), of a job spread over -nodes processes; it listens at its -peers line (default: the whole job in this process)")
+		g.StringVar(&r.Peers, "peers", r.Peers, "file of \"<node> <addr>\" lines, one per node, the same on every node: where each node listens (host:port for tcp, socket path for unix)")
 		g.Uint64Var(&r.JobID, "jobid", r.JobID, "job id guarding against cross-job connections (must match on all nodes; default: derived from -seed)")
-		g.DurationVar(&r.Timeout, "timeout", 30*time.Second, "rendezvous and peer-connect timeout")
+		g.DurationVar(&r.Timeout, "timeout", 30*time.Second, "peer-connect timeout")
 		g.BoolVar(&r.Verbose, "v", r.Verbose, "log connection lifecycle events")
 	})
 }
 
 // NodeFlags names the group's flags that only a node of a multi-process job reads.
-func NodeFlags() []string { return []string{"listen", "peers", "coord", "jobid", "timeout", "v"} }
+func NodeFlags() []string { return []string{"peers", "jobid", "timeout", "v"} }
 
 // isNode reports whether the flags describe one node of a multi-process
-// job: its index, or an address only a node has (Validate asks the index).
-func (r *Runtime) isNode() bool {
-	return r.Node >= 0 || r.Listen != "" || r.Peers != "" || r.Coord != ""
-}
+// job: its index, or the peers file only a node reads (Validate asks the
+// index).
+func (r *Runtime) isNode() bool { return r.Node >= 0 || r.Peers != "" }
 
 // Validate rejects, before anything is stood up, a geometry no job can
 // have, with an error that names the flag and the fix — each of these
-// otherwise surfaces late: a panic in SplitRanks or SetFanout, a listen
-// error, a silent hang waiting for a peer set that can never agree. A job
-// hosted whole in this process may also run on the in-memory transport,
-// where -nodes is not read; one node of a job needs a socket to listen on
-// and one way to find its peers.
+// otherwise surfaces late: a panic in SplitRanks, a silent hang waiting
+// for a peer set that can never agree. A job hosted whole in this process
+// may also run on the in-memory transport, where -nodes is not read; one
+// node of a job needs a socket transport and the peers file that says
+// where it and every peer listen.
 func (r *Runtime) Validate(ranks int) error {
 	if ranks < 1 {
 		return fmt.Errorf("-ranks %d: a job needs at least one rank", ranks)
-	}
-	if r.Fanout < 2 {
-		return fmt.Errorf("-fanout %d: a reduction tree needs arity >= 2", r.Fanout)
 	}
 	if r.Rounds < 0 || r.Rounds > core.MaxRounds {
 		return fmt.Errorf("-rounds %d: want in [0,%d] (0 = strategy default)", r.Rounds, core.MaxRounds)
@@ -92,8 +85,6 @@ func (r *Runtime) Validate(ranks int) error {
 			want = "tcp or unix"
 		}
 		return fmt.Errorf("-transport %q: want %s", r.Transport, want)
-	case r.Transport == "unix" && node && r.Listen == "":
-		return fmt.Errorf("-transport unix needs an explicit -listen socket path")
 	}
 	if r.Nodes < 1 {
 		return fmt.Errorf("-nodes %d: a job needs at least one node", r.Nodes)
@@ -107,11 +98,8 @@ func (r *Runtime) Validate(ranks int) error {
 	if r.Node < 0 || r.Node >= r.Nodes {
 		return fmt.Errorf("-node %d outside [0,%d); every process needs a distinct index", r.Node, r.Nodes)
 	}
-	if r.Peers != "" && r.Coord != "" {
-		return fmt.Errorf("-peers and -coord are both set; they are competing rendezvous mechanisms, pick one")
-	}
-	if r.Peers == "" && r.Coord == "" {
-		return fmt.Errorf("no rendezvous configured: give either -peers <file> (static) or -coord <host:port> (served by node 0)")
+	if r.Peers == "" {
+		return fmt.Errorf("-node %d needs -peers: a file of \"<node> <addr>\" lines naming where every node listens", r.Node)
 	}
 	return nil
 }
@@ -148,11 +136,16 @@ func (r *Runtime) Launch(ranks int, jobID uint64) (*amt.Job, error) {
 	return job, nil
 }
 
-// host is Launch before the fault plan. A node listens, learns every node's
-// address and builds the mesh, guarded by -jobid if given, else by jobID.
+// host is Launch before the fault plan. A node reads the peers file,
+// listens at its own line's address and builds the mesh to the others,
+// guarded by -jobid if given, else by jobID.
 func (r *Runtime) host(ranks int, jobID uint64) (*amt.Job, error) {
 	if !r.isNode() {
-		return amt.Launch(r.Transport, ranks, r.Nodes, jobID, amt.WithFanout(r.Fanout))
+		return amt.Launch(r.Transport, ranks, r.Nodes, jobID)
+	}
+	addrs, err := wire.ParsePeersFile(r.Peers, r.Nodes)
+	if err != nil {
+		return nil, fmt.Errorf("-peers %s: %w", r.Peers, err)
 	}
 	if r.JobID != 0 {
 		jobID = r.JobID
@@ -160,7 +153,7 @@ func (r *Runtime) host(ranks int, jobID uint64) (*amt.Job, error) {
 	cfg := wire.Config{
 		Network: r.Transport,
 		Ranks:   ranks, Nodes: r.Nodes, Self: r.Node,
-		Listen: r.Listen, JobID: jobID,
+		Listen: addrs[r.Node], JobID: jobID,
 		ConnectTimeout: r.Timeout,
 	}
 	if r.Verbose {
@@ -168,42 +161,16 @@ func (r *Runtime) host(ranks int, jobID uint64) (*amt.Job, error) {
 	}
 	tr, err := wire.New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-peers %s: node %d cannot listen at its own line's address: %w", r.Peers, r.Node, err)
 	}
 	lo, hi := tr.LocalRange()
 	log.Printf("node %d listening on %s (%s), hosting ranks [%d,%d) of %d", r.Node, tr.Addr(), r.Transport, lo, hi, ranks)
-	specs, err := r.rendezvous(wire.NodeSpec{Node: r.Node, Lo: lo, Hi: hi, Addr: tr.Addr()}, ranks)
-	if err == nil {
-		err = tr.Connect(specs)
-	}
-	if err != nil {
+	if err := tr.Connect(addrs); err != nil {
 		tr.Close()
 		return nil, err
 	}
 	log.Printf("node %d connected to %d peers", r.Node, r.Nodes-1)
-	return amt.Join(r.Transport, tr, amt.WithFanout(r.Fanout)), nil
-}
-
-// rendezvous returns the job's node map: the -peers file, or what the
-// one-shot coordinator on -coord hands every node once all have announced
-// themselves — served by node 0 until then, or the timeout, and dialed by
-// every node, node 0 included, with retries until it is up.
-func (r *Runtime) rendezvous(self wire.NodeSpec, ranks int) ([]wire.NodeSpec, error) {
-	if r.Peers != "" {
-		return wire.ParsePeersFile(r.Peers, ranks, r.Nodes)
-	}
-	if r.Node == 0 {
-		ln, err := net.Listen("tcp", r.Coord)
-		if err != nil {
-			return nil, fmt.Errorf("-coord %s: %w (node 0 serves the rendezvous: the address must be on its host, and free)", r.Coord, err)
-		}
-		go func() {
-			if _, err := wire.ServeRendezvous(ln, r.Nodes, r.Timeout); err != nil {
-				log.Print(err) // who is missing, which the dialing side cannot see
-			}
-		}()
-	}
-	return wire.Rendezvous("tcp", r.Coord, self, r.Timeout)
+	return amt.Join(r.Transport, tr), nil
 }
 
 // RunDemo is the one-shot run of `lbplay -distributed`, whatever hosts

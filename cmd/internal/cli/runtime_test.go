@@ -2,7 +2,10 @@ package cli
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,15 +16,15 @@ import (
 
 // TestValidateGeometry drives the one validation path every runtime binary
 // takes (Runtime.Validate) through one node's geometry, the strictest:
-// node index, listen address and rendezvous included. The last rows are
-// the in-process case (no node flag set), which lbserve always takes.
+// node index and peers file included. The last rows are the in-process
+// case (no node flag set), which lbserve always takes.
 func TestValidateGeometry(t *testing.T) {
 	type args struct {
-		ranks, nodes, node, fanout, rounds          int
-		transport, listen, peers, coordAddr, faults string
-		inProcess                                   bool
+		ranks, nodes, node, rounds int
+		transport, peers, faults   string
+		inProcess                  bool
 	}
-	ok := args{ranks: 12, nodes: 2, node: 0, fanout: 4, transport: "tcp", peers: "peers.txt"}
+	ok := args{ranks: 12, nodes: 2, node: 0, transport: "tcp", peers: "peers.txt"}
 	inProcess := func(a *args) { a.inProcess, a.peers, a.node = true, "", -1 }
 	cases := []struct {
 		name    string
@@ -29,10 +32,7 @@ func TestValidateGeometry(t *testing.T) {
 		wantErr string // substring; empty means valid
 	}{
 		{"valid static tcp", func(a *args) {}, ""},
-		{"valid coord unix", func(a *args) {
-			a.transport, a.listen = "unix", "/tmp/lb.sock"
-			a.peers, a.coordAddr = "", "127.0.0.1:9999"
-		}, ""},
+		{"unix without listen", func(a *args) { a.transport = "unix" }, ""},
 		{"single node job", func(a *args) { a.nodes, a.node = 1, 0 }, ""},
 		{"zero ranks", func(a *args) { a.ranks = 0 }, "-ranks 0"},
 		{"negative ranks", func(a *args) { a.ranks = -3 }, "-ranks -3"},
@@ -41,11 +41,8 @@ func TestValidateGeometry(t *testing.T) {
 		{"node unset", func(a *args) { a.node = -1 }, "outside [0,2)"},
 		{"node too high", func(a *args) { a.node = 2 }, "outside [0,2)"},
 		{"unknown transport", func(a *args) { a.transport = "quic" }, `-transport "quic"`},
-		{"unix without listen", func(a *args) { a.transport = "unix" }, "-listen socket path"},
-		{"both rendezvous", func(a *args) { a.coordAddr = "127.0.0.1:9999" }, "pick one"},
-		{"no rendezvous", func(a *args) { a.peers = "" }, "no rendezvous configured"},
+		{"no rendezvous", func(a *args) { a.peers = "" }, "-node 0 needs -peers"},
 
-		{"fanout one", func(a *args) { a.fanout = 1 }, "-fanout 1"},
 		{"negative rounds", func(a *args) { a.rounds = -1 }, "-rounds -1"},
 		{"rounds past the forwarded mask", func(a *args) { a.rounds = 65 }, "-rounds 65: want in [0,64]"},
 		{"bad fault spec", func(a *args) { a.faults = "drop" }, "-faults"},
@@ -56,7 +53,6 @@ func TestValidateGeometry(t *testing.T) {
 		{"in-process zero ranks", func(a *args) { inProcess(a); a.transport, a.ranks = "memory", 0 }, "-ranks 0"},
 		{"in-process zero nodes", func(a *args) { inProcess(a); a.transport, a.nodes = "unix", 0 }, "-nodes 0"},
 		{"in-process nodes above ranks", func(a *args) { inProcess(a); a.nodes = 13 }, "ranks must be >= nodes"},
-		{"in-process fanout one", func(a *args) { inProcess(a); a.transport, a.fanout = "memory", 1 }, "-fanout 1"},
 		{"in-process unknown transport", func(a *args) { inProcess(a); a.transport = "quic" }, "want memory, unix or tcp"},
 	}
 	for _, tc := range cases {
@@ -64,8 +60,8 @@ func TestValidateGeometry(t *testing.T) {
 			a := ok
 			tc.mutate(&a)
 			rt := Runtime{
-				Transport: a.transport, Nodes: a.nodes, Fanout: a.fanout, Rounds: a.rounds, Faults: a.faults,
-				Node: a.node, Listen: a.listen, Peers: a.peers, Coord: a.coordAddr,
+				Transport: a.transport, Nodes: a.nodes, Rounds: a.rounds, Faults: a.faults,
+				Node: a.node, Peers: a.peers,
 			}
 			if a.inProcess != !rt.isNode() {
 				t.Fatalf("row hosts the whole job: %v, flags say %v", a.inProcess, !rt.isNode())
@@ -80,7 +76,7 @@ func TestValidateGeometry(t *testing.T) {
 			if err == nil {
 				t.Fatalf("accepted; want error containing %q", tc.wantErr)
 			}
-			if !strings.HasPrefix(err.Error(), "-") && !strings.HasPrefix(err.Error(), "no rendezvous") {
+			if !strings.HasPrefix(err.Error(), "-") {
 				t.Errorf("error %q does not start with the flag it is about", err)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
@@ -185,26 +181,47 @@ func TestNodeErrorNamesTheFailedTransport(t *testing.T) {
 	}
 }
 
-// TestCoordIsServedByNodeZero: three nodes given one -coord address and
-// ephemeral listen ports, started in any order — here node 0, which serves
-// the rendezvous the others are already dialing, last — form one job with
-// no coordinator process.
-func TestCoordIsServedByNodeZero(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+// freeAddrs returns n loopback tcp addresses that were free a moment ago,
+// and most likely still are.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		defer ln.Close()
+	}
+	return addrs
+}
+
+// writePeers writes a peers file naming addrs[k] for node k.
+func writePeers(t *testing.T, addrs []string) string {
+	t.Helper()
+	var b strings.Builder
+	for k, addr := range addrs {
+		fmt.Fprintf(&b, "%d %s\n", k, addr)
+	}
+	path := filepath.Join(t.TempDir(), "peers")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	coord := ln.Addr().String() // free now, and most likely a moment from now
-	ln.Close()
+	return path
+}
 
+// TestPeersFileIsTheOnlyRendezvous: three tcp nodes given one peers file and
+// nothing else about addresses — no listen address, no coordinator — each
+// listen at their own line and form one job, whatever order they start in:
+// here 2, 1, 0, each dialing peers that are not up yet.
+func TestPeersFileIsTheOnlyRendezvous(t *testing.T) {
 	const ranks, nodes = 7, 3
+	peers := writePeers(t, freeAddrs(t, nodes))
 	sums := make([]float64, ranks)
 	done := make(chan error, nodes)
 	for _, node := range []int{2, 1, 0} {
-		r := Runtime{
-			Transport: "tcp", Nodes: nodes, Fanout: 2,
-			Node: node, Listen: "127.0.0.1:0", Coord: coord, Timeout: 20 * time.Second,
-		}
+		r := Runtime{Transport: "tcp", Nodes: nodes, Node: node, Peers: peers, Timeout: 20 * time.Second}
 		if err := r.Validate(ranks); err != nil {
 			t.Fatal(err)
 		}
@@ -230,8 +247,45 @@ func TestCoordIsServedByNodeZero(t *testing.T) {
 		}
 	}
 	for r, s := range sums {
-		if s != ranks*(ranks-1)/2 {
-			t.Errorf("rank %d: sum of ranks %v, want %d", r, s, ranks*(ranks-1)/2)
+		if s != 21 {
+			t.Errorf("rank %d: sum of ranks %v, want 21", r, s)
 		}
+	}
+}
+
+// TestTakenAddressFailsAtOnce: a node whose own line in the peers file names
+// an address something else already holds says so at once, naming the flag,
+// the file and the node — before it dials any peer, and long before the
+// connect timeout.
+func TestTakenAddressFailsAtOnce(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peers := writePeers(t, []string{held.Addr().String(), peer.Addr().String()})
+
+	r := Runtime{Transport: "tcp", Nodes: 2, Node: 0, Peers: peers, Timeout: 20 * time.Second}
+	start := time.Now()
+	job, err := r.Launch(4, 12)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Launch took %v, want within 1s", took)
+	}
+	if err == nil {
+		job.Close()
+		t.Fatal("Launch on a taken address succeeded")
+	}
+	if want := fmt.Sprintf("-peers %s: node 0 cannot listen at its own line's address: ", peers); !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("got %q, want it to start with %q", err, want)
+	}
+	peer.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if conn, err := peer.Accept(); err == nil {
+		conn.Close()
+		t.Error("the node dialed its peer after failing to listen")
 	}
 }

@@ -5,7 +5,7 @@
 // (cli.Runtime.Launch): in memory, as an in-process unix/tcp socket
 // cluster, or with -node k as one of -nodes processes — the paper's MPI
 // job spanning nodes. Processes with matching flags, -node 0..N-1 and one
-// rendezvous (-peers, or -coord, which node 0 serves) form one job whose
+// peers file (-peers, naming where every node listens) form one job whose
 // DistResult is the single-process run's (`make wire-smoke`; OPERATIONS.md
 // is the operator's guide). The shared flags come from cmd/internal/cli;
 // cmd/lbserve runs the online service.
@@ -41,14 +41,14 @@ type options struct {
 func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{
 		wl: cli.Workload{Ranks: 64, Tasks: 1000, Loaded: 4, Placement: "clustered", Loads: "uniform", Seed: 1},
-		rt: cli.Runtime{Transport: "memory", Nodes: 2, Fanout: 4},
+		rt: cli.Runtime{Transport: "memory", Nodes: 2},
 	}
 	workload := o.wl.Register(fs)
 	runtime := o.rt.Register(fs)
 	outputs := o.out.Register(fs)
 	fs.StringVar(&o.strategy, "strategy", "tempered", "engine strategy: tempered | grapevine | greedy | hier | refine")
 	fs.StringVar(&o.order, "order", "fewest-migrations", "task traversal ordering of the tempered engine strategy")
-	fs.BoolVar(&o.distributed, "distributed", false, "run the gossip balancer on the real AMT runtime (then -transport, -nodes, -fanout, -faults, -rounds, -node and every output apply)")
+	fs.BoolVar(&o.distributed, "distributed", false, "run the gossip balancer on the real AMT runtime (then -transport, -nodes, -faults, -rounds, -node and every output apply)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}

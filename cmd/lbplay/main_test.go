@@ -9,8 +9,8 @@ import (
 
 // TestFlagAppliesToMode: a flag the chosen mode does not read is refused by
 // name, whichever it is, and every flag is accepted in a mode that reads
-// it. -order under -distributed, and -rounds, -fanout and -nodes without
-// it, used to be accepted and ignored.
+// it. -order under -distributed, and -rounds and -nodes without it, used
+// to be accepted and ignored.
 func TestFlagAppliesToMode(t *testing.T) {
 	const engine, distributed, both = 1, 2, 3
 	for _, tc := range []struct {
@@ -27,7 +27,6 @@ func TestFlagAppliesToMode(t *testing.T) {
 		{[]string{"-strategy", "greedy"}, engine},
 		{[]string{"-order", "arbitrary"}, engine},
 		{[]string{"-transport", "unix"}, distributed},
-		{[]string{"-fanout", "2"}, distributed},
 		{[]string{"-faults", "drop=0.1"}, distributed},
 		{[]string{"-rounds", "1"}, distributed},
 		{[]string{"-metrics", "m.prom"}, distributed},
@@ -78,23 +77,22 @@ func TestNodesAppliesToSocketJobs(t *testing.T) {
 }
 
 // TestNodeFlagsApplyToOneNodeOfAJob: -node is read by a -distributed job
-// on a socket transport, and the flags that say where a node listens and
-// how it finds its peers only with -node; each is otherwise refused by name.
+// on a socket transport, and the flags of one node — the peers file that
+// says where every node listens among them — only with -node; each is
+// otherwise refused by name.
 func TestNodeFlagsApplyToOneNodeOfAJob(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-node 0", "-node has no effect without -distributed"},
 		{"-distributed -node 0", "-node has no effect with -distributed -transport memory"},
 		{"-distributed -transport memory -jobid 3", "-jobid has no effect with -distributed -transport memory"},
-		{"-distributed -transport tcp -listen :0", "-listen has no effect with -distributed and no -node"},
 		{"-distributed -transport tcp -peers p", "-peers has no effect with -distributed and no -node"},
-		{"-distributed -transport tcp -coord :9", "-coord has no effect with -distributed and no -node"},
 		{"-distributed -transport tcp -jobid 3", "-jobid has no effect with -distributed and no -node"},
 		{"-distributed -transport tcp -timeout 1s", "-timeout has no effect with -distributed and no -node"},
 		{"-distributed -transport tcp -v", "-v has no effect with -distributed and no -node"},
 		{"-distributed -transport tcp -order arbitrary", "-order has no effect with -distributed and no -node"},
 		{"-distributed -transport tcp -node 0 -peers p -order arbitrary", "-order has no effect with -distributed"},
-		{"-distributed -transport tcp -node 1 -listen :0 -peers p -jobid 3 -timeout 1s -v", ""},
-		{"-distributed -transport unix -node 0 -listen s -coord :9", ""},
+		{"-distributed -transport tcp -node 1 -peers p -jobid 3 -timeout 1s -v", ""},
+		{"-distributed -transport unix -node 0 -peers p", ""},
 	} {
 		fs := flag.NewFlagSet("lbplay", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

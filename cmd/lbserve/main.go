@@ -37,12 +37,12 @@ func main() {
 	var (
 		wl  = cli.Workload{Ranks: 8, Seed: 7}
 		svc = cli.Service{Scenario: "burst", Phases: 40, Trigger: "forecast", LBCost: 20}
-		rtf = cli.Runtime{Transport: "memory", Nodes: 2, Fanout: 4}
+		rtf = cli.Runtime{Transport: "memory", Nodes: 2}
 		out cli.Outputs
 	)
 	wl.Register(flag.CommandLine, "ranks", "seed")
 	svc.Register(flag.CommandLine)
-	rtf.Register(flag.CommandLine, "transport", "nodes", "fanout")
+	rtf.Register(flag.CommandLine, "transport", "nodes")
 	out.Register(flag.CommandLine, "metrics", "serve", "frames")
 	var (
 		// Scenario.
@@ -67,7 +67,7 @@ func main() {
 		var (
 			scenario = []string{"ranks", "seed", "scenario", "phases", "items", "hot"}
 			model    = []string{"alpha", "beta", "maxage", "lbcost"}
-			job      = []string{"trigger", "transport", "nodes", "fanout", "metrics", "serve", "frames", "quiet"}
+			job      = []string{"trigger", "transport", "nodes", "metrics", "serve", "frames", "quiet"}
 		)
 		if fs := flag.CommandLine; *tuneFams != "" {
 			err = cli.CheckApplies(fs, "with -tune", scenario, model, []string{"tune"})

@@ -14,15 +14,16 @@
 // # Collectives
 //
 // Every collective rides one engine (collective.go): a reduction up a
-// k-ary rank tree (WithFanout, default 4) followed by a broadcast back
-// down. Per collective a rank sends at most fanout+1 messages — and
-// receives as many — instead of the 2(P−1) a star topology funnels
-// through rank 0, and the critical path is one sweep of depth
-// ceil(log_k P), which is what lets the distributed balancer run at the
-// paper's 4096-rank scale. The combine order is fixed by the topology
-// (own value, then children by ascending rank), never by message
-// arrival order, so floating-point reductions are bit-identical across
-// runs even under delays, stragglers and faults. Each rank folds into one
+// 4-ary rank tree followed by a broadcast back down. The arity is the
+// same for every job, so each node of a multi-process job builds the
+// same tree without telling its peers. Per collective a rank sends at
+// most 4+1 messages — and receives as many — instead of the 2(P−1) a
+// star topology funnels through rank 0, and the critical path is one
+// sweep of depth ceil(log_4 P), which is what lets the distributed
+// balancer run at the paper's 4096-rank scale. The combine order is
+// fixed by the topology (own value, then children by ascending rank),
+// never by message arrival order, so floating-point reductions are
+// bit-identical across runs even under delays, stragglers and faults. Each rank folds into one
 // partial buffer reused from one collective to the next, and the root's
 // result is the one slice every rank of the node returns: read-only,
 // valid after later collectives, and the only thing a collective

@@ -56,7 +56,8 @@ func Launch(network string, ranks, nodes int, jobID uint64, opts ...Option) (*Jo
 
 // Join is this process's share of a multi-process job: one runtime over a
 // transport the caller has connected to its peers (cli.Runtime.Launch under
-// -node, after its rendezvous). network names it in Run's error; Close it.
+// -node, after reading its peers file). network names it in Run's error;
+// Close it.
 func Join(network string, tr *wire.Transport, opts ...Option) *Job {
 	return &Job{
 		Runtimes:   []*Runtime{New(tr.NumRanks(), append([]Option{WithTransport(tr)}, opts...)...)},

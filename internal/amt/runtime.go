@@ -46,7 +46,8 @@ type Runtime struct {
 	lo    int
 
 	// fanout is the arity k of the collective tree: rank r's parent is
-	// (r−1)/k and its children are k·r+1 … k·r+k. See collective.go.
+	// (r−1)/k and its children are k·r+1 … k·r+k. See collective.go. It is
+	// treeFanout; only this package's tests build other shapes.
 	fanout int
 
 	// Fault recovery (see SetFaults and reliable.go): reliable switches
@@ -85,11 +86,6 @@ func WithMetrics() Option {
 	return func(rt *Runtime) { rt.EnableMetrics() }
 }
 
-// WithFanout sets the arity of the collective tree (see SetFanout).
-func WithFanout(k int) Option {
-	return func(rt *Runtime) { rt.SetFanout(k) }
-}
-
 // WithStream attaches a live observability stream (see SetStream).
 func WithStream(s *obs.Stream) Option {
 	return func(rt *Runtime) { rt.SetStream(s) }
@@ -100,10 +96,11 @@ func WithTransport(t comm.Transport) Option {
 	return func(rt *Runtime) { rt.SetTransport(t) }
 }
 
-// DefaultFanout is the arity of the collective tree when none is
-// configured: 4-ary keeps per-rank collective traffic at 2·4+2 messages
-// while reaching 4096 ranks in 6 levels.
-const DefaultFanout = 4
+// treeFanout is the arity of every job's collective tree: 4-ary keeps
+// per-rank collective traffic at 2·4+2 messages while reaching 4096 ranks
+// in 6 levels. Every process of a job derives its tree from it, so no two
+// nodes can disagree on the shape.
+const treeFanout = 4
 
 // New creates a runtime over n logical ranks.
 func New(n int, opts ...Option) *Runtime {
@@ -114,7 +111,7 @@ func New(n int, opts ...Option) *Runtime {
 		n:            n,
 		nw:           comm.NewNetwork(n),
 		handlerNames: make(map[HandlerID]string),
-		fanout:       DefaultFanout,
+		fanout:       treeFanout,
 		ranks:        make([]atomic.Pointer[Context], n),
 	}
 	for _, opt := range opts {
@@ -146,18 +143,6 @@ func (rt *Runtime) SetTransport(t comm.Transport) {
 
 // Transport returns the runtime's message transport.
 func (rt *Runtime) Transport() comm.Transport { return rt.nw }
-
-// SetFanout sets the arity k ≥ 2 of the k-ary collective tree. Larger k
-// flattens the tree (fewer hops on the critical path) at the cost of
-// more messages per interior rank; per-rank collective work is
-// O(k·log_k P) either way. Call before Run.
-func (rt *Runtime) SetFanout(k int) {
-	rt.mustNotRun("SetFanout")
-	if k < 2 {
-		panic(fmt.Sprintf("amt: SetFanout: fanout must be >= 2, got %d", k))
-	}
-	rt.fanout = k
-}
 
 // Fanout returns the collective tree's arity.
 func (rt *Runtime) Fanout() int { return rt.fanout }

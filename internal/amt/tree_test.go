@@ -10,6 +10,12 @@ import (
 	"temperedlb/internal/core"
 )
 
+// withFanout builds the collective tree at arity k instead of treeFanout,
+// so the geometry tests reach shapes no job runs.
+func withFanout(k int) Option {
+	return func(rt *Runtime) { rt.fanout = k }
+}
+
 // TestTreeGeometry pins the k-ary tree layout the collectives ride:
 // parent/child relations must be mutually consistent, the recorded depth
 // must equal the longest walk to the root, and the per-collective send
@@ -23,7 +29,7 @@ func TestTreeGeometry(t *testing.T) {
 		{21, 4, 2}, {64, 4, 3}, {7, 2, 2}, {8, 2, 3}, {10, 3, 2},
 	}
 	for _, c := range cases {
-		rt := New(c.n, WithFanout(c.k))
+		rt := New(c.n, withFanout(c.k))
 		if rt.Fanout() != c.k {
 			t.Fatalf("n=%d: Fanout() = %d, want %d", c.n, rt.Fanout(), c.k)
 		}
@@ -93,7 +99,7 @@ func TestTreeGeometry(t *testing.T) {
 // riding the sum tree cannot perturb the values).
 func TestAllGather(t *testing.T) {
 	const n = 13
-	rt := New(n, WithFanout(3))
+	rt := New(n, withFanout(3))
 	rt.Run(func(rc *Context) {
 		got := rc.AllGather(1.5*float64(rc.Rank()) + 0.25)
 		if len(got) != n {

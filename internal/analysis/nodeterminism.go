@@ -41,7 +41,7 @@ var globalRandFuncs = map[string]bool{
 // and must replay exactly like the protocol itself. Carve-outs:
 // internal/comm/wire (dial backoff, RTT measurement and write deadlines
 // legitimately read the wall clock below the protocol; see
-// protocolPackage) and cmd/* (lbplay's rendezvous timeout and lbtop's
+// protocolPackage) and cmd/* (lbplay's peer-connect timeout and lbtop's
 // dashboard refresh are operator I/O, not protocol decisions — the
 // protocol work those commands trigger lives in internal/ and is
 // covered there).

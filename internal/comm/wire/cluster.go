@@ -51,13 +51,13 @@ func NewCluster(network string, ranks, nodes int, jobID uint64) (*Cluster, error
 		}
 		c.Transports = append(c.Transports, t)
 	}
-	specs := SplitRanks(ranks, nodes)
+	addrs := make([]string, nodes)
 	for i, t := range c.Transports {
-		specs[i].Addr = t.Addr()
+		addrs[i] = t.Addr()
 	}
 	errs := make(chan error, nodes)
 	for _, t := range c.Transports {
-		go func(t *Transport) { errs <- t.Connect(specs) }(t)
+		go func(t *Transport) { errs <- t.Connect(addrs) }(t)
 	}
 	for range c.Transports {
 		if err := <-errs; err != nil {

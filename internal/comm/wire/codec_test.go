@@ -269,12 +269,13 @@ func TestF64SliceLengthBomb(t *testing.T) {
 func TestSplitRanks(t *testing.T) {
 	cases := []struct {
 		n, m int
-		want []NodeSpec
+		want []int
 	}{
-		{4, 1, []NodeSpec{{Node: 0, Lo: 0, Hi: 4}}},
-		{4, 2, []NodeSpec{{Node: 0, Lo: 0, Hi: 2}, {Node: 1, Lo: 2, Hi: 4}}},
-		{5, 2, []NodeSpec{{Node: 0, Lo: 0, Hi: 3}, {Node: 1, Lo: 3, Hi: 5}}},
-		{3, 3, []NodeSpec{{Node: 0, Lo: 0, Hi: 1}, {Node: 1, Lo: 1, Hi: 2}, {Node: 2, Lo: 2, Hi: 3}}},
+		{4, 1, []int{0, 4}},
+		{4, 2, []int{0, 2, 4}},
+		{5, 2, []int{0, 3, 5}},
+		{3, 3, []int{0, 1, 2, 3}},
+		{7, 3, []int{0, 3, 5, 7}},
 	}
 	for _, tc := range cases {
 		got := SplitRanks(tc.n, tc.m)
@@ -292,16 +293,12 @@ func TestSplitRanks(t *testing.T) {
 }
 
 func TestParsePeers(t *testing.T) {
-	specs, err := ParsePeers("# comment\n1 127.0.0.1:9002\n\n0 127.0.0.1:9001\n", 4, 2)
+	addrs, err := ParsePeers("# comment\n1 127.0.0.1:9002\n\n0 127.0.0.1:9001\n", 2)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	want := []NodeSpec{
-		{Node: 0, Lo: 0, Hi: 2, Addr: "127.0.0.1:9001"},
-		{Node: 1, Lo: 2, Hi: 4, Addr: "127.0.0.1:9002"},
-	}
-	if !reflect.DeepEqual(specs, want) {
-		t.Fatalf("got %+v want %+v", specs, want)
+	if want := []string{"127.0.0.1:9001", "127.0.0.1:9002"}; !reflect.DeepEqual(addrs, want) {
+		t.Fatalf("got %q want %q", addrs, want)
 	}
 	for name, content := range map[string]string{
 		"missing node":   "0 a:1\n",
@@ -309,7 +306,7 @@ func TestParsePeers(t *testing.T) {
 		"bad index":      "7 a:1\n0 b:2\n",
 		"malformed line": "0 a:1 extra\n1 b:2\n",
 	} {
-		if _, err := ParsePeers(content, 4, 2); err == nil {
+		if _, err := ParsePeers(content, 2); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}

@@ -5,7 +5,7 @@
 // plays the role of the paper's MPI layer inside one process, this
 // package plays it between processes — `lbplay -distributed -node k`
 // hosts one Transport per process and a balancing job spans as many
-// machines as the rendezvous map names. The codec is hand-rolled
+// machines as the peers file names. The codec is hand-rolled
 // rather than gob/protobuf so the byte layout is deterministic (fixed
 // field order, big-endian, explicit version byte) and the frame decoder
 // can be fuzzed against truncation, oversizing and garbage without ever

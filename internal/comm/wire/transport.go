@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,36 +15,24 @@ import (
 	"temperedlb/internal/comm"
 )
 
-// NodeSpec describes one process of a job: its node index, the
-// contiguous global rank range it hosts, and the address its transport
-// listens on.
-type NodeSpec struct {
-	Node int    `json:"node"`
-	Lo   int    `json:"lo"` // global rank range [Lo,Hi)
-	Hi   int    `json:"hi"`
-	Addr string `json:"addr"`
-}
-
-// SplitRanks partitions n ranks over m nodes into contiguous,
-// near-even ranges (the first n%m nodes get one extra rank). Every
-// process of a job must derive its range from this function so the
-// rank→node map needs no negotiation beyond addresses.
-func SplitRanks(n, m int) []NodeSpec {
+// SplitRanks partitions n ranks over m nodes into contiguous, near-even
+// ranges (the first n%m nodes get one extra rank): node i hosts ranks
+// [b[i], b[i+1]) of the m+1 bounds b it returns. Every process of a job
+// derives the ranges from this function, so the node map needs only
+// addresses.
+func SplitRanks(n, m int) []int {
 	if n < 1 || m < 1 || m > n {
 		panic(fmt.Sprintf("wire: SplitRanks(%d, %d): need 1 <= nodes <= ranks", n, m))
 	}
-	specs := make([]NodeSpec, m)
+	b := make([]int, m+1)
 	base, extra := n/m, n%m
-	lo := 0
-	for i := range specs {
-		size := base
+	for i := range m {
+		b[i+1] = b[i] + base
 		if i < extra {
-			size++
+			b[i+1]++
 		}
-		specs[i] = NodeSpec{Node: i, Lo: lo, Hi: lo + size}
-		lo += size
 	}
-	return specs
+	return b
 }
 
 // Config parameterizes one node's transport.
@@ -54,7 +41,7 @@ type Config struct {
 	Network string
 	// Ranks is the job's total rank count; Nodes the process count;
 	// Self this process's node index. The local rank range is
-	// SplitRanks(Ranks, Nodes)[Self].
+	// node Self's range of SplitRanks(Ranks, Nodes).
 	Ranks, Nodes, Self int
 	// Listen is the address to listen on. Empty defaults to
 	// "127.0.0.1:0" for tcp; it is required for unix.
@@ -127,8 +114,8 @@ type Transport struct {
 
 	ln       net.Listener
 	addr     string
-	nodes    []NodeSpec // set by Connect, indexed by node id
-	rankNode []int      // global rank → node id
+	addrs    []string // set by Connect, indexed by node id
+	rankNode []int    // global rank → node id
 
 	peers []*peer // indexed by node id; nil at Self and before Connect
 
@@ -190,22 +177,23 @@ func New(cfg Config) (*Transport, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	spec := SplitRanks(cfg.Ranks, cfg.Nodes)[cfg.Self]
+	bounds := SplitRanks(cfg.Ranks, cfg.Nodes)
+	lo, hi := bounds[cfg.Self], bounds[cfg.Self+1]
 	ln, err := net.Listen(cfg.Network, cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s %s: %w (address already in use? stale unix socket?)", cfg.Network, cfg.Listen, err)
 	}
 	t := &Transport{
 		cfg:     cfg,
-		lo:      spec.Lo,
-		hi:      spec.Hi,
+		lo:      lo,
+		hi:      hi,
 		ln:      ln,
 		addr:    ln.Addr().String(),
 		inbound: map[int]net.Conn{},
 		inWake:  make(chan struct{}, 1),
 		peers:   make([]*peer, cfg.Nodes),
 	}
-	t.Network = comm.NewPartialNetwork(cfg.Ranks, spec.Lo, spec.Hi, t.forwardRemote)
+	t.Network = comm.NewPartialNetwork(cfg.Ranks, lo, hi, t.forwardRemote)
 	go t.acceptLoop()
 	return t, nil
 }
@@ -223,47 +211,34 @@ func (t *Transport) Err() error {
 	return nil
 }
 
-// Connect installs the job's rank→address map and establishes the full
-// mesh: it dials every other node (with backoff — peers may start in
-// any order), sends the handshake, and waits until every peer has
-// dialed us back, all within ConnectTimeout. After Connect returns nil
-// the transport is ready for Run.
-func (t *Transport) Connect(nodes []NodeSpec) error {
+// Connect installs the job's node map — every node's listen address,
+// indexed by node — and establishes the full mesh: it dials every other
+// node (with backoff — peers may start in any order), sends the
+// handshake, and waits until every peer has dialed us back, all within
+// ConnectTimeout. After Connect returns nil the transport is ready for Run.
+func (t *Transport) Connect(addrs []string) error {
 	deadline := time.Now().Add(t.cfg.ConnectTimeout)
-	if len(nodes) != t.cfg.Nodes {
-		return fmt.Errorf("wire: Connect got %d node specs, want %d", len(nodes), t.cfg.Nodes)
+	if len(addrs) != t.cfg.Nodes {
+		return fmt.Errorf("wire: Connect got %d addresses, want %d", len(addrs), t.cfg.Nodes)
 	}
-	specs := append([]NodeSpec(nil), nodes...)
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Node < specs[j].Node })
-	want := SplitRanks(t.cfg.Ranks, t.cfg.Nodes)
-	for i, s := range specs {
-		if s.Node != i {
-			return fmt.Errorf("wire: node specs not a permutation of 0..%d (got node %d at position %d)", t.cfg.Nodes-1, s.Node, i)
-		}
-		if s.Lo != want[i].Lo || s.Hi != want[i].Hi {
-			return fmt.Errorf("wire: node %d announces ranks [%d,%d), want [%d,%d) — peers disagree on -ranks/-nodes", i, s.Lo, s.Hi, want[i].Lo, want[i].Hi)
-		}
-		if s.Addr == "" {
+	for i, addr := range addrs {
+		if addr == "" {
 			return fmt.Errorf("wire: node %d has no address", i)
 		}
 	}
-	if self := specs[t.cfg.Self]; self.Addr != t.addr {
-		// Tolerate equivalent spellings only when the spec was taken
-		// verbatim from our own announcement; otherwise flag the mismatch.
-		t.cfg.Logf("wire: note: self address in map is %s, listening on %s", self.Addr, t.addr)
-	}
-	t.nodes = specs
+	t.addrs = slices.Clone(addrs)
 	t.rankNode = make([]int, t.cfg.Ranks)
-	for _, s := range specs {
-		for r := s.Lo; r < s.Hi; r++ {
-			t.rankNode[r] = s.Node
+	bounds := SplitRanks(t.cfg.Ranks, t.cfg.Nodes)
+	for node := range t.cfg.Nodes {
+		for r := bounds[node]; r < bounds[node+1]; r++ {
+			t.rankNode[r] = node
 		}
 	}
 
 	// Dial every peer concurrently; each failure is fatal for Connect.
 	errs := make([]error, t.cfg.Nodes)
 	var wg sync.WaitGroup
-	for i := range specs {
+	for i := range addrs {
 		if i == t.cfg.Self {
 			continue
 		}
@@ -327,7 +302,7 @@ func (t *Transport) missingPeers() []int {
 // processes start in arbitrary order, so early connection refusals are
 // expected, not errors.
 func (t *Transport) dialPeer(node int, deadline time.Time) error {
-	spec := t.nodes[node]
+	addr := t.addrs[node]
 	var (
 		conn    net.Conn
 		err     error
@@ -340,7 +315,7 @@ func (t *Transport) dialPeer(node int, deadline time.Time) error {
 			t.redials.Add(1)
 		}
 		attemptStart := time.Now()
-		conn, err = dialer.Dial(t.cfg.Network, spec.Addr)
+		conn, err = dialer.Dial(t.cfg.Network, addr)
 		if err == nil {
 			if rtt := time.Since(attemptStart); rtt > time.Duration(t.rttMax.Load()) {
 				t.rttMax.Store(int64(rtt))
@@ -351,7 +326,7 @@ func (t *Transport) dialPeer(node int, deadline time.Time) error {
 			return fmt.Errorf("wire: dial node %d: transport closed", node)
 		}
 		if !time.Now().Add(backoff).Before(deadline) {
-			return fmt.Errorf("wire: dial node %d at %s: %w (gave up after %v)", node, spec.Addr, err, time.Since(start))
+			return fmt.Errorf("wire: dial node %d at %s: %w (gave up after %v)", node, addr, err, time.Since(start))
 		}
 		time.Sleep(backoff)
 		if backoff < time.Second {
@@ -451,9 +426,9 @@ func (t *Transport) checkHello(h helloBody) error {
 	if h.Node < 0 || h.Node >= t.cfg.Nodes || h.Node == t.cfg.Self {
 		return fmt.Errorf("wire: peer announces node id %d (ours is %d of %d)", h.Node, t.cfg.Self, t.cfg.Nodes)
 	}
-	want := SplitRanks(t.cfg.Ranks, t.cfg.Nodes)[h.Node]
-	if h.Lo != want.Lo || h.Hi != want.Hi {
-		return fmt.Errorf("wire: node %d announces ranks [%d,%d), want [%d,%d)", h.Node, h.Lo, h.Hi, want.Lo, want.Hi)
+	bounds := SplitRanks(t.cfg.Ranks, t.cfg.Nodes)
+	if lo, hi := bounds[h.Node], bounds[h.Node+1]; h.Lo != lo || h.Hi != hi {
+		return fmt.Errorf("wire: node %d announces ranks [%d,%d), want [%d,%d)", h.Node, h.Lo, h.Hi, lo, hi)
 	}
 	return nil
 }

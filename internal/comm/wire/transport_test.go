@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -188,80 +186,6 @@ func waitForErr(t *testing.T, tr *Transport, want string) {
 	t.Fatalf("transport never recorded the %q error", want)
 }
 
-// TestRendezvous runs the coordinator protocol end to end: N clients
-// check in concurrently (in arbitrary order, some before the
-// coordinator publishes) and all receive the identical sorted map.
-func TestRendezvous(t *testing.T) {
-	const nodes = 4
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	addr := ln.Addr().String()
-
-	serveDone := make(chan error, 1)
-	go func() {
-		_, err := ServeRendezvous(ln, nodes, 10*time.Second)
-		serveDone <- err
-	}()
-
-	var wg sync.WaitGroup
-	maps := make([][]NodeSpec, nodes)
-	errs := make([]error, nodes)
-	for i := 0; i < nodes; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			self := NodeSpec{Node: i, Lo: i * 2, Hi: i*2 + 2, Addr: fmt.Sprintf("127.0.0.1:%d", 9000+i)}
-			maps[i], errs[i] = Rendezvous("tcp", addr, self, 10*time.Second)
-		}(i)
-	}
-	wg.Wait()
-	if err := <-serveDone; err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	for i := 0; i < nodes; i++ {
-		if errs[i] != nil {
-			t.Fatalf("node %d: %v", i, errs[i])
-		}
-		if len(maps[i]) != nodes {
-			t.Fatalf("node %d got %d specs", i, len(maps[i]))
-		}
-		for j, s := range maps[i] {
-			if s.Node != j || s.Addr != fmt.Sprintf("127.0.0.1:%d", 9000+j) {
-				t.Fatalf("node %d spec %d: %+v", i, j, s)
-			}
-		}
-	}
-}
-
-// TestRendezvousRefusesBadNode checks the coordinator rejects an
-// out-of-range node id with an error the client surfaces, while the
-// job's real nodes still complete.
-func TestRendezvousRefusesBadNode(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	addr := ln.Addr().String()
-	go ServeRendezvous(ln, 2, 10*time.Second)
-
-	if _, err := Rendezvous("tcp", addr, NodeSpec{Node: 7, Addr: "x"}, 5*time.Second); err == nil {
-		t.Fatal("out-of-range node id: want refusal")
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := Rendezvous("tcp", addr, NodeSpec{Node: i, Addr: "x"}, 5*time.Second); err != nil {
-				t.Errorf("node %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-}
-
 // TestWriterQueueSoftCapFailsLoud is the regression test for the
 // unbounded-writer-queue bug: a peer whose writer never drains (stalled
 // process, dead TCP window) used to grow its queue silently until this
@@ -320,10 +244,8 @@ func TestConnectTimeoutBoundsDialing(t *testing.T) {
 	nobody := ln.Addr().String()
 	ln.Close()
 
-	specs := SplitRanks(2, 2)
-	specs[0].Addr, specs[1].Addr = tr.Addr(), nobody
 	start := time.Now()
-	if err := tr.Connect(specs); err == nil {
+	if err := tr.Connect([]string{tr.Addr(), nobody}); err == nil {
 		t.Fatal("Connect to a peer nobody listens for succeeded")
 	}
 	if took := time.Since(start); took > 2*time.Second {

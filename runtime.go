@@ -64,15 +64,8 @@ const (
 // collective may have its handlers run by the goroutine of a rank that
 // sends to it, never by two at once. Options attach observability
 // (WithTracer for protocol event tracing, WithMetrics for the counter/
-// histogram registry) and tune the collective tree (WithFanout).
+// histogram registry).
 func NewRuntime(n int, opts ...RuntimeOption) *Runtime { return amt.New(n, opts...) }
-
-// WithFanout sets the arity k ≥ 2 of the runtime's k-ary collective
-// tree (default 4): every barrier, all-reduce and all-gather is a
-// reduce up and a broadcast down this tree, costing each rank at most
-// 2k+2 messages regardless of the rank count, with combine order fixed
-// by the topology so floating-point reductions are bit-deterministic.
-func WithFanout(k int) RuntimeOption { return amt.WithFanout(k) }
 
 // WithTransport substitutes the runtime's message transport, e.g. a
 // TCP or Unix-socket transport hosting this process's rank range of a

@@ -99,7 +99,8 @@ func (rc *Context) collStart(name string) func() {
 // applies op to every element. Per-rank traffic is at most fanout+1
 // sends (and as many receives) instead of the star topology's 2(P−1)
 // messages through rank 0, and the critical path is one up+down sweep
-// of depth ceil(log_k P).
+// of depth ceil(log_k P). Over sockets a collective costs two frames per
+// tree edge between nodes (see treeShape): 8 on 256 ranks over two.
 //
 // Both waits are the pump: the rank keeps scheduling incoming messages —
 // or a sender does it on the parked rank's behalf — so application
@@ -161,9 +162,9 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 // — the same payload to every child, pushed, never claimed (see
 // transmit).
 func (rc *Context) sendDown(down any) {
-	for c := rc.childBase; c < rc.childBase+rc.nKids; c++ {
+	for i := 0; i < rc.nKids; i++ {
 		rc.rt.nw.Send(comm.Message{
-			From: int(rc.rank), To: c, Kind: kindCollDown, Data: down,
+			From: int(rc.rank), To: rc.child(i), Kind: kindCollDown, Data: down,
 		})
 	}
 }
@@ -181,7 +182,7 @@ func (rc *Context) onCollUp(m comm.Message) {
 	if rc.coll.kids == nil {
 		rc.coll.kids = make([][]float64, rc.nKids)
 	}
-	rc.coll.kids[m.From-rc.childBase] = cm.Values
+	rc.coll.kids[(m.From-int(rc.rank)-1)/rc.stride] = cm.Values
 	rc.coll.got++
 }
 

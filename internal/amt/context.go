@@ -119,13 +119,13 @@ type Context struct {
 	rel *reliableState
 
 	// Collective tree geometry, fixed at construction from the runtime's
-	// fanout k: parent is (rank−1)/k (−1 on the root), children are the
-	// contiguous range [childBase, childBase+nKids). treeDepth is the
-	// depth of the deepest rank, collMsgs the messages this rank sends
-	// per collective (one up-partial plus one down-copy per child) —
-	// both stamped onto EvCollective spans.
+	// fanout k (see treeShape): parent is −1 on the root, and the children
+	// are rank+1 + i·stride for i < nKids, in ascending rank order.
+	// treeDepth is the depth of the deepest rank, collMsgs the messages
+	// this rank sends per collective (one up-partial plus one down-copy
+	// per child) — both stamped onto EvCollective spans.
 	parent    int
-	childBase int
+	stride    int
 	nKids     int
 	treeDepth int
 	collMsgs  int
@@ -186,24 +186,8 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 		tr:           rt.tracer,
 		epochSeconds: rt.epochSeconds,
 	}
-	k := rt.fanout
 	r := int(rank)
-	rc.parent = -1
-	if r > 0 {
-		rc.parent = (r - 1) / k
-	}
-	rc.childBase = k*r + 1
-	if rc.childBase < rt.n {
-		rc.nKids = rt.n - rc.childBase
-		if rc.nKids > k {
-			rc.nKids = k
-		}
-	} else {
-		rc.childBase = rt.n // empty range even for huge ranks
-	}
-	for d := rt.n - 1; d > 0; d = (d - 1) / k {
-		rc.treeDepth++
-	}
+	rc.parent, rc.stride, rc.nKids, rc.treeDepth = treeShape(r, rt.n, rt.fanout)
 	rc.collMsgs = rc.nKids
 	if rc.parent >= 0 {
 		rc.collMsgs++
@@ -216,6 +200,46 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 	}
 	return rc
 }
+
+// treeShape places rank r in the collective tree of n ranks at arity k:
+// the complete k-ary tree numbered depth-first, so the subtree of every
+// rank is the contiguous rank range that starts at it. A subtree of size
+// ranks is its root followed by consecutive runs of stride ranks, one
+// per child (the last run may be shorter), where stride is the largest
+// complete size — 1, k+1, k²+k+1, … — below size (1 for a leaf). The
+// children of r are therefore r+1 + i·stride for i < nKids, and finding r
+// is a descent from the root of at most depth steps, along which the
+// stride only shrinks. depth is the smallest d whose complete size holds
+// n ranks.
+//
+// Because a subtree is a rank range, a contiguous block of ranks — one
+// node's share under wire.SplitRanks — meets the rest of the tree only
+// through the ancestors of its two ends: at most k·depth tree edges per
+// block boundary.
+func treeShape(r, n, k int) (parent, stride, nKids, depth int) {
+	stride = 1
+	for k*stride+1 < n {
+		stride = k*stride + 1
+		depth++
+	}
+	if n > 1 {
+		depth++
+	}
+	parent = -1
+	lo, size := 0, n
+	for lo != r {
+		end := lo + size
+		parent, lo = lo, lo+1+(r-lo-1)/stride*stride
+		size = min(stride, end-lo)
+		for stride > 1 && stride >= size {
+			stride = (stride - 1) / k
+		}
+	}
+	return parent, stride, (size - 1 + stride - 1) / stride, depth
+}
+
+// child returns the rank of this rank's i-th tree child.
+func (rc *Context) child(i int) int { return int(rc.rank) + 1 + i*rc.stride }
 
 // Rank returns this context's rank.
 func (rc *Context) Rank() core.Rank { return rc.rank }
@@ -634,9 +658,9 @@ func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func())
 // fanout sends instead of putting all P−1 on the root. Pushed, never
 // claimed (see transmit).
 func (rc *Context) forwardDone() {
-	for c := rc.childBase; c < rc.childBase+rc.nKids; c++ {
+	for i := 0; i < rc.nKids; i++ {
 		rc.rt.nw.Send(comm.Message{
-			From: int(rc.rank), To: c, Kind: kindDone, Epoch: rc.epochSeq,
+			From: int(rc.rank), To: rc.child(i), Kind: kindDone, Epoch: rc.epochSeq,
 		})
 	}
 }

@@ -14,13 +14,17 @@
 // # Collectives
 //
 // Every collective rides one engine (collective.go): a reduction up a
-// 4-ary rank tree followed by a broadcast back down. The arity is the
-// same for every job, so each node of a multi-process job builds the
-// same tree without telling its peers. Per collective a rank sends at
-// most 4+1 messages — and receives as many — instead of the 2(P−1) a
-// star topology funnels through rank 0, and the critical path is one
-// sweep of depth ceil(log_4 P), which is what lets the distributed
-// balancer run at the paper's 4096-rank scale. The combine order is
+// 4-ary rank tree followed by a broadcast back down. The tree is a
+// function of the rank count alone, so each node of a multi-process job
+// builds the same one without telling its peers. Per collective a rank
+// sends at most 4+1 messages — and receives as many — instead of the
+// 2(P−1) a star topology funnels through rank 0, and the critical path is
+// one sweep of depth ceil(log_4 P), which is what lets the distributed
+// balancer run at the paper's 4096-rank scale. The complete tree is
+// numbered depth-first, so every subtree is a contiguous rank range and a
+// node's contiguous share of the ranks reaches the rest of the tree
+// through at most 4·depth edges per node boundary: a collective crosses a
+// socket a few times, not once per remote rank. The combine order is
 // fixed by the topology (own value, then children by ascending rank),
 // never by message arrival order, so floating-point reductions are
 // bit-identical across runs even under delays, stragglers and faults. Each rank folds into one

@@ -45,8 +45,8 @@ type Runtime struct {
 	ranks []atomic.Pointer[Context]
 	lo    int
 
-	// fanout is the arity k of the collective tree: rank r's parent is
-	// (r−1)/k and its children are k·r+1 … k·r+k. See collective.go. It is
+	// fanout is the arity k of the collective tree, the complete k-ary
+	// tree numbered depth-first (see treeShape and collective.go). It is
 	// treeFanout; only this package's tests build other shapes.
 	fanout int
 
@@ -98,8 +98,9 @@ func WithTransport(t comm.Transport) Option {
 
 // treeFanout is the arity of every job's collective tree: 4-ary keeps
 // per-rank collective traffic at 2·4+2 messages while reaching 4096 ranks
-// in 6 levels. Every process of a job derives its tree from it, so no two
-// nodes can disagree on the shape.
+// in 6 levels, and keeps the tree edges between two nodes' rank ranges at
+// most 4 per level. Every process of a job derives its tree from it and
+// the rank count, so no two nodes can disagree on the shape.
 const treeFanout = 4
 
 // New creates a runtime over n logical ranks.

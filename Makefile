@@ -27,11 +27,10 @@ race:
 # delay/straggler plans against the transport, the ack/retry layer, and
 # the distributed balancer end-to-end (including the faulted-equals-
 # fault-free and delay-window bit-determinism checks, and the
-# 1024-rank collective storm), and the engine's gossip queue under the
-# same fault plans; plus the inbox ownership tests and the exhaustive
-# interleaving check of its state word.
+# 1024-rank collective storm); plus the inbox ownership tests and the
+# exhaustive interleaving check of its state word.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Gossip|Determinism|Ownership|Owned|StateWord' ./...
+	$(GO) test -race -run 'Chaos|Fault|Determinism|Ownership|Owned|StateWord' ./...
 
 # Just the paper-scale collective stress: 1024 ranks storm the k-ary
 # reduction tree (barriers, vector reduces, a scalar max) interleaved
@@ -205,6 +204,9 @@ loc:
 	@awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } \
 		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
 		END { printf "%-40s %6d\n", "core.Config fields", n }' internal/core/config.go
+	@awk '/^type EngineConfig struct/ { on = 1; next } on && /^}/ { exit } \
+		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
+		END { printf "%-40s %6d\n", "core.EngineConfig fields", n }' internal/core/engine.go
 	@awk '/^type FaultSpec struct/ { on = 1; next } on && /^}/ { exit } \
 		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
 		END { printf "%-40s %6d\n", "comm.FaultSpec fields", n }' internal/comm/fault.go

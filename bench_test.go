@@ -450,7 +450,6 @@ func BenchmarkStrategies(b *testing.B) {
 	strategies := []temperedlb.Strategy{
 		temperedlb.NewGreedyLB(),
 		temperedlb.NewHierLB(4),
-		temperedlb.NewRefineLB(),
 		temperedlb.NewGrapevineLB(),
 		temperedlb.NewTemperedLB(),
 	}

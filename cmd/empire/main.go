@@ -27,11 +27,9 @@ func main() {
 	// track per configuration; -serve one frame per simulated step.
 	var (
 		wl  = cli.Workload{Seed: 1}
-		rtf cli.Runtime
 		out cli.Outputs
 	)
 	wl.Register(flag.CommandLine, "seed")
-	rtf.Register(flag.CommandLine, "faults")
 	out.Register(flag.CommandLine, "trace", "metrics", "serve")
 	var (
 		exp      = flag.String("exp", "all", "experiment: fig2 | fig3 | fig4a | fig4b | fig4c | fig4d | all")
@@ -65,10 +63,6 @@ func main() {
 		stride = *every
 	}
 
-	faultSpec, err := rtf.FaultSpec()
-	if err != nil {
-		log.Fatal(err)
-	}
 	tweak := func(c core.EngineConfig) core.EngineConfig {
 		if *trials > 0 {
 			c.Trials = *trials
@@ -79,7 +73,6 @@ func main() {
 		if *rounds > 0 {
 			c.Rounds = *rounds
 		}
-		c.GossipFaults = faultSpec
 		return c
 	}
 

@@ -187,8 +187,6 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 		{"lbplay", "-distributed -node 0 -peers p", "lbplay: -node has no effect with -distributed -transport memory"},
 		{"lbplay", "-node 0", "lbplay: -node has no effect without -distributed"},
 		{"lbplay", "-distributed -transport tcp -peers p", "lbplay: -peers has no effect with -distributed and no -node"},
-		{"lbaf", "-exp vd -faults retry=5ms", `lbaf: -faults: comm: fault spec: unknown key "retry"`},
-		{"empire", "-scale small -faults drop=0.1,retry=5ms", `empire: -faults: comm: fault spec: unknown key "retry"`},
 		{"lbplay", "-distributed -faults retry=5ms", `lbplay: -faults: comm: fault spec: unknown key "retry"`},
 	} {
 		stdout, stderr, exit := run(tc.name, strings.Fields(tc.args)...)
@@ -205,6 +203,13 @@ func TestBinariesSpeakOneVocabulary(t *testing.T) {
 			if exit != 2 || !strings.HasPrefix(stderr, "flag provided but not defined: "+gone) {
 				t.Errorf("%s %s: exit %d, stderr %q", name, gone, exit, stderr)
 			}
+		}
+	}
+	// Faults live in the transport: the engine's binaries have none.
+	for _, tc := range [][]string{{"lbaf", "-exp", "vd"}, {"empire", "-scale", "small"}} {
+		_, stderr, exit := run(tc[0], append(tc[1:], "-faults", "retry=5ms")...)
+		if exit != 2 || !strings.HasPrefix(stderr, "flag provided but not defined: -faults") {
+			t.Errorf("%s -faults: exit %d, stderr %q", tc[0], exit, stderr)
 		}
 	}
 	// The replay trace format went with the loop that read it.

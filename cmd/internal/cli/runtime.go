@@ -40,7 +40,7 @@ func (r *Runtime) Register(fs *flag.FlagSet, only ...string) []string {
 	return register(fs, only, func(g *flag.FlagSet) {
 		g.StringVar(&r.Transport, "transport", r.Transport, "message substrate: memory | unix | tcp (unix and tcp run an in-process socket cluster, or with -node one process of a multi-process job)")
 		g.IntVar(&r.Nodes, "nodes", r.Nodes, "nodes of a socket job: in-process nodes under -transport unix|tcp, processes with -node (must match on all of them)")
-		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (lbaf and empire apply them to the simulated gossip; retries are paced from the delays)")
+		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (retries are paced from the delays)")
 		g.IntVar(&r.Rounds, "rounds", r.Rounds, fmt.Sprintf("gossip rounds per iteration, 1 to %d (0 = strategy default; cross-transport diffs need -rounds 1)", core.MaxRounds))
 		g.IntVar(&r.Node, "node", -1, "host only this node, in [0,nodes), of a job spread over -nodes processes; it listens at its -peers line (default: the whole job in this process)")
 		g.StringVar(&r.Peers, "peers", r.Peers, "file of \"<node> <addr>\" lines, one per node, the same on every node: where each node listens (host:port for tcp, socket path for unix)")

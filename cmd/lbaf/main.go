@@ -24,11 +24,9 @@ func main() {
 	// size and seed; its placement and load model are fixed.
 	var (
 		wl  = cli.Workload{Ranks: 1 << 12, Tasks: 10000, Loaded: 1 << 4, Placement: "clustered", Loads: "mixture", Seed: 1}
-		rtf cli.Runtime
 		out cli.Outputs
 	)
 	wl.Register(flag.CommandLine, "ranks", "tasks", "loaded", "seed")
-	rtf.Register(flag.CommandLine, "faults")
 	out.Register(flag.CommandLine, "trace", "metrics")
 	var (
 		exp     = flag.String("exp", "compare", "experiment: vb | vd | compare | sweep-gossip | sweep-refine")
@@ -72,8 +70,6 @@ func main() {
 	base.Fanout = *fanout
 	base.Threshold = *thresh
 	base.Seed = wl.Seed
-	base.GossipFaults, err = rtf.FaultSpec()
-	check(err)
 	base.Tracer = out.Tracer()
 	// The paper's LBAF accounting implies rejected tasks are retried
 	// until a full traversal accepts nothing; enable that here so the

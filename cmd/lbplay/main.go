@@ -46,7 +46,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 	workload := o.wl.Register(fs)
 	runtime := o.rt.Register(fs)
 	outputs := o.out.Register(fs)
-	fs.StringVar(&o.strategy, "strategy", "tempered", "engine strategy: tempered | grapevine | greedy | hier | refine")
+	fs.StringVar(&o.strategy, "strategy", "tempered", "engine strategy: tempered | grapevine | greedy | hier")
 	fs.StringVar(&o.order, "order", "fewest-migrations", "task traversal ordering of the tempered engine strategy")
 	fs.BoolVar(&o.distributed, "distributed", false, "run the gossip balancer on the real AMT runtime (then -transport, -nodes, -faults, -rounds, -node and every output apply)")
 	if err := fs.Parse(args); err != nil {
@@ -111,10 +111,8 @@ func runEngine(o *options, a *temperedlb.Assignment) error {
 		s = temperedlb.NewGreedyLB()
 	case "hier":
 		s = temperedlb.NewHierLB(4)
-	case "refine":
-		s = temperedlb.NewRefineLB()
 	default:
-		return fmt.Errorf("-strategy %q: want tempered, grapevine, greedy, hier or refine", o.strategy)
+		return fmt.Errorf("-strategy %q: want tempered, grapevine, greedy or hier", o.strategy)
 	}
 	if o.out.Trace != "" && o.strategy != "tempered" {
 		log.Printf("note: strategy %q emits no trace events (only tempered does in engine mode)", o.strategy)

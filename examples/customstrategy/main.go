@@ -54,7 +54,6 @@ func main() {
 		roundRobin{},
 		temperedlb.NewGreedyLB(),
 		temperedlb.NewHierLB(4),
-		temperedlb.NewRefineLB(),
 		temperedlb.NewGrapevineLB(),
 		temperedlb.NewTemperedLB(),
 	}

@@ -234,7 +234,7 @@ func (nw *Network) send(m Message, claim bool) bool {
 // faultedDeliver does to one message what the plan decides: drop it, or
 // deliver it once or twice, each copy after its own delay.
 func (nw *Network) faultedDeliver(p *FaultPlan, m Message) {
-	f := p.Decide(m.From, m.To, m.Kind, m.Seq)
+	f := p.decide(m.From, m.To, m.Kind, m.Seq)
 	if f.Drop {
 		nw.dropKind[m.Kind].Add(1)
 		return

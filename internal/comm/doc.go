@@ -17,8 +17,11 @@
 // or straggle messages under stateless seeded per-message decisions, so
 // a given plan injects the same faults on every run regardless of
 // goroutine scheduling. An absent plan leaves the fault-free fast path
-// untouched. Recovery is not this package's job — internal/amt layers
-// ack/retry and deduplication on top (see DESIGN.md §7).
+// untouched. It is the module's one fault model: Network.Send is the
+// only place a fault is decided, and the synchronous engine in
+// internal/core simulates the reliable delivery the layers above provide.
+// Recovery is not this package's job — internal/amt layers ack/retry and
+// deduplication on top (see DESIGN.md §7).
 //
 // # Concurrency
 //

@@ -175,11 +175,10 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 
 // FaultPlan is the compiled fault schedule: per-kind drop and
 // duplication probabilities plus a delivery delay window and per-rank
-// straggler penalties. Decide is the only place a fault decision is
+// straggler penalties. decide is the only place a fault decision is
 // taken; Network.Send asks it for every message once a plan is
 // installed (SetFaultPlan, before any traffic flows; a nil plan — the
-// default — costs Send one pointer load), and the synchronous engine's
-// gossip queue asks it with the same key.
+// default — costs Send one pointer load).
 //
 // Dropping or duplicating a kind is only safe when the layer above
 // recovers: the amt runtime retransmits and deduplicates its epoch
@@ -191,18 +190,12 @@ type FaultPlan struct {
 	SlowRanks          map[int]time.Duration
 }
 
-// CanDelay reports whether the plan can hold any delivery back, and so
-// reorder messages; drop and duplication alone keep arrival order.
-func (p *FaultPlan) CanDelay() bool {
-	return p.DelayMin > 0 || p.DelayMax > 0 || len(p.SlowRanks) > 0
-}
-
 // active reports whether the plan can affect any delivery at all.
 func (p *FaultPlan) active() bool {
 	if p == nil {
 		return false
 	}
-	if p.CanDelay() {
+	if p.DelayMin > 0 || p.DelayMax > 0 || len(p.SlowRanks) > 0 {
 		return true
 	}
 	for k := range p.Drop {
@@ -278,23 +271,23 @@ func (p *FaultPlan) delay(from, to int, seq int64, salt uint64) time.Duration {
 	return d
 }
 
-// Fate is a plan's decision for one message: lost, or delivered once —
+// fate is a plan's decision for one message: lost, or delivered once —
 // twice when Dup — each copy held back by its own delay.
-type Fate struct {
+type fate struct {
 	Drop, Dup       bool
 	Delay, DupDelay time.Duration
 }
 
-// Decide returns the fate of the seq-th message (counting from 1, as
+// decide returns the fate of the seq-th message (counting from 1, as
 // Network.Send stamps Message.Seq) that rank from sends, addressed to
 // rank to with kind k. It is a pure function: the dice are hashes of
-// (Seed, from, seq), so concurrent senders share no fault state and any
-// two callers asking about the same stamp get the same answer.
-func (p *FaultPlan) Decide(from, to int, k Kind, seq int64) Fate {
+// (Seed, from, seq), so concurrent senders share no fault state and a
+// message's fate does not depend on scheduling.
+func (p *FaultPlan) decide(from, to int, k Kind, seq int64) fate {
 	if pr := p.Drop[k]; pr > 0 && faultUniform(p.Seed, from, seq, saltDrop) < pr {
-		return Fate{Drop: true}
+		return fate{Drop: true}
 	}
-	f := Fate{Delay: p.delay(from, to, seq, saltDelay)}
+	f := fate{Delay: p.delay(from, to, seq, saltDelay)}
 	if pr := p.Dup[k]; pr > 0 && faultUniform(p.Seed, from, seq, saltDup) < pr {
 		f.Dup, f.DupDelay = true, p.delay(from, to, seq, saltDupDelay)
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"temperedlb/internal/clock"
-	"temperedlb/internal/comm"
 	"temperedlb/internal/obs"
 )
 
@@ -20,12 +19,6 @@ type IterationStats struct {
 	// communication-volume concern of footnote 2).
 	GossipMessages int
 	GossipEntries  int
-
-	// GossipDropped counts gossip messages EngineConfig.GossipFaults lost
-	// before delivery; GossipDuplicated counts the extra deliveries it
-	// injected (both always zero when the spec is empty).
-	GossipDropped    int
-	GossipDuplicated int
 
 	// KnowledgeAvg and KnowledgeMin summarize how much of the
 	// underloaded set the gossip stage spread: the mean and minimum
@@ -132,7 +125,7 @@ type engineScratch struct {
 	transferRNG []*rand.Rand
 	orderRNG    *rand.Rand
 	work        *Assignment // working distribution, reset per trial
-	queue       gossipQueue // gossip delivery queue, emptied per iteration
+	gossip      []Send      // gossip delivery queue, emptied per iteration
 	order       []int       // rank traversal permutation
 	tasks       []Task      // overloaded rank's task set
 	owners      []Rank      // owner snapshot for the affinity closure
@@ -164,10 +157,10 @@ func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
 }
 
 // EngineConfig is a Config plus what only the synchronous Engine takes:
-// two extensions the distributed protocol does not run, and the fault
-// plan and tracer the distributed balancer is handed by its runtime
-// (amt.Runtime.SetFaults, SetTracer) rather than by its configuration.
-// EngineConfig{Config: Tempered()} sets none of the four.
+// two extensions the distributed protocol does not run, and the tracer
+// the distributed balancer is handed by its runtime (amt.Runtime.SetTracer)
+// rather than by its configuration. EngineConfig{Config: Tempered()} sets
+// none of the three.
 type EngineConfig struct {
 	Config
 
@@ -186,27 +179,13 @@ type EngineConfig struct {
 	// toward ranks hosting their communication partners.
 	CommBias float64
 
-	// GossipFaults subjects the engine's simulated gossip transport —
-	// the one protocol the engine simulates asynchronously — to the
-	// distributed runtime's fault model: the spec compiles to a
-	// comm.FaultPlan, and every gossip send is put to it with the
-	// transport's own key (the sender and that sender's send index), so
-	// a message meets the fate comm.Network would deal it: dropped (the
-	// knowledge simply never arrives), duplicated, or held back in
-	// virtual time, which reorders deliveries. Decisions are drawn per
-	// (trial, iteration) under the spec's seed, or Seed when that is
-	// zero; the retry tuning has no engine counterpart. The zero value
-	// injects nothing and leaves the delivery loop a plain FIFO walk.
-	GossipFaults comm.FaultSpec
-
 	// Tracer, when non-nil, receives lb.run and lb.iteration span
 	// events. Nil — the default — costs one pointer comparison per
 	// iteration.
 	Tracer obs.Tracer
 }
 
-// Validate reports whether the configuration is runnable; RunWithComm,
-// which knows the rank count, checks GossipFaults' rank bounds.
+// Validate reports whether the configuration is runnable.
 func (c EngineConfig) Validate() error {
 	if err := c.Config.Validate(); err != nil {
 		return err
@@ -214,7 +193,7 @@ func (c EngineConfig) Validate() error {
 	if c.CommBias < 0 || c.CommBias >= 1 {
 		return fmt.Errorf("core: comm bias must be in [0,1), got %g", c.CommBias)
 	}
-	return c.GossipFaults.Validate(0)
+	return nil
 }
 
 // NewEngine validates the configuration and returns an engine.
@@ -239,9 +218,6 @@ func (e *Engine) Run(a *Assignment) (*Result, error) {
 // gossip knowledge has), and the result reports the remote communication
 // volume before and after.
 func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
-	if err := e.cfg.GossipFaults.Validate(a.NumRanks()); err != nil {
-		return nil, err
-	}
 	if a.NumTasks() == 0 {
 		return &Result{}, nil
 	}
@@ -263,7 +239,6 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 	numRanks := a.NumRanks()
 	sc := &e.sc
 	sc.prepare(numRanks, &e.cfg.Config)
-	sc.queue.compile(e.cfg.GossipFaults, numRanks)
 	sc.haveBest = false
 
 	for trial := 1; trial <= e.cfg.Trials; trial++ {
@@ -345,26 +320,23 @@ func (r *Result) Apply(a *Assignment) {
 }
 
 // gossip simulates the asynchronous inform stage: underloaded ranks seed
-// messages, and the queue delivers them until quiescence — the
-// synchronous stand-in for termination detection. Message and payload
-// counts are recorded in st.
+// messages, and a FIFO queue delivers them, each exactly once, until
+// quiescence — the synchronous stand-in for termination detection over
+// the reliable delivery the runtime provides. Message and payload counts
+// are recorded in st.
 func (e *Engine) gossip(work *Assignment, ave float64, st *IterationStats) {
-	states, q := e.sc.states, &e.sc.queue
-	seed := e.cfg.GossipFaults.Seed
-	if seed == 0 {
-		seed = e.cfg.Seed
-	}
-	q.reset(deriveSeed(seed, int64(st.Trial), int64(st.Iteration), 0xfa5e))
+	states, q := e.sc.states, e.sc.gossip[:0]
 	for r := range states {
-		q.send(Rank(r), states[r].Begin(ave, work.RankLoad(Rank(r))))
+		q = append(q, states[r].Begin(ave, work.RankLoad(Rank(r)))...)
 	}
-	for s := q.next(); s != nil; s = q.next() {
+	for head := 0; head < len(q); head++ {
+		s := q[head]
 		st.GossipMessages++
 		st.GossipEntries += s.Msg.Len()
 		more, _ := states[s.To].Receive(s.Msg)
-		q.send(s.To, more)
+		q = append(q, more...)
 	}
-	st.GossipDropped, st.GossipDuplicated = q.dropped, q.duplicated
+	e.sc.gossip = q
 }
 
 // transferPass runs the transfer stage for every overloaded rank, in a

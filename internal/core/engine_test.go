@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"temperedlb/internal/comm"
 )
 
 // clusteredAssignment puts n tasks with seeded loads on the first k of p
@@ -328,96 +326,5 @@ func TestEngineKnowledgeCappedByLimitedInfo(t *testing.T) {
 	}
 	if capped, full := run(3), run(0); capped >= full {
 		t.Errorf("payload cap did not shrink knowledge: %g vs %g", capped, full)
-	}
-}
-
-// TestEngineGossipDrop exercises lossy gossip in the engine: drops
-// are counted, delivery shrinks, refinement still works, and the same
-// seed reproduces the identical run.
-func TestEngineGossipDrop(t *testing.T) {
-	a := clusteredAssignment(64, 4, 400, 1)
-	cfg := smallTempered()
-	cfg.GossipFaults.Drop = 0.3
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped, delivered := 0, 0
-	for _, st := range res.History {
-		dropped += st.GossipDropped
-		delivered += st.GossipMessages
-	}
-	if dropped == 0 {
-		t.Fatal("GossipFaults.Drop=0.3 dropped nothing")
-	}
-	if delivered == 0 {
-		t.Fatal("GossipFaults.Drop=0.3 delivered nothing")
-	}
-	// Loss should land in the neighbourhood of the configured rate.
-	rate := float64(dropped) / float64(dropped+delivered)
-	if rate < 0.15 || rate > 0.45 {
-		t.Errorf("observed drop rate %g, configured 0.3", rate)
-	}
-	// Lossy gossip degrades knowledge, not correctness.
-	if res.FinalImbalance >= res.InitialImbalance {
-		t.Errorf("no improvement under lossy gossip: %g -> %g",
-			res.InitialImbalance, res.FinalImbalance)
-	}
-	// Seeded loss is reproducible.
-	eng2, _ := NewEngine(cfg)
-	res2, err := eng2.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.FinalImbalance != res.FinalImbalance || len(res2.Moves) != len(res.Moves) {
-		t.Errorf("seeded lossy run not reproducible: %v vs %v", res2, res)
-	}
-	for i := range res.History {
-		if res.History[i].GossipDropped != res2.History[i].GossipDropped {
-			t.Fatalf("drop sequence not reproducible at row %d", i)
-		}
-	}
-}
-
-// TestEngineGossipDropZeroIdentical pins that the knob is inert when off:
-// a Drop=0 run is identical to one with the field untouched.
-func TestEngineGossipDropZeroIdentical(t *testing.T) {
-	a := clusteredAssignment(48, 3, 300, 9)
-	base, _ := NewEngine(smallTempered())
-	resBase, err := base.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallTempered()
-	cfg.GossipFaults.Drop = 0
-	zero, _ := NewEngine(cfg)
-	resZero, err := zero.Run(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resZero.FinalImbalance != resBase.FinalImbalance ||
-		resZero.BestTrial != resBase.BestTrial ||
-		resZero.BestIteration != resBase.BestIteration ||
-		len(resZero.Moves) != len(resBase.Moves) {
-		t.Errorf("GossipFaults.Drop=0 changed the outcome: %v vs %v", resZero, resBase)
-	}
-	for i := range resBase.History {
-		if resBase.History[i].GossipDropped != 0 {
-			t.Fatal("GossipDropped nonzero with the knob off")
-		}
-	}
-}
-
-func TestEngineGossipDropValidate(t *testing.T) {
-	for _, bad := range []float64{-0.1, 1.0, 1.5} {
-		cfg := smallTempered()
-		cfg.GossipFaults = comm.FaultSpec{Drop: bad}
-		if _, err := NewEngine(cfg); err == nil {
-			t.Errorf("GossipFaults.Drop=%g accepted", bad)
-		}
 	}
 }

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"time"
-
-	"temperedlb/internal/comm"
 )
 
 // members returns S^p in rank order.
@@ -186,10 +183,11 @@ func TestForeignSnapshotIsRefused(t *testing.T) {
 // carries the load r announced at Begin. The same gossip runs twice from
 // the same seeds — once with snapshot payloads over one shared table,
 // once with every payload turned into its explicit list and merged into
-// private per-state tables — through the engine's queue under a fault
-// plan that drops, duplicates and delays, so deliveries are reordered.
-// Every explicit entry must carry its rank's Begin load, and at every
-// rank both runs must end with the same membership and the same loads.
+// private per-state tables — through a seeded lossy network that drops
+// 5 % of sends, duplicates 20 % of the rest and delivers a random queued
+// message at each step, so deliveries are reordered. Every explicit entry must carry
+// its rank's Begin load, and at every rank both runs must end with the
+// same membership and the same loads.
 func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 	const n = 200
 	for _, tc := range []struct {
@@ -209,9 +207,6 @@ func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 				sum += loads[r]
 			}
 			ave := sum / n
-			spec := comm.FaultSpec{Seed: 9, Drop: 0.05, Dup: 0.2,
-				DelayMin: time.Millisecond, DelayMax: 8 * time.Millisecond}
-
 			run := func(shared bool) []*InformState {
 				table := NewLoadTable(n)
 				states := make([]*InformState, n)
@@ -224,13 +219,28 @@ func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 					}
 					states[r].StartTrial(1)
 				}
-				var q gossipQueue
-				q.compile(spec, n)
-				q.reset(77)
+				// Both runs draw from one seed, so they meet the same fates
+				// as long as they send the same messages.
+				dice := rand.New(rand.NewSource(77))
+				var queue []Send
+				dropped, duplicated := 0, 0
+				enqueue := func(sends []Send) {
+					for _, s := range sends {
+						switch {
+						case dice.Float64() < 0.05:
+							dropped++
+						case dice.Float64() < 0.2:
+							duplicated++
+							queue = append(queue, s, s)
+						default:
+							queue = append(queue, s)
+						}
+					}
+				}
 				var out []Send
 				send := func(from Rank, sends []Send) {
 					if shared {
-						q.send(from, sends)
+						enqueue(sends)
 						return
 					}
 					out = out[:0]
@@ -244,17 +254,20 @@ func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 						}
 						out = append(out, s)
 					}
-					q.send(from, out)
+					enqueue(out)
 				}
 				for r, st := range states {
 					send(Rank(r), st.Begin(ave, loads[r]))
 				}
-				for s := q.next(); s != nil; s = q.next() {
+				for len(queue) > 0 {
+					i, last := dice.Intn(len(queue)), len(queue)-1
+					s := queue[i]
+					queue[i], queue = queue[last], queue[:last]
 					more, _ := states[s.To].Receive(s.Msg)
 					send(s.To, more)
 				}
-				if q.dropped == 0 || q.duplicated == 0 {
-					t.Fatalf("fault plan injected nothing: %d dropped, %d duplicated", q.dropped, q.duplicated)
+				if dropped == 0 || duplicated == 0 {
+					t.Fatalf("lossy network injected nothing: %d dropped, %d duplicated", dropped, duplicated)
 				}
 				return states
 			}

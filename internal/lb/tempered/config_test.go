@@ -41,25 +41,13 @@ var configKnobs = map[string]struct {
 // balancer's result must both move.
 func TestEveryConfigFieldReachesBothDrivers(t *testing.T) {
 	const ranks, hot, perHot = 32, 4, 30
-	a := core.NewAssignment(ranks)
-	for r := 0; r < hot; r++ {
-		for i := 0; i < perHot; i++ {
-			a.Add(nonDyadicLoad(r, i, perHot), core.Rank(r))
-		}
-	}
+	a := hotAssignment(ranks, hot, perHot)
 	engine := func(cfg core.Config) []core.IterationStats {
-		eng, err := core.NewEngine(core.EngineConfig{Config: cfg})
-		if err != nil {
-			t.Fatal(err)
+		h := engineHistory(t, a, core.EngineConfig{Config: cfg})
+		for i := range h {
+			h[i].ElapsedSeconds = 0
 		}
-		res, err := eng.Run(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range res.History {
-			res.History[i].ElapsedSeconds = 0
-		}
-		return res.History
+		return h
 	}
 	distributed := func(cfg core.Config) DistResult {
 		results, _, _ := runChaosCase(t, ranks, hot, perHot, cfg, nil, nonDyadicLoad)
@@ -89,8 +77,7 @@ func TestEveryConfigFieldReachesBothDrivers(t *testing.T) {
 			// One gossip round, where the distributed result is a function
 			// of the configuration alone (DESIGN.md §10): a difference is
 			// then the knob's doing, not the scheduler's.
-			cfg := core.Tempered()
-			cfg.Trials, cfg.Iterations, cfg.Rounds = 2, 3, 1
+			cfg := driversBase()
 			if knob.base != nil {
 				knob.base(&cfg)
 			}
@@ -118,5 +105,88 @@ func TestEveryConfigFieldReachesBothDrivers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// hotAssignment puts perHot objects of non-dyadic loads on each of the
+// first hot of ranks ranks: the small workload both drivers are held to.
+func hotAssignment(ranks, hot, perHot int) *core.Assignment {
+	a := core.NewAssignment(ranks)
+	for r := 0; r < hot; r++ {
+		for i := 0; i < perHot; i++ {
+			a.Add(nonDyadicLoad(r, i, perHot), core.Rank(r))
+		}
+	}
+	return a
+}
+
+// driversBase is the configuration the drivers are compared at: two
+// trials of three iterations with one gossip round.
+func driversBase() core.Config {
+	cfg := core.Tempered()
+	cfg.Trials, cfg.Iterations, cfg.Rounds = 2, 3, 1
+	return cfg
+}
+
+// engineHistory runs the synchronous engine on a and returns its History.
+func engineHistory(t *testing.T, a *core.Assignment, cfg core.EngineConfig) []core.IterationStats {
+	t.Helper()
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.History
+}
+
+// engineOnlyHistory names the core.IterationStats fields only the
+// synchronous engine fills, each with the reason.
+var engineOnlyHistory = map[string]string{
+	"Nacks": "it counts the recipient veto of EngineConfig.NegativeAcks, an extension the protocol does not run",
+}
+
+// TestEveryHistoryFieldIsFilled is the other half of
+// TestEveryConfigFieldReachesBothDrivers: there is no core.IterationStats
+// field that a driver never fills, so no History row carries a column that
+// is always zero. The walk is over the struct; on the small workload both
+// drivers run, every field must be nonzero in some row of the engine's
+// History and of RunDistributed's — an engine-only field (listed above)
+// in the engine's, with the extension it counts switched on.
+func TestEveryHistoryFieldIsFilled(t *testing.T) {
+	const ranks, hot, perHot = 32, 4, 30
+	a, cfg := hotAssignment(ranks, hot, perHot), driversBase()
+	results, _, _ := runChaosCase(t, ranks, hot, perHot, cfg, nil, nonDyadicLoad)
+	engine := engineHistory(t, a, core.EngineConfig{Config: cfg})
+	vetoed := engineHistory(t, a, core.EngineConfig{Config: cfg, NegativeAcks: true})
+	filled := func(h []core.IterationStats, field int) bool {
+		for _, row := range h {
+			if !reflect.ValueOf(row).Field(field).IsZero() {
+				return true
+			}
+		}
+		return false
+	}
+
+	typ := reflect.TypeOf(core.IterationStats{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if why, ok := engineOnlyHistory[name]; ok {
+			if !filled(vetoed, i) {
+				t.Errorf("Engine.Run with NegativeAcks leaves %s zero in every row, yet it is engine-only because %s", name, why)
+			}
+			if filled(results[0].History, i) {
+				t.Errorf("RunDistributed fills %s: it is not engine-only, drop its exception", name)
+			}
+			continue
+		}
+		if !filled(engine, i) {
+			t.Errorf("Engine.Run leaves IterationStats.%s zero in every row: fill it or delete the field", name)
+		}
+		if !filled(results[0].History, i) {
+			t.Errorf("RunDistributed leaves IterationStats.%s zero in every row: fill it or delete the field", name)
+		}
 	}
 }

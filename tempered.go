@@ -32,7 +32,6 @@ import (
 	"temperedlb/internal/lb"
 	"temperedlb/internal/lb/greedy"
 	"temperedlb/internal/lb/hier"
-	"temperedlb/internal/lb/refine"
 	"temperedlb/internal/lb/tempered"
 	"temperedlb/internal/stats"
 	"temperedlb/internal/workload"
@@ -135,10 +134,6 @@ func NewGreedyLB() Strategy { return greedy.New() }
 // NewHierLB returns the hierarchical tree-based baseline with the given
 // fanout (>= 2).
 func NewHierLB(fanout int) Strategy { return hier.New(fanout) }
-
-// NewRefineLB returns the incremental refinement baseline: it only
-// peels work off overloaded ranks, minimizing migration volume.
-func NewRefineLB() Strategy { return refine.New() }
 
 // Communication-aware extension (the paper's §VII future work).
 type (

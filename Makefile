@@ -106,18 +106,19 @@ serve-smoke:
 # The CI gate: static analysis (go vet and the project's lbvet
 # analyzers), the race-enabled suite (of which chaos and storm are
 # subsets, kept as targets for local use), the observability, wire and
-# serve smokes, one iteration of every benchmark inside internal/ (so
-# they cannot rot), and the benchmark regression diff against the
-# committed trajectory.
+# serve smokes, one iteration of every benchmark of the root package and
+# inside internal/ (so they cannot rot), and the benchmark regression diff
+# against the committed trajectory.
 check: vet lint race obs-smoke wire-smoke serve-smoke bench-smoke bench-compare
 
 bench:
 	$(GO) test -bench . -benchmem ./...
 
-# Run each benchmark of the internal packages once: a compile-and-run
-# check, not a measurement.
+# Run each benchmark of the root package — the harness of every E and A
+# row of DESIGN.md §4 — and of the internal packages once: a
+# compile-and-run check, not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/...
 
 # One run of the repository's benchmark (BENCHMARK.json, bench/README.md)
 # on this checkout: a wrapper around bench/run.sh and nothing else, so a

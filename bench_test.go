@@ -247,42 +247,6 @@ func BenchmarkAblationGossip(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNacks quantifies §V-A's design decision to drop
-// Menon's negative acknowledgements in favor of iterative refinement.
-func BenchmarkAblationNacks(b *testing.B) {
-	a, err := workload.Generate(benchVBSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		nacks  bool
-		trials int
-		iters  int
-	}{
-		{"nacks/single-shot", true, 1, 1},
-		{"refinement/no-nacks", false, 2, 4},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.EngineConfig{Config: core.Tempered()}
-			cfg.NegativeAcks = tc.nacks
-			cfg.Trials, cfg.Iterations = tc.trials, tc.iters
-			cfg.Rounds, cfg.Fanout = 6, 4
-			eng, err := core.NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(a)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.FinalImbalance, "final-I")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLimitedInfo caps the gossip payload size (footnote
 // 2's future work) and reports the quality/volume trade-off.
 func BenchmarkAblationLimitedInfo(b *testing.B) {
@@ -310,46 +274,6 @@ func BenchmarkAblationLimitedInfo(b *testing.B) {
 					entries += it.GossipEntries
 				}
 				b.ReportMetric(float64(entries), "payload-entries")
-				b.ReportMetric(res.FinalImbalance, "final-I")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCommBias sweeps the communication-aware extension's
-// bias on a clique workload: remote volume vs imbalance.
-func BenchmarkAblationCommBias(b *testing.B) {
-	const cliques, size, ranks = 40, 6, 32
-	mk := func() (*core.Assignment, *core.CommGraph) {
-		a := core.NewAssignment(ranks)
-		g := core.NewCommGraph(cliques * size)
-		for c := 0; c < cliques; c++ {
-			var ids []core.TaskID
-			for i := 0; i < size; i++ {
-				ids = append(ids, a.Add(0.3+float64((c*size+i)%10)/10, core.Rank(c%3)))
-			}
-			for i := range ids {
-				g.Connect(ids[i], ids[(i+1)%size], 2)
-			}
-		}
-		return a, g
-	}
-	for _, bias := range []float64{0, 0.5, 0.9} {
-		b.Run(fmt.Sprintf("bias=%.1f", bias), func(b *testing.B) {
-			cfg := core.EngineConfig{Config: core.Tempered()}
-			cfg.Trials, cfg.Iterations = 3, 5
-			cfg.CommBias = bias
-			eng, err := core.NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				a, g := mk()
-				res, err := eng.RunWithComm(a, g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.RemoteVolumeAfter, "remote-volume")
 				b.ReportMetric(res.FinalImbalance, "final-I")
 			}
 		})

@@ -27,17 +27,17 @@ func main() {
 	// track per configuration; -serve one frame per simulated step.
 	var (
 		wl  = cli.Workload{Seed: 1}
+		lb  = cli.Balancer{Rounds: 3}
 		out cli.Outputs
 	)
 	wl.Register(flag.CommandLine, "seed")
+	lb.Register(flag.CommandLine)
 	out.Register(flag.CommandLine, "trace", "metrics", "serve")
 	var (
 		exp      = flag.String("exp", "all", "experiment: fig2 | fig3 | fig4a | fig4b | fig4c | fig4d | all")
 		scale    = flag.String("scale", "full", "full (paper scale, 400 ranks) | small (test scale)")
 		steps    = flag.Int("steps", 0, "override timestep count (0 = config default)")
 		trials   = flag.Int("trials", 0, "override TemperedLB trials (0 = paper's 10)")
-		iters    = flag.Int("iters", 0, "override TemperedLB iterations (0 = paper's 8)")
-		rounds   = flag.Int("k", 3, "gossip rounds for the distributed balancers (~log_f P)")
 		every    = flag.Int("every", 0, "series sampling stride (0 = auto)")
 		csvDir   = flag.String("csv", "", "also dump per-step series as CSV files into this directory")
 		plot     = flag.Bool("plot", false, "render ASCII charts of the fig4a/fig4c series")
@@ -45,6 +45,9 @@ func main() {
 		dumpFile = flag.String("dumpfile", "", "trace output path for -dumpstep")
 	)
 	flag.Parse()
+	if err := lb.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := empire.Default()
 	if *scale == "small" {
@@ -67,12 +70,7 @@ func main() {
 		if *trials > 0 {
 			c.Trials = *trials
 		}
-		if *iters > 0 {
-			c.Iterations = *iters
-		}
-		if *rounds > 0 {
-			c.Rounds = *rounds
-		}
+		lb.Apply(&c.Config)
 		return c
 	}
 

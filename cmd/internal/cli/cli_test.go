@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
 	"os/exec"
@@ -15,24 +18,26 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"temperedlb/internal/core"
 )
 
-// allGroups registers the four groups, whole, on one FlagSet. The flag
+// allGroups registers the five groups, whole, on one FlagSet. The flag
 // package panics when a name is declared twice, so returning at all
 // proves the groups disjoint.
 func allGroups() (*flag.FlagSet, []string) {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	names := slices.Concat(
-		new(Workload).Register(fs), new(Runtime).Register(fs),
+		new(Workload).Register(fs), new(Balancer).Register(fs), new(Runtime).Register(fs),
 		new(Outputs).Register(fs), new(Service).Register(fs))
 	return fs, names
 }
 
 func TestGroupsAreDisjointAndTakeSubsets(t *testing.T) {
 	fs, names := allGroups()
-	if len(names) != 24 {
-		t.Errorf("the four groups declare %d flags, want 24: %v", len(names), names)
+	if len(names) != 25 {
+		t.Errorf("the five groups declare %d flags, want 25: %v", len(names), names)
 	}
 	fs.VisitAll(func(f *flag.Flag) {
 		if !slices.Contains(names, f.Name) {
@@ -80,6 +85,77 @@ func TestCheckApplies(t *testing.T) {
 	err := CheckApplies(fs, "in engine mode", []string{"ranks", "seed"})
 	if err == nil || err.Error() != "-rounds has no effect in engine mode" {
 		t.Errorf("got %v", err)
+	}
+}
+
+// TestBalancerKnobs: a negative -iters is refused with the flag's name
+// (TestValidateGeometry has the -rounds rows), and a zero knob keeps the
+// strategy's default.
+func TestBalancerKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		b    Balancer
+		want string // prefix of the error; empty means valid
+	}{
+		{Balancer{}, ""},
+		{Balancer{Rounds: 64, Iters: 8}, ""},
+		{Balancer{Iters: -1}, "-iters -1: "},
+	} {
+		err := tc.b.Validate()
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.want)) {
+			t.Errorf("%+v: Validate() = %v, want %q", tc.b, err, tc.want)
+		}
+	}
+	cfg := core.Tempered()
+	(&Balancer{Iters: 2}).Apply(&cfg)
+	if want := core.Tempered(); cfg.Rounds != want.Rounds || cfg.Iterations != 2 {
+		t.Errorf("Apply of -iters 2 gave rounds %d, iterations %d; want %d, 2", cfg.Rounds, cfg.Iterations, want.Rounds)
+	}
+}
+
+// TestEachFlagIsDeclaredOnce reads the binaries' sources: a flag name two
+// of them declare for themselves is a vocabulary drifting apart, and
+// belongs in a group here. -exp is the one exception, because each binary
+// names its own experiments.
+func TestEachFlagIsDeclaredOnce(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "*", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no binary sources under cmd/ (%v)", err)
+	}
+	declares := regexp.MustCompile(`^(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)(Var)?$`)
+	declaredBy := map[string]string{} // flag name -> the binary declaring it
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		bin := filepath.Base(filepath.Dir(file))
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !declares.MatchString(sel.Sel.Name) {
+				return true
+			}
+			// The flag's name is the call's first string literal.
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					name, _ := strconv.Unquote(lit.Value)
+					if other, ok := declaredBy[name]; ok && other != bin && name != "exp" {
+						t.Errorf("-%s is declared by both %s and %s: declare it once, in a group of cmd/internal/cli", name, other, bin)
+					}
+					declaredBy[name] = bin
+					break
+				}
+			}
+			return true
+		})
+	}
+	if len(declaredBy) == 0 {
+		t.Error("found no flag declarations in the binaries' sources")
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package cli is the flag vocabulary the binaries under cmd/ share: every
 // flag that more than one of them takes is declared here once — name,
-// help string and meaning — in four groups a binary registers on its
+// help string and meaning — in five groups a binary registers on its
 // FlagSet, next to what the flags drive: the workload they generate, the
-// job they launch, the files and endpoints a run leaves behind.
+// balancer's knobs, the job they launch, the files and endpoints a run
+// leaves behind, and the online service.
 //
 // A group is a struct of values. A binary sets its own defaults in the
 // fields before Register (`lbserve -ranks 8 -seed 7`, `lbplay -ranks 64

@@ -9,17 +9,14 @@ import (
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm"
 	"temperedlb/internal/comm/wire"
-	"temperedlb/internal/core"
-	"temperedlb/internal/lb/tempered"
 )
 
 // Runtime is the flag group of the job a run is hosted on: its message
-// substrate and geometry, injected faults, and the gossip rounds of the
-// protocol run on it.
+// substrate and geometry, and injected faults.
 type Runtime struct {
-	Transport     string
-	Nodes, Rounds int
-	Faults        string
+	Transport string
+	Nodes     int
+	Faults    string
 
 	// One node of a job spread over processes (Node -1: the whole job is
 	// hosted here), and the peers file that names every node's listen
@@ -32,7 +29,7 @@ type Runtime struct {
 	Verbose bool
 }
 
-// Register declares -transport -nodes -faults -rounds and the node flags
+// Register declares -transport -nodes -faults and the node flags
 // -node -peers -jobid -timeout -v on fs and returns the names it declared.
 // -node and -timeout have one default for every binary (-1, 30s), set even
 // where the binary does not take them.
@@ -41,7 +38,6 @@ func (r *Runtime) Register(fs *flag.FlagSet, only ...string) []string {
 		g.StringVar(&r.Transport, "transport", r.Transport, "message substrate: memory | unix | tcp (unix and tcp run an in-process socket cluster, or with -node one process of a multi-process job)")
 		g.IntVar(&r.Nodes, "nodes", r.Nodes, "nodes of a socket job: in-process nodes under -transport unix|tcp, processes with -node (must match on all of them)")
 		g.StringVar(&r.Faults, "faults", r.Faults, "inject transport faults, e.g. \"seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms\" (retries are paced from the delays)")
-		g.IntVar(&r.Rounds, "rounds", r.Rounds, fmt.Sprintf("gossip rounds per iteration, 1 to %d (0 = strategy default; cross-transport diffs need -rounds 1)", core.MaxRounds))
 		g.IntVar(&r.Node, "node", -1, "host only this node, in [0,nodes), of a job spread over -nodes processes; it listens at its -peers line (default: the whole job in this process)")
 		g.StringVar(&r.Peers, "peers", r.Peers, "file of \"<node> <addr>\" lines, one per node, the same on every node: where each node listens (host:port for tcp, socket path for unix)")
 		g.Uint64Var(&r.JobID, "jobid", r.JobID, "job id guarding against cross-job connections (must match on all nodes; default: derived from -seed)")
@@ -68,9 +64,6 @@ func (r *Runtime) isNode() bool { return r.Node >= 0 || r.Peers != "" }
 func (r *Runtime) Validate(ranks int) error {
 	if ranks < 1 {
 		return fmt.Errorf("-ranks %d: a job needs at least one rank", ranks)
-	}
-	if r.Rounds < 0 || r.Rounds > core.MaxRounds {
-		return fmt.Errorf("-rounds %d: want in [0,%d] (0 = strategy default)", r.Rounds, core.MaxRounds)
 	}
 	if _, err := r.FaultSpec(); err != nil {
 		return err
@@ -171,33 +164,4 @@ func (r *Runtime) host(ranks int, jobID uint64) (*amt.Job, error) {
 	}
 	log.Printf("node %d connected to %d peers", r.Node, r.Nodes-1)
 	return amt.Join(r.Transport, tr), nil
-}
-
-// RunDemo is the one-shot run of `lbplay -distributed`, whatever hosts
-// the job — `make wire-smoke` diffs its results across shapes: every local
-// rank creates its tasks of a as objects (state: the load itself), the
-// job barriers, and the distributed balancer runs at the demo's 4 trials
-// × 4 iterations. It returns every local rank's result, indexed by rank.
-func (r *Runtime) RunDemo(job *amt.Job, a *core.Assignment, seed int64) ([]tempered.DistResult, error) {
-	cfg := core.Tempered()
-	cfg.Trials, cfg.Iterations = 4, 4
-	cfg.Seed = seed
-	if r.Rounds > 0 {
-		cfg.Rounds = r.Rounds
-	}
-	results := make([]tempered.DistResult, a.NumRanks())
-	err := job.Run(func(rt *amt.Runtime) func(*amt.Context) error {
-		h := tempered.RegisterHandlers(rt, 1)
-		return func(rc *amt.Context) (err error) {
-			loads := map[amt.ObjectID]float64{}
-			for _, task := range a.TasksOf(rc.Rank()) {
-				id := rc.CreateObject(task.Load)
-				loads[id] = task.Load
-			}
-			rc.Barrier()
-			results[rc.Rank()], err = tempered.RunDistributed(rc, h, cfg, loads)
-			return err
-		}
-	})
-	return results, err
 }

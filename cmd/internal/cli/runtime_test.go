@@ -15,9 +15,10 @@ import (
 )
 
 // TestValidateGeometry drives the one validation path every runtime binary
-// takes (Runtime.Validate) through one node's geometry, the strictest:
-// node index and peers file included. The last rows are the in-process
-// case (no node flag set), which lbserve always takes.
+// takes (Runtime.Validate, after Balancer.Validate where it takes -rounds)
+// through one node's geometry, the strictest: node index and peers file
+// included. The last rows are the in-process case (no node flag set),
+// which lbserve always takes.
 func TestValidateGeometry(t *testing.T) {
 	type args struct {
 		ranks, nodes, node, rounds int
@@ -60,13 +61,16 @@ func TestValidateGeometry(t *testing.T) {
 			a := ok
 			tc.mutate(&a)
 			rt := Runtime{
-				Transport: a.transport, Nodes: a.nodes, Rounds: a.rounds, Faults: a.faults,
+				Transport: a.transport, Nodes: a.nodes, Faults: a.faults,
 				Node: a.node, Peers: a.peers,
 			}
 			if a.inProcess != !rt.isNode() {
 				t.Fatalf("row hosts the whole job: %v, flags say %v", a.inProcess, !rt.isNode())
 			}
-			err := rt.Validate(a.ranks)
+			err := (&Balancer{Rounds: a.rounds}).Validate()
+			if err == nil {
+				err = rt.Validate(a.ranks)
+			}
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid geometry rejected: %v", err)

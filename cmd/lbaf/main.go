@@ -24,20 +24,21 @@ func main() {
 	// size and seed; its placement and load model are fixed.
 	var (
 		wl  = cli.Workload{Ranks: 1 << 12, Tasks: 10000, Loaded: 1 << 4, Placement: "clustered", Loads: "mixture", Seed: 1}
+		lb  = cli.Balancer{Rounds: 10, Iters: 10}
 		out cli.Outputs
 	)
 	wl.Register(flag.CommandLine, "ranks", "tasks", "loaded", "seed")
+	lb.Register(flag.CommandLine)
 	out.Register(flag.CommandLine, "trace", "metrics")
 	var (
 		exp     = flag.String("exp", "compare", "experiment: vb | vd | compare | sweep-gossip | sweep-refine")
 		inFile  = flag.String("workload", "", "load the workload from a JSON trace instead of generating it")
 		outFile = flag.String("dump", "", "write the generated workload as a JSON trace and exit")
-		iters   = flag.Int("iters", 10, "refinement iterations")
-		rounds  = flag.Int("k", 10, "gossip rounds")
 		fanout  = flag.Int("f", 6, "gossip fanout")
 		thresh  = flag.Float64("h", 1.0, "overload threshold")
 	)
 	flag.Parse()
+	check(lb.Validate())
 
 	spec, err := wl.Spec()
 	check(err)
@@ -65,8 +66,7 @@ func main() {
 	var tables []lbaf.Table
 
 	base := core.EngineConfig{Config: core.Grapevine()}
-	base.Iterations = *iters
-	base.Rounds = *rounds
+	lb.Apply(&base.Config)
 	base.Fanout = *fanout
 	base.Threshold = *thresh
 	base.Seed = wl.Seed

@@ -23,10 +23,11 @@ import (
 	"temperedlb/internal/amt"
 )
 
-// options is lbplay's command line: the three shared groups and its own
-// three flags.
+// options is lbplay's command line: four shared groups (of the balancer's
+// knobs, -rounds only) and its own three flags.
 type options struct {
 	wl  cli.Workload
+	lb  cli.Balancer
 	rt  cli.Runtime
 	out cli.Outputs
 
@@ -44,6 +45,7 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 		rt: cli.Runtime{Transport: "memory", Nodes: 2},
 	}
 	workload := o.wl.Register(fs)
+	balancer := o.lb.Register(fs, "rounds")
 	runtime := o.rt.Register(fs)
 	outputs := o.out.Register(fs)
 	fs.StringVar(&o.strategy, "strategy", "tempered", "engine strategy: tempered | grapevine | greedy | hier")
@@ -62,9 +64,12 @@ func parse(fs *flag.FlagSet, args []string) (*options, error) {
 			when, unread = when+" and no -node", cli.NodeFlags()
 		}
 		runtime = slices.DeleteFunc(runtime, func(name string) bool { return slices.Contains(unread, name) })
-		reads = [][]string{workload, runtime, outputs, {"distributed"}}
+		reads = [][]string{workload, balancer, runtime, outputs, {"distributed"}}
 	}
 	if err := cli.CheckApplies(fs, when, reads...); err != nil {
+		return nil, err
+	}
+	if err := o.lb.Validate(); err != nil {
 		return nil, err
 	}
 	return o, o.rt.Validate(o.wl.Ranks)
@@ -130,7 +135,7 @@ func runEngine(o *options, a *temperedlb.Assignment) error {
 }
 
 // runDistributed scatters a's tasks as objects over a real AMT job and
-// executes the distributed protocol (cli.Runtime.RunDemo), with the
+// executes the distributed protocol (cli.Balancer.RunDemo), with the
 // observability the output flags ask for attached to the first node this
 // process hosts; any one node's stream receives the job's frames. Under
 // -node the counts printed are this node's, the imbalance line the job's.
@@ -145,7 +150,7 @@ func runDistributed(o *options, a *temperedlb.Assignment) error {
 	if err := o.out.Open(rt0); err != nil {
 		return err
 	}
-	results, err := o.rt.RunDemo(job, a, o.wl.Seed)
+	results, err := o.lb.RunDemo(job, a, o.wl.Seed)
 	if err != nil {
 		return err
 	}

@@ -53,20 +53,3 @@ func ExampleGrapevine() {
 	// original vs relaxed
 	// arbitrary vs fewest-migrations
 }
-
-// The communication-aware extension steers tasks toward ranks hosting
-// their partners.
-func ExampleCommGraph() {
-	a := temperedlb.NewAssignment(4)
-	t0 := a.Add(1, 0)
-	t1 := a.Add(1, 0)
-	g := temperedlb.NewCommGraph(2)
-	g.Connect(t0, t1, 5.0)
-	// Both on rank 0: no remote traffic yet.
-	fmt.Printf("%.0f\n", g.RemoteVolume(a.Owners()))
-	a.Move(t1, 3)
-	fmt.Printf("%.0f\n", g.RemoteVolume(a.Owners()))
-	// Output:
-	// 0
-	// 5
-}

@@ -74,21 +74,27 @@ func Join(network string, tr *wire.Transport, opts ...Option) *Job {
 // returns one error: a transport that failed (a lost peer, a bad frame) is
 // named first, because it is usually what the ranks then tripped over; then
 // the lowest erring rank's own error, ahead of the panics it set off. Any
-// other runtime panic is a rank's bug: re-raised here, the other nodes closed.
+// other runtime panic is re-raised here, the other nodes closed; a rank's
+// bug — a panic on a node whose network was still open — outranks even a
+// transport failure, which on this process's other nodes it causes itself.
 func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 	errs := make([]error, j.Runtimes[0].NumRanks())
 	var (
 		wg     sync.WaitGroup
 		first  sync.Once
 		raised any
+		bugs   = make([]any, len(j.Runtimes))
 	)
-	for _, rt := range j.Runtimes {
+	for i, rt := range j.Runtimes {
 		body := bind(rt)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
+					if rt.bug {
+						bugs[i] = p
+					}
 					first.Do(func() {
 						raised = p
 						j.Close() // the other nodes' ranks are waiting on this one's
@@ -104,6 +110,11 @@ func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 		}()
 	}
 	wg.Wait()
+	for _, p := range bugs {
+		if p != nil {
+			panic(p)
+		}
+	}
 	for _, tr := range j.transports {
 		if err := tr.Err(); err != nil {
 			return fmt.Errorf("%s transport failed: %w", j.network, err)

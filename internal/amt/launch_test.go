@@ -134,9 +134,10 @@ func TestCloseIsIdempotent(t *testing.T) {
 // on the caller, where it used to be the runtime's panic on a goroutine
 // nobody could recover; a rank's bug, or a transport closed under a running
 // job, is still a panic, but on the caller, after the other node has been
-// released — so the deferred Close runs and the socket directory goes. The
-// bug strikes a one-node job: a node with peers first waits out the drain
-// for their goodbye, as it always has.
+// released — so the deferred Close runs and the socket directory goes. A
+// bug is re-raised within a second, on a node with peers too: its node
+// hangs up on them rather than waiting out the drain for their goodbye, and
+// the bug outranks the lost connection that hanging up leaves them with.
 func TestRunContainsARuntimePanic(t *testing.T) {
 	await := func(what string, cond func() bool) {
 		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -160,6 +161,7 @@ func TestRunContainsARuntimePanic(t *testing.T) {
 			await("transport failure", func() bool { return victim.Err() != nil })
 		}},
 		{name: "rank bug", nodes: 1, bug: true, wantPanic: "amt: rank 3 panicked: bug", strike: func(*Job) {}},
+		{name: "rank bug with a peer", nodes: 2, bug: true, wantPanic: "amt: rank 3 panicked: bug", strike: func(*Job) {}},
 		{name: "closed transport", nodes: 2, wantPanic: "closed", strike: func(job *Job) {
 			go job.transports[1].Close() // returns once Run has closed the peer
 			await("closed network", job.transports[1].Closed)
@@ -178,6 +180,7 @@ func TestRunContainsARuntimePanic(t *testing.T) {
 				close(struck)
 			}()
 			var panicked any
+			start := time.Now()
 			func() {
 				defer job.Close()
 				defer func() { panicked = recover() }()
@@ -198,6 +201,9 @@ func TestRunContainsARuntimePanic(t *testing.T) {
 					}
 				})
 			}()
+			if took := time.Since(start); tc.bug && took > time.Second {
+				t.Errorf("the bug took %v to surface, want under 1s", took)
+			}
 			switch {
 			case tc.wantPanic != "":
 				if s, _ := panicked.(string); !strings.Contains(s, tc.wantPanic) {

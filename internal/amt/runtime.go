@@ -36,6 +36,10 @@ type Runtime struct {
 	objHandlers  []ObjectHandler
 	handlerNames map[HandlerID]string
 	running      bool
+	// bug is set by Run when its first rank panic struck while the
+	// network was still open: the node's own fault, not a consequence of
+	// its network closing under it (see Job.Run).
+	bug bool
 
 	// ranks holds the Context of every local rank, indexed by rank−lo and
 	// sized with the transport. Each rank publishes its own before it first
@@ -250,7 +254,10 @@ func (rt *Runtime) mustNotRun(op string) {
 // this process drives only its LocalRange while sibling processes run
 // the rest. The first panic on any rank is re-raised on the caller after
 // all other ranks are released, naming the rank that was running — which,
-// under borrowed execution, need not be the one whose goroutine it was.
+// under borrowed execution, need not be the one whose goroutine it was. A
+// panic hangs the transport up at once where it can (wire.Transport.Abort):
+// ranks on other nodes parked on this one then fail fast instead of
+// waiting out a drain for a goodbye that never comes.
 func (rt *Runtime) Run(main func(rc *Context)) {
 	rt.running = true
 	// Payload bytes are measured for whoever reads them: the metrics
@@ -280,9 +287,15 @@ func (rt *Runtime) Run(main func(rc *Context)) {
 					mu.Lock()
 					if failedOn < 0 {
 						failed, failedOn = p, at.rank
+						rt.bug = !rt.nw.Closed()
 					}
 					mu.Unlock()
-					rt.nw.Close() // release ranks parked in the pump
+					// Release ranks parked in the pump, here and on peers.
+					if a, ok := rt.nw.(interface{ Abort() }); ok {
+						a.Abort()
+					} else {
+						rt.nw.Close()
+					}
 				}
 			}()
 			main(rc)

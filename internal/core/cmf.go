@@ -242,35 +242,3 @@ func (c *CMF) mass(i int) float64 {
 	}
 	return c.ls - v
 }
-
-// Prob returns the probability mass assigned to the i-th candidate.
-func (c *CMF) Prob(i int) float64 { return c.mass(i) / c.z }
-
-// Blend returns a CMF whose mass mixes this one with normalized
-// per-rank weights: p'_i = (1−bias)·p_i + bias·w_i/Σw. It implements
-// the communication-aware recipient selection of the §VII extension.
-// The result is a CMF over the same candidates, in the same order, with
-// l_s = 1 and v_i = 1 − p'_i, so its masses are the mixture itself. When
-// the weights sum to zero (the task has no partners on any candidate)
-// the receiver is returned unchanged.
-func (c *CMF) Blend(weight func(Rank) float64, bias float64) CMF {
-	if bias <= 0 || len(c.ranks) == 0 {
-		return *c
-	}
-	n := len(c.ranks)
-	out := CMF{ranks: c.ranks, tree: make([]float64, n), ls: 1, zero: make([]uint64, (n+63)/64)}
-	sum := 0.0
-	for i, r := range c.ranks {
-		w := max(weight(r), 0)
-		out.tree[i] = w
-		sum += w
-	}
-	if sum == 0 {
-		return *c
-	}
-	for i, w := range out.tree {
-		out.tree[i] = 1 - ((1-bias)*c.Prob(i) + bias*w/sum)
-	}
-	out.index()
-	return out
-}

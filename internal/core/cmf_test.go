@@ -34,6 +34,9 @@ func buildCMF(know *Knowledge, self Rank, ave float64, kind CMFKind) (*CMF, bool
 // the cumulative mass function, in prefix form.
 func (c *CMF) cum(i int) float64 { return c.prefix(i+1) / c.z }
 
+// Prob returns the probability mass assigned to the i-th candidate.
+func (c *CMF) Prob(i int) float64 { return c.mass(i) / c.z }
+
 func TestBuildCMFOriginalWeights(t *testing.T) {
 	// ave = 4; loads 0 and 2 -> masses (1-0/4)=1 and (1-2/4)=0.5,
 	// normalized to 2/3 and 1/3.
@@ -582,7 +585,7 @@ func TestRebuildMatchesBuild(t *testing.T) {
 					var scr TransferScratch
 					scr.tasks = append(scr.tasks[:0], tasks...)
 					selfLoad, st := 2*ave+1, TransferStats{}
-					n, _ := transferPass(0, self, scr.tasks, &selfLoad, ave, know, &cfg, rng, nil, &scr, &st)
+					n, _ := transferPass(0, self, scr.tasks, &selfLoad, ave, know, &cfg, rng, &scr, &st)
 					if n == 0 {
 						continue
 					}

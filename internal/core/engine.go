@@ -30,12 +30,10 @@ type IterationStats struct {
 
 	// Transfers and Rejected are the accepted/rejected decision counts
 	// summed over all ranks; NoCandidate counts transfer loops that
-	// stopped for lack of CMF mass. Nacks counts transfers vetoed by
-	// their recipient when EngineConfig.NegativeAcks is set.
+	// stopped for lack of CMF mass.
 	Transfers   int
 	Rejected    int
 	NoCandidate int
-	Nacks       int
 
 	// Imbalance is I of the working distribution after this iteration's
 	// transfers were applied.
@@ -82,11 +80,6 @@ type Result struct {
 	// History holds per-iteration accounting across all trials in
 	// execution order.
 	History []IterationStats
-	// RemoteVolumeBefore and RemoteVolumeAfter report the cross-rank
-	// communication volume of the input and best distributions when a
-	// CommGraph was supplied to RunWithComm (both zero otherwise).
-	RemoteVolumeBefore float64
-	RemoteVolumeAfter  float64
 }
 
 // MovedLoad returns the total load carried by the result's moves — the
@@ -128,7 +121,6 @@ type engineScratch struct {
 	gossip      []Send      // gossip delivery queue, emptied per iteration
 	order       []int       // rank traversal permutation
 	tasks       []Task      // overloaded rank's task set
-	owners      []Rank      // owner snapshot for the affinity closure
 	bestOwners  []Rank      // owner vector of the best distribution
 	haveBest    bool
 	xfer        TransferScratch
@@ -156,44 +148,18 @@ func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
 	sc.work = nil
 }
 
-// EngineConfig is a Config plus what only the synchronous Engine takes:
-// two extensions the distributed protocol does not run, and the tracer
-// the distributed balancer is handed by its runtime (amt.Runtime.SetTracer)
-// rather than by its configuration. EngineConfig{Config: Tempered()} sets
-// none of the three.
+// EngineConfig is a Config plus the one thing only the synchronous
+// Engine takes: the tracer, which the distributed balancer is handed by
+// its runtime (amt.Runtime.SetTracer) rather than by its configuration.
+// Every balancing knob is in Config, so the engine and the distributed
+// balancer run the same algorithm for the same Config.
 type EngineConfig struct {
 	Config
-
-	// NegativeAcks enables the recipient-side veto of Menon's original
-	// GrapevineLB that the paper chose not to employ (§V-A): a transfer
-	// that would push the actual recipient above the average is bounced
-	// back to the sender. Iterative refinement subsumes it; this knob
-	// exists to quantify that claim.
-	NegativeAcks bool
-
-	// CommBias, in [0,1), activates the communication-aware extension
-	// (§VII future work) when a CommGraph is supplied to RunWithComm:
-	// recipient selection blends the load-deficit CMF with each
-	// candidate's communication affinity for the task,
-	// p' = (1−CommBias)·p_cmf + CommBias·p_affinity, steering tasks
-	// toward ranks hosting their communication partners.
-	CommBias float64
 
 	// Tracer, when non-nil, receives lb.run and lb.iteration span
 	// events. Nil — the default — costs one pointer comparison per
 	// iteration.
 	Tracer obs.Tracer
-}
-
-// Validate reports whether the configuration is runnable.
-func (c EngineConfig) Validate() error {
-	if err := c.Config.Validate(); err != nil {
-		return err
-	}
-	if c.CommBias < 0 || c.CommBias >= 1 {
-		return fmt.Errorf("core: comm bias must be in [0,1), got %g", c.CommBias)
-	}
-	return nil
 }
 
 // NewEngine validates the configuration and returns an engine.
@@ -208,16 +174,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 // copy of the assignment and returns the best distribution found. The
 // input assignment is not modified; apply the result's Moves to commit.
 func (e *Engine) Run(a *Assignment) (*Result, error) {
-	return e.RunWithComm(a, nil)
-}
-
-// RunWithComm is Run with the communication-aware extension of §VII:
-// when g is non-nil and EngineConfig.CommBias > 0, recipient selection is
-// biased toward ranks hosting each task's communication partners (using
-// the owner snapshot of the current iteration — the same staleness the
-// gossip knowledge has), and the result reports the remote communication
-// volume before and after.
-func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 	if a.NumTasks() == 0 {
 		return &Result{}, nil
 	}
@@ -269,7 +225,7 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 				s.Reset()
 			}
 			e.gossip(work, ave, &st)
-			e.transferPass(work, ave, g, &st)
+			e.transferPass(work, ave, &st)
 
 			st.Imbalance = work.Imbalance() // Algorithm 3 line 9
 			st.ElapsedSeconds = clock.Since(iterStart).Seconds()
@@ -299,14 +255,6 @@ func (e *Engine) RunWithComm(a *Assignment, g *CommGraph) (*Result, error) {
 			if orig[id] != sc.bestOwners[id] {
 				res.Moves = append(res.Moves, Move{Task: TaskID(id), From: orig[id], To: sc.bestOwners[id]})
 			}
-		}
-	}
-	if g != nil {
-		res.RemoteVolumeBefore = g.RemoteVolume(a.Owners())
-		if sc.haveBest {
-			res.RemoteVolumeAfter = g.RemoteVolume(sc.bestOwners)
-		} else {
-			res.RemoteVolumeAfter = res.RemoteVolumeBefore
 		}
 	}
 	return res, nil
@@ -345,25 +293,8 @@ func (e *Engine) gossip(work *Assignment, ave float64, st *IterationStats) {
 // knowledge ("each overloaded rank working in isolation", §V-A), so an
 // underloaded rank may still be overloaded by several senders; eager
 // application only makes later-processed ranks see their true own load.
-func (e *Engine) transferPass(work *Assignment, ave float64, g *CommGraph, st *IterationStats) {
+func (e *Engine) transferPass(work *Assignment, ave float64, st *IterationStats) {
 	sc := &e.sc
-	// Snapshot owners once per iteration for the communication-affinity
-	// lookups: senders see partner locations with the same staleness
-	// their gossip knowledge has.
-	var affinity *Affinity
-	if g != nil && e.cfg.CommBias > 0 {
-		sc.owners = work.AppendOwners(sc.owners[:0])
-		owners := sc.owners
-		affinity = &Affinity{Bias: e.cfg.CommBias, Volume: func(task TaskID, to Rank) float64 {
-			sum := 0.0
-			for _, edge := range g.Edges(task) {
-				if owners[edge.Peer] == to {
-					sum += edge.Volume
-				}
-			}
-			return sum
-		}}
-	}
 	permInto(sc.orderRNG, sc.order)
 	overloaded, knowSum := 0, 0
 	for _, ri := range sc.order {
@@ -379,19 +310,11 @@ func (e *Engine) transferPass(work *Assignment, ave float64, g *CommGraph, st *I
 			st.KnowledgeMin = k
 		}
 		sc.tasks = work.AppendTasksOf(sc.tasks[:0], r)
-		proposals, ts, _ := RunTransferScratch(r, sc.tasks, load, ave, sc.states[r].Knowledge(), &e.cfg.Config, sc.transferRNG[r], affinity, &sc.xfer)
+		proposals, ts, _ := RunTransferScratch(r, sc.tasks, load, ave, sc.states[r].Knowledge(), &e.cfg.Config, sc.transferRNG[r], nil, &sc.xfer)
 		st.Rejected += ts.Rejected
 		st.NoCandidate += ts.NoCandidate
+		st.Transfers += len(proposals)
 		for _, p := range proposals {
-			if e.cfg.NegativeAcks {
-				// Menon's recipient veto: the actual recipient bounces
-				// a transfer that would push it past the average.
-				if work.RankLoad(p.To)+work.Load(p.Task) >= ave {
-					st.Nacks++
-					continue
-				}
-			}
-			st.Transfers++
 			work.Move(p.Task, p.To)
 		}
 	}

@@ -22,14 +22,12 @@ type TransferStats struct {
 	NoCandidate int
 }
 
-// Affinity is the communication-aware recipient bias of the §VII
-// extension, which only the engine runs: Volume reports the volume a task
-// exchanges with peers currently hosted on a candidate rank, and each task
-// samples from the CMF blended p' = (1−Bias)·p_cmf + Bias·p_affinity.
-type Affinity struct {
-	Volume func(task TaskID, to Rank) float64
-	Bias   float64
-}
+// Affinity carries nothing and RunTransferScratch ignores it: recipients
+// are chosen by load alone, the same in every driver. It is kept only
+// because the benchmark's probes (bench/probes.go), frozen with their
+// recorded reference values, still pass a nil one; it goes, with the
+// parameter, when the benchmark is unfrozen (ROADMAP item 4).
+type Affinity struct{}
 
 // TransferScratch holds the buffers one transfer-stage execution needs —
 // the CMF with its candidates' loads, the ordered/kept task double buffer,
@@ -55,12 +53,12 @@ type TransferScratch struct {
 // rank's gossip knowledge and is only read: accepted transfers bump the
 // recipient's known load (line 12) in scr's CMF, so subsequent decisions
 // — and the CMF itself, when cfg.RecomputeCMF is set — see them. rng
-// must be the rank's private generator; a nil affinity selects by load.
+// must be the rank's private generator; the *Affinity is ignored.
 //
 // It returns the proposals, the decision statistics, and the rank's
 // load after the scheduled transfers. The proposals are backed by scr
 // and valid only until its next run; callers that retain them must copy.
-func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity *Affinity, scr *TransferScratch) ([]Proposal, TransferStats, float64) {
+func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, _ *Affinity, scr *TransferScratch) ([]Proposal, TransferStats, float64) {
 	var st TransferStats
 	scr.proposals = scr.proposals[:0]
 	if know.Len() == 0 {
@@ -78,7 +76,7 @@ func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Kn
 	remaining := scr.tasks
 	for pass := 0; pass < maxPasses && selfLoad > cfg.Threshold*ave && len(remaining) > 0; pass++ {
 		scr.kept = scr.kept[:0]
-		accepted, done := transferPass(pass, self, remaining, &selfLoad, ave, know, cfg, rng, affinity, scr, &st)
+		accepted, done := transferPass(pass, self, remaining, &selfLoad, ave, know, cfg, rng, scr, &st)
 		// The rejected tasks become the next pass's input; the spent
 		// buffer becomes the next pass's kept list (double buffering).
 		scr.tasks, scr.kept = scr.kept, scr.tasks
@@ -101,7 +99,7 @@ func RunTransferScratch(self Rank, tasks []Task, selfLoad, ave float64, know *Kn
 // first, from its own loads after. With cfg.RecomputeCMF each accepted
 // transfer then raises its recipient in it (line 7), which keeps it the
 // CMF a rebuild over the updated loads would give.
-func transferPass(pass int, self Rank, ordered []Task, selfLoad *float64, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, affinity *Affinity, scr *TransferScratch, st *TransferStats) (accepted int, done bool) {
+func transferPass(pass int, self Rank, ordered []Task, selfLoad *float64, ave float64, know *Knowledge, cfg *Config, rng *rand.Rand, scr *TransferScratch, st *TransferStats) (accepted int, done bool) {
 	OrderTasksInPlace(ordered, ave, *selfLoad, cfg.Order)
 
 	var built bool // line 5
@@ -122,12 +120,7 @@ func transferPass(pass int, self Rank, ordered []Task, selfLoad *float64, ave fl
 			return accepted, true
 		}
 		o := ordered[n]
-		pick := &scr.cmf
-		if affinity != nil {
-			blended := scr.cmf.Blend(func(r Rank) float64 { return affinity.Volume(o.ID, r) }, affinity.Bias)
-			pick = &blended
-		}
-		px, i := pick.Sample(rng)                               // line 9
+		px, i := scr.cmf.Sample(rng)                            // line 9
 		lx := scr.cmf.Load(i)                                   // line 10
 		if cfg.Criterion.Evaluate(lx, o.Load, ave, *selfLoad) { // line 11
 			scr.cmf.load[i] = lx + o.Load // line 12

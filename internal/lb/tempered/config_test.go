@@ -142,25 +142,17 @@ func engineHistory(t *testing.T, a *core.Assignment, cfg core.EngineConfig) []co
 	return res.History
 }
 
-// engineOnlyHistory names the core.IterationStats fields only the
-// synchronous engine fills, each with the reason.
-var engineOnlyHistory = map[string]string{
-	"Nacks": "it counts the recipient veto of EngineConfig.NegativeAcks, an extension the protocol does not run",
-}
-
 // TestEveryHistoryFieldIsFilled is the other half of
 // TestEveryConfigFieldReachesBothDrivers: there is no core.IterationStats
 // field that a driver never fills, so no History row carries a column that
 // is always zero. The walk is over the struct; on the small workload both
 // drivers run, every field must be nonzero in some row of the engine's
-// History and of RunDistributed's — an engine-only field (listed above)
-// in the engine's, with the extension it counts switched on.
+// History and of RunDistributed's, with no exceptions.
 func TestEveryHistoryFieldIsFilled(t *testing.T) {
 	const ranks, hot, perHot = 32, 4, 30
 	a, cfg := hotAssignment(ranks, hot, perHot), driversBase()
 	results, _, _ := runChaosCase(t, ranks, hot, perHot, cfg, nil, nonDyadicLoad)
 	engine := engineHistory(t, a, core.EngineConfig{Config: cfg})
-	vetoed := engineHistory(t, a, core.EngineConfig{Config: cfg, NegativeAcks: true})
 	filled := func(h []core.IterationStats, field int) bool {
 		for _, row := range h {
 			if !reflect.ValueOf(row).Field(field).IsZero() {
@@ -173,15 +165,6 @@ func TestEveryHistoryFieldIsFilled(t *testing.T) {
 	typ := reflect.TypeOf(core.IterationStats{})
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
-		if why, ok := engineOnlyHistory[name]; ok {
-			if !filled(vetoed, i) {
-				t.Errorf("Engine.Run with NegativeAcks leaves %s zero in every row, yet it is engine-only because %s", name, why)
-			}
-			if filled(results[0].History, i) {
-				t.Errorf("RunDistributed fills %s: it is not engine-only, drop its exception", name)
-			}
-			continue
-		}
 		if !filled(engine, i) {
 			t.Errorf("Engine.Run leaves IterationStats.%s zero in every row: fill it or delete the field", name)
 		}

@@ -135,19 +135,6 @@ func NewGreedyLB() Strategy { return greedy.New() }
 // fanout (>= 2).
 func NewHierLB(fanout int) Strategy { return hier.New(fanout) }
 
-// Communication-aware extension (the paper's §VII future work).
-type (
-	// CommGraph records inter-task communication volumes.
-	CommGraph = core.CommGraph
-	// CommEdge is one communication relationship of a task.
-	CommEdge = core.CommEdge
-)
-
-// NewCommGraph creates an empty communication graph over numTasks
-// tasks. Supply it to Engine.RunWithComm with EngineConfig.CommBias > 0 to
-// steer tasks toward ranks hosting their communication partners.
-func NewCommGraph(numTasks int) *CommGraph { return core.NewCommGraph(numTasks) }
-
 // Workload generation for experiments and tests.
 type (
 	// WorkloadSpec describes a synthetic task distribution.

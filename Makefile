@@ -199,9 +199,9 @@ loc:
 		'\b[a-zA-Z_]+\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(([^"()]*, )?"[^"]+"' | \
 		sed 's/"$$//; s/.*"//' | sort | uniq -c | \
 		awk '{ n += $$1 } END { printf "%-40s %6s\n", "flag declarations / distinct names", n " / " NR }'
-	@awk '/^type Transport interface/ { on = 1; next } on && /^}/ { exit } \
-		on && /^\t[A-Z][A-Za-z]*\(/ { n++ } \
-		END { printf "%-40s %6d\n", "comm.Transport methods", n }' internal/comm/transport.go
+	@{ find internal cmd -name '*.go' ! -name '*_test.go'; ls *.go | grep -v _test.go; } | \
+		xargs grep -hE '^type [A-Za-z]* interface' | \
+		awk 'END { printf "%-40s %6d\n", "interface types (non-test)", NR }'
 	@awk '/^type Config struct/ { on = 1; next } on && /^}/ { exit } \
 		on && /^\t[A-Z]/ { n++; while (sub(/^\t[A-Za-z0-9_]+, */, "\t")) n++ } \
 		END { printf "%-40s %6d\n", "core.Config fields", n }' internal/core/config.go

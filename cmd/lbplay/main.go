@@ -21,6 +21,7 @@ import (
 	"temperedlb"
 	"temperedlb/cmd/internal/cli"
 	"temperedlb/internal/amt"
+	"temperedlb/internal/comm/wire"
 )
 
 // options is lbplay's command line: four shared groups (of the balancer's
@@ -155,7 +156,13 @@ func runDistributed(o *options, a *temperedlb.Assignment) error {
 		return err
 	}
 
-	lo, hi := rt0.Transport().LocalRange()
+	// This process reports its first rank's result: rank 0's unless it
+	// hosts one node of a multi-process job.
+	lo, hi := 0, n
+	if o.rt.Node >= 0 {
+		bounds := wire.SplitRanks(n, o.rt.Nodes)
+		lo, hi = bounds[o.rt.Node], bounds[o.rt.Node+1]
+	}
 	res, ns := results[lo], job.Stats()
 	switch {
 	case o.rt.Transport == "memory":

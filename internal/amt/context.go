@@ -278,7 +278,7 @@ func (rc *Context) Stream() *obs.Stream { return rc.stream }
 func (rc *Context) Watched() bool {
 	if !rc.watchKnown {
 		rc.watched = rc.rt.stream != nil
-		if _, wired := rc.rt.nw.(comm.WireStater); wired {
+		if rc.rt.link != nil {
 			var on float64
 			if rc.watched {
 				on = 1

@@ -69,7 +69,7 @@
 //
 // A runtime fact is counted once (stats.go). What a rank did is its
 // ContextStats, written only by whoever runs the rank; what the
-// transport carried is comm.Transport.Stats. Runtime.Stats folds both
+// network carried is comm.Network.Stats. Runtime.Stats folds both
 // into a NodeStats that may be read while Run is in flight, and every
 // report — the metrics registry (Runtime.Metrics, refolded on every
 // export, a live /metrics scrape included), FaultStats, TotalMessages,

@@ -19,9 +19,8 @@ type Job struct {
 	// metrics, a stream (SetTracer, EnableMetrics, SetStream) or faults.
 	Runtimes []*Runtime
 
-	network    string
-	transports []*wire.Transport // nil on the in-memory network
-	cluster    *wire.Cluster     // nil unless Launch built one
+	network string
+	cluster *wire.Cluster // nil unless Launch built one
 }
 
 // Launch stands up a job of ranks ranks on network "memory", "unix" or
@@ -47,7 +46,7 @@ func Launch(network string, ranks, nodes int, jobID uint64, opts ...Option) (*Jo
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{network: network, transports: cluster.Transports, cluster: cluster}
+	j := &Job{network: network, cluster: cluster}
 	for _, tr := range cluster.Transports {
 		j.Runtimes = append(j.Runtimes, New(ranks, append([]Option{WithTransport(tr)}, opts...)...))
 	}
@@ -60,9 +59,8 @@ func Launch(network string, ranks, nodes int, jobID uint64, opts ...Option) (*Jo
 // Close it.
 func Join(network string, tr *wire.Transport, opts ...Option) *Job {
 	return &Job{
-		Runtimes:   []*Runtime{New(tr.NumRanks(), append([]Option{WithTransport(tr)}, opts...)...)},
-		network:    network,
-		transports: []*wire.Transport{tr},
+		Runtimes: []*Runtime{New(tr.NumRanks(), append([]Option{WithTransport(tr)}, opts...)...)},
+		network:  network,
 	}
 }
 
@@ -115,9 +113,9 @@ func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 			panic(p)
 		}
 	}
-	for _, tr := range j.transports {
-		if err := tr.Err(); err != nil {
-			return fmt.Errorf("%s transport failed: %w", j.network, err)
+	for _, rt := range j.Runtimes {
+		if rt.link != nil && rt.link.Err() != nil {
+			return fmt.Errorf("%s transport failed: %w", j.network, rt.link.Err())
 		}
 	}
 	for r, err := range errs {
@@ -135,8 +133,10 @@ func (j *Job) Run(bind func(rt *Runtime) func(rc *Context) error) error {
 // over processes hangs up first, so its peers see it lost, not leaving.
 func (j *Job) abort() {
 	if j.cluster == nil {
-		for _, tr := range j.transports {
-			tr.Abort()
+		for _, rt := range j.Runtimes {
+			if rt.link != nil {
+				rt.link.Abort()
+			}
 		}
 	}
 	j.Close()
@@ -159,6 +159,6 @@ func (j *Job) Close() {
 		return
 	}
 	for _, rt := range j.Runtimes {
-		rt.nw.Close()
+		rt.close()
 	}
 }

@@ -90,7 +90,7 @@ func TestRunErrorPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer job.Close()
-	victim := job.transports[1]
+	victim := job.Runtimes[1].link
 	sendGarbage(t, victim)
 	lo, _ := victim.LocalRange()
 	if _, ok := victim.RecvWait(lo); ok { // returns once the failed transport has closed itself
@@ -110,7 +110,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Dir(job.transports[0].Addr())
+	dir := filepath.Dir(job.Runtimes[0].link.Addr())
 	if _, err := os.Stat(dir); err != nil {
 		t.Fatalf("socket directory: %v", err)
 	}
@@ -156,15 +156,15 @@ func TestRunContainsARuntimePanic(t *testing.T) {
 		wantPanic string // substring of Run's panic
 	}{
 		{name: "failed transport", nodes: 2, wantErr: "unix transport failed: wire: ", strike: func(job *Job) {
-			victim := job.transports[1]
+			victim := job.Runtimes[1].link
 			sendGarbage(t, victim)
 			await("transport failure", func() bool { return victim.Err() != nil })
 		}},
 		{name: "rank bug", nodes: 1, bug: true, wantPanic: "amt: rank 3 panicked: bug", strike: func(*Job) {}},
 		{name: "rank bug with a peer", nodes: 2, bug: true, wantPanic: "amt: rank 3 panicked: bug", strike: func(*Job) {}},
 		{name: "closed transport", nodes: 2, wantPanic: "closed", strike: func(job *Job) {
-			go job.transports[1].Close() // returns once Run has closed the peer
-			await("closed network", job.transports[1].Closed)
+			go job.Runtimes[1].link.Close() // returns once Run has closed the peer
+			await("closed network", job.Runtimes[1].link.Closed)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,7 +172,7 @@ func TestRunContainsARuntimePanic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dir := filepath.Dir(job.transports[0].Addr())
+			dir := filepath.Dir(job.Runtimes[0].link.Addr())
 			inEpoch, struck := make(chan struct{}), make(chan struct{})
 			go func() {
 				<-inEpoch

@@ -310,7 +310,7 @@ func TestRuntimeNoTracerUnaffected(t *testing.T) {
 // TestRunSizesPayloadsIffRead: Run switches on byte accounting exactly
 // when metrics or a stream will read the totals, whatever order the
 // setters ran in — a stream attached and detached again leaves the sends
-// unsized, and metrics enabled before a transport swap size the new one.
+// unsized.
 func TestRunSizesPayloadsIffRead(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -321,10 +321,6 @@ func TestRunSizesPayloadsIffRead(t *testing.T) {
 		{"metrics", func(rt *Runtime) { rt.EnableMetrics() }, true},
 		{"stream", func(rt *Runtime) { rt.SetStream(obs.NewStream(0)) }, true},
 		{"stream detached", func(rt *Runtime) { rt.SetStream(obs.NewStream(0)); rt.SetStream(nil) }, false},
-		{"metrics, then a new transport", func(rt *Runtime) {
-			rt.EnableMetrics()
-			rt.SetTransport(comm.NewNetwork(2))
-		}, true},
 	} {
 		rt := New(2)
 		tc.setup(rt)
@@ -336,7 +332,7 @@ func TestRunSizesPayloadsIffRead(t *testing.T) {
 				}
 			})
 		})
-		if got := rt.Transport().Stats().Bytes.Total() > 0; got != tc.sized {
+		if got := rt.Stats().Transport.Bytes.Total() > 0; got != tc.sized {
 			t.Errorf("%s: payloads sized %v, want %v", tc.name, got, tc.sized)
 		}
 	}

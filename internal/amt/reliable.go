@@ -117,13 +117,23 @@ func newReliableState(n int, base time.Duration) *reliableState {
 	}
 }
 
+// backoff is how long a send waits for its ack after its attempts-th
+// transmission: the first timeout, doubled per attempt up to the cap.
+func (rl *reliableState) backoff(attempts int) time.Duration {
+	d := rl.base
+	for i := 1; i < attempts && d < rl.cap; i++ {
+		d *= 2
+	}
+	return min(d, rl.cap)
+}
+
 // track stamps a fresh MsgID on a counted send and records the credit.
 // Called from Context.send for epoch-tagged messages.
 func (rl *reliableState) track(m *comm.Message) {
 	rl.seq[m.To]++
 	m.MsgID = rl.seq[m.To]
 	rl.pending[pendKey{dest: m.To, id: m.MsgID}] = &relPending{
-		m: *m, attempts: 1, deadline: clock.Now().Add(rl.base),
+		m: *m, attempts: 1, deadline: clock.Now().Add(rl.backoff(1)),
 	}
 }
 
@@ -204,11 +214,7 @@ func (rc *Context) retryDue() {
 	for _, k := range due {
 		p := rc.rel.pending[k]
 		p.attempts++
-		backoff := rc.rel.base << uint(p.attempts-1)
-		if backoff > rc.rel.cap {
-			backoff = rc.rel.cap
-		}
-		p.deadline = now.Add(backoff)
+		p.deadline = now.Add(rc.rel.backoff(p.attempts))
 		rc.Stats[Retries].Add(1)
 		rc.Emit(obs.Event{Type: obs.EvRetry, Peer: p.m.To, Object: -1,
 			Epoch: p.m.Epoch, Value: float64(p.attempts)})

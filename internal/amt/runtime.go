@@ -25,11 +25,17 @@ type Handler func(rc *Context, from core.Rank, data any)
 // object.
 type ObjectHandler func(rc *Context, obj ObjectID, state any, from core.Rank, data any)
 
-// Runtime owns the transport and the handler registries shared by all
+// Runtime owns the network and the handler registries shared by all
 // ranks. Register all handlers before calling Run.
 type Runtime struct {
-	n  int
-	nw comm.Transport
+	n int
+	// nw carries every message: the in-memory network over all n ranks,
+	// or the partial network of a socket node. link is that node's socket
+	// transport (nil in memory), reached only for what a socket adds:
+	// draining or hanging up on Close, WireStats, RTTHint, and that the
+	// job spans nodes (Context.Watched).
+	nw   *comm.Network
+	link *wire.Transport
 	// The handler tables are slices indexed by HandlerID (nil = not
 	// registered): two lookups per message, so not maps.
 	handlers     []Handler
@@ -42,7 +48,7 @@ type Runtime struct {
 	bug bool
 
 	// ranks holds the Context of every local rank, indexed by rank−lo and
-	// sized with the transport. Each rank publishes its own before it first
+	// sized with the network. Each rank publishes its own before it first
 	// parks, which is before any sender can be granted it, so a borrower
 	// always finds the entry; whoever folds the node's counters (Stats)
 	// finds nil until then.
@@ -95,9 +101,13 @@ func WithStream(s *obs.Stream) Option {
 	return func(rt *Runtime) { rt.SetStream(s) }
 }
 
-// WithTransport substitutes the message transport (see SetTransport).
-func WithTransport(t comm.Transport) Option {
-	return func(rt *Runtime) { rt.SetTransport(t) }
+// WithTransport makes the runtime one node of a socket job: it hosts only
+// the transport's local rank range, while the other ranks live behind its
+// connections, in other processes or in this one (see Join and Launch).
+// The transport's total rank count must be the runtime's. Without it the
+// runtime hosts every rank on an in-memory network.
+func WithTransport(t *wire.Transport) Option {
+	return func(rt *Runtime) { rt.link = t }
 }
 
 // treeFanout is the arity of every job's collective tree: 4-ary keeps
@@ -114,14 +124,22 @@ func New(n int, opts ...Option) *Runtime {
 	}
 	rt := &Runtime{
 		n:            n,
-		nw:           comm.NewNetwork(n),
 		handlerNames: make(map[HandlerID]string),
 		fanout:       treeFanout,
-		ranks:        make([]atomic.Pointer[Context], n),
 	}
 	for _, opt := range opts {
 		opt(rt)
 	}
+	if rt.link == nil {
+		rt.nw = comm.NewNetwork(n)
+	} else {
+		rt.nw = rt.link.Network
+		if rt.nw.NumRanks() != n {
+			panic(fmt.Sprintf("amt: New: transport spans %d ranks, runtime %d", rt.nw.NumRanks(), n))
+		}
+	}
+	lo, hi := rt.nw.LocalRange()
+	rt.lo, rt.ranks = lo, make([]atomic.Pointer[Context], hi-lo)
 	return rt
 }
 
@@ -130,24 +148,6 @@ func (rt *Runtime) SetTracer(t obs.Tracer) {
 	rt.mustNotRun("SetTracer")
 	rt.tracer = t
 }
-
-// SetTransport replaces the default in-memory transport, letting this
-// runtime host only the transport's local rank range while remote
-// ranks live in other processes (see internal/comm/wire and Join).
-// The transport's total rank count must match the runtime's. Call before
-// Run.
-func (rt *Runtime) SetTransport(t comm.Transport) {
-	rt.mustNotRun("SetTransport")
-	if t.NumRanks() != rt.n {
-		panic(fmt.Sprintf("amt: SetTransport: transport spans %d ranks, runtime %d", t.NumRanks(), rt.n))
-	}
-	rt.nw = t
-	lo, hi := t.LocalRange()
-	rt.lo, rt.ranks = lo, make([]atomic.Pointer[Context], hi-lo)
-}
-
-// Transport returns the runtime's message transport.
-func (rt *Runtime) Transport() comm.Transport { return rt.nw }
 
 // Fanout returns the collective tree's arity.
 func (rt *Runtime) Fanout() int { return rt.fanout }
@@ -255,9 +255,9 @@ func (rt *Runtime) mustNotRun(op string) {
 // the rest. The first panic on any rank is re-raised on the caller after
 // all other ranks are released, naming the rank that was running — which,
 // under borrowed execution, need not be the one whose goroutine it was. A
-// panic hangs the transport up at once where it can (wire.Transport.Abort):
-// ranks on other nodes parked on this one then fail fast instead of
-// waiting out a drain for a goodbye that never comes.
+// panic on a socket node hangs its transport up at once (Abort): ranks on
+// other nodes parked on this one then fail fast instead of waiting out a
+// drain for a goodbye that never comes.
 func (rt *Runtime) Run(main func(rc *Context)) {
 	rt.running = true
 	// Payload bytes are measured for whoever reads them: the metrics
@@ -291,8 +291,8 @@ func (rt *Runtime) Run(main func(rc *Context)) {
 					}
 					mu.Unlock()
 					// Release ranks parked in the pump, here and on peers.
-					if a, ok := rt.nw.(interface{ Abort() }); ok {
-						a.Abort()
+					if rt.link != nil {
+						rt.link.Abort()
 					} else {
 						rt.nw.Close()
 					}
@@ -302,7 +302,7 @@ func (rt *Runtime) Run(main func(rc *Context)) {
 		}(r)
 	}
 	wg.Wait()
-	rt.nw.Close()
+	rt.close()
 	if failedOn >= 0 {
 		panic(fmt.Sprintf("amt: rank %d panicked: %v", failedOn, failed))
 	}
@@ -349,8 +349,18 @@ func (rt *Runtime) SetFaults(sp comm.FaultSpec) error {
 	// A socket transport adds real network latency on top of the injected
 	// delays; pace the retransmission clock to its measured round trip so
 	// cross-machine runs do not retransmit spuriously.
-	if rh, ok := rt.nw.(comm.RTTHinter); ok {
-		rt.retryBase = max(rt.retryBase, 4*rh.RTTHint())
+	if rt.link != nil {
+		rt.retryBase = max(rt.retryBase, 4*rt.link.RTTHint())
 	}
 	return nil
+}
+
+// close closes the runtime's network; a socket node's transport drains
+// its connections first (wire.Transport.Close). Idempotent.
+func (rt *Runtime) close() {
+	if rt.link != nil {
+		rt.link.Close()
+	} else {
+		rt.nw.Close()
+	}
 }

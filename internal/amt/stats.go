@@ -80,9 +80,9 @@ func (rt *Runtime) addStats(ns *NodeStats) {
 		}
 	}
 	ns.Transport.Add(rt.nw.Stats())
-	if ws, ok := rt.nw.(comm.WireStater); ok {
+	if rt.link != nil {
 		ns.Wired = true
-		ns.Wire.Add(ws.WireStats())
+		ns.Wire.Add(rt.link.WireStats())
 	}
 }
 

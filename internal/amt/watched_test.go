@@ -50,7 +50,7 @@ func TestWatchedAgreesAcrossNodes(t *testing.T) {
 		}
 		err = job.Run(func(rt *Runtime) func(*Context) error {
 			node := slices.Index(job.Runtimes, rt)
-			lo, _ := rt.Transport().LocalRange()
+			lo := rt.lo
 			return func(rc *Context) error {
 				first, second := rc.Watched(), rc.Watched()
 				if first != (watching >= 0) || second != first {

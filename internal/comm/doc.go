@@ -1,18 +1,22 @@
-// Package comm provides the in-memory message transport underneath the
-// AMT runtime: per-rank unbounded inboxes with blocking, non-blocking
-// and batched receive (RecvBatch drains a whole burst under one lock
-// acquisition, an empty inbox under none), per-sender FIFO ordering, and
-// per-kind accounting of what was sent, dropped and duplicated — payload
-// bytes optionally — read as one Stats snapshot. Each inbox also says who
-// may run its rank — running,
-// parked or borrowed — so that a sender can run a parked rank instead of
-// waking it (SendClaim, Release, WaitOwned). Deadline waits reuse a
-// single timer per inbox rather than arming a fresh one per call, so
-// retry-heavy fault runs do not churn the timer heap. It substitutes for the MPI layer of the paper's vt runtime;
-// everything above it (active messages, epochs, termination detection,
-// collectives) is implemented for real on top of this transport.
+// Package comm provides the network underneath the AMT runtime, Network:
+// per-rank unbounded inboxes with blocking, non-blocking and batched
+// receive (RecvBatch drains a whole burst under one lock acquisition, an
+// empty inbox under none), per-sender FIFO ordering, and per-kind
+// accounting of what was sent, dropped and duplicated — payload bytes
+// optionally — read as one Stats snapshot. Each inbox also says who may
+// run its rank — running, parked or borrowed — so that a sender can run a
+// parked rank instead of waking it (SendClaim, Release, WaitOwned).
+// Deadline waits reuse a single timer per inbox rather than arming a
+// fresh one per call, so retry-heavy fault runs do not churn the timer
+// heap. It substitutes for the MPI layer of the paper's vt runtime; everything above it (active
+// messages, epochs, termination detection, collectives) is implemented
+// for real on top of it. The runtime holds a *Network, never an
+// interface: in memory one Network hosts every rank, and a node of a
+// socket job (the wire package) hosts a partial Network whose remote
+// sends leave through a forwarding hook, so every job runs on the same
+// code.
 //
-// The transport doubles as a fault harness: a FaultPlan (built from a
+// The network doubles as a fault harness: a FaultPlan (built from a
 // FaultSpec, parsed by ParseFaultSpec) makes it drop, duplicate, delay
 // or straggle messages under stateless seeded per-message decisions, so
 // a given plan injects the same faults on every run regardless of

@@ -1,7 +1,7 @@
-// Package wire carries the comm.Transport contract across OS process
-// boundaries: a length-prefixed, versioned binary codec over TCP or
-// Unix-domain sockets, with per-peer connection management, dial
-// backoff and a graceful close-drain. Where the in-memory Network
+// Package wire carries a comm.Network across OS process boundaries: a
+// length-prefixed, versioned binary codec over TCP or Unix-domain
+// sockets, with per-peer connection management, dial backoff and a
+// graceful close-drain. Where the in-memory Network
 // plays the role of the paper's MPI layer inside one process, this
 // package plays it between processes — `lbplay -distributed -node k`
 // hosts one Transport per process and a balancing job spans as many

@@ -95,9 +95,9 @@ func (cfg *Config) setDefaults() error {
 	return nil
 }
 
-// Transport is a comm.Transport that hosts a contiguous slice of a
-// job's ranks in this process and carries everything else over TCP or
-// Unix-domain sockets. It embeds a partial comm.Network, so local
+// Transport is one node of a socket job: it hosts a contiguous slice of
+// the job's ranks in this process and carries everything else over TCP
+// or Unix-domain sockets. It embeds a partial comm.Network, so local
 // traffic, sequence stamping, accounting and fault injection are
 // byte-for-byte the in-memory implementation; only delivery to remote
 // ranks differs.
@@ -683,7 +683,8 @@ func (t *Transport) shutdown(drain time.Duration) {
 	<-readersDone
 }
 
-// WireStats implements comm.WireStater.
+// WireStats snapshots the transport's frame, byte and connection
+// counters.
 func (t *Transport) WireStats() comm.WireStats {
 	return comm.WireStats{
 		FramesOut:      t.framesOut.Load(),
@@ -696,8 +697,9 @@ func (t *Transport) WireStats() comm.WireStats {
 	}
 }
 
-// RTTHint implements comm.RTTHinter: the slowest peer's connection
-// setup time, the transport's best cheap estimate of one round trip.
+// RTTHint is the slowest peer's connection setup time, the transport's
+// best cheap estimate of one round trip; the runtime paces its first
+// retransmission to it.
 func (t *Transport) RTTHint() time.Duration {
 	return time.Duration(t.rttMax.Load())
 }

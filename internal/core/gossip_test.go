@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -269,5 +270,67 @@ func TestKnowledgeMergeAndReset(t *testing.T) {
 	}
 	if k.Load(1) != 5 {
 		t.Error("load after Reset wrong")
+	}
+}
+
+// TestStartTrialIsAFreshState: a gossip state driven through a trial and
+// then started on the next is indistinguishable from one freshly built
+// on the same table and started there — the same sends, the same
+// forwarding decisions and the same knowledge — so the drivers may keep
+// one state per rank for a whole refinement. Skipping either half of
+// StartTrial, the reseed or the Reset, shows in the script's trace.
+func TestStartTrialIsAFreshState(t *testing.T) {
+	const n, self, trial = 64, Rank(5), 3
+	cfg := gossipConfig(3, 4)
+	cfg.Seed = 11
+	table := NewLoadTable(n)
+	// script drives one trial: an underloaded Begin, then a round-1
+	// message that teaches something, a second round-1 one (merged, not
+	// forwarded), a redundant round-2 one, a new round-2 one and one of
+	// the last round. It returns each call's sends as text, then the
+	// knowledge.
+	script := func(st *InformState) []string {
+		var trace []string
+		note := func(sends []Send) {
+			trace = append(trace, fmt.Sprintf("%d sends", len(sends)))
+			for _, s := range sends {
+				var rows []RankLoad
+				s.Msg.Rows(0, s.Msg.Len(), func(e RankLoad) { rows = append(rows, e) })
+				trace = append(trace, fmt.Sprintf("to %d round %d %v", s.To, s.Msg.Round, rows))
+			}
+		}
+		note(st.Begin(1, 0.5))
+		for _, m := range []InformMsg{
+			{Round: 1, Entries: []RankLoad{{Rank: 10, Load: 0.2}, {Rank: 11, Load: 0.3}}},
+			{Round: 1, Entries: []RankLoad{{Rank: 12, Load: 0.1}}},
+			{Round: 2, Entries: []RankLoad{{Rank: 10, Load: 0.2}}},
+			{Round: 2, Entries: []RankLoad{{Rank: 20, Load: 0.4}}},
+			{Round: 4, Entries: []RankLoad{{Rank: 30, Load: 0.6}}},
+		} {
+			sends, _ := st.Receive(m)
+			note(sends)
+		}
+		k := st.Knowledge()
+		for _, r := range k.appendMembers(nil) {
+			trace = append(trace, fmt.Sprintf("knows %d at %g", r, k.Load(r)))
+		}
+		return trace
+	}
+
+	reused := NewInformStateOn(table, self, &cfg, SeededRNG(cfg.Seed))
+	reused.StartTrial(trial)
+	first := script(reused)
+	reused.StartTrial(trial + 1)
+	if got := reused.Knowledge().Len(); got != 0 {
+		t.Fatalf("StartTrial left %d entries of the last trial's knowledge", got)
+	}
+	fresh := NewInformStateOn(table, self, &cfg, SeededRNG(cfg.Seed))
+	fresh.StartTrial(trial + 1)
+	want, got := script(fresh), script(reused)
+	if !slices.Equal(got, want) {
+		t.Fatalf("restarted state differs from a fresh one:\nrestarted %q\nfresh     %q", got, want)
+	}
+	if slices.Equal(first, want) {
+		t.Fatal("two trials drew the same targets: the script cannot tell a missing reseed")
 	}
 }

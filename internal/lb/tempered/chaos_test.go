@@ -33,20 +33,13 @@ func nonDyadicLoad(rank, i, objsPerHot int) float64 {
 // final object census.
 func runChaosCase(t *testing.T, nRanks, hot, objsPerHot int, cfg core.Config, sp *comm.FaultSpec, loadFn func(rank, i, objsPerHot int) float64) ([]DistResult, amt.FaultStats, int) {
 	t.Helper()
-	return runChaosCaseWith(t, RegisterHandlers, nRanks, hot, objsPerHot, cfg, sp, loadFn)
-}
-
-// runChaosCaseWith is runChaosCase with the handler constructor chosen
-// by the caller.
-func runChaosCaseWith(t *testing.T, register func(*amt.Runtime, amt.HandlerID) *Handlers, nRanks, hot, objsPerHot int, cfg core.Config, sp *comm.FaultSpec, loadFn func(rank, i, objsPerHot int) float64) ([]DistResult, amt.FaultStats, int) {
-	t.Helper()
 	rt := amt.New(nRanks)
 	if sp != nil {
 		if err := rt.SetFaults(*sp); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h := register(rt, 100)
+	h := RegisterHandlers(rt, 100)
 	results := make([]DistResult, nRanks)
 	census := make([]int, nRanks)
 	var mu sync.Mutex

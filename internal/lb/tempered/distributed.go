@@ -32,16 +32,11 @@ type Handlers struct {
 	// load summary's combine: the ops of a watched job's reduces, built
 	// once for every rank and invocation.
 	openWatched, iterWatched []amt.ReduceOp
-
-	// freshTrialState makes every trial build a new gossip state instead
-	// of re-pointing the invocation's one. Only tests set it, to show the
-	// two are indistinguishable.
-	freshTrialState bool
 }
 
 // rankState is the per-rank balancer state touched by handlers; at most
 // one goroutine runs a rank at a time — its own, or a sender's while the
-// rank is parked, handed over by the transport (comm.Transport) — so no
+// rank is parked, handed over by the network (comm.Network) — so no
 // locking is needed.
 type rankState struct {
 	inform *core.InformState
@@ -284,7 +279,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 		// the previous iteration's epochs have quiesced by then, so no
 		// in-flight message can observe a recycled knowledge buffer. The
 		// RNG stream is continuous across a trial's iterations.
-		if st.inform == nil || h.freshTrialState {
+		if st.inform == nil {
 			st.inform = core.NewInformStateOn(h.table, self, &cfg, core.SeededRNG(cfg.Seed))
 		}
 		st.inform.StartTrial(trial)

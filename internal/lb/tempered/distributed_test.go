@@ -2,7 +2,6 @@ package tempered
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -193,36 +192,6 @@ func TestDistributedBadConfig(t *testing.T) {
 				}
 			})
 		})
-	}
-}
-
-// registerFreshHandlers is RegisterHandlers for a balancer that builds a
-// new gossip state for every trial, the way RunDistributed did before it
-// shared the engine's trial start.
-func registerFreshHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
-	h := RegisterHandlers(rt, base)
-	h.freshTrialState = true
-	return h
-}
-
-// TestTrialStateReuseIdentity: re-pointing one gossip state at each
-// trial's stream must be indistinguishable from constructing a fresh
-// one — same dice, no knowledge, forwarding marks or load-table residue
-// carried across the trial boundary. Rounds is 1, where results are
-// protocol-determined (DESIGN.md §10), so every field must match.
-func TestTrialStateReuseIdentity(t *testing.T) {
-	cfg := distConfig()
-	cfg.Rounds = 1
-	cfg.Trials = 4
-	fresh, _, _ := runChaosCaseWith(t, registerFreshHandlers, 64, 4, 30, cfg, nil, nonDyadicLoad)
-	reused, _, _ := runChaosCase(t, 64, 4, 30, cfg, nil, nonDyadicLoad)
-	if fresh[0].GossipMessages == 0 || fresh[0].TransferMessages == 0 {
-		t.Fatalf("vacuous run: %+v", fresh[0])
-	}
-	for r := range fresh {
-		if want, got := fresh[r].StripTiming(), reused[r].StripTiming(); !reflect.DeepEqual(want, got) {
-			t.Fatalf("rank %d: reused state %+v, fresh state %+v", r, got, want)
-		}
 	}
 }
 

@@ -12,12 +12,6 @@ type Particle struct {
 	VX, VY float64
 }
 
-// Field supplies the acceleration a particle feels.
-type Field interface {
-	// Accel returns the acceleration at a position and time.
-	Accel(x, y, t float64) (ax, ay float64)
-}
-
 // FocusingField attracts particles toward a slowly drifting focal point
 // — the stand-in for the B-Dot problem's magnetic compression. The
 // attraction is linear in the offset (a harmonic trap), so a cloud
@@ -33,7 +27,7 @@ type FocusingField struct {
 	DriftX, DriftY float64
 }
 
-// Accel implements Field.
+// Accel returns the acceleration at a position and time.
 func (f FocusingField) Accel(x, y, t float64) (ax, ay float64) {
 	cx := f.CX0 + f.DriftX*t
 	cy := f.CY0 + f.DriftY*t
@@ -110,7 +104,7 @@ func (s *System) InjectUniform(n int, vth float64) {
 // Step advances all particles by dt under the field using a symplectic
 // (kick-drift) update, reflecting at the walls. Particle count is
 // conserved.
-func (s *System) Step(dt float64, f Field) {
+func (s *System) Step(dt float64, f FocusingField) {
 	if dt <= 0 {
 		panic(fmt.Sprintf("particle: Step with dt=%g", dt))
 	}

@@ -32,8 +32,7 @@ type (
 	// returned by Runtime.Metrics.
 	Metrics = obs.Metrics
 	// Stream is the live frame publisher: a fixed ring of Snapshot
-	// frames plus drop-oldest subscribers, served over HTTP by
-	// ServeObservability.
+	// frames plus drop-oldest subscribers.
 	Stream = obs.Stream
 	// Snapshot is one frame of the observability stream.
 	Snapshot = obs.Snapshot
@@ -96,21 +95,3 @@ func NewStream(capacity int) *Stream { return obs.NewStream(capacity) }
 // max-cells beyond 64 ranks — imbalance, traffic and fault counters)
 // from the lowest rank of every node that attached one.
 func WithStream(s *Stream) RuntimeOption { return amt.WithStream(s) }
-
-// ServeObservability starts an HTTP server on addr exposing the stream
-// (NDJSON at /stream and /frames, latest frame at /snapshot), the
-// metrics registry at /metrics, and net/http/pprof under /debug/pprof/.
-// It returns the server and the bound address (addr may use port 0).
-// Either stream or metrics may be nil; the matching endpoints 404.
-func ServeObservability(addr string, stream *Stream, metrics *Metrics) (io.Closer, string, error) {
-	srv, bound, err := obs.StartServer(addr, stream, metrics)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv, bound, nil
-}
-
-// WriteSnapshots writes frames as NDJSON — the `lbtop -replay` format.
-func WriteSnapshots(w io.Writer, frames []Snapshot) error {
-	return obs.WriteSnapshots(w, frames)
-}

@@ -3,6 +3,7 @@ package temperedlb
 import (
 	"temperedlb/internal/amt"
 	"temperedlb/internal/comm"
+	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/lb/tempered"
 )
 
@@ -10,7 +11,7 @@ import (
 // distributed termination detection, collectives, and migratable
 // objects — the substrate the distributed balancer runs on.
 type (
-	// Runtime owns the transport and handler registries.
+	// Runtime owns the network and handler registries.
 	Runtime = amt.Runtime
 	// RankContext is a logical rank's handle inside Runtime.Run.
 	RankContext = amt.Context
@@ -43,10 +44,6 @@ type (
 	// FaultStats reports a fault plan's injections and the runtime's
 	// recovery work; read with Runtime.FaultStats.
 	FaultStats = amt.FaultStats
-	// Transport is the pluggable message substrate underneath the
-	// runtime: the in-memory network by default, or a socket transport
-	// from internal/comm/wire hosting one slice of a multi-process job.
-	Transport = comm.Transport
 	// WireStats are a socket transport's cumulative frame, byte and
 	// connection counters (zero-valued on the in-memory transport).
 	WireStats = comm.WireStats
@@ -67,12 +64,11 @@ const (
 // histogram registry).
 func NewRuntime(n int, opts ...RuntimeOption) *Runtime { return amt.New(n, opts...) }
 
-// WithTransport substitutes the runtime's message transport, e.g. a
-// TCP or Unix-socket transport hosting this process's rank range of a
-// multi-process job (see `lbplay -node`). The default is the in-memory
-// network spanning every rank. The transport's total rank count must
-// match the runtime's.
-func WithTransport(t Transport) RuntimeOption { return amt.WithTransport(t) }
+// WithTransport makes the runtime one node of a socket job: a TCP or
+// Unix-socket transport hosting this node's rank range (see `lbplay
+// -node`). The default is the in-memory network spanning every rank. The
+// transport's total rank count must match the runtime's.
+func WithTransport(t *wire.Transport) RuntimeOption { return amt.WithTransport(t) }
 
 // ParseFaultSpec parses a comma-separated fault directive such as
 // "seed=7,drop=0.01,dup=0.01,delay=5ms,slow=3:2ms" into a FaultSpec.

@@ -71,14 +71,8 @@ func WriteServiceLog(w io.Writer, cfg ServiceConfig, res ServiceResult) error {
 	return serve.WriteLog(w, cfg, res)
 }
 
-// SimulateService runs the service for cfg inside this process, on an
-// in-memory job of cfg.Scenario.Ranks ranks, and returns its result with
-// LocalMigrations summed over the ranks — what RunService returns on any
-// transport, without a job to stand up.
-func SimulateService(cfg ServiceConfig) (ServiceResult, error) { return serve.Simulate(cfg) }
-
 // TuneTrigger grid-searches trigger parameters for cfg (its Trigger is
-// ignored), one SimulateService run per candidate, and returns the
+// ignored), one in-process service run per candidate, and returns the
 // cheapest candidate plus the full sweep. families selects trigger
 // families ("every", "threshold", "forecast"); nil sweeps all three.
 func TuneTrigger(cfg ServiceConfig, families []string) (TuneCandidate, []TuneCandidate, error) {

@@ -37,20 +37,9 @@ func GossipSweepConfigs(base EngineConfig, fanouts, rounds []int) []SweepConfig 
 	return lbaf.GossipSweepConfigs(base, fanouts, rounds)
 }
 
-// RefinementSweepConfigs builds the trials × iterations grid for the
-// refinement loop (Algorithm 3's knobs).
-func RefinementSweepConfigs(base EngineConfig, trials, iters []int) []SweepConfig {
-	return lbaf.RefinementSweepConfigs(base, trials, iters)
-}
-
 // RunComparison generates the workload described by spec and runs the
 // §V-D comparison: the original criterion versus the relaxed criterion
 // with the modified CMF, on the identical initial distribution.
 func RunComparison(spec WorkloadSpec, base EngineConfig) (Comparison, error) {
 	return lbaf.RunComparison(spec, base)
-}
-
-// RunComparisonOn runs the §V-D comparison on an existing assignment.
-func RunComparisonOn(a *Assignment, base EngineConfig) (Comparison, error) {
-	return lbaf.RunComparisonOn(a, base)
 }

@@ -178,9 +178,9 @@ bench-compare:
 # gofmt-formatted non-test files), and the command-line flags declared
 # under cmd/ (every x.Int / x.StringVar / … call, on any receiver, that
 # names its flag; a name declared twice is a vocabulary drifting apart —
-# the shared ones live once in cmd/internal/cli), and four option counts:
-# the methods a transport must implement (comm.Transport) and the exported
-# fields a caller can set on the balancer (core.Config), on a fault plan
+# the shared ones live once in cmd/internal/cli), the non-test interface
+# types, and four option counts: the exported fields a caller can set on
+# the balancer (core.Config and core.EngineConfig), on a fault plan
 # (comm.FaultSpec) and on a socket transport (wire.Config) — a line
 # `A, B int` counts two — and the binaries (directories under cmd/ other
 # than internal). A PR that says "simpler" or "fewer options" quotes this.

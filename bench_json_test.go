@@ -350,6 +350,53 @@ func benchJSONSuite() []struct {
 				b.Fatal(err)
 			}
 		}},
+		{"allgather_4096", func(b *testing.B) {
+			// One all-gather on every rank of a 4096-rank in-memory
+			// runtime, the paper's scale: each subtree's range goes up,
+			// the root's by-rank vector comes down. The runtime stands up
+			// once, untimed.
+			amt.New(4096).Run(func(rc *amt.Context) {
+				allGathers(b, rc)
+			})
+		}},
+		{"allgather_unix_64x2", func(b *testing.B) {
+			// The same gather over real sockets, beside
+			// allreduce_unix_64x2: 64 ranks split over two unix-socket
+			// nodes, where a range crosses each of the 4 tree edges
+			// between them. The job stands up once, untimed.
+			job, err := amt.Launch("unix", 64, 2, 0xa11)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer job.Close()
+			err = job.Run(func(*amt.Runtime) func(*amt.Context) error {
+				return func(rc *amt.Context) error {
+					allGathers(b, rc)
+					return nil
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}},
+	}
+}
+
+// allGathers is one rank's part of an allgather row: untimed gathers
+// size every rank's buffers and the connections' frame buffers, so B/op
+// does not follow b.N, then b.N timed ones, the timer run by rank 0.
+func allGathers(b *testing.B, rc *amt.Context) {
+	for i := 0; i < 5; i++ {
+		rc.AllGather(float64(rc.Rank()))
+	}
+	if rc.Rank() == 0 {
+		b.ResetTimer()
+	}
+	for i := 0; i < b.N; i++ {
+		rc.AllGather(float64(rc.Rank()))
+	}
+	if rc.Rank() == 0 {
+		b.StopTimer()
 	}
 }
 

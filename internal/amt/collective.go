@@ -19,6 +19,9 @@ const (
 	ReduceMax
 	// ReduceMin takes the minimum contribution.
 	ReduceMin
+	// reduceConcat is AllGather's fold: each child's subtree range is
+	// appended behind the rank's own slot, so the root holds the vector.
+	reduceConcat
 )
 
 func (op ReduceOp) combine(a, b float64) float64 {
@@ -81,13 +84,14 @@ func (rc *Context) collStart(name string) func() {
 // partial to its parent. Because the combine order is a function of the
 // topology alone (never of message arrival order), floating-point
 // reductions are bit-identical across runs, under jitter, delays and
-// stragglers included. Down phase: the root copies its fold once into a
-// fresh result, and that one message goes down the whole tree — every
-// rank forwards what it received (see onCollDown) — so the returned slice
-// is shared by every rank of the node and must not be written.
+// stragglers included. Down phase: the root's fold is a fresh result,
+// and that one message goes down the whole tree — every rank forwards
+// what it received (see onCollDown) — so the returned slice is shared by
+// every rank of the node and must not be written.
 //
-// Nothing else is allocated per rank. The fold happens in rc.partial and
-// travels up in rc.up, both reused from one collective to the next: a
+// Nothing else is allocated per rank. Below the root the fold happens in
+// rc.partial and travels up in rc.up, both reused from one collective to
+// the next (a gather's range that outgrows rc.partial is dropped): a
 // child enters collective s+1 only after the down message of s reached
 // it, and its parent sends that only after folding the child's partial of
 // s. No fault plan can break that order — collective kinds are never
@@ -114,23 +118,27 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	seq := rc.collSeq
 
 	var acc []float64 // nil for a barrier
-	if in != nil {
+	if in != nil && rc.parent >= 0 {
 		acc = append(rc.partial[:0], in...)
 		rc.partial = acc
+	} else if in != nil {
+		acc = append([]float64(nil), in...) // the root folds into the result
 	}
 	if rc.nKids > 0 {
 		rc.pump(waitCollUp, seq)
 		for i, kid := range rc.coll.kids {
 			rc.coll.kids[i] = nil
-			if len(kid) != len(acc) {
+			switch {
+			case op == reduceConcat:
+				acc = append(acc, kid...)
+			case len(kid) != len(acc):
 				panic(fmt.Sprintf("amt: %s length mismatch: %d vs %d",
 					name, len(kid), len(acc)))
-			}
-			if ops != nil {
+			case ops != nil:
 				for j, v := range kid {
 					acc[j] = ops[j].combine(acc[j], v)
 				}
-			} else {
+			default:
 				for j, v := range kid {
 					acc[j] = op.combine(acc[j], v)
 				}
@@ -150,12 +158,11 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 		return acc
 	}
 	// Root: the local fold is the global result; start the down phase.
-	var result []float64
-	if acc != nil {
-		result = append([]float64(nil), acc...)
+	if op == reduceConcat && len(acc) != rc.n {
+		panic(fmt.Sprintf("amt: %s length mismatch: %d vs %d", name, len(acc), rc.n))
 	}
-	rc.sendDown(&collMsg{Seq: seq, Values: result})
-	return result
+	rc.sendDown(&collMsg{Seq: seq, Values: acc})
+	return acc
 }
 
 // sendDown forwards the down message of a collective to each tree child
@@ -230,23 +237,15 @@ func (rc *Context) AllReduceMixed(values []float64, ops []ReduceOp) []float64 {
 }
 
 // AllGather collects one float64 from every rank and returns the full
-// vector, indexed by rank, on every rank. It rides the tree engine as a
-// one-hot sum — x + 0 is exact in floating point, so each slot arrives
-// untouched. Every rank allocates and ships O(P) floats, so nothing on a
-// per-iteration or per-phase path may call it: the one caller left is
-// serve's assignmentFingerprint, once per service run (frames ride the
-// protocol's own reduces as an obs.LoadSummary instead). The P-wide
-// vector is the call's own partial, folded in place and dropped with the
-// call, so no rank keeps a P-float buffer past it. Like the other
-// collectives it must be called by all ranks in matching order, and its
-// result is read-only, as AllReduceVec's is.
+// vector, indexed by rank, on every rank. A subtree is the rank range
+// [r, r+size) and its children ascend, so each rank sends up its own
+// value followed by its children's ranges, and the root's concatenation
+// is the vector: no arithmetic touches a slot, and only the root's one
+// result is P wide. Like the other collectives it must be called by all
+// ranks in matching order, and its result is read-only, as
+// AllReduceVec's is.
 func (rc *Context) AllGather(value float64) []float64 {
-	kept := rc.partial
-	rc.partial = make([]float64, rc.n)
-	rc.partial[rc.rank] = value
-	out := rc.treeCollective("allgather", rc.partial, ReduceSum, nil)
-	rc.partial = kept
-	return out
+	return rc.treeCollective("allgather", []float64{value}, reduceConcat, nil)
 }
 
 // AllReduceVec combines a fixed-width vector elementwise across all

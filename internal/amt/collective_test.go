@@ -3,7 +3,6 @@ package amt
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,45 +142,56 @@ func TestChaosKeptResultsOutliveLaterCollectives(t *testing.T) {
 // rank). It now measures ≈ 2 KB: the root's 640 bytes, plus inbox
 // queues growing to their burst size once, spread over the calls. The
 // gate, 8 KB, is 8 bytes per rank: below the smallest allocation any
-// rank could make per collective, four times what is measured. An
-// all-gather's P-wide partial is dropped with the call, so no rank keeps
-// one past it.
+// rank could make per collective, four times what is measured.
+//
+// An all-gather ships each subtree's range, not a P-wide partial: the
+// ranges of the 256 ranks with children hold 5 035 floats at 1024 ranks
+// (40 KB, the root's 8 KB result among them), and appending grows each
+// a few times: ≈ 56 KB is measured. The gate, 128 KB, is an eighth of
+// one P-wide vector per rank, which is what a gather folding P-wide
+// partials allocates (≈ 8.4 MB per call).
 func TestCollectiveAllocatesPerNode(t *testing.T) {
 	const n, width, calls = 1024, 76, 50
 	ops := keptOps(width)
-	var perCall uint64
-	var keptWide atomic.Int64
+	var reduce, gather uint64
 	New(n).Run(func(rc *Context) {
+		// perCall is what the node allocates per call of op, read on
+		// rank 0, the root: it leaves the barrier only once every rank
+		// has entered it, so every call before it is done.
+		perCall := func(op func()) uint64 {
+			var before, after runtime.MemStats
+			if rc.Rank() == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			for i := 0; i < calls; i++ {
+				op()
+			}
+			rc.Barrier()
+			if rc.Rank() == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			return (after.TotalAlloc - before.TotalAlloc) / calls
+		}
 		in := make([]float64, width)
 		for j := range in {
 			in[j] = keptInput(int(rc.Rank()), j, 0)
 		}
 		rc.AllReduceMixed(in, ops) // every rank's buffers reach their size
-		rc.Barrier()
-		var before, after runtime.MemStats
-		if rc.Rank() == 0 {
-			runtime.ReadMemStats(&before)
-		}
-		for i := 0; i < calls; i++ {
-			rc.AllReduceMixed(in, ops)
-		}
-		// Rank 0, the root, leaves the barrier only once every rank has
-		// entered it, so every call above is done.
-		rc.Barrier()
-		if rc.Rank() == 0 {
-			runtime.ReadMemStats(&after)
-			perCall = (after.TotalAlloc - before.TotalAlloc) / calls
-		}
 		rc.AllGather(1)
-		if cap(rc.partial) >= n {
-			keptWide.Add(1)
+		rc.Barrier()
+		r := perCall(func() { rc.AllReduceMixed(in, ops) })
+		g := perCall(func() { rc.AllGather(1) })
+		if rc.Rank() == 0 {
+			reduce, gather = r, g
 		}
 	})
-	if perCall > 8<<10 {
+	if reduce > 8<<10 {
 		t.Errorf("a width-%d reduce over %d ranks allocates %d B per call, want ≤ 8192 (O(1) per node)",
-			width, n, perCall)
+			width, n, reduce)
 	}
-	if k := keptWide.Load(); k > 0 {
-		t.Errorf("%d ranks keep a P-wide partial after AllGather", k)
+	if gather > 128<<10 {
+		t.Errorf("an all-gather over %d ranks allocates %d B per call, want ≤ 131072 (no P-wide partials)",
+			n, gather)
 	}
+	t.Logf("per call over %d ranks: width-%d reduce %d B, all-gather %d B", n, width, reduce, gather)
 }

@@ -133,9 +133,10 @@ type Context struct {
 	// collSeq is the collective this rank is in, or last left; coll holds
 	// its children's partials of the next one it folds, and result the down
 	// phase's result of collective resultSeq (0: none) until it is taken.
-	// partial is this rank's own fold and up the message that carries it
-	// to the parent, both reused from one collective to the next (see
-	// treeCollective).
+	// partial is a non-root rank's own fold and up the message that
+	// carries it to the parent, both reused from one collective to the
+	// next; a gather's range that outgrows partial is dropped with the
+	// call (see treeCollective).
 	collSeq   int64
 	coll      collState
 	result    []float64

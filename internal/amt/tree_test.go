@@ -1,7 +1,9 @@
 package amt
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,32 +196,80 @@ func TestTreeHasTheHeapsInternalRanks(t *testing.T) {
 	}
 }
 
-// TestAllGather checks the one-hot-sum gather: every rank must receive
-// the full by-rank vector with each slot bit-exact (x + 0 is exact, so
-// riding the sum tree cannot perturb the values).
+// gatherInput is rank r's all-gather value: non-dyadic, and negative
+// zero on rank 1, which no sum with +0 could carry (−0 + 0 is +0).
+func gatherInput(r int) float64 {
+	if r == 1 {
+		return math.Copysign(0, -1)
+	}
+	return treeInput(r, 0)
+}
+
+// checkGathered reports the first slot of got that is not gatherInput's
+// bits, or a vector that is not n wide.
+func checkGathered(got []float64, n int) error {
+	if len(got) != n {
+		return fmt.Errorf("gathered %d values, want %d", len(got), n)
+	}
+	for s, v := range got {
+		if want := gatherInput(s); math.Float64bits(v) != math.Float64bits(want) {
+			return fmt.Errorf("slot %d = %v, want %v", s, v, want)
+		}
+	}
+	return nil
+}
+
+// TestAllGather: the gather concatenates subtree ranges, so every rank
+// receives the by-rank vector with each slot's bits untouched, on
+// complete trees (5 and 21 at k = 4, 13 at k = 3) and ragged ones alike.
 func TestAllGather(t *testing.T) {
-	const n = 13
-	rt := New(n, withFanout(3))
-	rt.Run(func(rc *Context) {
-		got := rc.AllGather(1.5*float64(rc.Rank()) + 0.25)
-		if len(got) != n {
-			t.Errorf("rank %d: gathered %d values", rc.Rank(), len(got))
-			return
+	for _, k := range []int{3, 4} {
+		for _, n := range []int{1, 2, 5, 13, 21, 100, 1000} {
+			New(n, withFanout(k)).Run(func(rc *Context) {
+				if err := checkGathered(rc.AllGather(gatherInput(int(rc.Rank()))), n); err != nil {
+					t.Errorf("n=%d k=%d rank %d: %v", n, k, rc.Rank(), err)
+				}
+			})
 		}
-		for r := 0; r < n; r++ {
-			if want := 1.5*float64(r) + 0.25; got[r] != want {
-				t.Errorf("rank %d: slot %d = %g, want %g", rc.Rank(), r, got[r], want)
-			}
-		}
-	})
+	}
+}
+
+// TestAllGatherRejectsAMalformedRange: a range may come from another
+// process's frame, so a gather that does not add up to one value per
+// rank panics at the root, naming the collective and both counts. Rank 5
+// of 13 puts a short range, then a long one, on its parent.
+func TestAllGatherRejectsAMalformedRange(t *testing.T) {
+	for _, c := range []struct {
+		own  []float64
+		want string
+	}{
+		{[]float64{}, "amt: allgather length mismatch: 12 vs 13"},
+		{[]float64{5, 5}, "amt: allgather length mismatch: 14 vs 13"},
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), c.want) {
+					t.Errorf("a %d-value range from rank 5: panic %v, want %q", len(c.own), p, c.want)
+				}
+			}()
+			New(13, withFanout(3)).Run(func(rc *Context) {
+				if rc.Rank() == 5 {
+					rc.treeCollective("allgather", c.own, reduceConcat, nil)
+				} else {
+					rc.AllGather(1)
+				}
+			})
+		}()
+	}
 }
 
 // TestChaosTreeCollectiveStorm1024 is the paper-scale collective stress:
-// 1024 ranks hammer the tree with barriers, vector reduces and a scalar
-// max while the transport duplicates and drops 10% of the interleaved
-// epoch traffic and smears every delivery (collective hops included)
-// over a delay window. Every reduction must come back exact on every
-// rank and the epoch traffic must still be delivered exactly once.
+// 1024 ranks hammer the tree with barriers, vector reduces, a scalar
+// max and an all-gather while the transport duplicates and drops 10% of
+// the interleaved epoch traffic and smears every delivery (collective
+// hops included) over a delay window. Every reduction must come back
+// exact on every rank, every gathered slot bit for bit, and the epoch
+// traffic must still be delivered exactly once.
 func TestChaosTreeCollectiveStorm1024(t *testing.T) {
 	const n, rounds = 1024, 2
 	rt := New(n)
@@ -242,6 +292,9 @@ func TestChaosTreeCollectiveStorm1024(t *testing.T) {
 			}
 			if max := rc.AllReduce(float64(rc.Rank()), ReduceMax); max != n-1 {
 				t.Errorf("rank %d round %d: max %g", rc.Rank(), round, max)
+			}
+			if err := checkGathered(rc.AllGather(gatherInput(int(rc.Rank()))), n); err != nil {
+				t.Errorf("rank %d round %d: all-gather: %v", rc.Rank(), round, err)
 			}
 			rc.Epoch(func() {
 				rc.Send((rc.Rank()+1)%n, hPing, round)
@@ -287,24 +340,30 @@ func treeFold(n, width int, ops []ReduceOp) []float64 {
 // partial up, the result down — and nothing for the ranks behind them.
 // The frames of ten more 10-wide mixed reduces are counted on unix jobs
 // whose node shares are contiguous rank ranges: 8, 8 and 22 per reduce
-// on these three. And whatever the
-// node split, the reduction folds in the tree's order alone: a
-// non-dyadic vector reduces to the same bits on memory and on 2, 3 and 4
-// unix nodes as the tree's own fold computed here.
+// on these three. And whatever the node split, the reduction folds in
+// the tree's order alone: a non-dyadic vector reduces to the same bits
+// on memory and on 2, 3 and 4 unix nodes as the tree's own fold
+// computed here. An all-gather's up message is a subtree's range, so on
+// the same splits it gathers the same bits as memory, at the same two
+// frames per crossing edge.
 func TestSocketCollectiveCostsItsCrossingEdges(t *testing.T) {
 	const width = 10
 	ops := keptOps(width)
-	run := func(network string, n, nodes, calls int) (results [][]float64, frames int64) {
+	reduce := func(rc *Context) []float64 {
+		in := make([]float64, width)
+		for j := range in {
+			in[j] = treeInput(int(rc.Rank()), j)
+		}
+		return rc.AllReduceMixed(in, ops)
+	}
+	gather := func(rc *Context) []float64 { return rc.AllGather(gatherInput(int(rc.Rank()))) }
+	run := func(network string, n, nodes, calls int, collective func(*Context) []float64) (results [][]float64, frames int64) {
 		job := launch(t, network, n, nodes)
 		results = make([][]float64, n)
 		err := job.Run(func(*Runtime) func(*Context) error {
 			return func(rc *Context) error {
-				in := make([]float64, width)
-				for j := range in {
-					in[j] = treeInput(int(rc.Rank()), j)
-				}
 				for c := 0; c < calls; c++ {
-					results[rc.Rank()] = rc.AllReduceMixed(in, ops)
+					results[rc.Rank()] = collective(rc)
 				}
 				return nil
 			}
@@ -314,15 +373,19 @@ func TestSocketCollectiveCostsItsCrossingEdges(t *testing.T) {
 		}
 		return results, job.Stats().Wire.FramesOut
 	}
+	// framesForTen is what ten more calls of collective cost on sockets.
+	framesForTen := func(n, nodes int, collective func(*Context) []float64) int64 {
+		_, one := run("unix", n, nodes, 1, collective)
+		_, eleven := run("unix", n, nodes, 11, collective)
+		return eleven - one
+	}
 	for _, c := range []struct{ n, nodes, frames int }{{64, 2, 8}, {256, 2, 8}, {64, 4, 22}} {
 		if e := crossingEdges(c.n, treeFanout, c.nodes); 2*e != c.frames {
 			t.Errorf("%d ranks on %d nodes: %d crossing tree edges, want %d", c.n, c.nodes, e, c.frames/2)
 		}
-		_, one := run("unix", c.n, c.nodes, 1)
-		_, eleven := run("unix", c.n, c.nodes, 11)
-		if eleven-one != 10*int64(c.frames) {
+		if f := framesForTen(c.n, c.nodes, reduce); f != 10*int64(c.frames) {
 			t.Errorf("%d ranks on %d unix nodes: %d frames for ten reduces, want %d per reduce",
-				c.n, c.nodes, eleven-one, c.frames)
+				c.n, c.nodes, f, c.frames)
 		}
 	}
 
@@ -344,7 +407,7 @@ func TestSocketCollectiveCostsItsCrossingEdges(t *testing.T) {
 		if nodes == 1 {
 			network = "memory"
 		}
-		results, _ := run(network, n, nodes, 1)
+		results, _ := run(network, n, nodes, 1, reduce)
 		for r, got := range results {
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
@@ -352,6 +415,19 @@ func TestSocketCollectiveCostsItsCrossingEdges(t *testing.T) {
 						network, nodes, r, j, got[j], want[j])
 				}
 			}
+		}
+		gathered, _ := run(network, n, nodes, 1, gather)
+		for r, got := range gathered {
+			if err := checkGathered(got, n); err != nil {
+				t.Fatalf("%s, %d nodes, rank %d: all-gather: %v", network, nodes, r, err)
+			}
+		}
+		if nodes == 1 {
+			continue
+		}
+		if f, e := framesForTen(n, nodes, gather), crossingEdges(n, treeFanout, nodes); f != 20*int64(e) {
+			t.Errorf("%d ranks on %d unix nodes: %d frames for ten all-gathers, want 2 per crossing edge (%d)",
+				n, nodes, f, 2*e)
 		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 // transport. IDs 1–15 are envelopes and control payloads (1, the user
 // envelope, is retired since wire v2: the epoch tag rides the frame
 // header and user data travels bare; v3 dropped the migration
-// envelope's size field, which no receiver read); 16–31 stay reserved
+// envelope's size field, which no receiver read; since v4 an all-gather's
+// up message, id 6, carries its subtree's range); 16–31 stay reserved
 // for future runtime types. Field order here IS the wire protocol —
 // reordering or widening a field is a wire.Version bump.
 //

@@ -17,7 +17,7 @@ import (
 // or the meaning of an assigned payload id; peers speaking different
 // versions refuse each other at the first frame rather than
 // misinterpreting bytes.
-const Version = 3
+const Version = 4
 
 // Frame types. A frame is: u32 body length (big-endian, covering the
 // two header bytes and the body) | u8 version | u8 type | body.

@@ -350,6 +350,40 @@ func benchJSONSuite() []struct {
 				b.Fatal(err)
 			}
 		}},
+		{"gossip_epoch_1024", func(b *testing.B) {
+			// One inform epoch of the paper's protocol (f = 6, k = 10)
+			// over 1024 in-memory ranks, through the shipped handlers: a
+			// one-iteration invocation whose loads, 1 and 2 on alternate
+			// ranks at h = 1.5, put no rank above Threshold·ave, so its
+			// transfer and commit epochs are empty and the 512
+			// underloaded ranks' gossip is the work. The runtime, the
+			// handlers and the objects stand up once, untimed, and
+			// untimed invocations size every rank's buffers.
+			rt := amt.New(1024)
+			h := tempered.RegisterHandlers(rt, 1)
+			cfg := core.Tempered()
+			cfg.Trials, cfg.Iterations, cfg.Threshold = 1, 1, 1.5
+			rt.Run(func(rc *amt.Context) {
+				loads := map[amt.ObjectID]float64{rc.CreateObject(0): float64(1 + rc.Rank()%2)}
+				invoke := func() {
+					if _, err := tempered.RunDistributed(rc, h, cfg, loads); err != nil {
+						b.Error(err)
+					}
+				}
+				for i := 0; i < 20; i++ {
+					invoke()
+				}
+				if rc.Rank() == 0 {
+					b.ResetTimer()
+				}
+				for i := 0; i < b.N; i++ {
+					invoke()
+				}
+				if rc.Rank() == 0 {
+					b.StopTimer()
+				}
+			})
+		}},
 		{"allgather_4096", func(b *testing.B) {
 			// One all-gather on every rank of a 4096-rank in-memory
 			// runtime, the paper's scale: each subtree's range goes up,

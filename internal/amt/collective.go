@@ -91,13 +91,14 @@ func (rc *Context) collStart(name string) func() {
 //
 // Nothing else is allocated per rank. Below the root the fold happens in
 // rc.partial and travels up in rc.up, both reused from one collective to
-// the next (a gather's range that outgrows rc.partial is dropped): a
-// child enters collective s+1 only after the down message of s reached
-// it, and its parent sends that only after folding the child's partial of
-// s. No fault plan can break that order — collective kinds are never
-// dropped or duplicated (Runtime.SetFaults), a delayed partial still
-// arrives before its parent's fold, and a socket writer encodes a
-// partial before the parent can read it.
+// the next (rc.partial is sized once for the widest fold, a gather's
+// subtree range, so a gather's appends never regrow it): a child enters
+// collective s+1 only after the down message of s reached it, and its
+// parent sends that only after folding the child's partial of s. No
+// fault plan can break that order — collective kinds are never dropped
+// or duplicated (Runtime.SetFaults), a delayed partial still arrives
+// before its parent's fold, and a socket writer encodes a partial before
+// the parent can read it.
 //
 // ops selects a per-element combine (len(ops) == len(in)); a nil ops
 // applies op to every element. Per-rank traffic is at most fanout+1
@@ -118,11 +119,18 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	seq := rc.collSeq
 
 	var acc []float64 // nil for a barrier
+	width := len(in)  // of the fold: a gather's is the subtree's range
+	if op == reduceConcat {
+		width = rc.size
+	}
 	if in != nil && rc.parent >= 0 {
+		if cap(rc.partial) < width {
+			rc.partial = make([]float64, 0, width)
+		}
 		acc = append(rc.partial[:0], in...)
 		rc.partial = acc
 	} else if in != nil {
-		acc = append([]float64(nil), in...) // the root folds into the result
+		acc = append(make([]float64, 0, width), in...) // the root folds into the result
 	}
 	if rc.nKids > 0 {
 		rc.pump(waitCollUp, seq)

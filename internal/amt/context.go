@@ -123,20 +123,23 @@ type Context struct {
 	// are rank+1 + i·stride for i < nKids, in ascending rank order.
 	// treeDepth is the depth of the deepest rank, collMsgs the messages
 	// this rank sends per collective (one up-partial plus one down-copy
-	// per child) — both stamped onto EvCollective spans.
+	// per child) — both stamped onto EvCollective spans — and size the
+	// ranks of this rank's subtree, [rank, rank+size): the width of its
+	// all-gather range.
 	parent    int
 	stride    int
 	nKids     int
 	treeDepth int
 	collMsgs  int
+	size      int
 
 	// collSeq is the collective this rank is in, or last left; coll holds
 	// its children's partials of the next one it folds, and result the down
 	// phase's result of collective resultSeq (0: none) until it is taken.
 	// partial is a non-root rank's own fold and up the message that
 	// carries it to the parent, both reused from one collective to the
-	// next; a gather's range that outgrows partial is dropped with the
-	// call (see treeCollective).
+	// next; partial has room for the rank's all-gather range from the
+	// first gather on (see treeCollective).
 	collSeq   int64
 	coll      collState
 	result    []float64
@@ -188,7 +191,7 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 		epochSeconds: rt.epochSeconds,
 	}
 	r := int(rank)
-	rc.parent, rc.stride, rc.nKids, rc.treeDepth = treeShape(r, rt.n, rt.fanout)
+	rc.parent, rc.stride, rc.nKids, rc.treeDepth, rc.size = treeShape(r, rt.n, rt.fanout)
 	rc.collMsgs = rc.nKids
 	if rc.parent >= 0 {
 		rc.collMsgs++
@@ -211,13 +214,13 @@ func newContext(rt *Runtime, rank core.Rank) *Context {
 // children of r are therefore r+1 + i·stride for i < nKids, and finding r
 // is a descent from the root of at most depth steps, along which the
 // stride only shrinks. depth is the smallest d whose complete size holds
-// n ranks.
+// n ranks, and size is r's subtree's.
 //
 // Because a subtree is a rank range, a contiguous block of ranks — one
 // node's share under wire.SplitRanks — meets the rest of the tree only
 // through the ancestors of its two ends: at most k·depth tree edges per
 // block boundary.
-func treeShape(r, n, k int) (parent, stride, nKids, depth int) {
+func treeShape(r, n, k int) (parent, stride, nKids, depth, size int) {
 	stride = 1
 	for k*stride+1 < n {
 		stride = k*stride + 1
@@ -227,7 +230,8 @@ func treeShape(r, n, k int) (parent, stride, nKids, depth int) {
 		depth++
 	}
 	parent = -1
-	lo, size := 0, n
+	lo := 0
+	size = n
 	for lo != r {
 		end := lo + size
 		parent, lo = lo, lo+1+(r-lo-1)/stride*stride
@@ -236,7 +240,7 @@ func treeShape(r, n, k int) (parent, stride, nKids, depth int) {
 			stride = (stride - 1) / k
 		}
 	}
-	return parent, stride, (size - 1 + stride - 1) / stride, depth
+	return parent, stride, (size - 1 + stride - 1) / stride, depth, size
 }
 
 // child returns the rank of this rank's i-th tree child.

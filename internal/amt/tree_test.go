@@ -26,7 +26,7 @@ func withFanout(k int) Option {
 func subtreeSizes(n, k int) (parents, sizes []int) {
 	parents, sizes = make([]int, n), make([]int, n)
 	for r := n - 1; r >= 0; r-- {
-		parents[r], _, _, _ = treeShape(r, n, k)
+		parents[r], _, _, _, _ = treeShape(r, n, k)
 		sizes[r]++
 		if parents[r] >= 0 {
 			sizes[parents[r]] += sizes[r]
@@ -49,7 +49,7 @@ func crossingEdges(n, k, nodes int) int {
 	}
 	edges := 0
 	for r := 1; r < n; r++ {
-		if p, _, _, _ := treeShape(r, n, k); node(p) != node(r) {
+		if p, _, _, _, _ := treeShape(r, n, k); node(p) != node(r) {
 			edges++
 		}
 	}
@@ -112,6 +112,9 @@ func TestTreeGeometry(t *testing.T) {
 						c.n, c.k, r, ch, sizes[ch], rc.stride)
 				}
 				next += sizes[ch]
+			}
+			if rc.size != sizes[r] {
+				t.Errorf("n=%d k=%d rank %d: size %d, subtree has %d ranks", c.n, c.k, r, rc.size, sizes[r])
 			}
 			if next != r+sizes[r] {
 				t.Errorf("n=%d k=%d rank %d: children cover [%d, %d), subtree is [%d, %d)",
@@ -183,7 +186,7 @@ func TestTreeHasTheHeapsInternalRanks(t *testing.T) {
 		if size <= 1 {
 			return 0
 		}
-		_, stride, _, _ := treeShape(0, size, treeFanout)
+		_, stride, _, _, _ := treeShape(0, size, treeFanout)
 		full, last := (size-1)/stride, (size-1)%stride
 		return 1 + full*internalRanks(stride) + internalRanks(last)
 	}
@@ -324,7 +327,7 @@ func treeFold(n, width int, ops []ReduceOp) []float64 {
 		for j := range acc {
 			acc[j] = treeInput(r, j)
 		}
-		_, stride, nKids, _ := treeShape(r, n, treeFanout)
+		_, stride, nKids, _, _ := treeShape(r, n, treeFanout)
 		for i := 0; i < nKids; i++ {
 			for j, v := range fold(r + 1 + i*stride) {
 				acc[j] = ops[j].combine(acc[j], v)

@@ -14,11 +14,13 @@ import (
 	"temperedlb/internal/termination"
 
 	_ "temperedlb/internal/amt"         // registers payload ids 2–10
-	_ "temperedlb/internal/lb/tempered" // registers payload ids 32–33
+	_ "temperedlb/internal/lb/tempered" // registers payload ids 32–34
 )
 
-func informMsg(entries int) core.InformMsg {
-	m := core.InformMsg{Round: 3, Entries: make([]core.RankLoad, entries)}
+// informMsg returns a gossip message in explicit form, as the balancer
+// sends it: by pointer.
+func informMsg(entries int) *core.InformMsg {
+	m := &core.InformMsg{Round: 3, Entries: make([]core.RankLoad, entries)}
 	for i := range m.Entries {
 		m.Entries[i] = core.RankLoad{Rank: core.Rank(i), Load: float64(i) + 0.5}
 	}
@@ -28,7 +30,7 @@ func informMsg(entries int) core.InformMsg {
 // snapshotMsg returns a fan-out of a 4096-rank gossip state that has
 // learned entries: a message in snapshot form, carrying the same set as
 // the explicit list of entries in rank order.
-func snapshotMsg(entries []core.RankLoad) core.InformMsg {
+func snapshotMsg(entries []core.RankLoad) *core.InformMsg {
 	cfg := core.Tempered()
 	st := core.NewInformStateOn(core.NewLoadTable(4096), 0, &cfg, core.SeededRNG(1))
 	sends, _ := st.Receive(core.InformMsg{Round: 2, Entries: entries})
@@ -36,7 +38,7 @@ func snapshotMsg(entries []core.RankLoad) core.InformMsg {
 }
 
 // sizedPayloads writes the Any encoding of values of every payload type
-// the runtime (ids 2–10) and the balancer (32–33) register. The
+// the runtime (ids 2–10) and the balancer (32–34) register. The
 // envelope types are unexported, so the table spells their wire form and
 // the test decodes it into the real value first — a row that has drifted
 // from its codec fails to decode or to re-encode, it cannot pass.
@@ -59,12 +61,15 @@ var sizedPayloads = []struct {
 	{"int", 8, func(e *wire.Encoder) { e.Any(12) }},
 	{"float64", 9, func(e *wire.Encoder) { e.Any(0.25) }},
 	{"core.Rank", 10, func(e *wire.Encoder) { e.Any(core.Rank(5)) }},
-	{"InformMsg/nil Entries", 32, func(e *wire.Encoder) { e.Any(core.InformMsg{Round: 1}) }},
-	{"InformMsg/empty Entries", 32, func(e *wire.Encoder) { e.Any(core.InformMsg{Round: 1, Entries: []core.RankLoad{}}) }},
-	{"InformMsg/1 entry", 32, func(e *wire.Encoder) { e.Any(informMsg(1)) }},
-	{"InformMsg/4096 entries", 32, func(e *wire.Encoder) { e.Any(informMsg(4096)) }},
-	{"InformMsg/snapshot", 32, func(e *wire.Encoder) { e.Any(snapshotMsg(informMsg(70).Entries)) }},
+	{"*InformMsg/nil Entries", 32, func(e *wire.Encoder) { e.Any(&core.InformMsg{Round: 1}) }},
+	{"*InformMsg/empty Entries", 32, func(e *wire.Encoder) { e.Any(&core.InformMsg{Round: 1, Entries: []core.RankLoad{}}) }},
+	{"*InformMsg/1 entry", 32, func(e *wire.Encoder) { e.Any(informMsg(1)) }},
+	{"*InformMsg/4096 entries", 32, func(e *wire.Encoder) { e.Any(informMsg(4096)) }},
+	{"*InformMsg/snapshot", 32, func(e *wire.Encoder) { e.Any(snapshotMsg(informMsg(70).Entries)) }},
 	{"xferMsg", 33, func(e *wire.Encoder) { e.U16(33); e.I64(80); e.F64(1.75) }},
+	{"InformMsg/nil Entries", 34, func(e *wire.Encoder) { e.Any(core.InformMsg{Round: 1}) }},
+	{"InformMsg/1 entry", 34, func(e *wire.Encoder) { e.Any(*informMsg(1)) }},
+	{"InformMsg/snapshot", 34, func(e *wire.Encoder) { e.Any(*snapshotMsg(informMsg(70).Entries)) }},
 }
 
 // messageBody is a message frame's body around the given Any encoding.
@@ -128,11 +133,11 @@ func TestSnapshotHasTheListsWireForm(t *testing.T) {
 		snap := snapshotMsg(learned)
 		list := slices.Clone(learned)
 		slices.SortFunc(list, func(a, b core.RankLoad) int { return int(a.Rank - b.Rank) })
-		explicit := core.InformMsg{Round: snap.Round, Entries: list}
+		explicit := &core.InformMsg{Round: snap.Round, Entries: list}
 		if snap.Len() != n {
 			t.Fatalf("%d entries: the snapshot has %d", n, snap.Len())
 		}
-		frame := func(data core.InformMsg) []byte {
+		frame := func(data *core.InformMsg) []byte {
 			return wire.AppendMessage(nil, comm.Message{From: 1, To: 2, Handler: 4, Seq: 5, Data: data})
 		}
 		fs, fe := frame(snap), frame(explicit)
@@ -146,10 +151,64 @@ func TestSnapshotHasTheListsWireForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Data.(core.InformMsg); got.Round != snap.Round || !slices.Equal(got.Entries, list) {
+		if got := m.Data.(*core.InformMsg); got.Round != snap.Round || !slices.Equal(got.Entries, list) {
 			t.Fatalf("%d entries: decoded %d entries of round %d, want the rank-ordered list", n, len(got.Entries), got.Round)
 		}
 	}
+}
+
+// TestInformValueFormHasThePointerFormsBody: a gossip message encoded as
+// a core.InformMsg value (id 34, what the benchmark's probes send) is
+// the bytes of the same message sent by pointer (id 32) behind its own
+// id, for a snapshot and for an explicit list, and decodes to the same
+// list.
+func TestInformValueFormHasThePointerFormsBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	learned := make([]core.RankLoad, 300)
+	for i, r := range rng.Perm(4095)[:len(learned)] {
+		learned[i] = core.RankLoad{Rank: core.Rank(r + 1), Load: rng.Float64()}
+	}
+	encode := func(v any) []byte {
+		var e wire.Encoder
+		e.Any(v)
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name string
+		msg  *core.InformMsg
+	}{
+		{"snapshot", snapshotMsg(learned)},
+		{"explicit list", &core.InformMsg{Round: 4, Entries: learned}},
+		{"nil list", &core.InformMsg{Round: 1}},
+	} {
+		ptr, val := encode(tc.msg), encode(*tc.msg)
+		if ptr[0] != 0 || ptr[1] != 32 || val[0] != 0 || val[1] != 34 {
+			t.Fatalf("%s: payload ids %d and %d, want 32 by pointer and 34 by value",
+				tc.name, int(ptr[0])<<8|int(ptr[1]), int(val[0])<<8|int(val[1]))
+		}
+		if !bytes.Equal(ptr[2:], val[2:]) {
+			t.Fatalf("%s: the value form's body differs from the pointer form's:\npointer %x\nvalue   %x", tc.name, ptr[2:], val[2:])
+		}
+		if ps, pv := wire.PayloadSize(tc.msg), wire.PayloadSize(*tc.msg); ps != len(ptr) || pv != len(val) {
+			t.Fatalf("%s: PayloadSize %d by pointer and %d by value, encodings of %d and %d bytes", tc.name, ps, pv, len(ptr), len(val))
+		}
+		frame := wire.AppendMessage(nil, comm.Message{From: 1, To: 2, Handler: 4, Data: *tc.msg})
+		m, err := wire.DecodeMessage(frame[wire.FramePrefixLen:], 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := m.Data.(core.InformMsg)
+		if !ok || got.Round != tc.msg.Round || !slices.Equal(got.Entries, rowsOf(tc.msg)) {
+			t.Fatalf("%s: the value form decodes to %#v", tc.name, m.Data)
+		}
+	}
+}
+
+// rowsOf returns m's entries in the order its Rows walks them.
+func rowsOf(m *core.InformMsg) []core.RankLoad {
+	var out []core.RankLoad
+	m.Rows(0, m.Len(), func(e core.RankLoad) { out = append(out, e) })
+	return out
 }
 
 // FuzzFrameIsOverheadPlusPayloadSize extends the table to whatever

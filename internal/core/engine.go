@@ -281,7 +281,7 @@ func (e *Engine) gossip(work *Assignment, ave float64, st *IterationStats) {
 		s := q[head]
 		st.GossipMessages++
 		st.GossipEntries += s.Msg.Len()
-		more, _ := states[s.To].Receive(s.Msg)
+		more, _ := states[s.To].Receive(*s.Msg)
 		q = append(q, more...)
 	}
 	e.sc.gossip = q

@@ -15,6 +15,11 @@ import (
 // by a message decoded from another node, by a payload capped by
 // Config.MaxGossipEntries, and by messages built by hand. Len and Rows
 // read either form the same way.
+//
+// A fan-out travels as a pointer to the sending state's slot for its
+// round (see InformState.payload): every send of the fan-out, and every
+// retry of one, shares it, and it stays unchanged until the state's
+// Reset. A receiver reads it and must not write it or keep it.
 type InformMsg struct {
 	Round   int
 	Entries []RankLoad
@@ -66,10 +71,11 @@ func (m InformMsg) Rows(lo, hi int, row func(RankLoad)) {
 
 // Send is a directed gossip message produced by the inform state machine;
 // the caller (synchronous simulator or asynchronous runtime) is
-// responsible for delivering it.
+// responsible for delivering it. Msg points at the sender's slot for
+// the message's round, valid until the sender's Reset.
 type Send struct {
 	To  Rank
-	Msg InformMsg
+	Msg *InformMsg
 }
 
 // InformState is the per-rank state machine of the inform/gossip stage
@@ -91,11 +97,12 @@ type InformState struct {
 	rng      *rand.Rand
 
 	// Reused buffers: sendBuf backs the slices returned by Begin and
-	// Receive (overwritten by the next call); arena backs the bitsets of
-	// the stage's snapshots, at most one per round, and is truncated at
-	// Reset; permBuf and rankBuf serve the capped-payload down-sampling
-	// and are consumed within one call.
+	// Receive (overwritten by the next call); out holds the stage's
+	// payloads, out[r] the one of round r, and arena the bitsets of their
+	// snapshots, truncated at Reset; permBuf and rankBuf serve the
+	// capped-payload down-sampling and are consumed within one call.
 	sendBuf []Send
+	out     []InformMsg
 	arena   []uint64
 	permBuf []int
 	rankBuf []Rank
@@ -110,14 +117,15 @@ func NewInformState(self Rank, numRanks int, cfg *Config, rng *rand.Rand) *Infor
 // NewInformStateOn creates the gossip state for one rank over the table
 // every gossip state of its node shares; only states on one table can
 // merge each other's snapshots. The rng must be private to the rank.
-// cfg.Rounds must be at most MaxRounds, as Validate checks.
+// cfg.Rounds must be in [1, MaxRounds], as Validate checks.
 func NewInformStateOn(table *LoadTable, self Rank, cfg *Config, rng *rand.Rand) *InformState {
-	if cfg.Rounds > MaxRounds {
-		panic(fmt.Sprintf("core: InformState with %d rounds, more than MaxRounds (%d)", cfg.Rounds, MaxRounds))
+	if cfg.Rounds < 1 || cfg.Rounds > MaxRounds {
+		panic(fmt.Sprintf("core: InformState with %d rounds, want in [1, MaxRounds (%d)]", cfg.Rounds, MaxRounds))
 	}
 	return &InformState{
 		know:     *newKnowledgeOn(table),
 		rounds:   cfg.Rounds,
+		out:      make([]InformMsg, cfg.Rounds+1),
 		self:     self,
 		numRanks: len(table.slot),
 		cfg:      cfg,
@@ -181,15 +189,23 @@ func (st *InformState) Receive(m InformMsg) (sends []Send, added int) {
 	return st.fanOutAvoidKnown(m.Round + 1), added
 }
 
-// payload builds the message of one fan-out. Normally it is a snapshot:
-// the bitset's occupied span copied into the arena, which holds a
-// stage's snapshots without moving — a rank snapshots at most once per
-// round — so a message in flight stays valid until Reset. Under the
-// limited-information cap of cfg.MaxGossipEntries an over-long knowledge
-// is down-sampled uniformly into an explicit list so message size stays
-// bounded (footnote 2).
-func (st *InformState) payload(round int) InformMsg {
+// payload builds the message of one fan-out in the state's slot for
+// the round and returns the slot. Normally it is a snapshot: the
+// bitset's occupied span copied into the arena. Under the
+// limited-information cap of cfg.MaxGossipEntries an over-long
+// knowledge is down-sampled uniformly into an explicit list so message
+// size stays bounded (footnote 2).
+//
+// A state fans out at most once per round — Begin is round 1 and the
+// forwarded mask admits each later round once — so nothing rewrites a
+// slot, its list or its snapshot's words before Reset. By then the
+// stage has quiesced: every copy of the message was received (and
+// encoded, if it crossed a socket), and a fault plan's retries of it
+// were acknowledged. Its fan-outs therefore send the slot's address,
+// and the slots are reused from stage to stage.
+func (st *InformState) payload(round int) *InformMsg {
 	k := &st.know
+	slot := &st.out[round]
 	max := st.cfg.MaxGossipEntries
 	if max <= 0 || k.n <= max {
 		span := k.member[k.lo:k.hi]
@@ -199,7 +215,8 @@ func (st *InformState) payload(round int) InformMsg {
 		at := len(st.arena)
 		st.arena = append(st.arena, span...)
 		words := st.arena[at:len(st.arena):len(st.arena)]
-		return InformMsg{Round: round, known: snapshot{words: words, table: k.table, base: int32(k.lo), count: int32(k.n)}}
+		*slot = InformMsg{Round: round, known: snapshot{words: words, table: k.table, base: int32(k.lo), count: int32(k.n)}}
+		return slot
 	}
 	st.rankBuf = k.appendMembers(st.rankBuf[:0])
 	if cap(st.permBuf) < k.n {
@@ -207,15 +224,16 @@ func (st *InformState) payload(round int) InformMsg {
 	}
 	perm := st.permBuf[:k.n]
 	permInto(st.rng, perm)
-	// The down-sampled payload must be freshly allocated: it rides in
-	// messages that can be delivered after this state's next fan-out, so
-	// unlike permBuf it cannot be reused.
-	out := make([]RankLoad, max)
-	for i, j := range perm[:max] {
-		r := st.rankBuf[j]
-		out[i] = RankLoad{Rank: r, Load: k.table.load(r)}
+	entries := slot.Entries[:0]
+	if cap(entries) < max {
+		entries = make([]RankLoad, 0, max)
 	}
-	return InformMsg{Round: round, Entries: out}
+	for _, j := range perm[:max] {
+		r := st.rankBuf[j]
+		entries = append(entries, RankLoad{Rank: r, Load: k.table.load(r)})
+	}
+	*slot = InformMsg{Round: round, Entries: entries}
+	return slot
 }
 
 // fanOut picks f targets uniformly from all ranks except self (line 10).

@@ -38,7 +38,7 @@ func runGossip(t *testing.T, loads []float64, cfg Config) ([]*InformState, int) 
 		if s.To < 0 || int(s.To) >= n {
 			t.Fatalf("message to out-of-range rank %d", s.To)
 		}
-		more, _ := states[s.To].Receive(s.Msg)
+		more, _ := states[s.To].Receive(*s.Msg)
 		queue = append(queue, more...)
 	}
 	return states, len(queue)

@@ -11,7 +11,7 @@ import (
 func members(k *Knowledge) []Rank { return k.appendMembers(nil) }
 
 // rows returns a message's entries in the order Rows walks them.
-func rows(m InformMsg) []RankLoad {
+func rows(m *InformMsg) []RankLoad {
 	var out []RankLoad
 	m.Rows(0, m.Len(), func(e RankLoad) { out = append(out, e) })
 	return out
@@ -19,7 +19,7 @@ func rows(m InformMsg) []RankLoad {
 
 // explicit returns m in explicit form: what a frame decoded from another
 // node carries.
-func explicit(m InformMsg) InformMsg { return InformMsg{Round: m.Round, Entries: rows(m)} }
+func explicit(m *InformMsg) *InformMsg { return &InformMsg{Round: m.Round, Entries: rows(m)} }
 
 // snapshotOf returns a snapshot-form message of k's current set, as a
 // fan-out of a state on k's table would carry it.
@@ -173,7 +173,7 @@ func TestForeignSnapshotIsRefused(t *testing.T) {
 	a, b := NewKnowledge(8), NewKnowledge(8)
 	a.Add(3, 1)
 	mustPanic(t, "foreign snapshot", func() { b.merge(snapshotOf(a)) })
-	if got := b.Merge(explicit(*snapshotOf(a)).Entries); got != 1 || b.Load(3) != 1 {
+	if got := b.Merge(explicit(snapshotOf(a)).Entries); got != 1 || b.Load(3) != 1 {
 		t.Errorf("explicit form of the same set: added %d, load %g", got, b.Load(3))
 	}
 }
@@ -263,7 +263,7 @@ func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 					i, last := dice.Intn(len(queue)), len(queue)-1
 					s := queue[i]
 					queue[i], queue = queue[last], queue[:last]
-					more, _ := states[s.To].Receive(s.Msg)
+					more, _ := states[s.To].Receive(*s.Msg)
 					send(s.To, more)
 				}
 				if dropped == 0 || duplicated == 0 {
@@ -289,36 +289,122 @@ func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 }
 
 // TestEntriesSnapshotSurvivesAdds: a payload in flight must not change
-// when its sender learns more, through every round of a stage.
+// when its sender learns more, through every round of a stage. Every
+// send of the stage is held by its pointer, with its round and rows as
+// sent, and all of them still read so after the last round's fan-out;
+// under a MaxGossipEntries cap the later rounds' payloads are explicit
+// lists, which must not move either.
 func TestEntriesSnapshotSurvivesAdds(t *testing.T) {
 	const numRanks = 4096
-	rng := rand.New(rand.NewSource(5))
-	cfg := gossipConfig(2, 10)
-	st := NewInformState(7, numRanks, &cfg, SeededRNG(cfg.Seed))
-	type held struct {
-		msg  InformMsg
-		copy []RankLoad
-	}
-	var snaps []held
-	hold := func(sends []Send) {
-		for _, s := range sends[:min(1, len(sends))] {
-			snaps = append(snaps, held{s.Msg, rows(s.Msg)})
+	for _, capped := range []int{0, 64} {
+		rng := rand.New(rand.NewSource(5))
+		cfg := gossipConfig(2, 10)
+		cfg.MaxGossipEntries = capped
+		st := NewInformState(7, numRanks, &cfg, SeededRNG(cfg.Seed))
+		type held struct {
+			msg   *InformMsg
+			round int
+			copy  []RankLoad
+		}
+		var snaps []held
+		rounds := map[*InformMsg]bool{}
+		hold := func(sends []Send) {
+			for _, s := range sends {
+				snaps = append(snaps, held{s.Msg, s.Msg.Round, rows(s.Msg)})
+				rounds[s.Msg] = true
+			}
+		}
+		hold(st.Begin(1, 0.5))
+		log := randomLog(rng, numRanks, numRanks, func(Rank) float64 { return rng.Float64() })
+		for round := 1; round < cfg.Rounds; round++ {
+			batch := log[(round-1)*numRanks/cfg.Rounds : round*numRanks/cfg.Rounds]
+			sends, _ := st.Receive(InformMsg{Round: round, Entries: batch})
+			hold(sends)
+		}
+		if len(snaps) != cfg.Rounds*cfg.Fanout || len(rounds) != cfg.Rounds {
+			t.Fatalf("cap %d: held %d sends of %d payloads, want %d of one per round (%d)",
+				capped, len(snaps), len(rounds), cfg.Rounds*cfg.Fanout, cfg.Rounds)
+		}
+		for i, h := range snaps {
+			if h.msg.Round != h.round || !slices.Equal(rows(h.msg), h.copy) {
+				t.Fatalf("cap %d: send %d (round %d, %d entries) reads round %d and %d entries after later fan-outs",
+					capped, i, h.round, len(h.copy), h.msg.Round, h.msg.Len())
+			}
+		}
+		if capped > 0 && snaps[len(snaps)-1].msg.Entries == nil {
+			t.Fatalf("cap %d: the last round's payload is not an explicit list", capped)
 		}
 	}
-	hold(st.Begin(1, 0.5))
-	log := randomLog(rng, numRanks, numRanks, func(Rank) float64 { return rng.Float64() })
-	for round := 1; round < cfg.Rounds; round++ {
-		batch := log[(round-1)*numRanks/cfg.Rounds : round*numRanks/cfg.Rounds]
-		sends, _ := st.Receive(InformMsg{Round: round, Entries: batch})
-		hold(sends)
+}
+
+// TestFanOutAllocatesNothing: once a warm-up stage has sized every
+// state's slots, arena and send buffer, a whole stage — each rank's Begin
+// and every Receive of a FIFO walk over snapshots — allocates nothing;
+// and the stage walked by pointer learns what a walk that copies each
+// message when it is sent learns, so no slot changed under a message in
+// flight.
+func TestFanOutAllocatesNothing(t *testing.T) {
+	const n = 512
+	cfg := Tempered()
+	table := NewLoadTable(n)
+	states := make([]*InformState, n)
+	loads := make([]float64, n)
+	for r := range states {
+		states[r] = NewInformStateOn(table, Rank(r), &cfg, SeededRNG(cfg.Seed))
+		loads[r] = float64(r % 3)
 	}
-	if len(snaps) != cfg.Rounds {
-		t.Fatalf("held %d snapshots, want one per round (%d)", len(snaps), cfg.Rounds)
-	}
-	for i, h := range snaps {
-		if got := rows(h.msg); !slices.Equal(got, h.copy) {
-			t.Fatalf("snapshot %d of %d entries changed under later Adds", i, len(h.copy))
+	const ave = 1.5
+	known := func() []int {
+		out := make([]int, n)
+		for r, st := range states {
+			out[r] = st.Knowledge().Len()
 		}
+		return out
+	}
+	// The reference walk copies each message as it is sent.
+	type sent struct {
+		to  Rank
+		msg InformMsg
+	}
+	var copies []sent
+	for r, st := range states {
+		st.StartTrial(1)
+		for _, s := range st.Begin(ave, loads[r]) {
+			copies = append(copies, sent{s.To, *s.Msg})
+		}
+	}
+	for head := 0; head < len(copies); head++ {
+		more, _ := states[copies[head].to].Receive(copies[head].msg)
+		for _, s := range more {
+			copies = append(copies, sent{s.To, *s.Msg})
+		}
+	}
+	want := known()
+
+	var queue []Send
+	stage := func() {
+		q := queue[:0]
+		for r, st := range states {
+			st.StartTrial(1)
+			q = append(q, st.Begin(ave, loads[r])...)
+		}
+		for head := 0; head < len(q); head++ {
+			more, _ := states[q[head].To].Receive(*q[head].Msg)
+			q = append(q, more...)
+		}
+		queue = q
+	}
+	stage()
+	if len(queue) != len(copies) {
+		t.Fatalf("the walk by pointer sent %d messages, the walk that copies at send %d", len(queue), len(copies))
+	}
+	for r, got := range known() {
+		if got != want[r] {
+			t.Fatalf("rank %d learned %d ranks walked by pointer, %d copied at send", r, got, want[r])
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, stage); allocs != 0 {
+		t.Errorf("a %d-rank gossip stage allocates %v times, want 0", n, allocs)
 	}
 }
 
@@ -334,7 +420,7 @@ func TestFanOutDoesNotAllocate(t *testing.T) {
 	msg := a.Begin(1, 0.5)[0].Msg
 	allocs := testing.AllocsPerRun(100, func() {
 		b.Reset()
-		if sends, added := b.Receive(msg); added != 1 || len(sends) != cfg.Fanout {
+		if sends, added := b.Receive(*msg); added != 1 || len(sends) != cfg.Fanout {
 			t.Fatalf("Receive added %d and sent %d, want 1 and %d", added, len(sends), cfg.Fanout)
 		}
 	})

@@ -95,13 +95,13 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 		if st == nil || st.inform == nil {
 			panic("tempered: gossip before iteration setup")
 		}
-		m := data.(core.InformMsg)
+		m := data.(*core.InformMsg)
 		tracing := rc.Tracer() != nil
 		if tracing {
 			rc.Emit(obs.Event{Type: obs.EvInformRecv, Peer: int(from), Object: -1,
 				Trial: st.trial, Iteration: st.iter, Value: float64(m.Len())})
 		}
-		sends, _ := st.inform.Receive(m)
+		sends, _ := st.inform.Receive(*m)
 		sendFanOut(rc, h.gossip, st, sends, tracing)
 	})
 	rt.Register(h.xfer, func(rc *amt.Context, from core.Rank, data any) {
@@ -115,14 +115,16 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 
 // sendFanOut sends one fan-out of the inform stage and counts it. Every
 // send of a fan-out carries the same message — one round, one snapshot of
-// the sender's knowledge — so it is boxed into the payload interface once,
-// not once per target.
+// the sender's knowledge — as a pointer to the sending state's slot for
+// the round, which boxes nothing: the slot is not written again before
+// the state's next Reset, which follows the epoch's termination (see
+// core.InformState.payload).
 func sendFanOut(rc *amt.Context, gossip amt.HandlerID, st *rankState, sends []core.Send, tracing bool) {
 	if len(sends) == 0 {
 		return
 	}
-	var msg any = sends[0].Msg
-	entries := sends[0].Msg.Len()
+	msg := sends[0].Msg
+	entries := msg.Len()
 	for _, s := range sends {
 		st.gossipSent++
 		st.gossipEntries += entries

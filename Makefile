@@ -116,9 +116,10 @@ bench:
 
 # Run each benchmark of the root package — the harness of every E and A
 # row of DESIGN.md §4 — and of the internal packages once: a
-# compile-and-run check, not a measurement.
+# compile-and-run check, not a measurement. BenchmarkRow is skipped: its
+# sub-benchmarks are the BENCH_lb.json rows, which bench-compare runs.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/...
+	$(GO) test -run '^$$' -skip Row -bench . -benchtime 1x . ./internal/...
 
 # One run of the repository's benchmark (BENCHMARK.json, bench/README.md)
 # on this checkout: a wrapper around bench/run.sh and nothing else, so a
@@ -141,9 +142,11 @@ pairs:
 	sh scripts/pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(N)
 
 # CPU and allocation profiles of root-package benchmarks matching BENCH
-# (BenchmarkPaperCase is workload A of bench/, which has no profile flag),
-# written with the test binary under $(TMPDIR) — never into the repo:
+# (BenchmarkPaperCase is workload A of bench/, which has no profile flag;
+# BenchmarkRow/<name> is one BENCH_lb.json row), written with the test
+# binary under $(TMPDIR) — never into the repo:
 #   make profile BENCH=PaperCase BENCHTIME=2x
+#   make profile BENCH='Row/gossip_epoch_1024' BENCHTIME=25x
 # and prints the two commands that read them: CPU time, and bytes
 # allocated per site (alloc_space).
 BENCH ?= PaperCase

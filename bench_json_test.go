@@ -357,8 +357,12 @@ func benchJSONSuite() []struct {
 			// ranks at h = 1.5, put no rank above Threshold·ave, so its
 			// transfer and commit epochs are empty and the 512
 			// underloaded ranks' gossip is the work. The runtime, the
-			// handlers and the objects stand up once, untimed, and
-			// untimed invocations size every rank's buffers.
+			// handlers and the objects stand up once, untimed; the first
+			// untimed invocation builds every rank's state, which the
+			// handlers keep, and the rest grow the inboxes and stashes
+			// to their high-water marks: with 20, B/op still followed b.N
+			// (0.39 MB at 5 ops, 0.31 MB at 25), with 60 it moved 14 %
+			// (0.14 → 0.12 MB), and with 150 it moves less than 5 %.
 			rt := amt.New(1024)
 			h := tempered.RegisterHandlers(rt, 1)
 			cfg := core.Tempered()
@@ -370,7 +374,7 @@ func benchJSONSuite() []struct {
 						b.Error(err)
 					}
 				}
-				for i := 0; i < 20; i++ {
+				for i := 0; i < 150; i++ {
 					invoke()
 				}
 				if rc.Rank() == 0 {
@@ -454,6 +458,21 @@ func distributedLB16(b *testing.B, opts func() []temperedlb.RuntimeOption) {
 			if _, err := temperedlb.RunDistributedLB(rc, h, cfg, loads); err != nil {
 				b.Error(err)
 			}
+		})
+	}
+}
+
+// BenchmarkRow runs each BENCH_lb.json row as a sub-benchmark, so one
+// row can be measured or profiled alone:
+//
+//	make profile BENCH='Row/gossip_epoch_1024' BENCHTIME=25x
+//
+// `make bench-smoke` skips it: `make bench-compare` runs every row.
+func BenchmarkRow(b *testing.B) {
+	for _, bm := range benchJSONSuite() {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			bm.fn(b)
 		})
 	}
 }

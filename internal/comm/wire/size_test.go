@@ -32,7 +32,7 @@ func informMsg(entries int) *core.InformMsg {
 // the explicit list of entries in rank order.
 func snapshotMsg(entries []core.RankLoad) *core.InformMsg {
 	cfg := core.Tempered()
-	st := core.NewInformStateOn(core.NewLoadTable(4096), 0, &cfg, core.SeededRNG(1))
+	st := core.NewInformState(0, 4096, &cfg, core.SeededRNG(1))
 	sends, _ := st.Receive(core.InformMsg{Round: 2, Entries: entries})
 	return sends[0].Msg
 }

@@ -128,22 +128,22 @@ type engineScratch struct {
 
 // prepare sizes the scratch for numRanks ranks, allocating only when the
 // engine has not run at this size before.
-func (sc *engineScratch) prepare(numRanks int, cfg *Config) {
+func (sc *engineScratch) prepare(numRanks int, seed int64) {
 	if len(sc.states) == numRanks {
 		return
 	}
 	// The placeholder streams are re-pointed at the trial's derived
 	// seeds before any draw (see the StartTrial loop in run); deriving the
-	// placeholders from cfg.Seed keeps every construction site fed from
+	// placeholders from the seed keeps every construction site fed from
 	// the plumbed seed.
 	sc.table = NewLoadTable(numRanks)
 	sc.states = make([]*InformState, numRanks)
 	sc.transferRNG = make([]*rand.Rand, numRanks)
 	for r := 0; r < numRanks; r++ {
-		sc.states[r] = NewInformStateOn(sc.table, Rank(r), cfg, SeededRNG(cfg.Seed))
-		sc.transferRNG[r] = SeededRNG(cfg.Seed)
+		sc.states[r] = NewInformStateOn(sc.table, Rank(r), SeededRNG(seed))
+		sc.transferRNG[r] = SeededRNG(seed)
 	}
-	sc.orderRNG = SeededRNG(cfg.Seed)
+	sc.orderRNG = SeededRNG(seed)
 	sc.order = make([]int, numRanks)
 	sc.work = nil
 }
@@ -194,7 +194,7 @@ func (e *Engine) Run(a *Assignment) (*Result, error) {
 
 	numRanks := a.NumRanks()
 	sc := &e.sc
-	sc.prepare(numRanks, &e.cfg.Config)
+	sc.prepare(numRanks, e.cfg.Seed)
 	sc.haveBest = false
 
 	for trial := 1; trial <= e.cfg.Trials; trial++ {
@@ -208,7 +208,7 @@ func (e *Engine) Run(a *Assignment) (*Result, error) {
 		// Re-point each rank's random streams at this trial's seeds; the
 		// sequences are bit-identical to freshly allocated generators.
 		for r := 0; r < numRanks; r++ {
-			sc.states[r].StartTrial(trial)
+			sc.states[r].StartTrial(&e.cfg.Config, trial)
 			ReseedTransfer(sc.transferRNG[r], e.cfg.Seed, trial, Rank(r))
 		}
 		Reseed(sc.orderRNG, e.cfg.Seed, int64(trial), 0x0deb)

@@ -82,7 +82,9 @@ type Send struct {
 // (Algorithm 1). It is transport-agnostic: Begin and Receive return the
 // messages to send, and the embedding layer delivers them — synchronously
 // in the LBAF simulator, via active messages under termination detection
-// in the AMT runtime.
+// in the AMT runtime. A state is built once per rank, from what never
+// changes, and kept by its driver for life; it takes each trial's Config
+// at StartTrial.
 type InformState struct {
 	// What Receive reads on every message, inline and together: the
 	// knowledge itself, cfg.Rounds, and a mask whose bit r says round r
@@ -109,26 +111,25 @@ type InformState struct {
 }
 
 // NewInformState creates the gossip state for one rank over a private
-// load table. The rng must be private to the rank for reproducibility.
+// load table, configured by cfg as StartTrial configures a state but on
+// the generator as given. The rng must be private to the rank for
+// reproducibility.
 func NewInformState(self Rank, numRanks int, cfg *Config, rng *rand.Rand) *InformState {
-	return NewInformStateOn(NewLoadTable(numRanks), self, cfg, rng)
+	st := NewInformStateOn(NewLoadTable(numRanks), self, rng)
+	st.configure(cfg)
+	return st
 }
 
 // NewInformStateOn creates the gossip state for one rank over the table
 // every gossip state of its node shares; only states on one table can
-// merge each other's snapshots. The rng must be private to the rank.
-// cfg.Rounds must be in [1, MaxRounds], as Validate checks.
-func NewInformStateOn(table *LoadTable, self Rank, cfg *Config, rng *rand.Rand) *InformState {
-	if cfg.Rounds < 1 || cfg.Rounds > MaxRounds {
-		panic(fmt.Sprintf("core: InformState with %d rounds, want in [1, MaxRounds (%d)]", cfg.Rounds, MaxRounds))
-	}
+// merge each other's snapshots. The rng must be private to the rank. The
+// state takes its Config at StartTrial, which must precede its first
+// Begin or Receive.
+func NewInformStateOn(table *LoadTable, self Rank, rng *rand.Rand) *InformState {
 	return &InformState{
 		know:     *newKnowledgeOn(table),
-		rounds:   cfg.Rounds,
-		out:      make([]InformMsg, cfg.Rounds+1),
 		self:     self,
 		numRanks: len(table.slot),
-		cfg:      cfg,
 		rng:      rng,
 	}
 }
@@ -144,15 +145,30 @@ func (st *InformState) Reset() {
 }
 
 // StartTrial prepares the rank for trial number trial of a refinement
-// without reallocating the state machine: it re-points the private
-// generator at the trial's gossip stream, derived from cfg.Seed, the
-// trial and the rank, and clears all gossip state. Both drivers — the
-// synchronous engine and the distributed balancer — begin every trial
-// here, so they draw the same sequence, bit-identical to a state
-// freshly constructed over a generator of that stream.
-func (st *InformState) StartTrial(trial int) {
-	Reseed(st.rng, st.cfg.Seed, int64(trial), int64(st.self), 0x60551f)
+// under cfg without reallocating the state machine: it points the state
+// at cfg, re-points the private generator at the trial's gossip stream,
+// derived from cfg.Seed, the trial and the rank, and clears all gossip
+// state. Both drivers — the synchronous engine and the distributed
+// balancer — begin every trial here, so they draw the same sequence,
+// bit-identical to a state freshly constructed over a generator of that
+// stream. cfg.Rounds must be in [1, MaxRounds], as Validate checks.
+func (st *InformState) StartTrial(cfg *Config, trial int) {
+	st.configure(cfg)
+	Reseed(st.rng, cfg.Seed, int64(trial), int64(st.self), 0x60551f)
 	st.Reset()
+}
+
+// configure points the state at cfg and caches its Rounds, growing the
+// payload slots to one per round when Rounds grew. The slots are only
+// grown between stages, so no message in flight points at them.
+func (st *InformState) configure(cfg *Config) {
+	if cfg.Rounds < 1 || cfg.Rounds > MaxRounds {
+		panic(fmt.Sprintf("core: InformState with %d rounds, want in [1, MaxRounds (%d)]", cfg.Rounds, MaxRounds))
+	}
+	st.cfg, st.rounds = cfg, cfg.Rounds
+	if len(st.out) < cfg.Rounds+1 {
+		st.out = make([]InformMsg, cfg.Rounds+1)
+	}
 }
 
 // Begin implements INFORM (Algorithm 1 lines 5–14): if this rank is
@@ -210,7 +226,7 @@ func (st *InformState) payload(round int) *InformMsg {
 	if max <= 0 || k.n <= max {
 		span := k.member[k.lo:k.hi]
 		if st.arena == nil {
-			st.arena = make([]uint64, 0, len(span)+(st.cfg.Rounds-1)*len(k.member))
+			st.arena = make([]uint64, 0, len(span)+(st.rounds-1)*len(k.member))
 		}
 		at := len(st.arena)
 		st.arena = append(st.arena, span...)

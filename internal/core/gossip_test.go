@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -12,6 +13,14 @@ func gossipConfig(f, k int) Config {
 	cfg.Fanout = f
 	cfg.Rounds = k
 	return cfg
+}
+
+// newStateOn is NewInformStateOn configured by cfg on the generator as
+// given, the way NewInformState configures its state.
+func newStateOn(table *LoadTable, self Rank, cfg *Config, rng *rand.Rand) *InformState {
+	st := NewInformStateOn(table, self, rng)
+	st.configure(cfg)
+	return st
 }
 
 // runGossip drives a synchronous FIFO delivery of the inform stage over
@@ -27,7 +36,7 @@ func runGossip(t *testing.T, loads []float64, cfg Config) ([]*InformState, int) 
 	table := NewLoadTable(n)
 	states := make([]*InformState, n)
 	for r := range states {
-		states[r] = NewInformStateOn(table, Rank(r), &cfg, rand.New(rand.NewSource(int64(r)+100)))
+		states[r] = newStateOn(table, Rank(r), &cfg, rand.New(rand.NewSource(int64(r)+100)))
 	}
 	var queue []Send
 	for r := range states {
@@ -278,7 +287,11 @@ func TestKnowledgeMergeAndReset(t *testing.T) {
 // on the same table and started there — the same sends, the same
 // forwarding decisions and the same knowledge — so the drivers may keep
 // one state per rank for a whole refinement. Skipping either half of
-// StartTrial, the reseed or the Reset, shows in the script's trace.
+// StartTrial, the reseed or the Reset, shows in the script's trace. And
+// a state started under another Config — another seed, fan-out and
+// entry cap, and more rounds, so its payload slots must grow — is one
+// freshly built under that Config, so the drivers may keep it across
+// invocations too: a StartTrial that kept its first Config shows.
 func TestStartTrialIsAFreshState(t *testing.T) {
 	const n, self, trial = 64, Rank(5), 3
 	cfg := gossipConfig(3, 4)
@@ -287,8 +300,8 @@ func TestStartTrialIsAFreshState(t *testing.T) {
 	// script drives one trial: an underloaded Begin, then a round-1
 	// message that teaches something, a second round-1 one (merged, not
 	// forwarded), a redundant round-2 one, a new round-2 one and one of
-	// the last round. It returns each call's sends as text, then the
-	// knowledge.
+	// round 4, the last of cfg. It returns each call's sends as text,
+	// then the knowledge.
 	script := func(st *InformState) []string {
 		var trace []string
 		note := func(sends []Send) {
@@ -317,20 +330,36 @@ func TestStartTrialIsAFreshState(t *testing.T) {
 		return trace
 	}
 
-	reused := NewInformStateOn(table, self, &cfg, SeededRNG(cfg.Seed))
-	reused.StartTrial(trial)
+	reused := NewInformStateOn(table, self, SeededRNG(cfg.Seed))
+	reused.StartTrial(&cfg, trial)
 	first := script(reused)
-	reused.StartTrial(trial + 1)
+	reused.StartTrial(&cfg, trial+1)
 	if got := reused.Knowledge().Len(); got != 0 {
 		t.Fatalf("StartTrial left %d entries of the last trial's knowledge", got)
 	}
-	fresh := NewInformStateOn(table, self, &cfg, SeededRNG(cfg.Seed))
-	fresh.StartTrial(trial + 1)
+	fresh := newStateOn(table, self, &cfg, SeededRNG(cfg.Seed))
+	fresh.StartTrial(&cfg, trial+1)
 	want, got := script(fresh), script(reused)
 	if !slices.Equal(got, want) {
 		t.Fatalf("restarted state differs from a fresh one:\nrestarted %q\nfresh     %q", got, want)
 	}
 	if slices.Equal(first, want) {
 		t.Fatal("two trials drew the same targets: the script cannot tell a missing reseed")
+	}
+
+	// Under other, the round-4 message is forwarded as round 5, into a
+	// slot the state did not have under cfg, and payloads of more than
+	// two entries are down-sampled lists.
+	other := gossipConfig(2, 6)
+	other.Seed, other.MaxGossipEntries = 12, 2
+	reused.StartTrial(&other, trial)
+	fresh = newStateOn(table, self, &other, SeededRNG(other.Seed))
+	fresh.StartTrial(&other, trial)
+	want, got = script(fresh), script(reused)
+	if !slices.Equal(got, want) {
+		t.Fatalf("state restarted under another Config differs from a fresh one under it:\nrestarted %q\nfresh     %q", got, want)
+	}
+	if !slices.ContainsFunc(want, func(line string) bool { return strings.Contains(line, "round 5") }) {
+		t.Fatal("the script sent nothing in round 5: it cannot tell slots that did not grow")
 	}
 }

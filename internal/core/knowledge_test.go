@@ -213,11 +213,11 @@ func TestSnapshotGossipMatchesExplicitGossip(t *testing.T) {
 				for r := range states {
 					rng := SeededRNG(cfg.Seed)
 					if shared {
-						states[r] = NewInformStateOn(table, Rank(r), &cfg, rng)
+						states[r] = NewInformStateOn(table, Rank(r), rng)
 					} else {
 						states[r] = NewInformState(Rank(r), n, &cfg, rng)
 					}
-					states[r].StartTrial(1)
+					states[r].StartTrial(&cfg, 1)
 				}
 				// Both runs draw from one seed, so they meet the same fates
 				// as long as they send the same messages.
@@ -350,7 +350,7 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	states := make([]*InformState, n)
 	loads := make([]float64, n)
 	for r := range states {
-		states[r] = NewInformStateOn(table, Rank(r), &cfg, SeededRNG(cfg.Seed))
+		states[r] = NewInformStateOn(table, Rank(r), SeededRNG(cfg.Seed))
 		loads[r] = float64(r % 3)
 	}
 	const ave = 1.5
@@ -368,7 +368,7 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	}
 	var copies []sent
 	for r, st := range states {
-		st.StartTrial(1)
+		st.StartTrial(&cfg, 1)
 		for _, s := range st.Begin(ave, loads[r]) {
 			copies = append(copies, sent{s.To, *s.Msg})
 		}
@@ -385,7 +385,7 @@ func TestFanOutAllocatesNothing(t *testing.T) {
 	stage := func() {
 		q := queue[:0]
 		for r, st := range states {
-			st.StartTrial(1)
+			st.StartTrial(&cfg, 1)
 			q = append(q, st.Begin(ave, loads[r])...)
 		}
 		for head := 0; head < len(q); head++ {
@@ -415,8 +415,8 @@ func TestFanOutDoesNotAllocate(t *testing.T) {
 	const numRanks = 4096
 	cfg := Tempered()
 	table := NewLoadTable(numRanks)
-	a := NewInformStateOn(table, 1, &cfg, SeededRNG(cfg.Seed))
-	b := NewInformStateOn(table, 2, &cfg, SeededRNG(cfg.Seed))
+	a := newStateOn(table, 1, &cfg, SeededRNG(cfg.Seed))
+	b := newStateOn(table, 2, &cfg, SeededRNG(cfg.Seed))
 	msg := a.Begin(1, 0.5)[0].Msg
 	allocs := testing.AllocsPerRun(100, func() {
 		b.Reset()
@@ -482,7 +482,7 @@ func BenchmarkInformTrialStart(b *testing.B) {
 		// Put the previous trial's knowledge back: a 512-byte bitset.
 		copy(st.know.member, full)
 		st.know.lo, st.know.hi, st.know.n = 0, len(full), benchKnown
-		st.StartTrial(1 + i%cfg.Trials)
+		st.StartTrial(&cfg, 1+i%cfg.Trials)
 		sinkSends = st.Begin(1, 0.5)
 	}
 }

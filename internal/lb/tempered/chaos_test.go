@@ -141,6 +141,41 @@ func TestDistributedChaosMatchesFaultFree(t *testing.T) {
 	}
 }
 
+// TestDistributedChaosRepeatedInvocations extends the faulted-equals-
+// fault-free contract across invocations on one Handlers, whose ranks
+// keep their gossip states: the second invocation rewrites the payload
+// slots the first one's messages pointed at, so a late duplicate of the
+// first one's gossip must be dropped by MsgID before any handler reads
+// it, and both invocations must decide what they decide without faults.
+func TestDistributedChaosRepeatedInvocations(t *testing.T) {
+	const nRanks = 10
+	var cfgs []core.Config
+	for i, fanout := range []int{3, 2} {
+		cfg := distConfig()
+		cfg.Rounds, cfg.Fanout, cfg.Seed = 1, fanout, int64(31+i)
+		cfgs = append(cfgs, cfg)
+	}
+	clean := runRepeated(t, nRanks, cfgs, false, nil)
+	faulted := runRepeated(t, nRanks, cfgs, false, &comm.FaultSpec{
+		Seed: 9, Drop: 0.1, Dup: 0.1,
+		DelayMax: time.Millisecond,
+	})
+	if st := faulted.faults; st.Dropped == 0 || st.Duplicated == 0 || st.DupDrops == 0 {
+		t.Fatalf("fault plan injected too little: %+v", st)
+	}
+	for i := range cfgs {
+		if clean.objects[i] != faulted.objects[i] {
+			t.Errorf("invocation %d: census differs: clean %d, faulted %d", i, clean.objects[i], faulted.objects[i])
+		}
+		for r := 0; r < nRanks; r++ {
+			if !reflect.DeepEqual(clean.results[i][r], faulted.results[i][r]) {
+				t.Errorf("invocation %d, rank %d diverged under faults:\nclean:   %+v\nfaulted: %+v",
+					i, r, clean.results[i][r], faulted.results[i][r])
+			}
+		}
+	}
+}
+
 // TestDistributedChaosEmptyPlanIdentity pins the zero-cost-when-off
 // contract end to end: installing an empty fault spec changes nothing
 // about a distributed run's decisions.

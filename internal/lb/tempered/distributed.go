@@ -37,9 +37,14 @@ type Handlers struct {
 // rankState is the per-rank balancer state touched by handlers; at most
 // one goroutine runs a rank at a time — its own, or a sender's while the
 // rank is parked, handed over by the network (comm.Network) — so no
-// locking is needed.
+// locking is needed. It is built at the rank's first invocation and kept
+// for the handlers' life, its gossip state with it.
 type rankState struct {
 	inform *core.InformState
+	// cfg is the current invocation's Config, the one the gossip state
+	// and the transfer stage point at; kept here, it is not copied to the
+	// heap on every invocation.
+	cfg core.Config
 
 	// The three working distributions of an invocation, their storage
 	// reused across trials and invocations: input is the caller's loads
@@ -91,10 +96,9 @@ func RegisterHandlers(rt *amt.Runtime, base amt.HandlerID) *Handlers {
 	rt.NameHandler(h.xfer, "lb.transfer")
 	rt.NameHandler(h.fetch, "lb.fetch")
 	rt.Register(h.gossip, func(rc *amt.Context, from core.Rank, data any) {
+		// Gossip is dispatched only inside a gossip epoch the rank has
+		// entered, so its state exists by then.
 		st := h.st[rc.Rank()]
-		if st == nil || st.inform == nil {
-			panic("tempered: gossip before iteration setup")
-		}
 		m := data.(*core.InformMsg)
 		tracing := rc.Tracer() != nil
 		if tracing {
@@ -199,6 +203,8 @@ var (
 // set, and finally a commit epoch that migrates the real objects into
 // the best distribution found (Algorithm 3's deferred transfers). All
 // ranks must call it collectively with their local instrumented loads.
+// A rank keeps its state, gossip state included, from its first
+// invocation on; each trial's StartTrial hands it that invocation's cfg.
 func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt.ObjectID]float64) (DistResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return DistResult{}, err
@@ -223,14 +229,17 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 
 	// A rank's balancer state is built at its first invocation, so a
 	// process pays only for the ranks it hosts and only once they balance.
+	// Its generators are re-pointed at each trial's streams.
 	st := h.st[self]
 	if st == nil {
 		st = &rankState{
+			inform:  core.NewInformStateOn(h.table, self, core.SeededRNG(cfg.Seed)),
 			xferRNG: core.SeededRNG(cfg.Seed),
 			reduce:  make([]float64, 0, len(iterWith)),
 		}
 		h.st[self] = st
 	}
+	st.cfg = cfg
 
 	// The whole gossip prologue is one fused collective round: the load
 	// max and total (and the unused min) ride a single mixed-op vector
@@ -276,15 +285,12 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 	for trial := 1; trial <= cfg.Trials; trial++ {
 		st.virtual.copyFrom(&st.input) // Algorithm 3 line 3
 		core.ReseedTransfer(st.xferRNG, cfg.Seed, trial, self)
-		// One gossip state per invocation, re-pointed at each trial's
-		// stream the way the engine does it and reset at each iteration:
-		// the previous iteration's epochs have quiesced by then, so no
+		// The gossip state is started on each trial's Config and stream
+		// the way the engine does it and reset at each iteration: the
+		// previous iteration's epochs have quiesced by then, so no
 		// in-flight message can observe a recycled knowledge buffer. The
 		// RNG stream is continuous across a trial's iterations.
-		if st.inform == nil {
-			st.inform = core.NewInformStateOn(h.table, self, &cfg, core.SeededRNG(cfg.Seed))
-		}
-		st.inform.StartTrial(trial)
+		st.inform.StartTrial(&st.cfg, trial)
 
 		for iter := 1; iter <= cfg.Iterations; iter++ {
 			iterStart := clock.Now()
@@ -319,7 +325,7 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 				// the pool once they are sent.
 				scr := h.scratch.Get().(*core.TransferScratch)
 				defer h.scratch.Put(scr)
-				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &cfg, st.xferRNG, nil, scr)
+				props, tstats, _ := core.RunTransferScratch(self, st.virtual.taskList(), load, ave, kn, &st.cfg, st.xferRNG, nil, scr)
 				ts = tstats
 				for _, p := range props {
 					m := st.virtual.cede(p.Task)
@@ -401,7 +407,6 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 			}
 		}
 	}
-	st.inform = nil
 
 	// Commit (Algorithm 3 line 13): the chosen owner of each task pulls
 	// it from wherever it actually lives; routing and forwarding handle

@@ -2,6 +2,7 @@ package tempered
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -238,6 +239,155 @@ func TestDistributedRepeatedInvocations(t *testing.T) {
 			}
 		}
 	})
+}
+
+// repeatedRun is what runRepeated observed after each invocation i: every
+// rank's result with its timing stripped and the gossip state it held
+// (results[i][r], informs[i][r]), and the objects of all ranks and their
+// total load (objects[i], loads[i]); then the runtime's fault totals.
+type repeatedRun struct {
+	results [][]DistResult
+	informs [][]*core.InformState
+	objects []int
+	loads   []float64
+	faults  amt.FaultStats
+}
+
+// runRepeated invokes the balancer once per config, back to back on one
+// runtime of nRanks ranks whose first two hold 24 dyadic-load objects
+// each, every invocation on the objects the last one left. With fresh,
+// the runtime has a Handlers per invocation, each registered at its own
+// base before Run; without it, one Handlers serves them all.
+func runRepeated(t *testing.T, nRanks int, cfgs []core.Config, fresh bool, sp *comm.FaultSpec) repeatedRun {
+	t.Helper()
+	rt := amt.New(nRanks)
+	if sp != nil {
+		if err := rt.SetFaults(*sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hs := make([]*Handlers, len(cfgs))
+	for i := range hs {
+		if i == 0 || fresh {
+			hs[i] = RegisterHandlers(rt, amt.HandlerID(100+10*i))
+		} else {
+			hs[i] = hs[0]
+		}
+	}
+	run := repeatedRun{
+		results: make([][]DistResult, len(cfgs)),
+		informs: make([][]*core.InformState, len(cfgs)),
+		objects: make([]int, len(cfgs)),
+		loads:   make([]float64, len(cfgs)),
+	}
+	for i := range cfgs {
+		run.results[i] = make([]DistResult, nRanks)
+		run.informs[i] = make([]*core.InformState, nRanks)
+	}
+	rt.Run(func(rc *amt.Context) {
+		self := int(rc.Rank())
+		if self < 2 {
+			for j := 0; j < 24; j++ {
+				rc.CreateObject(&colorState{Load: dyadicLoad(self, j, 24)})
+			}
+		}
+		rc.Barrier()
+		for i, cfg := range cfgs {
+			loads := map[amt.ObjectID]float64{}
+			for _, id := range rc.LocalObjects() {
+				s, _ := rc.ObjectState(id)
+				loads[id] = s.(*colorState).Load
+			}
+			res, err := RunDistributed(rc, hs[i], cfg, loads)
+			if err != nil {
+				t.Errorf("rank %d, invocation %d: %v", self, i, err)
+				return
+			}
+			run.results[i][self] = res.StripTiming()
+			run.informs[i][self] = hs[i].st[self].inform
+			total := 0.0
+			for _, id := range rc.LocalObjects() {
+				s, _ := rc.ObjectState(id)
+				total += s.(*colorState).Load
+			}
+			sums := rc.AllReduceMixed([]float64{float64(len(rc.LocalObjects())), total},
+				[]amt.ReduceOp{amt.ReduceSum, amt.ReduceSum})
+			if self == 0 {
+				run.objects[i], run.loads[i] = int(sums[0]), sums[1]
+			}
+		}
+	})
+	run.faults = rt.FaultStats()
+	return run
+}
+
+// TestDistributedKeptStateMatchesFreshHandlers: a rank keeps one gossip
+// state across invocations, and invocations whose seed and fan-out change
+// from call to call decide on it exactly what they decide on handlers
+// registered afresh for each — so no invocation reads a Config, a
+// generator stream or knowledge that an earlier one left.
+func TestDistributedKeptStateMatchesFreshHandlers(t *testing.T) {
+	const nRanks = 10
+	var cfgs []core.Config
+	for i, fanout := range []int{2, 4, 3} {
+		cfg := distConfig()
+		cfg.Rounds, cfg.Fanout, cfg.Seed = 1, fanout, int64(5+i)
+		cfgs = append(cfgs, cfg)
+	}
+	kept := runRepeated(t, nRanks, cfgs, false, nil)
+	fresh := runRepeated(t, nRanks, cfgs, true, nil)
+	for i := range cfgs {
+		for r := 0; r < nRanks; r++ {
+			if !reflect.DeepEqual(kept.results[i][r], fresh.results[i][r]) {
+				t.Errorf("invocation %d, rank %d: kept state and fresh handlers differ:\nkept:  %+v\nfresh: %+v",
+					i, r, kept.results[i][r], fresh.results[i][r])
+			}
+			if kept.informs[i][r] != kept.informs[0][r] {
+				t.Errorf("invocation %d, rank %d: the gossip state was rebuilt", i, r)
+			}
+		}
+	}
+	if kept.results[0][0].FinalImbalance >= kept.results[0][0].InitialImbalance {
+		t.Errorf("the first invocation did not balance: %+v", kept.results[0][0])
+	}
+}
+
+// TestDistributedRoundsChangeAcrossInvocations: one rank's kept gossip
+// state serves invocations at k = 1, then 3, then 1 again — its payload
+// slots grow for the second — and each conserves the objects and their
+// load and ends with the same History on every rank.
+func TestDistributedRoundsChangeAcrossInvocations(t *testing.T) {
+	const nRanks = 10
+	var cfgs []core.Config
+	for i, rounds := range []int{1, 3, 1} {
+		cfg := distConfig()
+		cfg.Rounds, cfg.Seed = rounds, int64(21+i)
+		cfgs = append(cfgs, cfg)
+	}
+	run := runRepeated(t, nRanks, cfgs, false, nil)
+	want := 0.0
+	for self := 0; self < 2; self++ {
+		for j := 0; j < 24; j++ {
+			want += dyadicLoad(self, j, 24)
+		}
+	}
+	for i := range cfgs {
+		if run.objects[i] != 48 || run.loads[i] != want {
+			t.Errorf("invocation %d (k = %d) left %d objects of load %g, want 48 of %g",
+				i, cfgs[i].Rounds, run.objects[i], run.loads[i], want)
+		}
+		for r := 1; r < nRanks; r++ {
+			if !reflect.DeepEqual(run.results[i][r].History, run.results[i][0].History) {
+				t.Errorf("invocation %d (k = %d): rank %d's History differs from rank 0's", i, cfgs[i].Rounds, r)
+			}
+			if run.informs[i][r] != run.informs[0][r] {
+				t.Errorf("invocation %d, rank %d: the gossip state was rebuilt", i, r)
+			}
+		}
+		if len(run.results[i][0].History) != cfgs[i].Trials*cfgs[i].Iterations {
+			t.Errorf("invocation %d: %d History rows, want %d", i, len(run.results[i][0].History), cfgs[i].Trials*cfgs[i].Iterations)
+		}
+	}
 }
 
 // TestDistributedStressInterleaved runs many LB invocations at a larger

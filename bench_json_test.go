@@ -359,10 +359,15 @@ func benchJSONSuite() []struct {
 			// underloaded ranks' gossip is the work. The runtime, the
 			// handlers and the objects stand up once, untimed; the first
 			// untimed invocation builds every rank's state, which the
-			// handlers keep, and the rest grow the inboxes and stashes
-			// to their high-water marks: with 20, B/op still followed b.N
-			// (0.39 MB at 5 ops, 0.31 MB at 25), with 60 it moved 14 %
-			// (0.14 → 0.12 MB), and with 150 it moves less than 5 %.
+			// handlers keep, and the rest grow the inboxes' arrays
+			// towards their high-water marks: with 20, B/op still followed
+			// b.N (0.39 MB at 5 ops, 0.31 MB at 25), with 60 it moved 14 %
+			// (0.14 → 0.12 MB), and with 150 its median moves less than
+			// 5 %. What still grows after 150 is the queues' arrays, a few
+			// times per invocation, so single runs spread ±8 %: a queue's
+			// high-water mark is set by what arrives while its rank
+			// dispatches the messages that waited for its entry, which
+			// moves with scheduling.
 			rt := amt.New(1024)
 			h := tempered.RegisterHandlers(rt, 1)
 			cfg := core.Tempered()

@@ -18,6 +18,7 @@ const (
 	hQuick
 	hSlow
 	hWave
+	hEarly
 )
 
 // launch stands up a job for a test and closes it with the test.
@@ -120,6 +121,76 @@ func TestFaultPlanNeverLends(t *testing.T) {
 		if _, lent := runFanCascade(t, n, job); lent != 0 {
 			t.Errorf("%+v: %d sends ran their destination under a fault plan", sp, lent)
 		}
+	}
+}
+
+// TestOwnedRankInCollectiveHoldsNextEpoch: a rank parked in a collective
+// is not run for a message of the epoch its peers have entered and it has
+// not. Rank x = 21 of 23 is a leaf three hops below the root, and s = 22 a
+// child of the root, so s leaves each barrier well before x does and
+// sends into the next epoch while x still waits for its result. None of
+// those sends is a borrow (rc.Stats[Lent]; each was one before the inbox
+// held them); x dispatches them after its epoch body, in the order they
+// were sent, and counts each one handler call.
+func TestOwnedRankInCollectiveHoldsNextEpoch(t *testing.T) {
+	const n, x, s, sends, rounds = 23, 21, 22, 16, 20
+	if parent, _, _, _, _ := treeShape(s, n, treeFanout); parent != 0 {
+		t.Fatalf("rank %d's tree parent is %d, want the root", s, parent)
+	}
+	if p, _, _, _, _ := treeShape(x, n, treeFanout); p == 0 {
+		t.Fatalf("rank %d is a child of the root", x)
+	}
+	rt := New(n)
+	var inBarrier, bodyDone atomic.Bool
+	next := 0 // x's, run by one goroutine at a time
+	rt.Register(hEarly, func(rc *Context, from core.Rank, data any) {
+		if !bodyDone.Load() {
+			t.Errorf("message %d dispatched before rank %d's epoch body returned", data, x)
+		}
+		if data.(int) != next {
+			t.Errorf("rank %d dispatched message %d, want %d (send order)", x, data, next)
+		}
+		next++
+	})
+	var xc *Context
+	early, lent := 0, int64(0) // s's
+	rt.Run(func(rc *Context) {
+		for i := 0; i < rounds; i++ {
+			if rc.Rank() == x {
+				xc = rc
+				bodyDone.Store(false)
+				inBarrier.Store(true)
+			}
+			rc.Barrier()
+			if rc.Rank() == x {
+				inBarrier.Store(false)
+			}
+			rc.Epoch(func() {
+				switch rc.Rank() {
+				case s:
+					for k := 0; k < sends; k++ {
+						before, was := inBarrier.Load(), rc.Stats[Lent].Load()
+						rc.Send(x, hEarly, i*sends+k)
+						if before && inBarrier.Load() {
+							early++
+							lent += rc.Stats[Lent].Load() - was
+						}
+					}
+				case x:
+					bodyDone.Store(true)
+				}
+			})
+		}
+	})
+	t.Logf("%d of %d sends made while rank %d was in the barrier", early, rounds*sends, x)
+	if early == 0 {
+		t.Fatalf("no send reached rank %d while it was in the barrier", x)
+	}
+	if lent != 0 {
+		t.Errorf("%d borrows of rank %d for messages of an epoch it had not entered", lent, x)
+	}
+	if got := xc.Stats[HandlerCalls].Load(); got != rounds*sends || next != rounds*sends {
+		t.Errorf("rank %d: %d handler calls, %d dispatched, want %d", x, got, next, rounds*sends)
 	}
 }
 

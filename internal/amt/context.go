@@ -91,12 +91,6 @@ type Context struct {
 	// detector: made at the first epoch's entry — rank start allocates
 	// nothing for it — and reset at every later one.
 	open, det *termination.Detector
-	// stash holds the messages of epoch epochSeq+1 that arrived before
-	// this rank entered it. One slice, reused across epochs, is enough:
-	// epoch e+1 cannot terminate before its token has visited this rank
-	// inside e+1, so no rank reaches e+2 — and nothing tagged e+2 exists —
-	// while this rank is still at e.
-	stash []comm.Message
 
 	// wait and waitSeq say what the rank is in the pump for (waitNone
 	// outside it). depth is how deep this rank's current run nests below
@@ -154,8 +148,12 @@ type Context struct {
 	watchKnown, watched bool
 
 	// batch is the reusable drain buffer of Epoch's message pump (one
-	// inbox lock per burst instead of per message).
-	batch []comm.Message
+	// inbox lock per burst instead of per message). early is the one Epoch
+	// trades with the inbox's at entry for the messages that reached the
+	// rank before it (comm's Enter): a buffer of its own, so the two
+	// arrays alternate and each grows once to the most early messages of
+	// an epoch, instead of regrowing behind batch's trades with the queue.
+	batch, early []comm.Message
 
 	// objects holds the state of every object hosted here; localIDs is
 	// the same key set as an ascending slice, maintained at create,
@@ -547,17 +545,18 @@ func (rc *Context) Epoch(body func()) {
 
 	body()
 
-	// Deliver messages that raced ahead of our entry — after body, so the
-	// rank's own burst always runs on pre-epoch state: whether a peer's
-	// message beat us into the epoch (a scheduling and transport-delay
-	// accident) cannot change what body observes. Replay only dispatches;
-	// nothing it runs can stash on this rank, so the slice is cleared and
-	// kept for the next epoch.
-	for i := range rc.stash {
-		rc.dispatch(rc.stash[i])
+	// Enter the epoch at the transport only now, after body, so the rank's
+	// own burst always runs on pre-epoch state: whether a peer's message
+	// beat us into the epoch (a scheduling and transport-delay accident)
+	// cannot change what body observes. Until here such a message waited
+	// in the inbox — it woke nobody and no sender borrowed the rank for it
+	// — and it is dispatched now, in arrival order, before anything the
+	// pump finds queued. Under a fault plan its dedup and ack run here.
+	rc.early = rc.rt.nw.Enter(int(rc.rank), rc.epochSeq, rc.early[:0])
+	for i := range rc.early {
+		rc.dispatch(rc.early[i])
+		rc.early[i] = comm.Message{}
 	}
-	clear(rc.stash)
-	rc.stash = rc.stash[:0]
 
 	rc.pump(waitEpoch, 0)
 	rc.assertAcked(rc.epochSeq)
@@ -575,17 +574,17 @@ func (rc *Context) Epoch(body func()) {
 	}
 }
 
-// dispatch routes one transport message. Messages tagged with an epoch
-// this rank has not entered yet — counted traffic, the token, the done
-// announcement alike — are stashed until it does.
+// dispatch routes one transport message. A message tagged with an epoch
+// reaches it only inside that epoch: the transport holds those of an
+// epoch the rank has not entered until Epoch enters it (comm's Enter),
+// and one of a finished epoch can only be a late duplicate.
 //
 // Reliability runs first: acks retire sender credits, and counted
 // messages carrying a MsgID pass the dedup filter BEFORE the epoch
-// guards — a late duplicate of a finished epoch's message must be
+// guard — a late duplicate of a finished epoch's message must be
 // re-acked and discarded, not treated as a protocol violation. An
 // accepted first copy is re-marked with MsgID -1 so its processing
-// (immediately or later from the stash) uses ack-based detector
-// accounting exactly once.
+// uses ack-based detector accounting exactly once.
 func (rc *Context) dispatch(m comm.Message) {
 	if m.Kind == kindAck {
 		rc.onAck(m)
@@ -598,12 +597,8 @@ func (rc *Context) dispatch(m comm.Message) {
 		m.MsgID = -1
 	}
 	if m.Epoch != 0 && (!rc.inEpoch || m.Epoch != rc.epochSeq) {
-		if m.Epoch != rc.epochSeq+1 {
-			panic(fmt.Sprintf("amt: rank %d got kind-%d message for epoch %d (now %d)",
-				rc.rank, m.Kind, m.Epoch, rc.epochSeq))
-		}
-		rc.stash = append(rc.stash, m)
-		return
+		panic(fmt.Sprintf("amt: rank %d got kind-%d message for epoch %d (now %d, open %v)",
+			rc.rank, m.Kind, m.Epoch, rc.epochSeq, rc.inEpoch))
 	}
 	switch m.Kind {
 	case kindUser:

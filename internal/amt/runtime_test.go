@@ -175,7 +175,7 @@ func TestManyCollectivesStress(t *testing.T) {
 
 func TestEpochAfterBarrierRace(t *testing.T) {
 	// A rank can enter the epoch and send while others still sit in the
-	// preceding barrier; the stash mechanism must hold those messages.
+	// preceding barrier; their inboxes must hold those messages until they enter.
 	rt := New(8)
 	var delivered atomic.Int64
 	rt.Register(hPing, func(rc *Context, from core.Rank, data any) {

@@ -198,8 +198,9 @@ func (nw *Network) Send(m Message) { nw.send(m, false) }
 // with a non-empty inbox is not worth taking: whoever queued the message
 // has woken its owner.) A claim is never granted under a fault plan — the
 // plan decides that delivery, and its delayed copies land from goroutines
-// that run no rank — nor for a remote destination. A granted claim takes
-// no lock.
+// that run no rank — nor for a remote destination, nor for a message of
+// an epoch the destination has not entered: that one waits in the inbox
+// for Enter. A granted claim takes no lock.
 func (nw *Network) SendClaim(m Message) bool { return nw.send(m, true) }
 
 // send validates, stamps and accounts for m, then delivers it; claim asks
@@ -317,6 +318,19 @@ func (nw *Network) Recv(rank int) (Message, bool) {
 // references are released, and must not use buf again after the call.
 func (nw *Network) RecvBatch(rank int, buf []Message) []Message {
 	return nw.inbox(rank).popBatch(buf)
+}
+
+// Enter records that rank has entered epoch e and returns, appended to
+// buf in arrival order, the messages of e that reached it before — the
+// ones that waited in its inbox, neither queued nor waking the owner nor
+// claimable, because their epoch was ahead of the rank's (see
+// SendClaim). From here on messages of e queue as any other. An empty
+// buf is traded for the returned array, as by RecvBatch. Only the rank's
+// own goroutine may call it, with epochs in increasing order. Enter
+// panics if a waiting message is not of epoch e: a peer two epochs
+// ahead of the rank is a broken termination protocol.
+func (nw *Network) Enter(rank int, e int64, buf []Message) []Message {
+	return nw.inbox(rank).enter(e, buf)
 }
 
 // RecvWait pops the next message for rank, blocking until one arrives or
@@ -470,6 +484,13 @@ type inbox struct {
 	mu    sync.Mutex
 	queue []Message
 	head  int
+	// entered is the last epoch the rank entered (Network.Enter), and
+	// early, in arrival order, the messages of a later one: they wait
+	// here, outside the state word — not queued, waking nobody, never
+	// claimed — until the rank enters their epoch. Both are guarded by mu;
+	// entered is atomic too, for pushClaim's look before its CAS.
+	entered atomic.Int64
+	early   []Message
 
 	// timer is waitOwned's single reusable deadline timer, created on the
 	// first timed wait and Reset on every later one (hot in the reliable
@@ -528,10 +549,16 @@ func (ib *inbox) signal() {
 // push enqueues m and wakes a parked owner. The CAS that sets stateQueued
 // reads the owner, so a claim or a quiet release racing the push fails on
 // the flag; a borrowed rank's owner sleeps on, for its borrower finds the
-// message when it releases.
+// message when it releases. A message of an epoch the rank has not entered
+// goes to early instead, and leaves the word alone.
 func (ib *inbox) push(m Message) {
 	ib.step("lock")
 	ib.mu.Lock()
+	if m.Epoch > ib.entered.Load() {
+		ib.early = append(ib.early, m)
+		ib.mu.Unlock()
+		return
+	}
 	ib.queue = append(ib.queue, m)
 	s := ib.update(func(s uint32) uint32 { return s | stateQueued })
 	ib.mu.Unlock()
@@ -541,13 +568,27 @@ func (ib *inbox) push(m Message) {
 }
 
 // pushClaim takes an idle parked rank for the caller — leaving m with it,
-// unqueued — and is push otherwise.
+// unqueued — and is push otherwise, as it always is for a message of an
+// epoch the rank has not entered. Its look at entered may be stale, never
+// ahead: push decides again under mu.
 func (ib *inbox) pushClaim(m Message) bool {
-	if s := ib.update(claimed); claimed(s) != s {
-		return true
+	if !ib.ahead(m) {
+		if s := ib.update(claimed); claimed(s) != s {
+			return true
+		}
 	}
 	ib.push(m)
 	return false
+}
+
+// ahead reports whether m belongs to an epoch the rank has not entered.
+// Epoch 0, part of no epoch, never is.
+func (ib *inbox) ahead(m Message) bool {
+	if m.Epoch == 0 {
+		return false
+	}
+	ib.step("entered")
+	return m.Epoch > ib.entered.Load()
 }
 
 // release ends a borrow (see Network.Release and released). It wakes the
@@ -649,6 +690,35 @@ func (ib *inbox) popBatch(buf []Message) []Message {
 	}
 	ib.update(func(s uint32) uint32 { return s &^ stateQueued })
 	ib.mu.Unlock()
+	return buf
+}
+
+// enter records that the rank has entered epoch e and hands the caller
+// its early messages, in arrival order, under one lock — trading early's
+// array for an empty buf as popBatch trades the queue's. Every one of them
+// must be of epoch e: a rank at epoch e−1 is sent nothing of e+1, for e
+// cannot terminate before its token has visited the rank inside e.
+func (ib *inbox) enter(e int64, buf []Message) []Message {
+	ib.step("lock")
+	ib.mu.Lock()
+	defer ib.mu.Unlock()
+	if e <= ib.entered.Load() {
+		panic(fmt.Sprintf("comm: enter epoch %d after epoch %d", e, ib.entered.Load()))
+	}
+	for i := range ib.early {
+		if m := &ib.early[i]; m.Epoch != e {
+			panic(fmt.Sprintf("comm: rank %d enters epoch %d with a kind-%d message of epoch %d from rank %d waiting",
+				m.To, e, m.Kind, m.Epoch, m.From))
+		}
+	}
+	ib.entered.Store(e)
+	if len(buf) == 0 {
+		buf, ib.early = ib.early, buf[:0]
+		return buf
+	}
+	buf = append(buf, ib.early...)
+	clear(ib.early)
+	ib.early = ib.early[:0]
 	return buf
 }
 

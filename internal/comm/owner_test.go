@@ -319,3 +319,78 @@ func TestOwnedWaitDeadlineSleepsThroughBorrow(t *testing.T) {
 	}
 	nw.Close()
 }
+
+// TestOwnedInboxHoldsEarlyEpoch: a message of an epoch its rank has not
+// entered leaves the state word alone — not queued, no wake token for the
+// parked owner, not claimable — and Enter hands such messages over in
+// arrival order, each sender's in its order; an epoch-0 message passes
+// them, and a message two epochs ahead of the entry makes Enter panic.
+func TestOwnedInboxHoldsEarlyEpoch(t *testing.T) {
+	nw := NewNetwork(3)
+	ib := nw.inbox(2)
+	woke := make(chan bool, 1)
+	go func() {
+		ok, _ := nw.WaitOwned(2, 0)
+		woke <- ok
+	}()
+	for ib.state.Load() != ownerParked {
+		time.Sleep(100 * time.Microsecond)
+	}
+	early := []Message{
+		{From: 0, To: 2, Epoch: 1, Data: "a0"},
+		{From: 1, To: 2, Epoch: 1, Data: "b0"},
+		{From: 0, To: 2, Epoch: 1, Data: "a1"},
+	}
+	for _, m := range early {
+		nw.Send(m)
+	}
+	if nw.SendClaim(Message{From: 1, To: 2, Epoch: 1, Data: "b1"}) {
+		t.Fatal("a claim was granted for a message of an epoch the rank has not entered")
+	}
+	early = append(early, Message{From: 1, To: 2, Epoch: 1, Data: "b1"})
+	if s := ib.state.Load(); s != ownerParked || len(ib.wake) != 0 || nw.Pending(2) != 0 {
+		t.Fatalf("after early pushes: word %s, %d tokens, %d pending; want parked, 0, 0",
+			wordString(s), len(ib.wake), nw.Pending(2))
+	}
+	select {
+	case <-woke:
+		t.Fatal("an early push woke the parked owner")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	nw.Send(Message{From: 0, To: 2, Data: "coll"})
+	if ok := <-woke; !ok {
+		t.Fatal("an epoch-0 push did not wake the owner")
+	}
+	if got := nw.RecvBatch(2, nil); len(got) != 1 || got[0].Data != "coll" {
+		t.Fatalf("drained %v, want only the epoch-0 message", got)
+	}
+	got := nw.Enter(2, 1, nil)
+	if len(got) != len(early) {
+		t.Fatalf("Enter returned %d messages, want %d", len(got), len(early))
+	}
+	for i := range got {
+		if got[i].Data != early[i].Data {
+			t.Fatalf("Enter returned %v at %d, want %v (arrival order)", got[i].Data, i, early[i].Data)
+		}
+	}
+	nw.Send(Message{From: 0, To: 2, Epoch: 1, Data: "a2"})
+	if nw.Pending(2) != 1 || ib.state.Load()&stateQueued == 0 {
+		t.Fatal("a message of the entered epoch was not queued")
+	}
+	nw.RecvBatch(2, nil)
+
+	// With buf non-empty Enter appends.
+	nw.Send(Message{From: 1, To: 2, Epoch: 2, Data: "b2"})
+	if got := nw.Enter(2, 2, []Message{{Data: "kept"}}); len(got) != 2 || got[0].Data != "kept" || got[1].Data != "b2" {
+		t.Fatalf("Enter onto a non-empty buf returned %v, want [kept b2]", got)
+	}
+
+	nw.Send(Message{From: 0, To: 2, Epoch: 4, Data: "a4"})
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Enter(3) with an epoch-4 message waiting did not panic")
+		}
+	}()
+	nw.Enter(2, 3, nil)
+}

@@ -19,6 +19,10 @@ import (
 // path from a fresh inbox; what identifies it is everything visible plus,
 // per actor, the steps of its current call with what each one saw, which
 // is all its code can depend on.
+//
+// A search may also give each sender one message of epoch 1 — sent last,
+// after its epoch-0 ones — that the owner's inbox holds until the owner
+// enters epoch 1, which it does on its first wake-up (see owner).
 
 // Actors of a world, by index.
 const (
@@ -41,10 +45,11 @@ const (
 
 // modelConfig is one search: which actors run, and how many messages each
 // sender sends — each a push or a claim, and each granted claim released
-// quietly or with a wake.
+// quietly or with a wake; with early, each sender sends one more, of
+// epoch 1, and the owner enters epoch 1.
 type modelConfig struct {
-	timed, close bool
-	sends        [numActors]int
+	timed, close, early bool
+	sends               [numActors]int
 }
 
 type move struct{ actor, alt int }
@@ -72,8 +77,8 @@ type world struct {
 	wg     sync.WaitGroup
 
 	expired, armed bool
-	holder         int    // the actor running the rank; -1 none
-	next           [3]int // per sender: the number its next handled message must carry
+	holder         int       // the actor running the rank; -1 none
+	next           [2][3]int // per epoch and sender: the number its next handled message must carry
 	fail           string
 	trace          []string // the steps taken, when tracing
 }
@@ -178,23 +183,37 @@ func (w *world) acquire(who int) {
 	w.holder = who
 }
 
-// handle: the rank's runner handles m, which must be its sender's next.
+// handle: the rank's runner handles m, which must be its sender's next of
+// its epoch, and of an epoch the rank has entered.
 func (w *world) handle(who int, m Message) {
 	if w.holder != who {
 		w.violate("%s handles a message while it does not run the rank", actorNames[who])
 	}
-	if got := m.Data.(int); got != w.next[m.From] {
-		w.violate("%s handles message %d of %s, want %d (lost, duplicated or reordered)",
-			actorNames[who], got, actorNames[m.From], w.next[m.From])
+	if m.Epoch > w.ib.entered.Load() {
+		w.violate("%s handles an epoch-%d message of %s before the rank entered the epoch",
+			actorNames[who], m.Epoch, actorNames[m.From])
 	}
-	w.next[m.From]++
+	next := &w.next[m.Epoch][m.From]
+	if got := m.Data.(int); got != *next {
+		w.violate("%s handles epoch-%d message %d of %s, want %d (lost, duplicated or reordered)",
+			actorNames[who], m.Epoch, got, actorNames[m.From], *next)
+	}
+	(*next)++
 }
 
 // owner runs the rank's owner: drain, then wait — the first wait against a
-// deadline when the config is timed — until the inbox is closed.
+// deadline when the config is timed — until the inbox is closed. With
+// early messages it enters epoch 1 as it wakes the first time, and handles
+// what the entry hands it before it drains.
 func (w *world) owner() {
 	ib, timed := w.ib, w.cfg.timed
 	for round := byte(0); ; round = 1 {
+		if round == 1 && w.cfg.early && ib.entered.Load() == 0 {
+			w.begin('n')
+			for _, m := range ib.enter(1, nil) {
+				w.handle(actOwner, m)
+			}
+		}
 		w.begin('d', round)
 		for _, m := range ib.popBatch(nil) {
 			w.handle(actOwner, m)
@@ -214,13 +233,21 @@ func (w *world) owner() {
 	}
 }
 
-// sender sends its messages, each a push or a claim; it runs a granted
-// claim like amt's lend: the claimed message, then drains until a release
-// — quiet or waking, chosen at the claim — is granted.
+// sender sends its messages, each a push or a claim — its epoch-0 ones,
+// then its early one; it runs a granted claim like amt's lend: the claimed
+// message, then drains until a release — quiet or waking, chosen at the
+// claim — is granted.
 func (w *world) sender(who int) {
 	ib := w.ib
-	for k := 0; k < w.cfg.sends[who]; k++ {
+	n := w.cfg.sends[who]
+	if w.cfg.early {
+		n++
+	}
+	for k := 0; k < n; k++ {
 		m := Message{From: who, Data: k}
+		if k == w.cfg.sends[who] {
+			m.Epoch, m.Data = 1, 0
+		}
 		w.begin('s', byte(k))
 		if !w.choose(2) {
 			ib.push(m)
@@ -324,11 +351,11 @@ func (w *world) apply(mv move) {
 		a.load = len(a.hist)
 		a.hist = append(a.hist, 'L', byte(before))
 	case "lock":
-		a.hist = append(a.hist, 'K')
-		for _, q := range ib.queue[ib.head:] {
-			a.hist = append(a.hist, byte(q.From), byte(q.Data.(int)))
-		}
+		a.hist = append(a.hist, 'K', byte(ib.entered.Load()))
+		a.hist = appendMessages(append(appendMessages(a.hist, ib.queue[ib.head:]), 0xfd), ib.early)
 		a.hist = append(a.hist, 0xff)
+	case "entered":
+		a.hist = append(a.hist, 'N', byte(ib.entered.Load()))
 	case "CAS":
 	default:
 		a.hist = append(append(a.hist, op...), byte(mv.alt))
@@ -362,6 +389,13 @@ func (w *world) apply(mv move) {
 	}
 }
 
+func appendMessages(b []byte, ms []Message) []byte {
+	for _, q := range ms {
+		b = append(b, byte(q.From), byte(q.Epoch), byte(q.Data.(int)))
+	}
+	return b
+}
+
 func wordString(s uint32) string {
 	var b strings.Builder
 	b.WriteString([]string{"running", "parked", "borrowed", "?"}[s&ownerMask])
@@ -380,10 +414,11 @@ func wordString(s uint32) string {
 func (w *world) key() string {
 	ib := w.ib
 	b := []byte{byte(ib.state.Load()), byte(len(ib.wake)), b2c(w.locked()), byte(w.holder + 1),
-		b2c(w.expired), b2c(w.armed), byte(w.next[actSenderA]), byte(w.next[actSenderB])}
-	for _, q := range ib.queue[ib.head:] {
-		b = append(b, byte(q.From), byte(q.Data.(int)))
+		b2c(w.expired), b2c(w.armed), byte(ib.entered.Load())}
+	for _, next := range w.next {
+		b = append(b, byte(next[actSenderA]), byte(next[actSenderB]))
 	}
+	b = append(appendMessages(append(appendMessages(b, ib.queue[ib.head:]), 0xfd), ib.early), 0xfc)
 	for _, a := range w.actors {
 		b = append(append(b, 0xff, b2c(a.done), byte(a.alts)), a.op...)
 		b = append(b, a.call...)
@@ -395,7 +430,9 @@ func (w *world) key() string {
 
 // terminal checks a state in which no actor can move: every sender has
 // finished, every message is handled or, once the inbox is closed, still
-// queued — and an owner asleep with no token has nothing to wake for.
+// queued or early — and an owner asleep with no token has nothing to wake
+// for: every message of an epoch it has entered is handled, and every
+// other one waits in early.
 func (w *world) terminal() {
 	ib := w.ib
 	for _, who := range []int{actSenderA, actSenderB} {
@@ -403,17 +440,25 @@ func (w *world) terminal() {
 			w.violate("%s is stuck before its %s", actorNames[who], w.actors[who].op)
 		}
 	}
-	total, handled := w.cfg.sends[actSenderA]+w.cfg.sends[actSenderB], w.next[actSenderA]+w.next[actSenderB]
+	total, early := w.cfg.sends[actSenderA]+w.cfg.sends[actSenderB], 0
+	if w.cfg.early {
+		early = 2
+	}
+	handled, handledEarly := w.next[0][actSenderA]+w.next[0][actSenderB], w.next[1][actSenderA]+w.next[1][actSenderB]
 	s := ib.state.Load()
-	if !w.actors[actOwner].done {
-		if s&ownerMask != ownerParked || s&(stateQueued|stateClosed) != 0 {
-			w.violate("the owner sleeps with no token and no borrower, on a word that has work for it: %s", wordString(s))
+	switch {
+	case w.actors[actOwner].done:
+		if queued := len(ib.queue) - ib.head + len(ib.early); handled+handledEarly+queued != total+early {
+			w.violate("%d messages handled and %d queued or early of %d sent", handled+handledEarly, queued, total+early)
 		}
-		if handled != total {
-			w.violate("%d of %d messages handled, the owner asleep", handled, total)
-		}
-	} else if queued := len(ib.queue) - ib.head; handled+queued != total {
-		w.violate("%d messages handled and %d queued of %d sent", handled, queued, total)
+	case s&ownerMask != ownerParked || s&(stateQueued|stateClosed) != 0:
+		w.violate("the owner sleeps with no token and no borrower, on a word that has work for it: %s", wordString(s))
+	case handled != total:
+		w.violate("%d of %d messages handled, the owner asleep", handled, total)
+	case ib.entered.Load() == 1 && handledEarly != early:
+		w.violate("%d of %d epoch-1 messages handled, the owner asleep in epoch 1", handledEarly, early)
+	case ib.entered.Load() == 0 && len(ib.early) != early:
+		w.violate("%d of %d epoch-1 messages wait for the entry, the owner asleep before it", len(ib.early), early)
 	}
 }
 
@@ -496,7 +541,9 @@ func replay(cfg modelConfig, path []move) []string {
 // for it. The searches pair the actors so that the whole check takes a few
 // seconds: sender A sends two messages (so that a claim can try to
 // overtake its own push), sender B one, and the timer and the close each
-// join a search of fewer messages.
+// join a search of fewer messages. The last search adds an early message
+// per sender and the owner's entry to epoch 1: no such message may be
+// handled before the entry, and none may be stranded by it.
 func TestStateWordInterleavings(t *testing.T) {
 	// One goroutine runs at a time; on one P a hand-off is a switch.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -507,8 +554,10 @@ func TestStateWordInterleavings(t *testing.T) {
 		{sends: two, timed: true},
 		{sends: two, close: true},
 		{sends: [numActors]int{actSenderA: 1}, timed: true, close: true},
+		{sends: [numActors]int{actSenderA: 1}, early: true},
 	} {
-		name := fmt.Sprintf("A=%d,B=%d,timed=%v,close=%v", cfg.sends[actSenderA], cfg.sends[actSenderB], cfg.timed, cfg.close)
+		name := fmt.Sprintf("A=%d,B=%d,timed=%v,close=%v,early=%v",
+			cfg.sends[actSenderA], cfg.sends[actSenderB], cfg.timed, cfg.close, cfg.early)
 		start := time.Now()
 		states, bad, violation := explore(cfg)
 		if violation != "" {

@@ -130,6 +130,8 @@ func TestDistributedChaosMatchesFaultFree(t *testing.T) {
 	if st.Dropped == 0 || st.Duplicated == 0 || st.Retries == 0 {
 		t.Fatalf("fault plan injected nothing: %+v", st)
 	}
+	t.Logf("fault damage: %d dropped, %d duplicated; recovery: %d retries, %d dup discards",
+		st.Dropped, st.Duplicated, st.Retries, st.DupDrops)
 	if cleanCensus != faultedCensus {
 		t.Errorf("census differs: clean %d, faulted %d", cleanCensus, faultedCensus)
 	}

@@ -393,6 +393,17 @@ func benchJSONSuite() []struct {
 				}
 			})
 		}},
+		{"empty_epoch_1024", func(b *testing.B) {
+			// One Safra wave and the done broadcast over 1024 in-memory
+			// ranks: an epoch nobody sends in, the floor under every
+			// inform and transfer stage.
+			emptyEpochs(b)
+		}},
+		{"empty_epoch_1024_metrics", func(b *testing.B) {
+			// The same with a registry attached: every token hop and done
+			// message sized, every rank's epoch timed into its buckets.
+			emptyEpochs(b, amt.WithMetrics())
+		}},
 		{"allgather_4096", func(b *testing.B) {
 			// One all-gather on every rank of a 4096-rank in-memory
 			// runtime, the paper's scale: each subtree's range goes up,
@@ -441,6 +452,31 @@ func allGathers(b *testing.B, rc *amt.Context) {
 	if rc.Rank() == 0 {
 		b.StopTimer()
 	}
+}
+
+// emptyEpochs is one rank's part of an empty_epoch row on a 1024-rank
+// in-memory runtime with opts attached, which stands up once, untimed:
+// 100 untimed epochs make every rank's detector and grow the inboxes'
+// arrays, then b.N timed ones, the timer run by rank 0. What a timed
+// epoch still allocates is the Go runtime's: the wait records of 1 024
+// goroutines parked on channels, remade after each collection, and a
+// queue that sets a new high-water mark — tens of bytes per op, at any
+// b.N (6–84 B at 50 and at 300 ops).
+func emptyEpochs(b *testing.B, opts ...amt.Option) {
+	amt.New(1024, opts...).Run(func(rc *amt.Context) {
+		for i := 0; i < 100; i++ {
+			rc.Epoch(func() {})
+		}
+		if rc.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			rc.Epoch(func() {})
+		}
+		if rc.Rank() == 0 {
+			b.StopTimer()
+		}
+	})
 }
 
 // distributedLB16 is one op per b.N of the 16-rank rows: a fresh runtime

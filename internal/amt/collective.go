@@ -169,19 +169,8 @@ func (rc *Context) treeCollective(name string, in []float64, op ReduceOp, ops []
 	if op == reduceConcat && len(acc) != rc.n {
 		panic(fmt.Sprintf("amt: %s length mismatch: %d vs %d", name, len(acc), rc.n))
 	}
-	rc.sendDown(&collMsg{Seq: seq, Values: acc})
+	rc.fanOut(kindCollDown, 0, &collMsg{Seq: seq, Values: acc})
 	return acc
-}
-
-// sendDown forwards the down message of a collective to each tree child
-// — the same payload to every child, pushed, never claimed (see
-// transmit).
-func (rc *Context) sendDown(down any) {
-	for i := 0; i < rc.nKids; i++ {
-		rc.rt.nw.Send(comm.Message{
-			From: int(rc.rank), To: rc.child(i), Kind: kindCollDown, Data: down,
-		})
-	}
 }
 
 // onCollUp stores one child's partial of the next collective this rank
@@ -212,7 +201,7 @@ func (rc *Context) onCollDown(m comm.Message) {
 		panic(fmt.Sprintf("amt: rank %d got the result of collective %d while in collective %d",
 			rc.rank, cm.Seq, rc.collSeq))
 	}
-	rc.sendDown(m.Data)
+	rc.fanOut(kindCollDown, 0, m.Data)
 	rc.result, rc.resultSeq = cm.Values, cm.Seq
 }
 

@@ -2,10 +2,12 @@ package amt
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"temperedlb/internal/clock"
 	"temperedlb/internal/comm"
+	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
 	"temperedlb/internal/obs"
 	"temperedlb/internal/termination"
@@ -24,6 +26,7 @@ const (
 	kindCollUp
 	kindCollDown
 	kindAck
+	numKinds
 )
 
 // The epoch tag of every message rides the transport header
@@ -166,27 +169,43 @@ type Context struct {
 
 	phase phaseState
 
-	// tr and epochSeconds mirror the runtime's tracer and epoch-latency
-	// histogram, nil when off. A duration measured per message — a handler
-	// run, a borrow — is the tracer's alone, so the clock is read per
-	// message only when tr is set; metrics time nothing finer than an epoch.
-	tr           obs.Tracer
-	epochSeconds *obs.Histogram
+	// tr mirrors the runtime's tracer, nil when off. A duration measured
+	// per message — a handler run, a borrow — is the tracer's alone, so the
+	// clock is read per message only when tr is set; metrics time nothing
+	// finer than an epoch.
+	tr obs.Tracer
+	// sizer weighs what the rank sends and epochs times its epochs, each
+	// only when something reads the result: sizer is set when metrics or a
+	// stream is attached, epochs when metrics are. Both live in the rank's
+	// slot of the runtime's observers, made before the rank, and are
+	// written only by whoever runs it (see Counting in the package doc).
+	sizer  *wire.Sizer
+	epochs *epochLatency
 
-	// Stats counts what this rank did (see ContextStats).
-	Stats ContextStats
+	// Stats counts what this rank did (see ContextStats), and sentBytes
+	// the wire-codec payload bytes it sent, per transport kind (zero
+	// unless sizer is set). They are adjacent, so that a fold reads one
+	// rank's counters in one sweep.
+	Stats     ContextStats
+	sentBytes [numKinds]atomic.Int64
 }
 
 func newContext(rt *Runtime, rank core.Rank) *Context {
 	rc := &Context{
-		rt:           rt,
-		rank:         rank,
-		n:            rt.n,
-		coll:         collState{seq: 1},
-		objects:      make(map[ObjectID]any),
-		location:     make(map[ObjectID]core.Rank),
-		tr:           rt.tracer,
-		epochSeconds: rt.epochSeconds,
+		rt:       rt,
+		rank:     rank,
+		n:        rt.n,
+		coll:     collState{seq: 1},
+		objects:  make(map[ObjectID]any),
+		location: make(map[ObjectID]core.Rank),
+		tr:       rt.tracer,
+	}
+	if rt.observers != nil {
+		o := &rt.observers[int(rank)-rt.lo]
+		rc.sizer = &o.sizer
+		if rt.metrics != nil {
+			rc.epochs = &o.epochs
+		}
 	}
 	r := int(rank)
 	rc.parent, rc.stride, rc.nKids, rc.treeDepth, rc.size = treeShape(r, rt.n, rt.fanout)
@@ -295,8 +314,8 @@ func (rc *Context) Watched() bool {
 
 // NodeStats folds the view of the node this rank runs on (see
 // Runtime.Stats): every hosted rank's counts and the transport's, not this
-// rank's alone. Bytes are zero unless byte accounting is on — metrics or
-// a stream attached.
+// rank's alone. Bytes are zero unless the run is observed — metrics or a
+// stream attached.
 func (rc *Context) NodeStats() NodeStats { return rc.rt.Stats() }
 
 // Emit stamps the event with this context's rank and forwards it to the
@@ -348,10 +367,12 @@ func (rc *Context) send(m comm.Message) {
 // for the message — this goroutine borrows it (lend). Everything a rank
 // sends goes through here except the two kinds that by their meaning
 // release their receiver from a wait, kindDone and kindCollDown — those
-// are pushed plainly, or the root's goroutine would run the whole
-// down-sweep before it returned from its own collective — and the token
-// hops lend makes on a borrowed rank's behalf.
+// are pushed plainly (fanOut), or the root's goroutine would run the
+// whole down-sweep before it returned from its own collective — the
+// reliable layer's acks and retransmissions, and the token hops lend
+// makes on a borrowed rank's behalf.
 func (rc *Context) transmit(m comm.Message) {
+	rc.countBytes(m.Kind, m.Data, 1)
 	if rc.depth >= maxBorrowDepth {
 		if m.Kind == kindToken {
 			rc.tokenWoke++
@@ -361,6 +382,33 @@ func (rc *Context) transmit(m comm.Message) {
 	}
 	if rc.rt.nw.SendClaim(m) {
 		rc.lend(rc.rt.ranks[m.To-rc.rt.lo].Load(), m)
+	}
+}
+
+// fanOut pushes one payload to each of the rank's tree children — a
+// collective's down message or an epoch's done announcement — weighing
+// it once for all of them. Pushed, never claimed (see transmit).
+func (rc *Context) fanOut(kind comm.Kind, epoch int64, data any) {
+	if rc.nKids == 0 {
+		return
+	}
+	rc.countBytes(kind, data, rc.nKids)
+	for i := 0; i < rc.nKids; i++ {
+		rc.rt.nw.Send(comm.Message{
+			From: int(rc.rank), To: rc.child(i), Kind: kind, Epoch: epoch, Data: data,
+		})
+	}
+}
+
+// countBytes weighs what the rank is about to send — copies messages of
+// kind carrying data — and adds it to the rank's sent bytes; every site
+// that hands the transport a message calls it first. It sizes with the
+// rank's own Sizer, on the goroutine that runs the rank, owner or
+// borrower, which is what lets the counters be the rank's alone.
+// Unobserved, it is one nil check.
+func (rc *Context) countBytes(kind comm.Kind, data any, copies int) {
+	if rc.sizer != nil {
+		rc.sentBytes[kind].Add(int64(copies * rc.sizer.Size(data)))
 	}
 }
 
@@ -404,7 +452,12 @@ func (rc *Context) lend(t *Context, m comm.Message) {
 			}
 			t.depth = rc.depth + 1
 		}
-		if !owed || !rc.rt.nw.SendClaim(hop) {
+		if !owed {
+			break
+		}
+		// The hop is t's, made by this rank: counted here, on the lender.
+		rc.countBytes(hop.Kind, hop.Data, 1)
+		if !rc.rt.nw.SendClaim(hop) {
 			break
 		}
 		t, m = rc.rt.ranks[hop.To-rc.rt.lo].Load(), hop
@@ -536,7 +589,7 @@ func (rc *Context) Epoch(body func()) {
 	rc.open = rc.det
 
 	// One clock pair per epoch, for the tracer's span and the histogram.
-	timed := rc.tr != nil || rc.epochSeconds != nil
+	timed := rc.tr != nil || rc.epochs != nil
 	var epochStart time.Time
 	if timed {
 		epochStart = clock.Now()
@@ -568,8 +621,8 @@ func (rc *Context) Epoch(body func()) {
 		elapsed := clock.Since(epochStart)
 		rc.Emit(obs.Event{Type: obs.EvEpochClose, Peer: -1, Object: -1,
 			Epoch: rc.epochSeq, Value: float64(waves), Dur: elapsed})
-		if rc.epochSeconds != nil {
-			rc.epochSeconds.Observe(int(rc.rank), elapsed.Seconds())
+		if rc.epochs != nil {
+			rc.epochs.observe(elapsed.Seconds())
 		}
 	}
 }
@@ -655,15 +708,8 @@ func (rc *Context) timedHandler(h HandlerID, from int, obj ObjectID, run func())
 // forwardDone relays the open epoch's done announcement to this rank's
 // tree children. The terminating root starts it, and every rank forwards
 // it exactly once on processing, so the broadcast costs each rank at most
-// fanout sends instead of putting all P−1 on the root. Pushed, never
-// claimed (see transmit).
-func (rc *Context) forwardDone() {
-	for i := 0; i < rc.nKids; i++ {
-		rc.rt.nw.Send(comm.Message{
-			From: int(rc.rank), To: rc.child(i), Kind: kindDone, Epoch: rc.epochSeq,
-		})
-	}
-}
+// fanout sends instead of putting all P−1 on the root.
+func (rc *Context) forwardDone() { rc.fanOut(kindDone, rc.epochSeq, nil) }
 
 // countReceive feeds one counted receipt to the open epoch's detector (a
 // message dispatched this far belongs to it, or to no epoch). A negative

@@ -69,14 +69,26 @@
 //
 // A runtime fact is counted once (stats.go). What a rank did is its
 // ContextStats, written only by whoever runs the rank; what the
-// network carried is comm.Network.Stats. Runtime.Stats folds both
-// into a NodeStats that may be read while Run is in flight, and every
-// report — the metrics registry (Runtime.Metrics, refolded on every
-// export, a live /metrics scrape included), FaultStats, TotalMessages,
-// stream frames — is a read of that fold, so none can drift from
-// another. Only the epoch-latency histogram is written as the run goes,
-// once per epoch: with metrics on and no tracer, dispatching a message
-// reads no clock. A handler's duration is the tracer's handler span.
+// network carried is comm.Network.Stats, messages only. Runtime.Stats
+// folds both into a NodeStats that may be read while Run is in flight,
+// and every report — the metrics registry (Runtime.Metrics, refolded on
+// every export, a live /metrics scrape included), FaultStats,
+// TotalMessages, stream frames — is a read of that fold, so none can
+// drift from another.
+//
+// What observing adds is counted the same way, on the rank and only when
+// something reads it. With metrics or a stream attached each rank sizes
+// what it sends (Context.countBytes, before every send) with a wire.Sizer of its
+// own — the rank that runs the send, a lender for the token hops it makes
+// on a borrowed rank's behalf — and adds the bytes to per-kind counters
+// beside its ContextStats; a payload fanned out to the tree children is
+// sized once. With metrics attached each rank also keeps its own
+// amt_epoch_seconds buckets, observed once per epoch; Metrics folds them
+// into the registry's histogram as it stores the counters. Sizers and
+// buckets are made with the rank's Context, so observing allocates nothing
+// as the run goes, and no two ranks write one cache line. Dispatching a
+// message reads no clock: a handler's duration is the tracer's handler
+// span.
 //
 // # Concurrency
 //

@@ -14,8 +14,10 @@ import (
 	"time"
 
 	"temperedlb/internal/comm"
+	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/core"
 	"temperedlb/internal/obs"
+	"temperedlb/internal/termination"
 )
 
 // TestAllReduceVec checks the vector collective against elementwise
@@ -87,83 +89,124 @@ func TestAllReduceVecInputAliasing(t *testing.T) {
 
 // TestRuntimeTracingAndMetrics drives every instrumented runtime path —
 // epochs, rank and object handlers, migration, collectives, phases — with
-// a recorder, the registry and a stream all attached, fault-free and under
-// a plan that drops and duplicates, and holds every counted fact to one
-// value wherever it is reported: the registry family, the fold of
-// ContextStats and Transport.Stats it is stored from, and the count (or
-// summed Value) of the recorded events. Rank 0 also scrapes /metrics from
-// inside an epoch: a live scrape is the same fold.
+// a recorder, the registry and a stream all attached: in memory fault-free
+// and under a plan that drops and duplicates, and on a two-node unix job.
+// It holds every counted fact to one value wherever it is reported: the
+// registry family, the fold of ContextStats and Transport.Stats it is
+// stored from, and the count (or summed Value) of the recorded events; the
+// payload bytes, fault-free, to the sum of wire.PayloadSize over the
+// messages sent; and amt_epoch_seconds to the epochs run. Rank 0 also
+// scrapes /metrics from inside an epoch: a live scrape is the same fold.
+// The kinds whose message set timing cannot change weigh the same on both
+// transports.
 func TestRuntimeTracingAndMetrics(t *testing.T) {
-	t.Run("fault-free", func(t *testing.T) { testTracingAndMetrics(t, comm.FaultSpec{}) })
-	t.Run("faulted", func(t *testing.T) { testTracingAndMetrics(t, lossySpec(42)) })
+	var memory, unix comm.KindCounts
+	t.Run("fault-free", func(t *testing.T) { memory = testTracingAndMetrics(t, "memory", 1, comm.FaultSpec{}) })
+	t.Run("faulted", func(t *testing.T) { testTracingAndMetrics(t, "memory", 1, lossySpec(42)) })
+	t.Run("unix", func(t *testing.T) { unix = testTracingAndMetrics(t, "unix", 2, comm.FaultSpec{}) })
+	for _, k := range []comm.Kind{kindUser, kindObject, kindMigrate, kindCollUp, kindCollDown} {
+		if memory[k] == 0 || memory[k] != unix[k] {
+			t.Errorf("comm_bytes_total{kind=%q}: %d in memory, %d on two unix nodes", kindNames[k], memory[k], unix[k])
+		}
+	}
 }
 
-func testTracingAndMetrics(t *testing.T, faults comm.FaultSpec) {
+// tally is an object state with a wire codec, so that it can migrate
+// between the nodes of a socket job.
+type tally struct{ Value int }
+
+func init() {
+	wire.RegisterPayload(90,
+		func(e *wire.Encoder, t *tally) { e.I64(int64(t.Value)) },
+		func(d *wire.Decoder) *tally { return &tally{Value: int(d.I64())} })
+}
+
+// testTracingAndMetrics runs the instrumented body on a job of the given
+// transport and nodes and returns the job's payload bytes per kind.
+func testTracingAndMetrics(t *testing.T, network string, nodes int, faults comm.FaultSpec) comm.KindCounts {
 	const n, chain = 4, 25
 	rec := obs.NewRecorder()
-	rt := New(n, WithTracer(rec), WithMetrics(), WithStream(obs.NewStream(0)))
-	if err := rt.SetFaults(faults); err != nil {
-		t.Fatal(err)
-	}
-	rt.NameHandler(hPing, "test.ping")
-	rt.Register(hPing, func(rc *Context, from core.Rank, data any) {})
-	rt.Register(hCascade, func(rc *Context, from core.Rank, data any) {
-		if k := data.(int); k > 0 {
-			rc.Send((rc.Rank()+1)%n, hCascade, k-1)
+	job := launch(t, network, n, nodes, WithTracer(rec), WithMetrics(), WithStream(obs.NewStream(0)))
+	for _, rt := range job.Runtimes {
+		if err := rt.SetFaults(faults); err != nil {
+			t.Fatal(err)
 		}
-	})
-	rt.RegisterObject(hObjAdd, func(rc *Context, obj ObjectID, state any, from core.Rank, data any) {
-		state.(*counterState).Value += data.(int)
-	})
-	srv := httptest.NewServer(obs.NewServeMux(nil, rt.EnableMetrics()))
+	}
+	srv := httptest.NewServer(obs.NewServeMux(nil, job.Runtimes[0].EnableMetrics()))
 	defer srv.Close()
 	var live string
 
-	rt.Run(func(rc *Context) {
-		id := rc.CreateObject(&counterState{})
-		sized := rc.CreateObject(2.5) // a state the wire codec can weigh
-		rc.PhaseBegin()
-		rc.RecordWork(id, 1.5)
-		rc.PhaseEnd()
-
-		next := core.Rank((int(rc.Rank()) + 1) % n)
-		rc.Epoch(func() {
-			rc.Send(next, hPing, 1)
-			rc.Send(next, hCascade, chain)
-			rc.SendObject(id, hObjAdd, 2)
-		})
-		rc.Epoch(func() {
-			rc.Migrate(id, next)
-			rc.Migrate(sized, next)
-			if rc.Rank() == 0 {
-				resp, err := http.Get(srv.URL + "/metrics")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer resp.Body.Close()
-				body, _ := io.ReadAll(resp.Body)
-				live = string(body)
+	err := job.Run(func(rt *Runtime) func(rc *Context) error {
+		rt.NameHandler(hPing, "test.ping")
+		rt.Register(hPing, func(rc *Context, from core.Rank, data any) {})
+		rt.Register(hCascade, func(rc *Context, from core.Rank, data any) {
+			if k := data.(int); k > 0 {
+				rc.Send((rc.Rank()+1)%n, hCascade, k-1)
 			}
 		})
-		if s := rc.AllReduce(1, ReduceSum); s != n {
-			t.Errorf("allreduce = %g", s)
+		rt.RegisterObject(hObjAdd, func(rc *Context, obj ObjectID, state any, from core.Rank, data any) {
+			state.(*tally).Value += data.(int)
+		})
+		return func(rc *Context) error {
+			id := rc.CreateObject(&tally{})
+			sized := rc.CreateObject(2.5)
+			rc.PhaseBegin()
+			rc.RecordWork(id, 1.5)
+			rc.PhaseEnd()
+
+			next := core.Rank((int(rc.Rank()) + 1) % n)
+			rc.Epoch(func() {
+				rc.Send(next, hPing, 1)
+				rc.Send(next, hCascade, chain)
+				rc.SendObject(MakeObjectID(next, 1), hObjAdd, 2) // next's tally
+			})
+			// Every rank has closed the first epoch before rank 0 scrapes
+			// from inside the second.
+			rc.Barrier()
+			rc.Epoch(func() {
+				rc.Migrate(id, next)
+				rc.Migrate(sized, next)
+				if rc.Rank() == 0 {
+					resp, err := http.Get(srv.URL + "/metrics")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					body, _ := io.ReadAll(resp.Body)
+					live = string(body)
+				}
+			})
+			if s := rc.AllReduce(1, ReduceSum); s != n {
+				t.Errorf("allreduce = %g", s)
+			}
+			rc.Barrier()
+			return nil
 		}
-		rc.Barrier()
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The scrape taken inside the second epoch already had the first
-	// epoch's transport traffic and rank counts.
-	for _, fam := range []string{"comm_messages_all_total", "amt_epochs_total", "amt_handler_invocations_total"} {
-		var v int64
+	// epoch's transport traffic and rank counts, and exactly one epoch's
+	// latency per rank of the scraped node.
+	liveValue := func(sample string) (v int64) {
 		for _, line := range strings.Split(live, "\n") {
-			if rest, ok := strings.CutPrefix(line, fam+" "); ok {
+			if rest, ok := strings.CutPrefix(line, sample+" "); ok {
 				v, _ = strconv.ParseInt(rest, 10, 64)
 			}
 		}
-		if v <= 0 {
+		return v
+	}
+	for _, fam := range []string{"comm_messages_all_total", "amt_epochs_total", "amt_handler_invocations_total"} {
+		if v := liveValue(fam); v <= 0 {
 			t.Errorf("mid-run scrape: %s = %d, want > 0", fam, v)
 		}
+	}
+	lo, hi := job.Runtimes[0].nw.LocalRange()
+	if got := liveValue("amt_epoch_seconds_count"); got != int64(hi-lo) {
+		t.Errorf("mid-run scrape: amt_epoch_seconds_count = %d, want %d (the first epoch of each of node 0's ranks)", got, hi-lo)
 	}
 
 	events := rec.Events()
@@ -192,7 +235,7 @@ func testTracingAndMetrics(t *testing.T, faults comm.FaultSpec) {
 		obs.EvPhaseBegin: n,
 		obs.EvPhaseEnd:   n,
 		obs.EvMigration:  2 * n,
-		obs.EvCollective: 2 * n,
+		obs.EvCollective: 3 * n,
 	} {
 		if byType[ty] != want {
 			t.Errorf("%v events = %d, want %d", ty, byType[ty], want)
@@ -202,12 +245,40 @@ func testTracingAndMetrics(t *testing.T, faults comm.FaultSpec) {
 		t.Error("no token-round events")
 	}
 
-	m := rt.Metrics()
-	if m == nil {
-		t.Fatal("Metrics() = nil after EnableMetrics")
+	// One value per fact: each node's registry == its fold, and over the
+	// nodes, registry == the job's fold == recorded events.
+	ns := job.Stats()
+	total := map[string]int64{}
+	for _, rt := range job.Runtimes {
+		m, nodeStats := rt.Metrics(), rt.Stats()
+		for _, f := range nodeFamilies {
+			reg := m.Counter(f.name).Value()
+			if fold := f.read(&nodeStats); reg != fold {
+				t.Errorf("%s: registry %d, the node's fold %d", f.name, reg, fold)
+			}
+			total[f.name] += reg
+		}
+		for _, f := range kindFamilies {
+			counts := f.of(&nodeStats)
+			for k, name := range kindNames {
+				sample := obs.LabeledName(f.name, "kind", name)
+				if got := m.Counter(sample).Value(); got != counts[k] {
+					t.Errorf("%s = %d, the node's fold has %d", sample, got, counts[k])
+				}
+				total[sample] += counts[k]
+			}
+		}
+		// After Run: two epochs per rank, and the buckets hold them all.
+		lo, hi := rt.nw.LocalRange()
+		h := m.Histogram("amt_epoch_seconds", nil).Snapshot()
+		inBuckets := int64(0)
+		for _, c := range h.Counts {
+			inBuckets += c
+		}
+		if want := int64(2 * (hi - lo)); h.Count != want || inBuckets != want || h.Sum <= 0 {
+			t.Errorf("amt_epoch_seconds on ranks [%d,%d): count %d, buckets %d, sum %g; want %d epochs", lo, hi, h.Count, inBuckets, h.Sum, want)
+		}
 	}
-	// One value per fact: registry == fold == recorded events.
-	ns := rt.Stats()
 	fromEvents := map[string]int64{
 		"amt_handler_invocations_total":  int64(byType[obs.EvHandler]),
 		"amt_epochs_total":               int64(byType[obs.EvEpochClose]),
@@ -218,11 +289,11 @@ func testTracingAndMetrics(t *testing.T, faults comm.FaultSpec) {
 		"amt_collective_messages_total":  int64(sumValue[obs.EvCollective]),
 		"amt_retries_total":              int64(byType[obs.EvRetry]),
 		"amt_duplicates_dropped_total":   int64(byType[obs.EvDupDrop]),
-		"comm_messages_all_total":        rt.TotalMessages(), // the transport emits no events
-		"comm_bytes_all_total":           ns.Transport.Bytes.Total(),
+		"comm_messages_all_total":        ns.Transport.Sent.Total(), // the transport emits no events
+		"comm_bytes_all_total":           ns.Bytes.Total(),
 	}
 	for _, f := range nodeFamilies {
-		reg, fold := m.Counter(f.name).Value(), f.read(&ns)
+		reg, fold := total[f.name], f.read(&ns)
 		ev, ok := fromEvents[f.name]
 		if !ok {
 			t.Fatalf("%s: nothing to hold it to", f.name)
@@ -231,56 +302,79 @@ func testTracingAndMetrics(t *testing.T, faults comm.FaultSpec) {
 			t.Errorf("%s: registry %d, fold %d, recorded events %d", f.name, reg, fold, ev)
 		}
 	}
-	// A *counterState has no wire codec and weighs nothing; the float64
-	// states weigh 10 bytes each (TestMigrationStatsAccounted has more).
-	if got := m.Counter("amt_migration_bytes_total").Value(); got != 10*n {
-		t.Errorf("amt_migration_bytes_total = %d, want %d", got, 10*n)
+	// The *tally and float64 states weigh 10 bytes each
+	// (TestMigrationStatsAccounted has more).
+	if got := total["amt_migration_bytes_total"]; got != 20*n {
+		t.Errorf("amt_migration_bytes_total = %d, want %d", got, 20*n)
 	}
-	for _, f := range kindFamilies {
-		counts := f.of(&ns.Transport)
-		for k, name := range kindNames {
-			if got := m.Counter(obs.LabeledName(f.name, "kind", name)).Value(); got != counts[k] {
-				t.Errorf("%s{kind=%q} = %d, Transport.Stats has %d", f.name, name, got, counts[k])
-			}
-		}
-	}
-	if m.Counter("comm_bytes_all_total").Value() <= 0 {
+	if total["comm_bytes_all_total"] <= 0 {
 		t.Error("byte accounting produced no bytes")
 	}
-	// FaultStats is the same fold: its four numbers are the registry's.
-	overKinds := func(family string) (total int64) {
+	// FaultStats is the same fold: its four numbers are the registries'.
+	overKinds := func(family string) (sum int64) {
 		for _, name := range kindNames {
-			total += m.Counter(obs.LabeledName(family, "kind", name)).Value()
+			sum += total[obs.LabeledName(family, "kind", name)]
 		}
-		return total
+		return sum
 	}
-	if got, want := rt.FaultStats(), (FaultStats{
+	if got, want := ns.Faults(), (FaultStats{
 		Dropped:    overKinds("comm_dropped_total"),
 		Duplicated: overKinds("comm_duplicated_total"),
-		Retries:    m.Counter("amt_retries_total").Value(),
-		DupDrops:   m.Counter("amt_duplicates_dropped_total").Value(),
+		Retries:    total["amt_retries_total"],
+		DupDrops:   total["amt_duplicates_dropped_total"],
 	}); got != want {
 		t.Errorf("FaultStats %+v, registry says %+v", got, want)
 	}
 
-	if faults.Empty() {
-		// What the body sent, exactly: a ping, a cascade of chain+1 hops
-		// and an object poke per rank, and two migrations.
-		if got := m.Counter(`comm_messages_total{kind="user"}`).Value(); got != n*(chain+2) {
-			t.Errorf("user kind messages = %d, want %d", got, n*(chain+2))
+	if !faults.Empty() {
+		if st := ns.Faults(); st.Dropped == 0 || st.Duplicated == 0 || st.Retries == 0 || st.DupDrops == 0 {
+			t.Errorf("expected a lossy run, got %+v", st)
 		}
-		if got := m.Counter(`comm_messages_total{kind="migrate"}`).Value(); got != 2*n {
-			t.Errorf("migrate kind messages = %d, want %d", got, 2*n)
-		}
-		if got := m.Counter("amt_handler_invocations_total").Value(); got != n*(chain+3) {
-			t.Errorf("handler invocations = %d, want %d", got, n*(chain+3))
-		}
-		if st := rt.FaultStats(); st != (FaultStats{}) {
-			t.Errorf("fault-free run: %+v", st)
-		}
-	} else if st := rt.FaultStats(); st.Dropped == 0 || st.Duplicated == 0 || st.Retries == 0 || st.DupDrops == 0 {
-		t.Errorf("expected a lossy run, got %+v", st)
+		return ns.Bytes
 	}
+	// What the body sent, exactly: a ping, a cascade of chain+1 hops
+	// and a poke at the next rank's object per rank, and two migrations.
+	if got := total[`comm_messages_total{kind="user"}`]; got != n*(chain+2) {
+		t.Errorf("user kind messages = %d, want %d", got, n*(chain+2))
+	}
+	if got := total[`comm_messages_total{kind="migrate"}`]; got != 2*n {
+		t.Errorf("migrate kind messages = %d, want %d", got, 2*n)
+	}
+	if got := total[`comm_messages_total{kind="object"}`]; got != n {
+		t.Errorf("object kind messages = %d, want %d", got, n)
+	}
+	if got := total["amt_handler_invocations_total"]; got != n*(chain+3) {
+		t.Errorf("handler invocations = %d, want %d", got, n*(chain+3))
+	}
+	if st := ns.Faults(); st != (FaultStats{}) {
+		t.Errorf("fault-free run: %+v", st)
+	}
+	// The bytes are wire.PayloadSize summed over the messages sent: every
+	// message of a kind but migrate carries one size of payload, and each
+	// collective sends n−1 partials up and n−1 results down.
+	var want comm.KindCounts
+	for k, payload := range map[comm.Kind]any{
+		kindUser:      1,
+		kindObject:    objEnvelope{Data: 2},
+		kindLocUpdate: locEnvelope{},
+		kindToken:     &termination.Token{},
+		kindDone:      nil,
+	} {
+		want[k] = ns.Transport.Sent[k] * int64(wire.PayloadSize(payload))
+	}
+	want[kindMigrate] = n * int64(wire.PayloadSize(migrateEnvelope{State: &tally{}})+wire.PayloadSize(migrateEnvelope{State: 2.5}))
+	for _, width := range []int{-1, 1, -1} { // barrier, allreduce, barrier
+		c := &collMsg{}
+		if width >= 0 {
+			c.Values = make([]float64, width)
+		}
+		want[kindCollUp] += (n - 1) * int64(wire.PayloadSize(c))
+	}
+	want[kindCollDown] = want[kindCollUp]
+	if ns.Bytes != want {
+		t.Errorf("bytes per kind %v, wire.PayloadSize over the messages sent %v", ns.Bytes, want)
+	}
+	return ns.Bytes
 }
 
 // TestRuntimeNoTracerUnaffected pins the default path: without options,
@@ -307,8 +401,8 @@ func TestRuntimeNoTracerUnaffected(t *testing.T) {
 	})
 }
 
-// TestRunSizesPayloadsIffRead: Run switches on byte accounting exactly
-// when metrics or a stream will read the totals, whatever order the
+// TestRunSizesPayloadsIffRead: the ranks weigh their sends exactly when
+// metrics or a stream will read the totals, whatever order the
 // setters ran in — a stream attached and detached again leaves the sends
 // unsized.
 func TestRunSizesPayloadsIffRead(t *testing.T) {
@@ -332,7 +426,7 @@ func TestRunSizesPayloadsIffRead(t *testing.T) {
 				}
 			})
 		})
-		if got := rt.Stats().Transport.Bytes.Total() > 0; got != tc.sized {
+		if got := rt.Stats().Bytes.Total() > 0; got != tc.sized {
 			t.Errorf("%s: payloads sized %v, want %v", tc.name, got, tc.sized)
 		}
 	}
@@ -489,7 +583,7 @@ func TestScrapesAreMonotoneAndEndAtTheFold(t *testing.T) {
 				}
 			}
 			for k := range ns.Transport.Sent {
-				if ns.Transport.Sent[k] < prevNS.Transport.Sent[k] || ns.Transport.Bytes[k] < prevNS.Transport.Bytes[k] {
+				if ns.Transport.Sent[k] < prevNS.Transport.Sent[k] || ns.Bytes[k] < prevNS.Bytes[k] {
 					t.Errorf("scrape %d: kind %d transport counts went down", i, k)
 				}
 			}
@@ -509,7 +603,7 @@ func TestScrapesAreMonotoneAndEndAtTheFold(t *testing.T) {
 		}
 	}
 	for _, f := range kindFamilies {
-		counts := f.of(&ns.Transport)
+		counts := f.of(&ns)
 		for k, kind := range kindNames {
 			if name := obs.LabeledName(f.name, "kind", kind); final[name] != counts[k] {
 				t.Errorf("final scrape %s = %d, Job.Stats() %d", name, final[name], counts[k])

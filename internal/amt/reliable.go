@@ -149,9 +149,9 @@ func (rc *Context) accept(m comm.Message) bool {
 	}
 	// Every copy is (re-)acknowledged: the first ack may have been
 	// delayed or the sender may have retransmitted in the meantime.
-	rc.rt.nw.Send(comm.Message{
-		From: int(rc.rank), To: m.From, Kind: kindAck, Data: m.MsgID,
-	})
+	ack := comm.Message{From: int(rc.rank), To: m.From, Kind: kindAck, Data: m.MsgID}
+	rc.countBytes(ack.Kind, ack.Data, 1)
+	rc.rt.nw.Send(ack)
 	if dup {
 		rc.Stats[DupDrops].Add(1)
 		rc.Emit(obs.Event{Type: obs.EvDupDrop, Peer: m.From, Object: -1})
@@ -218,6 +218,7 @@ func (rc *Context) retryDue() {
 		rc.Stats[Retries].Add(1)
 		rc.Emit(obs.Event{Type: obs.EvRetry, Peer: p.m.To, Object: -1,
 			Epoch: p.m.Epoch, Value: float64(p.attempts)})
+		rc.countBytes(p.m.Kind, p.m.Data, 1)
 		rc.rt.nw.Send(p.m)
 	}
 }

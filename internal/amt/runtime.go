@@ -71,11 +71,14 @@ type Runtime struct {
 	foldMu  sync.Mutex // one fold into metrics at a time (see Metrics)
 	stream  *obs.Stream
 
+	// observers holds, per local rank, what observing adds to it (see
+	// observer), made by Run when metrics or a stream is attached.
+	observers []observer
+
 	// epochSeconds is the registry's epoch-latency histogram, nil without
-	// metrics: the only instrument the runtime writes as it goes, because a
-	// distribution cannot be folded from a count afterwards, and written
-	// once per epoch, never per message. Every counter family is stored by
-	// Metrics from the node's Stats.
+	// metrics. Like every counter family it is stored by Metrics, from the
+	// ranks' own buckets (epochLatency): a distribution cannot be folded
+	// from a count, so each rank keeps its buckets as it goes.
 	epochSeconds *obs.Histogram
 }
 
@@ -156,7 +159,7 @@ func (rt *Runtime) Fanout() int { return rt.fanout }
 // on the runtime (the distributed balancer, the service) publish
 // periodic Snapshot frames to it from the lowest rank this runtime
 // hosts — in a multi-process job any node, or several, may attach one
-// (see Context.Watched) — and Run switches on transport byte accounting
+// (see Context.Watched) — and the runtime's ranks weigh what they send
 // (wire-codec bytes) so the frames can carry byte totals. A nil stream —
 // the default — costs the publishing sites a single pointer comparison.
 // Call before Run.
@@ -260,12 +263,13 @@ func (rt *Runtime) mustNotRun(op string) {
 // drain for a goodbye that never comes.
 func (rt *Runtime) Run(main func(rc *Context)) {
 	rt.running = true
-	// Payload bytes are measured for whoever reads them: the metrics
-	// registry and the stream's frames. Without either, no send is sized.
-	if rt.metrics != nil || rt.stream != nil {
-		rt.nw.EnableByteAccounting(wire.PayloadSize)
-	}
 	lo, hi := rt.nw.LocalRange()
+	// What observing adds to the ranks is made now, in one piece, for
+	// whoever reads it: the metrics registry and the stream's frames.
+	// Without either, no send is sized and no epoch timed.
+	if rt.metrics != nil || rt.stream != nil {
+		rt.observers = make([]observer, hi-lo)
+	}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

@@ -1,10 +1,14 @@
 package amt
 
 import (
+	"math"
 	"slices"
+	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"temperedlb/internal/comm"
+	"temperedlb/internal/comm/wire"
 	"temperedlb/internal/obs"
 )
 
@@ -51,13 +55,16 @@ type ContextStats [numStats]atomic.Int64
 type Counts [numStats]int64
 
 // NodeStats is a node's view of the job so far: what the ranks it hosts
-// counted, summed, and what its transport counted — Wire, the socket
+// counted, summed — Bytes, the wire-codec payload bytes they sent per
+// transport kind, is zero unless the run is observed (metrics or a stream
+// attached) — and what its transport counted — Wire, the socket
 // transport's frame counters, is zero unless Wired. Everything that
 // reports a number reads this fold: the metrics registry, FaultStats,
 // stream frames, a binary's epilogue. Folded over every node of a job
 // (Job.Stats) it is the job's.
 type NodeStats struct {
 	Ranks     Counts
+	Bytes     comm.KindCounts
 	Transport comm.Stats
 	Wire      comm.WireStats
 	Wired     bool
@@ -76,6 +83,9 @@ func (rt *Runtime) addStats(ns *NodeStats) {
 		if rc := rt.ranks[i].Load(); rc != nil {
 			for s := range rc.Stats {
 				ns.Ranks[s] += rc.Stats[s].Load()
+			}
+			for k := range rc.sentBytes {
+				ns.Bytes[k] += rc.sentBytes[k].Load()
 			}
 		}
 	}
@@ -136,7 +146,7 @@ var (
 		{"amt_retries_total", "Retransmissions of unacknowledged epoch sends.", func(ns *NodeStats) int64 { return ns.Ranks[Retries] }},
 		{"amt_duplicates_dropped_total", "Receiver-side discards of redundant deliveries.", func(ns *NodeStats) int64 { return ns.Ranks[DupDrops] }},
 		{"comm_messages_all_total", "Transport messages sent, all kinds.", func(ns *NodeStats) int64 { return ns.Transport.Sent.Total() }},
-		{"comm_bytes_all_total", "Wire-codec payload bytes sent, all kinds.", func(ns *NodeStats) int64 { return ns.Transport.Bytes.Total() }},
+		{"comm_bytes_all_total", "Wire-codec payload bytes sent, all kinds.", func(ns *NodeStats) int64 { return ns.Bytes.Total() }},
 	}
 	wireFamilies = []family{
 		{"wire_frames_out_total", "Encoded frames written to peer processes.", func(ns *NodeStats) int64 { return ns.Wire.FramesOut }},
@@ -149,26 +159,27 @@ var (
 	}
 	kindFamilies = []struct {
 		name, help string
-		of         func(*comm.Stats) *comm.KindCounts
+		of         func(*NodeStats) *comm.KindCounts
 	}{
-		{"comm_messages_total", "Transport messages sent, by kind.", func(s *comm.Stats) *comm.KindCounts { return &s.Sent }},
-		{"comm_bytes_total", "Wire-codec payload bytes sent, by kind.", func(s *comm.Stats) *comm.KindCounts { return &s.Bytes }},
-		{"comm_dropped_total", "Messages dropped by fault injection, by kind.", func(s *comm.Stats) *comm.KindCounts { return &s.Dropped }},
-		{"comm_duplicated_total", "Messages duplicated by fault injection, by kind.", func(s *comm.Stats) *comm.KindCounts { return &s.Duplicated }},
+		{"comm_messages_total", "Transport messages sent, by kind.", func(ns *NodeStats) *comm.KindCounts { return &ns.Transport.Sent }},
+		{"comm_bytes_total", "Wire-codec payload bytes sent, by kind.", func(ns *NodeStats) *comm.KindCounts { return &ns.Bytes }},
+		{"comm_dropped_total", "Messages dropped by fault injection, by kind.", func(ns *NodeStats) *comm.KindCounts { return &ns.Transport.Dropped }},
+		{"comm_duplicated_total", "Messages duplicated by fault injection, by kind.", func(ns *NodeStats) *comm.KindCounts { return &ns.Transport.Duplicated }},
 	}
 )
 
 // kindNames maps transport kinds to the labels of the comm_* metric
 // families; keep in sync with the kind constants in context.go.
-var kindNames = [...]string{
+var kindNames = [numKinds]string{
 	"user", "object", "migrate", "locupdate", "token", "done",
 	"coll_up", "coll_down", "ack",
 }
 
 // EnableMetrics switches on the runtime's metrics registry — and with it,
-// from Run on, the transport's payload byte accounting: every send sized
-// by wire.PayloadSize, so comm_bytes_total is wire-codec bytes on every
-// transport — and returns the registry. The registry refolds itself
+// from Run on, each rank's payload byte counters, every send sized as
+// wire.PayloadSize sizes it, so comm_bytes_total is wire-codec bytes on
+// every transport, and each rank's epoch-latency buckets — and returns
+// the registry. The registry refolds itself
 // whenever it is exported (obs.Metrics.OnScrape), so a live /metrics scrape
 // reads what Metrics would return. It is idempotent; call before Run.
 func (rt *Runtime) EnableMetrics() *obs.Metrics {
@@ -191,9 +202,9 @@ func (rt *Runtime) EnableMetrics() *obs.Metrics {
 }
 
 // Metrics returns the runtime's registry with every counter family stored
-// from the node's Stats as of the call, or nil when metrics were not
-// enabled. It is the only writer of those families. Safe to call during
-// and after Run.
+// from the node's Stats as of the call, and amt_epoch_seconds from the
+// ranks' buckets, or nil when metrics were not enabled. It is the only
+// writer of those families. Safe to call during and after Run.
 func (rt *Runtime) Metrics() *obs.Metrics {
 	m := rt.metrics
 	if m == nil {
@@ -210,12 +221,66 @@ func (rt *Runtime) Metrics() *obs.Metrics {
 		m.Counter(f.name).Store(f.read(&ns))
 	}
 	for _, f := range kindFamilies {
-		counts := f.of(&ns.Transport)
+		counts := f.of(&ns)
 		for k, name := range kindNames {
 			if counts[k] > 0 {
 				m.Counter(obs.LabeledName(f.name, "kind", name)).Store(counts[k])
 			}
 		}
 	}
+	rt.foldEpochs()
 	return m
+}
+
+// observer is what observing adds to one rank: the Sizer that weighs what
+// it sends and its amt_epoch_seconds buckets. A runtime makes its ranks'
+// in one slice, before they start. An observer is padded to whole cache
+// lines, so in a slice that starts on a page — one of more than 128 ranks
+// does — no two ranks write one line.
+type observer struct {
+	observerFields
+	_ [(64 - unsafe.Sizeof(observerFields{})%64) % 64]byte
+}
+
+type observerFields struct {
+	sizer  wire.Sizer
+	epochs epochLatency
+}
+
+// epochBounds are the bucket bounds of amt_epoch_seconds.
+var epochBounds = obs.DefaultLatencyBounds()
+
+// epochLatency is one rank's share of amt_epoch_seconds: how many of its
+// epochs took at most each of epochBounds (the last bucket: longer), and
+// their seconds summed; the count is the buckets' total. Only the
+// goroutine running the rank writes it, once per epoch, on lines no other
+// rank writes (see observer), so an observation is neither contended nor
+// a compare-and-swap loop; Metrics folds the ranks' into the registry's
+// histogram.
+type epochLatency struct {
+	buckets [obs.LatencyBuckets]atomic.Int64
+	sum     atomic.Uint64 // float64 bits
+}
+
+func (l *epochLatency) observe(seconds float64) {
+	l.buckets[sort.SearchFloat64s(epochBounds, seconds)].Add(1)
+	l.sum.Store(math.Float64bits(math.Float64frombits(l.sum.Load()) + seconds))
+}
+
+// foldEpochs stores the ranks' epoch latencies, summed, in the registry's
+// histogram. Called with foldMu held.
+func (rt *Runtime) foldEpochs() {
+	var counts [obs.LatencyBuckets]int64
+	sum := 0.0
+	for i := range rt.ranks {
+		rc := rt.ranks[i].Load()
+		if rc == nil || rc.epochs == nil {
+			continue
+		}
+		for b := range counts {
+			counts[b] += rc.epochs.buckets[b].Load()
+		}
+		sum += math.Float64frombits(rc.epochs.sum.Load())
+	}
+	rt.epochSeconds.Store(counts[:], sum)
 }

@@ -35,12 +35,11 @@ const MaxKinds = 32
 // FaultPlan (SetFaultPlan) takes reliability and order away on purpose:
 // it is the one way to lose, duplicate, delay or reorder a message.
 //
-// The network always counts messages per kind: one atomic add per send, on
-// the sender's stripe of the counters (see sendStripe), never on a line
-// every sending core writes. Payload byte accounting — sizing every
-// message's Data — is opt-in via EnableByteAccounting, which is handed the
-// sizer: what a payload weighs is the wire codec's knowledge, and this
-// package sits below it.
+// The network counts messages per kind: one atomic add per send, on the
+// sender's stripe of the counters (see sendStripe), never on a line every
+// sending core writes. It does not weigh payloads: what a payload weighs
+// is the wire codec's knowledge, and this package sits below it — the
+// runtime sizes what its ranks send (internal/amt).
 type Network struct {
 	n       int
 	inboxes []*inbox
@@ -65,7 +64,6 @@ type Network struct {
 	delayMu  sync.RWMutex
 	inflight sync.WaitGroup
 
-	size     atomic.Pointer[func(any) int]
 	dropKind [MaxKinds]atomic.Int64
 	dupKind  [MaxKinds]atomic.Int64
 	// sent is last, behind the fault counters nothing writes on a
@@ -81,12 +79,12 @@ type Network struct {
 // sending at the same instant share a stripe one time in sendStripes.
 const sendStripes = 16
 
-// sendStripe is one stripe of the send counters: messages and payload
-// bytes per kind, padded by a cache line so that no two stripes' counters
-// share one. Stats sums the stripes.
+// sendStripe is one stripe of the send counters: messages per kind,
+// padded by a cache line so that no two stripes' counters share one.
+// Stats sums the stripes.
 type sendStripe struct {
-	msgs, bytes [MaxKinds]atomic.Int64
-	_           [64]byte
+	msgs [MaxKinds]atomic.Int64
+	_    [64]byte
 }
 
 // NewNetwork creates a network of n ranks, all of them local.
@@ -216,11 +214,7 @@ func (nw *Network) send(m Message, claim bool) bool {
 		panic(fmt.Sprintf("comm: Send with kind %d out of [0,%d)", m.Kind, MaxKinds))
 	}
 	m.Seq = nw.seq[m.From].Add(1)
-	st := &nw.sent[uint(m.From)%sendStripes]
-	st.msgs[m.Kind].Add(1)
-	if size := nw.size.Load(); size != nil {
-		st.bytes[m.Kind].Add(int64((*size)(m.Data)))
-	}
+	nw.sent[uint(m.From)%sendStripes].msgs[m.Kind].Add(1)
 	if p := nw.plan.Load(); p != nil {
 		nw.faultedDeliver(p, m)
 		return false
@@ -274,14 +268,6 @@ func (nw *Network) deliverAfter(m Message, delay time.Duration) {
 	}()
 }
 
-// EnableByteAccounting turns on per-kind payload byte accounting: every
-// subsequent Send adds size(m.Data) to its kind's total. The runtime
-// passes wire.PayloadSize, so the totals are wire-codec bytes on every
-// transport. size is called from every sending goroutine at once.
-// Counts accumulated before enabling are unaffected (their bytes were
-// never measured).
-func (nw *Network) EnableByteAccounting(size func(any) int) { nw.size.Store(&size) }
-
 // Stats snapshots the per-kind counters (see Stats), summing the send
 // stripes. Each counter is read atomically, so every total is monotone
 // across snapshots; one taken while ranks send is not one instant across
@@ -292,7 +278,6 @@ func (nw *Network) Stats() Stats {
 		st := &nw.sent[i]
 		for k := range s.Sent {
 			s.Sent[k] += st.msgs[k].Load()
-			s.Bytes[k] += st.bytes[k].Load()
 		}
 	}
 	for k := range s.Sent {

@@ -284,15 +284,11 @@ func TestSendBadKindPanics(t *testing.T) {
 	nw.Send(Message{From: 0, To: 0, Kind: MaxKinds})
 }
 
-// TestByteAccountingConcurrentSenders hammers one network from many
-// sender goroutines with payloads the injected sizer gives a known size
-// and checks the per-kind byte totals add up exactly — the counters must
-// not lose updates under contention.
-func TestByteAccountingConcurrentSenders(t *testing.T) {
+// TestSendCountingConcurrentSenders hammers one network from many sender
+// goroutines and checks the per-kind message totals add up exactly — the
+// striped counters must not lose updates under contention.
+func TestSendCountingConcurrentSenders(t *testing.T) {
 	nw := NewNetwork(4)
-	nw.EnableByteAccounting(func(v any) int { return len(v.(string)) })
-	payload := "0123456789abcdef"
-	per := len(payload)
 	const senders, each = 8, 400
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
@@ -300,40 +296,17 @@ func TestByteAccountingConcurrentSenders(t *testing.T) {
 		go func(from int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				nw.Send(Message{From: from % 4, To: (from + 1) % 4, Kind: Kind(from % 2), Data: payload})
+				nw.Send(Message{From: from % 4, To: (from + 1) % 4, Kind: Kind(from % 2), Data: "payload"})
 			}
 		}(s)
 	}
 	wg.Wait()
-	want := int64(senders * each * per)
 	st := nw.Stats()
-	if got := st.Bytes.Total(); got != want {
-		t.Errorf("Bytes.Total() = %d, want %d", got, want)
+	if got := st.Sent[0] + st.Sent[1]; got != senders*each || st.Sent.Total() != senders*each {
+		t.Errorf("per-kind sends = %d (total %d), want %d", got, st.Sent.Total(), senders*each)
 	}
-	if got := st.Bytes[0] + st.Bytes[1]; got != want {
-		t.Errorf("per-kind bytes = %d, want %d", got, want)
-	}
-	if got := st.Sent[0] + st.Sent[1]; got != senders*each {
-		t.Errorf("per-kind sends = %d, want %d", got, senders*each)
-	}
-}
-
-// TestByteAccountingOffByDefault checks the byte counters stay zero
-// until a sizer is handed in, and count only the sends made after it.
-func TestByteAccountingOffByDefault(t *testing.T) {
-	nw := NewNetwork(2)
-	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 4096)})
-	st := nw.Stats()
-	if st.Bytes.Total() != 0 {
-		t.Errorf("Bytes.Total() = %d without byte accounting", st.Bytes.Total())
-	}
-	if st.Sent[1] != 1 {
-		t.Errorf("message counting must stay on: %d", st.Sent[1])
-	}
-	nw.EnableByteAccounting(func(v any) int { return len(v.([]byte)) })
-	nw.Send(Message{From: 0, To: 1, Kind: 1, Data: make([]byte, 7)})
-	if got := nw.Stats().Bytes[1]; got != 7 {
-		t.Errorf("Bytes[1] = %d after one sized send of 7, want 7", got)
+	if st.Sent[0] != senders/2*each {
+		t.Errorf("kind-0 sends = %d, want %d", st.Sent[0], senders/2*each)
 	}
 }
 

@@ -2,8 +2,9 @@
 // per-rank unbounded inboxes with blocking, non-blocking and batched
 // receive (RecvBatch drains a whole burst under one lock acquisition, an
 // empty inbox under none), per-sender FIFO ordering, and per-kind
-// accounting of what was sent, dropped and duplicated — payload bytes
-// optionally — read as one Stats snapshot. Each inbox also says who may
+// counts of the messages sent, dropped and duplicated — messages, not
+// bytes: payloads are weighed above, by the runtime — read as one Stats
+// snapshot. Each inbox also says who may
 // run its rank — running, parked or borrowed — so that a sender can run a
 // parked rank instead of waking it (SendClaim, Release, WaitOwned).
 // Deadline waits reuse a single timer per inbox rather than arming a

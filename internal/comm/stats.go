@@ -14,20 +14,18 @@ func (c KindCounts) Total() int64 {
 
 // Stats is a snapshot of what a Network has counted since it was made,
 // per message kind: messages sent (every Send and SendClaim, whatever
-// became of the message), their payload bytes (zero unless byte accounting
-// was on when they were sent), and the messages its fault plan dropped and
+// became of the message) and the messages its fault plan dropped and
 // duplicated (a duplicated message counts once, however many copies
 // landed). It is the only place these facts are counted; everything that
 // reports them reads a snapshot.
 type Stats struct {
-	Sent, Bytes, Dropped, Duplicated KindCounts
+	Sent, Dropped, Duplicated KindCounts
 }
 
 // Add folds another network's snapshot into s.
 func (s *Stats) Add(o Stats) {
 	for k := range s.Sent {
 		s.Sent[k] += o.Sent[k]
-		s.Bytes[k] += o.Bytes[k]
 		s.Dropped[k] += o.Dropped[k]
 		s.Duplicated[k] += o.Duplicated[k]
 	}

@@ -56,12 +56,15 @@ const MessageOverhead = 4 + frameHeaderLen + 4 + 4 + 2 + 4 + 8 + 8 + 8
 type PayloadID uint16
 
 // payloadEntry is one registered codec, with the typed encode/decode
-// functions wrapped to any.
+// functions wrapped to any. fixed is the type's payload size once sizing
+// has found the codec fixed-width (0 until then, and for good when it is
+// not; see Encoder.sizeOf).
 type payloadEntry struct {
-	id  PayloadID
-	typ reflect.Type
-	enc func(*Encoder, any)
-	dec func(*Decoder) any
+	id    PayloadID
+	typ   reflect.Type
+	enc   func(*Encoder, any)
+	dec   func(*Decoder) any
+	fixed atomic.Int32
 }
 
 // registry is one immutable snapshot of the registered codecs. Every
@@ -88,7 +91,10 @@ var (
 //
 // The encode function must emit a deterministic byte sequence — fixed
 // field order, fixed widths — because transport bytes feed accounting
-// that experiments compare across runs.
+// that experiments compare across runs. Whatever varies in length goes
+// through Encoder.Rows or a nested Encoder.Any: a codec that calls
+// neither writes the same number of bytes for every value of T, and
+// PayloadSize runs it once per type and remembers the answer.
 func RegisterPayload[T any](id PayloadID, enc func(*Encoder, T), dec func(*Decoder) T) {
 	if id == 0 {
 		panic("wire: RegisterPayload: id 0 is reserved for nil payloads")
@@ -147,9 +153,11 @@ type Encoder struct {
 
 	// sizing is PayloadSize's mode: the encoder runs as usual, except
 	// that Rows writes one row and adds the rest to elided, and Any
-	// skips a value that has no codec.
-	sizing bool
-	elided int
+	// skips a value that has no codec. varying records that the codec
+	// being sized called Rows or a nested Any, so its size is the
+	// value's, not the type's.
+	sizing, varying bool
+	elided          int
 }
 
 // Bytes returns the encoded buffer (owned by the encoder until Reset).
@@ -186,6 +194,7 @@ func (e *Encoder) Bool(v bool) {
 // a payload's size is arithmetic in its slice lengths: an encoder that
 // is only sizing asks for the first row and multiplies.
 func (e *Encoder) Rows(n int, isNil bool, rows func(lo, hi int)) {
+	e.varying = e.sizing
 	if isNil {
 		e.U32(0)
 		return
@@ -217,6 +226,7 @@ func (e *Encoder) F64Slice(v []float64) {
 // condition to recover from. (PayloadSize, which sizes what the memory
 // transport carries unencoded, skips them: no wire form, no bytes.)
 func (e *Encoder) Any(v any) {
+	e.varying = e.sizing
 	if v == nil {
 		e.U16(0)
 		return
@@ -232,27 +242,94 @@ func (e *Encoder) Any(v any) {
 	ent.enc(e, v)
 }
 
-// encoders recycles the Encoder of AppendMessage and PayloadSize: the
-// registered encode functions are called through a func value, so an
-// Encoder declared on the stack would be moved to the heap on every
-// call. A pooled encoder keeps PayloadSize's scratch buffer in buf.
-var encoders = sync.Pool{New: func() any { return new(Encoder) }}
+// encoders and sizers recycle the Encoder of AppendMessage and the Sizer
+// of PayloadSize: the registered encode functions are called through a
+// func value, so one declared on the stack would be moved to the heap on
+// every call.
+var (
+	encoders = sync.Pool{New: func() any { return new(Encoder) }}
+	sizers   = sync.Pool{New: func() any { return new(Sizer) }}
+)
 
 // PayloadSize returns the number of bytes Encoder.Any writes for v —
 // the payload id plus the body, 2 for nil — by running v's registered
 // encoder, so it cannot disagree with AppendMessage. It is the one
-// place a payload is sized: the transport's byte accounting and the
-// runtime's migration volume both call it. Slices encoded with Rows
-// cost one row, whatever their length. A type with no registered codec
-// has no wire form and counts zero (nested in an envelope, the envelope
-// alone is counted).
+// place a payload is sized: the runtime's byte counters and its
+// migration volume both call it, or a Sizer, which is the same sizing
+// with an encoder of the caller's. Slices encoded with Rows cost one
+// row, whatever their length. A type with no registered codec has no
+// wire form and counts zero (nested in an envelope, the envelope alone
+// is counted).
+//
+// A codec that called neither Rows nor a nested Any while it was sized
+// is fixed-width — the codec contract (see RegisterPayload) makes its
+// size the type's — so that size is kept with the codec and every later
+// value of the type costs one registry lookup.
 func PayloadSize(v any) int {
-	e := encoders.Get().(*Encoder)
-	e.sizing = true
-	e.Any(v)
+	s := sizers.Get().(*Sizer)
+	n := s.Size(v)
+	sizers.Put(s)
+	return n
+}
+
+// Sizer is PayloadSize's sizing with an encoder of its own instead of
+// one from a pool, for a sender that sizes every message it sends and
+// can keep one of its own. Its scratch space is
+// part of it — room for one row of a slice and an envelope around it,
+// what sizing any of the runtime's own payloads takes — so the zero
+// value is ready to use and, embedded in a struct made ahead of time,
+// sizes without allocating. It also keeps the codecs of the last few
+// types it sized: a sender sends few types, and finding one here is a
+// few comparisons instead of a registry lookup. A Sizer is not
+// goroutine-safe.
+type Sizer struct {
+	e    Encoder
+	room [48]byte
+	seen [4]*payloadEntry
+	next int // the slot of seen the next new type takes
+}
+
+// Size returns PayloadSize(v).
+func (s *Sizer) Size(v any) int {
+	if v == nil {
+		return 2
+	}
+	t := reflect.TypeOf(v)
+	var ent *payloadEntry
+	for _, c := range s.seen {
+		if c != nil && c.typ == t {
+			ent = c
+			break
+		}
+	}
+	if ent == nil {
+		if ent = lookupType(t); ent == nil {
+			return 0
+		}
+		s.seen[s.next] = ent
+		s.next = (s.next + 1) % len(s.seen)
+	}
+	if s.e.buf == nil {
+		s.e.buf = s.room[:0]
+	}
+	return s.e.sizeOf(ent, v)
+}
+
+// sizeOf sizes v, whose codec is ent: the size ent keeps, or what its
+// encoder writes in sizing mode — kept, when the encoder called neither
+// Rows nor a nested Any. It leaves e reset, its buffer kept.
+func (e *Encoder) sizeOf(ent *payloadEntry, v any) int {
+	if n := ent.fixed.Load(); n > 0 {
+		return int(n)
+	}
+	e.sizing, e.varying = true, false
+	e.U16(uint16(ent.id))
+	ent.enc(e, v)
 	n := len(e.buf) + e.elided
+	if !e.varying {
+		ent.fixed.Store(int32(n))
+	}
 	*e = Encoder{buf: e.buf[:0]}
-	encoders.Put(e)
 	return n
 }
 

@@ -12,7 +12,7 @@
 // panicking.
 //
 // The Transport embeds a partial in-memory Network for its local rank
-// range, so sequence stamping, byte accounting and fault injection are
+// range, so sequence stamping, message counting and fault injection are
 // exactly the single-process code paths; only messages whose
 // destination rank lives elsewhere are encoded and shipped. That
 // layering is what keeps DistResult bit-identical across

@@ -20,6 +20,15 @@ func RegisteredIDs() []PayloadID {
 	return ids
 }
 
+// FixedSize is the size PayloadSize keeps for id's type once it has
+// found the codec fixed-width, 0 while it has not.
+func FixedSize(id PayloadID) int {
+	if e := lookupID(id); e != nil {
+		return int(e.fixed.Load())
+	}
+	return 0
+}
+
 // FrameReader is the read side readLoop keeps per connection; Next and
 // Message are the two steps it takes per frame.
 type FrameReader = frameReader

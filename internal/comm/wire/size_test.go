@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -211,11 +212,103 @@ func rowsOf(m *core.InformMsg) []core.RankLoad {
 	return out
 }
 
+// everyFieldSet holds, for every payload type the runtime and the
+// balancer register, one value in which every field is set — envelopes
+// around non-nil data, slices of more than one row — in Any encoding.
+var everyFieldSet = []func(e *wire.Encoder){
+	func(e *wire.Encoder) { e.U16(2); e.I64(77); e.I32(3); e.Any(informMsg(5)) },
+	func(e *wire.Encoder) { e.U16(3); e.I64(78); e.Any(2.5) },
+	func(e *wire.Encoder) { e.U16(4); e.I64(79); e.I32(6) },
+	func(e *wire.Encoder) { e.Any(&termination.Token{Count: -2, Color: termination.Black, Wave: 9}) },
+	func(e *wire.Encoder) { e.U16(6); e.I64(4); e.F64Slice([]float64{1, -0.5, 3}) },
+	func(e *wire.Encoder) { e.Any(int64(-1)) },
+	func(e *wire.Encoder) { e.Any(12) },
+	func(e *wire.Encoder) { e.Any(0.25) },
+	func(e *wire.Encoder) { e.Any(core.Rank(5)) },
+	func(e *wire.Encoder) { e.Any(informMsg(3)) },
+	func(e *wire.Encoder) { e.U16(33); e.I64(80); e.F64(1.75) },
+	func(e *wire.Encoder) { e.Any(*informMsg(3)) },
+}
+
+// fullValues decodes everyFieldSet, failing t unless it names every
+// registered runtime and balancer type once.
+func fullValues(t *testing.T) map[wire.PayloadID]any {
+	t.Helper()
+	vals := map[wire.PayloadID]any{}
+	for _, any := range everyFieldSet {
+		body := messageBody(any)
+		m, err := wire.DecodeMessage(body, 8)
+		if err != nil {
+			t.Fatalf("everyFieldSet: %x does not decode: %v", body, err)
+		}
+		at := wire.MessageOverhead - wire.FramePrefixLen // the payload id
+		vals[wire.PayloadID(body[at])<<8|wire.PayloadID(body[at+1])] = m.Data
+	}
+	for _, id := range wire.RegisteredIDs() {
+		if _, ok := vals[id]; id < 64 && !ok {
+			t.Errorf("payload id %d is registered by the runtime or the balancer and missing from everyFieldSet", id)
+		}
+	}
+	return vals
+}
+
+// zeroOf returns the zero value of v's type, or for a pointer type a
+// pointer to its element type's zero value — the value a codec that
+// dereferences can encode.
+func zeroOf(v any) any {
+	t := reflect.TypeOf(v)
+	if t.Kind() == reflect.Pointer {
+		return reflect.New(t.Elem()).Interface()
+	}
+	return reflect.Zero(t).Interface()
+}
+
+// encodedLen is the length of v's Any encoding, written out in full:
+// what PayloadSize must return, found without it.
+func encodedLen(v any) int {
+	var e wire.Encoder
+	e.Any(v)
+	return len(e.Bytes())
+}
+
+// TestFixedWidthSizeIsTheTypes: PayloadSize remembers the size of a codec
+// that called neither Rows nor a nested Any. Each type it remembers must
+// weigh the same at its zero value and with every field set — sized in
+// that order, so that the zero value is the one remembered — and each
+// size must be what the encoder writes. The remembered types are exactly
+// the fixed-width ones: tokens, transfer proposals, location updates and
+// the scalars.
+func TestFixedWidthSizeIsTheTypes(t *testing.T) {
+	want := []wire.PayloadID{4, 5, 7, 8, 9, 10, 33}
+	var cached []wire.PayloadID
+	for id, full := range fullValues(t) {
+		zero := zeroOf(full)
+		sz, sf := wire.PayloadSize(zero), wire.PayloadSize(full)
+		if ez, ef := encodedLen(zero), encodedLen(full); sz != ez || sf != ef {
+			t.Errorf("id %d (%T): PayloadSize %d at the zero value and %d with every field set, encodings of %d and %d bytes", id, full, sz, sf, ez, ef)
+		}
+		if n := wire.FixedSize(id); n > 0 {
+			cached = append(cached, id)
+			if sz != n || sf != n {
+				t.Errorf("id %d (%T): remembered as %d bytes, sized %d at the zero value and %d with every field set", id, full, n, sz, sf)
+			}
+		}
+	}
+	slices.Sort(cached)
+	if !slices.Equal(cached, want) {
+		t.Errorf("remembered sizes for ids %v, want %v", cached, want)
+	}
+}
+
 // FuzzFrameIsOverheadPlusPayloadSize extends the table to whatever
-// decodes: nested envelopes, any slice length.
+// decodes: nested envelopes, any slice length. The seeds are the table
+// and a value of every registered type with every field set.
 func FuzzFrameIsOverheadPlusPayloadSize(f *testing.F) {
 	for _, tc := range sizedPayloads {
 		f.Add(messageBody(tc.any))
+	}
+	for _, any := range everyFieldSet {
+		f.Add(messageBody(any))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if m, err := wire.DecodeMessage(body, 8); err == nil {
@@ -239,7 +332,7 @@ func BenchmarkPayloadSize(b *testing.B) {
 }
 
 // BenchmarkPayloadSizeParallel is BenchmarkPayloadSize from every core at
-// once, as the transport's byte accounting runs it: what a lookup shares
+// once, as the ranks' byte counting runs it: what a lookup shares
 // between sizing goroutines — a lock's reader count did, the registry
 // snapshot does not — shows here and not in the serial row.
 func BenchmarkPayloadSizeParallel(b *testing.B) {

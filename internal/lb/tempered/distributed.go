@@ -455,7 +455,7 @@ func publishFrame(rc *amt.Context, stream *obs.Stream, res *DistResult, entries 
 	f.GossipEntries = int64(entries)
 	f.TransferMsgs = int64(res.TransferMessages)
 	ns := rc.NodeStats()
-	f.Msgs, f.Bytes = ns.Transport.Sent.Total(), ns.Transport.Bytes.Total()
+	f.Msgs, f.Bytes = ns.Transport.Sent.Total(), ns.Bytes.Total()
 	fs := ns.Faults()
 	f.Dropped, f.Duplicated = fs.Dropped, fs.Duplicated
 	f.Retries, f.DupDrops = fs.Retries, fs.DupDrops

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,6 +86,25 @@ func (h *Histogram) Observe(rank int, v float64) {
 	}
 }
 
+// Store overwrites the histogram with counts — per bucket, the +Inf
+// slot last — and their sum, as Counter.Store does for a counter: the
+// owner of a distribution kept elsewhere folds it in here before an
+// export. The count is the buckets' total. Store writes one shard, so a
+// stored histogram must never be observed; Store calls must not overlap.
+func (h *Histogram) Store(counts []int64, sum float64) {
+	if len(counts) != len(h.bounds)+1 {
+		panic(fmt.Sprintf("obs: Histogram.Store with %d counts for %d buckets", len(counts), len(h.bounds)+1))
+	}
+	s := &h.shards[0]
+	total := int64(0)
+	for b, c := range counts {
+		s.buckets[b].Store(c)
+		total += c
+	}
+	s.count.Store(total)
+	s.sumBits.Store(math.Float64bits(sum))
+}
+
 // HistogramSnapshot is a merged view of a histogram's shards.
 type HistogramSnapshot struct {
 	Bounds []float64 // upper bounds, ascending; Counts has one extra +Inf slot
@@ -111,9 +132,14 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // DefaultLatencyBounds are the histogram buckets used for the runtime's
 // latency metrics, in seconds: 1µs to ~16s in powers of four.
-func DefaultLatencyBounds() []float64 {
-	return []float64{1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16}
-}
+func DefaultLatencyBounds() []float64 { return slices.Clone(latencyBounds[:]) }
+
+var latencyBounds = [...]float64{1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16}
+
+// LatencyBuckets is the bucket count of a histogram over
+// DefaultLatencyBounds, the +Inf bucket included: a constant, so a
+// writer that keeps its own counts can keep them in an array.
+const LatencyBuckets = len(latencyBounds) + 1
 
 // Metrics is a registry of named instruments. Get-or-create lookups take
 // a write lock and are meant for setup time; the returned instrument

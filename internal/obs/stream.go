@@ -61,7 +61,8 @@ type Snapshot struct {
 	Migrations    int64 `json:"migrations,omitempty"`
 
 	// Transport totals, cumulative: every message of every kind, and
-	// payload bytes when byte accounting is on.
+	// their payload bytes (counted whenever a stream or metrics is
+	// attached, so always on a published frame).
 	Msgs  int64 `json:"msgs,omitempty"`
 	Bytes int64 `json:"bytes,omitempty"`
 

@@ -180,7 +180,7 @@ type Context struct {
 	// slot of the runtime's observers, made before the rank, and are
 	// written only by whoever runs it (see Counting in the package doc).
 	sizer  *wire.Sizer
-	epochs *epochLatency
+	epochs *obs.Histogram
 
 	// Stats counts what this rank did (see ContextStats), and sentBytes
 	// the wire-codec payload bytes it sent, per transport kind (zero
@@ -622,7 +622,7 @@ func (rc *Context) Epoch(body func()) {
 		rc.Emit(obs.Event{Type: obs.EvEpochClose, Peer: -1, Object: -1,
 			Epoch: rc.epochSeq, Value: float64(waves), Dur: elapsed})
 		if rc.epochs != nil {
-			rc.epochs.observe(elapsed.Seconds())
+			rc.epochs.Observe(elapsed.Seconds())
 		}
 	}
 }

@@ -83,10 +83,11 @@
 // on a borrowed rank's behalf — and adds the bytes to per-kind counters
 // beside its ContextStats; a payload fanned out to the tree children is
 // sized once. With metrics attached each rank also keeps its own
-// amt_epoch_seconds buckets, observed once per epoch; Metrics folds them
-// into the registry's histogram as it stores the counters. Sizers and
-// buckets are made with the rank's Context, so observing allocates nothing
-// as the run goes, and no two ranks write one cache line. Dispatching a
+// amt_epoch_seconds, an obs.Histogram it observes once per epoch; Metrics
+// sums the ranks' histograms into the registry's as it stores the
+// counters. Sizers and histograms are made with the rank's Context, so
+// observing allocates nothing as the run goes, and no two ranks write one
+// cache line. Dispatching a
 // message reads no clock: a handler's duration is the tracer's handler
 // span.
 //

@@ -5,11 +5,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"temperedlb/internal/comm/wire"
+	"temperedlb/internal/core"
 )
 
 // erringRanks is a rank body that talks to nobody: the ranks in bad fail.
@@ -216,5 +218,52 @@ func TestRunContainsARuntimePanic(t *testing.T) {
 				t.Errorf("socket directory %s survives (stat: %v)", dir, err)
 			}
 		})
+	}
+}
+
+// noCodecPayload is a payload type no codec is registered for.
+type noCodecPayload struct{}
+
+// TestFaultCodecLessPayloadFailsTheJob: a payload with no codec, sent to a
+// rank on another node, cannot be encoded by the writer goroutine that
+// owns the socket. That fails the job — Run returns within a second an
+// error naming the sending rank and the payload's type — instead of
+// killing the process, and every goroutine the job started exits.
+func TestFaultCodecLessPayloadFailsTheJob(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	job, err := Launch("unix", 4, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	err = job.Run(func(rt *Runtime) func(*Context) error {
+		rt.Register(1, func(*Context, core.Rank, any) {})
+		return func(rc *Context) error {
+			rc.Epoch(func() {
+				if rc.Rank() == 0 {
+					rc.Send(3, 1, &noCodecPayload{})
+				}
+			})
+			return nil
+		}
+	})
+	took := time.Since(start)
+	job.Close()
+	if err == nil {
+		t.Fatal("Run returned no error")
+	}
+	for _, want := range []string{"unix transport failed: ", "rank 0's message to rank 3", "*amt.noCodecPayload"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Run: %v; want it to name %q", err, want)
+		}
+	}
+	if took > time.Second {
+		t.Errorf("Run returned after %v, want under 1s", took)
+	}
+	t.Logf("Run returned after %v: %v", took, err)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5s after Close, %d before Launch", runtime.NumGoroutine(), baseline)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"temperedlb/internal/comm"
 	"temperedlb/internal/comm/wire"
@@ -270,7 +271,7 @@ func testTracingAndMetrics(t *testing.T, network string, nodes int, faults comm.
 		}
 		// After Run: two epochs per rank, and the buckets hold them all.
 		lo, hi := rt.nw.LocalRange()
-		h := m.Histogram("amt_epoch_seconds", nil).Snapshot()
+		h := m.Histogram("amt_epoch_seconds").Snapshot()
 		inBuckets := int64(0)
 		for _, c := range h.Counts {
 			inBuckets += c
@@ -535,6 +536,34 @@ func TestMetricsOnlyTimesEpochsNotMessages(t *testing.T) {
 		if rc := rt.ranks[i].Load(); rc.lentTime != 0 {
 			t.Errorf("rank %d: lentTime %v without a tracer: lend read the clock", rc.Rank(), rc.lentTime)
 		}
+	}
+}
+
+// TestEpochFoldIsOneHistogram: amt_epoch_seconds is the ranks' own
+// histograms summed, so folding two ranks' must read as one histogram
+// that observed both ranks' streams. The values are dyadic, so the sum
+// does not depend on the order of the additions. The observer that holds
+// a rank's histogram stays four cache lines.
+func TestEpochFoldIsOneHistogram(t *testing.T) {
+	if size := unsafe.Sizeof(observer{}); size != 256 {
+		t.Errorf("observer is %d bytes, want 256", size)
+	}
+	rt := New(2, WithMetrics())
+	rt.Run(func(rc *Context) {})
+	streams := [][]float64{
+		{0x1p-20, 0x1p-7, 0.5, 32},
+		{0x1p-12, 0x1p-7, 3, 3, 0x1p-30},
+	}
+	var both obs.Histogram
+	for r, stream := range streams {
+		for _, v := range stream {
+			rt.ranks[r].Load().epochs.Observe(v)
+			both.Observe(v)
+		}
+	}
+	got := rt.Metrics().Histogram("amt_epoch_seconds").Snapshot()
+	if want := both.Snapshot(); got != want {
+		t.Errorf("folded %+v, want %+v", got, want)
 	}
 }
 

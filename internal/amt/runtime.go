@@ -77,8 +77,8 @@ type Runtime struct {
 
 	// epochSeconds is the registry's epoch-latency histogram, nil without
 	// metrics. Like every counter family it is stored by Metrics, from the
-	// ranks' own buckets (epochLatency): a distribution cannot be folded
-	// from a count, so each rank keeps its buckets as it goes.
+	// ranks' own histograms (observer): a distribution cannot be folded
+	// from a count, so each rank observes its epochs into its own.
 	epochSeconds *obs.Histogram
 }
 

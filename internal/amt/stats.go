@@ -1,9 +1,7 @@
 package amt
 
 import (
-	"math"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"unsafe"
 
@@ -178,7 +176,7 @@ var kindNames = [numKinds]string{
 // EnableMetrics switches on the runtime's metrics registry — and with it,
 // from Run on, each rank's payload byte counters, every send sized as
 // wire.PayloadSize sizes it, so comm_bytes_total is wire-codec bytes on
-// every transport, and each rank's epoch-latency buckets — and returns
+// every transport, and each rank's epoch-latency histogram — and returns
 // the registry. The registry refolds itself
 // whenever it is exported (obs.Metrics.OnScrape), so a live /metrics scrape
 // reads what Metrics would return. It is idempotent; call before Run.
@@ -188,7 +186,7 @@ func (rt *Runtime) EnableMetrics() *obs.Metrics {
 		return rt.metrics
 	}
 	m := obs.NewMetrics()
-	rt.epochSeconds = m.Histogram("amt_epoch_seconds", obs.DefaultLatencyBounds())
+	rt.epochSeconds = m.Histogram("amt_epoch_seconds")
 	m.SetHelp("amt_epoch_seconds", "Epoch wall-clock duration in seconds.")
 	for _, f := range slices.Concat(nodeFamilies, wireFamilies) {
 		m.SetHelp(f.name, f.help)
@@ -203,7 +201,7 @@ func (rt *Runtime) EnableMetrics() *obs.Metrics {
 
 // Metrics returns the runtime's registry with every counter family stored
 // from the node's Stats as of the call, and amt_epoch_seconds from the
-// ranks' buckets, or nil when metrics were not enabled. It is the only
+// ranks' histograms, or nil when metrics were not enabled. It is the only
 // writer of those families. Safe to call during and after Run.
 func (rt *Runtime) Metrics() *obs.Metrics {
 	m := rt.metrics
@@ -233,10 +231,11 @@ func (rt *Runtime) Metrics() *obs.Metrics {
 }
 
 // observer is what observing adds to one rank: the Sizer that weighs what
-// it sends and its amt_epoch_seconds buckets. A runtime makes its ranks'
-// in one slice, before they start. An observer is padded to whole cache
-// lines, so in a slice that starts on a page — one of more than 128 ranks
-// does — no two ranks write one line.
+// it sends and the histogram of its epochs' durations, which only the
+// rank's runner writes. A runtime makes its ranks' in one slice, before
+// they start. An observer is padded to whole cache lines, so in a slice
+// that starts on a page — one of more than 128 ranks does — no two ranks
+// write one line.
 type observer struct {
 	observerFields
 	_ [(64 - unsafe.Sizeof(observerFields{})%64) % 64]byte
@@ -244,43 +243,17 @@ type observer struct {
 
 type observerFields struct {
 	sizer  wire.Sizer
-	epochs epochLatency
-}
-
-// epochBounds are the bucket bounds of amt_epoch_seconds.
-var epochBounds = obs.DefaultLatencyBounds()
-
-// epochLatency is one rank's share of amt_epoch_seconds: how many of its
-// epochs took at most each of epochBounds (the last bucket: longer), and
-// their seconds summed; the count is the buckets' total. Only the
-// goroutine running the rank writes it, once per epoch, on lines no other
-// rank writes (see observer), so an observation is neither contended nor
-// a compare-and-swap loop; Metrics folds the ranks' into the registry's
-// histogram.
-type epochLatency struct {
-	buckets [obs.LatencyBuckets]atomic.Int64
-	sum     atomic.Uint64 // float64 bits
-}
-
-func (l *epochLatency) observe(seconds float64) {
-	l.buckets[sort.SearchFloat64s(epochBounds, seconds)].Add(1)
-	l.sum.Store(math.Float64bits(math.Float64frombits(l.sum.Load()) + seconds))
+	epochs obs.Histogram
 }
 
 // foldEpochs stores the ranks' epoch latencies, summed, in the registry's
 // histogram. Called with foldMu held.
 func (rt *Runtime) foldEpochs() {
-	var counts [obs.LatencyBuckets]int64
-	sum := 0.0
+	var total obs.HistogramSnapshot
 	for i := range rt.ranks {
-		rc := rt.ranks[i].Load()
-		if rc == nil || rc.epochs == nil {
-			continue
+		if rc := rt.ranks[i].Load(); rc != nil && rc.epochs != nil {
+			total.Add(rc.epochs.Snapshot())
 		}
-		for b := range counts {
-			counts[b] += rc.epochs.buckets[b].Load()
-		}
-		sum += math.Float64frombits(rc.epochs.sum.Load())
 	}
-	rt.epochSeconds.Store(counts[:], sum)
+	rt.epochSeconds.Store(total)
 }

@@ -544,7 +544,11 @@ func (p *peer) writeLoop() {
 
 		if !dead {
 			for i := range batch {
-				buf = AppendMessage(buf[:0], batch[i])
+				var err error
+				if buf, err = p.encode(buf[:0], batch[i]); err != nil {
+					p.t.fail(err)
+					continue
+				}
 				if _, err := bw.Write(buf); err != nil {
 					p.t.fail(fmt.Errorf("wire: write to node %d: %w", p.node, err))
 					dead = true
@@ -574,6 +578,20 @@ func (p *peer) writeLoop() {
 			}
 		}
 	}
+}
+
+// encode appends m's frame to buf. A payload the codec cannot encode — a
+// type with no codec, sent directly or inside an object envelope — fails
+// the transport with an error naming the sending rank, the destination
+// and the type, instead of a panic on the writer's goroutine, which no
+// rank's containment would catch.
+func (p *peer) encode(buf []byte, m comm.Message) (frame []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("wire: rank %d's message to rank %d on node %d: cannot encode its %T payload: %v", m.From, m.To, p.node, m.Data, r)
+		}
+	}()
+	return AppendMessage(buf, m), nil
 }
 
 // fail records the first fatal error and tears the transport down

@@ -91,7 +91,6 @@ func TestParallelSweepWithObsIsRaceFree(t *testing.T) {
 		}
 		m.Counter("sweep_points_total").Inc()
 		m.Counter("sweep_transfers_total").Add(int64(sumTransfers(tab)))
-		m.Histogram("sweep_final_imbalance", []float64{1, 10, 100}).Observe(i, finalImbalance(tab))
 		return tab, nil
 	})
 	if err != nil {
@@ -118,13 +117,6 @@ func sumTransfers(t Table) int {
 		n += r.Transfers
 	}
 	return n
-}
-
-func finalImbalance(t Table) float64 {
-	if len(t.Rows) == 0 {
-		return t.InitialImbalance
-	}
-	return t.Rows[len(t.Rows)-1].Imbalance
 }
 
 // TestSweepConfigNamedType pins the exported configuration type so the

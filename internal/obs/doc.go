@@ -20,7 +20,8 @@
 // distributed run — and, since the parallel experiment harness, by
 // concurrent engine runs. Recorder.Emit appends to mutex-sharded
 // buffers keyed by rank; Events merges them into one timestamp-sorted
-// view. Counters and gauges are atomics; histograms shard their buckets
-// by rank. It is safe to attach a single Recorder/Metrics pair as the
+// view. Counters and gauges are atomics. A histogram has fixed buckets
+// and one writer at a time (a rank observing its own, or the owner storing
+// a fold) and any number of readers. It is safe to attach a single Recorder/Metrics pair as the
 // tracer of every configuration in a parallel sweep.
 package obs

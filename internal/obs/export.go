@@ -275,7 +275,7 @@ func WritePrometheus(w io.Writer, m *Metrics) error {
 			header(fam, "histogram")
 			snap := h.Snapshot()
 			cum := int64(0)
-			for i, bound := range snap.Bounds {
+			for i, bound := range latencyBounds {
 				cum += snap.Counts[i]
 				fmt.Fprintf(bw, "%s %d\n",
 					sampleName(fam, "_bucket", labels, `le="`+formatFloat(bound)+`"`), cum)

@@ -125,10 +125,10 @@ func fixtureMetrics() *Metrics {
 	m.Counter(`comm_messages_total{kind="token"}`).Add(7)
 	m.Counter("lb_transfers_total").Add(13)
 	m.Gauge("lb_final_imbalance").Set(0.125)
-	h := m.Histogram("amt_epoch_seconds", []float64{0.001, 0.01, 0.1})
-	h.Observe(0, 0.0005)
-	h.Observe(1, 0.02)
-	h.Observe(2, 5)
+	h := m.Histogram("amt_epoch_seconds")
+	h.Observe(0.0005)
+	h.Observe(0.02)
+	h.Observe(5)
 	return m
 }
 
@@ -162,15 +162,19 @@ func TestPrometheusRoundTrip(t *testing.T) {
 		samples[line[:i]] = v
 	}
 	want := map[string]float64{
-		`comm_messages_total{kind="user"}`:     42,
-		`comm_messages_total{kind="token"}`:    7,
-		"lb_transfers_total":                   13,
-		"lb_final_imbalance":                   0.125,
-		`amt_epoch_seconds_bucket{le="0.001"}`: 1,
-		`amt_epoch_seconds_bucket{le="0.01"}`:  1,
-		`amt_epoch_seconds_bucket{le="0.1"}`:   2,
-		`amt_epoch_seconds_bucket{le="+Inf"}`:  3,
-		"amt_epoch_seconds_count":              3,
+		`comm_messages_total{kind="user"}`:        42,
+		`comm_messages_total{kind="token"}`:       7,
+		"lb_transfers_total":                      13,
+		"lb_final_imbalance":                      0.125,
+		`amt_epoch_seconds_bucket{le="1e-06"}`:    0,
+		`amt_epoch_seconds_bucket{le="0.000256"}`: 0,
+		`amt_epoch_seconds_bucket{le="0.001"}`:    1,
+		`amt_epoch_seconds_bucket{le="0.016"}`:    1,
+		`amt_epoch_seconds_bucket{le="0.064"}`:    2,
+		`amt_epoch_seconds_bucket{le="4"}`:        2,
+		`amt_epoch_seconds_bucket{le="16"}`:       3,
+		`amt_epoch_seconds_bucket{le="+Inf"}`:     3,
+		"amt_epoch_seconds_count":                 3,
 	}
 	for name, w := range want {
 		if got, ok := samples[name]; !ok || got != w {

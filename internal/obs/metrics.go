@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,107 +37,66 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// histogramShards bounds the per-histogram shard count; shards are
-// selected by the caller-provided rank, so contention only occurs when
-// more ranks than shards observe the same histogram simultaneously.
-const histogramShards = 16
+// latencyBounds are the upper bounds of every histogram's buckets, in
+// seconds: 1µs to 16s in powers of four.
+var latencyBounds = [...]float64{1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16}
 
-// Histogram accumulates float64 observations into fixed buckets,
-// sharded so concurrent ranks do not serialize on one set of counters.
-// Bucket upper bounds are inclusive (Prometheus "le" semantics), with an
-// implicit +Inf bucket.
+// LatencyBuckets is a histogram's bucket count, the +Inf bucket included.
+const LatencyBuckets = len(latencyBounds) + 1
+
+// Histogram counts latencies, in seconds, in buckets bounded above by
+// latencyBounds, inclusive (Prometheus "le" semantics), then +Inf; the
+// count is the buckets' total. It has one writer at a time, Observe or
+// Store, and any number of readers, so an observation is one bucket add
+// and one sum store. A histogram is a value: embed one where its writer
+// keeps its other state.
 type Histogram struct {
-	bounds []float64
-	shards [histogramShards]histogramShard
+	buckets [LatencyBuckets]atomic.Int64
+	sum     atomic.Uint64 // float64 bits
 }
 
-type histogramShard struct {
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 sum, CAS-updated
-	buckets []atomic.Int64
-	_       [32]byte // decouple neighbouring shards' cache lines
+// Observe records v. Only the histogram's one writer may call it.
+func (h *Histogram) Observe(v float64) {
+	h.buckets[sort.SearchFloat64s(latencyBounds[:], v)].Add(1)
+	h.sum.Store(math.Float64bits(math.Float64frombits(h.sum.Load()) + v))
 }
 
-func newHistogram(bounds []float64) *Histogram {
-	h := &Histogram{bounds: append([]float64(nil), bounds...)}
-	sort.Float64s(h.bounds)
-	for i := range h.shards {
-		h.shards[i].buckets = make([]atomic.Int64, len(h.bounds)+1)
+// Store overwrites the histogram with s's counts and sum, as
+// Counter.Store does for a counter: the owner of a distribution kept
+// elsewhere folds it in here before an export.
+func (h *Histogram) Store(s HistogramSnapshot) {
+	for b, c := range s.Counts {
+		h.buckets[b].Store(c)
 	}
-	return h
+	h.sum.Store(math.Float64bits(s.Sum))
 }
 
-// Observe records v on the shard selected by rank. Callers pass their
-// rank (or any stable per-goroutine index) so the hot path needs no
-// shared state to pick a shard.
-func (h *Histogram) Observe(rank int, v float64) {
-	s := &h.shards[uint(rank)%histogramShards]
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	s.buckets[i].Add(1)
-	s.count.Add(1)
-	for {
-		old := s.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Store overwrites the histogram with counts — per bucket, the +Inf
-// slot last — and their sum, as Counter.Store does for a counter: the
-// owner of a distribution kept elsewhere folds it in here before an
-// export. The count is the buckets' total. Store writes one shard, so a
-// stored histogram must never be observed; Store calls must not overlap.
-func (h *Histogram) Store(counts []int64, sum float64) {
-	if len(counts) != len(h.bounds)+1 {
-		panic(fmt.Sprintf("obs: Histogram.Store with %d counts for %d buckets", len(counts), len(h.bounds)+1))
-	}
-	s := &h.shards[0]
-	total := int64(0)
-	for b, c := range counts {
-		s.buckets[b].Store(c)
-		total += c
-	}
-	s.count.Store(total)
-	s.sumBits.Store(math.Float64bits(sum))
-}
-
-// HistogramSnapshot is a merged view of a histogram's shards.
+// HistogramSnapshot is a histogram's reading.
 type HistogramSnapshot struct {
-	Bounds []float64 // upper bounds, ascending; Counts has one extra +Inf slot
-	Counts []int64   // per-bucket counts (not cumulative)
-	Count  int64
+	Counts [LatencyBuckets]int64 // per bucket, not cumulative; +Inf last
+	Count  int64                 // the buckets' total
 	Sum    float64
 }
 
-// Snapshot merges all shards.
+// Snapshot reads the histogram.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	snap := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]int64, len(h.bounds)+1),
+	var s HistogramSnapshot
+	for b := range h.buckets {
+		s.Counts[b] = h.buckets[b].Load()
+		s.Count += s.Counts[b]
 	}
-	for i := range h.shards {
-		s := &h.shards[i]
-		for b := range s.buckets {
-			snap.Counts[b] += s.buckets[b].Load()
-		}
-		snap.Count += s.count.Load()
-		snap.Sum += math.Float64frombits(s.sumBits.Load())
-	}
-	return snap
+	s.Sum = math.Float64frombits(h.sum.Load())
+	return s
 }
 
-// DefaultLatencyBounds are the histogram buckets used for the runtime's
-// latency metrics, in seconds: 1µs to ~16s in powers of four.
-func DefaultLatencyBounds() []float64 { return slices.Clone(latencyBounds[:]) }
-
-var latencyBounds = [...]float64{1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, 64e-3, 256e-3, 1, 4, 16}
-
-// LatencyBuckets is the bucket count of a histogram over
-// DefaultLatencyBounds, the +Inf bucket included: a constant, so a
-// writer that keeps its own counts can keep them in an array.
-const LatencyBuckets = len(latencyBounds) + 1
+// Add adds o's observations to s.
+func (s *HistogramSnapshot) Add(o HistogramSnapshot) {
+	for b, c := range o.Counts {
+		s.Counts[b] += c
+	}
+	s.Count += o.Count
+	s.Sum += o.Sum
+}
 
 // Metrics is a registry of named instruments. Get-or-create lookups take
 // a write lock and are meant for setup time; the returned instrument
@@ -215,14 +172,13 @@ func (m *Metrics) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket bounds on first use (later calls ignore bounds).
-func (m *Metrics) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+func (m *Metrics) Histogram(name string) *Histogram {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	h, ok := m.hists[name]
 	if !ok {
-		h = newHistogram(bounds)
+		h = &Histogram{}
 		m.hists[name] = h
 	}
 	return h
@@ -242,7 +198,7 @@ func (m *Metrics) visit(counter func(name string, c *Counter), gauge func(name s
 		gauge(n, m.Gauge(n))
 	}
 	for _, n := range hn {
-		hist(n, m.Histogram(n, nil))
+		hist(n, m.Histogram(n))
 	}
 }
 

@@ -77,46 +77,44 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramShardedObserve(t *testing.T) {
-	m := NewMetrics()
-	h := m.Histogram("lat_seconds", []float64{0.001, 0.01, 0.1})
-	var wg sync.WaitGroup
-	const ranks, per = 32, 250
-	for rank := 0; rank < ranks; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(rank, 0.005)
-			}
-		}(rank)
-	}
-	wg.Wait()
+func TestHistogramBucketEdges(t *testing.T) {
+	var h Histogram
+	h.Observe(0.5e-6) // <= 1µs
+	h.Observe(1e-3)   // <= 1ms (le is inclusive)
+	h.Observe(2e-3)   // <= 4ms
+	h.Observe(16)     // <= 16s
+	h.Observe(1000)   // +Inf
 	snap := h.Snapshot()
-	if snap.Count != ranks*per {
-		t.Fatalf("count = %d, want %d", snap.Count, ranks*per)
+	want := [LatencyBuckets]int64{0: 1, 5: 1, 6: 1, 12: 1, 13: 1}
+	if snap.Counts != want {
+		t.Fatalf("counts = %v, want %v", snap.Counts, want)
 	}
-	if math.Abs(snap.Sum-float64(ranks*per)*0.005) > 1e-6 {
-		t.Fatalf("sum = %g", snap.Sum)
+	total := int64(0)
+	for _, c := range snap.Counts {
+		total += c
 	}
-	// 0.005 lands in the (0.001, 0.01] bucket (index 1).
-	if snap.Counts[1] != ranks*per {
-		t.Fatalf("bucket counts = %v", snap.Counts)
+	if snap.Count != total || total != 5 {
+		t.Fatalf("count = %d, buckets hold %d, want 5", snap.Count, total)
+	}
+	if want := 0.5e-6 + 1e-3 + 2e-3 + 16 + 1000; math.Abs(snap.Sum-want) > 1e-9 {
+		t.Fatalf("sum = %g, want %g", snap.Sum, want)
 	}
 }
 
-func TestHistogramBucketEdges(t *testing.T) {
-	h := newHistogram([]float64{1, 10})
-	h.Observe(0, 0.5)  // <= 1
-	h.Observe(0, 1)    // <= 1 (le is inclusive)
-	h.Observe(0, 5)    // <= 10
-	h.Observe(0, 1000) // +Inf
+func TestHistogramStoreReplaces(t *testing.T) {
+	var h Histogram
+	h.Observe(1e-3)
+	h.Observe(1e-3)
+	h.Observe(100)
+	var stored HistogramSnapshot
+	stored.Counts[2] = 3
+	stored.Sum = 30e-6
+	h.Store(stored)
+	h.Store(stored)
 	snap := h.Snapshot()
-	want := []int64{2, 1, 1}
-	for i, w := range want {
-		if snap.Counts[i] != w {
-			t.Fatalf("counts = %v, want %v", snap.Counts, want)
-		}
+	if snap.Counts != stored.Counts || snap.Count != 3 || snap.Sum != stored.Sum {
+		t.Fatalf("after two Stores of %v (sum %g): counts %v, count %d, sum %g; want the stored values alone",
+			stored.Counts, stored.Sum, snap.Counts, snap.Count, snap.Sum)
 	}
 }
 

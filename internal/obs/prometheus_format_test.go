@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -24,9 +23,9 @@ func auditMetrics() *Metrics {
 	m.Counter(LabeledName("comm_messages_total", "kind", "token")).Add(4)
 	m.Counter(LabeledName("weird_total", "name", "a\\b\"c\nd")).Add(1)
 	m.Gauge("plain_gauge").Set(1.5)
-	h := m.Histogram(LabeledName("rt_epoch_seconds", "cfg", "tempered"), []float64{0.01, 0.1})
-	h.Observe(0, 0.005)
-	h.Observe(0, 0.5)
+	h := m.Histogram(LabeledName("rt_epoch_seconds", "cfg", "tempered"))
+	h.Observe(0.005)
+	h.Observe(0.5)
 	return m
 }
 
@@ -103,7 +102,7 @@ func TestPrometheusFormatAudit(t *testing.T) {
 	}
 	// The labelled histogram must merge its labels with le, not nest
 	// braces after them.
-	if !strings.Contains(out, `rt_epoch_seconds_bucket{cfg="tempered",le="0.01"} 1`) {
+	if !strings.Contains(out, `rt_epoch_seconds_bucket{cfg="tempered",le="0.016"} 1`) {
 		t.Errorf("labelled histogram bucket malformed:\n%s", out)
 	}
 	if !strings.Contains(out, `rt_epoch_seconds_sum{cfg="tempered"}`) ||
@@ -153,49 +152,5 @@ func TestExportersEmptyInputs(t *testing.T) {
 	}
 	if buf.String() != "" {
 		t.Errorf("empty registry exposition = %q, want empty", buf.String())
-	}
-}
-
-// TestHistogramSnapshotMergeDeterminism checks that a histogram snapshot
-// is independent of observation interleaving: concurrent observers on
-// different shards must merge to the same counts, count and sum as a
-// sequential replay. Loads are dyadic so per-shard float accumulation is
-// order-exact.
-func TestHistogramSnapshotMergeDeterminism(t *testing.T) {
-	bounds := []float64{0.25, 1, 4}
-	values := []float64{0.125, 0.5, 2, 8, 0.25, 1, 4, 0.0625}
-
-	seq := newHistogram(bounds)
-	for rank := 0; rank < 32; rank++ {
-		for _, v := range values {
-			seq.Observe(rank, v)
-		}
-	}
-	want := seq.Snapshot()
-
-	for round := 0; round < 4; round++ {
-		conc := newHistogram(bounds)
-		var wg sync.WaitGroup
-		for rank := 0; rank < 32; rank++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				for _, v := range values {
-					conc.Observe(rank, v)
-				}
-			}(rank)
-		}
-		wg.Wait()
-		got := conc.Snapshot()
-		if got.Count != want.Count || got.Sum != want.Sum {
-			t.Fatalf("round %d: count/sum = %d/%g, want %d/%g",
-				round, got.Count, got.Sum, want.Count, want.Sum)
-		}
-		for i := range want.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Fatalf("round %d: bucket %d = %d, want %d",
-					round, i, got.Counts[i], want.Counts[i])
-			}
-		}
 	}
 }

@@ -28,8 +28,8 @@ type (
 	TraceEventType = obs.EventType
 	// TraceRecorder is the standard collecting Tracer.
 	TraceRecorder = obs.Recorder
-	// Metrics is the lock-cheap counter/gauge/histogram registry
-	// returned by Runtime.Metrics.
+	// Metrics is the lock-cheap registry of counters, gauges and
+	// fixed-bucket latency histograms returned by Runtime.Metrics.
 	Metrics = obs.Metrics
 	// Stream is the live frame publisher: a fixed ring of Snapshot
 	// frames plus drop-oldest subscribers.

@@ -27,10 +27,11 @@ race:
 # delay/straggler plans against the transport, the ack/retry layer, and
 # the distributed balancer end-to-end (including the faulted-equals-
 # fault-free and delay-window bit-determinism checks, and the
-# 1024-rank collective storm); plus the inbox ownership tests and the
-# exhaustive interleaving check of its state word.
+# 1024-rank collective storm); plus the inbox ownership tests, the
+# exhaustive interleaving check of its state word, and the 2 000-phase
+# service soak (its allocation bounds are checked without -race).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Determinism|Ownership|Owned|StateWord' ./...
+	$(GO) test -race -run 'Chaos|Fault|Determinism|Ownership|Owned|StateWord|Soak' ./...
 
 # Just the paper-scale collective stress: 1024 ranks storm the k-ary
 # reduction tree (barriers, vector reduces, a scalar max) interleaved

@@ -72,7 +72,15 @@ func (rc *Context) ObjectState(id ObjectID) (any, bool) {
 // slice is the caller's own copy: it may create or migrate objects while
 // ranging over it.
 func (rc *Context) LocalObjects() []ObjectID {
-	return append(make([]ObjectID, 0, len(rc.localIDs)), rc.localIDs...)
+	return rc.AppendLocalObjects(make([]ObjectID, 0, len(rc.localIDs)))
+}
+
+// AppendLocalObjects appends the ids LocalObjects would return to dst
+// and returns the extended slice: a loop that asks every phase passes
+// its last answer back as dst[:0] and allocates only when the rank
+// hosts more objects than ever before.
+func (rc *Context) AppendLocalObjects(dst []ObjectID) []ObjectID {
+	return append(dst, rc.localIDs...)
 }
 
 // bestKnown returns where this rank believes the object lives.

@@ -22,7 +22,12 @@ import (
 // Objects absent from an observed phase (completed, or migrated away
 // without a Forget) are decayed — their level folds in a zero
 // observation — and dropped entirely after MaxAge consecutive absent
-// phases, so Predictions never feeds phantom load to the balancer.
+// phases, so PredictionsInto never feeds phantom load to the balancer.
+//
+// A model consulted every phase for the life of a process allocates
+// only as its id set grows: PredictedTotal and Keep read and prune the
+// model's own ascending id list in place, and PredictionsInto refills a
+// map the caller keeps.
 type LoadModel struct {
 	alpha  float64
 	beta   float64 // trend smoothing factor; 0 disables the trend term
@@ -137,6 +142,11 @@ func (m *LoadModel) PredictAhead(id ObjectID, k int) float64 {
 	if !ok {
 		return 0
 	}
+	return t.ahead(k)
+}
+
+// ahead is PredictAhead for a tracked object.
+func (t *objTrack) ahead(k int) float64 {
 	if k <= 0 {
 		return t.level
 	}
@@ -156,19 +166,34 @@ func (m *LoadModel) Trend(id ObjectID) float64 {
 	return 0
 }
 
-// Predictions snapshots all current one-phase-ahead predictions — the
-// loads map handed to the distributed balancer.
-func (m *LoadModel) Predictions() map[ObjectID]float64 {
-	out := make(map[ObjectID]float64, len(m.pred))
-	for id := range m.pred {
-		out[id] = m.PredictAhead(id, 1)
+// PredictionsInto clears dst and fills it with every current
+// one-phase-ahead prediction — the loads map handed to the distributed
+// balancer. A caller that keeps one map and passes it at every
+// invocation allocates only when the model tracks more objects than
+// ever before.
+func (m *LoadModel) PredictionsInto(dst map[ObjectID]float64) {
+	clear(dst)
+	for id, t := range m.pred {
+		dst[id] = t.ahead(1)
 	}
-	return out
+}
+
+// PredictedTotal sums the one-phase-ahead predictions in ascending id
+// order: a fixed floating-point combine order, so two models holding
+// the same predictions return the same bits.
+func (m *LoadModel) PredictedTotal() float64 {
+	s := 0.0
+	for _, id := range m.sortedIDs() {
+		s += m.pred[id].ahead(1)
+	}
+	return s
 }
 
 // IDs returns the tracked object ids in ascending order, so callers
 // consuming the model iterate deterministically. The slice is the
 // caller's own copy: it may reorder it, or Forget while ranging over it.
+// A loop that runs every phase wants PredictedTotal or Keep, which do
+// not copy.
 func (m *LoadModel) IDs() []ObjectID {
 	ids := m.sortedIDs()
 	return append(make([]ObjectID, 0, len(ids)), ids...)
@@ -196,6 +221,24 @@ func (m *LoadModel) Forget(id ObjectID) {
 		delete(m.pred, id)
 		m.idsValid = false
 	}
+}
+
+// Keep drops every tracked object for which keep returns false — for
+// example Keep(rc.HasObject) after an invocation, so objects migrated
+// away are forgotten and their new hosts start fresh. keep is called
+// once per object, in ascending id order, and the surviving ids keep
+// that order without a re-sort. keep must not call the model.
+func (m *LoadModel) Keep(keep func(ObjectID) bool) {
+	ids := m.sortedIDs()
+	kept := ids[:0]
+	for _, id := range ids {
+		if keep(id) {
+			kept = append(kept, id)
+		} else {
+			delete(m.pred, id)
+		}
+	}
+	m.ids = kept
 }
 
 // Len returns the number of tracked objects.

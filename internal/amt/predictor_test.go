@@ -1,9 +1,13 @@
 package amt
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"temperedlb/internal/core"
 )
 
 func obsOf(id ObjectID, load float64) PhaseStats {
@@ -86,11 +90,18 @@ func TestLoadModelUnknownAndForget(t *testing.T) {
 	}
 }
 
+// predictions returns the model's current predictions in a fresh map.
+func predictions(m *LoadModel) map[ObjectID]float64 {
+	p := make(map[ObjectID]float64)
+	m.PredictionsInto(p)
+	return p
+}
+
 func TestLoadModelPredictionsSnapshot(t *testing.T) {
 	m := NewLoadModel(1)
 	id := MakeObjectID(0, 1)
 	m.Observe(obsOf(id, 2))
-	snap := m.Predictions()
+	snap := predictions(m)
 	m.Observe(obsOf(id, 9))
 	if snap[id] != 2 {
 		t.Error("snapshot aliased live state")
@@ -158,8 +169,8 @@ func TestLoadModelStalePredictionsSwept(t *testing.T) {
 		t.Errorf("stale object survived %d absent phases: predict %g, len %d",
 			DefaultMaxAge, m.Predict(stale), m.Len())
 	}
-	if _, ok := m.Predictions()[stale]; ok {
-		t.Error("Predictions still carries the stale object")
+	if _, ok := predictions(m)[stale]; ok {
+		t.Error("PredictionsInto still carries the stale object")
 	}
 	if m.Predict(alive) == 0 {
 		t.Error("sweep dropped a live object")
@@ -239,8 +250,8 @@ func TestLoadModelTrendForecastClampsAtZero(t *testing.T) {
 	if got := m.Predict(id); got != 0 {
 		t.Errorf("negative forecast not clamped: %g", got)
 	}
-	if got := m.Predictions()[id]; got != 0 {
-		t.Errorf("Predictions not clamped: %g", got)
+	if got := predictions(m)[id]; got != 0 {
+		t.Errorf("PredictionsInto not clamped: %g", got)
 	}
 }
 
@@ -306,13 +317,111 @@ func TestLoadModelDeterministicConsumption(t *testing.T) {
 			t.Fatalf("IDs not ascending: %v", ids)
 		}
 	}
-	pa, pb := a.Predictions(), b.Predictions()
+	pa, pb := predictions(a), predictions(b)
 	if len(pa) != len(pb) {
 		t.Fatalf("prediction sets differ: %d vs %d", len(pa), len(pb))
 	}
 	for id, v := range pa {
 		if pb[id] != v {
 			t.Errorf("object %v: %g vs %g", id, v, pb[id])
+		}
+	}
+}
+
+// trendModel returns a trend-smoothing model fed three phases of n
+// objects whose loads differ per object and phase, two of them falling
+// steeply enough that their forecasts clamp at zero.
+func trendModel(n int) *LoadModel {
+	m := NewLoadModel(0.9)
+	m.SetTrend(0.9)
+	for phase := 0; phase < 3; phase++ {
+		loads := make(map[ObjectID]float64)
+		for seq := 1; seq <= n; seq++ {
+			l := 0.1*float64(seq) + 1/float64(phase+seq)
+			if seq <= 2 {
+				l = 9 - 4.5*float64(phase)
+			}
+			loads[MakeObjectID(core.Rank(seq%3), int64(seq))] = l
+		}
+		m.Observe(PhaseStats{Loads: loads})
+	}
+	return m
+}
+
+// TestLoadModelKeepDropsExactlyTheRejected: Keep forgets the objects its
+// predicate rejects and no others, asks once per object in ascending id
+// order, and leaves the survivors in that order.
+func TestLoadModelKeepDropsExactlyTheRejected(t *testing.T) {
+	m := trendModel(12)
+	before := m.IDs()
+	var asked []ObjectID
+	m.Keep(func(id ObjectID) bool {
+		asked = append(asked, id)
+		return id.seq()%3 != 0
+	})
+	if !slices.Equal(asked, before) {
+		t.Errorf("Keep asked %v, want every id once in ascending order %v", asked, before)
+	}
+	var want []ObjectID
+	for _, id := range before {
+		if id.seq()%3 != 0 {
+			want = append(want, id)
+		}
+	}
+	if got := m.IDs(); !slices.Equal(got, want) {
+		t.Errorf("after Keep: IDs %v, want %v", got, want)
+	}
+	if m.Len() != len(want) {
+		t.Errorf("after Keep: Len %d, want %d", m.Len(), len(want))
+	}
+	// Forgetting through Keep and through Forget leave the same model.
+	f := trendModel(12)
+	for _, id := range f.IDs() {
+		if id.seq()%3 == 0 {
+			f.Forget(id)
+		}
+	}
+	if !maps.Equal(predictions(m), predictions(f)) {
+		t.Error("Keep and a Forget loop leave different predictions")
+	}
+}
+
+// TestLoadModelPredictedTotalIsTheOrderedSum: PredictedTotal is the sum
+// of Predict over IDs, taken in that order, bit for bit — the combine
+// order the service's collective inputs rely on.
+func TestLoadModelPredictedTotalIsTheOrderedSum(t *testing.T) {
+	m := trendModel(40)
+	m.Keep(func(id ObjectID) bool { return id.seq()%7 != 0 })
+	want := 0.0
+	for _, id := range m.IDs() {
+		want += m.Predict(id)
+	}
+	if got := m.PredictedTotal(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("PredictedTotal %v (%#x), the ordered sum %v (%#x)",
+			got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if m.Predict(MakeObjectID(1, 1)) != 0 {
+		t.Error("setup: a falling object's forecast is not clamped at zero")
+	}
+}
+
+// TestLoadModelPredictionsIntoLeavesNoStaleKeys: a map refilled after
+// the model lost objects holds exactly the model's current predictions.
+func TestLoadModelPredictionsIntoLeavesNoStaleKeys(t *testing.T) {
+	m := trendModel(10)
+	dst := make(map[ObjectID]float64)
+	m.PredictionsInto(dst)
+	if len(dst) != 10 {
+		t.Fatalf("first fill: %d predictions, want 10", len(dst))
+	}
+	m.Keep(func(id ObjectID) bool { return id.seq() > 4 })
+	m.PredictionsInto(dst)
+	if len(dst) != m.Len() {
+		t.Errorf("second fill: %d predictions, the model tracks %d", len(dst), m.Len())
+	}
+	for _, id := range m.IDs() {
+		if v, ok := dst[id]; !ok || v != m.Predict(id) {
+			t.Errorf("object %v: map holds %v (present %v), Predict %v", id, v, ok, m.Predict(id))
 		}
 	}
 }

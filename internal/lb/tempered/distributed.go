@@ -68,6 +68,11 @@ type rankState struct {
 	// reduce is the reused input of the invocation's statistics reduces,
 	// made at the width of the widest, an iteration's.
 	reduce []float64
+
+	// history backs the invocation's DistResult.History: made at its
+	// first invocation with room for Trials×Iterations rows, and made
+	// again only when an invocation asks for more.
+	history []core.IterationStats
 }
 
 // xferMsg proposes one task relocation: the sender cedes the (virtual)
@@ -156,7 +161,10 @@ type DistResult struct {
 	// History holds per-iteration accounting aggregated over all ranks —
 	// the distributed equivalents of the synchronous engine's
 	// Result.History rows, reduced with one mixed sum/max collective per
-	// iteration.
+	// iteration. The rows live in the rank's balancer state and are valid
+	// until the rank's next invocation on the same Handlers, which
+	// overwrites them: a caller that keeps them longer copies them
+	// (StripTiming does).
 	History []core.IterationStats
 	// GossipMessages and TransferMessages total the balancer's own
 	// active messages (all ranks, all trials): every gossip message of
@@ -278,7 +286,13 @@ func RunDistributed(rc *amt.Context, h *Handlers, cfg core.Config, loads map[amt
 		return res, nil
 	}
 
-	res.History = make([]core.IterationStats, 0, cfg.Trials*cfg.Iterations)
+	if rows := cfg.Trials * cfg.Iterations; cap(st.history) < rows {
+		// Made at full size, not grown by append: on a rank's first
+		// invocation, the only one a short-lived job has, growing would
+		// allocate the rows several times over.
+		st.history = make([]core.IterationStats, 0, rows)
+	}
+	res.History = st.history[:0]
 	st.best.copyFrom(&st.input)
 	migBefore, bytesBefore := rc.Stats[amt.Migrations].Load(), rc.Stats[amt.MigrationBytes].Load()
 

@@ -20,7 +20,9 @@
 // load total is therefore the same left-to-right sum on every run
 // (bit-identical for non-dyadic loads too), the transfer stage's task
 // list is the set's own slice, and the commit epoch fetches in the
-// order the best set already has.
+// order the best set already has. The rows of DistResult.History live
+// in the same state: a caller keeps them past the rank's next
+// invocation only by copying them.
 //
 // # Concurrency
 //

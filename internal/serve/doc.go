@@ -23,8 +23,9 @@
 // same trigger-decision log and final assignment on the in-memory,
 // Unix-socket and TCP transports at any node count — by construction:
 //
-//  1. The scenario is a pure function of its Spec. Every rank builds an
-//     identical copy; no event needs to cross the wire.
+//  1. The scenario is a pure function of its Spec. Every process builds
+//     an identical copy, which all its ranks share; no event needs to
+//     cross the wire.
 //  2. An object's load is a function of (item, phase), and the item
 //     index rides in the object state through migrations, so whichever
 //     rank hosts an object computes the same work for it.

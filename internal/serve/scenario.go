@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"temperedlb/internal/core"
 )
@@ -231,6 +232,54 @@ func NewScenario(spec Spec) (*Scenario, error) {
 	byStart, _ := countingSort(idx, spec.Phases, func(i int) int { return sc.items[i].Start })
 	sc.arrivals, sc.first = countingSort(byStart, spec.Ranks, func(i int) int { return sc.items[i].Home })
 	return sc, nil
+}
+
+// scenarios holds the scenario of every Run in progress in the process,
+// keyed by its defaulted Spec. A Scenario is immutable and a pure
+// function of the Spec, so the ranks of a process that run the same Spec
+// read one copy: the first of them builds it, the last to return drops
+// it, and nothing outlives the runs.
+var scenarios = struct {
+	sync.Mutex
+	m map[Spec]*sharedScenario
+}{m: make(map[Spec]*sharedScenario)}
+
+// sharedScenario is one entry of scenarios. refs counts the runs holding
+// it and is guarded by the registry's mutex; the scenario is built once,
+// outside it, so a run of another Spec does not wait for the build.
+type sharedScenario struct {
+	once sync.Once
+	sc   *Scenario
+	err  error
+	refs int
+}
+
+// shareScenario returns the process's scenario for a defaulted spec,
+// building it on first use, and takes a reference to it, which the
+// caller hands back with releaseScenario once it is done with the
+// scenario — on every path, error paths included.
+func shareScenario(spec Spec) (*Scenario, error) {
+	scenarios.Lock()
+	e := scenarios.m[spec]
+	if e == nil {
+		e = &sharedScenario{}
+		scenarios.m[spec] = e
+	}
+	e.refs++
+	scenarios.Unlock()
+	e.once.Do(func() { e.sc, e.err = NewScenario(spec) })
+	return e.sc, e.err
+}
+
+// releaseScenario drops a reference shareScenario took, and the entry
+// with the last one.
+func releaseScenario(spec Spec) {
+	scenarios.Lock()
+	defer scenarios.Unlock()
+	e := scenarios.m[spec]
+	if e.refs--; e.refs == 0 {
+		delete(scenarios.m, spec)
+	}
 }
 
 // countingSort returns idx stably sorted by key, which lies in [0, keys),

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"temperedlb/internal/amt"
 	"temperedlb/internal/core"
+	"temperedlb/internal/lb/tempered"
 )
 
 func testSpec(kind Kind) Spec {
@@ -247,5 +249,68 @@ func TestScenarioMatchesReferenceConstruction(t *testing.T) {
 				t.Errorf("%s: ArrivalsAt allocates %.0f times", name, a)
 			}
 		}
+	}
+}
+
+// scenarioEntries returns how many scenarios the process holds.
+func scenarioEntries() int {
+	scenarios.Lock()
+	defer scenarios.Unlock()
+	return len(scenarios.m)
+}
+
+// TestServiceRanksShareOneScenario: the 64 ranks of one in-process Run
+// read one Scenario, and the process holds none once the Run has
+// returned, on the error path too. Every rank's Run is handed the spec
+// of seed 1 while the registry already holds, under that spec, the
+// scenario of seed 2: the run must then be, on every rank, the run of
+// seed 2 — a rank that built its own scenario would work seed 1's items
+// and the collectives would not add up to seed 2's log.
+func TestServiceRanksShareOneScenario(t *testing.T) {
+	lb := core.Tempered()
+	lb.Rounds, lb.Trials, lb.Iterations, lb.Seed = 1, 2, 4, 5
+	seed1 := Config{
+		Scenario: Spec{Kind: KindBurst, Ranks: 64, Phases: 12, Items: 512, Seed: 1},
+		Trigger:  TriggerSpec{Family: "forecast"},
+		LB:       lb,
+	}
+	seed2 := seed1
+	seed2.Scenario.Seed = 2
+	want := stripLocal(runService(t, "memory", 1, seed2)[0])
+	if n := scenarioEntries(); n != 0 {
+		t.Fatalf("%d scenarios held after the run returned", n)
+	}
+
+	planted, err := NewScenario(seed2.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := seed1.withDefaults().Scenario
+	e := &sharedScenario{refs: 1}
+	e.once.Do(func() { e.sc = planted })
+	scenarios.Lock()
+	scenarios.m[key] = e
+	scenarios.Unlock()
+	got := runService(t, "memory", 1, seed1)
+	for r := range got {
+		if !reflect.DeepEqual(stripLocal(got[r]), want) {
+			t.Fatalf("rank %d did not run the shared scenario: its result is not seed 2's", r)
+		}
+	}
+	if e.refs != 1 || scenarioEntries() != 1 {
+		t.Errorf("after the run: %d references to the planted scenario, %d scenarios held; want 1 and 1", e.refs, scenarioEntries())
+	}
+	releaseScenario(key)
+
+	// A Run that fails after taking the scenario gives it back.
+	mismatched := seed1
+	mismatched.Scenario.Ranks = 8
+	runRanks(t, "memory", 1, 64, nil, func(rc *amt.Context, h *tempered.Handlers) {
+		if _, err := Run(rc, h, mismatched); err == nil {
+			t.Errorf("rank %d: an 8-rank scenario ran on 64 ranks", rc.Rank())
+		}
+	})
+	if n := scenarioEntries(); n != 0 {
+		t.Errorf("%d scenarios held after every rank's Run failed", n)
 	}
 }

@@ -167,12 +167,18 @@ var summaryOps = []amt.ReduceOp{amt.ReduceMax, amt.ReduceMax, amt.ReduceSum, amt
 // every rank makes the same fire/skip decision at every phase, so the
 // collective call sequence never diverges — the property the
 // cross-transport tests pin down.
+//
+// The ranks of a process share one Scenario, and a rank keeps one id
+// buffer and one predictions map for the run, so a phase allocates
+// only the row it adds to the Result and what its messages and
+// invocations take.
 func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 	cfg, trig, err := cfg.prepare()
 	if err != nil {
 		return Result{}, err
 	}
-	sc, err := NewScenario(cfg.Scenario)
+	sc, err := shareScenario(cfg.Scenario)
+	defer releaseScenario(cfg.Scenario)
 	if err != nil {
 		return Result{}, err
 	}
@@ -198,6 +204,10 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 		ops = obs.WithSummaryOps(summaryOps, summary, amt.ReduceSum, amt.ReduceMax)
 	}
 	var reduce []float64
+	// ids is the rank's object list, refilled each phase; preds the
+	// model's predictions, refilled at each fire.
+	var ids []amt.ObjectID
+	preds := make(map[amt.ObjectID]float64)
 
 	met := rc.Metrics()
 	if met != nil {
@@ -230,7 +240,8 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 		// Work the phase: every local, alive object records its
 		// scenario-determined load.
 		rc.PhaseBegin()
-		for _, id := range rc.LocalObjects() {
+		ids = rc.AppendLocalObjects(ids[:0])
+		for _, id := range ids {
 			st, _ := rc.ObjectState(id)
 			it := int(st.(float64))
 			if sc.Alive(it, p) {
@@ -244,7 +255,7 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 		// predicted next-phase total, each maximized and summed in one
 		// mixed-op sweep, give every rank the same Summary bits.
 		own := stats.Total
-		predOwn := predictedTotal(model)
+		predOwn := model.PredictedTotal()
 		reduce = append(reduce[:0], own, predOwn, own, predOwn)
 		if watched {
 			reduce = summary.Append(reduce, self, own)
@@ -284,7 +295,8 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 			// deterministically from the phase, so successive
 			// invocations don't replay identical gossip dice.
 			lbCfg.Seed = cfg.LB.Seed + int64(p+1)*7919
-			dres, err := tempered.RunDistributed(rc, h, lbCfg, model.Predictions())
+			model.PredictionsInto(preds)
+			dres, err := tempered.RunDistributed(rc, h, lbCfg, preds)
 			if err != nil {
 				return Result{}, fmt.Errorf("serve: phase %d LB invocation: %w", p, err)
 			}
@@ -297,16 +309,15 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 			// Forget what migrated away: the receiving rank's model
 			// starts fresh from its own observations (the ownership
 			// handoff the predictor tests pin down).
-			for _, id := range model.IDs() {
-				if !rc.HasObject(id) {
-					model.Forget(id)
-				}
-			}
+			model.Keep(rc.HasObject)
 		} else {
 			res.Skips++
 			sinceLB++
 		}
 		res.Rows = append(res.Rows, row)
+		if afterPhase != nil {
+			afterPhase(rc, p)
+		}
 
 		if met != nil {
 			// Every rank stores the same collective-derived values, so
@@ -331,6 +342,11 @@ func Run(rc *amt.Context, h *tempered.Handlers, cfg Config) (Result, error) {
 	return res, nil
 }
 
+// afterPhase, when set, runs on every rank at the end of each phase of
+// Run, once the phase's row is logged: a test's view of a run phase by
+// phase. It is nil outside tests.
+var afterPhase func(rc *amt.Context, phase int)
+
 // assignmentFingerprint folds the final object→rank assignment into one
 // agreed value: each rank FNV-hashes its sorted local object ids,
 // truncated to 52 bits so the digest is exact in a float64, the
@@ -354,17 +370,6 @@ func assignmentFingerprint(rc *amt.Context) uint64 {
 		g.Write(buf[:])
 	}
 	return g.Sum64() & mask
-}
-
-// predictedTotal sums the model's one-phase-ahead predictions in
-// ascending object-id order — the fixed FP combine order that keeps the
-// collective inputs, and so the whole service, bit-deterministic.
-func predictedTotal(m *amt.LoadModel) float64 {
-	s := 0.0
-	for _, id := range m.IDs() {
-		s += m.Predict(id)
-	}
-	return s
 }
 
 // WriteLog renders the trigger-decision log: a header line naming the

@@ -92,7 +92,8 @@ func RegisterLBHandlers(rt *Runtime, base HandlerID) *LBHandlers {
 // and a commit epoch that migrates the chosen objects. loads maps each
 // of the calling rank's local objects to its instrumented load (e.g.
 // from PhaseStats.Loads). It returns an error, the same on every rank,
-// for an invalid configuration.
+// for an invalid configuration. The result's History is valid until the
+// rank's next invocation on the same handlers; copy it to keep it longer.
 func RunDistributedLB(rc *RankContext, h *LBHandlers, cfg Config, loads map[ObjectID]float64) (DistributedResult, error) {
 	return tempered.RunDistributed(rc, h, cfg, loads)
 }
